@@ -21,9 +21,11 @@
 //! transition — hit promotion, eviction-to-ghost, ghost resurrection —
 //! relinks one node without allocating.
 
+use std::fmt;
 use std::hash::Hash;
 
-use crate::intrusive::MultiList;
+use crate::intrusive::{forward_to_slab, MultiList};
+use crate::policy::PolicySet;
 
 const T1: usize = 0;
 const T2: usize = 1;
@@ -33,7 +35,8 @@ const B2: usize = 3;
 /// An ARC residency set over keys of type `K`.
 #[derive(Debug, Clone)]
 pub struct ArcSet<K: Eq + Hash + Clone> {
-    lists: MultiList<K, 4>,
+    /// `T1`/`T2` resident, `B1`/`B2` ghosts.
+    lists: MultiList<K, 4, 2>,
     /// Adaptive target size of `T1`, in `0..=capacity`.
     p: usize,
     /// The page budget the ghost bounds are derived from (≥ 1).
@@ -51,79 +54,6 @@ impl<K: Eq + Hash + Clone> ArcSet<K> {
             p: 0,
             capacity: capacity.max(1),
         }
-    }
-
-    /// Number of resident keys (`T1` + `T2`; ghosts do not count).
-    pub fn len(&self) -> usize {
-        self.lists.list_len(T1) + self.lists.list_len(T2)
-    }
-
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `key` is resident (ghost entries do not count).
-    pub fn contains(&self, key: &K) -> bool {
-        matches!(self.lists.which_list(key), Some(T1) | Some(T2))
-    }
-
-    /// Records a reference to `key`. Returns `true` if the key was not
-    /// resident before (the caller must fetch the page). A ghost hit
-    /// counts as a miss but adapts `p` and resurrects straight into
-    /// `T2`.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.lists.slot_of(&key) {
-            Some(slot) => match self.lists.list_at(slot) {
-                T1 | T2 => {
-                    self.lists.promote(slot, T2);
-                    false
-                }
-                B1 => {
-                    // Recency ghosts hit: grow T1's share.
-                    let delta = (self.lists.list_len(B2) / self.lists.list_len(B1).max(1)).max(1);
-                    self.p = (self.p + delta).min(self.capacity);
-                    self.lists.promote(slot, T2);
-                    true
-                }
-                _ => {
-                    // Frequency ghost hit: shrink T1's share.
-                    let delta = (self.lists.list_len(B1) / self.lists.list_len(B2).max(1)).max(1);
-                    self.p = self.p.saturating_sub(delta);
-                    self.lists.promote(slot, T2);
-                    true
-                }
-            },
-            None => {
-                self.lists.push_front_new(T1, key);
-                self.trim_ghosts();
-                true
-            }
-        }
-    }
-
-    /// Evicts and returns a victim per ARC's REPLACE rule: `T1`'s LRU
-    /// key when `T1` exceeds its adaptive target `p` (or `T2` is
-    /// empty), `T2`'s otherwise. The victim leaves a ghost behind in
-    /// `B1`/`B2` respectively.
-    pub fn pop_victim(&mut self) -> Option<K> {
-        let t1 = self.lists.list_len(T1);
-        let t2 = self.lists.list_len(T2);
-        let victim = if t1 > 0 && (t1 > self.p || t2 == 0) {
-            self.lists.transfer_back(T1, B1)
-        } else if t2 > 0 {
-            self.lists.transfer_back(T2, B2)
-        } else {
-            None
-        };
-        self.trim_ghosts();
-        victim
-    }
-
-    /// Removes a specific key from whichever list holds it (leaving no
-    /// ghost); returns whether a *resident* entry was removed.
-    pub fn remove(&mut self, key: &K) -> bool {
-        matches!(self.lists.remove(key), Some(T1) | Some(T2))
     }
 
     /// Number of keys in the frequency list `T2` (diagnostics/tests).
@@ -154,6 +84,73 @@ impl<K: Eq + Hash + Clone> ArcSet<K> {
                 break;
             }
         }
+    }
+}
+
+impl<K> PolicySet<K> for ArcSet<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        ArcSet::with_capacity(capacity)
+    }
+
+    forward_to_slab!(lists);
+
+    /// A re-reference moves the key to (the front of) `T2`.
+    fn hit(&mut self, slot: usize) {
+        self.lists.promote(slot, T2);
+    }
+
+    /// A new key enters `T1`. A ghost hit is the learning signal: it
+    /// adapts `p` and resurrects the key straight into `T2`.
+    fn admit(&mut self, key: K, payload: u8) {
+        let (slot, inserted) = self.lists.insert_front(T1, key);
+        *self.lists.payload_at_mut(slot) = payload;
+        if inserted {
+            self.trim_ghosts();
+            return;
+        }
+        match self.lists.list_at(slot) {
+            B1 => {
+                // Recency ghost hit: grow T1's share.
+                let delta = (self.lists.list_len(B2) / self.lists.list_len(B1).max(1)).max(1);
+                self.p = (self.p + delta).min(self.capacity);
+                self.lists.promote(slot, T2);
+            }
+            B2 => {
+                // Frequency ghost hit: shrink T1's share.
+                let delta = (self.lists.list_len(B1) / self.lists.list_len(B2).max(1)).max(1);
+                self.p = self.p.saturating_sub(delta);
+                self.lists.promote(slot, T2);
+            }
+            _ => {} // already resident: only the payload changes
+        }
+    }
+
+    /// Evicts a victim per ARC's REPLACE rule: `T1`'s LRU key when `T1`
+    /// exceeds its adaptive target `p` (or `T2` is empty), `T2`'s
+    /// otherwise. The victim leaves a ghost behind in `B1`/`B2`
+    /// respectively.
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
+        let t1 = self.lists.list_len(T1);
+        let t2 = self.lists.list_len(T2);
+        let ghosted = if t1 > 0 && (t1 > self.p || t2 == 0) {
+            self.lists.transfer_back(T1, B1)
+        } else if t2 > 0 {
+            self.lists.transfer_back(T2, B2)
+        } else {
+            None
+        };
+        let victim =
+            ghosted.map(|slot| (self.lists.key_at(slot).clone(), *self.lists.payload_at_mut(slot)));
+        self.trim_ghosts();
+        victim
+    }
+
+    /// Removes the key from whichever list holds it, leaving no ghost.
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        self.lists.remove(key).and_then(|(list, payload)| (list < B1).then_some(payload))
     }
 }
 

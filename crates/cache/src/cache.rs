@@ -1,9 +1,12 @@
 //! The buffer cache.
 //!
-//! A page-granular cache with LRU replacement and sequential readahead,
-//! plus a *cost model* that converts cache events into simulated
-//! latencies. The defaults are calibrated so replayed traces reproduce
-//! the paper's observations:
+//! A page-granular cache with a pluggable replacement policy (seven of
+//! them, selected by [`ReplacementPolicy`]; LRU is the default) and
+//! sequential readahead, plus a *cost model* that converts cache events
+//! into simulated latencies. The cache keeps no page table of its own:
+//! the policy's slab is the table, and each resident page's dirty and
+//! prefetched bits live in its node. The defaults are calibrated so
+//! replayed traces reproduce the paper's observations:
 //!
 //! - a warm (fully cached) operation costs microseconds — Table 1's
 //!   0.0025 ms reads, Table 3's 7.5e-5 ms seeks,
@@ -17,8 +20,6 @@
 //! - readahead staged by one operation is charged to that operation
 //!   ("I/O operations in light of prefetching experience relatively
 //!   high execution times").
-
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -132,11 +133,11 @@ impl Default for CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PageState {
-    dirty: bool,
-    prefetched: bool,
-}
+// Page state bits, kept in the policy node's payload byte.
+/// The page has been written since it was last written back.
+const DIRTY: u8 = 1;
+/// The page was staged by readahead and has not been demanded yet.
+const PREFETCHED: u8 = 2;
 
 /// State threaded through a sequence of [`BufferCache::page_access`]
 /// calls belonging to one operation (the sharding SPI).
@@ -145,16 +146,21 @@ struct PageState {
 /// whether the previous page of *this* operation on *this* cache
 /// instance missed (so a continuing miss run is charged positioning
 /// only once), and — in run-promotion mode — which resident page
-/// currently stands for the whole run. [`ShardedBufferCache`] keeps one
-/// cursor per shard so each shard sees exactly the miss-run structure
-/// of its own page subsequence, which is what makes shard-local
-/// eviction decisions independent of the total shard count.
+/// currently stands for the whole run, remembered with its policy slot
+/// so promoting it needs no second lookup. [`ShardedBufferCache`] keeps
+/// one cursor per shard so each shard sees exactly the miss-run
+/// structure of its own page subsequence, which is what makes
+/// shard-local eviction decisions independent of the total shard
+/// count.
+///
+/// A cursor belongs to one operation: the pages fed through it must be
+/// distinct, and it is spent by [`BufferCache::finish_run`].
 ///
 /// [`ShardedBufferCache`]: crate::shard::ShardedBufferCache
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunCursor {
     in_miss_run: bool,
-    run_mru: Option<PageId>,
+    run_mru: Option<(PageId, usize)>,
 }
 
 impl RunCursor {
@@ -196,12 +202,13 @@ impl AccessOutcome {
     }
 }
 
-/// A page-granular buffer cache with LRU replacement and readahead.
+/// A page-granular buffer cache with readahead, under the replacement
+/// policy [`CacheConfig::policy`] names. The policy set doubles as the
+/// page table (see [`PolicySet`]).
 #[derive(Debug, Clone)]
 pub struct BufferCache {
     cfg: CacheConfig,
     resident: Box<dyn PolicySet<PageId>>,
-    pages: HashMap<PageId, PageState>,
     prefetcher: Prefetcher,
     metrics: CacheMetrics,
     files: Vec<String>,
@@ -215,15 +222,7 @@ impl BufferCache {
         // The single registry point: the configured policy builds its
         // own residency set, sized so the replay hot loop never regrows.
         let resident = cfg.policy.build(cfg.capacity_pages);
-        let pages = HashMap::with_capacity(cfg.capacity_pages.min(crate::PREALLOC_PAGES_MAX));
-        Self {
-            cfg,
-            resident,
-            pages,
-            prefetcher,
-            metrics: CacheMetrics::default(),
-            files: Vec::new(),
-        }
+        Self { cfg, resident, prefetcher, metrics: CacheMetrics::default(), files: Vec::new() }
     }
 
     /// Registers a file name, returning its id. The cache itself never
@@ -258,27 +257,31 @@ impl BufferCache {
         self.resident.contains(&PageId::containing(file, offset, self.cfg.page_size))
     }
 
-    fn evict_for_room(&mut self, out: &mut AccessOutcome) {
-        while self.resident.len() >= self.cfg.capacity_pages.max(1) {
-            let Some(victim) = self.resident.pop_victim() else { break };
-            let state = self.pages.remove(&victim).unwrap_or_default();
-            out.evictions += 1;
-            self.metrics.evictions += 1;
-            if state.dirty {
-                out.writebacks += 1;
-                self.metrics.writebacks += 1;
-                out.cost_ms += self.cfg.costs.writeback_per_page;
-            }
+    /// Charges one page's write-back to `out` and the counters.
+    fn write_back(&mut self, out: &mut AccessOutcome) {
+        out.writebacks += 1;
+        self.metrics.writebacks += 1;
+        out.cost_ms += self.cfg.costs.writeback_per_page;
+    }
+
+    /// Accounts for a page leaving the cache with state `bits`.
+    fn evicted(&mut self, bits: u8, out: &mut AccessOutcome) {
+        out.evictions += 1;
+        self.metrics.evictions += 1;
+        if bits & DIRTY != 0 {
+            self.write_back(out);
         }
     }
 
-    fn insert_page(&mut self, id: PageId, prefetched: bool, dirty: bool, out: &mut AccessOutcome) {
+    fn insert_page(&mut self, id: PageId, bits: u8, out: &mut AccessOutcome) {
         if self.cfg.capacity_pages == 0 {
             return; // caching disabled: nothing is retained
         }
-        self.evict_for_room(out);
-        self.resident.touch(id);
-        self.pages.insert(id, PageState { dirty, prefetched });
+        while self.resident.len() >= self.cfg.capacity_pages {
+            let Some((_, victim_bits)) = self.resident.pop_victim_entry() else { break };
+            self.evicted(victim_bits, out);
+        }
+        self.resident.admit(id, bits);
     }
 
     /// Performs a read or write of `len` bytes at `offset`, returning
@@ -370,27 +373,23 @@ impl BufferCache {
         cursor: &mut RunCursor,
         out: &mut AccessOutcome,
     ) {
-        // `pages` and `resident` always track the same key set, so
-        // this single probe doubles as the residency check.
-        if let Some(state) = self.pages.get_mut(&id) {
-            if state.prefetched {
-                state.prefetched = false;
+        // The one hash probe of a hit; everything after goes by slot.
+        if let Some(slot) = self.resident.lookup(&id) {
+            let bits = self.resident.payload_mut(slot);
+            if *bits & PREFETCHED != 0 {
+                *bits &= !PREFETCHED;
                 self.metrics.prefetch_hits += 1;
             }
             if kind == AccessKind::Write {
                 match self.cfg.write_policy {
-                    WritePolicy::WriteBack => state.dirty = true,
-                    WritePolicy::WriteThrough => {
-                        out.writebacks += 1;
-                        self.metrics.writebacks += 1;
-                        out.cost_ms += self.cfg.costs.writeback_per_page;
-                    }
+                    WritePolicy::WriteBack => *bits |= DIRTY,
+                    WritePolicy::WriteThrough => self.write_back(out),
                 }
             }
             if per_page_touch {
-                self.resident.touch(id);
+                self.resident.hit(slot);
             } else {
-                cursor.run_mru = Some(id);
+                cursor.run_mru = Some((id, slot));
             }
             out.pages_hit += 1;
             self.metrics.hits += 1;
@@ -404,14 +403,14 @@ impl BufferCache {
             out.pages_missed += 1;
             self.metrics.misses += 1;
             out.cost_ms += self.cfg.costs.fault_per_page;
-            let dirty =
-                kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteBack;
-            if kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteThrough {
-                out.writebacks += 1;
-                self.metrics.writebacks += 1;
-                out.cost_ms += self.cfg.costs.writeback_per_page;
+            let mut bits = 0;
+            if kind == AccessKind::Write {
+                match self.cfg.write_policy {
+                    WritePolicy::WriteBack => bits = DIRTY,
+                    WritePolicy::WriteThrough => self.write_back(out),
+                }
             }
-            self.insert_page(id, false, dirty, out);
+            self.insert_page(id, bits, out);
         }
     }
 
@@ -419,11 +418,12 @@ impl BufferCache {
     /// [`BufferCache::page_access`] calls: the run's final resident page
     /// is promoted once, standing for the whole stretch.
     pub fn finish_run(&mut self, cursor: RunCursor) {
-        if let Some(id) = cursor.run_mru {
-            // A later fault in the same span can have evicted the page;
-            // only promote what is still resident.
-            if self.pages.contains_key(&id) {
-                self.resident.touch(id);
+        if let Some((id, slot)) = cursor.run_mru {
+            // A later fault in the same span can have evicted the page
+            // (and handed its slot to another); the slot still holding
+            // the remembered key says it is resident, without hashing.
+            if self.resident.resident_key(slot) == Some(&id) {
+                self.resident.hit(slot);
             }
         }
     }
@@ -432,25 +432,25 @@ impl BufferCache {
     /// charging its transfer to `out`. No-op (returning `false`) when
     /// the page is already resident or caching is disabled.
     pub fn stage_prefetch(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
-        if self.cfg.capacity_pages == 0 || self.pages.contains_key(&id) {
+        if self.cfg.capacity_pages == 0 || self.resident.contains(&id) {
             return false;
         }
         out.pages_prefetched += 1;
         self.metrics.prefetched += 1;
         out.cost_ms += self.cfg.costs.prefetch_per_page;
-        self.insert_page(id, true, false, out);
+        self.insert_page(id, PREFETCHED, out);
         true
     }
 
     /// Stages a page at open time without charging fault or prefetch
     /// cost (the platform overlaps the header read with the open).
     pub fn stage_open_page(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
-        if self.cfg.capacity_pages == 0 || self.pages.contains_key(&id) {
+        if self.cfg.capacity_pages == 0 || self.resident.contains(&id) {
             return false;
         }
         out.pages_prefetched += 1;
         self.metrics.prefetched += 1;
-        self.insert_page(id, true, false, out);
+        self.insert_page(id, PREFETCHED, out);
         true
     }
 
@@ -458,22 +458,19 @@ impl BufferCache {
     /// into `out` — the page-side effect of [`BufferCache::close`],
     /// without the fixed close cost or the readahead-state reset.
     pub fn evict_file_pages(&mut self, file: FileId, out: &mut AccessOutcome) {
-        let mut victims: Vec<PageId> =
-            self.pages.keys().filter(|p| p.file == file).copied().collect();
-        // HashMap iteration order is per-instance random, and some
-        // policies (CLOCK's slot reuse, 2Q's queue surgery) are
-        // sensitive to removal order — evict in page order so two
-        // caches fed identical streams stay identical.
+        let mut victims: Vec<PageId> = Vec::new();
+        self.resident.visit_residents(&mut |id, _| {
+            if id.file == file {
+                victims.push(*id);
+            }
+        });
+        // Some policies (CLOCK's slot reuse, 2Q's queue surgery) are
+        // sensitive to removal order — evict in page order, whatever
+        // order the policy walks its residents in.
         victims.sort_unstable();
         for id in victims {
-            let state = self.pages.remove(&id).unwrap_or_default();
-            self.resident.remove(&id);
-            out.evictions += 1;
-            self.metrics.evictions += 1;
-            if state.dirty {
-                out.writebacks += 1;
-                self.metrics.writebacks += 1;
-                out.cost_ms += self.cfg.costs.writeback_per_page;
+            if let Some(bits) = self.resident.remove_entry(&id) {
+                self.evicted(bits, out);
             }
         }
     }
@@ -481,13 +478,15 @@ impl BufferCache {
     /// Writes every dirty page back without evicting, accumulating into
     /// `out` — the page-side effect of [`BufferCache::flush`].
     pub fn flush_pages(&mut self, out: &mut AccessOutcome) {
-        for state in self.pages.values_mut() {
-            if state.dirty {
-                state.dirty = false;
-                out.writebacks += 1;
-                self.metrics.writebacks += 1;
-                out.cost_ms += self.cfg.costs.writeback_per_page;
+        let mut dirty = 0;
+        self.resident.visit_residents(&mut |_, bits| {
+            if *bits & DIRTY != 0 {
+                *bits &= !DIRTY;
+                dirty += 1;
             }
+        });
+        for _ in 0..dirty {
+            self.write_back(out);
         }
     }
 
@@ -734,6 +733,74 @@ mod tests {
         assert_eq!(out.pages_missed, 1);
         assert!(c.resident_pages() <= 4);
         assert!(c.is_resident(f, 3 * 4096), "run representative stays hot");
+    }
+
+    #[test]
+    fn a_run_candidate_evicted_mid_span_does_not_promote_its_slots_new_owner() {
+        let mut c = BufferCache::new(CacheConfig {
+            capacity_pages: 3,
+            prefetch_enabled: false,
+            ..Default::default()
+        });
+        let f = c.register_file("run");
+        let g = c.register_file("other");
+        c.access(f, 4096, 4096, AccessKind::Read); // f:1, the oldest
+        c.access(g, 0, 4096, AccessKind::Read);
+        c.access(g, 4096, 4096, AccessKind::Read);
+        // f:1 hits and becomes the run's candidate; f:2 faults, evicts
+        // f:1 and inherits its slot; f:3 faults and evicts g:0. The
+        // remembered slot now holds f:2, which must stay where it is:
+        // recency is f:3 > f:2 > g:1.
+        let out = c.access_run(f, 4096, 3 * 4096, AccessKind::Read);
+        assert_eq!((out.pages_hit, out.pages_missed, out.evictions), (1, 2, 2));
+        c.access(g, 10 * 4096, 4096, AccessKind::Read); // evicts g:1
+        c.access(g, 11 * 4096, 4096, AccessKind::Read); // evicts f:2, not f:3
+        assert!(!c.is_resident(f, 2 * 4096));
+        assert!(c.is_resident(f, 3 * 4096));
+    }
+
+    #[test]
+    fn separately_built_caches_agree_access_for_access() {
+        // No table in the crate carries per-instance state, so two
+        // caches fed one stream agree on every outcome — including
+        // which pages a close evicts in which order, which CLOCK's slot
+        // reuse and 2Q's queues turn into later victim choices — and
+        // walk their residents in the same order.
+        for policy in ReplacementPolicy::ALL {
+            let cfg = CacheConfig { policy, capacity_pages: 96, ..Default::default() };
+            let mut a = BufferCache::new(cfg.clone());
+            let mut b = BufferCache::new(cfg);
+            for name in ["x", "y", "z"] {
+                assert_eq!(a.register_file(name), b.register_file(name));
+            }
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for step in 0..4000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let file = FileId((x % 3) as u32);
+                let offset = (x >> 8) % 300 * 4096;
+                let len = 1 + (x >> 20) % (6 * 4096);
+                let kind = if x & 4 == 0 { AccessKind::Write } else { AccessKind::Read };
+                let (oa, ob) = if step % 97 == 96 {
+                    (a.close(file), b.close(file))
+                } else if x & 8 == 0 {
+                    (a.access_run(file, offset, len, kind), b.access_run(file, offset, len, kind))
+                } else {
+                    (a.access(file, offset, len, kind), b.access(file, offset, len, kind))
+                };
+                assert_eq!(oa, ob, "{} diverged at step {step}", policy.name());
+            }
+            assert_eq!(a.metrics(), b.metrics());
+            assert!(a.metrics().evictions > 96 && a.metrics().writebacks > 0);
+            let walk = |c: &mut BufferCache| {
+                let mut seen = Vec::new();
+                c.resident.visit_residents(&mut |id, bits| seen.push((*id, *bits)));
+                seen
+            };
+            assert_eq!(walk(&mut a), walk(&mut b), "{}", policy.name());
+            assert_eq!(a.flush(), b.flush());
+        }
     }
 
     #[test]

@@ -11,51 +11,100 @@
 //! - 2Q uses three (trial, protected, ghost),
 //! - ARC uses four (T1/T2 resident, B1/B2 ghost).
 //!
-//! The payoff is a single hash probe per operation and zero
-//! steady-state allocation: moving a key between segments relinks the
-//! node it already owns (three index writes), instead of removing from
-//! one hash-backed list and inserting into another. Freed slots go on
-//! an internal free list and are reused, so a cache that has warmed up
-//! to its capacity never allocates again — the property pinned by the
-//! counting-allocator gate in `tests/perf_scaling.rs`.
+//! The slab is also the cache's **page table**: each node carries a
+//! caller-owned payload byte (the buffer cache keeps its dirty and
+//! prefetched bits there), so the owning cache needs no map of its
+//! own. A key is hashed once per operation — by [`MultiList::slot_of`],
+//! [`MultiList::insert_front`] or [`MultiList::remove`] — and every
+//! follow-up (payload access, promotion, relinking between segments)
+//! goes through the returned slot: three index writes instead of
+//! removing from one hash-backed list and inserting into another.
+//! Freed slots go on an internal free list and are reused, so a cache
+//! that has warmed up to its capacity never allocates again — the
+//! property pinned by the counting-allocator gate in
+//! `tests/perf_scaling.rs`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
+
+use crate::hash::{mix_map_with_capacity, MixMap};
+
+/// The [`PolicySet`](crate::policy::PolicySet) methods every policy
+/// built on a [`MultiList`] forwards unchanged to the list in its
+/// `$field`: the resident count, the resident-only lookup, slot
+/// validation, payload access, the resident walk and the boxed clone.
+macro_rules! forward_to_slab {
+    ($field:ident) => {
+        fn len(&self) -> usize {
+            self.$field.resident_len()
+        }
+
+        fn lookup(&self, key: &K) -> Option<usize> {
+            self.$field.resident_slot_of(key)
+        }
+
+        fn resident_key(&self, slot: usize) -> Option<&K> {
+            self.$field.resident_key_at(slot)
+        }
+
+        fn payload_mut(&mut self, slot: usize) -> &mut u8 {
+            self.$field.payload_at_mut(slot)
+        }
+
+        fn visit_residents(&mut self, visit: &mut dyn FnMut(&K, &mut u8)) {
+            self.$field.for_each_resident(visit);
+        }
+
+        fn boxed_clone(&self) -> Box<dyn crate::policy::PolicySet<K>> {
+            Box::new(self.clone())
+        }
+    };
+}
+pub(crate) use forward_to_slab;
 
 /// Sentinel slot index meaning "no node".
 pub const NIL: usize = usize::MAX;
+
+/// `Node::list` tag of a slot that sits on the free list (never a valid
+/// list index: `N` is at most a handful).
+const FREE: u8 = u8::MAX;
 
 #[derive(Debug, Clone)]
 struct Node<K> {
     key: K,
     prev: usize,
     next: usize,
-    /// Which of the `N` lists this node is linked into.
+    /// Which of the `N` lists this node is linked into, or [`FREE`].
     list: u8,
     /// Policy-defined mark (SIEVE's visited bit; unused elsewhere).
     flag: bool,
+    /// Caller-owned bits; the list never interprets them.
+    payload: u8,
 }
 
 /// `N` intrusive doubly-linked lists over one slab and one key index.
+/// Lists `0..R` hold *resident* keys, lists `R..N` ghosts (keys a
+/// policy remembers after evicting them); `R` defaults to `N`.
 ///
 /// Slots are stable: a node keeps its slab index for its whole
-/// lifetime, however many times it moves between lists, so policies
-/// may hold slot indices (SIEVE's hand) across operations — they are
-/// invalidated only by removing that very node.
+/// lifetime, however many times it moves between lists, so callers may
+/// hold slot indices (SIEVE's hand, the cache's run cursor) across
+/// operations — they are invalidated only by removing that very node,
+/// which [`MultiList::resident_key_at`] detects.
 ///
 /// Each list orders nodes front (most recently pushed) to back; which
 /// end means "hot" is the policy's business.
 #[derive(Debug, Clone)]
-pub struct MultiList<K: Eq + Hash + Clone, const N: usize> {
+pub struct MultiList<K: Eq + Hash + Clone, const N: usize, const R: usize = N> {
     nodes: Vec<Node<K>>,
     free: Vec<usize>,
-    index: HashMap<K, usize>,
+    index: MixMap<K, usize>,
     head: [usize; N],
     tail: [usize; N],
     len: [usize; N],
 }
 
-impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
+impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
     /// Creates an empty structure.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -67,7 +116,7 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
         Self {
             nodes: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity.min(16)),
-            index: HashMap::with_capacity(capacity),
+            index: mix_map_with_capacity(capacity),
             head: [NIL; N],
             tail: [NIL; N],
             len: [0; N],
@@ -84,19 +133,25 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
         self.len[list]
     }
 
+    /// Number of keys across the resident lists `0..R`.
+    pub fn resident_len(&self) -> usize {
+        self.len[..R].iter().sum()
+    }
+
     /// Whether no keys are tracked in any list.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 
-    /// Whether `key` is tracked (in any list).
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// The slab slot of `key`, if tracked.
+    /// The slab slot of `key`, if tracked (in any list).
     pub fn slot_of(&self, key: &K) -> Option<usize> {
         self.index.get(key).copied()
+    }
+
+    /// The slab slot of `key`, if it is in a resident list.
+    pub fn resident_slot_of(&self, key: &K) -> Option<usize> {
+        // `R == N` (no ghost lists) folds the filter away at compile time.
+        self.slot_of(key).filter(|&slot| R == N || (self.nodes[slot].list as usize) < R)
     }
 
     /// Which list `key` is in, if tracked.
@@ -107,6 +162,14 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
     /// The key stored in `slot`.
     pub fn key_at(&self, slot: usize) -> &K {
         &self.nodes[slot].key
+    }
+
+    /// The key stored in `slot` if that slot currently holds a
+    /// resident node — `None` for a ghost, a freed slot or an index
+    /// past the slab. Comparing the result with a remembered key
+    /// revalidates a remembered slot without hashing.
+    pub fn resident_key_at(&self, slot: usize) -> Option<&K> {
+        self.nodes.get(slot).filter(|n| (n.list as usize) < R).map(|n| &n.key)
     }
 
     /// Which list the node in `slot` is linked into.
@@ -122,6 +185,11 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
     /// Sets the policy flag of `slot`.
     pub fn set_flag_at(&mut self, slot: usize, flag: bool) {
         self.nodes[slot].flag = flag;
+    }
+
+    /// The caller-owned payload byte of `slot`.
+    pub fn payload_at_mut(&mut self, slot: usize) -> &mut u8 {
+        &mut self.nodes[slot].payload
     }
 
     /// The slot before `slot` in its list (toward the front), or
@@ -184,46 +252,50 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
         self.len[list] += 1;
     }
 
-    /// Inserts an untracked `key` at the front of `list` with a clear
-    /// flag, returning its slot. Returns `None` (and does nothing) if
-    /// the key is already tracked.
-    pub fn insert_front(&mut self, list: usize, key: K) -> Option<usize> {
-        if self.index.contains_key(&key) {
-            return None;
-        }
-        Some(self.push_front_new(list, key))
+    /// Unlinks `slot`, puts it on the free list and returns its payload.
+    /// The index entry is the caller's to drop.
+    fn release(&mut self, slot: usize) -> u8 {
+        self.unlink(slot);
+        self.nodes[slot].list = FREE;
+        self.free.push(slot);
+        self.nodes[slot].payload
     }
 
-    /// [`MultiList::insert_front`] without the presence check: the hot
-    /// path for policies that have already probed the index this
-    /// operation. The key **must not** be tracked (debug-asserted).
-    pub fn push_front_new(&mut self, list: usize, key: K) -> usize {
-        debug_assert!(!self.index.contains_key(&key), "push_front_new on a tracked key");
+    /// Inserts `key` at the front of `list` with a clear flag and a
+    /// zero payload, returning `(slot, true)` — or, if the key is
+    /// already tracked (in any list), changes nothing and returns
+    /// `(its slot, false)`. One hash probe either way.
+    pub fn insert_front(&mut self, list: usize, key: K) -> (usize, bool) {
+        let vacant = match self.index.entry(key) {
+            Entry::Occupied(tracked) => return (*tracked.get(), false),
+            Entry::Vacant(vacant) => vacant,
+        };
+        let node = Node {
+            key: vacant.key().clone(),
+            prev: NIL,
+            next: NIL,
+            list: 0,
+            flag: false,
+            payload: 0,
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.nodes[s] =
-                    Node { key: key.clone(), prev: NIL, next: NIL, list: 0, flag: false };
+                self.nodes[s] = node;
                 s
             }
             None => {
-                self.nodes.push(Node {
-                    key: key.clone(),
-                    prev: NIL,
-                    next: NIL,
-                    list: 0,
-                    flag: false,
-                });
+                self.nodes.push(node);
                 self.nodes.len() - 1
             }
         };
-        self.index.insert(key, slot);
+        vacant.insert(slot);
         self.link_front(slot, list);
-        slot
+        (slot, true)
     }
 
     /// Relinks the node in `slot` to the front of `list` (possibly a
     /// different list from the one it is in). O(1), no allocation, flag
-    /// preserved.
+    /// and payload preserved.
     pub fn promote(&mut self, slot: usize, list: usize) {
         if self.head[list] == slot {
             return; // already the front of the target list
@@ -232,16 +304,17 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
         self.link_front(slot, list);
     }
 
-    /// Removes and returns the key at the back of `list`, freeing its
-    /// slot.
-    pub fn pop_back(&mut self, list: usize) -> Option<K> {
+    /// Removes the node at the back of `list`, freeing its slot, and
+    /// returns its key and payload.
+    pub fn pop_back(&mut self, list: usize) -> Option<(K, u8)> {
         let slot = self.tail[list];
         (slot != NIL).then(|| self.remove_slot(slot))
     }
 
-    /// Moves the back node of `from` to the front of `to`, returning a
-    /// clone of its key. The node keeps its slot; its flag is cleared.
-    pub fn transfer_back(&mut self, from: usize, to: usize) -> Option<K> {
+    /// Moves the back node of `from` to the front of `to`, returning
+    /// its slot (which it keeps). Its flag is cleared; its payload is
+    /// preserved.
+    pub fn transfer_back(&mut self, from: usize, to: usize) -> Option<usize> {
         let slot = self.tail[from];
         if slot == NIL {
             return None;
@@ -249,25 +322,33 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
         self.unlink(slot);
         self.nodes[slot].flag = false;
         self.link_front(slot, to);
-        Some(self.nodes[slot].key.clone())
+        Some(slot)
     }
 
-    /// Removes `key` entirely, returning which list it was in.
-    pub fn remove(&mut self, key: &K) -> Option<usize> {
+    /// Removes `key` entirely, returning which list it was in and its
+    /// payload.
+    pub fn remove(&mut self, key: &K) -> Option<(usize, u8)> {
         let slot = self.index.remove(key)?;
         let list = self.nodes[slot].list as usize;
-        self.unlink(slot);
-        self.free.push(slot);
-        Some(list)
+        Some((list, self.release(slot)))
     }
 
-    /// Removes the node in `slot` entirely, returning its key.
-    pub fn remove_slot(&mut self, slot: usize) -> K {
-        self.unlink(slot);
+    /// Removes the node in `slot` entirely, returning its key and
+    /// payload.
+    pub fn remove_slot(&mut self, slot: usize) -> (K, u8) {
+        let payload = self.release(slot);
         let key = self.nodes[slot].key.clone();
         self.index.remove(&key);
-        self.free.push(slot);
-        key
+        (key, payload)
+    }
+
+    /// Calls `visit` with the key and payload of every resident node,
+    /// in slab order (a pure function of the operation history, not of
+    /// any hash order). O(slab size).
+    pub fn for_each_resident(&mut self, visit: &mut dyn FnMut(&K, &mut u8)) {
+        for node in self.nodes.iter_mut().filter(|n| (n.list as usize) < R) {
+            visit(&node.key, &mut node.payload);
+        }
     }
 
     /// Keys of `list`, front to back (test/diagnostic helper; O(n)).
@@ -276,18 +357,18 @@ impl<K: Eq + Hash + Clone, const N: usize> MultiList<K, N> {
     }
 }
 
-impl<K: Eq + Hash + Clone, const N: usize> Default for MultiList<K, N> {
+impl<K: Eq + Hash + Clone, const N: usize, const R: usize> Default for MultiList<K, N, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-struct ListIter<'a, K: Eq + Hash + Clone, const N: usize> {
-    multi: &'a MultiList<K, N>,
+struct ListIter<'a, K: Eq + Hash + Clone, const N: usize, const R: usize> {
+    multi: &'a MultiList<K, N, R>,
     cur: usize,
 }
 
-impl<'a, K: Eq + Hash + Clone, const N: usize> Iterator for ListIter<'a, K, N> {
+impl<'a, K: Eq + Hash + Clone, const N: usize, const R: usize> Iterator for ListIter<'a, K, N, R> {
     type Item = &'a K;
     fn next(&mut self) -> Option<&'a K> {
         if self.cur == NIL {
@@ -310,9 +391,9 @@ mod tests {
         m.insert_front(0, 2);
         m.insert_front(0, 3);
         assert_eq!(m.iter(0).copied().collect::<Vec<_>>(), vec![3, 2, 1]);
-        assert_eq!(m.pop_back(0), Some(1));
-        assert_eq!(m.pop_back(0), Some(2));
-        assert_eq!(m.pop_back(0), Some(3));
+        assert_eq!(m.pop_back(0), Some((1, 0)));
+        assert_eq!(m.pop_back(0), Some((2, 0)));
+        assert_eq!(m.pop_back(0), Some((3, 0)));
         assert_eq!(m.pop_back(0), None);
         assert!(m.is_empty());
     }
@@ -320,8 +401,9 @@ mod tests {
     #[test]
     fn duplicate_insert_is_rejected() {
         let mut m: MultiList<u32, 2> = MultiList::new();
-        assert!(m.insert_front(0, 7).is_some());
-        assert!(m.insert_front(1, 7).is_none(), "key already tracked in list 0");
+        let (slot, inserted) = m.insert_front(0, 7);
+        assert!(inserted);
+        assert_eq!(m.insert_front(1, 7), (slot, false), "key already tracked in list 0");
         assert_eq!(m.which_list(&7), Some(0));
         assert_eq!(m.total_len(), 1);
     }
@@ -359,11 +441,12 @@ mod tests {
         for k in [1, 2, 3] {
             m.insert_front(0, k);
         }
-        assert_eq!(m.transfer_back(0, 1), Some(1));
+        let moved = m.transfer_back(0, 1).unwrap();
+        assert_eq!(*m.key_at(moved), 1);
         assert_eq!(m.which_list(&1), Some(1));
         assert_eq!(m.list_len(0), 2);
         assert_eq!(m.peek_back(1), Some(&1));
-        assert_eq!(m.transfer_back(1, 0), Some(1));
+        assert_eq!(m.transfer_back(1, 0), Some(moved), "the node keeps its slot");
         assert_eq!(m.which_list(&1), Some(0));
         assert_eq!(m.iter(0).copied().collect::<Vec<_>>(), vec![1, 3, 2]);
     }
@@ -371,7 +454,7 @@ mod tests {
     #[test]
     fn flags_survive_promotion_but_not_transfer() {
         let mut m: MultiList<u32, 2> = MultiList::new();
-        let s = m.insert_front(0, 9).unwrap();
+        let (s, _) = m.insert_front(0, 9);
         m.set_flag_at(s, true);
         m.insert_front(0, 10);
         m.promote(s, 1);
@@ -386,9 +469,9 @@ mod tests {
         m.insert_front(0, 1);
         m.insert_front(0, 2);
         let s1 = m.slot_of(&1).unwrap();
-        assert_eq!(m.remove(&1), Some(0));
+        assert_eq!(m.remove(&1), Some((0, 0)));
         assert_eq!(m.remove(&1), None);
-        let s3 = m.insert_front(0, 3).unwrap();
+        let (s3, _) = m.insert_front(0, 3);
         assert_eq!(s3, s1, "freed slot reused");
         assert_eq!(m.total_len(), 2);
     }
@@ -406,5 +489,39 @@ mod tests {
         assert_eq!(m.prev_of(m.prev_of(mid)), NIL);
         assert_eq!(m.next_of(tail), NIL);
         assert_eq!(m.head_of(0), m.prev_of(mid));
+    }
+
+    #[test]
+    fn payloads_follow_their_node_and_ghost_lists_are_not_resident() {
+        // Two resident lists (0, 1) and one ghost list (2).
+        let mut m: MultiList<u32, 3, 2> = MultiList::new();
+        let (s, _) = m.insert_front(0, 9);
+        *m.payload_at_mut(s) = 0b11;
+        m.insert_front(0, 10);
+        m.promote(s, 1);
+        assert_eq!(*m.payload_at_mut(s), 0b11, "promote preserves the payload");
+        assert_eq!(m.resident_slot_of(&9), Some(s));
+        assert_eq!(m.resident_key_at(s), Some(&9));
+        assert_eq!(m.resident_len(), 2);
+
+        // Ghosted: still tracked, same slot, no longer resident.
+        assert_eq!(m.transfer_back(1, 2), Some(s));
+        assert_eq!(m.slot_of(&9), Some(s));
+        assert_eq!(m.resident_slot_of(&9), None);
+        assert_eq!(m.resident_key_at(s), None);
+        assert_eq!(m.resident_len(), 1);
+        let mut seen = Vec::new();
+        m.for_each_resident(&mut |k, bits| seen.push((*k, *bits)));
+        assert_eq!(seen, vec![(10, 0)], "the walk skips ghosts");
+
+        // Removed: the payload comes back with the key, and the freed
+        // slot no longer validates — nor does one past the slab.
+        assert_eq!(m.remove_slot(s), (9, 0b11));
+        assert_eq!(m.resident_key_at(s), None);
+        assert_eq!(m.resident_key_at(99), None);
+        let (reused, _) = m.insert_front(0, 11);
+        assert_eq!(reused, s);
+        assert_eq!(*m.payload_at_mut(reused), 0, "a reused slot starts with a zero payload");
+        assert_eq!(m.resident_key_at(s), Some(&11), "same slot, different key");
     }
 }

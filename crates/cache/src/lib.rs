@@ -10,7 +10,8 @@
 //! - [`page`] — page identity and offset↔page arithmetic,
 //! - [`intrusive`] — the slab-backed intrusive multi-list every list
 //!   policy threads its segments through (O(1) relink, zero per-access
-//!   allocation once warm),
+//!   allocation once warm); its nodes carry the cache's per-page state,
+//!   so it is also the one page table,
 //! - [`lru`] — an O(1) LRU list,
 //! - [`policy`] — the [`PolicySet`] trait all seven replacement
 //!   policies implement, and the selector enum whose `build` method is
@@ -40,10 +41,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod arc;
 pub mod backend;
 pub mod cache;
+mod hash;
 pub mod intrusive;
 pub mod lru;
 pub mod metrics;

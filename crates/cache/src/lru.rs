@@ -7,14 +7,16 @@
 //! O(n²). A warm list also never allocates: hits relink the node in
 //! place and evictions recycle slots through the slab's free list.
 
+use std::fmt;
 use std::hash::Hash;
 
-use crate::intrusive::MultiList;
+use crate::intrusive::{forward_to_slab, MultiList};
+use crate::policy::PolicySet;
 
 /// An LRU ordering over keys of type `K`.
 ///
-/// The list orders keys from most- to least-recently used; values live
-/// with the caller (the cache stores page state separately).
+/// The list orders keys from most- to least-recently used; each key's
+/// payload byte lives in its node (the cache keeps page state there).
 #[derive(Debug, Clone, Default)]
 pub struct LruList<K: Eq + Hash + Clone> {
     inner: MultiList<K, 1>,
@@ -34,46 +36,6 @@ impl<K: Eq + Hash + Clone> LruList<K> {
         Self { inner: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)) }
     }
 
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.inner.total_len()
-    }
-
-    /// Whether no keys are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Whether `key` is tracked.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
-    }
-
-    /// Inserts `key` as most-recently used, or moves it to the front if
-    /// already present. Returns `true` if the key was newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.inner.slot_of(&key) {
-            Some(slot) => {
-                self.inner.promote(slot, 0);
-                false
-            }
-            None => {
-                self.inner.push_front_new(0, key);
-                true
-            }
-        }
-    }
-
-    /// Removes and returns the least-recently used key.
-    pub fn pop_oldest(&mut self) -> Option<K> {
-        self.inner.pop_back(0)
-    }
-
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key).is_some()
-    }
-
     /// The least-recently used key, without removing it.
     pub fn peek_oldest(&self) -> Option<&K> {
         self.inner.peek_back(0)
@@ -83,6 +45,37 @@ impl<K: Eq + Hash + Clone> LruList<K> {
     /// O(n)).
     pub fn iter_mru(&self) -> impl Iterator<Item = &K> {
         self.inner.iter(0)
+    }
+}
+
+impl<K> PolicySet<K> for LruList<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        LruList::with_capacity(capacity)
+    }
+
+    forward_to_slab!(inner);
+
+    /// Moves the key to the most-recently-used end.
+    fn hit(&mut self, slot: usize) {
+        self.inner.promote(slot, 0);
+    }
+
+    /// Inserts as most-recently used.
+    fn admit(&mut self, key: K, payload: u8) {
+        let (slot, _) = self.inner.insert_front(0, key);
+        *self.inner.payload_at_mut(slot) = payload;
+    }
+
+    /// Removes and returns the least-recently used key.
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
+        self.inner.pop_back(0)
+    }
+
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        self.inner.remove(key).map(|(_, payload)| payload)
     }
 }
 
@@ -109,13 +102,13 @@ mod tests {
         for i in 0..5 {
             l.touch(i);
         }
-        assert_eq!(l.pop_oldest(), Some(0));
-        assert_eq!(l.pop_oldest(), Some(1));
+        assert_eq!(l.pop_victim(), Some(0));
+        assert_eq!(l.pop_victim(), Some(1));
         l.touch(2); // promote 2
-        assert_eq!(l.pop_oldest(), Some(3));
-        assert_eq!(l.pop_oldest(), Some(4));
-        assert_eq!(l.pop_oldest(), Some(2));
-        assert_eq!(l.pop_oldest(), None);
+        assert_eq!(l.pop_victim(), Some(3));
+        assert_eq!(l.pop_victim(), Some(4));
+        assert_eq!(l.pop_victim(), Some(2));
+        assert_eq!(l.pop_victim(), None);
         assert!(l.is_empty());
     }
 
@@ -149,8 +142,8 @@ mod tests {
         l.touch(42);
         assert_eq!(l.peek_oldest(), Some(&42));
         l.touch(42); // self-promotion must not corrupt links
-        assert_eq!(l.pop_oldest(), Some(42));
-        assert_eq!(l.pop_oldest(), None);
+        assert_eq!(l.pop_victim(), Some(42));
+        assert_eq!(l.pop_victim(), None);
     }
 
     proptest! {
@@ -166,7 +159,7 @@ mod tests {
                         model.push_front(key);
                     }
                     1 => {
-                        let a = lru.pop_oldest();
+                        let a = lru.pop_victim();
                         let b = model.pop_back();
                         prop_assert_eq!(a, b);
                     }

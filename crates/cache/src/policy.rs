@@ -5,9 +5,12 @@
 //! and defines the one interface they all answer to:
 //!
 //! - [`PolicySet`] — the object-safe residency-set trait every policy
-//!   implements (`touch` / `insert` / `pop_victim` / `remove` /
-//!   `contains` / `len`, plus the crate-wide `with_capacity`
-//!   constructor convention),
+//!   implements: a key-level surface (`touch` / `insert` /
+//!   `pop_victim` / `remove` / `contains` / `len`, plus the crate-wide
+//!   `with_capacity` constructor convention) provided on top of a
+//!   slot-level one (`lookup` / `payload_mut` / `hit` / `admit` /
+//!   `pop_victim_entry` / `remove_entry` / `visit_residents`) that
+//!   makes the policy's slab the owning cache's page table,
 //! - [`ReplacementPolicy`] — the serializable policy selector whose
 //!   [`ReplacementPolicy::build`] method is the **single registry
 //!   point** mapping a selector to a boxed policy instance; the cache,
@@ -22,14 +25,15 @@
 //! [`crate::scanres::SlruSet`], [`crate::sieve::SieveSet`] and
 //! [`crate::arc::ArcSet`].
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
 use crate::arc::ArcSet;
-use crate::intrusive::MultiList;
+use crate::hash::{mix_map_with_capacity, MixMap};
+use crate::intrusive::{forward_to_slab, MultiList};
 use crate::lru::LruList;
 use crate::scanres::{SlruSet, TwoQSet};
 use crate::sieve::SieveSet;
@@ -38,10 +42,20 @@ use crate::sieve::SieveSet;
 ///
 /// A policy set tracks *which* keys are resident and decides *what* to
 /// evict; the owning cache decides *when* (by calling
-/// [`PolicySet::pop_victim`] until it is under budget). That split
-/// keeps a shard's eviction stream a pure function of its own access
-/// subsequence — the property `tests/cache_properties.rs` pins for
-/// every policy.
+/// [`PolicySet::pop_victim_entry`] until it is under budget). That
+/// split keeps a shard's eviction stream a pure function of its own
+/// access subsequence — the property `tests/cache_properties.rs` pins
+/// for every policy.
+///
+/// The set is also the cache's page table. Every resident key owns a
+/// *slot* carrying one caller-defined payload byte, and the slot-level
+/// methods let the cache hash a key once and do everything else by
+/// slot: [`PolicySet::lookup`] is the one probe of a hit, a miss that
+/// evicts costs at most three (lookup, the victim's index entry, the
+/// newcomer's — plus one per ghost a ghost-keeping policy trims), and
+/// a remembered slot is revalidated by [`PolicySet::resident_key`]
+/// with no probe at all. A slot stays valid until its key leaves the
+/// resident set. The key-level methods are provided on top.
 ///
 /// Implementations are selected at exactly one place,
 /// [`ReplacementPolicy::build`], and used as `Box<dyn PolicySet<K>>`.
@@ -61,28 +75,76 @@ pub trait PolicySet<K>: fmt::Debug + Send {
         self.len() == 0
     }
 
-    /// Whether `key` is resident.
-    fn contains(&self, key: &K) -> bool;
+    /// The slot of `key` if it is resident (a ghost is not).
+    fn lookup(&self, key: &K) -> Option<usize>;
 
-    /// Records a reference to `key`, inserting it if absent. Returns
-    /// `true` if the key was not resident before (the caller must
-    /// fetch the page).
-    fn touch(&mut self, key: K) -> bool;
+    /// The key held by `slot` if that slot currently holds a resident
+    /// key; `None` once the key has been evicted, removed or ghosted.
+    fn resident_key(&self, slot: usize) -> Option<&K>;
+
+    /// The payload byte of the resident key in `slot`.
+    fn payload_mut(&mut self, slot: usize) -> &mut u8;
+
+    /// Records a reference to the resident key in `slot` — what
+    /// [`PolicySet::touch`] does on a hit, without hashing.
+    fn hit(&mut self, slot: usize);
+
+    /// Makes a key that is not resident resident with `payload` — what
+    /// [`PolicySet::touch`] does on a miss, ghost hits included. (If
+    /// the key *is* resident only its payload is replaced.)
+    fn admit(&mut self, key: K, payload: u8);
+
+    /// Evicts the policy's chosen victim and returns it with its
+    /// payload, or `None` when nothing is resident.
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)>;
+
+    /// Removes a specific key (used when a file closes and its pages
+    /// are purged), forgetting any ghost of it too; returns the payload
+    /// if a *resident* entry was removed.
+    fn remove_entry(&mut self, key: &K) -> Option<u8>;
+
+    /// Calls `visit` with every resident key and its payload, in an
+    /// order that is a pure function of the operation history.
+    fn visit_residents(&mut self, visit: &mut dyn FnMut(&K, &mut u8));
+
+    /// Whether `key` is resident.
+    fn contains(&self, key: &K) -> bool {
+        self.lookup(key).is_some()
+    }
+
+    /// Records a reference to `key`, inserting it (with a zero
+    /// payload) if absent. Returns `true` if the key was not resident
+    /// before (the caller must fetch the page).
+    fn touch(&mut self, key: K) -> bool {
+        match self.lookup(&key) {
+            Some(slot) => {
+                self.hit(slot);
+                false
+            }
+            None => {
+                self.admit(key, 0);
+                true
+            }
+        }
+    }
 
     /// Inserts `key` without distinguishing it from a touch (policies
     /// that treat first-insert specially already do so inside
-    /// [`PolicySet::touch`]).
+    /// [`PolicySet::admit`]).
     fn insert(&mut self, key: K) -> bool {
         self.touch(key)
     }
 
-    /// Evicts and returns the policy's chosen victim, or `None` when
-    /// nothing is resident.
-    fn pop_victim(&mut self) -> Option<K>;
+    /// [`PolicySet::pop_victim_entry`] without the payload.
+    fn pop_victim(&mut self) -> Option<K> {
+        self.pop_victim_entry().map(|(key, _)| key)
+    }
 
-    /// Removes a specific key (used when a file closes and its pages
-    /// are purged); returns whether a *resident* entry was removed.
-    fn remove(&mut self, key: &K) -> bool;
+    /// [`PolicySet::remove_entry`] without the payload: whether a
+    /// *resident* entry was removed.
+    fn remove(&mut self, key: &K) -> bool {
+        self.remove_entry(key).is_some()
+    }
 
     /// Clones the set behind the object; lets `Box<dyn PolicySet<K>>`
     /// implement `Clone` so caches stay cheaply copyable in tests.
@@ -191,16 +253,25 @@ pub enum WritePolicy {
     WriteThrough,
 }
 
+#[derive(Debug, Clone)]
+struct ClockEntry<K> {
+    key: K,
+    referenced: bool,
+    payload: u8,
+}
+
 /// CLOCK (second chance): a circular buffer of entries with reference
 /// bits; the hand sweeps, clearing bits, and evicts the first clear one.
 ///
 /// CLOCK keeps its dedicated circular-buffer layout rather than the
 /// intrusive list core: its hand walks *positions*, not links, and the
-/// slot array is already allocation-free once warm.
+/// slot array is already allocation-free once warm. A slot is a
+/// position in that buffer; the payload byte sits beside the reference
+/// bit.
 #[derive(Debug, Clone)]
 pub struct ClockSet<K: Eq + Hash + Clone> {
-    entries: Vec<Option<(K, bool)>>,
-    index: HashMap<K, usize>,
+    entries: Vec<Option<ClockEntry<K>>>,
+    index: MixMap<K, usize>,
     free: Vec<usize>,
     hand: usize,
 }
@@ -208,7 +279,7 @@ pub struct ClockSet<K: Eq + Hash + Clone> {
 impl<K: Eq + Hash + Clone> ClockSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self { entries: Vec::new(), index: HashMap::new(), free: Vec::new(), hand: 0 }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty set pre-sized for `capacity` keys (bounded by
@@ -217,92 +288,112 @@ impl<K: Eq + Hash + Clone> ClockSet<K> {
         let capacity = capacity.min(crate::PREALLOC_PAGES_MAX);
         Self {
             entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: mix_map_with_capacity(capacity),
             free: Vec::new(),
             hand: 0,
         }
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// Marks `key` referenced, inserting it if absent. Returns `true`
-    /// if newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        if let Some(&slot) = self.index.get(&key) {
-            if let Some(e) = self.entries[slot].as_mut() {
-                e.1 = true;
-            }
-            false
-        } else {
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.entries[s] = Some((key.clone(), true));
-                    s
-                }
-                None => {
-                    self.entries.push(Some((key.clone(), true)));
-                    self.entries.len() - 1
-                }
-            };
-            self.index.insert(key, slot);
-            true
-        }
-    }
-
-    /// Evicts and returns a victim chosen by the clock sweep.
-    pub fn pop_victim(&mut self) -> Option<K> {
-        if self.index.is_empty() {
-            return None;
-        }
-        loop {
-            if self.entries.is_empty() {
-                return None;
-            }
-            self.hand %= self.entries.len();
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % self.entries.len();
-            match self.entries[slot].as_mut() {
-                None => continue,
-                Some((_, referenced)) if *referenced => *referenced = false,
-                Some(_) => {
-                    let (key, _) = self.entries[slot].take().expect("checked Some");
-                    self.index.remove(&key);
-                    self.free.push(slot);
-                    return Some(key);
-                }
-            }
-        }
-    }
-
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        match self.index.remove(key) {
-            None => false,
-            Some(slot) => {
-                self.entries[slot] = None;
-                self.free.push(slot);
-                true
-            }
-        }
+    fn entry_mut(&mut self, slot: usize) -> &mut ClockEntry<K> {
+        self.entries[slot].as_mut().expect("slot of a resident key")
     }
 }
 
 impl<K: Eq + Hash + Clone> Default for ClockSet<K> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl<K> PolicySet<K> for ClockSet<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        ClockSet::with_capacity(capacity)
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn lookup(&self, key: &K) -> Option<usize> {
+        self.index.get(key).copied()
+    }
+
+    fn resident_key(&self, slot: usize) -> Option<&K> {
+        self.entries.get(slot)?.as_ref().map(|e| &e.key)
+    }
+
+    fn payload_mut(&mut self, slot: usize) -> &mut u8 {
+        &mut self.entry_mut(slot).payload
+    }
+
+    /// Sets the reference bit.
+    fn hit(&mut self, slot: usize) {
+        self.entry_mut(slot).referenced = true;
+    }
+
+    /// Inserts referenced, reusing a freed position if there is one.
+    fn admit(&mut self, key: K, payload: u8) {
+        let vacant = match self.index.entry(key) {
+            Entry::Occupied(resident) => {
+                let slot = *resident.get();
+                self.entry_mut(slot).payload = payload;
+                return;
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
+        let entry = Some(ClockEntry { key: vacant.key().clone(), referenced: true, payload });
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.entries[s] = entry;
+                s
+            }
+            None => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
+        vacant.insert(slot);
+    }
+
+    /// Evicts the victim chosen by the clock sweep.
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
+        if self.index.is_empty() {
+            return None;
+        }
+        loop {
+            self.hand %= self.entries.len();
+            let slot = self.hand;
+            self.hand = (self.hand + 1) % self.entries.len();
+            match self.entries[slot].as_mut() {
+                None => continue,
+                Some(e) if e.referenced => e.referenced = false,
+                Some(_) => {
+                    let e = self.entries[slot].take().expect("checked Some");
+                    self.index.remove(&e.key);
+                    self.free.push(slot);
+                    return Some((e.key, e.payload));
+                }
+            }
+        }
+    }
+
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        let slot = self.index.remove(key)?;
+        self.free.push(slot);
+        self.entries[slot].take().map(|e| e.payload)
+    }
+
+    fn visit_residents(&mut self, visit: &mut dyn FnMut(&K, &mut u8)) {
+        for e in self.entries.iter_mut().flatten() {
+            visit(&e.key, &mut e.payload);
+        }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn PolicySet<K>> {
+        Box::new(self.clone())
     }
 }
 
@@ -329,89 +420,35 @@ impl<K: Eq + Hash + Clone> FifoSet<K> {
     pub fn with_capacity(capacity: usize) -> Self {
         Self { inner: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)) }
     }
+}
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.inner.total_len()
+impl<K> PolicySet<K> for FifoSet<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        FifoSet::with_capacity(capacity)
     }
 
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
+    forward_to_slab!(inner);
 
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
-    }
+    /// FIFO never reorders on re-touch.
+    fn hit(&mut self, _slot: usize) {}
 
-    /// Inserts if absent (FIFO never reorders on re-touch). Returns
-    /// `true` if newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        if self.inner.contains(&key) {
-            return false;
-        }
-        self.inner.push_front_new(0, key);
-        true
+    fn admit(&mut self, key: K, payload: u8) {
+        let (slot, _) = self.inner.insert_front(0, key);
+        *self.inner.payload_at_mut(slot) = payload;
     }
 
     /// Evicts the oldest resident key.
-    pub fn pop_victim(&mut self) -> Option<K> {
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
         self.inner.pop_back(0)
     }
 
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key).is_some()
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        self.inner.remove(key).map(|(_, payload)| payload)
     }
 }
-
-/// Implements [`PolicySet`] for a policy type by delegating each trait
-/// method to the inherent method of the same behaviour.
-macro_rules! impl_policy_set {
-    ($ty:ident, $pop:ident) => {
-        impl<K> PolicySet<K> for $ty<K>
-        where
-            K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
-        {
-            fn with_capacity(capacity: usize) -> Self {
-                $ty::with_capacity(capacity)
-            }
-
-            fn len(&self) -> usize {
-                $ty::len(self)
-            }
-
-            fn contains(&self, key: &K) -> bool {
-                $ty::contains(self, key)
-            }
-
-            fn touch(&mut self, key: K) -> bool {
-                $ty::touch(self, key)
-            }
-
-            fn pop_victim(&mut self) -> Option<K> {
-                $ty::$pop(self)
-            }
-
-            fn remove(&mut self, key: &K) -> bool {
-                $ty::remove(self, key)
-            }
-
-            fn boxed_clone(&self) -> Box<dyn PolicySet<K>> {
-                Box::new(self.clone())
-            }
-        }
-    };
-}
-
-impl_policy_set!(LruList, pop_oldest);
-impl_policy_set!(ClockSet, pop_victim);
-impl_policy_set!(FifoSet, pop_victim);
-impl_policy_set!(TwoQSet, pop_victim);
-impl_policy_set!(SlruSet, pop_victim);
-impl_policy_set!(SieveSet, pop_victim);
-impl_policy_set!(ArcSet, pop_victim);
 
 #[cfg(test)]
 mod tests {
@@ -532,5 +569,128 @@ mod tests {
         copy.touch(2);
         assert_eq!(original.len(), 1, "clone must not alias the original");
         assert_eq!(copy.len(), 2);
+    }
+
+    /// A key whose `Hash` impl counts its invocations: every index
+    /// probe, insert and removal hashes the key exactly once.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Counted(u64);
+
+    thread_local! {
+        static HASHES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Hash for Counted {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            HASHES.with(|h| h.set(h.get() + 1));
+            self.0.hash(state);
+        }
+    }
+
+    fn hashes_during(work: impl FnOnce()) -> u32 {
+        let before = HASHES.with(|h| h.get());
+        work();
+        HASHES.with(|h| h.get()) - before
+    }
+
+    #[test]
+    fn probe_budget_holds_for_every_policy() {
+        const CAPACITY: u64 = 64;
+        for policy in ReplacementPolicy::ALL {
+            let name = policy.name();
+            let mut set: Box<dyn PolicySet<Counted>> = policy.build(CAPACITY as usize);
+            for k in 0..CAPACITY {
+                set.touch(Counted(k));
+            }
+
+            // A hit is one probe, by key or by slot.
+            assert_eq!(hashes_during(|| assert!(!set.touch(Counted(7)))), 1, "{name}: touch");
+            let mut slot = 0;
+            let probes = hashes_during(|| {
+                slot = set.lookup(&Counted(9)).expect("resident");
+                *set.payload_mut(slot) |= 1;
+                set.hit(slot);
+            });
+            assert_eq!(probes, 1, "{name}: lookup, payload, promote by slot");
+
+            // Run promotion: a remembered slot revalidates and promotes
+            // with no probe at all.
+            let probes = hashes_during(|| {
+                assert_eq!(set.resident_key(slot), Some(&Counted(9)));
+                set.hit(slot);
+            });
+            assert_eq!(probes, 0, "{name}: promote a remembered slot");
+
+            // A miss at capacity: the failed lookup, the victim leaving
+            // the index (ghost-keeping policies relink it instead and
+            // drop their oldest ghost), the newcomer entering it. Long
+            // enough for 2Q and ARC to fill and trim their ghost lists,
+            // and to re-admit keys they still hold ghosts of.
+            //
+            // Not ours to budget: once tombstones have used up its
+            // spare room, std's table rehashes every key in place on
+            // the next insert (the parent's two tables did the same).
+            // That is the only thing allowed over three, and it must
+            // stay rare.
+            let rounds = 8 * CAPACITY;
+            let mut table_rehashes = 0;
+            for round in 0..rounds {
+                let key = Counted(CAPACITY + round % (3 * CAPACITY));
+                let probes = hashes_during(|| {
+                    if set.lookup(&key).is_none() {
+                        set.pop_victim_entry().expect("a full set has a victim");
+                        set.admit(key.clone(), 0);
+                    }
+                });
+                if probes > 3 {
+                    assert!(probes > CAPACITY as u32, "{name}: {probes} probes for one miss");
+                    table_rehashes += 1;
+                }
+                assert_eq!(set.len(), CAPACITY as usize);
+            }
+            assert!(table_rehashes <= rounds / 100, "{name}: {table_rehashes} rehashes");
+        }
+    }
+
+    #[test]
+    fn payloads_and_residency_survive_every_policys_transitions() {
+        for policy in ReplacementPolicy::ALL {
+            let name = policy.name();
+            let mut set: Box<dyn PolicySet<u64>> = policy.build(4);
+            for k in 0..4 {
+                set.admit(k, k as u8 + 1);
+            }
+            // Hits relink nodes (SLRU even demotes others); payloads
+            // stay with their keys.
+            for k in [2, 0, 2, 3] {
+                let slot = set.lookup(&k).expect("resident");
+                set.hit(slot);
+            }
+            let mut seen = Vec::new();
+            set.visit_residents(&mut |k, bits| seen.push((*k, *bits)));
+            seen.sort_unstable();
+            assert_eq!(seen, vec![(0, 1), (1, 2), (2, 3), (3, 4)], "{name}");
+
+            // The victim comes back with its payload; 2Q and ARC keep a
+            // ghost of it, which is tracked but not resident.
+            let slot_of_1 = set.lookup(&1);
+            let (victim, bits) = set.pop_victim_entry().expect("non-empty");
+            assert_eq!(bits, victim as u8 + 1, "{name}: victim payload");
+            assert_eq!(set.lookup(&victim), None, "{name}: a ghost is not resident");
+            assert!(!set.contains(&victim));
+            if victim == 1 {
+                assert_ne!(set.resident_key(slot_of_1.expect("was resident")), Some(&1));
+            }
+            // Re-admission (a ghost hit for 2Q/ARC) installs the new
+            // payload, not the stale one.
+            set.admit(victim, 0x80);
+            let slot = set.lookup(&victim).expect("resident again");
+            assert_eq!(*set.payload_mut(slot), 0x80, "{name}: payload after re-admission");
+            assert_eq!(set.resident_key(slot), Some(&victim));
+
+            assert_eq!(set.remove_entry(&victim), Some(0x80), "{name}");
+            assert_eq!(set.remove_entry(&victim), None, "{name}: already gone");
+            assert_eq!(set.len(), 3);
+        }
     }
 }

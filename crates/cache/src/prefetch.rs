@@ -7,8 +7,7 @@
 //! and when an access continues the run it asks the cache to stage the
 //! next window of pages. A seek that breaks the run resets the window.
 
-use std::collections::HashMap;
-
+use crate::hash::MixMap;
 use crate::page::FileId;
 
 /// Per-file sequential-run state.
@@ -42,13 +41,13 @@ impl Default for PrefetchConfig {
 #[derive(Debug, Clone)]
 pub struct Prefetcher {
     cfg: PrefetchConfig,
-    runs: HashMap<FileId, RunState>,
+    runs: MixMap<FileId, RunState>,
 }
 
 impl Prefetcher {
     /// Creates a detector with the given policy.
     pub fn new(cfg: PrefetchConfig) -> Self {
-        Self { cfg, runs: HashMap::new() }
+        Self { cfg, runs: MixMap::default() }
     }
 
     /// Reports an access to pages `[first, last]` of `file`; returns the

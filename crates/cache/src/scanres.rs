@@ -20,7 +20,7 @@
 //!   rather than straight out of the cache.
 //!
 //! Because the segments are lists threaded through one slab with one
-//! key index, a touch costs a single hash probe and a relink — the
+//! key index, a hit costs a single hash probe and a relink — the
 //! same as plain LRU — where the previous three-`LruList`-plus-
 //! `HashSet` layout paid up to five probes per touch (the 2Q
 //! throughput anomaly in early `BENCH_baseline.json` revisions).
@@ -29,9 +29,11 @@
 //! balance their internal segments), so they take the page budget at
 //! construction.
 
+use std::fmt;
 use std::hash::Hash;
 
-use crate::intrusive::MultiList;
+use crate::intrusive::{forward_to_slab, MultiList};
+use crate::policy::PolicySet;
 
 // TwoQSet's segment indices.
 const A1IN: usize = 0;
@@ -43,7 +45,7 @@ const A1OUT: usize = 2;
 pub struct TwoQSet<K: Eq + Hash + Clone> {
     /// `A1in` (trial FIFO, resident), `Am` (protected LRU, resident)
     /// and `A1out` (ghost queue, keys only) over one slab.
-    lists: MultiList<K, 3>,
+    lists: MultiList<K, 3, 2>,
     /// Target size of `A1in` (classic: ¼ of capacity).
     kin: usize,
     /// Bound on the ghost queue (classic: ½ of capacity).
@@ -68,71 +70,6 @@ impl<K: Eq + Hash + Clone> TwoQSet<K> {
         Self::new(capacity)
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.lists.list_len(A1IN) + self.lists.list_len(AM)
-    }
-
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `key` is resident (ghost entries do not count).
-    pub fn contains(&self, key: &K) -> bool {
-        matches!(self.lists.which_list(key), Some(A1IN) | Some(AM))
-    }
-
-    /// Records a reference to `key`. Returns `true` if the key was not
-    /// resident before (the caller must fetch the page).
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.lists.slot_of(&key) {
-            Some(slot) => match self.lists.list_at(slot) {
-                AM => {
-                    self.lists.promote(slot, AM);
-                    false
-                }
-                A1IN => {
-                    // Classic 2Q: a hit inside the trial queue does not
-                    // move the page — only a reference after eviction
-                    // promotes.
-                    false
-                }
-                _ => {
-                    // Seen before and evicted from trial: this is the
-                    // second reference — admit to the protected queue.
-                    self.lists.promote(slot, AM);
-                    true
-                }
-            },
-            None => {
-                self.lists.push_front_new(A1IN, key);
-                true
-            }
-        }
-    }
-
-    /// Evicts and returns a victim. Trial pages go first once the trial
-    /// queue is over its target, leaving a ghost behind; otherwise the
-    /// protected queue's LRU page goes (no ghost — it had its chance).
-    pub fn pop_victim(&mut self) -> Option<K> {
-        if self.lists.list_len(A1IN) > self.kin || self.lists.list_len(AM) == 0 {
-            let v = self.lists.transfer_back(A1IN, A1OUT)?;
-            while self.lists.list_len(A1OUT) > self.kout {
-                self.lists.pop_back(A1OUT);
-            }
-            Some(v)
-        } else {
-            self.lists.pop_back(AM)
-        }
-    }
-
-    /// Removes a specific key (resident or ghost); returns whether a
-    /// *resident* entry was removed.
-    pub fn remove(&mut self, key: &K) -> bool {
-        matches!(self.lists.remove(key), Some(A1IN) | Some(AM))
-    }
-
     /// Number of keys in the protected queue (diagnostics/tests).
     pub fn protected_len(&self) -> usize {
         self.lists.list_len(AM)
@@ -141,6 +78,58 @@ impl<K: Eq + Hash + Clone> TwoQSet<K> {
     /// Number of ghost keys (diagnostics/tests).
     pub fn ghost_len(&self) -> usize {
         self.lists.list_len(A1OUT)
+    }
+}
+
+impl<K> PolicySet<K> for TwoQSet<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        TwoQSet::new(capacity)
+    }
+
+    forward_to_slab!(lists);
+
+    /// A protected page moves to `Am`'s front. Classic 2Q: a hit inside
+    /// the trial queue does not move the page — only a reference after
+    /// eviction promotes.
+    fn hit(&mut self, slot: usize) {
+        if self.lists.list_at(slot) == AM {
+            self.lists.promote(slot, AM);
+        }
+    }
+
+    /// A new key enters the trial queue. A key seen before and evicted
+    /// from trial (a ghost) is on its second reference — it is
+    /// admitted to the protected queue.
+    fn admit(&mut self, key: K, payload: u8) {
+        let (slot, inserted) = self.lists.insert_front(A1IN, key);
+        *self.lists.payload_at_mut(slot) = payload;
+        if !inserted && self.lists.list_at(slot) == A1OUT {
+            self.lists.promote(slot, AM);
+        }
+    }
+
+    /// Evicts a victim. Trial pages go first once the trial queue is
+    /// over its target, leaving a ghost behind; otherwise the protected
+    /// queue's LRU page goes (no ghost — it had its chance).
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
+        if self.lists.list_len(A1IN) > self.kin || self.lists.list_len(AM) == 0 {
+            let slot = self.lists.transfer_back(A1IN, A1OUT)?;
+            let victim = (self.lists.key_at(slot).clone(), *self.lists.payload_at_mut(slot));
+            while self.lists.list_len(A1OUT) > self.kout {
+                self.lists.pop_back(A1OUT);
+            }
+            Some(victim)
+        } else {
+            self.lists.pop_back(AM)
+        }
+    }
+
+    /// Removes the key, resident or ghost.
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        self.lists.remove(key).and_then(|(list, payload)| (list != A1OUT).then_some(payload))
     }
 }
 
@@ -171,55 +160,45 @@ impl<K: Eq + Hash + Clone> SlruSet<K> {
         Self::new(capacity)
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.lists.total_len()
+    /// Number of keys in the protected segment (diagnostics/tests).
+    pub fn protected_len(&self) -> usize {
+        self.lists.list_len(PROTECTED)
+    }
+}
+
+impl<K> PolicySet<K> for SlruSet<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        SlruSet::new(capacity)
     }
 
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
-    }
+    forward_to_slab!(lists);
 
-    /// Whether `key` is resident in either segment.
-    pub fn contains(&self, key: &K) -> bool {
-        self.lists.contains(key)
-    }
-
-    /// Records a reference. First touch lands probationary; a repeat
-    /// touch promotes to protected, demoting that segment's LRU entry
-    /// back to probationary if it is full. Returns `true` if newly
-    /// resident.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.lists.slot_of(&key) {
-            Some(slot) => {
-                self.lists.promote(slot, PROTECTED);
-                while self.lists.list_len(PROTECTED) > self.protected_cap {
-                    self.lists.transfer_back(PROTECTED, PROBATION);
-                }
-                false
-            }
-            None => {
-                self.lists.push_front_new(PROBATION, key);
-                true
-            }
+    /// A repeat touch promotes to protected, demoting that segment's
+    /// LRU entry back to probationary if it is full.
+    fn hit(&mut self, slot: usize) {
+        self.lists.promote(slot, PROTECTED);
+        while self.lists.list_len(PROTECTED) > self.protected_cap {
+            self.lists.transfer_back(PROTECTED, PROBATION);
         }
+    }
+
+    /// First touch lands probationary.
+    fn admit(&mut self, key: K, payload: u8) {
+        let (slot, _) = self.lists.insert_front(PROBATION, key);
+        *self.lists.payload_at_mut(slot) = payload;
     }
 
     /// Evicts the probationary LRU entry, falling back to the
     /// protected segment only when probation is empty.
-    pub fn pop_victim(&mut self) -> Option<K> {
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
         self.lists.pop_back(PROBATION).or_else(|| self.lists.pop_back(PROTECTED))
     }
 
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.lists.remove(key).is_some()
-    }
-
-    /// Number of keys in the protected segment (diagnostics/tests).
-    pub fn protected_len(&self) -> usize {
-        self.lists.list_len(PROTECTED)
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        self.lists.remove(key).map(|(_, payload)| payload)
     }
 }
 

@@ -58,6 +58,25 @@ const SHARD_BLOCK_SHIFT: u32 = SHARD_BLOCK_PAGES.trailing_zeros();
 /// Default shard count for callers that don't size it explicitly.
 pub const DEFAULT_SHARDS: usize = 8;
 
+/// Multi-block spans touching at most this many blocks keep their
+/// per-shard run cursors on the stack.
+const INLINE_RUNS: usize = 8;
+
+/// Splits the inclusive page range `first..=last` into its maximal
+/// sub-ranges that stay inside one aligned shard block, in ascending
+/// order. A block boundary is the only place the owning shard can
+/// change, so each yielded `(start, end)` run belongs to one shard and
+/// can be processed under one lock acquisition.
+pub fn block_runs(first: u64, last: u64) -> impl Iterator<Item = (u64, u64)> {
+    let mut next = Some(first).filter(|&f| f <= last);
+    std::iter::from_fn(move || {
+        let start = next?;
+        let end = (start | (SHARD_BLOCK_PAGES - 1)).min(last);
+        next = end.checked_add(1).filter(|&n| n <= last);
+        Some((start, end))
+    })
+}
+
 /// A page-granular buffer cache striped across N independently locked
 /// shards. See the module docs for the invariants.
 #[derive(Debug)]
@@ -227,44 +246,59 @@ impl ShardedBufferCache {
             }
             shard.finish_run(cursor);
         } else {
-            // General path: walk the span in per-shard groups — a
-            // block boundary is the only place the owning shard can
-            // change, so each group is processed under one lock
-            // acquisition — then promote only the shards we touched.
-            let mut cursors = vec![RunCursor::default(); self.shards.len()];
-            let mut touched: Vec<usize> = Vec::new();
-            let mut index = first;
-            while index <= last {
-                let s = self.shard_of(PageId { file, index });
-                let block_end = (index | (SHARD_BLOCK_PAGES - 1)).min(last);
-                if !touched.contains(&s) {
-                    touched.push(s);
-                }
+            // General path: walk the span in per-shard groups, each
+            // processed under one lock acquisition, then promote only
+            // the shards we touched. A span of B blocks touches at most
+            // B shards, so the per-shard cursors — `(shard, cursor)` in
+            // first-touch order — fit a small stack array unless the
+            // span is unusually long.
+            let blocks = ((last >> SHARD_BLOCK_SHIFT) - (first >> SHARD_BLOCK_SHIFT)) as usize + 1;
+            let mut inline = [(0usize, RunCursor::default()); INLINE_RUNS];
+            let mut spilled = Vec::new();
+            let runs: &mut [(usize, RunCursor)] = if blocks <= INLINE_RUNS {
+                &mut inline
+            } else {
+                spilled.resize(blocks.min(self.shards.len()), (0, RunCursor::default()));
+                &mut spilled
+            };
+            let mut touched = 0;
+            for (start, end) in block_runs(first, last) {
+                let s = self.shard_of(PageId { file, index: start });
+                let run = match runs[..touched].iter().position(|&(shard, _)| shard == s) {
+                    Some(run) => run,
+                    None => {
+                        runs[touched] = (s, RunCursor::default());
+                        touched += 1;
+                        touched - 1
+                    }
+                };
                 let mut shard = self.shards[s].lock();
-                for i in index..=block_end {
+                for i in start..=end {
                     shard.page_access(
                         PageId { file, index: i },
                         kind,
                         per_page_touch,
-                        &mut cursors[s],
+                        &mut runs[run].1,
                         &mut out,
                     );
                 }
-                drop(shard);
-                index = block_end + 1;
             }
-            for &s in &touched {
-                if cursors[s].has_pending_promotion() {
-                    self.shards[s].lock().finish_run(cursors[s]);
+            for &(s, cursor) in &runs[..touched] {
+                if cursor.has_pending_promotion() {
+                    self.shards[s].lock().finish_run(cursor);
                 }
             }
         }
 
         if self.cfg.prefetch_enabled && self.cfg.capacity_pages > 0 {
             let window = self.prefetcher.lock().on_access(file, first, last);
-            for ahead in 1..=window {
-                let id = PageId { file, index: last + ahead };
-                self.shards[self.shard_of(id)].lock().stage_prefetch(id, &mut out);
+            // The window sits in one or two blocks: one lock each, not
+            // one per staged page.
+            for (start, end) in block_runs(last + 1, last + window) {
+                let mut shard = self.shards[self.shard_of(PageId { file, index: start })].lock();
+                for i in start..=end {
+                    shard.stage_prefetch(PageId { file, index: i }, &mut out);
+                }
             }
         }
         out
@@ -333,6 +367,37 @@ mod tests {
                 assert_eq!(sum, total, "total {total} over {n} shards");
             }
         }
+    }
+
+    #[test]
+    fn block_runs_split_a_span_at_block_boundaries_only() {
+        let runs = |first, last| block_runs(first, last).collect::<Vec<_>>();
+        assert_eq!(runs(5, 9), vec![(5, 9)]);
+        assert_eq!(runs(63, 64), vec![(63, 63), (64, 64)]);
+        assert_eq!(runs(60, 200), vec![(60, 63), (64, 127), (128, 191), (192, 200)]);
+        assert_eq!(runs(128, 191), vec![(128, 191)]);
+        assert_eq!(runs(10, 9), vec![], "an empty window yields nothing");
+        assert_eq!(runs(u64::MAX - 1, u64::MAX), vec![(u64::MAX - 1, u64::MAX)]);
+    }
+
+    #[test]
+    fn long_spans_spill_their_cursors_and_still_match_a_single_cache() {
+        // 40 blocks > INLINE_RUNS: the general path's spilled storage.
+        // With run promotion each of the 3 shards promotes once.
+        let config = CacheConfig { capacity_pages: 4096, ..Default::default() };
+        let sharded = ShardedBufferCache::new(config.clone(), 3);
+        let mut mono = BufferCache::new(config);
+        let (fs, fm) = (sharded.register_file("long"), mono.register_file("long"));
+        let len = 40 * SHARD_BLOCK_PAGES * 4096;
+        for _ in 0..2 {
+            let (a, b) = (
+                sharded.access_run(fs, 4096, len, AccessKind::Write),
+                mono.access_run(fm, 4096, len, AccessKind::Write),
+            );
+            assert_eq!((a.pages_hit, a.pages_missed), (b.pages_hit, b.pages_missed));
+        }
+        assert_eq!(sharded.resident_pages(), mono.resident_pages());
+        assert_eq!(sharded.flush().writebacks, mono.flush().writebacks);
     }
 
     #[test]

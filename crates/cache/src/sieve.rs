@@ -15,9 +15,11 @@
 //! flag is the visited bit; the hand is a stable slab slot), so a warm
 //! set performs zero allocation per access.
 
+use std::fmt;
 use std::hash::Hash;
 
-use crate::intrusive::{MultiList, NIL};
+use crate::intrusive::{forward_to_slab, MultiList, NIL};
+use crate::policy::PolicySet;
 
 /// A SIEVE residency set over keys of type `K`.
 #[derive(Debug, Clone, Default)]
@@ -39,43 +41,34 @@ impl<K: Eq + Hash + Clone> SieveSet<K> {
     pub fn with_capacity(capacity: usize) -> Self {
         Self { list: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)), hand: NIL }
     }
+}
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.list.total_len()
+impl<K> PolicySet<K> for SieveSet<K>
+where
+    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+{
+    fn with_capacity(capacity: usize) -> Self {
+        SieveSet::with_capacity(capacity)
     }
 
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+    forward_to_slab!(list);
+
+    /// Sets the visited bit without moving the node (lazy promotion).
+    fn hit(&mut self, slot: usize) {
+        self.list.set_flag_at(slot, true);
     }
 
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
-        self.list.contains(key)
-    }
-
-    /// Records a reference: a hit sets the visited bit without moving
-    /// the node (lazy promotion); a miss inserts at the head with the
-    /// bit clear. Returns `true` if newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.list.slot_of(&key) {
-            Some(slot) => {
-                self.list.set_flag_at(slot, true);
-                false
-            }
-            None => {
-                self.list.push_front_new(0, key);
-                true
-            }
-        }
+    /// Inserts at the head with the visited bit clear.
+    fn admit(&mut self, key: K, payload: u8) {
+        let (slot, _) = self.list.insert_front(0, key);
+        *self.list.payload_at_mut(slot) = payload;
     }
 
     /// Evicts and returns the victim chosen by the hand sweep: visited
     /// nodes on the way get their bit cleared and survive; the first
     /// unvisited node goes. The hand resumes from the survivor side on
     /// the next eviction.
-    pub fn pop_victim(&mut self) -> Option<K> {
+    fn pop_victim_entry(&mut self) -> Option<(K, u8)> {
         if self.list.is_empty() {
             return None;
         }
@@ -91,19 +84,13 @@ impl<K: Eq + Hash + Clone> SieveSet<K> {
         Some(self.list.remove_slot(slot))
     }
 
-    /// Removes a specific key; returns whether it was present. The hand
-    /// steps over the removed node if it was parked on it.
-    pub fn remove(&mut self, key: &K) -> bool {
-        match self.list.slot_of(key) {
-            None => false,
-            Some(slot) => {
-                if self.hand == slot {
-                    self.hand = self.list.prev_of(slot);
-                }
-                self.list.remove_slot(slot);
-                true
-            }
+    /// The hand steps over the removed node if it was parked on it.
+    fn remove_entry(&mut self, key: &K) -> Option<u8> {
+        let slot = self.list.slot_of(key)?;
+        if self.hand == slot {
+            self.hand = self.list.prev_of(slot);
         }
+        Some(self.list.remove_slot(slot).1)
     }
 }
 

@@ -47,7 +47,7 @@ use clio_cache::cache::{AccessKind, AccessOutcome, BufferCache, CacheConfig, Run
 use clio_cache::metrics::CacheMetrics;
 use clio_cache::page::{page_span, FileId, PageId};
 use clio_cache::prefetch::Prefetcher;
-use clio_cache::shard::{ShardedBufferCache, SHARD_BLOCK_PAGES};
+use clio_cache::shard::{block_runs, ShardedBufferCache};
 use clio_stats::{Stopwatch, Summary};
 
 use crate::reader::TraceFile;
@@ -404,10 +404,8 @@ impl<'c> ShardWorker<'c> {
                     // Walk the span in shard-block groups, processing
                     // only owned shards; each group runs under one lock
                     // acquisition with run promotion per shard.
-                    let mut index = first;
-                    while index <= last {
-                        let s = self.cache.shard_of(PageId { file: fid, index });
-                        let block_end = (index | (SHARD_BLOCK_PAGES - 1)).min(last);
+                    for (start, end) in block_runs(first, last) {
+                        let s = self.cache.shard_of(PageId { file: fid, index: start });
                         if self.mine[s] {
                             if !self.touched.contains(&s) {
                                 self.touched.push(s);
@@ -415,7 +413,7 @@ impl<'c> ShardWorker<'c> {
                                 self.outs[s] = AccessOutcome::default();
                             }
                             let mut shard = self.cache.lock_shard(s);
-                            for p in index..=block_end {
+                            for p in start..=end {
                                 shard.page_access(
                                     PageId { file: fid, index: p },
                                     kind,
@@ -425,7 +423,6 @@ impl<'c> ShardWorker<'c> {
                                 );
                             }
                         }
-                        index = block_end + 1;
                     }
                     for &s in &self.touched {
                         if self.cursors[s].has_pending_promotion() {
@@ -434,16 +431,23 @@ impl<'c> ShardWorker<'c> {
                     }
 
                     if self.prefetch_active {
+                        // The readahead window, grouped the same way:
+                        // one lock per block, not one per staged page.
                         let window = self.prefetcher.on_access(fid, first, last);
-                        for ahead in 1..=window {
-                            let id = PageId { file: fid, index: last + ahead };
-                            let s = self.cache.shard_of(id);
+                        for (start, end) in block_runs(last + 1, last + window) {
+                            let s = self.cache.shard_of(PageId { file: fid, index: start });
                             if self.mine[s] {
                                 if !self.touched.contains(&s) {
                                     self.touched.push(s);
                                     self.outs[s] = AccessOutcome::default();
                                 }
-                                self.cache.lock_shard(s).stage_prefetch(id, &mut self.outs[s]);
+                                let mut shard = self.cache.lock_shard(s);
+                                for p in start..=end {
+                                    shard.stage_prefetch(
+                                        PageId { file: fid, index: p },
+                                        &mut self.outs[s],
+                                    );
+                                }
                             }
                         }
                     }

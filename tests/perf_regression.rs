@@ -17,8 +17,14 @@
 //! The smoke run measures fewer records than the committed full
 //! baseline, but throughput *rates* are comparable; the 3× margin
 //! absorbs the residual cache-warmth difference.
+//!
+//! The gate prints every compared row's `smoke / floor` ratio, and a
+//! row only fails if it is below its floor in **two** smoke runs: on a
+//! shared 2-CPU runner a single short sample of an unchanged row can
+//! land under a 3× floor, while a complexity regression lands there
+//! every time.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn workspace_root() -> PathBuf {
@@ -50,6 +56,59 @@ fn rates(report: &serde_json::Value) -> Vec<(String, f64)> {
         .collect()
 }
 
+/// Runs `perf_suite --smoke` and returns its rates.
+///
+/// The committed baseline is measured in release mode, so the gate must
+/// run release too — `cargo test`'s own profile is usually debug, where
+/// the replay engines are an order of magnitude slower. Tier-1 verify
+/// builds release first, so this reuses the cached binary.
+fn smoke_rates(root: &Path) -> Vec<(String, f64)> {
+    let out = root.join("target").join("perf_gate_smoke.json");
+    let status = Command::new(env!("CARGO"))
+        .args(["run", "--release", "-q", "-p", "clio-bench", "--bin", "perf_suite", "--"])
+        .args(["--smoke", "--out"])
+        .arg(&out)
+        .current_dir(root)
+        .status()
+        .expect("cargo run perf_suite");
+    assert!(status.success(), "perf_suite --smoke exited with {status}");
+    let smoke: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&out).expect("smoke JSON written"))
+            .expect("smoke JSON parses");
+    rates(&smoke)
+}
+
+/// Compares one smoke run with the baseline floors, printing each
+/// shared row's `smoke / floor` ratio; returns how many rows were
+/// compared and a description of every row below its floor, by name.
+fn below_floor(
+    run: &str,
+    smoke: &[(String, f64)],
+    baseline: &[(String, f64)],
+    margin: f64,
+) -> (usize, Vec<(String, String)>) {
+    let mut compared = 0usize;
+    let mut failures = Vec::new();
+    for (name, baseline_rate) in baseline {
+        let Some((_, smoke_rate)) = smoke.iter().find(|(n, _)| n == name) else {
+            continue; // rows can come and go across schema revisions
+        };
+        compared += 1;
+        let floor = baseline_rate / margin;
+        eprintln!("perf gate [{run}] {name}: smoke/floor = {:.2}", smoke_rate / floor);
+        if *smoke_rate < floor {
+            failures.push((
+                name.clone(),
+                format!(
+                    "{name}: {smoke_rate:.0} records/s < floor {floor:.0} \
+                     (baseline {baseline_rate:.0} / margin {margin})"
+                ),
+            ));
+        }
+    }
+    (compared, failures)
+}
+
 #[test]
 fn smoke_run_stays_above_committed_baseline_floors() {
     let Some(margin) = gate_margin() else {
@@ -71,62 +130,36 @@ fn smoke_run_stays_above_committed_baseline_floors() {
     };
     let baseline: serde_json::Value =
         serde_json::from_str(&baseline_text).expect("committed baseline parses");
+    let baseline_rates = rates(&baseline);
 
-    let out = root.join("target").join("perf_gate_smoke.json");
-    // The committed baseline is measured in release mode, so the gate
-    // must run release too — `cargo test`'s own profile is usually
-    // debug, where the replay engines are an order of magnitude
-    // slower. Tier-1 verify builds release first, so this reuses the
-    // cached binary.
-    let status = Command::new(env!("CARGO"))
-        .args(["run", "--release", "-q", "-p", "clio-bench", "--bin", "perf_suite", "--"])
-        .args(["--smoke", "--out"])
-        .arg(&out)
-        .current_dir(&root)
-        .status()
-        .expect("cargo run perf_suite");
-    assert!(status.success(), "perf_suite --smoke exited with {status}");
-    let smoke: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&out).expect("smoke JSON written"))
-            .expect("smoke JSON parses");
-
-    let smoke_rates = rates(&smoke);
-    let mut compared = 0usize;
-    let mut failures = Vec::new();
-    for (name, baseline_rate) in rates(&baseline) {
-        let Some((_, smoke_rate)) = smoke_rates.iter().find(|(n, _)| *n == name) else {
-            continue; // rows can come and go across schema revisions
-        };
-        compared += 1;
-        let floor = baseline_rate / margin;
-        if *smoke_rate < floor {
-            failures.push(format!(
-                "{name}: {smoke_rate:.0} records/s < floor {floor:.0} \
-                 (baseline {baseline_rate:.0} / margin {margin})"
-            ));
-        }
-    }
+    let smoke = smoke_rates(&root);
+    let (compared, mut failures) = below_floor("run 1", &smoke, &baseline_rates, margin);
     assert!(compared > 0, "no comparable benches between baseline and smoke run — gate is vacuous");
     // The serving path must stay covered: at least one closed-loop
     // `serve/*` row has to survive the baseline/smoke intersection.
     assert!(
-        rates(&baseline).iter().any(|(n, _)| n.starts_with("serve/"))
-            && smoke_rates.iter().any(|(n, _)| n.starts_with("serve/")),
+        baseline_rates.iter().any(|(n, _)| n.starts_with("serve/"))
+            && smoke.iter().any(|(n, _)| n.starts_with("serve/")),
         "no serve/ rows in the baseline/smoke intersection — the serving path is ungated"
     );
     // Likewise the compact trace codec: the verified-decode row must
     // survive the intersection, or ingest throughput is ungated.
     assert!(
-        rates(&baseline).iter().any(|(n, _)| n == "trace_io/decode_bytes_per_sec")
-            && smoke_rates.iter().any(|(n, _)| n == "trace_io/decode_bytes_per_sec"),
+        baseline_rates.iter().any(|(n, _)| n == "trace_io/decode_bytes_per_sec")
+            && smoke.iter().any(|(n, _)| n == "trace_io/decode_bytes_per_sec"),
         "no trace_io/decode_bytes_per_sec row in the baseline/smoke intersection — \
          the compact codec is ungated"
     );
+    if !failures.is_empty() {
+        eprintln!("perf gate: {} row(s) below floor; re-running the smoke once", failures.len());
+        let (_, again) = below_floor("run 2", &smoke_rates(&root), &baseline_rates, margin);
+        failures.retain(|(name, _)| again.iter().any(|(n, _)| n == name));
+    }
     assert!(
         failures.is_empty(),
-        "perf regression gate tripped ({} of {compared} rows):\n  {}",
+        "perf regression gate tripped ({} of {compared} rows, below floor in both runs):\n  {}",
         failures.len(),
-        failures.join("\n  ")
+        failures.iter().map(|(_, why)| why.as_str()).collect::<Vec<_>>().join("\n  ")
     );
     eprintln!("perf gate: {compared} rows within {margin}x of the committed baseline");
 }
