@@ -2,7 +2,7 @@
 //!
 //! Replays a workload through the simulated buffer cache (all five
 //! replacement policies) and through the trace-driven machine
-//! simulator, measuring each with the criterion stub's statistical
+//! simulator, measuring each with `clio_bench`'s statistical
 //! engine (warm-up, calibrated samples, IQR outlier rejection, MAD
 //! spread) and emitting one JSON report with throughput rates
 //! (records/s, pages/s, events/s, bytes/s). Every engine is driven
@@ -57,7 +57,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{measure, MeasurementConfig, Stats};
+use clio_bench::{measure, MeasurementConfig, Stats};
 use serde::Serialize;
 
 use clio_core::cache::cache::CacheConfig;
@@ -442,7 +442,7 @@ fn main() {
     );
 
     // Measurement knobs: the smoke run must finish in CI seconds; the
-    // full run favors sample count. Env overrides still apply first.
+    // full run favors sample count.
     let mut cfg = MeasurementConfig::default();
     if args.smoke {
         cfg.sample_size = cfg.sample_size.min(5);

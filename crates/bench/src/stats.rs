@@ -74,11 +74,6 @@ impl Stats {
             total_time,
         }
     }
-
-    /// Median per-iteration time as a [`Duration`].
-    pub fn median(&self) -> Duration {
-        Duration::from_nanos(self.median_ns.max(0.0) as u64)
-    }
 }
 
 /// Linear-interpolation percentile of an ascending-sorted slice.

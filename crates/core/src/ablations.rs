@@ -5,8 +5,7 @@
 //! stripe (RAID-0). The functions here sweep those choices — request
 //! scheduling policy and RAID level — over the paper's own workloads so
 //! the defaults can be justified with numbers rather than assertion.
-//! `clio-bench` exposes them via the `ablation_storage` binary and the
-//! `bench_disk_sched` criterion bench.
+//! `clio-bench` exposes them via the `ablation_storage` binary.
 
 use clio_apps::lu;
 use clio_exp::{Engine, Experiment, Workload};

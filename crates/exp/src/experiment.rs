@@ -11,9 +11,8 @@ use clio_sim::trace_driven::{
     trace_sim_pool, trace_sim_source, SimJob, ThinkTime, TraceSimOptions,
 };
 use clio_trace::replay::{
-    replay_parallel_source, replay_parallel_source_stats, replay_real_source,
-    replay_real_source_stats, replay_source_stats_with_metrics, replay_source_with_metrics,
-    ParallelReplayOptions, RealReplayOptions, ReportMode,
+    open_real_backend, replay_backend, replay_cached, replay_sharded, ParallelReplayOptions,
+    RealReplayOptions, ReportMode,
 };
 use clio_trace::verify::{QuarantineSource, VerifyMode};
 use clio_trace::TraceFile;
@@ -74,6 +73,11 @@ impl Experiment {
     /// [`TraceFile`]. In [`ReportMode::Summary`] the replay engines
     /// additionally keep only O(1) running aggregates instead of
     /// per-record timings.
+    ///
+    /// A stream replayed with [`VerifyMode::Off`] whose record names a
+    /// file outside the declared roster fails with
+    /// [`ExpError::Trace`] (record index and file id inside) instead
+    /// of being replayed.
     pub fn run(&self) -> Result<Report, ExpError> {
         let mut report = Report::new(self.engine.name(), self.workload.label());
         // Surface workload errors as ExpError up front, without
@@ -116,43 +120,17 @@ impl Experiment {
         let started = std::time::Instant::now();
         match &self.engine {
             Engine::SerialReplay => {
-                let mut source = reopen();
-                match self.mode {
-                    ReportMode::Full => {
-                        let (replay, metrics) =
-                            replay_source_with_metrics(&mut *source, self.cache.clone());
-                        report.records = replay.timings.len() as u64;
-                        report.replay = Some(replay);
-                        report.cache_metrics = Some(metrics);
-                    }
-                    ReportMode::Summary => {
-                        let (stats, metrics) =
-                            replay_source_stats_with_metrics(&mut *source, self.cache.clone());
-                        report.records = stats.records();
-                        report.replay_stats = Some(stats);
-                        report.cache_metrics = Some(metrics);
-                    }
-                }
+                let replay = replay_cached(&mut *reopen(), self.cache.clone(), self.mode)?;
+                report.cache_metrics = Some(replay.metrics);
+                report.set_replay(replay);
             }
-            Engine::ParallelReplay => match self.mode {
-                ReportMode::Full => {
-                    let par = replay_parallel_source(reopen, self.cache.clone(), &self.parallel);
-                    report.records = par.report.timings.len() as u64;
-                    report.replay = Some(par.report);
-                    report.cache_metrics = Some(par.metrics);
-                    report.shard_metrics = Some(par.shard_metrics);
-                    report.threads_used = Some(par.threads);
-                }
-                ReportMode::Summary => {
-                    let par =
-                        replay_parallel_source_stats(reopen, self.cache.clone(), &self.parallel);
-                    report.records = par.stats.records();
-                    report.replay_stats = Some(par.stats);
-                    report.cache_metrics = Some(par.metrics);
-                    report.shard_metrics = Some(par.shard_metrics);
-                    report.threads_used = Some(par.threads);
-                }
-            },
+            Engine::ParallelReplay => {
+                let replay = replay_sharded(reopen, self.cache.clone(), &self.parallel, self.mode)?;
+                report.cache_metrics = Some(replay.metrics);
+                report.shard_metrics = Some(replay.shard_metrics.clone());
+                report.threads_used = Some(replay.threads);
+                report.set_replay(replay);
+            }
             Engine::TraceSim => {
                 let sim = trace_sim_source(reopen, &self.machine, &self.sim_options);
                 report.records = sim.records;
@@ -177,30 +155,13 @@ impl Experiment {
                 report.serve = Some(outcome.summary);
             }
             Engine::RealReplay { sample } => {
-                let mut source = reopen();
-                match self.mode {
-                    ReportMode::Full => {
-                        let replay = replay_real_source(&mut *source, sample, self.real)?;
-                        report.records = replay.timings.len() as u64;
-                        report.replay = Some(replay);
-                    }
-                    ReportMode::Summary => {
-                        let stats = replay_real_source_stats(&mut *source, sample, self.real)?;
-                        report.records = stats.records();
-                        report.replay_stats = Some(stats);
-                    }
-                }
+                let mut backend = open_real_backend(sample, self.real)?;
+                let replay = replay_backend(&mut *reopen(), &mut backend, self.real, self.mode)?;
+                report.set_replay(replay);
             }
         }
         report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
         Ok(report)
-    }
-
-    /// The workload as an in-memory trace (shared traces come back
-    /// without copying) — only [`run_many`]'s batch dispatch still
-    /// needs this; [`Experiment::run`] streams everywhere.
-    fn materialized(&self) -> Result<Arc<TraceFile>, ExpError> {
-        self.workload.materialize()
     }
 }
 
@@ -219,8 +180,10 @@ pub fn run_many(experiments: &[Experiment], threads: usize) -> Result<Vec<Report
         return experiments.iter().map(Experiment::run).collect();
     }
 
+    // The pool is the one place that still needs in-memory traces
+    // (shared traces come back without copying).
     let traces: Vec<Arc<TraceFile>> =
-        experiments.iter().map(Experiment::materialized).collect::<Result<_, _>>()?;
+        experiments.iter().map(|e| e.workload.materialize()).collect::<Result<_, _>>()?;
     let jobs: Vec<SimJob<'_>> = experiments
         .iter()
         .zip(&traces)
@@ -253,10 +216,12 @@ pub fn run_many(experiments: &[Experiment], threads: usize) -> Result<Vec<Report
 /// Only the cache-driving engines compare policies meaningfully, so
 /// `base` must use [`Engine::SerialReplay`] or
 /// [`Engine::ParallelReplay`]; anything else is an
-/// [`ExpError::InvalidConfig`]. The variants are dispatched through
-/// [`run_many`] with `threads` workers, and each variant differs from
-/// `base` in exactly one knob — the cache's replacement policy — so
-/// the rows are a controlled ablation.
+/// [`ExpError::InvalidConfig`]. The variants go through [`run_many`],
+/// which runs replay batches one after another in policy order
+/// (`threads` only scales out all-[`Engine::TraceSim`] batches, so it
+/// has no effect here), and each variant differs from `base` in
+/// exactly one knob — the cache's replacement policy — so the rows are
+/// a controlled ablation.
 pub fn run_policy_comparison(base: &Experiment, threads: usize) -> Result<ReportSummary, ExpError> {
     if !matches!(base.engine, Engine::SerialReplay | Engine::ParallelReplay) {
         return Err(ExpError::InvalidConfig(format!(
@@ -320,8 +285,8 @@ pub fn run_policy_comparison(base: &Experiment, threads: usize) -> Result<Report
 ///     .unwrap();
 /// let report = exp.run().unwrap();
 /// assert_eq!(report.threads_used, Some(2));
-/// assert!(report.replay.is_none(), "summary mode keeps no per-record timings");
 /// assert!(report.total_ms().unwrap() > 0.0);
+/// assert!(report.replay.unwrap().timings.is_empty(), "summary mode keeps no per-record timings");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
@@ -645,8 +610,9 @@ mod tests {
                 .unwrap()
                 .run()
                 .unwrap();
-            assert!(summary.replay.is_none(), "{engine:?}");
-            assert!(summary.replay_stats.is_some(), "{engine:?}");
+            let kept = summary.replay.as_ref().expect("replay section");
+            assert!(kept.timings.is_empty(), "{engine:?}");
+            assert!(kept.stats().records() > 0, "{engine:?}");
             assert_eq!(summary.summary(), full.summary(), "{engine:?}");
         }
     }

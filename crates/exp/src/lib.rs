@@ -50,10 +50,14 @@
 //! assert!(report.mean_ms(IoOp::Close).unwrap() > report.mean_ms(IoOp::Open).unwrap());
 //! ```
 //!
-//! The deprecated pre-`Experiment` free functions (`replay_simulated`,
-//! `simulate_trace`, …) are gone; equivalence tests pin this builder
-//! path bit-identical to the canonical low-level engines
-//! (`replay_source`, `replay_parallel`, `trace_sim`, …) instead.
+//! Underneath sit the canonical engines, one driver per cost target:
+//! `clio_trace::replay::{replay_cached, replay_sharded, replay_backend}`
+//! — each takes the [`ReportMode`] and returns one `ReplayReport`, so
+//! "what a replay keeps" is decided there and [`Experiment::run`]
+//! never asks — and `clio_sim`'s `trace_sim_source` /
+//! `scheduled_trace_sim_source`. Equivalence tests pin this builder
+//! path bit-identical to them, and `replay_sharded` to its
+//! materialized reference `replay_parallel`.
 //!
 //! **Layering rule:** `clio-exp` may depend on `clio-trace`,
 //! `clio-sim`, `clio-cache` and `clio-apps` — never the reverse. The

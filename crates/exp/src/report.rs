@@ -12,10 +12,10 @@ use crate::serve::ServeSummary;
 /// What an experiment produced.
 ///
 /// One type subsumes the engines' native reports: replay engines fill
-/// [`Report::replay`] (full mode) or [`Report::replay_stats`] (summary
-/// mode — running aggregates only, O(1) in the trace length), the
-/// parallel engine adds cache counters, and simulation engines fill
-/// [`Report::sim`]. The untouched sections are `None`.
+/// [`Report::replay`] (in summary mode its timings are empty and only
+/// the running aggregates are kept, O(1) in the trace length), the
+/// cache-driving engines add cache counters, and simulation engines
+/// fill [`Report::sim`]. The untouched sections are `None`.
 /// [`Report::summary`] flattens everything into a serde-serializable
 /// [`ReportSummary`] for JSON archival — bit-identical between the two
 /// replay report modes.
@@ -27,12 +27,10 @@ pub struct Report {
     pub workload: String,
     /// Number of records the experiment consumed.
     pub records: u64,
-    /// Per-record replay timings and per-op summaries (replay engines
-    /// in [`ReportMode::Full`](clio_trace::replay::ReportMode::Full)).
+    /// The replay engines' result: running per-op aggregates always,
+    /// per-record timings in
+    /// [`ReportMode::Full`](clio_trace::replay::ReportMode::Full) only.
     pub replay: Option<ReplayReport>,
-    /// Running replay aggregates (replay engines in
-    /// [`ReportMode::Summary`](clio_trace::replay::ReportMode::Summary)).
-    pub replay_stats: Option<ReplayStats>,
     /// Aggregate cache counters (parallel replay).
     pub cache_metrics: Option<CacheMetrics>,
     /// Per-shard cache counters (parallel replay).
@@ -67,7 +65,6 @@ impl Report {
             workload,
             records: 0,
             replay: None,
-            replay_stats: None,
             cache_metrics: None,
             shard_metrics: None,
             threads_used: None,
@@ -79,11 +76,17 @@ impl Report {
         }
     }
 
-    /// The replay aggregates, whichever report mode produced them:
-    /// full mode's are derived from its timings, summary mode's were
-    /// accumulated while streaming — bit-identical either way.
+    /// Files a replay engine's result: the record count and the
+    /// replay section.
+    pub(crate) fn set_replay(&mut self, replay: ReplayReport) {
+        self.records = replay.stats().records();
+        self.replay = Some(replay);
+    }
+
+    /// The replay aggregates — accumulated while streaming in either
+    /// report mode, so bit-identical between them.
     pub fn stats(&self) -> Option<&ReplayStats> {
-        self.replay.as_ref().map(|r| r.stats()).or(self.replay_stats.as_ref())
+        self.replay.as_ref().map(|r| r.stats())
     }
 
     /// Mean latency of one operation kind, ms (replay engines).

@@ -20,7 +20,7 @@ use crate::engine::Engine;
 use crate::machine::MachineConfig;
 use crate::sched::{DiskRequest, Policy, Scheduler, SeekCurve};
 use crate::time::SimTime;
-use crate::trace_driven::TraceSimReport;
+use crate::trace_driven::{TraceSimReport, METADATA_COST};
 
 /// Geometry and policy of the scheduled replay.
 #[derive(Debug, Clone)]
@@ -120,9 +120,6 @@ impl DiskFaultPlan {
             .fold(1.0, |m, w| m * w.multiplier)
     }
 }
-
-/// Fixed host cost (seconds) of open/close/seek records.
-const METADATA_COST: f64 = 20e-6;
 
 struct ProcState {
     /// The pid whose stream this process consumes.

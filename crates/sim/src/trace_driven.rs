@@ -80,7 +80,8 @@ pub struct TraceSimReport {
 
 /// Fixed host cost (seconds) of open/close/seek records in the
 /// simulated machine — metadata operations that never touch the array.
-const METADATA_COST: f64 = 20e-6;
+/// Both trace simulators charge it.
+pub(crate) const METADATA_COST: f64 = 20e-6;
 
 struct ProcState {
     /// The pid whose stream this process consumes.

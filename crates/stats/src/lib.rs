@@ -7,7 +7,6 @@
 //!
 //! - [`timer`] — monotonic stopwatches and named scoped timers,
 //! - [`summary`] — streaming mean/variance/min/max (Welford),
-//! - [`histogram`] — logarithmically bucketed latency histograms,
 //! - [`percentile`] — exact quantiles over recorded samples,
 //! - [`sink`] — streaming percentile sink (O(1) memory, bounded error),
 //! - [`speedup`] — speedup-versus-resources series (Figures 4 and 5),
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod confidence;
-pub mod histogram;
 pub mod percentile;
 pub mod series;
 pub mod sink;
@@ -32,7 +30,6 @@ pub mod timer;
 pub mod units;
 
 pub use confidence::{confidence_interval, ConfidenceInterval, Level};
-pub use histogram::LatencyHistogram;
 pub use percentile::{quantile, quantiles};
 pub use series::Series;
 pub use sink::PercentileSink;

@@ -3,7 +3,7 @@
 //! The bench harness keeps full sample vectors for the smaller
 //! experiments (Tables 5–6 have at most a few hundred requests), where
 //! exact order statistics are affordable and preferable to the bucketed
-//! approximation in [`crate::histogram`].
+//! approximation in [`crate::sink`].
 
 /// Returns the `q`-quantile (`0 ≤ q ≤ 1`) of `samples` using linear
 /// interpolation between closest ranks (the "type 7" estimator used by

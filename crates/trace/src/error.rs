@@ -28,6 +28,8 @@ pub enum TraceError {
     },
     /// A record referenced a file id not declared in the header.
     FileIdOutOfRange {
+        /// 0-based index of the offending record.
+        index: u64,
         /// The offending file id.
         file_id: u32,
         /// Number of files the header declares.
@@ -72,8 +74,12 @@ impl fmt::Display for TraceError {
             TraceError::BadTextLine { line, reason } => {
                 write!(f, "text trace line {line}: {reason}")
             }
-            TraceError::FileIdOutOfRange { file_id, num_files } => {
-                write!(f, "record references file {file_id} but header declares {num_files} files")
+            TraceError::FileIdOutOfRange { index, file_id, num_files } => {
+                write!(
+                    f,
+                    "record {index} references file {file_id} but header declares \
+                     {num_files} files"
+                )
             }
             TraceError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the declared trace content")
@@ -122,7 +128,7 @@ mod tests {
         assert!(TraceError::BadTextLine { line: 3, reason: "nope".into() }
             .to_string()
             .contains("line 3"));
-        assert!(TraceError::FileIdOutOfRange { file_id: 5, num_files: 2 }
+        assert!(TraceError::FileIdOutOfRange { index: 0, file_id: 5, num_files: 2 }
             .to_string()
             .contains("file 5"));
         assert!(TraceError::TrailingBytes { extra: 9 }.to_string().contains("9 trailing"));

@@ -24,11 +24,12 @@
 //!   time (iterator-backed, shared, synthesized) plus chain/interleave/
 //!   weighted-merge combinators for mixed workloads — replay without a
 //!   full in-memory trace,
-//! - [`replay`] — two replay engines: *simulated* (against
-//!   [`clio_cache::BufferCache`]'s deterministic cost model — the mode
-//!   the tables in EXPERIMENTS.md are generated from) and *real*
-//!   (against an actual file through [`clio_cache::FileBackend`], timed
-//!   with monotonic clocks),
+//! - [`replay`] — one replay driver per cost target: *simulated*
+//!   (against [`clio_cache::BufferCache`]'s deterministic cost model —
+//!   the mode the tables in EXPERIMENTS.md are generated from — serial
+//!   or sharded across worker threads) and *real* (against an actual
+//!   file through [`clio_cache::FileBackend`], timed with monotonic
+//!   clocks),
 //! - [`verify`] — the trust boundary: a streaming O(1)-memory admission
 //!   pass over any [`TraceSource`] with a fixed rule table (`V01`–`V09`),
 //!   strict (reject with a coded [`verify::VerifyError`]) or lenient

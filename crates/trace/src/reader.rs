@@ -52,9 +52,10 @@ impl TraceFile {
                 self.records.len()
             )));
         }
-        for r in &self.records {
+        for (index, r) in self.records.iter().enumerate() {
             if r.file_id >= self.header.num_files {
                 return Err(TraceError::FileIdOutOfRange {
+                    index: index as u64,
                     file_id: r.file_id,
                     num_files: self.header.num_files,
                 });

@@ -5,35 +5,41 @@
 //! writing, seeking in a file to analyze the behavior of I/O
 //! operations." — paper, Section 3.3.
 //!
-//! Three engines share the reporting shape:
+//! One driver per cost target, each streaming records from a
+//! [`TraceSource`] — no in-memory [`TraceFile`] required:
 //!
-//! - [`replay_source`] streams records from any
-//!   [`TraceSource`] against a
-//!   [`BufferCache`], taking the deterministic simulated latency from
-//!   its cost model — no in-memory [`TraceFile`] required. This is the
+//! - [`replay_cached`] replays against a [`BufferCache`], taking the
+//!   deterministic simulated latency from its cost model. This is the
 //!   engine behind the regenerated Tables 1–4: page-cache hits,
 //!   prefetch charges and dirty-flush closes reproduce the paper's
 //!   anomalies exactly and repeatably.
-//! - [`replay_real_source`] / [`replay_backend`] issue the records
-//!   against an actual file through a [`FileBackend`], timing each
-//!   operation with a monotonic clock — the honest-hardware mode.
-//! - [`replay_parallel_source`] drives a
-//!   [`ShardedBufferCache`]
-//!   with a pool of workers, each owning a disjoint set of shards and
-//!   its **own stream** over the workload (no shared materialized
-//!   trace) — the multi-core engine, deterministic across runs *and*
-//!   thread counts (see [`ParallelReplayReport`]).
-//!   [`replay_parallel`] is the materialized reference path over a
-//!   borrowed [`TraceFile`]; the equivalence layer pins the two
-//!   bitwise-identical.
+//! - [`replay_sharded`] drives a [`ShardedBufferCache`] with a pool of
+//!   workers, each owning a disjoint set of shards and its **own
+//!   stream** over the workload — the multi-core engine, deterministic
+//!   across runs *and* thread counts.
+//! - [`replay_backend`] issues the records against an actual file
+//!   through a [`FileBackend`] ([`open_real_backend`] opens the sample
+//!   file), timing each operation with a monotonic clock — the
+//!   honest-hardware mode.
 //!
-//! Every engine comes in two [`ReportMode`]s: *Full* keeps the
-//! per-record [`OpTiming`] vector (O(N) report memory — the paper's
-//! per-request tables need it), *Summary* folds each record into a
-//! running [`ReplayStats`] as it streams past (O(1) report memory —
+//! [`replay_parallel`] is not a fourth engine but the materialized
+//! reference for [`replay_sharded`], over a borrowed [`TraceFile`]; the
+//! equivalence layer pins the two bitwise-identical.
+//!
+//! Every driver takes a [`ReportMode`] and returns one [`ReplayReport`].
+//! What a replay *keeps* is decided there and nowhere else: *Full* keeps
+//! the per-record [`OpTiming`] vector (O(N) report memory — the paper's
+//! per-request tables need it), *Summary* only folds each record into
+//! the running [`ReplayStats`] as it streams past (O(1) report memory —
 //! the mode for traces larger than memory). Both modes feed the same
 //! accumulators in the same order, so their summary numbers are
 //! bit-identical.
+//!
+//! A record naming a file at or past the source's declared
+//! `meta().num_files` ends the replay with
+//! [`TraceError::FileIdOutOfRange`] (loaded traces are validated and
+//! admission rule `V02` rejects such records up front; the drivers check
+//! again because hand-built sources can be replayed unverified).
 //!
 //! The preferred front door to all of them is
 //! `clio_exp::Experiment::builder()`.
@@ -50,9 +56,10 @@ use clio_cache::prefetch::Prefetcher;
 use clio_cache::shard::{block_runs, ShardedBufferCache};
 use clio_stats::{Stopwatch, Summary};
 
+use crate::error::TraceError;
 use crate::reader::TraceFile;
 use crate::record::{IoOp, TraceRecord};
-use crate::source::{SliceSource, TraceSource};
+use crate::source::TraceSource;
 
 /// How a replay engine reports its results.
 ///
@@ -85,9 +92,9 @@ pub struct OpTiming {
 /// replayed time and the record count — everything
 /// [`ReportMode::Summary`] keeps, O(1) in the trace length.
 ///
-/// Records are folded in replay order with [`ReplayStats::add`]; the
-/// full-report path feeds the same accumulator from its collected
-/// timings, which is what makes the two modes' summaries bit-identical.
+/// Records are folded in replay order with [`ReplayStats::add`] as
+/// they stream past, in both report modes, which is what makes the two
+/// modes' summaries bit-identical.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplayStats {
     records: u64,
@@ -125,25 +132,64 @@ impl ReplayStats {
     }
 }
 
-/// The result of replaying one trace in [`ReportMode::Full`].
+/// The result of replaying one trace: what the [`ReportMode`] asked to
+/// keep, plus the cache counters the replay left behind.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// Per-record timings, in replay order.
+    /// Per-record timings, in replay order. Empty in
+    /// [`ReportMode::Summary`].
     pub timings: Vec<OpTiming>,
     stats: ReplayStats,
+    keep_timings: bool,
+    /// Aggregate cache counters (merged over shards in shard order by
+    /// the sharded engine; all zero for [`replay_backend`], which
+    /// drives no cache).
+    pub metrics: CacheMetrics,
+    /// Per-shard cache counters ([`replay_sharded`] and
+    /// [`replay_parallel`]; empty elsewhere).
+    pub shard_metrics: Vec<CacheMetrics>,
+    /// Worker threads actually used, after clamping (1 for the serial
+    /// drivers).
+    pub threads: usize,
 }
 
 impl ReplayReport {
-    fn from_timings(timings: Vec<OpTiming>) -> Self {
-        let mut stats = ReplayStats::default();
-        for t in &timings {
-            stats.add(&t.record, t.elapsed_ms);
+    /// An empty report for a replay in `mode`; `capacity` pre-sizes the
+    /// timings vector, which only [`ReportMode::Full`] allocates.
+    fn new(mode: ReportMode, capacity: usize) -> Self {
+        let keep_timings = mode == ReportMode::Full;
+        Self {
+            timings: Vec::with_capacity(if keep_timings { capacity } else { 0 }),
+            stats: ReplayStats::default(),
+            keep_timings,
+            metrics: CacheMetrics::default(),
+            shard_metrics: Vec::new(),
+            threads: 1,
         }
-        Self { timings, stats }
     }
 
-    /// The running aggregates over the timings — the exact object a
-    /// [`ReportMode::Summary`] replay of the same workload returns.
+    /// Takes one replayed record, in replay order: always folded into
+    /// the running aggregates, kept as an [`OpTiming`] only in Full
+    /// mode.
+    fn keep(&mut self, record: &TraceRecord, elapsed_ms: f64) {
+        self.stats.add(record, elapsed_ms);
+        if self.keep_timings {
+            self.timings.push(OpTiming { record: *record, elapsed_ms });
+        }
+    }
+
+    /// Fills in the counters a sharded replay over `threads` workers
+    /// left in `cache`.
+    fn finish_sharded(mut self, cache: &ShardedBufferCache, threads: usize) -> Self {
+        self.shard_metrics = (0..cache.num_shards()).map(|s| cache.shard_metrics(s)).collect();
+        for m in &self.shard_metrics {
+            self.metrics.merge(m);
+        }
+        self.threads = threads;
+        self
+    }
+
+    /// The running aggregates — the same object in both report modes.
     pub fn stats(&self) -> &ReplayStats {
         &self.stats
     }
@@ -180,22 +226,34 @@ impl ReplayReport {
     }
 }
 
-/// The shared serial engine: streams `source` against a buffer cache
-/// and hands every `(record, elapsed_ms)` pair to `visit` in replay
-/// order, returning the cache counters the replay left behind. Both
-/// report modes are thin sinks over this.
-fn replay_cached_with<S: TraceSource + ?Sized>(
+/// Rejects a record that names a file outside the source's declared
+/// roster. `index` is the record's 0-based position in the stream.
+fn check_roster(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), TraceError> {
+    if r.file_id < num_files {
+        Ok(())
+    } else {
+        Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files })
+    }
+}
+
+/// Replays a streaming record source against a buffer cache;
+/// deterministic. Records are consumed one at a time, so the source
+/// never needs to exist as a whole in memory — an iterator-backed or
+/// synthesized stream replays exactly like a loaded [`TraceFile`].
+pub fn replay_cached<S: TraceSource + ?Sized>(
     source: &mut S,
     config: CacheConfig,
-    mut visit: impl FnMut(&TraceRecord, f64),
-) -> CacheMetrics {
+    mode: ReportMode,
+) -> Result<ReplayReport, TraceError> {
     let meta = source.meta();
     let mut cache = BufferCache::new(config);
     let file_ids: Vec<FileId> = (0..meta.num_files)
         .map(|i| cache.register_file(format!("{}#{}", meta.sample_file, i)))
         .collect();
+    let mut report = ReplayReport::new(mode, source.size_hint().0);
 
     while let Some(r) = source.next_record() {
+        check_roster(meta.num_files, report.stats.records, &r)?;
         let fid = file_ids[r.file_id as usize];
         let repeats = r.num_records.max(1);
         let mut total = 0.0;
@@ -213,65 +271,10 @@ fn replay_cached_with<S: TraceSource + ?Sized>(
             };
             total += outcome.cost_ms;
         }
-        visit(&r, total / repeats as f64);
+        report.keep(&r, total / repeats as f64);
     }
-    cache.metrics()
-}
-
-/// Replays a streaming record source against a buffer cache;
-/// deterministic. Records are consumed one at a time, so the source
-/// never needs to exist as a whole in memory — an iterator-backed or
-/// synthesized stream replays exactly like a loaded [`TraceFile`].
-///
-/// This is the [`ReportMode::Full`] engine (per-record timings kept);
-/// [`replay_source_stats`] is its O(1)-report-memory counterpart.
-///
-/// # Panics
-/// Panics if a record's `file_id` is not below the source's declared
-/// `meta().num_files` (loaded traces are validated; hand-rolled
-/// sources must declare honest metadata).
-pub fn replay_source<S: TraceSource + ?Sized>(source: &mut S, config: CacheConfig) -> ReplayReport {
-    replay_source_with_metrics(source, config).0
-}
-
-/// [`replay_source`] plus the hit/miss/eviction counters the replay
-/// left in the cache — the serial counterpart of
-/// [`ParallelReplayReport::metrics`], and what feeds per-policy rows in
-/// cross-policy comparisons.
-pub fn replay_source_with_metrics<S: TraceSource + ?Sized>(
-    source: &mut S,
-    config: CacheConfig,
-) -> (ReplayReport, CacheMetrics) {
-    let mut timings = Vec::with_capacity(source.size_hint().0);
-    let metrics = replay_cached_with(source, config, |r, elapsed_ms| {
-        timings.push(OpTiming { record: *r, elapsed_ms })
-    });
-    (ReplayReport::from_timings(timings), metrics)
-}
-
-/// [`replay_source`] in [`ReportMode::Summary`]: the same replay, but
-/// each record is folded into running [`ReplayStats`] and dropped —
-/// report memory stays O(1) however long the stream is. The returned
-/// stats are bit-identical to `replay_source(..).stats()`.
-///
-/// # Panics
-/// Same contract as [`replay_source`].
-pub fn replay_source_stats<S: TraceSource + ?Sized>(
-    source: &mut S,
-    config: CacheConfig,
-) -> ReplayStats {
-    replay_source_stats_with_metrics(source, config).0
-}
-
-/// [`replay_source_stats`] plus the replay's cache counters — O(1)
-/// report memory with the same metrics as the full-mode engine.
-pub fn replay_source_stats_with_metrics<S: TraceSource + ?Sized>(
-    source: &mut S,
-    config: CacheConfig,
-) -> (ReplayStats, CacheMetrics) {
-    let mut stats = ReplayStats::default();
-    let metrics = replay_cached_with(source, config, |r, elapsed_ms| stats.add(r, elapsed_ms));
-    (stats, metrics)
+    report.metrics = cache.metrics();
+    Ok(report)
 }
 
 /// Options for the parallel simulated replay engine.
@@ -284,46 +287,10 @@ pub struct ParallelReplayOptions {
     pub shards: usize,
 }
 
-impl Default for ParallelReplayOptions {
-    fn default() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { threads, shards: 16 }
-    }
-}
-
-/// The result of a parallel replay: the usual [`ReplayReport`] plus the
-/// cache counters the replay left behind.
-#[derive(Debug, Clone)]
-pub struct ParallelReplayReport {
-    /// Per-record timings and summaries, merged deterministically.
-    pub report: ReplayReport,
-    /// Aggregate cache metrics, merged over shards in shard order.
-    pub metrics: CacheMetrics,
-    /// Per-shard cache metrics.
-    pub shard_metrics: Vec<CacheMetrics>,
-    /// Worker threads actually used (after clamping).
-    pub threads: usize,
-}
-
-/// The [`ReportMode::Summary`] result of a parallel replay: running
-/// aggregates instead of per-record timings, plus the same cache
-/// counters.
-#[derive(Debug, Clone)]
-pub struct ParallelReplayStats {
-    /// Running replay aggregates, merged deterministically.
-    pub stats: ReplayStats,
-    /// Aggregate cache metrics, merged over shards in shard order.
-    pub metrics: CacheMetrics,
-    /// Per-shard cache metrics.
-    pub shard_metrics: Vec<CacheMetrics>,
-    /// Worker threads actually used (after clamping).
-    pub threads: usize,
-}
-
 /// Per-worker replay state over the shards this worker owns — the one
 /// record-level cache-driving state machine shared by the materialized
-/// ([`replay_parallel`]) and per-worker-stream
-/// ([`replay_parallel_source`]) engines, so the two paths cannot drift.
+/// ([`replay_parallel`]) and per-worker-stream ([`replay_sharded`])
+/// engines, so the two paths cannot drift.
 struct ShardWorker<'c> {
     cache: &'c ShardedBufferCache,
     page_size: u64,
@@ -474,8 +441,8 @@ fn base_cost(config: &CacheConfig, op: IoOp) -> f64 {
 
 /// Replays against a sharded cache with a pool of worker threads, from
 /// a borrowed, materialized trace — the reference implementation the
-/// per-worker-stream engine ([`replay_parallel_source`]) is pinned
-/// bitwise-identical against.
+/// per-worker-stream engine ([`replay_sharded`]) is pinned
+/// bitwise-identical against. Always [`ReportMode::Full`].
 ///
 /// Every worker scans the whole trace but performs cache work only for
 /// the shards it owns, driving them through the same per-page SPI
@@ -490,13 +457,17 @@ fn base_cost(config: &CacheConfig, op: IoOp) -> f64 {
 /// pure function of the trace, never of scheduling. Costs are merged
 /// per record in shard order, so the returned report and metrics are
 /// bit-identical across runs *and* across thread counts; with one
-/// shard they match [`replay_source`]'s hit/miss accounting
+/// shard they match [`replay_cached`]'s hit/miss accounting
 /// access-for-access.
+///
+/// `trace` must pass [`TraceFile::validate`] (a hand-assembled one may
+/// not); the violation is returned before any worker starts.
 pub fn replay_parallel(
     trace: &TraceFile,
     config: CacheConfig,
     options: &ParallelReplayOptions,
-) -> ParallelReplayReport {
+) -> Result<ReplayReport, TraceError> {
+    trace.validate()?;
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
     let file_ids: Vec<FileId> = (0..trace.header.num_files)
         .map(|i| cache.register_file(format!("{}#{}", trace.header.sample_file, i)))
@@ -538,51 +509,54 @@ pub fn replay_parallel(
 
     // Deterministic merge: per record, the fixed per-op cost plus the
     // shard partial costs in shard order.
-    let mut timings = Vec::with_capacity(records.len());
+    let mut report = ReplayReport::new(ReportMode::Full, records.len());
     for (i, r) in records.iter().enumerate() {
         let repeats = r.num_records.max(1) as f64;
         let mut total = base_cost(&config, r.op) * repeats;
         for shard_costs in costs.iter().flatten() {
             total += shard_costs[i];
         }
-        timings.push(OpTiming { record: *r, elapsed_ms: total / repeats });
+        report.keep(r, total / repeats);
     }
-
-    let shard_metrics: Vec<CacheMetrics> =
-        (0..num_shards).map(|s| cache.shard_metrics(s)).collect();
-    let mut metrics = CacheMetrics::default();
-    for m in &shard_metrics {
-        metrics.merge(m);
-    }
-    ParallelReplayReport {
-        report: ReplayReport::from_timings(timings),
-        metrics,
-        shard_metrics,
-        threads,
-    }
+    Ok(report.finish_sharded(&cache, threads))
 }
 
-/// Records per pipelined merge chunk of the per-worker-stream parallel
-/// engine: workers hand their shard partial costs to the merging thread
-/// in chunks of this many records, so in-flight memory is
-/// O(threads × chunk) however long the stream is.
+/// Records per pipelined merge chunk of [`replay_sharded`]: workers hand
+/// their shard partial costs to the merging thread in chunks of this
+/// many records, so in-flight memory is O(threads × chunk) however long
+/// the stream is.
 const PAR_CHUNK: usize = 1024;
 
-/// The per-worker-stream parallel engine shared by both report modes:
-/// every worker opens its *own* stream via `open` (no materialized
-/// trace anywhere), replays it against the shards it owns, and ships
-/// per-record shard costs to this (calling) thread in bounded chunks.
-/// The calling thread walks one more stream of its own, merges the
-/// chunk costs per record in ascending shard order — the same order as
-/// [`replay_parallel`]'s merge, which is what keeps the two engines and
-/// every thread count bitwise-identical — and hands each
-/// `(record, elapsed_ms)` pair to `visit` in record order.
-fn replay_parallel_with<'s>(
-    open: &(dyn Fn() -> Box<dyn TraceSource + 's> + Sync),
-    config: &CacheConfig,
+/// Replays a re-openable workload against a sharded cache with a pool
+/// of worker threads, each streaming its **own** source — no
+/// materialized [`TraceFile`] exists anywhere in the engine.
+///
+/// `open` is called once per worker plus once for the calling thread;
+/// every call must yield the same record stream (the same contract
+/// `clio_exp::Workload::open` documents). Each worker replays its
+/// stream against the shards it owns and ships per-record shard costs
+/// to the calling thread in bounded chunks. The calling thread walks
+/// the lead stream, merges the chunk costs per record in ascending
+/// shard order — the same order as [`replay_parallel`]'s merge, which
+/// is what keeps the two engines and every thread count
+/// bitwise-identical — and keeps each record in stream order.
+///
+/// A record outside the declared file roster is reported from the lead
+/// stream; the workers, which meet the same record in their own
+/// streams, just stop.
+///
+/// # Panics
+/// Panics if a worker panics or if a re-opened stream diverges from the
+/// lead stream.
+pub fn replay_sharded<'s, F>(
+    open: F,
+    config: CacheConfig,
     options: &ParallelReplayOptions,
-    visit: &mut dyn FnMut(&TraceRecord, f64),
-) -> (CacheMetrics, Vec<CacheMetrics>, usize) {
+    mode: ReportMode,
+) -> Result<ReplayReport, TraceError>
+where
+    F: Fn() -> Box<dyn TraceSource + 's> + Sync,
+{
     let mut lead = open();
     let meta = lead.meta();
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
@@ -591,6 +565,7 @@ fn replay_parallel_with<'s>(
         .collect();
     let num_shards = cache.num_shards();
     let threads = options.threads.clamp(1, num_shards);
+    let mut report = ReplayReport::new(mode, lead.size_hint().0);
 
     crossbeam::scope(|scope| {
         // One bounded channel per worker: a worker can run at most two
@@ -600,8 +575,7 @@ fn replay_parallel_with<'s>(
         for w in 0..threads {
             let (tx, rx) = crossbeam::channel::bounded::<Vec<Vec<f64>>>(2);
             rxs.push(rx);
-            let cache = &cache;
-            let file_ids = &file_ids;
+            let (open, cache, config, file_ids) = (&open, &cache, &config, &file_ids);
             scope.spawn(move |_| {
                 let mut source = open();
                 let mut worker = ShardWorker::new(cache, config, w, threads);
@@ -611,11 +585,13 @@ fn replay_parallel_with<'s>(
                 };
                 let mut chunk = fresh(n_owned);
                 while let Some(r) = source.next_record() {
+                    let Some(&fid) = file_ids.get(r.file_id as usize) else {
+                        return; // the lead stream reports it; stop quietly
+                    };
                     for col in chunk.iter_mut() {
                         col.push(0.0);
                     }
                     let i = chunk[0].len() - 1;
-                    let fid = file_ids[r.file_id as usize];
                     worker.replay_record(fid, &r, |slot, c| chunk[slot][i] += c);
                     if i + 1 == PAR_CHUNK
                         && tx.send(std::mem::replace(&mut chunk, fresh(n_owned))).is_err()
@@ -637,7 +613,11 @@ fn replay_parallel_with<'s>(
             records_buf.clear();
             while records_buf.len() < PAR_CHUNK {
                 match lead.next_record() {
-                    Some(r) => records_buf.push(r),
+                    Some(r) => {
+                        let index = report.stats.records + records_buf.len() as u64;
+                        check_roster(meta.num_files, index, &r)?;
+                        records_buf.push(r);
+                    }
                     None => {
                         done = true;
                         break;
@@ -661,89 +641,22 @@ fn replay_parallel_with<'s>(
             }
             for (i, r) in records_buf.iter().enumerate() {
                 let repeats = r.num_records.max(1) as f64;
-                let mut total = base_cost(config, r.op) * repeats;
+                let mut total = base_cost(&config, r.op) * repeats;
                 for s in 0..num_shards {
                     total += chunks[s % threads][s / threads][i];
                 }
-                visit(r, total / repeats);
+                report.keep(r, total / repeats);
             }
         }
-        // Disconnect before joining: a worker whose (dishonest) stream
-        // ran longer than the lead's fails its send instead of blocking
-        // the scope forever.
-        drop(rxs);
+        // Returning — here or through `?` above — drops `rxs` before the
+        // scope joins: a worker still sending (its stream ran longer
+        // than the lead's, or the lead hit a roster violation) fails its
+        // send instead of blocking the scope forever.
+        Ok::<(), TraceError>(())
     })
-    .expect("replay scope");
+    .expect("replay scope")?;
 
-    let shard_metrics: Vec<CacheMetrics> =
-        (0..num_shards).map(|s| cache.shard_metrics(s)).collect();
-    let mut metrics = CacheMetrics::default();
-    for m in &shard_metrics {
-        metrics.merge(m);
-    }
-    (metrics, shard_metrics, threads)
-}
-
-/// Replays a re-openable workload against a sharded cache with a pool
-/// of worker threads, each streaming its **own** source — no
-/// materialized [`TraceFile`] exists anywhere in the engine.
-///
-/// `open` is called once per worker plus once for the merging thread;
-/// every call must yield the same record stream (the same contract
-/// `clio_exp::Workload::open` documents). Reports are bitwise-identical
-/// to [`replay_parallel`] over the materialized equivalent, across runs
-/// and thread counts.
-///
-/// This is the [`ReportMode::Full`] engine;
-/// [`replay_parallel_source_stats`] is the O(1)-report-memory
-/// counterpart.
-///
-/// # Panics
-/// Panics if a worker panics, if a re-opened stream diverges from the
-/// lead stream, or if a record's `file_id` is not below the declared
-/// `meta().num_files`.
-pub fn replay_parallel_source<'s, F>(
-    open: F,
-    config: CacheConfig,
-    options: &ParallelReplayOptions,
-) -> ParallelReplayReport
-where
-    F: Fn() -> Box<dyn TraceSource + 's> + Sync,
-{
-    let mut timings = Vec::new();
-    let (metrics, shard_metrics, threads) =
-        replay_parallel_with(&open, &config, options, &mut |r, elapsed_ms| {
-            timings.push(OpTiming { record: *r, elapsed_ms })
-        });
-    ParallelReplayReport {
-        report: ReplayReport::from_timings(timings),
-        metrics,
-        shard_metrics,
-        threads,
-    }
-}
-
-/// [`replay_parallel_source`] in [`ReportMode::Summary`]: per-worker
-/// streams in, running aggregates out — both workload memory and report
-/// memory stay O(1) in the trace length. The stats are bit-identical to
-/// `replay_parallel_source(..).report.stats()`.
-///
-/// # Panics
-/// Same contract as [`replay_parallel_source`].
-pub fn replay_parallel_source_stats<'s, F>(
-    open: F,
-    config: CacheConfig,
-    options: &ParallelReplayOptions,
-) -> ParallelReplayStats
-where
-    F: Fn() -> Box<dyn TraceSource + 's> + Sync,
-{
-    let mut stats = ReplayStats::default();
-    let (metrics, shard_metrics, threads) =
-        replay_parallel_with(&open, &config, options, &mut |r, elapsed_ms| {
-            stats.add(r, elapsed_ms)
-        });
-    ParallelReplayStats { stats, metrics, shard_metrics, threads }
+    Ok(report.finish_sharded(&cache, threads))
 }
 
 /// Options for real-file replay.
@@ -799,34 +712,48 @@ fn with_retry<T>(
     op()
 }
 
-/// The shared real-replay engine: streams `source` against `backend`,
-/// timing every operation, and hands each `(record, elapsed_ms)` pair
-/// to `visit` in replay order.
-fn replay_backend_with<S: TraceSource + ?Sized>(
+/// Opens the sample file for a real replay: writable only when
+/// `options.allow_writes` asks for destructive writes.
+pub fn open_real_backend(
+    sample_path: impl AsRef<Path>,
+    options: RealReplayOptions,
+) -> io::Result<RealFsBackend> {
+    if options.allow_writes {
+        RealFsBackend::open(sample_path)
+    } else {
+        RealFsBackend::open_readonly(sample_path)
+    }
+}
+
+/// Replays a streaming source against `backend` — a real file (see
+/// [`open_real_backend`]) or, in tests, an in-memory one — timing every
+/// operation with a monotonic clock. The workload is never
+/// materialized.
+pub fn replay_backend<S: TraceSource + ?Sized>(
     source: &mut S,
     backend: &mut dyn FileBackend,
     options: RealReplayOptions,
-    visit: &mut dyn FnMut(&TraceRecord, f64),
-) -> io::Result<()> {
+    mode: ReportMode,
+) -> Result<ReplayReport, TraceError> {
+    let num_files = source.meta().num_files;
     let chunk = options.max_chunk.max(1);
     let mut buf = vec![0u8; chunk.min(1 << 20)];
+    let mut report = ReplayReport::new(mode, source.size_hint().0);
 
     while let Some(r) = source.next_record() {
+        check_roster(num_files, report.stats.records, &r)?;
         let repeats = r.num_records.max(1);
         let mut total_ms = 0.0;
         for _ in 0..repeats {
             let sw = Stopwatch::started();
             match r.op {
-                IoOp::Open | IoOp::Close => {
+                IoOp::Open | IoOp::Close | IoOp::Seek => {
                     // The single shared backend stands for the sample
-                    // file; open/close cost on real hardware is measured
-                    // by the metadata round trip.
-                    with_retry(&options, || backend.len())?;
-                }
-                IoOp::Seek => {
-                    // "Seek operations are performed from the beginning
-                    // of the file to the offset": a positioned backend
-                    // realizes this as a bounds probe.
+                    // file, so open/close cost on real hardware is the
+                    // metadata round trip; and "seek operations are
+                    // performed from the beginning of the file to the
+                    // offset", which a positioned backend realizes as
+                    // the same bounds probe.
                     with_retry(&options, || backend.len())?;
                 }
                 IoOp::Read => {
@@ -860,97 +787,29 @@ fn replay_backend_with<S: TraceSource + ?Sized>(
             }
             total_ms += sw.elapsed_ms();
         }
-        visit(&r, total_ms / repeats as f64);
+        report.keep(&r, total_ms / repeats as f64);
     }
-    Ok(())
-}
-
-/// Replays a streaming source against a real file at `sample_path`,
-/// timing every operation — the workload is never materialized.
-pub fn replay_real_source<S: TraceSource + ?Sized>(
-    source: &mut S,
-    sample_path: impl AsRef<Path>,
-    options: RealReplayOptions,
-) -> io::Result<ReplayReport> {
-    let mut backend = open_real_backend(sample_path, options)?;
-    replay_backend_source(source, &mut backend, options)
-}
-
-/// [`replay_real_source`] in [`ReportMode::Summary`]: running
-/// aggregates only, O(1) report memory.
-pub fn replay_real_source_stats<S: TraceSource + ?Sized>(
-    source: &mut S,
-    sample_path: impl AsRef<Path>,
-    options: RealReplayOptions,
-) -> io::Result<ReplayStats> {
-    let mut backend = open_real_backend(sample_path, options)?;
-    replay_backend_source_stats(source, &mut backend, options)
-}
-
-fn open_real_backend(
-    sample_path: impl AsRef<Path>,
-    options: RealReplayOptions,
-) -> io::Result<RealFsBackend> {
-    if options.allow_writes {
-        RealFsBackend::open(sample_path)
-    } else {
-        RealFsBackend::open_readonly(sample_path)
-    }
-}
-
-/// Replays against a real file at `sample_path`, timing every operation.
-pub fn replay_real_file(
-    trace: &TraceFile,
-    sample_path: impl AsRef<Path>,
-    options: RealReplayOptions,
-) -> io::Result<ReplayReport> {
-    replay_real_source(&mut SliceSource::new(trace), sample_path, options)
-}
-
-/// Replays a streaming source against any backend (tests use the
-/// in-memory one).
-pub fn replay_backend_source<S: TraceSource + ?Sized>(
-    source: &mut S,
-    backend: &mut dyn FileBackend,
-    options: RealReplayOptions,
-) -> io::Result<ReplayReport> {
-    let mut timings = Vec::with_capacity(source.size_hint().0);
-    replay_backend_with(source, backend, options, &mut |r, elapsed_ms| {
-        timings.push(OpTiming { record: *r, elapsed_ms })
-    })?;
-    Ok(ReplayReport::from_timings(timings))
-}
-
-/// [`replay_backend_source`] in [`ReportMode::Summary`]: running
-/// aggregates only, O(1) report memory.
-pub fn replay_backend_source_stats<S: TraceSource + ?Sized>(
-    source: &mut S,
-    backend: &mut dyn FileBackend,
-    options: RealReplayOptions,
-) -> io::Result<ReplayStats> {
-    let mut stats = ReplayStats::default();
-    replay_backend_with(source, backend, options, &mut |r, elapsed_ms| stats.add(r, elapsed_ms))?;
-    Ok(stats)
-}
-
-/// Replays against any backend (tests use the in-memory one).
-pub fn replay_backend(
-    trace: &TraceFile,
-    backend: &mut dyn FileBackend,
-    options: RealReplayOptions,
-) -> io::Result<ReplayReport> {
-    replay_backend_source(&mut SliceSource::new(trace), backend, options)
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{IterSource, SliceSource, SourceMeta};
     use clio_cache::backend::{FaultyBackend, FlakyBackend, MemBackend};
 
-    /// Canonical serial replay of a materialized trace (the test-side
-    /// shorthand for `replay_source` over a borrowed slice).
+    /// Full-mode cached replay of a materialized trace.
     fn replay(trace: &TraceFile, config: CacheConfig) -> ReplayReport {
-        replay_source(&mut SliceSource::new(trace), config)
+        replay_cached(&mut SliceSource::new(trace), config, ReportMode::Full).unwrap()
+    }
+
+    /// Full-mode backend replay of a materialized trace.
+    fn replay_on(
+        trace: &TraceFile,
+        backend: &mut dyn FileBackend,
+        options: RealReplayOptions,
+    ) -> Result<ReplayReport, TraceError> {
+        replay_backend(&mut SliceSource::new(trace), backend, options, ReportMode::Full)
     }
 
     /// A factory of fresh streams over `trace`, for the per-worker
@@ -1023,10 +882,14 @@ mod tests {
         let trace = mixed_trace(400);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
         let full = replay(&trace, config.clone());
-        let stats = replay_source_stats(&mut SliceSource::new(&trace), config);
-        assert_eq!(&stats, full.stats(), "summary-mode stats diverged from full-mode stats");
+        let summary =
+            replay_cached(&mut SliceSource::new(&trace), config, ReportMode::Summary).unwrap();
+        assert!(summary.timings.is_empty(), "summary mode keeps no timings");
+        let stats = summary.stats();
+        assert_eq!(stats, full.stats(), "summary-mode stats diverged from full-mode stats");
         assert_eq!(stats.records() as usize, full.timings.len());
         assert_eq!(stats.total_ms(), full.total_ms());
+        assert_eq!(summary.metrics, full.metrics);
     }
 
     #[test]
@@ -1058,7 +921,7 @@ mod tests {
     fn real_replay_against_mem_backend() {
         let mut backend = MemBackend::with_data(vec![7u8; 2_000_000]);
         let report =
-            replay_backend(&simple_trace(), &mut backend, RealReplayOptions::default()).unwrap();
+            replay_on(&simple_trace(), &mut backend, RealReplayOptions::default()).unwrap();
         assert_eq!(report.timings.len(), 6);
         assert!(report.timings.iter().all(|t| t.elapsed_ms >= 0.0));
         assert!(report.mean_ms(IoOp::Read).is_some());
@@ -1068,12 +931,15 @@ mod tests {
     fn real_replay_summary_mode_reports_every_op() {
         let trace = simple_trace();
         let mut backend = MemBackend::with_data(vec![7u8; 2_000_000]);
-        let stats = replay_backend_source_stats(
+        let summary = replay_backend(
             &mut SliceSource::new(&trace),
             &mut backend,
             RealReplayOptions::default(),
+            ReportMode::Summary,
         )
         .unwrap();
+        assert!(summary.timings.is_empty(), "summary mode keeps no timings");
+        let stats = summary.stats();
         assert_eq!(stats.records() as usize, trace.len());
         assert!(stats.mean_ms(IoOp::Read).is_some());
         assert!(stats.total_ms() >= 0.0);
@@ -1083,7 +949,7 @@ mod tests {
     fn real_replay_readonly_does_not_write() {
         let mut backend = MemBackend::with_data(vec![7u8; 2_000_000]);
         let before = backend.data().to_vec();
-        replay_backend(&simple_trace(), &mut backend, RealReplayOptions::default()).unwrap();
+        replay_on(&simple_trace(), &mut backend, RealReplayOptions::default()).unwrap();
         assert_eq!(backend.data(), &before[..], "read-only replay must not mutate");
     }
 
@@ -1099,14 +965,14 @@ mod tests {
         .unwrap();
         let mut backend = MemBackend::with_data(vec![7u8; 2_000_000]);
         let opts = RealReplayOptions { allow_writes: true, ..Default::default() };
-        replay_backend(&t, &mut backend, opts).unwrap();
+        replay_on(&t, &mut backend, opts).unwrap();
         assert_eq!(backend.data()[1_000_000], 0u8, "write landed");
     }
 
     #[test]
     fn real_replay_propagates_backend_failure() {
         let mut backend = FaultyBackend::new(MemBackend::with_data(vec![0u8; 1024]), 1);
-        let err = replay_backend(&simple_trace(), &mut backend, RealReplayOptions::default());
+        let err = replay_on(&simple_trace(), &mut backend, RealReplayOptions::default());
         assert!(err.is_err());
     }
 
@@ -1117,9 +983,9 @@ mod tests {
         let trace = simple_trace();
         let serial = replay(&trace, CacheConfig::default());
         let opts = ParallelReplayOptions { threads: 1, shards: 1 };
-        let par = replay_parallel(&trace, CacheConfig::default(), &opts);
-        assert_eq!(par.report.timings.len(), serial.timings.len());
-        for (a, b) in serial.timings.iter().zip(&par.report.timings) {
+        let par = replay_parallel(&trace, CacheConfig::default(), &opts).unwrap();
+        assert_eq!(par.timings.len(), serial.timings.len());
+        for (a, b) in serial.timings.iter().zip(&par.timings) {
             assert_eq!(a.record, b.record);
             assert!(
                 (a.elapsed_ms - b.elapsed_ms).abs() < 1e-12,
@@ -1139,17 +1005,19 @@ mod tests {
             &trace,
             config.clone(),
             &ParallelReplayOptions { threads: 1, shards: 8 },
-        );
+        )
+        .unwrap();
         for threads in [2usize, 3, 5, 8] {
             let r = replay_parallel(
                 &trace,
                 config.clone(),
                 &ParallelReplayOptions { threads, shards: 8 },
-            );
+            )
+            .unwrap();
             assert_eq!(r.metrics, base.metrics, "{threads} threads");
             assert_eq!(r.shard_metrics, base.shard_metrics, "{threads} threads");
-            let ta: Vec<f64> = base.report.timings.iter().map(|t| t.elapsed_ms).collect();
-            let tb: Vec<f64> = r.report.timings.iter().map(|t| t.elapsed_ms).collect();
+            let ta: Vec<f64> = base.timings.iter().map(|t| t.elapsed_ms).collect();
+            let tb: Vec<f64> = r.timings.iter().map(|t| t.elapsed_ms).collect();
             assert_eq!(ta, tb, "bitwise-identical timings at {threads} threads");
         }
         assert!(base.metrics.accesses() > 0);
@@ -1167,11 +1035,13 @@ mod tests {
             &trace,
             config.clone(),
             &ParallelReplayOptions { threads: 2, shards: 8 },
-        );
+        )
+        .unwrap();
         for threads in [1usize, 2, 3, 8] {
             let opts = ParallelReplayOptions { threads, shards: 8 };
-            let streamed = replay_parallel_source(reopen(&trace), config.clone(), &opts);
-            assert_eq!(streamed.report.timings, reference.report.timings, "{threads} threads");
+            let streamed =
+                replay_sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
+            assert_eq!(streamed.timings, reference.timings, "{threads} threads");
             assert_eq!(streamed.metrics, reference.metrics, "{threads} threads");
             assert_eq!(streamed.shard_metrics, reference.shard_metrics, "{threads} threads");
         }
@@ -1182,9 +1052,10 @@ mod tests {
         let trace = mixed_trace(600);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
         let opts = ParallelReplayOptions { threads: 3, shards: 8 };
-        let full = replay_parallel_source(reopen(&trace), config.clone(), &opts);
-        let summary = replay_parallel_source_stats(reopen(&trace), config, &opts);
-        assert_eq!(&summary.stats, full.report.stats());
+        let full = replay_sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
+        let summary = replay_sharded(reopen(&trace), config, &opts, ReportMode::Summary).unwrap();
+        assert!(summary.timings.is_empty(), "summary mode keeps no timings");
+        assert_eq!(summary.stats(), full.stats());
         assert_eq!(summary.metrics, full.metrics);
         assert_eq!(summary.shard_metrics, full.shard_metrics);
         assert_eq!(summary.threads, full.threads);
@@ -1197,7 +1068,8 @@ mod tests {
             &trace,
             CacheConfig::default(),
             &ParallelReplayOptions { threads: 64, shards: 4 },
-        );
+        )
+        .unwrap();
         assert_eq!(par.threads, 4);
         assert_eq!(par.shard_metrics.len(), 4);
     }
@@ -1208,7 +1080,7 @@ mod tests {
         let t =
             TraceFile::build("s.dat", 1, vec![TraceRecord::simple(IoOp::Read, 0, 50, 1_000_000)])
                 .unwrap();
-        let report = replay_backend(&t, &mut backend, RealReplayOptions::default()).unwrap();
+        let report = replay_on(&t, &mut backend, RealReplayOptions::default()).unwrap();
         assert_eq!(report.timings.len(), 1);
     }
 
@@ -1219,7 +1091,7 @@ mod tests {
         let trace = simple_trace();
         let mut backend = FlakyBackend::new(MemBackend::with_data(vec![0u8; 2 << 20]), 3);
         let options = RealReplayOptions { retries: 1, ..Default::default() };
-        let report = replay_backend(&trace, &mut backend, options).unwrap();
+        let report = replay_on(&trace, &mut backend, options).unwrap();
         assert_eq!(report.timings.len(), trace.len());
         assert!(backend.faults() > 0, "the fault schedule really fired");
     }
@@ -1230,8 +1102,11 @@ mod tests {
         // backend kills the replay.
         let trace = simple_trace();
         let mut backend = FlakyBackend::new(MemBackend::with_data(vec![0u8; 2 << 20]), 3);
-        let err = replay_backend(&trace, &mut backend, RealReplayOptions::default()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+        let err = replay_on(&trace, &mut backend, RealReplayOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Io(e) if e.kind() == io::ErrorKind::Interrupted),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1241,6 +1116,68 @@ mod tests {
         let trace = simple_trace();
         let mut backend = FaultyBackend::new(MemBackend::with_data(vec![0u8; 2 << 20]), 0);
         let options = RealReplayOptions { retries: 3, ..Default::default() };
-        assert!(replay_backend(&trace, &mut backend, options).is_err());
+        assert!(replay_on(&trace, &mut backend, options).is_err());
+    }
+
+    /// A hand-built source whose third record (index 2) names file 7
+    /// of a one-file roster — what admission rule `V02` would reject,
+    /// here replayed unverified.
+    fn out_of_roster() -> Box<dyn TraceSource> {
+        let records = vec![
+            TraceRecord::simple(IoOp::Open, 0, 0, 0),
+            TraceRecord::simple(IoOp::Read, 0, 0, 4096),
+            TraceRecord::simple(IoOp::Read, 7, 0, 4096),
+            TraceRecord::simple(IoOp::Close, 0, 0, 0),
+        ];
+        let meta = SourceMeta { sample_file: "s.dat".into(), num_processes: 1, num_files: 1 };
+        Box::new(IterSource::new(meta, records.into_iter()))
+    }
+
+    fn assert_roster_error(result: Result<ReplayReport, TraceError>) {
+        match result {
+            Err(TraceError::FileIdOutOfRange { index: 2, file_id: 7, num_files: 1 }) => {}
+            other => panic!("expected the roster violation at record 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cached_replay_rejects_an_out_of_roster_file_id() {
+        for mode in [ReportMode::Full, ReportMode::Summary] {
+            assert_roster_error(replay_cached(&mut *out_of_roster(), CacheConfig::default(), mode));
+        }
+    }
+
+    #[test]
+    fn sharded_replay_rejects_an_out_of_roster_file_id() {
+        // Every worker meets the bad record in its own stream and stops;
+        // the error comes from the lead stream, and the scope still joins.
+        for threads in [1usize, 3] {
+            let opts = ParallelReplayOptions { threads, shards: 4 };
+            assert_roster_error(replay_sharded(
+                out_of_roster,
+                CacheConfig::default(),
+                &opts,
+                ReportMode::Summary,
+            ));
+        }
+    }
+
+    #[test]
+    fn backend_replay_rejects_an_out_of_roster_file_id() {
+        let mut backend = MemBackend::with_data(vec![0u8; 8192]);
+        assert_roster_error(replay_backend(
+            &mut *out_of_roster(),
+            &mut backend,
+            RealReplayOptions::default(),
+            ReportMode::Full,
+        ));
+    }
+
+    #[test]
+    fn reference_replay_rejects_an_invalid_hand_assembled_trace() {
+        let mut trace = simple_trace();
+        trace.records[2].file_id = 7;
+        let opts = ParallelReplayOptions { threads: 2, shards: 4 };
+        assert_roster_error(replay_parallel(&trace, CacheConfig::default(), &opts));
     }
 }

@@ -812,10 +812,12 @@ mod tests {
                 verify_strict(&mut SliceSource::new(&trace), VerifyOptions::default());
             if verdict.is_ok() {
                 // Admitted ⇒ the replay engine must survive it.
-                let report = crate::replay::replay_source(
+                let report = crate::replay::replay_cached(
                     &mut SliceSource::new(&trace),
                     Default::default(),
-                );
+                    Default::default(),
+                )
+                .expect("an admitted stream stays inside its roster");
                 prop_assert_eq!(report.timings.len(), trace.len());
             }
         }

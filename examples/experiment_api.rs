@@ -118,7 +118,10 @@ fn main() {
         .expect("valid experiment")
         .run()
         .expect("replay runs");
-    assert!(summary.replay.is_none(), "summary mode keeps no per-record timings");
+    assert!(
+        summary.replay.as_ref().expect("replay section").timings.is_empty(),
+        "summary mode keeps no per-record timings"
+    );
     assert_eq!(summary.summary(), full.summary(), "summary numbers are bit-identical");
     println!(
         "\n[5] summary mode: {} records aggregated in O(1) memory, total {:.3} ms (== full mode)",

@@ -16,13 +16,13 @@
 //! multi-block spans, repeat counts, and files closed and reopened
 //! mid-trace. It is driven three ways:
 //!
-//! - `serial`: [`replay_source_stats_with_metrics`] — one
+//! - `serial`: [`replay_cached`] in summary mode — one
 //!   [`BufferCache`],
 //! - `sharded`: a 4-shard [`ShardedBufferCache`] driven operation by
 //!   operation on this thread (its own span routing and readahead
 //!   staging),
-//! - `parallel`: [`replay_parallel_source_stats`] over 4 shards and 2
-//!   worker threads (the `ShardWorker` routing).
+//! - `parallel`: [`replay_sharded`] in summary mode over 4 shards and
+//!   2 worker threads (the `ShardWorker` routing).
 //!
 //! [`BufferCache`]: clio_core::cache::cache::BufferCache
 
@@ -33,9 +33,7 @@ use clio_core::cache::policy::ReplacementPolicy;
 use clio_core::cache::shard::ShardedBufferCache;
 use clio_core::trace::reader::TraceFile;
 use clio_core::trace::record::{IoOp, TraceRecord};
-use clio_core::trace::replay::{
-    replay_parallel_source_stats, replay_source_stats_with_metrics, ParallelReplayOptions,
-};
+use clio_core::trace::replay::{replay_cached, replay_sharded, ParallelReplayOptions, ReportMode};
 use clio_core::trace::source::{SliceSource, TraceSource};
 
 const PAGE: u64 = 4096;
@@ -114,9 +112,9 @@ fn row(m: CacheMetrics, total_ms: f64) -> Row {
 }
 
 fn serial(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
-    let (stats, metrics) =
-        replay_source_stats_with_metrics(&mut SliceSource::new(trace), config(policy));
-    row(metrics, stats.total_ms())
+    let out = replay_cached(&mut SliceSource::new(trace), config(policy), ReportMode::Summary)
+        .expect("golden trace is well-formed");
+    row(out.metrics, out.total_ms())
 }
 
 fn sharded(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
@@ -144,8 +142,9 @@ fn sharded(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
 fn parallel(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
     let options = ParallelReplayOptions { threads: 2, shards: SHARDS };
     let open = || Box::new(SliceSource::new(trace)) as Box<dyn TraceSource + '_>;
-    let out = replay_parallel_source_stats(open, config(policy), &options);
-    row(out.metrics, out.stats.total_ms())
+    let out = replay_sharded(open, config(policy), &options, ReportMode::Summary)
+        .expect("golden trace is well-formed");
+    row(out.metrics, out.total_ms())
 }
 
 /// One `(serial, sharded, parallel)` triple per policy, in

@@ -4,7 +4,7 @@
 //!
 //! 1. **Canonical-engine equivalence.** The `Experiment::builder()`
 //!    path must produce **bit-identical** reports to the low-level
-//!    canonical engines (`replay_source`, `replay_parallel`,
+//!    canonical engines (`replay_cached`, `replay_parallel`,
 //!    `trace_sim`, `scheduled_trace_sim`) — per policy, per engine.
 //!    This is the contract that lets callers move between the two
 //!    API levels without re-baselining a single number. (The
@@ -21,7 +21,9 @@ use proptest::prelude::*;
 use clio_core::cache::policy::ReplacementPolicy;
 use clio_core::prelude::*;
 use clio_core::trace::record::TraceRecord;
-use clio_core::trace::replay::{replay_parallel, replay_source, OpTiming, ParallelReplayOptions};
+use clio_core::trace::replay::{
+    replay_cached, replay_parallel, OpTiming, ParallelReplayOptions, ReportMode,
+};
 use clio_core::trace::source::{IterSource, SliceSource, SourceMeta};
 use clio_core::trace::synth::synthesize;
 use clio_core::trace::TraceFile;
@@ -51,9 +53,11 @@ fn builder_serial_replay_is_bit_identical_to_canonical_per_policy() {
     });
     for policy in ReplacementPolicy::ALL {
         let config = CacheConfig { policy, capacity_pages: 256, ..Default::default() };
-        let canonical = replay_source(&mut SliceSource::new(&trace), config.clone());
+        let canonical =
+            replay_cached(&mut SliceSource::new(&trace), config.clone(), ReportMode::Full)
+                .expect("valid trace");
         let new = builder_timings(&trace, config);
-        assert_eq!(new, canonical.timings, "{policy:?}: builder diverged from replay_source");
+        assert_eq!(new, canonical.timings, "{policy:?}: builder diverged from replay_cached");
     }
 }
 
@@ -71,7 +75,7 @@ fn builder_parallel_replay_is_bit_identical_to_canonical() {
     });
     let config = CacheConfig { capacity_pages: 128, ..Default::default() };
     let opts = ParallelReplayOptions { threads: 3, shards: 8 };
-    let canonical = replay_parallel(&trace, config.clone(), &opts);
+    let canonical = replay_parallel(&trace, config.clone(), &opts).expect("valid trace");
     let report = Experiment::builder()
         .workload(Workload::trace(trace.clone()))
         .engine(Engine::ParallelReplay)
@@ -82,7 +86,7 @@ fn builder_parallel_replay_is_bit_identical_to_canonical() {
         .expect("valid experiment")
         .run()
         .expect("replay runs");
-    assert_eq!(report.replay.unwrap().timings, canonical.report.timings);
+    assert_eq!(report.replay.unwrap().timings, canonical.timings);
     assert_eq!(report.cache_metrics.unwrap(), canonical.metrics);
     assert_eq!(report.shard_metrics.unwrap(), canonical.shard_metrics);
     assert_eq!(report.threads_used.unwrap(), canonical.threads);
@@ -280,7 +284,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Builder-default equivalence, per policy: for any profile, the
-    /// `Experiment` run equals the canonical `replay_source` engine
+    /// `Experiment` run equals the canonical `replay_cached` engine
     /// bit-for-bit.
     #[test]
     fn builder_equals_canonical_for_any_profile(
@@ -297,7 +301,9 @@ proptest! {
         };
         let trace = synthesize(&profile);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
-        let canonical = replay_source(&mut SliceSource::new(&trace), config.clone());
+        let canonical =
+            replay_cached(&mut SliceSource::new(&trace), config.clone(), ReportMode::Full)
+                .expect("valid trace");
         let new = builder_timings(&trace, config);
         prop_assert_eq!(new, canonical.timings);
     }

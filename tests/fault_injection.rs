@@ -28,10 +28,10 @@ use std::sync::Arc;
 use clio_core::prelude::*;
 use clio_core::trace::fault::{FaultKind, FaultPlan, FaultSource};
 use clio_core::trace::record::TraceRecord;
-use clio_core::trace::replay::replay_source;
+use clio_core::trace::replay::replay_cached;
 use clio_core::trace::source::{SharedSource, SliceSource, SourceMeta};
 use clio_core::trace::verify::{verify_lenient, verify_strict, QuarantineSource, VerifyOptions};
-use clio_core::trace::TraceFile;
+use clio_core::trace::{TraceError, TraceFile};
 
 /// A record on pid 0 / file 0 with an explicit capture clock.
 fn rec(op: IoOp, clock: u64, offset: u64, length: u64) -> TraceRecord {
@@ -130,10 +130,16 @@ fn lenient_replay_is_bit_identical_to_clean_minus_quarantined() {
         assert_eq!(ledger.violations.total(), 1, "{}", kind.name());
         assert_eq!(ledger.admitted, survivors.len() as u64, "{}", kind.name());
 
-        let survived = replay_source(&mut QuarantineSource::new(faulty()), config.clone());
+        let survived =
+            replay_cached(&mut QuarantineSource::new(faulty()), config.clone(), ReportMode::Full)
+                .expect("quarantine keeps the stream inside its roster");
         let reference: Vec<TraceRecord> = survivors.iter().map(|&i| records[i]).collect();
-        let expected =
-            replay_source(&mut SliceSource::from_parts(&reference, meta()), config.clone());
+        let expected = replay_cached(
+            &mut SliceSource::from_parts(&reference, meta()),
+            config.clone(),
+            ReportMode::Full,
+        )
+        .expect("the survivors stay inside their roster");
         assert_eq!(survived.timings, expected.timings, "{}", kind.name());
     }
 }
@@ -198,6 +204,43 @@ fn strict_admission_rejects_a_corrupt_workload_through_the_builder() {
         }
         other => panic!("expected ExpError::Verify, got {other:?}"),
     }
+}
+
+#[test]
+fn unverified_out_of_roster_record_fails_every_replay_engine_with_an_error() {
+    // With admission off nothing vets the flipped file id before the
+    // engine meets it; the replay drivers themselves must refuse it
+    // with an error naming the record — not an out-of-bounds panic.
+    let trace = Arc::new(TraceFile::build("fault.dat", 1, clean_records()).expect("clean"));
+    let plan = FaultPlan::single(3, 4, FaultKind::BitFlip);
+    let workload = Workload::custom("bitflipped", move || {
+        Box::new(FaultSource::new(SharedSource::new(trace.clone()), &plan))
+    });
+    let dir = std::env::temp_dir().join(format!("clio-roster-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sample = dir.join("sample.dat");
+    std::fs::write(&sample, vec![7u8; 64 * 1024]).expect("sample file");
+
+    for engine in [Engine::SerialReplay, Engine::ParallelReplay, Engine::RealReplay { sample }] {
+        for mode in [ReportMode::Full, ReportMode::Summary] {
+            let err = Experiment::builder()
+                .workload(workload.clone())
+                .engine(engine.clone())
+                .verify(VerifyMode::Off)
+                .report_mode(mode)
+                .build()
+                .expect("valid experiment")
+                .run()
+                .expect_err("the flipped file id must fail the run");
+            match err {
+                ExpError::Trace(TraceError::FileIdOutOfRange {
+                    index: 4, num_files: 1, ..
+                }) => {}
+                other => panic!("{engine:?}/{mode:?}: expected the roster error, got {other:?}"),
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

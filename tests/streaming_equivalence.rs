@@ -23,9 +23,7 @@ use proptest::prelude::*;
 use clio_core::cache::policy::ReplacementPolicy;
 use clio_core::prelude::*;
 use clio_core::trace::record::TraceRecord;
-use clio_core::trace::replay::{
-    replay_parallel, replay_parallel_source, replay_parallel_source_stats, ParallelReplayOptions,
-};
+use clio_core::trace::replay::{replay_parallel, replay_sharded, ParallelReplayOptions};
 use clio_core::trace::source::{IterSource, SliceSource, SourceMeta, TraceSource};
 use clio_core::trace::synth::synthesize;
 
@@ -55,9 +53,10 @@ fn pin_summary_equals_full(workload: Workload, engine: Engine, cache: CacheConfi
         cache.policy
     );
     if engine.is_replay() {
-        assert!(summary.replay.is_none(), "{engine:?}: summary mode must keep no timings");
+        let kept = summary.replay.as_ref().expect("summary replay");
+        assert!(kept.timings.is_empty(), "{engine:?}: summary mode must keep no timings");
         assert_eq!(
-            summary.replay_stats.as_ref().expect("summary stats"),
+            kept.stats(),
             full.replay.as_ref().expect("full replay").stats(),
             "{engine:?}: running aggregates diverged bit-for-bit"
         );
@@ -107,16 +106,19 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
             &trace,
             config.clone(),
             &ParallelReplayOptions { threads: 2, shards: 8 },
-        );
+        )
+        .expect("valid trace");
         for threads in [1usize, 2, 3, 8] {
             let opts = ParallelReplayOptions { threads, shards: 8 };
-            let streamed = replay_parallel_source(
+            let streamed = replay_sharded(
                 || Box::new(SliceSource::new(&trace)) as Box<dyn TraceSource + '_>,
                 config.clone(),
                 &opts,
-            );
+                ReportMode::Full,
+            )
+            .expect("valid trace");
             assert_eq!(
-                streamed.report.timings, reference.report.timings,
+                streamed.timings, reference.timings,
                 "{policy:?}: timings diverged at {threads} threads"
             );
             assert_eq!(streamed.metrics, reference.metrics, "{policy:?} @ {threads}");
@@ -124,12 +126,15 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
 
             // Summary mode over the same streams: aggregates must match
             // the full report's, and the counters must be unaffected.
-            let stats = replay_parallel_source_stats(
+            let stats = replay_sharded(
                 || Box::new(SliceSource::new(&trace)) as Box<dyn TraceSource + '_>,
                 config.clone(),
                 &opts,
-            );
-            assert_eq!(&stats.stats, reference.report.stats(), "{policy:?} @ {threads}");
+                ReportMode::Summary,
+            )
+            .expect("valid trace");
+            assert!(stats.timings.is_empty(), "{policy:?} @ {threads}");
+            assert_eq!(stats.stats(), reference.stats(), "{policy:?} @ {threads}");
             assert_eq!(stats.metrics, reference.metrics, "{policy:?} @ {threads}");
         }
     }
@@ -188,7 +193,10 @@ fn large_iterator_workload_streams_through_every_engine_in_summary_mode() {
         };
         let summary = run(ReportMode::Summary);
         assert_eq!(summary.records, DATA_OPS + 6, "{engine:?}: all records consumed");
-        assert!(summary.replay.is_none(), "{engine:?}: no per-record report kept");
+        assert!(
+            summary.replay.iter().all(|r| r.timings.is_empty()),
+            "{engine:?}: no per-record report kept"
+        );
         let full = run(ReportMode::Full);
         assert_eq!(summary.summary(), full.summary(), "{engine:?}");
         match engine {

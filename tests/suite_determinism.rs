@@ -64,6 +64,7 @@ fn parallel_replay_deterministic_across_runs_and_thread_counts() {
 
     let run = |threads: usize| {
         replay_parallel(&trace, config.clone(), &ParallelReplayOptions { threads, shards: 8 })
+            .expect("valid trace")
     };
 
     let base = run(1);
@@ -78,8 +79,8 @@ fn parallel_replay_deterministic_across_runs_and_thread_counts() {
             );
             assert_eq!(r.metrics, base.metrics, "full metrics at {threads} threads");
             assert_eq!(r.shard_metrics, base.shard_metrics, "per-shard split at {threads} threads");
-            let ta: Vec<f64> = base.report.timings.iter().map(|t| t.elapsed_ms).collect();
-            let tb: Vec<f64> = r.report.timings.iter().map(|t| t.elapsed_ms).collect();
+            let ta: Vec<f64> = base.timings.iter().map(|t| t.elapsed_ms).collect();
+            let tb: Vec<f64> = r.timings.iter().map(|t| t.elapsed_ms).collect();
             assert_eq!(ta, tb, "bitwise-identical timings at {threads} threads");
         }
     }

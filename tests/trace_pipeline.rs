@@ -6,7 +6,8 @@ use clio_core::apps::{cholesky, dmine, lu, pgrep, titan};
 use clio_core::cache::backend::MemBackend;
 use clio_core::prelude::{Engine, Experiment, Workload};
 use clio_core::trace::record::IoOp;
-use clio_core::trace::replay::{replay_backend, RealReplayOptions};
+use clio_core::trace::replay::{replay_backend, RealReplayOptions, ReportMode};
+use clio_core::trace::source::SliceSource;
 use clio_core::trace::stats::TraceStats;
 use clio_core::trace::{writer, TraceFile};
 
@@ -67,7 +68,13 @@ fn replay_modes_agree_on_structure() {
     assert_eq!(times_a, times_b, "simulated replay is deterministic");
 
     let mut backend = MemBackend::with_data(vec![0u8; 8 * 1024 * 1024]);
-    let real = replay_backend(&trace, &mut backend, RealReplayOptions::default()).expect("replays");
+    let real = replay_backend(
+        &mut SliceSource::new(&trace),
+        &mut backend,
+        RealReplayOptions::default(),
+        ReportMode::Full,
+    )
+    .expect("replays");
     assert_eq!(real.timings.len(), sim_a.timings.len());
 }
 
