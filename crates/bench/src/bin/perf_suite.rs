@@ -821,7 +821,7 @@ fn main() {
             rate(pool_events, stats.median_ns),
             rate(pool_bytes, stats.median_ns),
         );
-        let mut e = entry_from_stats(POOL_ROW, "trace_sim_pool", None, &stats);
+        let mut e = entry_from_stats(POOL_ROW, "run_many_pool", None, &stats);
         e.records = pool_records;
         // The pool clamps its worker count to the job count.
         e.threads = Some(args.threads.clamp(1, pool_experiments.len()) as u64);

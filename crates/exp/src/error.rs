@@ -3,6 +3,7 @@
 use std::fmt;
 use std::io;
 
+use clio_sim::trace_driven::SimError;
 use clio_trace::error::TraceError;
 use clio_trace::synth::ProfileError;
 use clio_trace::verify::VerifyError;
@@ -75,6 +76,12 @@ impl From<VerifyError> for ExpError {
     }
 }
 
+impl From<SimError> for ExpError {
+    fn from(e: SimError) -> Self {
+        ExpError::InvalidConfig(e.to_string())
+    }
+}
+
 impl From<io::Error> for ExpError {
     fn from(e: io::Error) -> Self {
         ExpError::Io(e)
@@ -116,6 +123,12 @@ mod tests {
         }
         assert!(e.to_string().contains("P04"));
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn sim_errors_are_configuration_errors() {
+        let e: ExpError = SimError::ZeroCylinders.into();
+        assert!(matches!(&e, ExpError::InvalidConfig(m) if m.contains("cylinder")), "{e:?}");
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! The experiment builder and runner.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use clio_cache::cache::CacheConfig;
 use clio_cache::policy::ReplacementPolicy;
 use clio_sim::machine::MachineConfig;
 use clio_sim::sched::Policy;
-use clio_sim::sched_replay::{scheduled_trace_sim_source, DiskFaultPlan, SchedReplayOptions};
-use clio_sim::trace_driven::{
-    trace_sim_pool, trace_sim_source, SimJob, ThinkTime, TraceSimOptions,
-};
+use clio_sim::sched_replay::{scheduled_trace_sim, DiskFaultPlan, SchedReplayOptions};
+use clio_sim::trace_driven::{trace_sim, ThinkTime, TraceSimOptions};
 use clio_trace::replay::{
     open_real_backend, replay_backend, replay_cached, replay_sharded, ParallelReplayOptions,
     RealReplayOptions, ReportMode,
 };
 use clio_trace::verify::{QuarantineSource, VerifyMode};
-use clio_trace::TraceFile;
 
 use crate::engine::Engine;
 use crate::error::ExpError;
@@ -70,7 +67,7 @@ impl Experiment {
     /// engines open it once, the parallel engine opens one stream per
     /// worker plus one for its merge walk, and the simulators run a
     /// discovery pass plus a replay pass — no engine materializes a
-    /// [`TraceFile`]. In [`ReportMode::Summary`] the replay engines
+    /// [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`] the replay engines
     /// additionally keep only O(1) running aggregates instead of
     /// per-record timings.
     ///
@@ -132,12 +129,12 @@ impl Experiment {
                 report.set_replay(replay);
             }
             Engine::TraceSim => {
-                let sim = trace_sim_source(reopen, &self.machine, &self.sim_options);
+                let sim = trace_sim(reopen, &self.machine, &self.sim_options)?;
                 report.records = sim.records;
                 report.sim = Some(sim);
             }
             Engine::ScheduledSim => {
-                let sim = scheduled_trace_sim_source(reopen, &self.machine, &self.sched);
+                let sim = scheduled_trace_sim(reopen, &self.machine, &self.sched)?;
                 report.records = sim.records;
                 report.sim = Some(sim);
             }
@@ -165,46 +162,47 @@ impl Experiment {
     }
 }
 
-/// Runs a batch of experiments, scaling out across `threads` worker
-/// threads when the batch allows it.
+/// Runs a batch of experiments on a pool of `threads` worker threads.
 ///
-/// A batch of [`Engine::TraceSim`] experiments is dispatched to the
-/// simulator's crossbeam worker pool — the scale-out axis for
-/// parameter sweeps (many machines × many workloads at once). Any
-/// other batch runs serially in order. Either way the results come
-/// back in input order and are identical to running each experiment
-/// alone — determinism is never traded for parallelism.
+/// Each worker pulls the next unclaimed experiment and calls
+/// [`Experiment::run`] on it, so any batch scales out — replays,
+/// simulations and serving runs alike — and every report is exactly
+/// the one a solo run produces: admission, quarantine ledger and
+/// `wall_ms` included. Reports come back in input order; if any
+/// experiment fails, the error of the first failing one in input order
+/// is returned. With `threads <= 1` or a single experiment the batch
+/// runs on the calling thread.
+///
+/// Deterministic report fields do not depend on `threads`. Wall-clock
+/// telemetry (`wall_ms`) is measured under whatever concurrency the
+/// caller asked for.
 pub fn run_many(experiments: &[Experiment], threads: usize) -> Result<Vec<Report>, ExpError> {
-    let all_trace_sim = experiments.iter().all(|e| e.engine == Engine::TraceSim);
-    if !all_trace_sim || experiments.len() < 2 {
+    let threads = threads.min(experiments.len());
+    if threads <= 1 {
         return experiments.iter().map(Experiment::run).collect();
     }
 
-    // The pool is the one place that still needs in-memory traces
-    // (shared traces come back without copying).
-    let traces: Vec<Arc<TraceFile>> =
-        experiments.iter().map(|e| e.workload.materialize()).collect::<Result<_, _>>()?;
-    let jobs: Vec<SimJob<'_>> = experiments
-        .iter()
-        .zip(&traces)
-        .map(|(e, trace)| SimJob {
-            trace,
-            machine: e.machine.clone(),
-            options: e.sim_options.clone(),
-        })
-        .collect();
-    let results = trace_sim_pool(&jobs, threads);
-
-    Ok(experiments
-        .iter()
-        .zip(results)
-        .map(|(e, sim)| {
-            let mut report = Report::new(e.engine.name(), e.workload.label());
-            report.records = sim.records;
-            report.sim = Some(sim);
-            report
-        })
-        .collect())
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(experiment) = experiments.get(i) else { return done };
+            done.push((i, experiment.run()));
+        }
+    };
+    let mut slots: Vec<Option<Result<Report, ExpError>>> =
+        experiments.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        for handle in workers {
+            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("the workers claimed every index")).collect()
 }
 
 /// Replays `base`'s workload under **every** replacement policy
@@ -216,12 +214,13 @@ pub fn run_many(experiments: &[Experiment], threads: usize) -> Result<Vec<Report
 /// Only the cache-driving engines compare policies meaningfully, so
 /// `base` must use [`Engine::SerialReplay`] or
 /// [`Engine::ParallelReplay`]; anything else is an
-/// [`ExpError::InvalidConfig`]. The variants go through [`run_many`],
-/// which runs replay batches one after another in policy order
-/// (`threads` only scales out all-[`Engine::TraceSim`] batches, so it
-/// has no effect here), and each variant differs from `base` in
+/// [`ExpError::InvalidConfig`]. The variants go through [`run_many`]
+/// on `threads` workers, and each variant differs from `base` in
 /// exactly one knob — the cache's replacement policy — so the rows are
-/// a controlled ablation.
+/// a controlled ablation. Every column but `records_per_sec` is
+/// identical at any `threads`; `records_per_sec` is wall-clock
+/// telemetry, measured under the concurrency asked for (pass 1 to time
+/// each policy alone).
 pub fn run_policy_comparison(base: &Experiment, threads: usize) -> Result<ReportSummary, ExpError> {
     if !matches!(base.engine, Engine::SerialReplay | Engine::ParallelReplay) {
         return Err(ExpError::InvalidConfig(format!(
@@ -351,8 +350,9 @@ impl ExperimentBuilder {
     }
 
     /// Worker threads for the parallel replay engine (clamped to the
-    /// shard count at run time). [`run_many`] pools size themselves
-    /// from their own `threads` argument, not from this knob.
+    /// shard count at run time). [`run_many`]'s pool is sized by its
+    /// own `threads` argument, not by this knob; a parallel replay run
+    /// from that pool still starts this many threads of its own.
     pub fn threads(mut self, threads: usize) -> Self {
         self.parallel.threads = threads;
         self
@@ -673,8 +673,37 @@ mod tests {
             Experiment::builder().workload(synth(8)).build().unwrap(),
             Experiment::builder().workload(synth(8)).engine(Engine::TraceSim).build().unwrap(),
         ];
-        let reports = run_many(&experiments, 4).unwrap();
+        let reports = run_many(&experiments, 1).unwrap();
         assert_eq!(reports[0].engine, "serial_replay");
         assert_eq!(reports[1].engine, "trace_sim");
+    }
+
+    #[test]
+    fn run_many_returns_the_first_error_in_input_order() {
+        // Experiment 1 fails strict admission, experiment 2 cannot find
+        // its file; whichever worker fails first on the clock, the
+        // batch reports experiment 1.
+        let zero_repeat = Workload::custom("zero-repeat", || {
+            let meta = clio_trace::source::SourceMeta {
+                sample_file: "z.dat".into(),
+                num_processes: 1,
+                num_files: 1,
+            };
+            let mut r = clio_trace::record::TraceRecord::simple(IoOp::Read, 0, 0, 4096);
+            r.num_records = 0;
+            Box::new(clio_trace::source::IterSource::new(meta, std::iter::once(r)))
+        });
+        let experiments = vec![
+            Experiment::builder().workload(synth(8)).build().unwrap(),
+            Experiment::builder().workload(zero_repeat).verify(VerifyMode::Strict).build().unwrap(),
+            Experiment::builder()
+                .workload(Workload::File("/nonexistent/clio.trace".into()))
+                .build()
+                .unwrap(),
+        ];
+        for threads in [1usize, 3] {
+            let err = run_many(&experiments, threads).unwrap_err();
+            assert!(matches!(err, ExpError::Verify(_)), "{threads} threads: {err}");
+        }
     }
 }

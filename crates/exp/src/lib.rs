@@ -54,10 +54,17 @@
 //! `clio_trace::replay::{replay_cached, replay_sharded, replay_backend}`
 //! — each takes the [`ReportMode`] and returns one `ReplayReport`, so
 //! "what a replay keeps" is decided there and [`Experiment::run`]
-//! never asks — and `clio_sim`'s `trace_sim_source` /
-//! `scheduled_trace_sim_source`. Equivalence tests pin this builder
-//! path bit-identical to them, and `replay_sharded` to its
-//! materialized reference `replay_parallel`.
+//! never asks — and `clio_sim`'s two simulators,
+//! `trace_driven::trace_sim` and `sched_replay::scheduled_trace_sim`:
+//! one streaming process driver over a striped FCFS array or over
+//! seek-aware scheduled disks. Under open-loop think time a simulated
+//! process sleeps until its record's captured instant and issues when
+//! it wakes; it never books a disk ahead of time. Equivalence tests
+//! pin this builder path bit-identical to all five, `replay_sharded`
+//! to its materialized reference `replay_parallel`, and
+//! `tests/sim_golden.rs` pins both simulators against recorded
+//! literals. [`run_many`] runs any batch of experiments on a worker
+//! pool, each through [`Experiment::run`].
 //!
 //! **Layering rule:** `clio-exp` may depend on `clio-trace`,
 //! `clio-sim`, `clio-cache` and `clio-apps` — never the reverse. The

@@ -11,8 +11,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use clio_trace::source::{
-    materialize, ChainSource, InterleaveSource, ShareSource, SharedSource, TraceSource,
-    WeightedSource,
+    materialize, ChainSource, FileNamespace, SharedSource, TraceSource, WeightedSource,
 };
 use clio_trace::synth::{Arrival, Popularity, SynthSource, TraceProfile};
 use clio_trace::verify::{verify_lenient, verify_strict, VerifyMode, VerifyOptions, VerifyReport};
@@ -183,28 +182,29 @@ impl Workload {
             Workload::File(path) => clio_trace::compact::open_path(path)?,
             Workload::Trace(trace) => Box::new(SharedSource::new(trace.clone())),
             Workload::Chain(a, b) => Box::new(ChainSource::new(a.open()?, b.open()?)),
-            Workload::Mix(a, b, MixKind::RoundRobin) => {
-                Box::new(InterleaveSource::new(a.open()?, b.open()?))
-            }
-            Workload::Mix(a, b, MixKind::Weighted(wa, wb)) => {
-                if *wa == 0 || *wb == 0 {
+            Workload::Mix(a, b, kind) => {
+                let (wa, wb, files) = match *kind {
+                    MixKind::RoundRobin => (1, 1, FileNamespace::Disjoint),
+                    MixKind::Weighted(wa, wb) => (wa, wb, FileNamespace::Disjoint),
+                    MixKind::Shared => (1, 1, FileNamespace::Shared),
+                };
+                if wa == 0 || wb == 0 {
                     return Err(ExpError::InvalidWorkload(format!(
                         "mix weights must be positive, got {wa}:{wb}"
                     )));
                 }
-                Box::new(WeightedSource::new(a.open()?, b.open()?, *wa, *wb))
-            }
-            Workload::Mix(a, b, MixKind::Shared) => {
-                Box::new(ShareSource::new(a.open()?, b.open()?))
+                Box::new(WeightedSource::new(a.open()?, b.open()?, wa, wb, files))
             }
             Workload::Custom(c) => (c.factory)(),
         })
     }
 
-    /// Collects the workload into an in-memory [`TraceFile`] (the sim
-    /// engines need whole-trace process grouping). Workloads that are
-    /// already a whole trace ([`Workload::Trace`], [`Workload::File`],
-    /// [`Workload::App`]) come back without a second record copy.
+    /// Collects the workload into an in-memory [`TraceFile`] — for
+    /// callers that want the records themselves (inspection, encoding,
+    /// [`Workload::resolve`]); no engine needs it, they all stream.
+    /// Workloads that are already a whole trace ([`Workload::Trace`],
+    /// [`Workload::File`], [`Workload::App`]) come back without a
+    /// second record copy.
     pub fn materialize(&self) -> Result<Arc<TraceFile>, ExpError> {
         match self {
             Workload::Trace(trace) => Ok(trace.clone()),

@@ -77,13 +77,7 @@ impl SharedManagedIo {
         let jit_ms = self.jit.invoke(method, method_ops);
         let gc_ms = self.charge_alloc(PER_CALL_ALLOC_BYTES);
         let out = self.cache.open(file);
-        StreamOp {
-            cost_ms: jit_ms + gc_ms + self.dispatch_ms + out.cost_ms,
-            jit_ms,
-            gc_ms,
-            pages_missed: out.pages_missed,
-            pages_hit: out.pages_hit,
-        }
+        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
     }
 
     /// Reads `len` bytes at `offset`.
@@ -122,13 +116,7 @@ impl SharedManagedIo {
         let jit_ms = self.jit.invoke(method, method_ops);
         let gc_ms = self.charge_alloc(len + PER_CALL_ALLOC_BYTES);
         let out = self.cache.access(file, offset, len, kind);
-        StreamOp {
-            cost_ms: jit_ms + gc_ms + self.dispatch_ms + out.cost_ms,
-            jit_ms,
-            gc_ms,
-            pages_missed: out.pages_missed,
-            pages_hit: out.pages_hit,
-        }
+        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
     }
 
     /// Closes a file (flushing its dirty pages).
@@ -136,13 +124,7 @@ impl SharedManagedIo {
         let jit_ms = self.jit.invoke(method, method_ops);
         let gc_ms = self.charge_alloc(PER_CALL_ALLOC_BYTES);
         let out = self.cache.close(file);
-        StreamOp {
-            cost_ms: jit_ms + gc_ms + self.dispatch_ms + out.cost_ms,
-            jit_ms,
-            gc_ms,
-            pages_missed: out.pages_missed,
-            pages_hit: out.pages_hit,
-        }
+        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
     }
 
     fn charge_alloc(&self, bytes: u64) -> f64 {

@@ -15,7 +15,7 @@
 //! term is off by default and enabled with [`ManagedIo::with_gc`]; see
 //! [`crate::gc`] for the collector model.
 
-use clio_cache::cache::{AccessKind, BufferCache, CacheConfig};
+use clio_cache::cache::{AccessKind, AccessOutcome, BufferCache, CacheConfig};
 use clio_cache::page::FileId;
 
 use crate::gc::{GcModel, GcState, GcStats};
@@ -35,6 +35,22 @@ pub struct StreamOp {
     pub pages_missed: u64,
     /// Pages served from the cache.
     pub pages_hit: u64,
+}
+
+impl StreamOp {
+    /// One managed call's bill: the runtime's charges plus what the
+    /// cache charged for the access underneath. The addition order
+    /// (`jit + gc + dispatch + cache`) is pinned bit-for-bit by the
+    /// load harness.
+    pub(crate) fn charged(jit_ms: f64, gc_ms: f64, dispatch_ms: f64, out: &AccessOutcome) -> Self {
+        Self {
+            cost_ms: jit_ms + gc_ms + dispatch_ms + out.cost_ms,
+            jit_ms,
+            gc_ms,
+            pages_missed: out.pages_missed,
+            pages_hit: out.pages_hit,
+        }
+    }
 }
 
 /// Managed-runtime I/O facade over a buffer cache.
@@ -91,13 +107,7 @@ impl ManagedIo {
         let jit_ms = self.jit.invoke(method, method_ops);
         let gc_ms = self.charge_alloc(PER_CALL_ALLOC_BYTES);
         let out = self.cache.open(file);
-        StreamOp {
-            cost_ms: jit_ms + gc_ms + self.dispatch_ms + out.cost_ms,
-            jit_ms,
-            gc_ms,
-            pages_missed: out.pages_missed,
-            pages_hit: out.pages_hit,
-        }
+        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
     }
 
     /// Reads `len` bytes at `offset`.
@@ -136,13 +146,7 @@ impl ManagedIo {
         let jit_ms = self.jit.invoke(method, method_ops);
         let gc_ms = self.charge_alloc(len + PER_CALL_ALLOC_BYTES);
         let out = self.cache.access(file, offset, len, kind);
-        StreamOp {
-            cost_ms: jit_ms + gc_ms + self.dispatch_ms + out.cost_ms,
-            jit_ms,
-            gc_ms,
-            pages_missed: out.pages_missed,
-            pages_hit: out.pages_hit,
-        }
+        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
     }
 
     /// Closes a file (flushing its dirty pages).
@@ -150,13 +154,7 @@ impl ManagedIo {
         let jit_ms = self.jit.invoke(method, method_ops);
         let gc_ms = self.charge_alloc(PER_CALL_ALLOC_BYTES);
         let out = self.cache.close(file);
-        StreamOp {
-            cost_ms: jit_ms + gc_ms + self.dispatch_ms + out.cost_ms,
-            jit_ms,
-            gc_ms,
-            pages_missed: out.pages_missed,
-            pages_hit: out.pages_hit,
-        }
+        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
     }
 
     fn charge_alloc(&mut self, bytes: u64) -> f64 {

@@ -92,11 +92,6 @@ impl SimReport {
         self.programs.iter().map(|p| p.io_time).sum()
     }
 
-    /// Application-level CPU wall time — Fig. 2's "Application / CPU" bar.
-    pub fn total_cpu_time(&self) -> f64 {
-        self.programs.iter().map(|p| p.cpu_time).sum()
-    }
-
     /// Application-level I/O percentage (Fig. 3).
     pub fn io_percentage(&self) -> f64 {
         let total: f64 = self.programs.iter().map(|p| p.total_time()).sum();

@@ -14,8 +14,12 @@
 //! - [`sched`] — disk request schedulers (FCFS, SSTF, SCAN, C-LOOK)
 //!   with a distance-calibrated seek curve,
 //! - [`raid`] — RAID-0/1/5 layout mapping and service models,
-//! - [`sched_replay`] — seek-aware trace replay with per-disk request
-//!   scheduling (queued requests are reordered per policy),
+//! - [`trace_driven`] and [`sched_replay`] — the two trace simulators:
+//!   one streaming process driver replaying a captured record stream
+//!   onto the machine's disks, over a striped FCFS array
+//!   ([`trace_driven::trace_sim`]) or over seek-aware disks with
+//!   per-disk request scheduling and deterministic fault plans
+//!   ([`sched_replay::scheduled_trace_sim`]),
 //! - [`network`] — interconnect service model for communication bursts,
 //! - [`machine`] — a machine configuration bundling CPUs, a disk array
 //!   and a network ([`MachineConfig`]),
@@ -46,12 +50,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod disk;
 pub mod engine;
 pub mod executor;
 pub mod machine;
 pub mod network;
+mod proc_driver;
 pub mod raid;
 pub mod resource;
 pub mod sched;

@@ -67,11 +67,6 @@ impl FcfsServer {
         last
     }
 
-    /// The earliest time any server is free, given the current queue.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.free_at.iter().min().expect("at least one server")
-    }
-
     /// Total busy time accumulated across all servers.
     pub fn total_busy(&self) -> f64 {
         self.busy

@@ -1,26 +1,32 @@
 //! Seek-aware, scheduler-driven trace replay.
 //!
-//! [`crate::trace_driven`] charges every request the disk model's flat
-//! positioning cost and serves arrivals FCFS — sufficient for the
-//! paper's bandwidth questions, blind to request *ordering*. This
-//! module replays the same traces onto disks with an explicit head
-//! position, a distance-dependent seek curve ([`SeekCurve`]) and a
-//! pluggable request scheduler ([`Policy`]): requests that find the
-//! disk busy queue up, and the scheduler picks which to serve next.
-//! Under contention (many processes, one spindle) the classic result
+//! [`trace_sim`](crate::trace_driven::trace_sim) charges every request
+//! the disk model's flat positioning cost and serves arrivals FCFS —
+//! sufficient for the paper's bandwidth questions, blind to request
+//! *ordering*. [`scheduled_trace_sim`] runs the same streaming process
+//! loop (discovery pass, then a
+//! [`PidSplitter`](clio_trace::source::PidSplitter)-fed replay; fixed
+//! host cost for opens, closes and seeks) over this module's disk
+//! array instead: disks with an explicit head position, a
+//! distance-dependent seek curve ([`SeekCurve`]) and a pluggable
+//! request scheduler ([`Policy`]). Requests that find the disk busy
+//! queue up, and the scheduler picks which to serve next. Under
+//! contention (many processes, one spindle) the classic result
 //! emerges — SSTF/SCAN shorten the makespan of random-access workloads
-//! over FCFS, and do nothing for sequential ones.
+//! over FCFS, and do nothing for sequential ones. A [`DiskFaultPlan`]
+//! degrades the disks deterministically. The replay is closed-loop:
+//! every process issues its next record the moment the previous
+//! completes.
 
-use clio_trace::record::IoOp;
-use clio_trace::source::{scan_pids, PidSplitter, SliceSource, TraceSource};
-use clio_trace::TraceFile;
+use clio_trace::source::TraceSource;
 
 use crate::disk::stripe_plan;
 use crate::engine::Engine;
 use crate::machine::MachineConfig;
+use crate::proc_driver::{self, resume_at, DiskArray};
 use crate::sched::{DiskRequest, Policy, Scheduler, SeekCurve};
 use crate::time::SimTime;
-use crate::trace_driven::{TraceSimReport, METADATA_COST};
+use crate::trace_driven::{SimError, ThinkTime, TraceSimReport};
 
 /// Geometry and policy of the scheduled replay.
 #[derive(Debug, Clone)]
@@ -85,32 +91,6 @@ impl Default for DiskFaultPlan {
 }
 
 impl DiskFaultPlan {
-    /// A plan with a single degraded-latency window — requests served
-    /// in `[start_s, end_s)` simulated seconds take `multiplier`× as
-    /// long.
-    pub fn slow_window(start_s: f64, end_s: f64, multiplier: f64) -> Self {
-        Self::default().with_slow_window(start_s, end_s, multiplier)
-    }
-
-    /// A plan where every `error_every`-th request fails its first
-    /// service attempt (retried under the default bounded backoff).
-    pub fn flaky(error_every: u64) -> Self {
-        Self::default().with_transient_errors(error_every)
-    }
-
-    /// Appends a degraded-latency window (overlapping windows
-    /// multiply).
-    pub fn with_slow_window(mut self, start_s: f64, end_s: f64, multiplier: f64) -> Self {
-        self.slow_windows.push(SlowWindow { start_s, end_s, multiplier });
-        self
-    }
-
-    /// Sets the transient-error period (`0` = never fail).
-    pub fn with_transient_errors(mut self, error_every: u64) -> Self {
-        self.error_every = error_every;
-        self
-    }
-
     /// The combined service-time multiplier at simulated time `t_s`
     /// (product over every containing window; `1.0` outside all).
     pub fn multiplier_at(&self, t_s: f64) -> f64 {
@@ -119,12 +99,6 @@ impl DiskFaultPlan {
             .filter(|w| w.start_s <= t_s && t_s < w.end_s)
             .fold(1.0, |m, w| m * w.multiplier)
     }
-}
-
-struct ProcState {
-    /// The pid whose stream this process consumes.
-    pid: u32,
-    finish: SimTime,
 }
 
 struct Transfer {
@@ -144,67 +118,47 @@ struct DiskState {
     retry: Option<(DiskRequest, u32)>,
 }
 
-struct World<'s> {
+/// Striped disks with a head position and a request queue each; the
+/// scheduling policy picks the next request whenever a disk falls idle.
+struct SchedArray {
     cfg: MachineConfig,
     curve: SeekCurve,
     bytes_per_cylinder: u64,
     disks: Vec<DiskState>,
-    procs: Vec<ProcState>,
     transfers: Vec<Transfer>,
-    /// Completed transfer slots, reusable by the next `issue_io` — the
+    /// Completed transfer slots, reusable by the next `submit` — the
     /// transfer table stays O(max in-flight transfers), not
     /// O(#IO-records).
     free_transfers: Vec<usize>,
-    bytes_moved: u64,
     faults: DiskFaultPlan,
     retries: u64,
     dropped: u64,
-    /// Per-pid demultiplexer over this run's own stream.
-    splitter: PidSplitter<Box<dyn TraceSource + 's>>,
 }
 
-/// Replays `trace` on `machine` with per-disk request scheduling.
+type World<'s> = proc_driver::World<'s, SchedArray>;
+
+/// Replays the record stream `open` yields on `machine` with per-disk
+/// request scheduling — the same streaming process loop as
+/// [`trace_sim`](crate::trace_driven::trace_sim), closed-loop, over
+/// seek-aware queued disks. `open` is called twice and must yield the
+/// same stream both times.
 ///
-/// # Panics
-/// Panics if the machine configuration is invalid or `cylinders` is 0.
-pub fn scheduled_trace_sim(
-    trace: &TraceFile,
+/// # Errors
+/// [`SimError::InvalidMachine`] if `machine` fails
+/// [`MachineConfig::validate`], [`SimError::ZeroCylinders`] if
+/// `options.cylinders` is 0; the stream is not opened.
+pub fn scheduled_trace_sim<'s>(
+    open: impl Fn() -> Box<dyn TraceSource + 's>,
     machine: &MachineConfig,
     options: &SchedReplayOptions,
-) -> TraceSimReport {
-    scheduled_trace_sim_source(
-        || Box::new(SliceSource::new(trace)) as Box<dyn TraceSource + '_>,
-        machine,
-        options,
-    )
-}
+) -> Result<TraceSimReport, SimError> {
+    machine.validate().map_err(SimError::InvalidMachine)?;
+    if options.cylinders == 0 {
+        return Err(SimError::ZeroCylinders);
+    }
 
-/// Replays a re-openable record stream on `machine` with per-disk
-/// request scheduling — fully streaming, exactly like
-/// [`crate::trace_driven::trace_sim_source`]: a discovery pass for the
-/// process roster, then a replay pass fed through a
-/// [`PidSplitter`] with bounded per-pid
-/// buffering. `open` is called twice and must yield the same stream
-/// both times.
-///
-/// # Panics
-/// Panics if the machine configuration is invalid or `cylinders` is 0.
-pub fn scheduled_trace_sim_source<'s, F>(
-    open: F,
-    machine: &MachineConfig,
-    options: &SchedReplayOptions,
-) -> TraceSimReport
-where
-    F: Fn() -> Box<dyn TraceSource + 's>,
-{
-    machine.validate().expect("invalid machine configuration");
-    assert!(options.cylinders > 0, "disk needs at least one cylinder");
-
-    let (pids, records) = scan_pids(&mut *open());
-
-    let curve = SeekCurve::from_model(&machine.disk_model, options.cylinders);
-    let mut world = World {
-        curve,
+    let (mut report, array) = proc_driver::run(open, ThinkTime::ClosedLoop, |_procs| SchedArray {
+        curve: SeekCurve::from_model(&machine.disk_model, options.cylinders),
         bytes_per_cylinder: ((1u64 << 30) / options.cylinders).max(1),
         disks: (0..machine.disks)
             .map(|_| DiskState {
@@ -215,129 +169,89 @@ where
                 retry: None,
             })
             .collect(),
-        procs: pids.iter().map(|&pid| ProcState { pid, finish: SimTime::ZERO }).collect(),
         transfers: Vec::new(),
         free_transfers: Vec::new(),
-        bytes_moved: 0,
         faults: options.faults.clone(),
         retries: 0,
         dropped: 0,
         cfg: machine.clone(),
-        splitter: PidSplitter::new(open()),
-    };
-
-    let mut engine: Engine<World<'s>> = Engine::new();
-    for p in 0..world.procs.len() {
-        engine.schedule_at(SimTime::ZERO, move |eng, w| step(eng, w, p));
-    }
-    let end = engine.run(&mut world);
-
-    let disk_utilization = if world.disks.is_empty() || end.seconds() <= 0.0 {
-        0.0
-    } else {
-        world.disks.iter().map(|d| d.busy_time).sum::<f64>()
-            / (world.disks.len() as f64 * end.seconds())
-    };
-
-    TraceSimReport {
-        makespan: world.procs.iter().map(|p| p.finish.seconds()).fold(0.0, f64::max),
-        process_finish: world.procs.iter().map(|p| p.finish.seconds()).collect(),
-        pids,
-        bytes_moved: world.bytes_moved,
-        disk_utilization,
-        events: engine.processed(),
-        records,
-        retries: world.retries,
-        dropped_requests: world.dropped,
-    }
+    });
+    report.retries = array.retries;
+    report.dropped_requests = array.dropped;
+    Ok(report)
 }
 
-fn step<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, proc_idx: usize) {
-    let now = engine.now();
-    let pid = world.procs[proc_idx].pid;
-    let Some(r) = world.splitter.next_for(pid) else {
-        world.procs[proc_idx].finish = now;
-        return;
-    };
-
-    let repeats = r.num_records.max(1) as u64;
-    match r.op {
-        IoOp::Open | IoOp::Close | IoOp::Seek => {
-            engine.schedule_at(now + METADATA_COST * repeats as f64, move |eng, w| {
-                step(eng, w, proc_idx)
-            });
-        }
-        IoOp::Read | IoOp::Write => {
-            let bytes = r.length.saturating_mul(repeats);
-            world.bytes_moved += bytes;
-            if bytes == 0 {
-                engine.schedule_at(now + METADATA_COST, move |eng, w| step(eng, w, proc_idx));
-                return;
+impl DiskArray for SchedArray {
+    /// Splits the transfer across the stripe and enqueues one request
+    /// per participating disk; the process resumes when the last chunk
+    /// lands.
+    fn submit<'s>(
+        engine: &mut Engine<World<'s>>,
+        world: &mut World<'s>,
+        proc_idx: usize,
+        offset: u64,
+        bytes: u64,
+    ) {
+        let n_disks = world.array.disks.len();
+        let plan = stripe_plan(bytes, n_disks, world.array.cfg.stripe_unit);
+        let participating: Vec<(usize, u64)> = plan
+            .iter()
+            .enumerate()
+            .filter_map(|(d, &(chunks, tail))| {
+                let b = chunks * world.array.cfg.stripe_unit + tail;
+                (b > 0).then_some((d, b))
+            })
+            .collect();
+        // Reuse a completed slot when one exists: a completed transfer has
+        // fired all of its chunk completions, so nothing references it.
+        let transfer = Transfer { remaining: participating.len(), proc_idx };
+        let tid = match world.array.free_transfers.pop() {
+            Some(tid) => {
+                world.array.transfers[tid] = transfer;
+                tid as u64
             }
-            issue_io(engine, world, proc_idx, r.offset, bytes);
+            None => {
+                world.array.transfers.push(transfer);
+                (world.array.transfers.len() - 1) as u64
+            }
+        };
+
+        // Head position target: each disk stores its share of the logical
+        // space, so the per-disk offset shrinks by the member count.
+        let per_disk_offset = offset / n_disks.max(1) as u64;
+        let cylinder =
+            (per_disk_offset / world.array.bytes_per_cylinder) % world.array.curve.cylinders;
+
+        for (d, b) in participating {
+            world.array.disks[d].sched.push(DiskRequest { id: tid, cylinder, bytes: b });
+            start_if_idle(engine, world, d);
         }
     }
-}
 
-/// Splits the transfer across the stripe and enqueues one request per
-/// participating disk; the process resumes when the last chunk lands.
-fn issue_io<'s>(
-    engine: &mut Engine<World<'s>>,
-    world: &mut World<'s>,
-    proc_idx: usize,
-    offset: u64,
-    bytes: u64,
-) {
-    let n_disks = world.disks.len();
-    let plan = stripe_plan(bytes, n_disks, world.cfg.stripe_unit);
-    let participating: Vec<(usize, u64)> = plan
-        .iter()
-        .enumerate()
-        .filter_map(|(d, &(chunks, tail))| {
-            let b = chunks * world.cfg.stripe_unit + tail;
-            (b > 0).then_some((d, b))
-        })
-        .collect();
-    // Reuse a completed slot when one exists: a completed transfer has
-    // fired all of its chunk completions, so nothing references it.
-    let transfer = Transfer { remaining: participating.len(), proc_idx };
-    let tid = match world.free_transfers.pop() {
-        Some(tid) => {
-            world.transfers[tid] = transfer;
-            tid as u64
+    fn utilization(&self, end: SimTime) -> f64 {
+        if end.seconds() <= 0.0 {
+            return 0.0;
         }
-        None => {
-            world.transfers.push(transfer);
-            (world.transfers.len() - 1) as u64
-        }
-    };
-
-    // Head position target: each disk stores its share of the logical
-    // space, so the per-disk offset shrinks by the member count.
-    let per_disk_offset = offset / n_disks.max(1) as u64;
-    let cylinder = (per_disk_offset / world.bytes_per_cylinder) % world.curve.cylinders;
-
-    for (d, b) in participating {
-        world.disks[d].sched.push(DiskRequest { id: tid, cylinder, bytes: b });
-        start_if_idle(engine, world, d);
+        self.disks.iter().map(|d| d.busy_time).sum::<f64>()
+            / (self.disks.len() as f64 * end.seconds())
     }
 }
 
 fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk_idx: usize) {
-    if world.disks[disk_idx].busy {
+    if world.array.disks[disk_idx].busy {
         return;
     }
-    let head_before = world.disks[disk_idx].sched.head();
+    let head_before = world.array.disks[disk_idx].sched.head();
     // A request waiting out its retry back-off goes first (its head
     // position is wherever the failed attempt left it); otherwise ask
     // the scheduler for the next queued request.
-    let (req, attempt) = match world.disks[disk_idx].retry.take() {
+    let (req, attempt) = match world.array.disks[disk_idx].retry.take() {
         Some((req, attempt)) => (req, attempt),
         None => {
-            let Some(req) = world.disks[disk_idx].sched.next() else {
+            let Some(req) = world.array.disks[disk_idx].sched.next() else {
                 return;
             };
-            world.disks[disk_idx].started += 1;
+            world.array.disks[disk_idx].started += 1;
             (req, 0)
         }
     };
@@ -345,27 +259,27 @@ fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk
     // Degraded latency: the fault plan's slow windows scale the whole
     // service time. The quiet plan multiplies by exactly 1.0, which is
     // bit-identical in IEEE arithmetic — no drift on healthy runs.
-    let service = (world.curve.seek_time(distance)
-        + world.cfg.disk_model.rotational
-        + world.cfg.disk_model.transfer(req.bytes))
-        * world.faults.multiplier_at(engine.now().seconds());
-    world.disks[disk_idx].busy = true;
-    world.disks[disk_idx].busy_time += service;
+    let service = (world.array.curve.seek_time(distance)
+        + world.array.cfg.disk_model.rotational
+        + world.array.cfg.disk_model.transfer(req.bytes))
+        * world.array.faults.multiplier_at(engine.now().seconds());
+    world.array.disks[disk_idx].busy = true;
+    world.array.disks[disk_idx].busy_time += service;
 
     // Transient error: every `error_every`-th request started on this
     // disk fails its first attempt after consuming its service time
     // (the firmware tried and gave up).
     let failed = attempt == 0
-        && world.faults.error_every > 0
-        && world.disks[disk_idx].started % world.faults.error_every == 0;
+        && world.array.faults.error_every > 0
+        && world.array.disks[disk_idx].started % world.array.faults.error_every == 0;
     let tid = req.id as usize;
     if failed {
-        if world.faults.max_retries == 0 {
+        if world.array.faults.max_retries == 0 {
             // No retry budget: drop the request gracefully — count it
             // and let the transfer complete so the process resumes.
-            world.dropped += 1;
+            world.array.dropped += 1;
             engine.schedule_in(service, move |eng, w| {
-                w.disks[disk_idx].busy = false;
+                w.array.disks[disk_idx].busy = false;
                 complete_chunk(eng, w, tid);
                 start_if_idle(eng, w, disk_idx);
             });
@@ -373,11 +287,11 @@ fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk
             // Bounded retry: hold the disk busy through the back-off,
             // then re-serve the same request (attempt 1 succeeds —
             // the error is transient).
-            world.retries += 1;
-            let backoff = world.faults.retry_backoff_s.max(0.0);
+            world.array.retries += 1;
+            let backoff = world.array.faults.retry_backoff_s.max(0.0);
             engine.schedule_in(service + backoff, move |eng, w| {
-                w.disks[disk_idx].busy = false;
-                w.disks[disk_idx].retry = Some((req, attempt + 1));
+                w.array.disks[disk_idx].busy = false;
+                w.array.disks[disk_idx].retry = Some((req, attempt + 1));
                 start_if_idle(eng, w, disk_idx);
             });
         }
@@ -385,7 +299,7 @@ fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk
     }
 
     engine.schedule_in(service, move |eng, w| {
-        w.disks[disk_idx].busy = false;
+        w.array.disks[disk_idx].busy = false;
         complete_chunk(eng, w, tid);
         start_if_idle(eng, w, disk_idx);
     });
@@ -394,21 +308,28 @@ fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk
 /// One striped chunk of transfer `tid` landed; when the last one does,
 /// the owning process resumes and the slot is recycled.
 fn complete_chunk<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, tid: usize) {
-    world.transfers[tid].remaining -= 1;
-    if world.transfers[tid].remaining == 0 {
-        let proc_idx = world.transfers[tid].proc_idx;
-        world.free_transfers.push(tid);
-        let now = engine.now();
-        engine.schedule_at(now, move |eng, w| step(eng, w, proc_idx));
+    world.array.transfers[tid].remaining -= 1;
+    if world.array.transfers[tid].remaining == 0 {
+        let proc_idx = world.array.transfers[tid].proc_idx;
+        world.array.free_transfers.push(tid);
+        resume_at(engine, engine.now(), proc_idx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clio_trace::record::IoOp;
+    use clio_trace::source::SliceSource;
     use clio_trace::writer::TraceWriter;
+    use clio_trace::TraceFile;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A factory of fresh streams over `trace`.
+    fn reopen<'t>(trace: &'t TraceFile) -> impl Fn() -> Box<dyn TraceSource + 't> + 't {
+        move || Box::new(SliceSource::new(trace))
+    }
 
     /// Many processes hammering one disk with scattered small reads —
     /// the queue-depth regime where scheduling matters.
@@ -436,10 +357,11 @@ mod tests {
 
     fn makespan(trace: &TraceFile, policy: Policy) -> f64 {
         scheduled_trace_sim(
-            trace,
+            reopen(trace),
             &MachineConfig::uniprocessor(),
             &SchedReplayOptions { policy, ..Default::default() },
         )
+        .unwrap()
         .makespan
     }
 
@@ -474,10 +396,11 @@ mod tests {
     fn every_process_finishes_and_bytes_balance() {
         let trace = contended_random_trace(4, 10, 3);
         let report = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &MachineConfig::with_disks(2),
             &SchedReplayOptions { policy: Policy::Sstf, ..Default::default() },
-        );
+        )
+        .unwrap();
         assert_eq!(report.pids.len(), 4);
         assert_eq!(report.process_finish.len(), 4);
         assert!(report.process_finish.iter().all(|&f| f > 0.0));
@@ -489,8 +412,8 @@ mod tests {
     fn deterministic_across_runs() {
         let trace = contended_random_trace(3, 12, 9);
         let opts = SchedReplayOptions { policy: Policy::Scan, ..Default::default() };
-        let a = scheduled_trace_sim(&trace, &MachineConfig::uniprocessor(), &opts);
-        let b = scheduled_trace_sim(&trace, &MachineConfig::uniprocessor(), &opts);
+        let a = scheduled_trace_sim(reopen(&trace), &MachineConfig::uniprocessor(), &opts).unwrap();
+        let b = scheduled_trace_sim(reopen(&trace), &MachineConfig::uniprocessor(), &opts).unwrap();
         assert_eq!(a, b);
     }
 
@@ -498,8 +421,12 @@ mod tests {
     fn striping_still_speeds_up_large_transfers() {
         let trace = sequential_trace(8, 8 * 1024 * 1024);
         let opts = SchedReplayOptions::default();
-        let t1 = scheduled_trace_sim(&trace, &MachineConfig::with_disks(1), &opts).makespan;
-        let t8 = scheduled_trace_sim(&trace, &MachineConfig::with_disks(8), &opts).makespan;
+        let t1 = scheduled_trace_sim(reopen(&trace), &MachineConfig::with_disks(1), &opts)
+            .unwrap()
+            .makespan;
+        let t8 = scheduled_trace_sim(reopen(&trace), &MachineConfig::with_disks(8), &opts)
+            .unwrap()
+            .makespan;
         assert!(t8 < t1 / 3.0, "striping speedup survives the scheduler: {t1} -> {t8}");
     }
 
@@ -510,10 +437,11 @@ mod tests {
         // distance-dependent seek model).
         let trace = sequential_trace(16, 512 * 1024);
         let report = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &MachineConfig::uniprocessor(),
             &SchedReplayOptions::default(),
-        );
+        )
+        .unwrap();
         assert!(report.makespan > 0.0);
         assert_eq!(report.bytes_moved, 16 * 512 * 1024);
     }
@@ -525,12 +453,13 @@ mod tests {
         // exactly 1.0 and never takes the error branch.
         let trace = contended_random_trace(4, 16, 11);
         let healthy = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &MachineConfig::uniprocessor(),
             &SchedReplayOptions::default(),
-        );
+        )
+        .unwrap();
         let quiet = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &MachineConfig::uniprocessor(),
             &SchedReplayOptions {
                 faults: DiskFaultPlan {
@@ -543,7 +472,8 @@ mod tests {
                 },
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(healthy, quiet);
         assert_eq!(healthy.retries, 0);
         assert_eq!(healthy.dropped_requests, 0);
@@ -553,9 +483,10 @@ mod tests {
     fn slow_windows_stretch_the_makespan() {
         let trace = contended_random_trace(4, 16, 11);
         let machine = MachineConfig::uniprocessor();
-        let healthy = scheduled_trace_sim(&trace, &machine, &SchedReplayOptions::default());
+        let healthy =
+            scheduled_trace_sim(reopen(&trace), &machine, &SchedReplayOptions::default()).unwrap();
         let degraded = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &machine,
             &SchedReplayOptions {
                 faults: DiskFaultPlan {
@@ -568,7 +499,8 @@ mod tests {
                 },
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(
             degraded.makespan > 2.0 * healthy.makespan,
             "a 4× slow window must visibly stretch the run: {} -> {}",
@@ -582,15 +514,17 @@ mod tests {
     fn transient_errors_are_retried_and_bounded() {
         let trace = contended_random_trace(4, 16, 11);
         let machine = MachineConfig::uniprocessor();
-        let healthy = scheduled_trace_sim(&trace, &machine, &SchedReplayOptions::default());
+        let healthy =
+            scheduled_trace_sim(reopen(&trace), &machine, &SchedReplayOptions::default()).unwrap();
         let flaky = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &machine,
             &SchedReplayOptions {
                 faults: DiskFaultPlan { error_every: 5, ..Default::default() },
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(flaky.retries > 0, "every 5th request fails once");
         assert_eq!(flaky.dropped_requests, 0, "the retry budget recovers them all");
         assert!(flaky.makespan > healthy.makespan, "retries cost simulated time");
@@ -602,13 +536,14 @@ mod tests {
     fn exhausted_retry_budget_drops_gracefully() {
         let trace = contended_random_trace(4, 16, 11);
         let report = scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &MachineConfig::uniprocessor(),
             &SchedReplayOptions {
                 faults: DiskFaultPlan { error_every: 5, max_retries: 0, ..Default::default() },
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(report.dropped_requests > 0);
         assert_eq!(report.retries, 0);
         // Graceful degradation, not a hang: every process still runs
@@ -628,19 +563,28 @@ mod tests {
             },
             ..Default::default()
         };
-        let a = scheduled_trace_sim(&trace, &MachineConfig::uniprocessor(), &opts);
-        let b = scheduled_trace_sim(&trace, &MachineConfig::uniprocessor(), &opts);
+        let a = scheduled_trace_sim(reopen(&trace), &MachineConfig::uniprocessor(), &opts).unwrap();
+        let b = scheduled_trace_sim(reopen(&trace), &MachineConfig::uniprocessor(), &opts).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    #[should_panic(expected = "at least one cylinder")]
-    fn zero_cylinders_panics() {
+    fn zero_cylinders_and_invalid_machines_are_errors() {
         let trace = sequential_trace(1, 1024);
-        let _ = scheduled_trace_sim(
-            &trace,
+        let err = scheduled_trace_sim(
+            reopen(&trace),
             &MachineConfig::uniprocessor(),
             &SchedReplayOptions { cylinders: 0, ..Default::default() },
-        );
+        )
+        .unwrap_err();
+        assert_eq!(err, SimError::ZeroCylinders);
+        assert!(err.to_string().contains("at least one cylinder"));
+        let err = scheduled_trace_sim(
+            reopen(&trace),
+            &MachineConfig::with_disks(0),
+            &SchedReplayOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InvalidMachine(_)), "{err:?}");
     }
 }

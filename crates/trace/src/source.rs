@@ -21,25 +21,25 @@
 //! Combinators build mixed scenarios out of simpler ones:
 //!
 //! - [`ChainSource`] — run A to completion, then B,
-//! - [`InterleaveSource`] — round-robin merge of A and B,
 //! - [`WeightedSource`] — ratio-weighted merge (a records from A per b
-//!   from B).
+//!   from B; 1:1 is the round-robin interleave), over disjoint or
+//!   shared file namespaces ([`FileNamespace`]).
 //!
 //! [`PidSplitter`] demultiplexes any source into per-process streams
 //! in one pass with bounded buffering — the adapter the pid-grouping
 //! simulators consume streaming workloads through.
 //!
-//! The concurrent merges give the two inputs **disjoint namespaces**:
-//! B's file ids are offset by A's file count and B's pids by A's
-//! process count, so a mix models two applications running concurrently
-//! against their own files (contending for cache capacity and disk
-//! time, not sharing pages). A chain offsets only file ids — its pid
-//! spaces stay shared so the composition is sequential per process
-//! even under pid-grouping engines. [`ShareSource`] is the deliberate
-//! exception: it offsets pids but **keeps the file namespaces
-//! overlapped**, so two process populations contend for the *same
-//! pages* — the page-sharing scenario the disjoint merges cannot
-//! express. Captured clocks pass through untouched.
+//! The concurrent merge gives the two inputs **disjoint namespaces** by
+//! default: B's file ids are offset by A's file count and B's pids by
+//! A's process count, so a mix models two applications running
+//! concurrently against their own files (contending for cache capacity
+//! and disk time, not sharing pages). A chain offsets only file ids —
+//! its pid spaces stay shared so the composition is sequential per
+//! process even under pid-grouping engines. [`FileNamespace::Shared`]
+//! is the deliberate exception: the merge offsets pids but **keeps the
+//! file namespaces overlapped**, so two process populations contend
+//! for the *same pages* — the page-sharing scenario the disjoint merge
+//! cannot express. Captured clocks pass through untouched.
 
 use std::sync::Arc;
 
@@ -227,15 +227,6 @@ fn remap(mut r: TraceRecord, pid_offset: u32, file_offset: u32) -> TraceRecord {
     r
 }
 
-/// Combined metadata of two inputs: disjoint file and process spaces.
-fn combined_meta(kind: &str, a: &SourceMeta, b: &SourceMeta) -> SourceMeta {
-    SourceMeta {
-        sample_file: format!("{kind}({},{})", a.sample_file, b.sample_file),
-        num_processes: a.num_processes + b.num_processes,
-        num_files: a.num_files + b.num_files,
-    }
-}
-
 /// Adds two size hints.
 fn add_hints(a: (usize, Option<usize>), b: (usize, Option<usize>)) -> (usize, Option<usize>) {
     (a.0 + b.0, a.1.zip(b.1).map(|(x, y)| x + y))
@@ -284,54 +275,30 @@ impl<A: TraceSource, B: TraceSource> TraceSource for ChainSource<A, B> {
     }
 }
 
-/// Round-robin merge: one record from A, one from B, alternating; when
-/// one side runs dry the other drains. B is remapped into the combined
-/// namespace. Deterministic — the schedule depends only on the inputs.
-#[derive(Debug)]
-pub struct InterleaveSource<A, B> {
-    a: A,
-    b: B,
-    meta: SourceMeta,
-    pid_offset: u32,
-    file_offset: u32,
-    /// Whose turn it is next.
-    take_a: bool,
-}
-
-impl<A: TraceSource, B: TraceSource> InterleaveSource<A, B> {
-    /// Interleaves `a` and `b`, starting with `a`.
-    pub fn new(a: A, b: B) -> Self {
-        let (ma, mb) = (a.meta(), b.meta());
-        let meta = combined_meta("mix", &ma, &mb);
-        Self { a, b, meta, pid_offset: ma.num_processes, file_offset: ma.num_files, take_a: true }
-    }
-}
-
-impl<A: TraceSource, B: TraceSource> TraceSource for InterleaveSource<A, B> {
-    fn meta(&self) -> SourceMeta {
-        self.meta.clone()
-    }
-
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let from_b =
-            |s: &mut Self| s.b.next_record().map(|r| remap(r, s.pid_offset, s.file_offset));
-        if self.take_a {
-            self.take_a = false;
-            self.a.next_record().or_else(|| from_b(self))
-        } else {
-            self.take_a = true;
-            from_b(self).or_else(|| self.a.next_record())
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        add_hints(self.a.size_hint(), self.b.size_hint())
-    }
+/// How a [`WeightedSource`] lays the second input's files beside the
+/// first's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileNamespace {
+    /// B's file ids are offset past A's: two applications on their own
+    /// files. The merged stream declares `a + b` files and is tagged
+    /// `mix(a,b)`.
+    Disjoint,
+    /// B's file ids are *not* remapped: both sides address the same
+    /// files and contend for the same pages. The merged stream declares
+    /// `max(a, b)` files and is tagged `share(a,b)` so reports can tell
+    /// the two mixes apart. Open/close balance stays exact: each
+    /// `(pid, file)` stream is untouched and the pid spaces are
+    /// disjoint, so a record-level verifier sees two well-formed
+    /// process populations over one file set.
+    Shared,
 }
 
 /// Ratio-weighted merge: `weight_a` records from A, then `weight_b`
 /// from B, repeating; an exhausted side yields its turns to the other.
-/// B is remapped into the combined namespace. Deterministic.
+/// At 1:1 this is the round-robin interleave. B's pids are always
+/// offset into a fresh process space; its file ids follow the
+/// [`FileNamespace`]. Deterministic — the schedule depends only on the
+/// inputs.
 #[derive(Debug)]
 pub struct WeightedSource<A, B> {
     a: A,
@@ -348,20 +315,29 @@ pub struct WeightedSource<A, B> {
 }
 
 impl<A: TraceSource, B: TraceSource> WeightedSource<A, B> {
-    /// Merges `weight_a` records of `a` per `weight_b` records of `b`.
+    /// Merges `weight_a` records of `a` per `weight_b` records of `b`,
+    /// starting with `a`.
     ///
     /// # Panics
     /// Panics if either weight is zero.
-    pub fn new(a: A, b: B, weight_a: u32, weight_b: u32) -> Self {
+    pub fn new(a: A, b: B, weight_a: u32, weight_b: u32, files: FileNamespace) -> Self {
         assert!(weight_a > 0 && weight_b > 0, "merge weights must be positive");
         let (ma, mb) = (a.meta(), b.meta());
-        let meta = combined_meta("mix", &ma, &mb);
+        let (kind, num_files, file_offset) = match files {
+            FileNamespace::Disjoint => ("mix", ma.num_files + mb.num_files, ma.num_files),
+            FileNamespace::Shared => ("share", ma.num_files.max(mb.num_files), 0),
+        };
+        let meta = SourceMeta {
+            sample_file: format!("{kind}({},{})", ma.sample_file, mb.sample_file),
+            num_processes: ma.num_processes + mb.num_processes,
+            num_files,
+        };
         Self {
             a,
             b,
             meta,
             pid_offset: ma.num_processes,
-            file_offset: ma.num_files,
+            file_offset,
             weight_a,
             weight_b,
             taken: 0,
@@ -373,6 +349,15 @@ impl<A: TraceSource, B: TraceSource> WeightedSource<A, B> {
         self.on_a = !self.on_a;
         self.taken = 0;
     }
+
+    /// The next record of the side the current burst draws from.
+    fn pull(&mut self) -> Option<TraceRecord> {
+        if self.on_a {
+            self.a.next_record()
+        } else {
+            self.b.next_record().map(|r| remap(r, self.pid_offset, self.file_offset))
+        }
+    }
 }
 
 impl<A: TraceSource, B: TraceSource> TraceSource for WeightedSource<A, B> {
@@ -381,89 +366,19 @@ impl<A: TraceSource, B: TraceSource> TraceSource for WeightedSource<A, B> {
     }
 
     fn next_record(&mut self) -> Option<TraceRecord> {
-        // The stream ends only when *both* sides come up dry; flips
-        // that merely end a full burst don't count against that.
-        let mut dry_sides = 0;
-        while dry_sides < 2 {
-            let budget = if self.on_a { self.weight_a } else { self.weight_b };
-            if self.taken >= budget {
-                self.flip();
-                continue;
-            }
-            let next = if self.on_a {
-                self.a.next_record()
-            } else {
-                self.b.next_record().map(|r| remap(r, self.pid_offset, self.file_offset))
-            };
-            match next {
-                Some(r) => {
-                    self.taken += 1;
-                    return Some(r);
-                }
-                None => {
-                    dry_sides += 1;
-                    self.flip();
-                }
-            }
+        let budget = if self.on_a { self.weight_a } else { self.weight_b };
+        if self.taken >= budget {
+            self.flip();
         }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        add_hints(self.a.size_hint(), self.b.size_hint())
-    }
-}
-
-/// Round-robin merge with a **shared file namespace**: like
-/// [`InterleaveSource`], B's pids are offset into a fresh process
-/// space — but its file ids are *not* remapped, so both sides address
-/// the same files and contend for the same pages. This is the
-/// page-sharing-contention combinator; the sample-file name is tagged
-/// `share(a,b)` so reports can tell the two mixes apart.
-///
-/// The combined metadata declares `max(a, b)` files (the overlapped
-/// namespace) and `a + b` processes. Open/close balance stays exact:
-/// each `(pid, file)` stream is untouched and the pid spaces are
-/// disjoint, so a record-level verifier sees two well-formed process
-/// populations over one file set. Deterministic, like every merge.
-#[derive(Debug)]
-pub struct ShareSource<A, B> {
-    a: A,
-    b: B,
-    meta: SourceMeta,
-    pid_offset: u32,
-    /// Whose turn it is next.
-    take_a: bool,
-}
-
-impl<A: TraceSource, B: TraceSource> ShareSource<A, B> {
-    /// Interleaves `a` and `b` over a shared file namespace, starting
-    /// with `a`.
-    pub fn new(a: A, b: B) -> Self {
-        let (ma, mb) = (a.meta(), b.meta());
-        let meta = SourceMeta {
-            sample_file: format!("share({},{})", ma.sample_file, mb.sample_file),
-            num_processes: ma.num_processes + mb.num_processes,
-            num_files: ma.num_files.max(mb.num_files),
-        };
-        Self { a, b, meta, pid_offset: ma.num_processes, take_a: true }
-    }
-}
-
-impl<A: TraceSource, B: TraceSource> TraceSource for ShareSource<A, B> {
-    fn meta(&self) -> SourceMeta {
-        self.meta.clone()
-    }
-
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let from_b = |s: &mut Self| s.b.next_record().map(|r| remap(r, s.pid_offset, 0));
-        if self.take_a {
-            self.take_a = false;
-            self.a.next_record().or_else(|| from_b(self))
-        } else {
-            self.take_a = true;
-            from_b(self).or_else(|| self.a.next_record())
-        }
+        self.taken += 1;
+        // A side that comes up dry yields its turn, and the record
+        // counts against the other side's burst; the stream ends only
+        // when the other side is dry too.
+        self.pull().or_else(|| {
+            self.flip();
+            self.taken = 1;
+            self.pull()
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -661,7 +576,13 @@ mod tests {
     #[test]
     fn interleave_alternates_and_drains_the_longer_side() {
         let (a, b) = (reads(2, 0), reads(4, 0));
-        let src = InterleaveSource::new(SliceSource::new(&a), SliceSource::new(&b));
+        let src = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            1,
+            1,
+            FileNamespace::Disjoint,
+        );
         let files: Vec<u32> = drain(src).iter().map(|r| r.file_id).collect();
         assert_eq!(files, vec![0, 1, 0, 1, 1, 1]);
     }
@@ -669,7 +590,13 @@ mod tests {
     #[test]
     fn weighted_merge_respects_the_ratio() {
         let (a, b) = (reads(6, 0), reads(2, 0));
-        let src = WeightedSource::new(SliceSource::new(&a), SliceSource::new(&b), 3, 1);
+        let src = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            3,
+            1,
+            FileNamespace::Disjoint,
+        );
         let files: Vec<u32> = drain(src).iter().map(|r| r.file_id).collect();
         assert_eq!(files, vec![0, 0, 0, 1, 0, 0, 0, 1]);
     }
@@ -677,7 +604,13 @@ mod tests {
     #[test]
     fn weighted_merge_survives_either_side_draining_first() {
         let (a, b) = (reads(1, 0), reads(5, 0));
-        let src = WeightedSource::new(SliceSource::new(&a), SliceSource::new(&b), 2, 1);
+        let src = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            2,
+            1,
+            FileNamespace::Disjoint,
+        );
         let records = drain(src);
         assert_eq!(records.len(), 6);
         assert_eq!(records.iter().filter(|r| r.file_id == 1).count(), 5);
@@ -687,13 +620,25 @@ mod tests {
     #[should_panic(expected = "merge weights must be positive")]
     fn zero_weight_panics() {
         let (a, b) = (reads(1, 0), reads(1, 0));
-        let _ = WeightedSource::new(SliceSource::new(&a), SliceSource::new(&b), 0, 1);
+        let _ = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            0,
+            1,
+            FileNamespace::Disjoint,
+        );
     }
 
     #[test]
     fn merged_streams_materialize_to_valid_traces() {
         let (a, b) = (reads(3, 0), reads(3, 0));
-        let mut src = InterleaveSource::new(SliceSource::new(&a), SliceSource::new(&b));
+        let mut src = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            1,
+            1,
+            FileNamespace::Disjoint,
+        );
         let t = materialize(&mut src).unwrap();
         assert!(t.validate().is_ok());
         assert_eq!(t.header.num_files, 2);
@@ -702,7 +647,13 @@ mod tests {
     #[test]
     fn share_merge_overlaps_files_and_splits_pids() {
         let (a, b) = (reads(3, 0), reads(3, 0));
-        let src = ShareSource::new(SliceSource::new(&a), SliceSource::new(&b));
+        let src = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            1,
+            1,
+            FileNamespace::Shared,
+        );
         let meta = src.meta();
         assert_eq!(meta.num_files, 1, "file namespaces overlap");
         assert_eq!(meta.num_processes, 2, "pid namespaces stay disjoint");
@@ -717,7 +668,13 @@ mod tests {
     #[test]
     fn share_merge_materializes_to_a_valid_trace() {
         let (a, b) = (reads(4, 0), reads(2, 0));
-        let mut src = ShareSource::new(SliceSource::new(&a), SliceSource::new(&b));
+        let mut src = WeightedSource::new(
+            SliceSource::new(&a),
+            SliceSource::new(&b),
+            1,
+            1,
+            FileNamespace::Shared,
+        );
         let t = materialize(&mut src).unwrap();
         assert!(t.validate().is_ok());
         assert_eq!(t.header.num_files, 1);

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use clio_stats::Summary;
 
 use crate::reader::TraceFile;
-use crate::record::{IoOp, TraceRecord};
+use crate::record::IoOp;
 
 /// Aggregate statistics over one trace.
 #[derive(Debug, Clone)]
@@ -94,19 +94,10 @@ impl TraceStats {
     }
 }
 
-/// Convenience: statistics for a raw record slice (no header needed).
-/// Surfaces the structural error instead of panicking — raw record
-/// slices are exactly the untrusted input the admission layer exists
-/// for.
-pub fn stats_for_records(records: &[TraceRecord]) -> Result<TraceStats, crate::TraceError> {
-    // Build a throwaway trace; header content doesn't affect stats.
-    let trace = TraceFile::build("stats.tmp", 1, records.to_vec())?;
-    Ok(TraceStats::compute(&trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::TraceRecord;
 
     fn trace(records: Vec<TraceRecord>) -> TraceFile {
         TraceFile::build("s.dat", 1, records).unwrap()

@@ -1,4 +1,4 @@
-//! Trace transformations: filter, split, merge, shift, clamp.
+//! Trace transformations: filter, split, merge, shift.
 //!
 //! The paper's experiment harness works with one trace per application,
 //! but the planned distributed follow-up ("develop benchmarks for
@@ -86,25 +86,6 @@ pub fn shift_time(trace: &TraceFile, delta_us: i64) -> Result<TraceFile, TraceEr
             let mut r = *r;
             r.wall_clock_us = saturating_shift(r.wall_clock_us, delta_us);
             r.proc_clock_us = saturating_shift(r.proc_clock_us, delta_us);
-            r
-        })
-        .collect();
-    rebuild(trace, records)
-}
-
-/// Clamps every data operation into `[0, sample_size)`: offsets wrap
-/// modulo the sample size and lengths are cut at the file end — the
-/// normalization needed before replaying a foreign trace against the
-/// paper's 1 GB sample file.
-pub fn clamp_to_sample(trace: &TraceFile, sample_size: u64) -> Result<TraceFile, TraceError> {
-    assert!(sample_size > 0, "zero-length sample file");
-    let records = trace
-        .records
-        .iter()
-        .map(|r| {
-            let mut r = *r;
-            r.offset %= sample_size;
-            r.length = r.length.min(sample_size - r.offset);
             r
         })
         .collect();
@@ -202,20 +183,6 @@ mod tests {
         assert!(forward.records[0].wall_clock_us >= 500);
     }
 
-    #[test]
-    fn clamp_keeps_ops_inside_sample() {
-        let t = sample_trace(&[
-            (0, IoOp::Read, 5_000_000_000, 4096), // offset past 1 GB
-            (0, IoOp::Read, 1_073_741_000, 4096), // length crosses the end
-        ]);
-        let gb = 1u64 << 30;
-        let clamped = clamp_to_sample(&t, gb).unwrap();
-        for r in &clamped.records {
-            assert!(r.offset < gb);
-            assert!(r.offset + r.length <= gb);
-        }
-    }
-
     proptest! {
         #[test]
         fn filter_preserves_relative_order(
@@ -268,21 +235,6 @@ mod tests {
             for (pid, part) in &parts {
                 prop_assert!(part.records.iter().all(|r| r.pid == *pid));
                 part.validate().unwrap();
-            }
-        }
-
-        #[test]
-        fn clamp_respects_any_sample_size(
-            offsets in proptest::collection::vec((0u64..u64::MAX / 2, 0u64..1 << 20), 1..20),
-            size in 1u64..1 << 31,
-        ) {
-            let recs: Vec<(u32, IoOp, u64, u64)> =
-                offsets.iter().map(|&(o, l)| (0, IoOp::Write, o, l)).collect();
-            let t = sample_trace(&recs);
-            let c = clamp_to_sample(&t, size).unwrap();
-            for r in &c.records {
-                prop_assert!(r.offset < size);
-                prop_assert!(r.offset.checked_add(r.length).unwrap() <= size);
             }
         }
     }

@@ -24,9 +24,14 @@ use clio_core::trace::record::TraceRecord;
 use clio_core::trace::replay::{
     replay_cached, replay_parallel, OpTiming, ParallelReplayOptions, ReportMode,
 };
-use clio_core::trace::source::{IterSource, SliceSource, SourceMeta};
+use clio_core::trace::source::{IterSource, SliceSource, SourceMeta, TraceSource};
 use clio_core::trace::synth::synthesize;
 use clio_core::trace::TraceFile;
+
+/// A factory of fresh streams over `trace`, for the simulators.
+fn reopen<'t>(trace: &'t TraceFile) -> impl Fn() -> Box<dyn TraceSource + 't> + 't {
+    move || Box::new(SliceSource::new(trace))
+}
 
 /// Builder-path serial replay timings for a materialized trace.
 fn builder_timings(trace: &TraceFile, config: CacheConfig) -> Vec<OpTiming> {
@@ -101,10 +106,11 @@ fn builder_trace_sim_is_bit_identical_to_canonical() {
     let trace = TraceFile::build("sim.dat", 3, records).expect("valid trace");
     let machine = MachineConfig::with_disks(2);
     let canonical = clio_core::sim::trace_driven::trace_sim(
-        &trace,
+        reopen(&trace),
         &machine,
         &clio_core::sim::trace_driven::TraceSimOptions::default(),
-    );
+    )
+    .expect("valid machine");
     let report = Experiment::builder()
         .workload(Workload::trace(trace))
         .engine(Engine::TraceSim)
@@ -126,10 +132,11 @@ fn builder_scheduled_sim_is_bit_identical_to_canonical() {
     });
     for policy in clio_core::sim::sched::Policy::ALL {
         let canonical = clio_core::sim::sched_replay::scheduled_trace_sim(
-            &trace,
+            reopen(&trace),
             &MachineConfig::uniprocessor(),
             &clio_core::sim::sched_replay::SchedReplayOptions { policy, ..Default::default() },
-        );
+        )
+        .expect("valid machine");
         let report = Experiment::builder()
             .workload(Workload::trace(trace.clone()))
             .engine(Engine::ScheduledSim)
@@ -255,27 +262,88 @@ fn report_summary_serializes_and_round_trips() {
 }
 
 #[test]
-fn run_many_trace_sims_match_solo_runs_at_any_thread_count() {
-    let experiments: Vec<Experiment> = (1..=4)
-        .map(|disks| {
-            Experiment::builder()
-                .workload(Workload::Synthetic(TraceProfile {
-                    data_ops: 120,
-                    seed: disks as u64,
-                    ..Default::default()
-                }))
-                .engine(Engine::TraceSim)
-                .machine(MachineConfig::with_disks(disks))
-                .build()
-                .expect("valid experiment")
-        })
-        .collect();
+fn run_many_mixed_batches_match_solo_runs_at_any_thread_count() {
+    // One pool for any batch: every engine family, plus a sweep of
+    // trace sims over machines, drained by 1, 2 and 8 workers.
+    let synth =
+        |seed: u64| Workload::Synthetic(TraceProfile { data_ops: 120, seed, ..Default::default() });
+    let mut builders = vec![
+        Experiment::builder().workload(synth(1)).engine(Engine::SerialReplay),
+        Experiment::builder().workload(synth(2)).engine(Engine::ParallelReplay).threads(2),
+        Experiment::builder().workload(synth(3)).engine(Engine::ScheduledSim),
+        Experiment::builder().workload(synth(4)).engine(Engine::Serve).clients(2),
+    ];
+    builders.extend((1..=4).map(|disks| {
+        Experiment::builder()
+            .workload(synth(disks as u64))
+            .engine(Engine::TraceSim)
+            .machine(MachineConfig::with_disks(disks))
+    }));
+    let experiments: Vec<Experiment> =
+        builders.into_iter().map(|b| b.build().expect("valid experiment")).collect();
     let solo: Vec<_> = experiments.iter().map(|e| e.run().expect("runs")).collect();
     for threads in [1usize, 2, 8] {
         let pooled = run_many(&experiments, threads).expect("pool runs");
+        assert_eq!(pooled.len(), solo.len());
         for (p, s) in pooled.iter().zip(&solo) {
+            assert_eq!(p.summary(), s.summary(), "{threads} threads");
             assert_eq!(p.sim, s.sim, "{threads} threads");
             assert_eq!(p.records, s.records);
+            assert!(p.wall_ms.is_some(), "pooled runs are timed like solo runs");
+        }
+    }
+    assert!(run_many(&[], 4).expect("an empty batch is fine").is_empty());
+}
+
+/// A four-record stream whose second record names a file outside the
+/// declared one-file roster (`V02` at record 1).
+fn out_of_roster_workload() -> Workload {
+    Workload::custom("out-of-roster", || {
+        let meta = SourceMeta { sample_file: "oor.dat".into(), num_processes: 1, num_files: 1 };
+        let records = (0..4u64).map(|i| {
+            let file_id = if i == 1 { 7 } else { 0 };
+            TraceRecord::simple(IoOp::Read, file_id, i * 4096, 4096)
+        });
+        Box::new(IterSource::new(meta, records))
+    })
+}
+
+#[test]
+fn run_many_admits_and_quarantines_exactly_like_solo_runs() {
+    // An all-TraceSim batch used to bypass `Experiment::verify`.
+    let batch = |mode: VerifyMode| -> Vec<Experiment> {
+        (1..=2)
+            .map(|disks| {
+                Experiment::builder()
+                    .workload(out_of_roster_workload())
+                    .engine(Engine::TraceSim)
+                    .machine(MachineConfig::with_disks(disks))
+                    .verify(mode)
+                    .build()
+                    .expect("valid experiment")
+            })
+            .collect()
+    };
+    for threads in [1usize, 2] {
+        let strict = batch(VerifyMode::Strict);
+        for e in &strict {
+            assert!(matches!(e.run(), Err(ExpError::Verify(_))), "solo strict run rejects");
+        }
+        match run_many(&strict, threads) {
+            Err(ExpError::Verify(v)) => assert_eq!((v.code(), v.index()), ("V02", 1)),
+            other => panic!("pooled strict batch must reject at V02, got {other:?}"),
+        }
+
+        let lenient = batch(VerifyMode::Lenient);
+        let pooled = run_many(&lenient, threads).expect("lenient batches run");
+        for (p, e) in pooled.iter().zip(&lenient) {
+            let s = e.run().expect("solo lenient run");
+            assert_eq!(s.records, 3, "the out-of-roster record is quarantined");
+            assert_eq!(p.records, s.records);
+            assert_eq!(p.quarantine, s.quarantine);
+            assert_eq!(p.quarantine.expect("lenient runs carry a ledger").quarantined, 1);
+            assert_eq!(p.sim, s.sim);
+            assert!(p.wall_ms.is_some());
         }
     }
 }

@@ -29,6 +29,7 @@ use clio_core::cache::policy::ReplacementPolicy;
 use clio_core::prelude::*;
 use clio_core::sim::trace_driven::{trace_sim, TraceSimOptions};
 use clio_core::trace::replay::{replay_parallel, ParallelReplayOptions};
+use clio_core::trace::source::{SliceSource, TraceSource};
 use clio_core::trace::synth::{synthesize, TraceProfile};
 use clio_core::trace::TraceFile;
 
@@ -103,13 +104,18 @@ fn peak_heap_growth(f: impl FnOnce()) -> usize {
     PEAK.load(Ordering::Relaxed).saturating_sub(before)
 }
 
+/// A factory of fresh streams over `trace`, for the simulator.
+fn reopen<'t>(trace: &'t TraceFile) -> impl Fn() -> Box<dyn TraceSource + 't> + 't {
+    move || Box::new(SliceSource::new(trace))
+}
+
 /// Best-of-5 per-event wall time (seconds) of replaying `trace`.
 fn per_event_seconds(trace: &TraceFile, machine: &MachineConfig) -> f64 {
     let options = TraceSimOptions::default();
     let mut best = f64::INFINITY;
     for _ in 0..5 {
         let start = Instant::now();
-        let report = trace_sim(trace, machine, &options);
+        let report = trace_sim(reopen(trace), machine, &options).expect("valid machine");
         let elapsed = start.elapsed().as_secs_f64();
         assert!(report.events > 0);
         best = best.min(elapsed / report.events as f64);
@@ -133,7 +139,7 @@ fn trace_sim_per_event_cost_is_flat_in_trace_length() {
 
     let machine = MachineConfig::with_disks(2);
     // Warm up allocators and caches before timing anything.
-    trace_sim(&small, &machine, &TraceSimOptions::default());
+    trace_sim(reopen(&small), &machine, &TraceSimOptions::default()).expect("valid machine");
 
     // Generous bound, sized for noisy CI runners: O(N) predicts a
     // per-event ratio of ≈ 1×; the old per-event clone copied the whole

@@ -8,8 +8,6 @@
 
 use clio_core::cache::cache::CacheConfig;
 use clio_core::config::SuiteConfig;
-use clio_core::sim::trace_driven::{trace_sim, trace_sim_pool, SimJob, TraceSimOptions};
-use clio_core::sim::MachineConfig;
 use clio_core::suite::BenchmarkSuite;
 use clio_core::trace::replay::{replay_parallel, ParallelReplayOptions};
 use clio_core::trace::synth::{synthesize, TraceProfile};
@@ -83,35 +81,6 @@ fn parallel_replay_deterministic_across_runs_and_thread_counts() {
             let tb: Vec<f64> = r.timings.iter().map(|t| t.elapsed_ms).collect();
             assert_eq!(ta, tb, "bitwise-identical timings at {threads} threads");
         }
-    }
-}
-
-/// The trace-simulation worker pool must return results identical to
-/// serial execution, in job order, for any thread count.
-#[test]
-fn sim_worker_pool_deterministic_across_thread_counts() {
-    let traces: Vec<_> = (0..3u64)
-        .map(|i| {
-            synthesize(&TraceProfile {
-                data_ops: 500,
-                sequentiality: 0.5 + 0.1 * i as f64,
-                seed: 0xBEEF + i,
-                ..Default::default()
-            })
-        })
-        .collect();
-    let jobs: Vec<SimJob<'_>> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, trace)| SimJob {
-            trace,
-            machine: MachineConfig::with_disks(1 + i),
-            options: TraceSimOptions::default(),
-        })
-        .collect();
-    let serial: Vec<_> = jobs.iter().map(|j| trace_sim(j.trace, &j.machine, &j.options)).collect();
-    for threads in [1usize, 2, 3, 7] {
-        assert_eq!(trace_sim_pool(&jobs, threads), serial, "{threads} threads");
     }
 }
 
