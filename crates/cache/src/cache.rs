@@ -3,10 +3,25 @@
 //! A page-granular cache with a pluggable replacement policy (seven of
 //! them, selected by [`ReplacementPolicy`]; LRU is the default) and
 //! sequential readahead, plus a *cost model* that converts cache events
-//! into simulated latencies. The cache keeps no page table of its own:
-//! the policy's slab is the table, and each resident page's dirty and
-//! prefetched bits live in its node. The defaults are calibrated so
-//! replayed traces reproduce the paper's observations:
+//! into simulated latencies. It comes in two layers:
+//!
+//! - [`ShardCore`] is the page level: the policy slab (which is also
+//!   the page table — each resident page's dirty and prefetched bits
+//!   live in its node), the counters, and the per-page transitions
+//!   (`page_access`, `finish_run`, `stage_prefetch`, `stage_open_page`,
+//!   `evict_file_pages`, `flush_pages`). It knows nothing of files,
+//!   operations or readahead.
+//! - [`BufferCache`] is the single-owner front-end: one core, one
+//!   readahead detector, one file registry. Its operations (open /
+//!   close / seek / read-write) are not written here: they are the
+//!   crate's one operation-level driver (`driver.rs`) run over a
+//!   one-shard, lock-free shard set. [`ShardedBufferCache`] and its
+//!   worker views run the *same* driver over other shard sets.
+//!
+//! [`ShardedBufferCache`]: crate::shard::ShardedBufferCache
+//!
+//! The defaults are calibrated so replayed traces reproduce the paper's
+//! observations:
 //!
 //! - a warm (fully cached) operation costs microseconds — Table 1's
 //!   0.0025 ms reads, Table 3's 7.5e-5 ms seeks,
@@ -23,8 +38,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use std::iter::StepBy;
+use std::ops::{Deref, DerefMut, Range};
+
+use crate::driver::{self, ShardSet};
 use crate::metrics::CacheMetrics;
-use crate::page::{page_span, FileId, PageId};
+use crate::page::{FileId, PageId};
 use crate::policy::{PolicySet, ReplacementPolicy, WritePolicy};
 use crate::prefetch::{PrefetchConfig, Prefetcher};
 
@@ -139,24 +158,21 @@ const DIRTY: u8 = 1;
 /// The page was staged by readahead and has not been demanded yet.
 const PREFETCHED: u8 = 2;
 
-/// State threaded through a sequence of [`BufferCache::page_access`]
-/// calls belonging to one operation (the sharding SPI).
+/// State threaded through a sequence of [`ShardCore::page_access`]
+/// calls belonging to one operation.
 ///
 /// A cursor tracks two things the per-page step cannot know on its own:
-/// whether the previous page of *this* operation on *this* cache
-/// instance missed (so a continuing miss run is charged positioning
-/// only once), and — in run-promotion mode — which resident page
-/// currently stands for the whole run, remembered with its policy slot
-/// so promoting it needs no second lookup. [`ShardedBufferCache`] keeps
-/// one cursor per shard so each shard sees exactly the miss-run
-/// structure of its own page subsequence, which is what makes
-/// shard-local eviction decisions independent of the total shard
-/// count.
+/// whether the previous page of *this* operation on *this* core missed
+/// (so a continuing miss run is charged positioning only once), and —
+/// in run-promotion mode — which resident page currently stands for the
+/// whole run, remembered with its policy slot so promoting it needs no
+/// second lookup. The operation driver keeps one cursor per touched
+/// shard so each shard sees exactly the miss-run structure of its own
+/// page subsequence, which is what makes shard-local eviction decisions
+/// independent of the total shard count.
 ///
 /// A cursor belongs to one operation: the pages fed through it must be
-/// distinct, and it is spent by [`BufferCache::finish_run`].
-///
-/// [`ShardedBufferCache`]: crate::shard::ShardedBufferCache
+/// distinct, and it is spent by [`ShardCore::finish_run`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunCursor {
     in_miss_run: bool,
@@ -165,7 +181,7 @@ pub struct RunCursor {
 
 impl RunCursor {
     /// Whether a run-promotion candidate is pending (i.e.
-    /// [`BufferCache::finish_run`] would do work).
+    /// [`ShardCore::finish_run`] would do work).
     pub fn has_pending_promotion(&self) -> bool {
         self.run_mru.is_some()
     }
@@ -202,39 +218,32 @@ impl AccessOutcome {
     }
 }
 
-/// A page-granular buffer cache with readahead, under the replacement
-/// policy [`CacheConfig::policy`] names. The policy set doubles as the
-/// page table (see [`PolicySet`]).
+/// The page level of the cache: one replacement-policy instance (whose
+/// slab doubles as the page table, see [`PolicySet`]), its counters,
+/// and the per-page transitions every operation decomposes into.
+///
+/// A core has no notion of files, operations or readahead — those live
+/// in the operation driver and its front-ends ([`BufferCache`],
+/// [`ShardedBufferCache`]). Of its [`CacheConfig`] it reads the
+/// capacity, the policies and the cost model; the readahead fields are
+/// the front-end's business.
+///
+/// [`ShardedBufferCache`]: crate::shard::ShardedBufferCache
 #[derive(Debug, Clone)]
-pub struct BufferCache {
+pub struct ShardCore {
     cfg: CacheConfig,
     resident: Box<dyn PolicySet<PageId>>,
-    prefetcher: Prefetcher,
     metrics: CacheMetrics,
-    files: Vec<String>,
 }
 
-impl BufferCache {
-    /// Creates an empty cache.
+impl ShardCore {
+    /// Creates an empty core holding up to `cfg.capacity_pages` pages.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.page_size > 0, "page size must be positive");
-        let prefetcher = Prefetcher::new(cfg.prefetch);
         // The single registry point: the configured policy builds its
         // own residency set, sized so the replay hot loop never regrows.
         let resident = cfg.policy.build(cfg.capacity_pages);
-        Self { cfg, resident, prefetcher, metrics: CacheMetrics::default(), files: Vec::new() }
-    }
-
-    /// Registers a file name, returning its id. The cache itself never
-    /// touches the filesystem; names are bookkeeping for reports.
-    pub fn register_file(&mut self, name: impl Into<String>) -> FileId {
-        self.files.push(name.into());
-        FileId(self.files.len() as u32 - 1)
-    }
-
-    /// Name of a registered file.
-    pub fn file_name(&self, file: FileId) -> Option<&str> {
-        self.files.get(file.0 as usize).map(String::as_str)
+        Self { cfg, resident, metrics: CacheMetrics::default() }
     }
 
     /// Cumulative metrics.
@@ -284,78 +293,6 @@ impl BufferCache {
         self.resident.admit(id, bits);
     }
 
-    /// Performs a read or write of `len` bytes at `offset`, returning
-    /// the cache outcome including the simulated latency.
-    pub fn access(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> AccessOutcome {
-        self.access_impl(file, offset, len, kind, true)
-    }
-
-    /// Sequential-run fast path: like [`BufferCache::access`], but the
-    /// replacement policy is touched **once per run** (the run's final
-    /// resident page stands for the whole stretch) instead of once per
-    /// page.
-    ///
-    /// While nothing is evicted mid-operation, hit/miss/prefetch counts
-    /// and the simulated cost are identical to
-    /// [`BufferCache::access`]. Under eviction pressure the policy sees
-    /// a different recency ranking for the run's pages, so victim
-    /// choice — and with it hit ratios, writebacks and cost — can
-    /// diverge from the per-page-touch path. The divergence is
-    /// deterministic, and it models a cache whose sequential runs are
-    /// promoted as a unit. Trace replay uses this for multi-page data
-    /// operations, where per-page promotion dominated the profile.
-    pub fn access_run(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> AccessOutcome {
-        self.access_impl(file, offset, len, kind, false)
-    }
-
-    fn access_impl(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        kind: AccessKind,
-        per_page_touch: bool,
-    ) -> AccessOutcome {
-        let mut out = AccessOutcome { cost_ms: self.cfg.costs.op_base, ..Default::default() };
-        let (first, last) = page_span(offset, len, self.cfg.page_size);
-
-        let mut cursor = RunCursor::default();
-        for index in first..=last {
-            self.page_access(PageId { file, index }, kind, per_page_touch, &mut cursor, &mut out);
-        }
-        self.finish_run(cursor);
-
-        if self.cfg.prefetch_enabled && self.cfg.capacity_pages > 0 {
-            let window = self.prefetcher.on_access(file, first, last);
-            for ahead in 1..=window {
-                self.stage_prefetch(PageId { file, index: last + ahead }, &mut out);
-            }
-        }
-        out
-    }
-
-    // --- Sharding SPI -------------------------------------------------
-    //
-    // The methods below are the per-page steps `access`/`access_run`/
-    // `open`/`close` are built from. They are public so that
-    // [`crate::shard::ShardedBufferCache`] and parallel replay engines
-    // can drive each shard's `BufferCache` through exactly the same
-    // state transitions the monolithic cache performs — the
-    // single-shard equivalence property in `tests/cache_properties.rs`
-    // holds *by construction* because both paths execute this code.
-
     /// Performs the cache transition for one page of an operation,
     /// threading miss-run and run-promotion state through `cursor` and
     /// accumulating counters and cost into `out`.
@@ -364,7 +301,7 @@ impl BufferCache {
     /// hit (the [`BufferCache::access`] semantics); without it the
     /// cursor remembers the page as the run's promotion candidate (the
     /// [`BufferCache::access_run`] semantics) and the caller must invoke
-    /// [`BufferCache::finish_run`] after the last page.
+    /// [`ShardCore::finish_run`] after the last page.
     pub fn page_access(
         &mut self,
         id: PageId,
@@ -415,7 +352,7 @@ impl BufferCache {
     }
 
     /// Completes a run-promotion (`per_page_touch = false`) sequence of
-    /// [`BufferCache::page_access`] calls: the run's final resident page
+    /// [`ShardCore::page_access`] calls: the run's final resident page
     /// is promoted once, standing for the whole stretch.
     pub fn finish_run(&mut self, cursor: RunCursor) {
         if let Some((id, slot)) = cursor.run_mru {
@@ -455,8 +392,8 @@ impl BufferCache {
     }
 
     /// Evicts every resident page of `file`, writing dirty ones back
-    /// into `out` — the page-side effect of [`BufferCache::close`],
-    /// without the fixed close cost or the readahead-state reset.
+    /// into `out` — the page-side effect of a close, without the fixed
+    /// close cost or the readahead-state reset.
     pub fn evict_file_pages(&mut self, file: FileId, out: &mut AccessOutcome) {
         let mut victims: Vec<PageId> = Vec::new();
         self.resident.visit_residents(&mut |id, _| {
@@ -476,7 +413,7 @@ impl BufferCache {
     }
 
     /// Writes every dirty page back without evicting, accumulating into
-    /// `out` — the page-side effect of [`BufferCache::flush`].
+    /// `out` — the page-side effect of a flush.
     pub fn flush_pages(&mut self, out: &mut AccessOutcome) {
         let mut dirty = 0;
         self.resident.visit_residents(&mut |_, bits| {
@@ -489,42 +426,164 @@ impl BufferCache {
             self.write_back(out);
         }
     }
+}
+
+/// A page-granular buffer cache with readahead, under the replacement
+/// policy [`CacheConfig::policy`] names: the single-owner front-end of
+/// the operation driver — one [`ShardCore`] (reachable through `Deref`,
+/// so the page-level surface and the read-only accessors are the
+/// core's), one readahead detector, one file registry, no lock.
+#[derive(Debug, Clone)]
+pub struct BufferCache {
+    core: ShardCore,
+    prefetcher: Prefetcher,
+    files: Vec<String>,
+}
+
+impl Deref for BufferCache {
+    type Target = ShardCore;
+
+    fn deref(&self) -> &ShardCore {
+        &self.core
+    }
+}
+
+impl DerefMut for BufferCache {
+    fn deref_mut(&mut self) -> &mut ShardCore {
+        &mut self.core
+    }
+}
+
+/// The solo shard set: the cache's one core is shard 0 and owns every
+/// page, nothing is locked, and one accumulator takes the whole
+/// operation (base cost included).
+struct Solo<'a> {
+    core: &'a mut ShardCore,
+    prefetcher: &'a mut Prefetcher,
+    out: AccessOutcome,
+}
+
+impl ShardSet for Solo<'_> {
+    #[inline]
+    fn config(&self) -> &CacheConfig {
+        self.core.config()
+    }
+
+    #[inline]
+    fn charge_base(&mut self, ms: f64) {
+        self.out.cost_ms += ms;
+    }
+
+    #[inline]
+    fn owner(&self, _id: PageId) -> Option<usize> {
+        Some(0)
+    }
+
+    #[inline]
+    fn shards(&self) -> StepBy<Range<usize>> {
+        (0..1).step_by(1)
+    }
+
+    #[inline]
+    fn on_shard(&mut self, _s: usize, step: impl FnOnce(&mut ShardCore, &mut AccessOutcome)) {
+        step(self.core, &mut self.out)
+    }
+
+    #[inline]
+    fn readahead<R>(&mut self, ask: impl FnOnce(&mut Prefetcher) -> R) -> R {
+        ask(self.prefetcher)
+    }
+}
+
+impl BufferCache {
+    /// Creates an empty cache.
+    pub fn new(cfg: CacheConfig) -> Self {
+        let prefetcher = Prefetcher::new(cfg.prefetch);
+        Self { core: ShardCore::new(cfg), prefetcher, files: Vec::new() }
+    }
+
+    /// Registers a file name, returning its id. The cache itself never
+    /// touches the filesystem; names are bookkeeping for reports.
+    pub fn register_file(&mut self, name: impl Into<String>) -> FileId {
+        self.files.push(name.into());
+        FileId(self.files.len() as u32 - 1)
+    }
+
+    /// Name of a registered file.
+    pub fn file_name(&self, file: FileId) -> Option<&str> {
+        self.files.get(file.0 as usize).map(String::as_str)
+    }
+
+    /// Runs one driver operation over the solo shard set and returns
+    /// what it accumulated.
+    fn drive(&mut self, op: impl FnOnce(&mut Solo<'_>)) -> AccessOutcome {
+        let mut set = Solo {
+            core: &mut self.core,
+            prefetcher: &mut self.prefetcher,
+            out: AccessOutcome::default(),
+        };
+        op(&mut set);
+        set.out
+    }
+
+    /// Performs a read or write of `len` bytes at `offset`, returning
+    /// the cache outcome including the simulated latency.
+    pub fn access(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> AccessOutcome {
+        self.drive(|set| driver::data_op(set, None, file, offset, len, kind, true))
+    }
+
+    /// Sequential-run fast path: like [`BufferCache::access`], but the
+    /// replacement policy is touched **once per run** (the run's final
+    /// resident page stands for the whole stretch) instead of once per
+    /// page.
+    ///
+    /// While nothing is evicted mid-operation, hit/miss/prefetch counts
+    /// and the simulated cost are identical to
+    /// [`BufferCache::access`]. Under eviction pressure the policy sees
+    /// a different recency ranking for the run's pages, so victim
+    /// choice — and with it hit ratios, writebacks and cost — can
+    /// diverge from the per-page-touch path. The divergence is
+    /// deterministic, and it models a cache whose sequential runs are
+    /// promoted as a unit. Trace replay uses this for multi-page data
+    /// operations, where per-page promotion dominated the profile.
+    pub fn access_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> AccessOutcome {
+        self.drive(|set| driver::data_op(set, None, file, offset, len, kind, false))
+    }
 
     /// Opens `file`: fixed metadata cost; stages the header page like
     /// the paper describes ("a page or two is placed in I/O buffers"),
     /// without charging fault cost (the platform overlaps it).
     pub fn open(&mut self, file: FileId) -> AccessOutcome {
-        let mut out = AccessOutcome { cost_ms: self.cfg.costs.open_base, ..Default::default() };
-        self.stage_open_page(PageId { file, index: 0 }, &mut out);
-        out
+        self.drive(|set| driver::open(set, file))
     }
 
     /// Seeks: file-pointer update plus informing the readahead engine
     /// (a far seek breaks the sequential run).
     pub fn seek(&mut self, file: FileId, offset: u64) -> AccessOutcome {
-        let index = offset / self.cfg.page_size;
-        // A seek is an access of zero pages at the target: it perturbs
-        // the run detector without faulting anything.
-        if index > 0 {
-            self.prefetcher.on_access(file, index, index.saturating_sub(1));
-        }
-        AccessOutcome { cost_ms: self.cfg.costs.seek_base, ..Default::default() }
+        self.drive(|set| driver::seek(set, file, offset))
     }
 
     /// Closes `file`: flushes its dirty pages and drops its residency.
     /// The dirty flush is what makes close slower than open.
     pub fn close(&mut self, file: FileId) -> AccessOutcome {
-        let mut out = AccessOutcome { cost_ms: self.cfg.costs.close_base, ..Default::default() };
-        self.evict_file_pages(file, &mut out);
-        self.prefetcher.forget(file);
-        out
+        self.drive(|set| driver::close(set, file))
     }
 
     /// Writes every dirty page back without evicting.
     pub fn flush(&mut self) -> AccessOutcome {
-        let mut out = AccessOutcome::default();
-        self.flush_pages(&mut out);
-        out
+        self.drive(|set| driver::flush(set))
     }
 }
 

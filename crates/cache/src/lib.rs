@@ -20,11 +20,18 @@
 //! - [`scanres`] — scan-resistant replacement (2Q, segmented LRU),
 //! - [`sieve`] — SIEVE (visited-bit hand, lazy promotion),
 //! - [`arc`] — ARC (adaptive recency/frequency with ghost lists),
-//! - [`cache`] — the buffer cache itself, with a cost model that turns
-//!   hits/misses/prefetches into simulated latencies,
-//! - [`shard`] — the lock-striped concurrent cache: N independent
-//!   policy instances behind per-shard mutexes, for multithreaded
-//!   servers and parallel trace replay,
+//! - [`cache`] — the page-level core ([`cache::ShardCore`]: policy
+//!   slab, counters, per-page transitions, and a cost model that turns
+//!   hits/misses/prefetches into simulated latencies) and the
+//!   single-owner [`BufferCache`] over one core,
+//! - `driver` (crate-private) — the one operation-level state machine:
+//!   how open / close / seek / read-write decompose into page steps on
+//!   shards plus readahead, generic over a small shard-set seam that
+//!   exactly three front-ends implement,
+//! - [`shard`] — two of those front-ends: the lock-striped concurrent
+//!   cache (N cores behind per-shard mutexes, for multithreaded
+//!   servers) and its per-worker views (disjoint shard subsets, for
+//!   parallel trace replay),
 //! - [`backend`] — real-filesystem and fault-injecting file backends for
 //!   replaying traces against actual disks,
 //! - [`metrics`] — hit/miss/eviction counters.
@@ -46,6 +53,7 @@
 pub mod arc;
 pub mod backend;
 pub mod cache;
+mod driver;
 mod hash;
 pub mod intrusive;
 pub mod lru;
@@ -61,7 +69,7 @@ pub use backend::{FileBackend, RealFsBackend};
 pub use cache::{AccessKind, BufferCache, CacheConfig, CacheCostModel};
 pub use metrics::CacheMetrics;
 pub use page::{PageId, PAGE_SIZE_DEFAULT};
-pub use policy::{CachePolicyKind, PolicySet};
+pub use policy::PolicySet;
 pub use shard::ShardedBufferCache;
 
 /// Upper bound on entries pre-allocated from a configured capacity:

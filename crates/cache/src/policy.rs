@@ -181,14 +181,6 @@ pub enum ReplacementPolicy {
     Arc,
 }
 
-/// The policy alphabet as seen by sharded constructors.
-///
-/// [`crate::shard::ShardedBufferCache::for_policy`] takes a
-/// `CachePolicyKind` and instantiates one full policy instance *per
-/// shard*, so all seven policies shard uniformly: the kind selects the
-/// per-shard residency structure, the shard map stays policy-agnostic.
-pub type CachePolicyKind = ReplacementPolicy;
-
 impl ReplacementPolicy {
     /// All policies, in ablation order.
     pub const ALL: [ReplacementPolicy; 7] = [

@@ -4,23 +4,37 @@
 //! `&mut self`, so a multithreaded server serializes all requests on
 //! one lock around the whole cache. [`ShardedBufferCache`] removes that
 //! bottleneck with classic lock striping: the page-id space is hashed
-//! into N shards, each shard is a *full policy instance* (its own
-//! residency set, page table and counters) behind a
-//! [`parking_lot::Mutex`], and an operation only locks the shards its
-//! pages actually map to.
+//! into N shards, each shard is a [`ShardCore`] — a *full policy
+//! instance* (its own residency set, page table and counters) and
+//! nothing else — behind a [`parking_lot::Mutex`], and an operation
+//! only locks the shards its pages actually map to.
+//!
+//! Operations are not written here. The crate has one operation-level
+//! driver (`driver.rs`: open / close / seek / read-write with readahead)
+//! and this module supplies two of its three front-ends:
+//!
+//! - the **striped** set behind [`ShardedBufferCache`]'s own verbs:
+//!   every shard, one lock each, the shared readahead detector locked
+//!   only around each question put to it, one cost accumulator;
+//! - the **owned subset** behind [`ShardView`]: worker `w` of `T` sees
+//!   only the shards `s` with `s % T == w`, skips every other page,
+//!   consults a private detector replica and reports one partial
+//!   outcome per owned shard — what parallel trace replay drives.
 //!
 //! Design invariants, pinned by `tests/cache_properties.rs`:
 //!
 //! 1. **Single-shard equivalence.** With one shard, every operation is
 //!    access-for-access identical to [`BufferCache`] — outcomes,
-//!    metrics, costs and residency. This holds by construction: both
-//!    paths execute the same per-page SPI
-//!    ([`BufferCache::page_access`] et al.) in the same order.
+//!    metrics, costs and residency. Both *are* the same driver code
+//!    over the same core; the property test is the check that the two
+//!    shard sets answer alike.
 //! 2. **Shard independence.** A shard's eviction decisions depend only
 //!    on the subsequence of pages that map to it — never on traffic to
 //!    sibling shards. Changing the shard count changes the partition,
 //!    not the behaviour of any shard on its own stream, which is what
-//!    makes parallel replay deterministic across thread counts.
+//!    makes parallel replay deterministic across thread counts: the
+//!    worker views of one cache, each fed the whole stream, leave every
+//!    shard exactly where the striped verbs would.
 //! 3. **Capacity partition.** The configured capacity is divided
 //!    across shards (remainder pages go to the lowest-numbered
 //!    shards), so total residency never exceeds the configured
@@ -37,15 +51,21 @@
 //! runs span shard boundaries, so one top-level [`Prefetcher`] (its own
 //! small mutex) observes the access stream and the staged pages are
 //! routed to their shards. Its decisions depend only on the access
-//! sequence, which lets parallel replay workers run a private replica
-//! instead of contending on it.
+//! sequence, which lets each worker view run a private replica instead
+//! of contending on it.
+//!
+//! [`BufferCache`]: crate::cache::BufferCache
+//! [`BufferCache::access_run`]: crate::cache::BufferCache::access_run
+
+use std::iter::StepBy;
+use std::ops::Range;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::cache::{AccessKind, AccessOutcome, BufferCache, CacheConfig, RunCursor};
+use crate::cache::{AccessKind, AccessOutcome, CacheConfig, RunCursor, ShardCore};
+use crate::driver::{self, ShardSet};
 use crate::metrics::CacheMetrics;
-use crate::page::{page_span, FileId, PageId};
-use crate::policy::CachePolicyKind;
+use crate::page::{FileId, PageId};
 use crate::prefetch::Prefetcher;
 
 /// Pages per shard block: page→shard hashing is done on aligned blocks
@@ -53,38 +73,54 @@ use crate::prefetch::Prefetcher;
 /// runs decompose into few per-shard groups.
 pub const SHARD_BLOCK_PAGES: u64 = 64;
 
-const SHARD_BLOCK_SHIFT: u32 = SHARD_BLOCK_PAGES.trailing_zeros();
-
-/// Default shard count for callers that don't size it explicitly.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// Multi-block spans touching at most this many blocks keep their
-/// per-shard run cursors on the stack.
-const INLINE_RUNS: usize = 8;
-
-/// Splits the inclusive page range `first..=last` into its maximal
-/// sub-ranges that stay inside one aligned shard block, in ascending
-/// order. A block boundary is the only place the owning shard can
-/// change, so each yielded `(start, end)` run belongs to one shard and
-/// can be processed under one lock acquisition.
-pub fn block_runs(first: u64, last: u64) -> impl Iterator<Item = (u64, u64)> {
-    let mut next = Some(first).filter(|&f| f <= last);
-    std::iter::from_fn(move || {
-        let start = next?;
-        let end = (start | (SHARD_BLOCK_PAGES - 1)).min(last);
-        next = end.checked_add(1).filter(|&n| n <= last);
-        Some((start, end))
-    })
-}
-
 /// A page-granular buffer cache striped across N independently locked
 /// shards. See the module docs for the invariants.
 #[derive(Debug)]
 pub struct ShardedBufferCache {
     cfg: CacheConfig,
-    shards: Vec<Mutex<BufferCache>>,
+    shards: Vec<Mutex<ShardCore>>,
     prefetcher: Mutex<Prefetcher>,
     files: Mutex<Vec<String>>,
+}
+
+/// The striped shard set: every shard of `cache`, each locked for the
+/// duration of one step, the shared detector locked for the duration of
+/// one question, one accumulator for the whole operation.
+struct Striped<'c> {
+    cache: &'c ShardedBufferCache,
+    out: AccessOutcome,
+}
+
+impl ShardSet for Striped<'_> {
+    #[inline]
+    fn config(&self) -> &CacheConfig {
+        &self.cache.cfg
+    }
+
+    #[inline]
+    fn charge_base(&mut self, ms: f64) {
+        self.out.cost_ms += ms;
+    }
+
+    #[inline]
+    fn owner(&self, id: PageId) -> Option<usize> {
+        Some(self.cache.shard_of(id))
+    }
+
+    #[inline]
+    fn shards(&self) -> StepBy<Range<usize>> {
+        (0..self.cache.shards.len()).step_by(1)
+    }
+
+    #[inline]
+    fn on_shard(&mut self, s: usize, step: impl FnOnce(&mut ShardCore, &mut AccessOutcome)) {
+        step(&mut self.cache.shards[s].lock(), &mut self.out)
+    }
+
+    #[inline]
+    fn readahead<R>(&mut self, ask: impl FnOnce(&mut Prefetcher) -> R) -> R {
+        ask(&mut self.cache.prefetcher.lock())
+    }
 }
 
 impl ShardedBufferCache {
@@ -94,37 +130,23 @@ impl ShardedBufferCache {
     ///
     /// The shard count is additionally clamped to `capacity_pages`:
     /// with more shards than pages, [`shard_capacity`] would hand the
-    /// high shards capacity 0, and a zero-capacity [`BufferCache`]
-    /// never caches — pages hashed there would see a 0 % hit ratio
-    /// forever while the low shards sat half empty. Clamping instead
-    /// guarantees every shard at least one page whenever the aggregate
-    /// capacity is nonzero, so every page of the id space remains
-    /// cacheable. (A zero aggregate capacity still means "never
-    /// cache", now on a single shard.)
+    /// high shards capacity 0, and a zero-capacity core never caches —
+    /// pages hashed there would see a 0 % hit ratio forever while the
+    /// low shards sat half empty. Clamping instead guarantees every
+    /// shard at least one page whenever the aggregate capacity is
+    /// nonzero, so every page of the id space remains cacheable. (A
+    /// zero aggregate capacity still means "never cache", now on a
+    /// single shard.)
     pub fn new(cfg: CacheConfig, shards: usize) -> Self {
-        assert!(cfg.page_size > 0, "page size must be positive");
         let n = shards.max(1).min(cfg.capacity_pages.max(1));
         let prefetcher = Mutex::new(Prefetcher::new(cfg.prefetch));
         let shards = (0..n)
             .map(|i| {
-                let shard_cfg = CacheConfig {
-                    capacity_pages: shard_capacity(cfg.capacity_pages, n, i),
-                    // Shards never self-prefetch; readahead is driven at
-                    // the sharded level and staged per page.
-                    prefetch_enabled: false,
-                    ..cfg.clone()
-                };
-                Mutex::new(BufferCache::new(shard_cfg))
+                let capacity_pages = shard_capacity(cfg.capacity_pages, n, i);
+                Mutex::new(ShardCore::new(CacheConfig { capacity_pages, ..cfg.clone() }))
             })
             .collect();
         Self { cfg, shards, prefetcher, files: Mutex::new(Vec::new()) }
-    }
-
-    /// Creates a cache running `policy` in every shard — the
-    /// policy-generic constructor: the kind selects each shard's
-    /// residency structure, everything else shards uniformly.
-    pub fn for_policy(policy: CachePolicyKind, shards: usize, base: CacheConfig) -> Self {
-        Self::new(CacheConfig { policy, ..base }, shards)
     }
 
     /// Number of shards.
@@ -141,7 +163,7 @@ impl ShardedBufferCache {
     /// page's aligned block, so results are identical across runs,
     /// platforms and thread counts.
     pub fn shard_of(&self, id: PageId) -> usize {
-        let block = id.index >> SHARD_BLOCK_SHIFT;
+        let block = id.index / SHARD_BLOCK_PAGES;
         let mut x = ((id.file.0 as u64) << 40) ^ block;
         // SplitMix64 finalizer: full-avalanche mixing keeps shards
         // balanced even for the all-sequential traces.
@@ -151,15 +173,20 @@ impl ShardedBufferCache {
         (x % self.shards.len() as u64) as usize
     }
 
-    /// Locks shard `s`, exposing its [`BufferCache`] for SPI-level
-    /// driving (parallel replay workers own disjoint shard sets and use
-    /// this to replay their subsequences).
-    pub fn lock_shard(&self, s: usize) -> MutexGuard<'_, BufferCache> {
+    /// The shard that serves the page holding byte `offset` of `file` —
+    /// where a request for that byte queues.
+    pub fn home_shard(&self, file: FileId, offset: u64) -> usize {
+        self.shard_of(PageId::containing(file, offset, self.cfg.page_size))
+    }
+
+    /// Locks shard `s`, exposing its page-level core (tests compare a
+    /// shard with a standalone replica through this).
+    pub fn lock_shard(&self, s: usize) -> MutexGuard<'_, ShardCore> {
         self.shards[s].lock()
     }
 
     /// Registers a file name, returning its id (ids are shared across
-    /// shards; shards' internal registries are unused).
+    /// shards).
     pub fn register_file(&self, name: impl Into<String>) -> FileId {
         let mut files = self.files.lock();
         files.push(name.into());
@@ -185,6 +212,13 @@ impl ShardedBufferCache {
         self.shards[s].lock().metrics()
     }
 
+    /// Pages resident in shard `s`, and the capacity share they must
+    /// fit in.
+    pub fn shard_occupancy(&self, s: usize) -> (usize, usize) {
+        let shard = self.shards[s].lock();
+        (shard.resident_pages(), shard.config().capacity_pages)
+    }
+
     /// Total pages resident across all shards.
     pub fn resident_pages(&self) -> usize {
         self.shards.iter().map(|s| s.lock().resident_pages()).sum()
@@ -192,20 +226,31 @@ impl ShardedBufferCache {
 
     /// Whether the page holding `offset` is resident (in its shard).
     pub fn is_resident(&self, file: FileId, offset: u64) -> bool {
-        let id = PageId::containing(file, offset, self.cfg.page_size);
-        self.shards[self.shard_of(id)].lock().is_resident(file, offset)
+        self.shards[self.home_shard(file, offset)].lock().is_resident(file, offset)
+    }
+
+    /// Runs one driver operation over the striped shard set and returns
+    /// what it accumulated.
+    fn drive(&self, op: impl FnOnce(&mut Striped<'_>)) -> AccessOutcome {
+        let mut set = Striped { cache: self, out: AccessOutcome::default() };
+        op(&mut set);
+        set.out
     }
 
     /// Performs a read or write of `len` bytes at `offset`; pages are
     /// routed to their shards, the policy touched per page — the
     /// sharded analogue of [`BufferCache::access`].
+    ///
+    /// [`BufferCache::access`]: crate::cache::BufferCache::access
     pub fn access(&self, file: FileId, offset: u64, len: u64, kind: AccessKind) -> AccessOutcome {
-        self.access_impl(file, offset, len, kind, true)
+        self.drive(|set| driver::data_op(set, None, file, offset, len, kind, true))
     }
 
     /// Sequential-run fast path: the policy of each shard is touched
     /// once per that shard's portion of the run — the sharded analogue
     /// of [`BufferCache::access_run`].
+    ///
+    /// [`BufferCache::access_run`]: crate::cache::BufferCache::access_run
     pub fn access_run(
         &self,
         file: FileId,
@@ -213,134 +258,170 @@ impl ShardedBufferCache {
         len: u64,
         kind: AccessKind,
     ) -> AccessOutcome {
-        self.access_impl(file, offset, len, kind, false)
-    }
-
-    fn access_impl(
-        &self,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        kind: AccessKind,
-        per_page_touch: bool,
-    ) -> AccessOutcome {
-        let mut out = AccessOutcome { cost_ms: self.cfg.costs.op_base, ..Default::default() };
-        let (first, last) = page_span(offset, len, self.cfg.page_size);
-
-        if first >> SHARD_BLOCK_SHIFT == last >> SHARD_BLOCK_SHIFT {
-            // Fast path for the common case (a span inside one aligned
-            // block, hence one shard): no per-shard cursor vector, one
-            // lock acquisition, promotion done in place. This is the
-            // path nearly every web-server request takes.
-            let s = self.shard_of(PageId { file, index: first });
-            let mut cursor = RunCursor::default();
-            let mut shard = self.shards[s].lock();
-            for i in first..=last {
-                shard.page_access(
-                    PageId { file, index: i },
-                    kind,
-                    per_page_touch,
-                    &mut cursor,
-                    &mut out,
-                );
-            }
-            shard.finish_run(cursor);
-        } else {
-            // General path: walk the span in per-shard groups, each
-            // processed under one lock acquisition, then promote only
-            // the shards we touched. A span of B blocks touches at most
-            // B shards, so the per-shard cursors — `(shard, cursor)` in
-            // first-touch order — fit a small stack array unless the
-            // span is unusually long.
-            let blocks = ((last >> SHARD_BLOCK_SHIFT) - (first >> SHARD_BLOCK_SHIFT)) as usize + 1;
-            let mut inline = [(0usize, RunCursor::default()); INLINE_RUNS];
-            let mut spilled = Vec::new();
-            let runs: &mut [(usize, RunCursor)] = if blocks <= INLINE_RUNS {
-                &mut inline
-            } else {
-                spilled.resize(blocks.min(self.shards.len()), (0, RunCursor::default()));
-                &mut spilled
-            };
-            let mut touched = 0;
-            for (start, end) in block_runs(first, last) {
-                let s = self.shard_of(PageId { file, index: start });
-                let run = match runs[..touched].iter().position(|&(shard, _)| shard == s) {
-                    Some(run) => run,
-                    None => {
-                        runs[touched] = (s, RunCursor::default());
-                        touched += 1;
-                        touched - 1
-                    }
-                };
-                let mut shard = self.shards[s].lock();
-                for i in start..=end {
-                    shard.page_access(
-                        PageId { file, index: i },
-                        kind,
-                        per_page_touch,
-                        &mut runs[run].1,
-                        &mut out,
-                    );
-                }
-            }
-            for &(s, cursor) in &runs[..touched] {
-                if cursor.has_pending_promotion() {
-                    self.shards[s].lock().finish_run(cursor);
-                }
-            }
-        }
-
-        if self.cfg.prefetch_enabled && self.cfg.capacity_pages > 0 {
-            let window = self.prefetcher.lock().on_access(file, first, last);
-            // The window sits in one or two blocks: one lock each, not
-            // one per staged page.
-            for (start, end) in block_runs(last + 1, last + window) {
-                let mut shard = self.shards[self.shard_of(PageId { file, index: start })].lock();
-                for i in start..=end {
-                    shard.stage_prefetch(PageId { file, index: i }, &mut out);
-                }
-            }
-        }
-        out
+        self.drive(|set| driver::data_op(set, None, file, offset, len, kind, false))
     }
 
     /// Opens `file`: fixed metadata cost plus staging the header page
     /// into its shard.
     pub fn open(&self, file: FileId) -> AccessOutcome {
-        let mut out = AccessOutcome { cost_ms: self.cfg.costs.open_base, ..Default::default() };
-        let id = PageId { file, index: 0 };
-        self.shards[self.shard_of(id)].lock().stage_open_page(id, &mut out);
-        out
+        self.drive(|set| driver::open(set, file))
     }
 
     /// Seeks: file-pointer update plus informing the shared readahead
     /// engine (a far seek breaks the sequential run).
     pub fn seek(&self, file: FileId, offset: u64) -> AccessOutcome {
-        let index = offset / self.cfg.page_size;
-        if index > 0 {
-            self.prefetcher.lock().on_access(file, index, index.saturating_sub(1));
-        }
-        AccessOutcome { cost_ms: self.cfg.costs.seek_base, ..Default::default() }
+        self.drive(|set| driver::seek(set, file, offset))
     }
 
     /// Closes `file`: every shard flushes and drops the file's pages;
     /// the shared readahead state for it is forgotten.
     pub fn close(&self, file: FileId) -> AccessOutcome {
-        let mut out = AccessOutcome { cost_ms: self.cfg.costs.close_base, ..Default::default() };
-        for shard in &self.shards {
-            shard.lock().evict_file_pages(file, &mut out);
-        }
-        self.prefetcher.lock().forget(file);
-        out
+        self.drive(|set| driver::close(set, file))
     }
 
     /// Writes every dirty page back without evicting, shard by shard.
     pub fn flush(&self) -> AccessOutcome {
-        let mut out = AccessOutcome::default();
-        for shard in &self.shards {
-            shard.lock().flush_pages(&mut out);
+        self.drive(|set| driver::flush(set))
+    }
+
+    /// The view of worker `worker` of `threads` (`worker < threads`):
+    /// the shards `s` with `s % threads == worker`. The `threads` views
+    /// of one cache partition its shards, so they can run on as many
+    /// threads without contending; each must be fed the *whole*
+    /// operation stream, in order.
+    pub fn worker_view(&self, worker: usize, threads: usize) -> ShardView<'_> {
+        assert!(worker < threads, "worker {worker} of {threads}");
+        let owned = (worker..self.shards.len()).step_by(threads).len();
+        ShardView {
+            cache: self,
+            worker,
+            threads,
+            prefetcher: Prefetcher::new(self.cfg.prefetch),
+            parts: vec![AccessOutcome::default(); owned],
+            spill: Vec::new(),
         }
-        out
+    }
+}
+
+/// One worker's share of a [`ShardedBufferCache`]: the owned-subset
+/// front-end of the operation driver (see
+/// [`ShardedBufferCache::worker_view`]).
+///
+/// Every verb performs the operation's effect on the owned shards only
+/// — pages of foreign shards are skipped, the private readahead replica
+/// still sees the whole access — and returns one partial
+/// [`AccessOutcome`] per owned shard, in ascending shard order (the
+/// `k`-th entry belongs to shard `worker + k·threads`), zero for shards
+/// the operation did not reach. The operation's fixed base cost is in
+/// none of them: whoever merges the views' partials adds it once.
+#[derive(Debug)]
+pub struct ShardView<'c> {
+    cache: &'c ShardedBufferCache,
+    worker: usize,
+    threads: usize,
+    prefetcher: Prefetcher,
+    parts: Vec<AccessOutcome>,
+    /// Cursor storage kept between operations, so long spans over many
+    /// owned shards do not allocate per operation.
+    spill: Vec<(usize, RunCursor)>,
+}
+
+impl ShardSet for ShardView<'_> {
+    #[inline]
+    fn config(&self) -> &CacheConfig {
+        &self.cache.cfg
+    }
+
+    #[inline]
+    fn charge_base(&mut self, _ms: f64) {}
+
+    #[inline]
+    fn owner(&self, id: PageId) -> Option<usize> {
+        Some(self.cache.shard_of(id)).filter(|s| s % self.threads == self.worker)
+    }
+
+    #[inline]
+    fn shards(&self) -> StepBy<Range<usize>> {
+        (self.worker..self.cache.shards.len()).step_by(self.threads)
+    }
+
+    #[inline]
+    fn on_shard(&mut self, s: usize, step: impl FnOnce(&mut ShardCore, &mut AccessOutcome)) {
+        step(&mut self.cache.shards[s].lock(), &mut self.parts[s / self.threads])
+    }
+
+    #[inline]
+    fn readahead<R>(&mut self, ask: impl FnOnce(&mut Prefetcher) -> R) -> R {
+        ask(&mut self.prefetcher)
+    }
+}
+
+impl ShardView<'_> {
+    /// The owned shard ids, ascending — the shards the partial outcomes
+    /// of every verb line up with.
+    pub fn owned_shards(&self) -> impl ExactSizeIterator<Item = usize> {
+        self.shards()
+    }
+
+    /// Runs one driver operation over the owned shards from zeroed
+    /// partials.
+    fn drive(&mut self, op: impl FnOnce(&mut Self)) -> &[AccessOutcome] {
+        self.parts.fill(AccessOutcome::default());
+        op(self);
+        &self.parts
+    }
+
+    fn data_op(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+        per_page_touch: bool,
+    ) -> &[AccessOutcome] {
+        self.drive(|set| {
+            let mut spill = std::mem::take(&mut set.spill);
+            driver::data_op(set, Some(&mut spill), file, offset, len, kind, per_page_touch);
+            set.spill = spill;
+        })
+    }
+
+    /// This worker's share of [`ShardedBufferCache::access`].
+    pub fn access(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> &[AccessOutcome] {
+        self.data_op(file, offset, len, kind, true)
+    }
+
+    /// This worker's share of [`ShardedBufferCache::access_run`].
+    pub fn access_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> &[AccessOutcome] {
+        self.data_op(file, offset, len, kind, false)
+    }
+
+    /// This worker's share of [`ShardedBufferCache::open`].
+    pub fn open(&mut self, file: FileId) -> &[AccessOutcome] {
+        self.drive(|set| driver::open(set, file))
+    }
+
+    /// This worker's share of [`ShardedBufferCache::seek`]: the replica
+    /// detector hears of it, no shard does.
+    pub fn seek(&mut self, file: FileId, offset: u64) -> &[AccessOutcome] {
+        self.drive(|set| driver::seek(set, file, offset))
+    }
+
+    /// This worker's share of [`ShardedBufferCache::close`].
+    pub fn close(&mut self, file: FileId) -> &[AccessOutcome] {
+        self.drive(|set| driver::close(set, file))
     }
 }
 
@@ -353,6 +434,8 @@ pub fn shard_capacity(total: usize, n: usize, i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BufferCache;
+    use crate::driver::block_runs;
     use crate::policy::ReplacementPolicy;
 
     fn cfg(capacity: usize) -> CacheConfig {
@@ -382,10 +465,11 @@ mod tests {
 
     #[test]
     fn long_spans_spill_their_cursors_and_still_match_a_single_cache() {
-        // 40 blocks > INLINE_RUNS: the general path's spilled storage.
-        // With run promotion each of the 3 shards promotes once.
-        let config = CacheConfig { capacity_pages: 4096, ..Default::default() };
-        let sharded = ShardedBufferCache::new(config.clone(), 3);
+        // 40 blocks over 12 shards: more touched shards than the inline
+        // cursor table holds, so the general path spills. With run
+        // promotion each shard promotes once.
+        let config = CacheConfig { capacity_pages: 16 * 1024, ..Default::default() };
+        let sharded = ShardedBufferCache::new(config.clone(), 12);
         let mut mono = BufferCache::new(config);
         let (fs, fm) = (sharded.register_file("long"), mono.register_file("long"));
         let len = 40 * SHARD_BLOCK_PAGES * 4096;
@@ -501,7 +585,7 @@ mod tests {
     #[test]
     fn policy_generic_constructor_selects_policy() {
         for policy in ReplacementPolicy::ALL {
-            let c = ShardedBufferCache::for_policy(policy, 3, cfg(48));
+            let c = ShardedBufferCache::new(CacheConfig { policy, ..cfg(48) }, 3);
             assert_eq!(c.config().policy, policy);
             assert_eq!(c.num_shards(), 3);
             for s in 0..3 {

@@ -24,7 +24,7 @@
 //! load-harness test layer).
 
 use clio_cache::cache::CacheConfig;
-use clio_cache::page::{FileId, PageId};
+use clio_cache::page::FileId;
 use clio_runtime::concurrent::SharedManagedIo;
 use clio_runtime::jit::JitModel;
 use clio_stats::sink::PercentileSink;
@@ -191,26 +191,14 @@ fn dispatch(
     r: &TraceRecord,
 ) -> Option<(clio_runtime::StreamOp, usize)> {
     let fid = files[r.file_id as usize];
-    let page_size = managed.cache().config().page_size;
-    let page = |offset: u64| PageId { file: fid, index: offset / page_size };
-    let (op, shard) = match r.op {
-        IoOp::Open => {
-            (managed.open("open", SERVE_FILE_OPS, fid), managed.cache().shard_of(page(0)))
-        }
-        IoOp::Close => {
-            (managed.close("close", SERVE_FILE_OPS, fid), managed.cache().shard_of(page(0)))
-        }
-        IoOp::Read => (
-            managed.read("doGet", SERVE_GET_OPS, fid, r.offset, r.length),
-            managed.cache().shard_of(page(r.offset)),
-        ),
-        IoOp::Write => (
-            managed.write("doPost", SERVE_POST_OPS, fid, r.offset, r.length),
-            managed.cache().shard_of(page(r.offset)),
-        ),
+    let (op, offset) = match r.op {
+        IoOp::Open => (managed.open("open", SERVE_FILE_OPS, fid), 0),
+        IoOp::Close => (managed.close("close", SERVE_FILE_OPS, fid), 0),
+        IoOp::Read => (managed.read("doGet", SERVE_GET_OPS, fid, r.offset, r.length), r.offset),
+        IoOp::Write => (managed.write("doPost", SERVE_POST_OPS, fid, r.offset, r.length), r.offset),
         IoOp::Seek => return None,
     };
-    Some((op, shard))
+    Some((op, managed.cache().home_shard(fid, offset)))
 }
 
 /// Runs the closed-loop model: a serial virtual-clock event loop, so

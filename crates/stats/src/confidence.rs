@@ -87,8 +87,8 @@ pub fn confidence_interval(summary: &Summary, level: Level) -> Option<Confidence
     if n < 2 {
         return None;
     }
-    let mean = summary.mean().expect("n >= 2");
-    let s2 = summary.sample_variance().expect("n >= 2");
+    let mean = summary.mean()?;
+    let s2 = summary.sample_variance()?;
     let se = (s2 / n as f64).sqrt();
     let t = t_critical(n - 1, level);
     Some(ConfidenceInterval { mean, half_width: t * se })

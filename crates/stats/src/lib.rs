@@ -18,6 +18,7 @@
 //! simulation substrates can embed it without pulling in I/O machinery.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod confidence;
 pub mod percentile;

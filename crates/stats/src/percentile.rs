@@ -16,7 +16,7 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
     if v.is_empty() {
         return None;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered"));
+    v.sort_by(f64::total_cmp);
     Some(quantile_sorted(&v, q))
 }
 
@@ -44,7 +44,7 @@ pub fn quantiles(samples: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
     if v.is_empty() {
         return None;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered"));
+    v.sort_by(f64::total_cmp);
     Some(qs.iter().map(|&q| quantile_sorted(&v, q)).collect())
 }
 

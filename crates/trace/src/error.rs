@@ -35,6 +35,14 @@ pub enum TraceError {
         /// Number of files the header declares.
         num_files: u32,
     },
+    /// A parallel replay re-opened its workload and the streams did not
+    /// line up: one ended where another went on. Every open of a
+    /// workload must yield the same records.
+    StreamDiverged {
+        /// 0-based index of the first record one stream had and
+        /// another lacked.
+        index: u64,
+    },
     /// Bytes remained after the last declared record (or after the v2
     /// end marker) — the signature of a concatenated or padded file.
     TrailingBytes {
@@ -79,6 +87,13 @@ impl fmt::Display for TraceError {
                     f,
                     "record {index} references file {file_id} but header declares \
                      {num_files} files"
+                )
+            }
+            TraceError::StreamDiverged { index } => {
+                write!(
+                    f,
+                    "a re-opened stream of the workload diverged from the lead stream at \
+                     record {index}"
                 )
             }
             TraceError::TrailingBytes { extra } => {
@@ -131,6 +146,7 @@ mod tests {
         assert!(TraceError::FileIdOutOfRange { index: 0, file_id: 5, num_files: 2 }
             .to_string()
             .contains("file 5"));
+        assert!(TraceError::StreamDiverged { index: 41 }.to_string().contains("record 41"));
         assert!(TraceError::TrailingBytes { extra: 9 }.to_string().contains("9 trailing"));
         assert!(TraceError::CorruptBlock { block: 3, context: "bad op nibble" }
             .to_string()

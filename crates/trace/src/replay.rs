@@ -14,9 +14,9 @@
 //!   prefetch charges and dirty-flush closes reproduce the paper's
 //!   anomalies exactly and repeatably.
 //! - [`replay_sharded`] drives a [`ShardedBufferCache`] with a pool of
-//!   workers, each owning a disjoint set of shards and its **own
-//!   stream** over the workload — the multi-core engine, deterministic
-//!   across runs *and* thread counts.
+//!   workers, each holding the cache's [`ShardView`] of a disjoint set
+//!   of shards and its **own stream** over the workload — the
+//!   multi-core engine, deterministic across runs *and* thread counts.
 //! - [`replay_backend`] issues the records against an actual file
 //!   through a [`FileBackend`] ([`open_real_backend`] opens the sample
 //!   file), timing each operation with a monotonic clock — the
@@ -41,6 +41,14 @@
 //! admission rule `V02` rejects such records up front; the drivers check
 //! again because hand-built sources can be replayed unverified).
 //!
+//! The cached drivers speak to the cache in its four operation verbs
+//! (open, close, seek, read/write) and nothing finer: how an operation
+//! becomes page steps on shards is `clio-cache`'s business alone. In
+//! debug builds each of them ends on a conservation oracle computed
+//! from the *records* — the pages the data records span must equal the
+//! demand accesses the cache counted, and no shard may hold more than
+//! its capacity share.
+//!
 //! The preferred front door to all of them is
 //! `clio_exp::Experiment::builder()`.
 
@@ -49,11 +57,10 @@ use std::path::Path;
 use std::time::Duration;
 
 use clio_cache::backend::{FileBackend, RealFsBackend};
-use clio_cache::cache::{AccessKind, AccessOutcome, BufferCache, CacheConfig, RunCursor};
+use clio_cache::cache::{AccessKind, BufferCache, CacheConfig};
 use clio_cache::metrics::CacheMetrics;
-use clio_cache::page::{page_span, FileId, PageId};
-use clio_cache::prefetch::Prefetcher;
-use clio_cache::shard::{block_runs, ShardedBufferCache};
+use clio_cache::page::{pages_touched, FileId};
+use clio_cache::shard::{ShardView, ShardedBufferCache};
 use clio_stats::{Stopwatch, Summary};
 
 use crate::error::TraceError;
@@ -179,12 +186,20 @@ impl ReplayReport {
     }
 
     /// Fills in the counters a sharded replay over `threads` workers
-    /// left in `cache`.
-    fn finish_sharded(mut self, cache: &ShardedBufferCache, threads: usize) -> Self {
+    /// left in `cache`, and settles them against `ledger`.
+    fn finish_sharded(
+        mut self,
+        cache: &ShardedBufferCache,
+        threads: usize,
+        ledger: &PageLedger,
+    ) -> Self {
         self.shard_metrics = (0..cache.num_shards()).map(|s| cache.shard_metrics(s)).collect();
-        for m in &self.shard_metrics {
+        for (s, m) in self.shard_metrics.iter().enumerate() {
             self.metrics.merge(m);
+            let (resident, share) = cache.shard_occupancy(s);
+            debug_assert!(resident <= share, "shard {s} holds {resident} pages of {share}");
         }
+        ledger.settle(&self.metrics);
         self.threads = threads;
         self
     }
@@ -236,6 +251,30 @@ fn check_roster(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), Trace
     }
 }
 
+/// The conservation oracle of the cached drivers (debug builds only):
+/// the page accesses the *records* imply, counted on the lead thread as
+/// they stream past and never read back from the cache.
+#[derive(Default)]
+struct PageLedger {
+    pages: u64,
+}
+
+impl PageLedger {
+    fn count(&mut self, r: &TraceRecord, page_size: u64) {
+        if cfg!(debug_assertions) && matches!(r.op, IoOp::Read | IoOp::Write) {
+            self.pages +=
+                pages_touched(r.offset, r.length, page_size) * u64::from(r.num_records.max(1));
+        }
+    }
+
+    /// Every spanned page was one hit or one miss, and no readahead
+    /// page was claimed twice.
+    fn settle(&self, metrics: &CacheMetrics) {
+        debug_assert_eq!(metrics.accesses(), self.pages, "demand accesses != pages spanned");
+        debug_assert!(metrics.prefetch_hits <= metrics.prefetched, "{metrics:?}");
+    }
+}
+
 /// Replays a streaming record source against a buffer cache;
 /// deterministic. Records are consumed one at a time, so the source
 /// never needs to exist as a whole in memory — an iterator-backed or
@@ -251,9 +290,11 @@ pub fn replay_cached<S: TraceSource + ?Sized>(
         .map(|i| cache.register_file(format!("{}#{}", meta.sample_file, i)))
         .collect();
     let mut report = ReplayReport::new(mode, source.size_hint().0);
+    let mut ledger = PageLedger::default();
 
     while let Some(r) = source.next_record() {
         check_roster(meta.num_files, report.stats.records, &r)?;
+        ledger.count(&r, cache.config().page_size);
         let fid = file_ids[r.file_id as usize];
         let repeats = r.num_records.max(1);
         let mut total = 0.0;
@@ -274,6 +315,8 @@ pub fn replay_cached<S: TraceSource + ?Sized>(
         report.keep(&r, total / repeats as f64);
     }
     report.metrics = cache.metrics();
+    ledger.settle(&report.metrics);
+    debug_assert!(cache.resident_pages() <= cache.config().capacity_pages);
     Ok(report)
 }
 
@@ -287,143 +330,28 @@ pub struct ParallelReplayOptions {
     pub shards: usize,
 }
 
-/// Per-worker replay state over the shards this worker owns — the one
-/// record-level cache-driving state machine shared by the materialized
+/// Replays one record through a worker's view — the same four verbs
+/// [`replay_cached`] speaks — reporting each owned shard's partial cost
+/// of every repeat through `add(k, cost_ms)`, `k` counting the view's
+/// owned shards in ascending order. One function for the materialized
 /// ([`replay_parallel`]) and per-worker-stream ([`replay_sharded`])
-/// engines, so the two paths cannot drift.
-struct ShardWorker<'c> {
-    cache: &'c ShardedBufferCache,
-    page_size: u64,
-    prefetch_active: bool,
-    prefetcher: Prefetcher,
-    /// `mine[s]`: whether this worker owns shard `s`.
-    mine: Vec<bool>,
-    /// The owned shard ids, ascending.
-    owned: Vec<usize>,
-    /// shard id -> index into `owned` (usize::MAX when foreign).
-    slot: Vec<usize>,
-    cursors: Vec<RunCursor>,
-    outs: Vec<AccessOutcome>,
-    touched: Vec<usize>,
-}
-
-impl<'c> ShardWorker<'c> {
-    /// Worker `w` of `threads` over `cache` (owns shards `s` with
-    /// `s % threads == w`).
-    fn new(cache: &'c ShardedBufferCache, config: &CacheConfig, w: usize, threads: usize) -> Self {
-        let num_shards = cache.num_shards();
-        let mine: Vec<bool> = (0..num_shards).map(|s| s % threads == w).collect();
-        let owned: Vec<usize> = (0..num_shards).filter(|s| mine[*s]).collect();
-        let mut slot = vec![usize::MAX; num_shards];
-        for (k, &s) in owned.iter().enumerate() {
-            slot[s] = k;
-        }
-        Self {
-            cache,
-            page_size: config.page_size,
-            prefetch_active: config.prefetch_enabled && config.capacity_pages > 0,
-            prefetcher: Prefetcher::new(config.prefetch),
-            mine,
-            owned,
-            slot,
-            cursors: vec![RunCursor::default(); num_shards],
-            outs: vec![AccessOutcome::default(); num_shards],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Replays one record against the owned shards, reporting each
-    /// owned shard's incurred cost (summed over the record's repeats)
-    /// through `add(slot_index, cost_ms)`.
-    fn replay_record(&mut self, fid: FileId, r: &TraceRecord, mut add: impl FnMut(usize, f64)) {
-        let repeats = r.num_records.max(1);
-        for _ in 0..repeats {
-            match r.op {
-                IoOp::Open => {
-                    let id = PageId { file: fid, index: 0 };
-                    let s = self.cache.shard_of(id);
-                    if self.mine[s] {
-                        let mut out = AccessOutcome::default();
-                        self.cache.lock_shard(s).stage_open_page(id, &mut out);
-                        add(self.slot[s], out.cost_ms);
-                    }
-                }
-                IoOp::Close => {
-                    for &s in &self.owned {
-                        let mut out = AccessOutcome::default();
-                        self.cache.lock_shard(s).evict_file_pages(fid, &mut out);
-                        add(self.slot[s], out.cost_ms);
-                    }
-                    self.prefetcher.forget(fid);
-                }
-                IoOp::Seek => {
-                    let index = r.offset / self.page_size;
-                    if index > 0 {
-                        self.prefetcher.on_access(fid, index, index.saturating_sub(1));
-                    }
-                }
-                IoOp::Read | IoOp::Write => {
-                    let kind =
-                        if r.op == IoOp::Write { AccessKind::Write } else { AccessKind::Read };
-                    let (first, last) = page_span(r.offset, r.length, self.page_size);
-                    self.touched.clear();
-
-                    // Walk the span in shard-block groups, processing
-                    // only owned shards; each group runs under one lock
-                    // acquisition with run promotion per shard.
-                    for (start, end) in block_runs(first, last) {
-                        let s = self.cache.shard_of(PageId { file: fid, index: start });
-                        if self.mine[s] {
-                            if !self.touched.contains(&s) {
-                                self.touched.push(s);
-                                self.cursors[s] = RunCursor::default();
-                                self.outs[s] = AccessOutcome::default();
-                            }
-                            let mut shard = self.cache.lock_shard(s);
-                            for p in start..=end {
-                                shard.page_access(
-                                    PageId { file: fid, index: p },
-                                    kind,
-                                    false,
-                                    &mut self.cursors[s],
-                                    &mut self.outs[s],
-                                );
-                            }
-                        }
-                    }
-                    for &s in &self.touched {
-                        if self.cursors[s].has_pending_promotion() {
-                            self.cache.lock_shard(s).finish_run(self.cursors[s]);
-                        }
-                    }
-
-                    if self.prefetch_active {
-                        // The readahead window, grouped the same way:
-                        // one lock per block, not one per staged page.
-                        let window = self.prefetcher.on_access(fid, first, last);
-                        for (start, end) in block_runs(last + 1, last + window) {
-                            let s = self.cache.shard_of(PageId { file: fid, index: start });
-                            if self.mine[s] {
-                                if !self.touched.contains(&s) {
-                                    self.touched.push(s);
-                                    self.outs[s] = AccessOutcome::default();
-                                }
-                                let mut shard = self.cache.lock_shard(s);
-                                for p in start..=end {
-                                    shard.stage_prefetch(
-                                        PageId { file: fid, index: p },
-                                        &mut self.outs[s],
-                                    );
-                                }
-                            }
-                        }
-                    }
-
-                    for &s in &self.touched {
-                        add(self.slot[s], self.outs[s].cost_ms);
-                    }
-                }
-            }
+/// engines, so the two cannot drift.
+fn replay_on_view(
+    view: &mut ShardView<'_>,
+    fid: FileId,
+    r: &TraceRecord,
+    mut add: impl FnMut(usize, f64),
+) {
+    for _ in 0..r.num_records.max(1) {
+        let partials = match r.op {
+            IoOp::Open => view.open(fid),
+            IoOp::Close => view.close(fid),
+            IoOp::Read => view.access_run(fid, r.offset, r.length, AccessKind::Read),
+            IoOp::Write => view.access_run(fid, r.offset, r.length, AccessKind::Write),
+            IoOp::Seek => view.seek(fid, r.offset),
+        };
+        for (k, partial) in partials.iter().enumerate() {
+            add(k, partial.cost_ms);
         }
     }
 }
@@ -445,12 +373,11 @@ fn base_cost(config: &CacheConfig, op: IoOp) -> f64 {
 /// bitwise-identical against. Always [`ReportMode::Full`].
 ///
 /// Every worker scans the whole trace but performs cache work only for
-/// the shards it owns, driving them through the same per-page SPI
-/// ([`BufferCache::page_access`] with run promotion — the
-/// [`BufferCache::access_run`] semantics, batched per shard run) that
-/// the serial sharded path uses. Readahead decisions depend only on the
-/// access sequence, so each worker runs a private [`Prefetcher`]
-/// replica instead of contending on a shared one.
+/// the shards it owns, through the cache's [`ShardView`] for that
+/// worker — the same operation driver the serial sharded path runs,
+/// with the [`BufferCache::access_run`] promotion semantics. Readahead
+/// decisions depend only on the access sequence, so each view consults
+/// a private detector replica instead of contending on the shared one.
 ///
 /// **Determinism.** A shard's event stream — and therefore its
 /// hit/miss/eviction counters and its per-record cost vector — is a
@@ -485,16 +412,15 @@ pub fn replay_parallel(
             .map(|w| {
                 let cache = &cache;
                 let file_ids = &file_ids;
-                let config = &config;
                 scope.spawn(move |_| {
-                    let mut worker = ShardWorker::new(cache, config, w, threads);
+                    let mut view = cache.worker_view(w, threads);
                     let mut costs: Vec<Vec<f64>> =
-                        worker.owned.iter().map(|_| vec![0.0; records.len()]).collect();
+                        view.owned_shards().map(|_| vec![0.0; records.len()]).collect();
                     for (i, r) in records.iter().enumerate() {
                         let fid = file_ids[r.file_id as usize];
-                        worker.replay_record(fid, r, |slot, c| costs[slot][i] += c);
+                        replay_on_view(&mut view, fid, r, |k, c| costs[k][i] += c);
                     }
-                    worker.owned.iter().copied().zip(costs).collect::<Vec<_>>()
+                    view.owned_shards().zip(costs).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -510,7 +436,9 @@ pub fn replay_parallel(
     // Deterministic merge: per record, the fixed per-op cost plus the
     // shard partial costs in shard order.
     let mut report = ReplayReport::new(ReportMode::Full, records.len());
+    let mut ledger = PageLedger::default();
     for (i, r) in records.iter().enumerate() {
+        ledger.count(r, config.page_size);
         let repeats = r.num_records.max(1) as f64;
         let mut total = base_cost(&config, r.op) * repeats;
         for shard_costs in costs.iter().flatten() {
@@ -518,7 +446,7 @@ pub fn replay_parallel(
         }
         report.keep(r, total / repeats);
     }
-    Ok(report.finish_sharded(&cache, threads))
+    Ok(report.finish_sharded(&cache, threads, &ledger))
 }
 
 /// Records per pipelined merge chunk of [`replay_sharded`]: workers hand
@@ -543,11 +471,13 @@ const PAR_CHUNK: usize = 1024;
 ///
 /// A record outside the declared file roster is reported from the lead
 /// stream; the workers, which meet the same record in their own
-/// streams, just stop.
+/// streams, just stop. A worker whose stream turns out shorter or
+/// longer than the lead's — a file rewritten between opens, a factory
+/// over a one-shot iterator — ends the replay with
+/// [`TraceError::StreamDiverged`].
 ///
 /// # Panics
-/// Panics if a worker panics or if a re-opened stream diverges from the
-/// lead stream.
+/// Panics if a worker panicked.
 pub fn replay_sharded<'s, F>(
     open: F,
     config: CacheConfig,
@@ -566,6 +496,7 @@ where
     let num_shards = cache.num_shards();
     let threads = options.threads.clamp(1, num_shards);
     let mut report = ReplayReport::new(mode, lead.size_hint().0);
+    let mut ledger = PageLedger::default();
 
     crossbeam::scope(|scope| {
         // One bounded channel per worker: a worker can run at most two
@@ -575,11 +506,11 @@ where
         for w in 0..threads {
             let (tx, rx) = crossbeam::channel::bounded::<Vec<Vec<f64>>>(2);
             rxs.push(rx);
-            let (open, cache, config, file_ids) = (&open, &cache, &config, &file_ids);
+            let (open, cache, file_ids) = (&open, &cache, &file_ids);
             scope.spawn(move |_| {
                 let mut source = open();
-                let mut worker = ShardWorker::new(cache, config, w, threads);
-                let n_owned = worker.owned.len();
+                let mut view = cache.worker_view(w, threads);
+                let n_owned = view.owned_shards().len();
                 let fresh = |n: usize| -> Vec<Vec<f64>> {
                     (0..n).map(|_| Vec::with_capacity(PAR_CHUNK)).collect()
                 };
@@ -592,7 +523,7 @@ where
                         col.push(0.0);
                     }
                     let i = chunk[0].len() - 1;
-                    worker.replay_record(fid, &r, |slot, c| chunk[slot][i] += c);
+                    replay_on_view(&mut view, fid, &r, |k, c| chunk[k][i] += c);
                     if i + 1 == PAR_CHUNK
                         && tx.send(std::mem::replace(&mut chunk, fresh(n_owned))).is_err()
                     {
@@ -616,6 +547,7 @@ where
                     Some(r) => {
                         let index = report.stats.records + records_buf.len() as u64;
                         check_roster(meta.num_files, index, &r)?;
+                        ledger.count(&r, config.page_size);
                         records_buf.push(r);
                     }
                     None => {
@@ -627,17 +559,16 @@ where
             if records_buf.is_empty() {
                 break;
             }
+            // A worker with no chunk to give ended its stream at the
+            // last chunk boundary (or died: the scope re-raises that).
+            let diverged =
+                |at: usize| TraceError::StreamDiverged { index: report.stats.records + at as u64 };
             let chunks: Vec<Vec<Vec<f64>>> = rxs
                 .iter()
-                .map(|rx| rx.recv().expect("replay worker died (or its stream ended early)"))
-                .collect();
-            for c in &chunks {
-                assert_eq!(
-                    c[0].len(),
-                    records_buf.len(),
-                    "a worker's re-opened stream diverged from the lead stream — \
-                     Workload factories must be deterministic"
-                );
+                .map(|rx| rx.recv().map_err(|_| diverged(0)))
+                .collect::<Result<_, _>>()?;
+            if let Some(c) = chunks.iter().find(|c| c[0].len() != records_buf.len()) {
+                return Err(diverged(c[0].len().min(records_buf.len())));
             }
             for (i, r) in records_buf.iter().enumerate() {
                 let repeats = r.num_records.max(1) as f64;
@@ -648,15 +579,20 @@ where
                 report.keep(r, total / repeats);
             }
         }
-        // Returning — here or through `?` above — drops `rxs` before the
-        // scope joins: a worker still sending (its stream ran longer
+        // The lead stream is spent; a worker with one more chunk has a
+        // longer one.
+        if rxs.iter().any(|rx| rx.recv().is_ok()) {
+            return Err(TraceError::StreamDiverged { index: report.stats.records });
+        }
+        // Returning — here or through any `?` above — drops `rxs` before
+        // the scope joins: a worker still sending (its stream ran longer
         // than the lead's, or the lead hit a roster violation) fails its
         // send instead of blocking the scope forever.
         Ok::<(), TraceError>(())
     })
     .expect("replay scope")?;
 
-    Ok(report.finish_sharded(&cache, threads))
+    Ok(report.finish_sharded(&cache, threads, &ledger))
 }
 
 /// Options for real-file replay.
@@ -1159,6 +1095,45 @@ mod tests {
                 &opts,
                 ReportMode::Summary,
             ));
+        }
+    }
+
+    #[test]
+    fn a_reopened_stream_of_another_length_is_an_error_not_a_panic() {
+        // The first open is the lead stream; every later one (the
+        // workers') comes `lead_len -> worker_len` records long. Each
+        // pair lands in a different detector: a short last chunk, no
+        // chunk at all, a long last chunk, one chunk too many.
+        let chunk = PAR_CHUNK as u64;
+        for (lead_len, worker_len, index) in [
+            (chunk + 200, chunk + 150, chunk + 150),
+            (2 * chunk + 10, chunk - 5, chunk - 5),
+            (chunk + 5, chunk, chunk),
+            (chunk + 150, chunk + 200, chunk + 150),
+            (chunk, chunk + 1, chunk),
+            (chunk, 3 * chunk, chunk),
+        ] {
+            for threads in [1usize, 2] {
+                let opens = std::sync::atomic::AtomicUsize::new(0);
+                let open = || -> Box<dyn TraceSource> {
+                    let first = opens.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0;
+                    let n = if first { lead_len } else { worker_len };
+                    let meta =
+                        SourceMeta { sample_file: "d.dat".into(), num_processes: 1, num_files: 1 };
+                    let records =
+                        (0..n).map(|i| TraceRecord::simple(IoOp::Read, 0, i % 64 * 4096, 4096));
+                    Box::new(IterSource::new(meta, records))
+                };
+                let opts = ParallelReplayOptions { threads, shards: 4 };
+                match replay_sharded(open, CacheConfig::default(), &opts, ReportMode::Summary) {
+                    Err(TraceError::StreamDiverged { index: at }) => {
+                        assert_eq!(at, index, "{lead_len} vs {worker_len}, {threads} threads")
+                    }
+                    other => {
+                        panic!("{lead_len} vs {worker_len}: expected divergence, got {other:?}")
+                    }
+                }
+            }
         }
     }
 

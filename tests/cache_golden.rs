@@ -22,7 +22,7 @@
 //!   operation on this thread (its own span routing and readahead
 //!   staging),
 //! - `parallel`: [`replay_sharded`] in summary mode over 4 shards and
-//!   2 worker threads (the `ShardWorker` routing).
+//!   2 worker threads (one worker view of the cache each).
 //!
 //! [`BufferCache`]: clio_core::cache::cache::BufferCache
 

@@ -10,17 +10,20 @@
 //!     the shard exactly. This is the invariant that makes changing
 //!     the shard count — or the thread count of the parallel replay —
 //!     unable to change which pages a shard-local policy evicts on a
-//!     given stream.
+//!     given stream. The worker views parallel replay drives are held to
+//!     the same replicas: T views of one cache, each fed the whole
+//!     stream, leave every shard where the striped verbs do, and their
+//!     partial costs plus the base add up to the striped outcome.
 //!
 //! These are the pins behind `replay_parallel`'s determinism
 //! guarantee; shrinking in the vendored proptest reports minimized
 //! operation streams when an invariant breaks.
 
 use clio_core::cache::cache::{AccessKind, AccessOutcome, BufferCache, CacheConfig, RunCursor};
-use clio_core::cache::page::{page_span, PageId};
+use clio_core::cache::page::{page_span, FileId, PageId};
 use clio_core::cache::policy::{PolicySet, ReplacementPolicy};
 use clio_core::cache::prefetch::Prefetcher;
-use clio_core::cache::shard::{shard_capacity, ShardedBufferCache};
+use clio_core::cache::shard::{shard_capacity, ShardView, ShardedBufferCache};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -41,6 +44,34 @@ fn config(policy: ReplacementPolicy, capacity: usize) -> CacheConfig {
     CacheConfig { policy, capacity_pages: capacity, ..Default::default() }
 }
 
+/// Applies one generated operation to every worker view of one cache
+/// (each view sees the whole stream) and returns what a merge would
+/// report for it: the operation's base cost plus every partial cost.
+fn through_views(
+    views: &mut [ShardView<'_>],
+    base: &CacheConfig,
+    (sel, off, len, kind): (u8, u64, u64, AccessKind),
+    f: FileId,
+) -> f64 {
+    let mut cost = match sel {
+        0 => base.costs.open_base,
+        1 => base.costs.close_base,
+        2 => base.costs.seek_base,
+        _ => base.costs.op_base,
+    };
+    for view in views {
+        let partials = match sel {
+            0 => view.open(f),
+            1 => view.close(f),
+            2 => view.seek(f, off),
+            3 => view.access_run(f, off, len, kind),
+            _ => view.access(f, off, len, kind),
+        };
+        cost += partials.iter().map(|p| p.cost_ms).sum::<f64>();
+    }
+    cost
+}
+
 proptest! {
     // (a) Residency bound: aggregate residency stays within the
     // configured capacity for every policy and shard count.
@@ -51,7 +82,7 @@ proptest! {
         capacity in 1usize..48,
         shards in 1usize..6,
     ) {
-        let cache = ShardedBufferCache::for_policy(policy, shards, config(policy, capacity));
+        let cache = ShardedBufferCache::new(config(policy, capacity), shards);
         let f = cache.register_file("prop");
         for (sel, off_page, len, write) in ops {
             let off = off_page * 512;
@@ -139,24 +170,40 @@ proptest! {
         // via metrics, so one shared sink is fine.
         let mut sink = AccessOutcome::default();
 
+        // The same stream through T worker views of a second cache, for
+        // T = 1, 2, 3, all on this thread.
+        let viewed: Vec<ShardedBufferCache> = (1..=3)
+            .map(|_| {
+                let c = ShardedBufferCache::new(base.clone(), shards);
+                assert_eq!(c.register_file("iso"), f);
+                c
+            })
+            .collect();
+        let mut views: Vec<Vec<ShardView<'_>>> = viewed
+            .iter()
+            .zip(1..=3)
+            .map(|(c, threads)| (0..threads).map(|w| c.worker_view(w, threads)).collect())
+            .collect();
+
         for (sel, off_page, len, write) in ops {
             let off = off_page * 512;
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let striped;
             match sel {
                 0 => {
-                    cache.open(f);
+                    striped = cache.open(f);
                     let id = PageId { file: f, index: 0 };
                     replicas[cache.shard_of(id)].stage_open_page(id, &mut sink);
                 }
                 1 => {
-                    cache.close(f);
+                    striped = cache.close(f);
                     for r in replicas.iter_mut() {
                         r.evict_file_pages(f, &mut sink);
                     }
                     prefetcher.forget(f);
                 }
                 2 => {
-                    cache.seek(f, off);
+                    striped = cache.seek(f, off);
                     let index = off / page_size;
                     if index > 0 {
                         prefetcher.on_access(f, index, index.saturating_sub(1));
@@ -164,11 +211,11 @@ proptest! {
                 }
                 sel => {
                     let per_page_touch = sel >= 4;
-                    if per_page_touch {
-                        cache.access(f, off, len, kind);
+                    striped = if per_page_touch {
+                        cache.access(f, off, len, kind)
                     } else {
-                        cache.access_run(f, off, len, kind);
-                    }
+                        cache.access_run(f, off, len, kind)
+                    };
                     let (first, last) = page_span(off, len, page_size);
                     let mut cursors = vec![RunCursor::default(); shards];
                     for index in first..=last {
@@ -188,6 +235,17 @@ proptest! {
                     }
                 }
             }
+            for per_count in views.iter_mut() {
+                let merged = through_views(per_count, &base, (sel, off, len, kind), f);
+                prop_assert!(
+                    (merged - striped.cost_ms).abs() < 1e-9,
+                    "{} views merge to {} ms, the striped cache says {} ms ({})",
+                    per_count.len(),
+                    merged,
+                    striped.cost_ms,
+                    policy.name(),
+                );
+            }
         }
 
         for (s, replica) in replicas.iter().enumerate() {
@@ -205,6 +263,16 @@ proptest! {
                 "shard {} residency diverged",
                 s,
             );
+            for (c, threads) in viewed.iter().zip(1..=3) {
+                prop_assert_eq!(
+                    (c.shard_metrics(s), c.lock_shard(s).resident_pages()),
+                    (replica.metrics(), replica.resident_pages()),
+                    "shard {} under {} worker view(s) diverged from its standalone replica ({})",
+                    s,
+                    threads,
+                    policy.name(),
+                );
+            }
         }
     }
 
@@ -221,7 +289,7 @@ proptest! {
         capacity in 1usize..16,
         shards in 1usize..32,
     ) {
-        let cache = ShardedBufferCache::for_policy(policy, shards, config(policy, capacity));
+        let cache = ShardedBufferCache::new(config(policy, capacity), shards);
         prop_assert!(
             cache.num_shards() <= capacity,
             "{} shards exceed {} capacity pages",
