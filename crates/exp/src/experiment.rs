@@ -7,7 +7,7 @@ use clio_cache::policy::ReplacementPolicy;
 use clio_sim::machine::MachineConfig;
 use clio_sim::sched::Policy;
 use clio_sim::sched_replay::{scheduled_trace_sim, DiskFaultPlan, SchedReplayOptions};
-use clio_sim::trace_driven::{trace_sim, ThinkTime, TraceSimOptions};
+use clio_sim::trace_driven::{trace_sim, SimError, ThinkTime, TraceSimOptions};
 use clio_trace::replay::{
     open_real_backend, replay_backend, replay_cached, replay_sharded, ParallelReplayOptions,
     RealReplayOptions, ReportMode,
@@ -397,6 +397,9 @@ impl ExperimentBuilder {
     /// `max_retries` times and dropped gracefully past that. The
     /// retry/drop tallies land in
     /// [`Report::sim`](crate::Report)'s `retries` / `dropped_requests`.
+    /// [`build`](Self::build) rejects a plan that fails
+    /// [`DiskFaultPlan::validate`] (a negative or non-finite
+    /// multiplier, say) when the engine is the scheduled simulator.
     pub fn disk_faults(mut self, faults: DiskFaultPlan) -> Self {
         self.sched.faults = faults;
         self
@@ -480,8 +483,11 @@ impl ExperimentBuilder {
         if matches!(self.engine, Engine::TraceSim | Engine::ScheduledSim) {
             self.machine.validate().map_err(ExpError::InvalidConfig)?;
         }
-        if matches!(self.engine, Engine::ScheduledSim) && self.sched.cylinders == 0 {
-            return Err(ExpError::InvalidConfig("disks need at least one cylinder".into()));
+        if matches!(self.engine, Engine::ScheduledSim) {
+            if self.sched.cylinders == 0 {
+                return Err(ExpError::InvalidConfig("disks need at least one cylinder".into()));
+            }
+            self.sched.faults.validate().map_err(SimError::InvalidFaultPlan)?;
         }
         if matches!(self.engine, Engine::Serve) && self.serve.clients == 0 {
             return Err(ExpError::InvalidConfig("serving needs at least one client".into()));
@@ -580,6 +586,26 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("cylinder"));
+    }
+
+    #[test]
+    fn builder_rejects_a_fault_plan_the_simulator_cannot_run() {
+        use clio_sim::sched_replay::SlowWindow;
+        for multiplier in [-2.0, f64::NAN, f64::INFINITY] {
+            let err = Experiment::builder()
+                .workload(synth(4))
+                .engine(Engine::ScheduledSim)
+                .disk_faults(DiskFaultPlan {
+                    slow_windows: vec![SlowWindow { start_s: 0.0, end_s: 1.0, multiplier }],
+                    ..Default::default()
+                })
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(&err, ExpError::InvalidConfig(m) if m.contains("fault plan")),
+                "x{multiplier}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   one at a time, and every engine consumes them that way: the
 //!   serial engines stream once, the parallel engine opens one stream
 //!   per worker (plus a merge walk), and the simulators demultiplex a
-//!   stream per process through a bounded
-//!   [`PidSplitter`](clio_trace::source::PidSplitter). No engine
+//!   stream per process through a
+//!   [`PidSplitter`](clio_trace::source::PidSplitter) that buffers
+//!   only the distance between the processes' cursors. No engine
 //!   materializes the workload.
 //! - [`Engine`] selects the machinery: serial cached replay,
 //!   sharded-parallel replay, trace-driven machine simulation,

@@ -65,28 +65,36 @@ impl Default for DiskModel {
     }
 }
 
-/// Splits a burst of `total_bytes` into per-disk chunk plans for a
-/// stripe over `disks` spindles with the given `stripe_unit`.
+/// Splits a burst of `total_bytes` over a stripe of `disks` spindles
+/// with the given `stripe_unit`: yields, per disk in stripe order, the
+/// number of full chunks and the bytes of a final short chunk (0 on
+/// every disk but at most one).
 ///
-/// Returns, per participating disk, the number of chunks and the bytes
-/// of the final (possibly short) chunk. The caller turns these into
-/// service requests: the first chunk on each disk pays positioning, the
-/// rest stream sequentially.
-pub fn stripe_plan(total_bytes: u64, disks: usize, stripe_unit: u64) -> Vec<(u64, u64)> {
+/// Round-robin dealing in closed form — with `full` whole chunks, disk
+/// `d` gets `full / disks` of them plus one more if `d < full % disks`,
+/// and the tail lands on disk `full % disks`, the next in rotation —
+/// so a share costs O(1) whatever the burst size, and nothing is
+/// allocated. The caller turns shares into service requests: the first
+/// chunk on each disk pays positioning, the rest stream sequentially.
+///
+/// # Panics
+/// Panics on zero `disks` or a zero `stripe_unit`.
+pub fn stripe_shares(
+    total_bytes: u64,
+    disks: usize,
+    stripe_unit: u64,
+) -> impl Iterator<Item = (u64, u64)> + Clone {
     assert!(disks > 0, "stripe over zero disks");
     assert!(stripe_unit > 0, "zero stripe unit");
     let full_chunks = total_bytes / stripe_unit;
     let tail = total_bytes % stripe_unit;
-    let mut per_disk: Vec<(u64, u64)> = vec![(0, 0); disks];
-    for i in 0..full_chunks {
-        let d = (i % disks as u64) as usize;
-        per_disk[d].0 += 1;
-    }
-    if tail > 0 {
-        let d = (full_chunks % disks as u64) as usize;
-        per_disk[d].1 = tail;
-    }
-    per_disk
+    let (each, extra) = (full_chunks / disks as u64, full_chunks % disks as u64);
+    (0..disks as u64).map(move |d| (each + u64::from(d < extra), if d == extra { tail } else { 0 }))
+}
+
+/// [`stripe_shares`] collected: one `(chunks, tail)` entry per disk.
+pub fn stripe_plan(total_bytes: u64, disks: usize, stripe_unit: u64) -> Vec<(u64, u64)> {
+    stripe_shares(total_bytes, disks, stripe_unit).collect()
 }
 
 /// Service time for one disk's share of a striped burst: positioning
@@ -189,5 +197,40 @@ mod tests {
             let max8 = p8.iter().map(|&(c, t)| c * unit + t).max().unwrap();
             prop_assert!(max8 <= max4);
         }
+    }
+
+    /// Round-robin dealing one chunk at a time — `stripe_plan` as it
+    /// was before the closed form, kept as the reference.
+    fn stripe_plan_per_chunk(total_bytes: u64, disks: usize, stripe_unit: u64) -> Vec<(u64, u64)> {
+        let full_chunks = total_bytes / stripe_unit;
+        let tail = total_bytes % stripe_unit;
+        let mut per_disk: Vec<(u64, u64)> = vec![(0, 0); disks];
+        for i in 0..full_chunks {
+            let d = (i % disks as u64) as usize;
+            per_disk[d].0 += 1;
+        }
+        if tail > 0 {
+            let d = (full_chunks % disks as u64) as usize;
+            per_disk[d].1 = tail;
+        }
+        per_disk
+    }
+
+    proptest! {
+        #[test]
+        fn closed_form_matches_per_chunk_dealing(total in 0u64..10_000_000, disks in 1usize..33,
+                                                 unit in 1u64..1_000_000) {
+            prop_assert_eq!(stripe_plan(total, disks, unit),
+                            stripe_plan_per_chunk(total, disks, unit));
+        }
+    }
+
+    #[test]
+    fn striping_cost_is_independent_of_burst_size() {
+        // 2^48 chunks: the per-chunk loop would never return.
+        let plan = stripe_plan(u64::MAX, 3, 64 * 1024);
+        let sum: u128 = plan.iter().map(|&(c, t)| c as u128 * (64 * 1024) + t as u128).sum();
+        assert_eq!(sum, u64::MAX as u128);
+        assert_eq!(plan.iter().filter(|p| p.1 > 0).count(), 1);
     }
 }

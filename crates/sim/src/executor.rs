@@ -20,7 +20,7 @@
 
 use clio_model::{Application, PhaseTimes, Requirements};
 
-use crate::disk::{stripe_plan, striped_service};
+use crate::disk::{stripe_shares, striped_service};
 use crate::engine::Engine;
 use crate::machine::MachineConfig;
 use crate::resource::FcfsServer;
@@ -220,10 +220,10 @@ fn issue_io_burst(world: &mut World, idx: usize, now: SimTime, burst: f64) -> Si
     if bytes == 0 {
         return now;
     }
-    let plan = stripe_plan(bytes, world.disks.len(), cfg.stripe_unit);
     let rotation = world.programs[idx].stripe_rotation;
     let mut completion = now;
-    for (i, &(chunks, tail)) in plan.iter().enumerate() {
+    let shares = stripe_shares(bytes, world.disks.len(), cfg.stripe_unit);
+    for (i, (chunks, tail)) in shares.enumerate() {
         let service = striped_service(&cfg.disk_model, cfg.stripe_unit, chunks, tail);
         if service <= 0.0 {
             continue;

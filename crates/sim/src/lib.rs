@@ -7,7 +7,9 @@
 //! simulator:
 //!
 //! - [`time`] — simulated clock ([`SimTime`]),
-//! - [`engine`] — the event queue and scheduler ([`Engine`]),
+//! - [`engine`] — one time-ordered event queue ([`EventQueue`]) with
+//!   two fronts: typed events the caller `match`es on (no allocation
+//!   per event), and closures over a world state ([`Engine`]),
 //! - [`resource`] — FCFS multi-server resources ([`FcfsServer`]),
 //! - [`disk`] — a seek/rotation/transfer disk service model and striped
 //!   disk arrays,
@@ -19,13 +21,18 @@
 //!   onto the machine's disks, over a striped FCFS array
 //!   ([`trace_driven::trace_sim`]) or over seek-aware disks with
 //!   per-disk request scheduling and deterministic fault plans
-//!   ([`sched_replay::scheduled_trace_sim`]),
+//!   ([`sched_replay::scheduled_trace_sim`]). The driver is the typed
+//!   front of the event queue: a closed `enum` of process steps,
+//!   think-gap wake-ups and the array's own chunk/retry events,
+//!   striped by [`disk::stripe_shares`] in closed form — an
+//!   allocation-free event loop,
 //! - [`network`] — interconnect service model for communication bursts,
 //! - [`machine`] — a machine configuration bundling CPUs, a disk array
 //!   and a network ([`MachineConfig`]),
 //! - [`executor`] — executes a [`clio_model::Application`] on a machine,
 //!   producing per-program CPU/I/O/communication breakdowns (Fig. 2/3)
-//!   and the application makespan,
+//!   and the application makespan (the closure front: its runs take
+//!   microseconds),
 //! - [`speedup`] — resource-count sweeps producing
 //!   [`clio_stats::SpeedupCurve`]s (Fig. 4/5).
 //!
@@ -67,7 +74,7 @@ pub mod time;
 pub mod trace_driven;
 
 pub use disk::DiskModel;
-pub use engine::Engine;
+pub use engine::{Engine, EventQueue};
 pub use executor::{simulate, ProgramReport, SimReport};
 pub use machine::MachineConfig;
 pub use raid::{RaidArray, RaidLevel};

@@ -3,23 +3,37 @@
 //! One cheap discovery pass over a re-openable record stream finds the
 //! process roster (so every process starts at time zero in
 //! first-appearance order), then the replay pass feeds each simulated
-//! process from a [`PidSplitter`] with bounded per-pid buffering — no
-//! `TraceFile` and no per-pid index are ever built. Each process issues
-//! its records in order: opens, closes and seeks cost a fixed host
-//! overhead, reads and writes are handed to a [`DiskArray`].
+//! process from a [`PidSplitter`] — no `TraceFile` and no per-pid index
+//! are ever built. The splitter parks what it reads past on behalf of
+//! other processes, so its buffer is bounded by how far apart the
+//! processes' cursors drift *as the replay consumes them*: O(#pids)
+//! when they advance in step, but a closed-loop replay of processes
+//! with unequal service times lets the fast one run ahead, and the
+//! buffer then grows in proportion to the trace
+//! ([`TraceSimReport::splitter_peak_buffered`] reports it). Each
+//! process issues its records in order: opens, closes and seeks cost a
+//! fixed host overhead, reads and writes are handed to a [`DiskArray`].
+//!
+//! **The event loop.** The run is one typed [`EventQueue`] drained by
+//! `match` over the closed set [`Event`]: a process takes its next
+//! record, a sleeper wakes and issues the record it parked, or the
+//! array fires one of its own events. An event is a process or disk
+//! index inside the heap entry — scheduling one allocates nothing, so
+//! a replay makes O(log records) allocations in all (buffer doublings).
 //!
 //! The array is the only thing the two simulators differ in, and the
-//! seam is two questions: "submit this transfer **now** and resume the
-//! process when it is done", and "how busy were you over `[0, end]`".
-//! Think time is the driver's business, never the array's: under
-//! [`ThinkTime::FromTrace`] a process *sleeps* until its captured issue
-//! instant and submits when it wakes, so an array never sees a request
-//! dated in the future and a thinking process holds no disk.
+//! seam is three questions: "submit this transfer **now** and resume
+//! the process when it is done", "one of your events fired", and "how
+//! busy were you over `[0, end]`". Think time is the driver's business,
+//! never the array's: under [`ThinkTime::FromTrace`] a process *sleeps*
+//! until its captured issue instant and submits when it wakes, so an
+//! array never sees a request dated in the future and a thinking
+//! process holds no disk.
 
 use clio_trace::record::{IoOp, TraceRecord};
 use clio_trace::source::{scan_pids, PidSplitter, TraceSource};
 
-use crate::engine::Engine;
+use crate::engine::EventQueue;
 use crate::time::SimTime;
 use crate::trace_driven::{ThinkTime, TraceSimReport};
 
@@ -27,18 +41,35 @@ use crate::trace_driven::{ThinkTime, TraceSimReport};
 /// operations that never touch the array — and of zero-byte transfers.
 const METADATA_COST: f64 = 20e-6;
 
+/// Everything that can happen in a replay; `X` is the array's own
+/// event set. Indices are `u32` so a heap entry stays at 32 bytes: a
+/// roster is at most the 2^32 distinct `u32` pids.
+pub(crate) enum Event<X> {
+    /// Process `.0` takes its next record.
+    Step(u32),
+    /// Process `.0` wakes from its think gap and issues the record it
+    /// parked.
+    Issue(u32),
+    /// The disk array's own event.
+    Array(X),
+}
+
+/// The event queue of a replay over array `A`.
+pub(crate) type Queue<A> = EventQueue<Event<<A as DiskArray>::Event>>;
+
 /// The disks under a replay.
 pub(crate) trait DiskArray: Sized {
+    /// What the array schedules for itself (chunk completions, retry
+    /// timers); handed back through [`DiskArray::fire`].
+    type Event;
+
     /// Submits `bytes` at logical `offset` for process `proc_idx` at
-    /// `engine.now()`. The array calls [`resume_at`] for that process
+    /// `queue.now()`. The array calls [`resume_at`] for that process
     /// exactly once, at the instant the transfer completes.
-    fn submit<'s>(
-        engine: &mut Engine<World<'s, Self>>,
-        world: &mut World<'s, Self>,
-        proc_idx: usize,
-        offset: u64,
-        bytes: u64,
-    );
+    fn submit(&mut self, queue: &mut Queue<Self>, proc_idx: u32, offset: u64, bytes: u64);
+
+    /// `event`, scheduled earlier by this array, is due now.
+    fn fire(&mut self, queue: &mut Queue<Self>, event: Self::Event);
 
     /// Mean per-disk utilisation over `[0, end]`.
     fn utilization(&self, end: SimTime) -> f64;
@@ -50,11 +81,13 @@ struct ProcState {
     finish: SimTime,
     /// Captured wall clock of the previously issued record.
     prev_wall_us: Option<u64>,
+    /// The record a sleeping process issues when it wakes.
+    parked: Option<TraceRecord>,
 }
 
 /// Simulation state: the process table over one disk array.
-pub(crate) struct World<'s, A> {
-    pub(crate) array: A,
+struct World<'s, A> {
+    array: A,
     procs: Vec<ProcState>,
     think: ThinkTime,
     bytes_moved: u64,
@@ -81,18 +114,29 @@ pub(crate) fn run<'s, A: DiskArray>(
         array: build(pids.len()),
         procs: pids
             .iter()
-            .map(|&pid| ProcState { pid, finish: SimTime::ZERO, prev_wall_us: None })
+            .map(|&pid| ProcState { pid, finish: SimTime::ZERO, prev_wall_us: None, parked: None })
             .collect(),
         think,
         bytes_moved: 0,
         splitter: PidSplitter::new(open()),
     };
 
-    let mut engine: Engine<World<'s, A>> = Engine::new();
+    let mut queue: Queue<A> = EventQueue::new();
     for p in 0..world.procs.len() {
-        resume_at(&mut engine, SimTime::ZERO, p);
+        resume_at(&mut queue, SimTime::ZERO, p as u32);
     }
-    let end = engine.run(&mut world);
+    while let Some(event) = queue.pop() {
+        match event {
+            Event::Step(p) => step(&mut queue, &mut world, p),
+            Event::Issue(p) => {
+                if let Some(r) = world.procs[p as usize].parked.take() {
+                    issue(&mut queue, &mut world, p, r);
+                }
+            }
+            Event::Array(x) => world.array.fire(&mut queue, x),
+        }
+    }
+    let end = queue.now();
 
     let report = TraceSimReport {
         makespan: world.procs.iter().map(|p| p.finish.seconds()).fold(0.0, f64::max),
@@ -100,31 +144,24 @@ pub(crate) fn run<'s, A: DiskArray>(
         pids,
         bytes_moved: world.bytes_moved,
         disk_utilization: world.array.utilization(end),
-        events: engine.processed(),
+        events: queue.processed(),
         records,
         retries: 0,
         dropped_requests: 0,
+        splitter_peak_buffered: world.splitter.peak_buffered() as u64,
     };
     (report, world.array)
 }
 
 /// Schedules process `proc_idx` to take its next record at `at`.
-pub(crate) fn resume_at<'s, A: DiskArray>(
-    engine: &mut Engine<World<'s, A>>,
-    at: SimTime,
-    proc_idx: usize,
-) {
-    engine.schedule_at(at, move |eng, w| step(eng, w, proc_idx));
+pub(crate) fn resume_at<X>(queue: &mut EventQueue<Event<X>>, at: SimTime, proc_idx: u32) {
+    queue.schedule_at(at, Event::Step(proc_idx));
 }
 
-fn step<'s, A: DiskArray>(
-    engine: &mut Engine<World<'s, A>>,
-    world: &mut World<'s, A>,
-    proc_idx: usize,
-) {
-    let proc = &mut world.procs[proc_idx];
+fn step<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<'_, A>, proc_idx: u32) {
+    let proc = &mut world.procs[proc_idx as usize];
     let Some(r) = world.splitter.next_for(proc.pid) else {
-        proc.finish = engine.now();
+        proc.finish = queue.now();
         return;
     };
 
@@ -135,31 +172,32 @@ fn step<'s, A: DiskArray>(
         _ => 0.0,
     };
     if gap_s > 0.0 {
-        engine.schedule_in(gap_s, move |eng, w| issue(eng, w, proc_idx, r));
+        proc.parked = Some(r);
+        queue.schedule_in(gap_s, Event::Issue(proc_idx));
     } else {
-        issue(engine, world, proc_idx, r);
+        issue(queue, world, proc_idx, r);
     }
 }
 
-fn issue<'s, A: DiskArray>(
-    engine: &mut Engine<World<'s, A>>,
-    world: &mut World<'s, A>,
-    proc_idx: usize,
+fn issue<A: DiskArray>(
+    queue: &mut Queue<A>,
+    world: &mut World<'_, A>,
+    proc_idx: u32,
     r: TraceRecord,
 ) {
-    let now = engine.now();
+    let now = queue.now();
     let repeats = r.num_records.max(1) as u64;
     match r.op {
         IoOp::Open | IoOp::Close | IoOp::Seek => {
-            resume_at(engine, now + METADATA_COST * repeats as f64, proc_idx);
+            resume_at(queue, now + METADATA_COST * repeats as f64, proc_idx);
         }
         IoOp::Read | IoOp::Write => {
             let bytes = r.length.saturating_mul(repeats);
-            world.bytes_moved += bytes;
+            world.bytes_moved = world.bytes_moved.saturating_add(bytes);
             if bytes == 0 {
-                resume_at(engine, now + METADATA_COST, proc_idx);
+                resume_at(queue, now + METADATA_COST, proc_idx);
             } else {
-                A::submit(engine, world, proc_idx, r.offset, bytes);
+                world.array.submit(queue, proc_idx, r.offset, bytes);
             }
         }
     }

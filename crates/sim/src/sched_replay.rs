@@ -20,10 +20,9 @@
 
 use clio_trace::source::TraceSource;
 
-use crate::disk::stripe_plan;
-use crate::engine::Engine;
+use crate::disk::stripe_shares;
 use crate::machine::MachineConfig;
-use crate::proc_driver::{self, resume_at, DiskArray};
+use crate::proc_driver::{self, resume_at, DiskArray, Event};
 use crate::sched::{DiskRequest, Policy, Scheduler, SeekCurve};
 use crate::time::SimTime;
 use crate::trace_driven::{SimError, ThinkTime, TraceSimReport};
@@ -99,11 +98,30 @@ impl DiskFaultPlan {
             .filter(|w| w.start_s <= t_s && t_s < w.end_s)
             .fold(1.0, |m, w| m * w.multiplier)
     }
+
+    /// Checks that no window can make a service time negative or NaN
+    /// (every `multiplier` finite and `>= 0`, no NaN window bound) and
+    /// that the retry back-off is finite. Speed-ups (`< 1`) pass: the
+    /// `>= 1` rule belongs to the scenario grammar, not the model.
+    pub fn validate(&self) -> Result<(), String> {
+        for w in &self.slow_windows {
+            if !(w.multiplier >= 0.0 && w.multiplier.is_finite()) {
+                return Err(format!("invalid slow-window multiplier {}", w.multiplier));
+            }
+            if w.start_s.is_nan() || w.end_s.is_nan() {
+                return Err(format!("invalid slow window [{}, {})", w.start_s, w.end_s));
+            }
+        }
+        if !self.retry_backoff_s.is_finite() {
+            return Err(format!("invalid retry back-off {}", self.retry_backoff_s));
+        }
+        Ok(())
+    }
 }
 
 struct Transfer {
     remaining: usize,
-    proc_idx: usize,
+    proc_idx: u32,
 }
 
 struct DiskState {
@@ -113,9 +131,22 @@ struct DiskState {
     /// Requests this disk has started serving (drives the
     /// `error_every` fault schedule).
     started: u64,
-    /// A request whose first attempt failed, waiting out its back-off;
-    /// served before anything queued.
+    /// A request whose first attempt failed, waiting out its back-off
+    /// (the disk stays `busy` until [`SchedEvent::RetryReady`]); served
+    /// before anything queued.
     retry: Option<(DiskRequest, u32)>,
+}
+
+/// What a [`SchedArray`] schedules for itself. Disk and transfer-slot
+/// indices are `u32` to keep a heap entry at 32 bytes; see
+/// [`scheduled_trace_sim`] for the bound on disks, and at most one
+/// transfer per process is in flight.
+enum SchedEvent {
+    /// `disk` finished serving (or dropping) a chunk of transfer `tid`.
+    ChunkDone { disk: u32, tid: u32 },
+    /// `disk` sat out the back-off of the request parked in its
+    /// `retry` slot.
+    RetryReady { disk: u32 },
 }
 
 /// Striped disks with a head position and a request queue each; the
@@ -129,13 +160,13 @@ struct SchedArray {
     /// Completed transfer slots, reusable by the next `submit` — the
     /// transfer table stays O(max in-flight transfers), not
     /// O(#IO-records).
-    free_transfers: Vec<usize>,
+    free_transfers: Vec<u32>,
     faults: DiskFaultPlan,
     retries: u64,
     dropped: u64,
 }
 
-type World<'s> = proc_driver::World<'s, SchedArray>;
+type Queue = proc_driver::Queue<SchedArray>;
 
 /// Replays the record stream `open` yields on `machine` with per-disk
 /// request scheduling — the same streaming process loop as
@@ -145,17 +176,23 @@ type World<'s> = proc_driver::World<'s, SchedArray>;
 ///
 /// # Errors
 /// [`SimError::InvalidMachine`] if `machine` fails
-/// [`MachineConfig::validate`], [`SimError::ZeroCylinders`] if
-/// `options.cylinders` is 0; the stream is not opened.
+/// [`MachineConfig::validate`] or has more than `u32::MAX` disks,
+/// [`SimError::ZeroCylinders`] if `options.cylinders` is 0,
+/// [`SimError::InvalidFaultPlan`] if `options.faults` fails
+/// [`DiskFaultPlan::validate`]; the stream is not opened.
 pub fn scheduled_trace_sim<'s>(
     open: impl Fn() -> Box<dyn TraceSource + 's>,
     machine: &MachineConfig,
     options: &SchedReplayOptions,
 ) -> Result<TraceSimReport, SimError> {
     machine.validate().map_err(SimError::InvalidMachine)?;
+    if u32::try_from(machine.disks).is_err() {
+        return Err(SimError::InvalidMachine(format!("too many disks: {}", machine.disks)));
+    }
     if options.cylinders == 0 {
         return Err(SimError::ZeroCylinders);
     }
+    options.faults.validate().map_err(SimError::InvalidFaultPlan)?;
 
     let (mut report, array) = proc_driver::run(open, ThinkTime::ClosedLoop, |_procs| SchedArray {
         curve: SeekCurve::from_model(&machine.disk_model, options.cylinders),
@@ -182,50 +219,51 @@ pub fn scheduled_trace_sim<'s>(
 }
 
 impl DiskArray for SchedArray {
+    type Event = SchedEvent;
+
     /// Splits the transfer across the stripe and enqueues one request
     /// per participating disk; the process resumes when the last chunk
     /// lands.
-    fn submit<'s>(
-        engine: &mut Engine<World<'s>>,
-        world: &mut World<'s>,
-        proc_idx: usize,
-        offset: u64,
-        bytes: u64,
-    ) {
-        let n_disks = world.array.disks.len();
-        let plan = stripe_plan(bytes, n_disks, world.array.cfg.stripe_unit);
-        let participating: Vec<(usize, u64)> = plan
-            .iter()
-            .enumerate()
-            .filter_map(|(d, &(chunks, tail))| {
-                let b = chunks * world.array.cfg.stripe_unit + tail;
-                (b > 0).then_some((d, b))
-            })
-            .collect();
+    fn submit(&mut self, queue: &mut Queue, proc_idx: u32, offset: u64, bytes: u64) {
+        let n_disks = self.disks.len();
+        let stripe_unit = self.cfg.stripe_unit;
+        let shares = stripe_shares(bytes, n_disks, stripe_unit)
+            .map(move |(chunks, tail)| chunks * stripe_unit + tail);
         // Reuse a completed slot when one exists: a completed transfer has
         // fired all of its chunk completions, so nothing references it.
-        let transfer = Transfer { remaining: participating.len(), proc_idx };
-        let tid = match world.array.free_transfers.pop() {
+        let transfer = Transfer { remaining: shares.clone().filter(|&b| b > 0).count(), proc_idx };
+        let tid = match self.free_transfers.pop() {
             Some(tid) => {
-                world.array.transfers[tid] = transfer;
-                tid as u64
+                self.transfers[tid as usize] = transfer;
+                tid
             }
             None => {
-                world.array.transfers.push(transfer);
-                (world.array.transfers.len() - 1) as u64
+                self.transfers.push(transfer);
+                (self.transfers.len() - 1) as u32
             }
         };
 
         // Head position target: each disk stores its share of the logical
         // space, so the per-disk offset shrinks by the member count.
         let per_disk_offset = offset / n_disks.max(1) as u64;
-        let cylinder =
-            (per_disk_offset / world.array.bytes_per_cylinder) % world.array.curve.cylinders;
+        let cylinder = (per_disk_offset / self.bytes_per_cylinder) % self.curve.cylinders;
 
-        for (d, b) in participating {
-            world.array.disks[d].sched.push(DiskRequest { id: tid, cylinder, bytes: b });
-            start_if_idle(engine, world, d);
+        for (d, b) in shares.enumerate().filter(|&(_, b)| b > 0) {
+            self.disks[d].sched.push(DiskRequest { id: tid as u64, cylinder, bytes: b });
+            self.start_if_idle(queue, d as u32);
         }
+    }
+
+    fn fire(&mut self, queue: &mut Queue, event: SchedEvent) {
+        let disk = match event {
+            SchedEvent::ChunkDone { disk, tid } => {
+                self.complete_chunk(queue, tid);
+                disk
+            }
+            SchedEvent::RetryReady { disk } => disk,
+        };
+        self.disks[disk as usize].busy = false;
+        self.start_if_idle(queue, disk);
     }
 
     fn utilization(&self, end: SimTime) -> f64 {
@@ -237,89 +275,83 @@ impl DiskArray for SchedArray {
     }
 }
 
-fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk_idx: usize) {
-    if world.array.disks[disk_idx].busy {
-        return;
-    }
-    let head_before = world.array.disks[disk_idx].sched.head();
-    // A request waiting out its retry back-off goes first (its head
-    // position is wherever the failed attempt left it); otherwise ask
-    // the scheduler for the next queued request.
-    let (req, attempt) = match world.array.disks[disk_idx].retry.take() {
-        Some((req, attempt)) => (req, attempt),
-        None => {
-            let Some(req) = world.array.disks[disk_idx].sched.next() else {
-                return;
-            };
-            world.array.disks[disk_idx].started += 1;
-            (req, 0)
+impl SchedArray {
+    fn start_if_idle(&mut self, queue: &mut Queue, disk_idx: u32) {
+        let disk = &mut self.disks[disk_idx as usize];
+        if disk.busy {
+            return;
         }
-    };
-    let distance = req.cylinder.abs_diff(head_before);
-    // Degraded latency: the fault plan's slow windows scale the whole
-    // service time. The quiet plan multiplies by exactly 1.0, which is
-    // bit-identical in IEEE arithmetic — no drift on healthy runs.
-    let service = (world.array.curve.seek_time(distance)
-        + world.array.cfg.disk_model.rotational
-        + world.array.cfg.disk_model.transfer(req.bytes))
-        * world.array.faults.multiplier_at(engine.now().seconds());
-    world.array.disks[disk_idx].busy = true;
-    world.array.disks[disk_idx].busy_time += service;
+        let head_before = disk.sched.head();
+        // A request that sat out its retry back-off goes first (its head
+        // position is wherever the failed attempt left it); otherwise ask
+        // the scheduler for the next queued request.
+        let (req, attempt) = match disk.retry.take() {
+            Some(retry) => retry,
+            None => {
+                let Some(req) = disk.sched.next() else {
+                    return;
+                };
+                disk.started += 1;
+                (req, 0)
+            }
+        };
+        let distance = req.cylinder.abs_diff(head_before);
+        // Degraded latency: the fault plan's slow windows scale the whole
+        // service time. The quiet plan multiplies by exactly 1.0, which is
+        // bit-identical in IEEE arithmetic — no drift on healthy runs.
+        let service = (self.curve.seek_time(distance)
+            + self.cfg.disk_model.rotational
+            + self.cfg.disk_model.transfer(req.bytes))
+            * self.faults.multiplier_at(queue.now().seconds());
+        disk.busy = true;
+        disk.busy_time += service;
 
-    // Transient error: every `error_every`-th request started on this
-    // disk fails its first attempt after consuming its service time
-    // (the firmware tried and gave up).
-    let failed = attempt == 0
-        && world.array.faults.error_every > 0
-        && world.array.disks[disk_idx].started % world.array.faults.error_every == 0;
-    let tid = req.id as usize;
-    if failed {
-        if world.array.faults.max_retries == 0 {
+        // Transient error: every `error_every`-th request started on this
+        // disk fails its first attempt after consuming its service time
+        // (the firmware tried and gave up).
+        let failed = attempt == 0
+            && self.faults.error_every > 0
+            && disk.started % self.faults.error_every == 0;
+        let done = SchedEvent::ChunkDone { disk: disk_idx, tid: req.id as u32 };
+        if !failed {
+            queue.schedule_in(service, Event::Array(done));
+        } else if self.faults.max_retries == 0 {
             // No retry budget: drop the request gracefully — count it
             // and let the transfer complete so the process resumes.
-            world.array.dropped += 1;
-            engine.schedule_in(service, move |eng, w| {
-                w.array.disks[disk_idx].busy = false;
-                complete_chunk(eng, w, tid);
-                start_if_idle(eng, w, disk_idx);
-            });
+            self.dropped += 1;
+            queue.schedule_in(service, Event::Array(done));
         } else {
             // Bounded retry: hold the disk busy through the back-off,
             // then re-serve the same request (attempt 1 succeeds —
             // the error is transient).
-            world.array.retries += 1;
-            let backoff = world.array.faults.retry_backoff_s.max(0.0);
-            engine.schedule_in(service + backoff, move |eng, w| {
-                w.array.disks[disk_idx].busy = false;
-                w.array.disks[disk_idx].retry = Some((req, attempt + 1));
-                start_if_idle(eng, w, disk_idx);
-            });
+            self.retries += 1;
+            disk.retry = Some((req, attempt + 1));
+            let backoff = self.faults.retry_backoff_s.max(0.0);
+            queue.schedule_in(
+                service + backoff,
+                Event::Array(SchedEvent::RetryReady { disk: disk_idx }),
+            );
         }
-        return;
     }
 
-    engine.schedule_in(service, move |eng, w| {
-        w.array.disks[disk_idx].busy = false;
-        complete_chunk(eng, w, tid);
-        start_if_idle(eng, w, disk_idx);
-    });
-}
-
-/// One striped chunk of transfer `tid` landed; when the last one does,
-/// the owning process resumes and the slot is recycled.
-fn complete_chunk<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, tid: usize) {
-    world.array.transfers[tid].remaining -= 1;
-    if world.array.transfers[tid].remaining == 0 {
-        let proc_idx = world.array.transfers[tid].proc_idx;
-        world.array.free_transfers.push(tid);
-        resume_at(engine, engine.now(), proc_idx);
+    /// One striped chunk of transfer `tid` landed; when the last one
+    /// does, the owning process resumes and the slot is recycled.
+    fn complete_chunk(&mut self, queue: &mut Queue, tid: u32) {
+        let transfer = &mut self.transfers[tid as usize];
+        transfer.remaining -= 1;
+        if transfer.remaining == 0 {
+            let proc_idx = transfer.proc_idx;
+            self.free_transfers.push(tid);
+            resume_at(queue, queue.now(), proc_idx);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_trace::record::IoOp;
+    use crate::trace_driven::trace_sim;
+    use clio_trace::record::{IoOp, TraceRecord};
     use clio_trace::source::SliceSource;
     use clio_trace::writer::TraceWriter;
     use clio_trace::TraceFile;
@@ -586,5 +618,90 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::InvalidMachine(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_fault_plan_that_breaks_the_clock_is_an_error_not_a_panic() {
+        let trace = sequential_trace(4, 4096);
+        let run = |faults: DiskFaultPlan| {
+            scheduled_trace_sim(
+                reopen(&trace),
+                &MachineConfig::uniprocessor(),
+                &SchedReplayOptions { faults, ..Default::default() },
+            )
+        };
+        let window = |start_s, end_s, multiplier| DiskFaultPlan {
+            slow_windows: vec![SlowWindow { start_s, end_s, multiplier }],
+            ..Default::default()
+        };
+        for (what, plan) in [
+            ("negative multiplier", window(0.0, 1.0, -2.0)),
+            ("NaN multiplier", window(0.0, 1.0, f64::NAN)),
+            ("infinite multiplier", window(0.0, 1.0, f64::INFINITY)),
+            ("NaN window start", window(f64::NAN, 1.0, 2.0)),
+            ("NaN window end", window(0.0, f64::NAN, 2.0)),
+            ("NaN back-off", DiskFaultPlan { retry_backoff_s: f64::NAN, ..Default::default() }),
+            (
+                "infinite back-off",
+                DiskFaultPlan { retry_backoff_s: f64::INFINITY, ..Default::default() },
+            ),
+        ] {
+            assert!(plan.validate().is_err(), "{what}");
+            let err = run(plan).expect_err(what);
+            assert!(matches!(err, SimError::InvalidFaultPlan(_)), "{what}: {err:?}");
+            assert!(err.to_string().starts_with("invalid disk fault plan: "), "{err}");
+        }
+        // What the model can run stays accepted: the quiet plan, a
+        // speed-up, a zero multiplier, an open-ended window, a negative
+        // back-off (clamped to none).
+        for plan in [
+            DiskFaultPlan::default(),
+            window(0.0, 1.0, 0.5),
+            window(0.0, f64::INFINITY, 0.0),
+            DiskFaultPlan { error_every: 2, retry_backoff_s: -1.0, ..Default::default() },
+        ] {
+            assert_eq!(plan.validate(), Ok(()));
+            let report = run(plan.clone()).unwrap_or_else(|e| panic!("{plan:?}: {e}"));
+            assert!(report.makespan.is_finite() && report.makespan > 0.0, "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn an_event_fits_beside_its_key_in_32_bytes() {
+        // Time (8) + sequence number (8) + event: what a boxed closure
+        // cost the heap entry, with no box behind it.
+        assert!(std::mem::size_of::<Event<SchedEvent>>() <= 16);
+    }
+
+    #[test]
+    fn more_disks_than_an_event_can_name_is_an_error() {
+        let trace = sequential_trace(1, 1024);
+        let err = scheduled_trace_sim(
+            reopen(&trace),
+            &MachineConfig::with_disks(usize::MAX),
+            &SchedReplayOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(&err, SimError::InvalidMachine(m) if m.contains("too many disks")));
+    }
+
+    #[test]
+    fn a_saturated_transfer_stripes_in_constant_time() {
+        // `length × num_records` saturates at u64::MAX — 2^48 stripe
+        // units. Dealing chunks one at a time never returns; the closed
+        // form completes at once, through both arrays, and the byte
+        // tally saturates instead of overflowing on the second record.
+        let mut huge = TraceRecord::simple(IoOp::Read, 0, 0, u64::MAX);
+        huge.num_records = 2;
+        for (records, disks) in [(vec![huge], 1), (vec![huge], 3), (vec![huge, huge], 3)] {
+            let trace = TraceFile::build("huge.dat", 1, records).expect("valid");
+            let machine = MachineConfig::with_disks(disks);
+            let plain = trace_sim(reopen(&trace), &machine, &Default::default()).unwrap();
+            let sched = scheduled_trace_sim(reopen(&trace), &machine, &Default::default()).unwrap();
+            for report in [plain, sched] {
+                assert_eq!(report.bytes_moved, u64::MAX);
+                assert!(report.makespan.is_finite() && report.makespan > 1e9, "{report:?}");
+            }
+        }
     }
 }

@@ -16,9 +16,12 @@
 //! loop (the other is
 //! [`scheduled_trace_sim`](crate::sched_replay::scheduled_trace_sim)):
 //! a discovery pass for the process roster, then a replay pass through
-//! a [`PidSplitter`](clio_trace::source::PidSplitter) with bounded
-//! per-pid buffering, from any re-openable source — no materialized
-//! trace is ever built. Each process issues its records in order;
+//! a [`PidSplitter`](clio_trace::source::PidSplitter), from any
+//! re-openable source — no materialized trace is ever built, and what
+//! the splitter had to park for lagging processes is reported as
+//! [`TraceSimReport::splitter_peak_buffered`]. The loop is a typed
+//! event queue drained by `match`; it allocates nothing per event.
+//! Each process issues its records in order;
 //! opens, closes and seeks cost a fixed host overhead, and reads and
 //! writes occupy this module's disk array: striped, first come first
 //! served, every chunk charged the disk model's flat positioning cost.
@@ -30,14 +33,14 @@
 //! clocks are ignored and a process issues its next record the moment
 //! the previous completes.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use clio_trace::source::TraceSource;
 
-use crate::disk::{stripe_plan, striped_service};
-use crate::engine::Engine;
+use crate::disk::{stripe_shares, striped_service};
 use crate::machine::MachineConfig;
-use crate::proc_driver::{self, resume_at, DiskArray, World};
+use crate::proc_driver::{self, resume_at, DiskArray, Queue};
 use crate::resource::FcfsServer;
 use crate::time::SimTime;
 
@@ -85,6 +88,11 @@ pub struct TraceSimReport {
     /// Requests dropped after exhausting the retry budget (scheduled
     /// replay under a fault plan; 0 elsewhere).
     pub dropped_requests: u64,
+    /// High-water mark of records the per-pid demultiplexer
+    /// ([`PidSplitter`](clio_trace::source::PidSplitter)) had parked at
+    /// once: how far the processes' cursors drifted apart as this
+    /// replay consumed them — the run's O(trace) memory term, if any.
+    pub splitter_peak_buffered: u64,
 }
 
 /// Why a trace simulator refused its configuration.
@@ -94,6 +102,9 @@ pub enum SimError {
     InvalidMachine(String),
     /// The scheduled replay was asked for disks with no cylinders.
     ZeroCylinders,
+    /// [`DiskFaultPlan::validate`](crate::sched_replay::DiskFaultPlan::validate)
+    /// rejected the fault plan; its message.
+    InvalidFaultPlan(String),
 }
 
 impl fmt::Display for SimError {
@@ -101,6 +112,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidMachine(m) => write!(f, "invalid machine: {m}"),
             SimError::ZeroCylinders => write!(f, "disks need at least one cylinder"),
+            SimError::InvalidFaultPlan(m) => write!(f, "invalid disk fault plan: {m}"),
         }
     }
 }
@@ -117,30 +129,31 @@ struct FcfsArray {
 }
 
 impl DiskArray for FcfsArray {
-    fn submit<'s>(
-        engine: &mut Engine<World<'s, Self>>,
-        world: &mut World<'s, Self>,
-        proc_idx: usize,
-        _offset: u64,
-        bytes: u64,
-    ) {
-        let now = engine.now();
-        let array = &mut world.array;
-        let cfg = &array.cfg;
-        let plan = stripe_plan(bytes, array.disks.len(), cfg.stripe_unit);
-        let rotation = array.stripe_rotation[proc_idx];
+    /// Every chunk is reserved at submit time, so the array has no
+    /// events of its own.
+    type Event = Infallible;
+
+    fn submit(&mut self, queue: &mut Queue<Self>, proc_idx: u32, _offset: u64, bytes: u64) {
+        let now = queue.now();
+        let cfg = &self.cfg;
+        let rotation = self.stripe_rotation[proc_idx as usize];
         let mut completion = now;
-        for (i, &(chunks, tail)) in plan.iter().enumerate() {
+        let shares = stripe_shares(bytes, self.disks.len(), cfg.stripe_unit);
+        for (i, (chunks, tail)) in shares.enumerate() {
             let service = striped_service(&cfg.disk_model, cfg.stripe_unit, chunks, tail);
             if service <= 0.0 {
                 continue;
             }
-            let disk = (rotation + i) % array.disks.len();
-            let (_, end) = array.disks[disk].acquire(now, service);
+            let disk = (rotation + i) % self.disks.len();
+            let (_, end) = self.disks[disk].acquire(now, service);
             completion = completion.max(end);
         }
-        array.stripe_rotation[proc_idx] = (rotation + 1) % array.disks.len();
-        resume_at(engine, completion, proc_idx);
+        self.stripe_rotation[proc_idx as usize] = (rotation + 1) % self.disks.len();
+        resume_at(queue, completion, proc_idx);
+    }
+
+    fn fire(&mut self, _queue: &mut Queue<Self>, event: Infallible) {
+        match event {}
     }
 
     fn utilization(&self, end: SimTime) -> f64 {

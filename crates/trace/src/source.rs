@@ -26,8 +26,9 @@
 //!   shared file namespaces ([`FileNamespace`]).
 //!
 //! [`PidSplitter`] demultiplexes any source into per-process streams
-//! in one pass with bounded buffering — the adapter the pid-grouping
-//! simulators consume streaming workloads through.
+//! in one pass, buffering only what its consumers' cursors are apart —
+//! the adapter the pid-grouping simulators consume streaming workloads
+//! through.
 //!
 //! The concurrent merge gives the two inputs **disjoint namespaces** by
 //! default: B's file ids are offset by A's file count and B's pids by
@@ -387,21 +388,27 @@ impl<A: TraceSource, B: TraceSource> TraceSource for WeightedSource<A, B> {
 }
 
 /// A streaming per-pid splitter: demultiplexes one [`TraceSource`]
-/// into per-process record streams in a **single pass**, with bounded
-/// buffering — the adapter that lets the pid-grouping simulators
-/// consume a workload without materializing it.
+/// into per-process record streams in a **single pass**, buffering
+/// only what lies between its consumers' cursors — the adapter that
+/// lets the pid-grouping simulators consume a workload without
+/// materializing it.
 ///
 /// [`PidSplitter::next_for`] pulls the next record of one pid; records
 /// of *other* pids encountered on the way are parked in per-pid FIFO
-/// buffers and handed out when their pid is asked for. **Bounded-buffer
+/// buffers and handed out when their pid is asked for. **Buffer
 /// invariant:** the records buffered at any moment are exactly those
 /// between each pid's consumption point and the global read cursor, so
-/// peak buffering is the trace's maximum *pid-interleave distance* (how
-/// far one process's consecutive records sit apart in capture order) —
-/// a property of the workload's process interleaving, never of its
-/// length. For the round-robin interleavings the trace writer and the
-/// mix combinators emit, that is O(#pids). [`PidSplitter::peak_buffered`]
-/// reports the high-water mark so tests can pin the invariant.
+/// peak buffering is the maximum *pid-interleave distance as consumed*:
+/// how far the fastest consumer's cursor runs ahead of the slowest's.
+/// That is a property of the demand pattern, not of the trace alone.
+/// Consumers that advance in step over the round-robin interleavings
+/// the trace writer and the mix combinators emit hold it at O(#pids);
+/// a closed-loop simulation of processes with unequal service times
+/// does not — the fast process runs ahead for the whole run, and the
+/// slow one's records pile up in proportion to the trace length (a
+/// third of a 180 000-record two-process mix, measured).
+/// [`PidSplitter::peak_buffered`] reports the high-water mark, and the
+/// simulators pass it on in their report.
 #[derive(Debug)]
 pub struct PidSplitter<S> {
     source: S,
@@ -469,7 +476,7 @@ impl<S: TraceSource> PidSplitter<S> {
     }
 
     /// High-water mark of parked records — the observable side of the
-    /// bounded-buffer invariant.
+    /// buffer invariant.
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
     }

@@ -27,10 +27,12 @@ use std::time::Instant;
 use clio_core::cache::cache::{AccessKind, BufferCache, CacheConfig};
 use clio_core::cache::policy::ReplacementPolicy;
 use clio_core::prelude::*;
-use clio_core::sim::trace_driven::{trace_sim, TraceSimOptions};
+use clio_core::sim::sched_replay::{scheduled_trace_sim, SchedReplayOptions};
+use clio_core::sim::trace_driven::{trace_sim, ThinkTime, TraceSimOptions, TraceSimReport};
 use clio_core::trace::replay::{replay_parallel, ParallelReplayOptions};
 use clio_core::trace::source::{SliceSource, TraceSource};
 use clio_core::trace::synth::{synthesize, TraceProfile};
+use clio_core::trace::writer::TraceWriter;
 use clio_core::trace::TraceFile;
 
 /// A pass-through allocator that tracks live bytes and their
@@ -308,6 +310,81 @@ fn warm_cache_accesses_allocate_nothing() {
         );
         assert!(cache.metrics().evictions > 0, "the working set really overflows the budget");
     }
+}
+
+/// Allocation calls of one `run`, best of three (the counter is
+/// process-global; see [`warm_cache_accesses_allocate_nothing`]).
+fn alloc_calls(run: impl Fn()) -> usize {
+    (0..3)
+        .map(|_| {
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            run();
+            ALLOC_CALLS.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .expect("three attempts")
+}
+
+/// The same gate for the two trace simulators: an event is a typed
+/// word in the heap entry, a sleeper's record is parked in its process
+/// slot, and a transfer is striped by an iterator — so a replay's
+/// allocations are its fixed set-up plus O(log N) buffer doublings
+/// (event heap, splitter `VecDeque`s, transfer table). Eight times the
+/// records may add a few dozen calls; one allocation per event would
+/// add ~14 000 here and cannot pass.
+///
+/// The trace is frozen (a `SliceSource` allocates nothing per record).
+/// Every other record of its first process is a seek, which needs no
+/// disk, so that process runs ahead and the splitter buffers a share of
+/// the trace for the second — the doublings the bound allows for. The
+/// scheduled run is under `err@64` plus a slow window, so the retry
+/// path is measured too; the open-loop run measures the parked-record
+/// wake-up.
+#[test]
+fn simulator_event_loops_allocate_nothing_per_event() {
+    let _guard = exclusive();
+    let frozen = |data_ops: u64| {
+        let mut w = TraceWriter::new("alloc.dat").with_processes(2).with_tick_us(100);
+        for i in 0..data_ops / 2 {
+            let op = if i % 2 == 0 { IoOp::Seek } else { IoOp::Read };
+            w.record(op, 0, 0, i * 4096, 4096);
+            w.record(IoOp::Write, 1, 1, i * 300_000, 300_000);
+        }
+        w.finish().expect("valid trace")
+    };
+    let machine = MachineConfig::with_disks(2);
+    let open_loop = TraceSimOptions { think_time: ThinkTime::FromTrace };
+    let faulted = SchedReplayOptions {
+        faults: DiskFaultPlan {
+            slow_windows: vec![SlowWindow { start_s: 0.0, end_s: 1.0, multiplier: 8.0 }],
+            error_every: 64,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    const N: u64 = 2_000;
+    let (small, large) = (frozen(N), frozen(8 * N));
+    let gate = |name: &str, sim: &dyn Fn(&TraceFile) -> TraceSimReport| {
+        let report = sim(&large);
+        assert!(report.events >= 8 * N, "{name}: at least one event per record");
+        assert!(report.splitter_peak_buffered >= N, "{name}: the splitter buffered");
+
+        let at_n = alloc_calls(|| drop(sim(&small)));
+        let at_8n = alloc_calls(|| drop(sim(&large)));
+        assert!(
+            at_8n <= at_n + 64,
+            "{name}: allocations grew with the trace: {at_n} calls at {N} ops -> \
+             {at_8n} at {} ops",
+            8 * N
+        );
+        report
+    };
+    gate("trace_sim", &|t| trace_sim(reopen(t), &machine, &Default::default()).unwrap());
+    gate("trace_sim, open loop", &|t| trace_sim(reopen(t), &machine, &open_loop).unwrap());
+    let report = gate("scheduled_trace_sim, faulted", &|t| {
+        scheduled_trace_sim(reopen(t), &machine, &faulted).unwrap()
+    });
+    assert!(report.retries > 0, "the retry path ran");
 }
 
 #[test]
