@@ -1,6 +1,7 @@
 //! The experiment builder and runner.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use clio_cache::cache::CacheConfig;
 use clio_cache::policy::ReplacementPolicy;
@@ -10,9 +11,10 @@ use clio_sim::sched_replay::{scheduled_trace_sim, DiskFaultPlan, SchedReplayOpti
 use clio_sim::trace_driven::{trace_sim, SimError, ThinkTime, TraceSimOptions};
 use clio_trace::replay::{
     open_real_backend, replay_backend, replay_cached, replay_sharded, ParallelReplayOptions,
-    RealReplayOptions, ReportMode,
+    RealReplayOptions, ReplayReport, ReportMode,
 };
-use clio_trace::verify::{QuarantineSource, VerifyMode};
+use clio_trace::source::TraceSource;
+use clio_trace::verify::{QuarantineSource, StrictSource, VerifyError, VerifyMode};
 
 use crate::engine::Engine;
 use crate::error::ExpError;
@@ -71,28 +73,105 @@ impl Experiment {
     /// additionally keep only O(1) running aggregates instead of
     /// per-record timings.
     ///
+    /// **Admission is all-or-nothing at this boundary.** Whatever the
+    /// engine, a `Report` comes back only if the whole input passed:
+    /// every container check of every file atom, and under
+    /// [`VerifyMode::Strict`] every `V`-rule. The engines that re-open
+    /// their input or act outside the report (parallel replay, both
+    /// simulators, serve, real replay) get that by admitting everything
+    /// before their first record. [`Engine::SerialReplay`] reads its
+    /// input once and touches nothing but the report it returns, so it
+    /// admits *while* it replays — one pass, one block of a v2 file in
+    /// memory — and drops the partial replay if the stream turns out to
+    /// have failed. With two faults in one input, the error is the one
+    /// that comes first in stream order.
+    ///
     /// A stream replayed with [`VerifyMode::Off`] whose record names a
     /// file outside the declared roster fails with
     /// [`ExpError::Trace`] (record index and file id inside) instead
     /// of being replayed.
     pub fn run(&self) -> Result<Report, ExpError> {
         let mut report = Report::new(self.engine.name(), self.workload.label());
-        // Surface workload errors as ExpError up front, without
-        // generating a single record: parameter checks are structural
-        // (`validate`), and the load-once atoms (file, app) are
-        // resolved into one shared in-memory trace here — so the
-        // re-opens below (one per parallel worker, two per simulator)
-        // clone an `Arc` rather than re-loading from disk or re-running
-        // an application, and cannot fail for a validated workload.
+        // Parameter checks are structural: no record is generated and
+        // no file touched before they pass.
         self.workload.validate()?;
+        let started = match &self.engine {
+            Engine::SerialReplay => self.replay_in_one_pass(&mut report)?,
+            reopening => self.run_admitted(reopening, &mut report)?,
+        };
+        report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+        Ok(report)
+    }
+
+    /// [`Engine::SerialReplay`]: opens the workload once (v2 file atoms
+    /// admitted block by block as the replay reaches them), checks each
+    /// record per [`VerifyMode`] on its way into the cache, and only
+    /// after the last record asks the stream for its verdict. Returns
+    /// when the replay started.
+    fn replay_in_one_pass(&self, report: &mut Report) -> Result<Instant, ExpError> {
+        let source = self.workload.open_lazy()?;
+        let options = self.workload.verify_options();
+        let started = Instant::now();
+        let replay = match self.verify {
+            // The bare stream, exactly as an unverified replay always
+            // ran: no wrapper and no per-record branch.
+            VerifyMode::Off => {
+                let mut source = source;
+                self.replay_then_judge(&mut *source, |_| Ok(()))?
+            }
+            VerifyMode::Strict => {
+                let mut strict = StrictSource::with_options(source, options);
+                self.replay_then_judge(&mut strict, |strict| strict.finish().map(drop))?
+            }
+            VerifyMode::Lenient => {
+                let mut quarantine = QuarantineSource::with_options(source, options);
+                self.replay_then_judge(&mut quarantine, |quarantine| {
+                    report.quarantine = Some(QuarantineSummary::from(&quarantine.ledger()));
+                    Ok(())
+                })?
+            }
+        };
+        report.cache_metrics = Some(replay.metrics);
+        report.set_replay(replay);
+        Ok(started)
+    }
+
+    /// Replays `source` to its end, then decides whether the replay
+    /// counts. A source that failed ended early, and it failed before
+    /// anything met after it: its failure is reported ahead of the
+    /// replay's own error and of `verdict` (the admission wrapper's
+    /// say on the records it saw).
+    fn replay_then_judge<S: TraceSource + ?Sized>(
+        &self,
+        source: &mut S,
+        verdict: impl FnOnce(&S) -> Result<(), VerifyError>,
+    ) -> Result<ReplayReport, ExpError> {
+        let replay = replay_cached(source, self.cache.clone(), self.mode);
+        if let Some(failure) = source.take_failure() {
+            return Err(failure.into());
+        }
+        let replay = replay?;
+        verdict(source)?;
+        Ok(replay)
+    }
+
+    /// Every engine but serial replay: the load-once atoms are resolved
+    /// and the whole workload admitted *before* the engine's first
+    /// record, because these engines re-open their input (one stream
+    /// per parallel worker, two passes per simulator) or act outside
+    /// the report. Returns when the engine started.
+    fn run_admitted(&self, engine: &Engine, report: &mut Report) -> Result<Instant, ExpError> {
+        // The load-once atoms (file, app) become one shared in-memory
+        // trace here, so the re-opens below clone an `Arc` rather than
+        // re-loading from disk or re-running an application, and cannot
+        // fail for a validated workload.
         let workload = self.workload.resolve()?;
         // Trace admission (off by default). Strict vets the stream and
         // replays it untouched — a verified clean run is bit-identical
         // to an unverified one. Lenient records the quarantine ledger
-        // once, then rebinds the workload so that *every* stream any
-        // engine opens (the parallel engine opens one per worker) is
-        // filtered through the same decision procedure — without
-        // tallying twice.
+        // once, then rebinds the workload so that *every* stream the
+        // engine opens is filtered through the same decision procedure
+        // — without tallying twice.
         let workload = match self.verify {
             VerifyMode::Off => workload,
             VerifyMode::Strict => {
@@ -114,13 +193,9 @@ impl Experiment {
             }
         };
         let reopen = || workload.open().expect("a validated, resolved workload re-opens");
-        let started = std::time::Instant::now();
-        match &self.engine {
-            Engine::SerialReplay => {
-                let replay = replay_cached(&mut *reopen(), self.cache.clone(), self.mode)?;
-                report.cache_metrics = Some(replay.metrics);
-                report.set_replay(replay);
-            }
+        let started = Instant::now();
+        match engine {
+            Engine::SerialReplay => unreachable!("run() replays serially in one pass"),
             Engine::ParallelReplay => {
                 let replay = replay_sharded(reopen, self.cache.clone(), &self.parallel, self.mode)?;
                 report.cache_metrics = Some(replay.metrics);
@@ -157,8 +232,7 @@ impl Experiment {
                 report.set_replay(replay);
             }
         }
-        report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
-        Ok(report)
+        Ok(started)
     }
 }
 
@@ -443,10 +517,10 @@ impl ExperimentBuilder {
 
     /// Trace admission mode (default [`VerifyMode::Off`]).
     ///
-    /// [`VerifyMode::Strict`] vets every record before replay and
-    /// fails the run with [`ExpError::Verify`] (rule code + record
-    /// index) at the first violation; a stream that passes replays
-    /// bit-identically to an unverified one. [`VerifyMode::Lenient`]
+    /// [`VerifyMode::Strict`] checks every record before it is
+    /// replayed and fails the run with [`ExpError::Verify`] (rule code
+    /// and record index) at the first violation; a stream that passes
+    /// replays bit-identically to an unverified one. [`VerifyMode::Lenient`]
     /// quarantines invalid records instead — the survivors replay, and
     /// the ledger lands in [`Report::quarantine`] /
     /// [`ReportSummary::quarantine`].

@@ -7,7 +7,7 @@
 //! times.
 
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use clio_trace::source::{
@@ -15,7 +15,7 @@ use clio_trace::source::{
 };
 use clio_trace::synth::{Arrival, Popularity, SynthSource, TraceProfile};
 use clio_trace::verify::{verify_lenient, verify_strict, VerifyMode, VerifyOptions, VerifyReport};
-use clio_trace::TraceFile;
+use clio_trace::{TraceError, TraceFile};
 
 use crate::error::ExpError;
 
@@ -75,6 +75,9 @@ impl AppWorkload {
         }
     }
 }
+
+/// How a [`Workload::File`] leaf is opened (see [`Workload::open`]).
+type FileOpener = fn(&Path) -> Result<Box<dyn TraceSource>, TraceError>;
 
 /// How a [`Workload::Mix`] merges its two inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,16 +175,35 @@ impl Workload {
         Workload::Custom(CustomWorkload { label: label.into(), factory: Arc::new(factory) })
     }
 
-    /// Opens the workload as a fresh streaming source.
+    /// Opens the workload as a fresh streaming source. Every file atom
+    /// in it has been admitted whole (container checks; the `V`-rules
+    /// are [`Workload::verify`]) before this returns.
     pub fn open(&self) -> Result<Box<dyn TraceSource>, ExpError> {
+        self.open_with(|path| clio_trace::compact::open_path(path))
+    }
+
+    /// [`Workload::open`] with v2 file atoms admitted lazily, block by
+    /// block as the stream reaches them
+    /// ([`open_path_lazy`](clio_trace::compact::open_path_lazy)): for
+    /// the one-pass replay in [`Experiment::run`](crate::Experiment::run),
+    /// which reads the source's
+    /// [`take_failure`](TraceSource::take_failure) before it returns a
+    /// report.
+    pub(crate) fn open_lazy(&self) -> Result<Box<dyn TraceSource>, ExpError> {
+        self.open_with(|path| clio_trace::compact::open_path_lazy(path))
+    }
+
+    /// The one recursion behind both openers; `open_file` opens a
+    /// [`Workload::File`] leaf (v1 vs v2 sniffed by magic either way).
+    fn open_with(&self, open_file: FileOpener) -> Result<Box<dyn TraceSource>, ExpError> {
         Ok(match self {
             Workload::Synthetic(profile) => Box::new(SynthSource::new(profile.clone())?),
             Workload::App(app) => Box::new(SharedSource::new(Arc::new(app.trace()?))),
-            // v1 vs v2 sniffed by magic: a compact file opens as a
-            // verified streaming CompactSource, a v1 file materializes.
-            Workload::File(path) => clio_trace::compact::open_path(path)?,
+            Workload::File(path) => open_file(path)?,
             Workload::Trace(trace) => Box::new(SharedSource::new(trace.clone())),
-            Workload::Chain(a, b) => Box::new(ChainSource::new(a.open()?, b.open()?)),
+            Workload::Chain(a, b) => {
+                Box::new(ChainSource::new(a.open_with(open_file)?, b.open_with(open_file)?))
+            }
             Workload::Mix(a, b, kind) => {
                 let (wa, wb, files) = match *kind {
                     MixKind::RoundRobin => (1, 1, FileNamespace::Disjoint),
@@ -193,7 +215,8 @@ impl Workload {
                         "mix weights must be positive, got {wa}:{wb}"
                     )));
                 }
-                Box::new(WeightedSource::new(a.open()?, b.open()?, wa, wb, files))
+                let (a, b) = (a.open_with(open_file)?, b.open_with(open_file)?);
+                Box::new(WeightedSource::new(a, b, wa, wb, files))
             }
             Workload::Custom(c) => (c.factory)(),
         })

@@ -111,9 +111,11 @@ impl BlockIndexEntry {
 }
 
 /// The CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
-/// table, built once at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// tables for slicing-by-8, built once at compile time: `[0]` is the
+/// classic byte-at-a-time table, `[k][b]` the CRC of byte `b` followed
+/// by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -122,18 +124,50 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut c = tables[0][i];
+        let mut k = 1;
+        while k < 8 {
+            c = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            tables[k][i] = c;
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
+/// One byte-at-a-time CRC step (the tail of [`crc32`], and the whole
+/// of the reference implementation the tests hold it against).
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+}
+
 /// CRC32 (IEEE) of `data` — the checksum each block header stores over
-/// its payload.
+/// its payload. Slicing-by-8: eight independent table lookups per
+/// 8-byte word instead of a dependent chain of eight.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = crc32_step(c, b);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -151,8 +185,22 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// Reads an unsigned LEB128 varint from `data` at `*pos`, advancing it.
 ///
 /// Rejects truncation and non-canonical encodings longer than ten
-/// bytes with the caller's block number in the error.
+/// bytes with the caller's block number in the error. Most column
+/// values of a real trace fit seven bits, so the one-byte case is
+/// decided inline and everything else goes to the general loop.
+#[inline]
 pub fn get_varint(data: &[u8], pos: &mut usize, block: u64) -> Result<u64, TraceError> {
+    match data.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        _ => get_varint_long(data, pos, block),
+    }
+}
+
+/// The general varint loop: any length, and every rejection.
+fn get_varint_long(data: &[u8], pos: &mut usize, block: u64) -> Result<u64, TraceError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -211,12 +259,75 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The byte-at-a-time CRC32 the format was defined with: the
+    /// reference the sliced implementation must equal on every input.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        data.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // The classic IEEE test vector.
+        // The classic IEEE check value, and two more from the zlib
+        // documentation's family — the bytes on disk depend on these.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    #[test]
+    fn sliced_crc32_equals_bytewise_on_every_short_length() {
+        // Lengths 0..=64 cover every remainder of the 8-byte stride
+        // several times over, at every alignment of the tail loop.
+        let data: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
+        for len in 0..=data.len() {
+            for start in 0..=(data.len() - len).min(8) {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// Every canonical encoding length (1-10 bytes) plus the rejections:
+    /// the inline one-byte path and the general loop must agree on the
+    /// value, the cursor and the error.
+    #[test]
+    fn varint_fast_path_agrees_with_the_loop() {
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for bytes in 1..=10u32 {
+            // Smallest and largest value of each encoded length, and
+            // the same followed by another column's bytes.
+            let lo = if bytes == 1 { 0 } else { 1u64 << (7 * (bytes - 1)) };
+            let hi = if bytes == 10 { u64::MAX } else { (1u64 << (7 * bytes)) - 1 };
+            for v in [lo, hi, lo | 0x55, hi & !0x2A] {
+                let mut out = Vec::new();
+                put_varint(&mut out, v);
+                assert_eq!(out.len(), bytes as usize, "varint({v:#x})");
+                inputs.push(out.clone());
+                out.extend_from_slice(&[0x7F, 0x80]);
+                inputs.push(out);
+            }
+        }
+        // Rejections: empty, cut mid-value, a tenth byte over 1, eleven
+        // continuation bytes; and an over-long (padded) encoding of 0,
+        // which both paths accept alike.
+        inputs.push(vec![]);
+        inputs.push(vec![0x80]);
+        inputs.push(vec![0xFF, 0xFF]);
+        inputs.push([vec![0xFF; 9], vec![0x02]].concat());
+        inputs.push(vec![0x80; 11]);
+        inputs.push(vec![0x80, 0x00]);
+        inputs.push(vec![0x80, 0x80, 0x00, 0x01]);
+        for input in &inputs {
+            let (mut fast_pos, mut loop_pos) = (0, 0);
+            let fast = get_varint(input, &mut fast_pos, 3);
+            let slow = get_varint_long(input, &mut loop_pos, 3);
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{input:02x?}");
+            assert_eq!(fast_pos, loop_pos, "{input:02x?}");
+        }
+        assert!(get_varint(&[], &mut 0, 0).is_err());
+        assert!(get_varint(&[0x80; 11], &mut 0, 0).is_err());
     }
 
     #[test]
@@ -275,6 +386,15 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn sliced_crc32_equals_bytewise_on_long_inputs(
+            data in proptest::collection::vec(any::<u8>(), 65..4096),
+            skip in 0usize..8,
+        ) {
+            let slice = &data[skip..];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+
         #[test]
         fn varint_round_trips(v in any::<u64>()) {
             let mut out = Vec::new();

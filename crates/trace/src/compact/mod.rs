@@ -40,12 +40,21 @@
 //!
 //! ## Trust boundary
 //!
-//! [`CompactSource::from_bytes`] is admission-on-ingest: one pass over
-//! the untrusted buffer — framing walk, footer cross-check, per-block
-//! CRC and full structural decode — accepting the file or rejecting it
-//! with a coded [`TraceError`] naming the block that
-//! broke. Only after that pass does the source stream records, so
-//! nothing unverified ever reaches a replay engine.
+//! One block walker ([`decode`]) frames, checksums and structurally
+//! decodes a container strictly front to back, and every reader is that
+//! walker under a different driver. [`CompactSource::from_bytes`] is
+//! admission-on-ingest: it drains the walker over the whole untrusted
+//! buffer — every block's CRC and full structural decode, then the
+//! footer cross-check — and only then streams records, so nothing from
+//! a container with a fault *anywhere* reaches a replay engine.
+//! [`CompactStream`] admits one block at a time while it streams, in
+//! O(block) memory from any reader: a block's records are still handed
+//! out only after its own CRC and decode passed, but a fault further on
+//! surfaces later, through
+//! [`TraceSource::take_failure`],
+//! and whoever consumed the stream must then discard the result.
+//! Either way a rejection is a coded [`TraceError`] naming the block
+//! that broke; the rule table is `docs/trace-verifier-rules.md`.
 //!
 //! [`TraceRecord::ENCODED_LEN`]: crate::record::TraceRecord::ENCODED_LEN
 //! [`TraceSource`]: crate::source::TraceSource
@@ -56,9 +65,11 @@ pub mod decode;
 pub mod encode;
 
 pub use block::{BlockHeader, BlockIndexEntry};
-pub use decode::{decode_trace, CompactSource};
+pub use decode::{decode_trace, CompactSource, CompactStream};
 pub use encode::{encode_source, encode_trace, write_compact, CompactWriter};
 
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 use crate::error::TraceError;
@@ -106,15 +117,38 @@ pub fn load_auto(path: impl AsRef<Path>) -> Result<TraceFile, TraceError> {
 /// Opens a trace at `path` in either format as a streaming
 /// [`TraceSource`]: a verified [`CompactSource`] for v2, a materialized
 /// v1 file wrapped in a [`SharedSource`](crate::source::SharedSource)
-/// otherwise.
+/// otherwise. Whatever this returns has been admitted whole.
 pub fn open_path(path: impl AsRef<Path>) -> Result<Box<dyn TraceSource>, TraceError> {
     let data = std::fs::read(path)?;
     if is_compact(&data) {
         Ok(Box::new(CompactSource::from_bytes(data)?))
     } else {
-        let trace = TraceFile::from_bytes(&data)?;
-        Ok(Box::new(crate::source::SharedSource::new(std::sync::Arc::new(trace))))
+        open_v1(&data)
     }
+}
+
+/// [`open_path`] without the whole-file pass: a v2 file comes back as a
+/// [`CompactStream`] over a buffered reader — O(block) memory, each
+/// block admitted as the stream reaches it — so a fault past the
+/// prelude is reported through
+/// [`TraceSource::take_failure`] after the records before it were
+/// handed out. For consumers that can drop their result on a late
+/// failure; a v1 file is loaded and admitted whole, as by [`open_path`].
+pub fn open_path_lazy(path: impl AsRef<Path>) -> Result<Box<dyn TraceSource>, TraceError> {
+    let mut reader = BufReader::new(File::open(path)?);
+    if is_compact(reader.fill_buf()?) {
+        Ok(Box::new(CompactStream::open(reader)?))
+    } else {
+        let mut data = Vec::new();
+        reader.read_to_end(&mut data)?;
+        open_v1(&data)
+    }
+}
+
+/// A v1 buffer as an admitted in-memory source.
+fn open_v1(data: &[u8]) -> Result<Box<dyn TraceSource>, TraceError> {
+    let trace = TraceFile::from_bytes(data)?;
+    Ok(Box::new(crate::source::SharedSource::new(std::sync::Arc::new(trace))))
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::error::TraceError;
 use crate::record::TraceRecord;
 use crate::source::{SourceMeta, TraceSource};
 
@@ -183,6 +184,10 @@ impl<S: TraceSource> TraceSource for FaultSource<S> {
         // bounded by inner + planned duplicates" is honest.
         let (_, upper) = self.inner.size_hint();
         (0, upper.map(|u| u + self.faults.len()))
+    }
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        self.inner.take_failure()
     }
 }
 

@@ -14,9 +14,12 @@
 //!   and a whitespace text codec,
 //! - [`compact`] — the v2 block-framed compact format: delta/varint
 //!   columns, per-block CRC32, a seekable index footer, a streaming
-//!   [`compact::CompactWriter`] and a verified streaming
-//!   [`compact::CompactSource`] (admission-on-ingest: corrupt input is
-//!   rejected with a coded error at the block where it breaks),
+//!   [`compact::CompactWriter`], and one block walker behind two
+//!   readers — [`compact::CompactSource`] (the whole container admitted
+//!   before the first record) and [`compact::CompactStream`] (each
+//!   block admitted as the stream reaches it, O(block) memory from any
+//!   `Read`); corrupt input is rejected with a coded error at the block
+//!   where it breaks,
 //! - [`reader`] / [`writer`] — whole-file I/O with validation,
 //! - [`stats`] — per-operation counts, byte volumes and a sequentiality
 //!   measure,
@@ -30,10 +33,11 @@
 //!   or sharded across worker threads) and *real* (against an actual
 //!   file through [`clio_cache::FileBackend`], timed with monotonic
 //!   clocks),
-//! - [`verify`] — the trust boundary: a streaming O(1)-memory admission
-//!   pass over any [`TraceSource`] with a fixed rule table (`V01`–`V09`),
-//!   strict (reject with a coded [`verify::VerifyError`]) or lenient
-//!   (quarantine-and-tally via [`verify::QuarantineSource`]),
+//! - [`verify`] — the trust boundary: a streaming O(1)-memory check of
+//!   any [`TraceSource`] against a fixed rule table (`V01`–`V09`),
+//!   strict (stop at the first violation, [`verify::StrictSource`], a
+//!   coded [`verify::VerifyError`]) or lenient (quarantine-and-tally via
+//!   [`verify::QuarantineSource`]),
 //! - [`fault`] — deterministic seeded fault injection
 //!   ([`fault::FaultSource`]): bit-flips, truncation, duplication,
 //!   reordering and clock rewinds on a schedule, to prove the verifier
@@ -73,7 +77,7 @@ pub mod transform;
 pub mod verify;
 pub mod writer;
 
-pub use compact::{CompactSource, CompactWriter};
+pub use compact::{CompactSource, CompactStream, CompactWriter};
 pub use error::TraceError;
 pub use fault::{FaultKind, FaultPlan, FaultSource, FaultSpec};
 pub use header::TraceHeader;
@@ -83,6 +87,6 @@ pub use replay::{OpTiming, ReplayReport};
 pub use source::{SourceMeta, TraceSource};
 pub use stats::TraceStats;
 pub use verify::{
-    verify_lenient, verify_strict, QuarantineSource, VerifyError, VerifyMode, VerifyOptions,
-    VerifyReport, ViolationCounts,
+    verify_lenient, verify_strict, QuarantineSource, StrictSource, VerifyError, VerifyMode,
+    VerifyOptions, VerifyReport, ViolationCounts,
 };

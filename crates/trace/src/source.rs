@@ -89,20 +89,49 @@ pub trait TraceSource {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, None)
     }
+
+    /// Why the stream ended, if it ended because it **failed**.
+    ///
+    /// Most sources cannot fail once built and keep the default
+    /// `None`. A source that admits its input lazily
+    /// ([`CompactStream`](crate::compact::CompactStream)) can meet a
+    /// fault after records have been handed out: it then yields `None`
+    /// from there on and parks the coded error here, to be taken once.
+    /// Wrappers and combinators forward their inputs' failures. A
+    /// consumer of such a source asks after the last record and must
+    /// not trust what it computed from a stream that failed.
+    fn take_failure(&mut self) -> Option<TraceError> {
+        None
+    }
+}
+
+/// Forwards every method to the source behind a pointer.
+macro_rules! forward_trace_source {
+    () => {
+        fn meta(&self) -> SourceMeta {
+            (**self).meta()
+        }
+
+        fn next_record(&mut self) -> Option<TraceRecord> {
+            (**self).next_record()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (**self).size_hint()
+        }
+
+        fn take_failure(&mut self) -> Option<TraceError> {
+            (**self).take_failure()
+        }
+    };
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
-    fn meta(&self) -> SourceMeta {
-        (**self).meta()
-    }
+    forward_trace_source!();
+}
 
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        (**self).next_record()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (**self).size_hint()
-    }
+impl<T: TraceSource + ?Sized> TraceSource for &mut T {
+    forward_trace_source!();
 }
 
 /// Collects a source into an in-memory [`TraceFile`].
@@ -116,6 +145,18 @@ pub fn materialize<S: TraceSource + ?Sized>(source: &mut S) -> Result<TraceFile,
     while let Some(r) = source.next_record() {
         records.push(r);
     }
+    if let Some(failure) = source.take_failure() {
+        return Err(failure);
+    }
+    trace_of(meta, records)
+}
+
+/// The [`TraceFile`] of `records` under `meta`: header counts derived
+/// from the records, the declared file count kept when it is larger.
+pub(crate) fn trace_of(
+    meta: SourceMeta,
+    records: Vec<TraceRecord>,
+) -> Result<TraceFile, TraceError> {
     let mut trace = TraceFile::build(meta.sample_file, meta.num_processes, records)?;
     if meta.num_files > trace.header.num_files {
         trace.header.num_files = meta.num_files;
@@ -233,6 +274,13 @@ fn add_hints(a: (usize, Option<usize>), b: (usize, Option<usize>)) -> (usize, Op
     (a.0 + b.0, a.1.zip(b.1).map(|(x, y)| x + y))
 }
 
+/// The failure of a two-input combinator: the first input's, else the
+/// second's. (A failed input just looks exhausted to the combinator,
+/// which goes on with the other; the run is void either way.)
+fn take_either_failure<A: TraceSource, B: TraceSource>(a: &mut A, b: &mut B) -> Option<TraceError> {
+    a.take_failure().or_else(|| b.take_failure())
+}
+
 /// Sequential composition: all of A, then all of B.
 ///
 /// Unlike the concurrent merges, a chain keeps the two inputs' **pid
@@ -273,6 +321,10 @@ impl<A: TraceSource, B: TraceSource> TraceSource for ChainSource<A, B> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         add_hints(self.a.size_hint(), self.b.size_hint())
+    }
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        take_either_failure(&mut self.a, &mut self.b)
     }
 }
 
@@ -384,6 +436,10 @@ impl<A: TraceSource, B: TraceSource> TraceSource for WeightedSource<A, B> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         add_hints(self.a.size_hint(), self.b.size_hint())
+    }
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        take_either_failure(&mut self.a, &mut self.b)
     }
 }
 

@@ -32,17 +32,27 @@
 //! a second `Open`, or an `Open` left dangling at end of stream each
 //! name a distinct corruption.
 //!
+//! The table — with the pass each rule runs in, the test that breaks
+//! it, and the v2 container rules that run ahead of it — is kept in
+//! `docs/trace-verifier-rules.md`.
+//!
 //! # Strict and lenient admission
 //!
-//! [`verify_strict`] stops at the first violation and returns its code —
-//! the reject-at-the-door mode. [`verify_lenient`] examines the whole
-//! stream, tallying every violation per rule ([`ViolationCounts`]), and
-//! [`QuarantineSource`] applies the same decision procedure record by
-//! record as a filtering [`TraceSource`]: invalid records are skipped,
+//! Both modes are a wrapper around the stream, so a record is checked
+//! on its way to the consumer and never after it. [`StrictSource`]
+//! passes records through until the first violation and then ends the
+//! stream; the consumer asks [`StrictSource::finish`] for the verdict
+//! (that violation, else `V06`, else a clean pass) once it has drained
+//! it. [`QuarantineSource`] applies the same decision procedure as a
+//! filter: invalid records are skipped and tallied per rule
+//! ([`ViolationCounts`], read back with [`QuarantineSource::ledger`]),
 //! valid ones pass through bit-identically — graceful degradation
 //! instead of garbage-in/garbage-out. Quarantine decisions depend only
 //! on the stream and the options, so a lenient replay is exactly the
-//! replay of the clean records that survive.
+//! replay of the clean records that survive. [`verify_strict`] and
+//! [`verify_lenient`] are the two wrappers drained with nobody
+//! consuming: the stand-alone admission pass for engines that must
+//! know the verdict before their first record.
 //!
 //! ```
 //! use clio_trace::synth::{SynthSource, TraceProfile};
@@ -58,6 +68,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::TraceError;
 use crate::record::{IoOp, TraceRecord};
 use crate::source::{SourceMeta, TraceSource};
 
@@ -68,12 +79,12 @@ pub enum VerifyMode {
     /// behavior, and bit-identical to it).
     #[default]
     Off,
-    /// One admission pass before replay; the first violation aborts the
-    /// run with its [`VerifyError`] code.
+    /// Every record is checked before it is replayed; the first
+    /// violation aborts the run with its [`VerifyError`] code.
     Strict,
-    /// One admission pass tallying violations, then replay through a
-    /// [`QuarantineSource`]: invalid records are skipped and counted,
-    /// the surviving records replay bit-identically.
+    /// Replay through a [`QuarantineSource`]: invalid records are
+    /// skipped and tallied, the surviving records replay
+    /// bit-identically.
     Lenient,
 }
 
@@ -327,7 +338,8 @@ pub struct VerifyReport {
 ///
 /// Memory is O(1) in the trace length: the open-pair table is bounded
 /// by the concurrently-open `(pid, file)` pairs and the clock table by
-/// the process roster — never by the record count.
+/// the pids actually *seen* — never by the record count, and never by
+/// the roster the (untrusted) header declares.
 #[derive(Debug)]
 pub struct Verifier {
     options: VerifyOptions,
@@ -336,7 +348,12 @@ pub struct Verifier {
     /// Currently-open `(pid, file)` pairs, mapped to the index of the
     /// `Open` that opened them (for `V06` reporting).
     open: HashMap<(u32, u32), u64>,
-    /// Last accepted wall-clock stamp per pid.
+    /// The pid of the last accepted record and its stamp: a one-entry
+    /// write-back cache in front of `last_clock`. Runs of one pid —
+    /// most of any trace — never touch the map.
+    held_clock: Option<(u32, u64)>,
+    /// Last accepted wall-clock stamp of every other pid seen (the
+    /// held pid's entry, if any, is stale until it is written back).
     last_clock: HashMap<u32, u64>,
     index: u64,
 }
@@ -354,6 +371,7 @@ impl Verifier {
             num_processes: meta.num_processes,
             num_files: meta.num_files,
             open: HashMap::new(),
+            held_clock: None,
             last_clock: HashMap::new(),
             index: 0,
         }
@@ -369,6 +387,7 @@ impl Verifier {
     /// On `Err` the record is rejected and contributes **nothing** to
     /// the verifier state — exactly the semantics of quarantining it:
     /// subsequent records are judged as if the bad one never existed.
+    #[inline]
     pub fn check(&mut self, r: &TraceRecord) -> Result<(), VerifyError> {
         let index = self.index;
         self.index += 1;
@@ -398,15 +417,17 @@ impl Verifier {
             return Err(VerifyError::MetadataWithLength { index, op: r.op, length: r.length });
         }
         if self.options.check_clocks {
-            if let Some(&prev) = self.last_clock.get(&r.pid) {
-                if r.wall_clock_us < prev {
-                    return Err(VerifyError::ClockRewind {
-                        index,
-                        pid: r.pid,
-                        prev_us: prev,
-                        clock_us: r.wall_clock_us,
-                    });
-                }
+            let prev = match self.held_clock {
+                Some((pid, stamp)) if pid == r.pid => Some(stamp),
+                _ => self.last_clock.get(&r.pid).copied(),
+            };
+            if let Some(prev) = prev.filter(|&prev| r.wall_clock_us < prev) {
+                return Err(VerifyError::ClockRewind {
+                    index,
+                    pid: r.pid,
+                    prev_us: prev,
+                    clock_us: r.wall_clock_us,
+                });
             }
         }
         if self.options.check_balance {
@@ -435,7 +456,14 @@ impl Verifier {
             }
         }
         if self.options.check_clocks {
-            self.last_clock.insert(r.pid, r.wall_clock_us);
+            match &mut self.held_clock {
+                Some((pid, stamp)) if *pid == r.pid => *stamp = r.wall_clock_us,
+                held => {
+                    if let Some((pid, stamp)) = held.replace((r.pid, r.wall_clock_us)) {
+                        self.last_clock.insert(pid, stamp);
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -471,52 +499,100 @@ impl Verifier {
 /// Strict admission: one streaming pass, stopping at the **first**
 /// violation (including a `V06` dangling `Open` at end of stream).
 /// Returns the clean-pass report on success.
+///
+/// The verdict is about the records the source yielded. A source that
+/// admits its own input lazily may have ended early: ask its
+/// [`TraceSource::take_failure`] afterwards.
 pub fn verify_strict<S: TraceSource + ?Sized>(
     source: &mut S,
     options: VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
-    let meta = source.meta();
-    let mut verifier = Verifier::with_options(&meta, options);
-    while let Some(r) = source.next_record() {
-        verifier.check(&r)?;
-    }
-    verifier.finish()?;
-    let records = verifier.records();
-    Ok(VerifyReport { records, admitted: records, ..VerifyReport::default() })
+    let mut strict = StrictSource::with_options(source, options);
+    while strict.next_record().is_some() {}
+    strict.finish()
 }
 
 /// Lenient admission: one streaming pass over the **whole** stream,
 /// tallying every violation per rule. Rejected records contribute
 /// nothing to the verifier state, so the tallies are exactly the
-/// records a [`QuarantineSource`] over the same stream would skip.
+/// records a [`QuarantineSource`] over the same stream skips — the
+/// pass *is* a drained [`QuarantineSource`].
 pub fn verify_lenient<S: TraceSource + ?Sized>(
     source: &mut S,
     options: VerifyOptions,
 ) -> VerifyReport {
-    let meta = source.meta();
-    let mut verifier = Verifier::with_options(&meta, options);
-    let mut report = VerifyReport::default();
-    while let Some(r) = source.next_record() {
-        match verifier.check(&r) {
-            Ok(()) => report.admitted += 1,
-            Err(e) => {
-                report.quarantined += 1;
-                report.violations.tally(&e);
-                report.first.get_or_insert(e);
+    let mut quarantine = QuarantineSource::with_options(source, options);
+    while quarantine.next_record().is_some() {}
+    quarantine.ledger()
+}
+
+/// A checking [`TraceSource`]: streams `inner` through the verifier,
+/// passing accepted records through bit-identically and **ending the
+/// stream at the first violation** — the strict replay path. Every
+/// record is checked before it is handed on, so nothing a rule rejects
+/// reaches the consumer; the consumer in turn must ask
+/// [`StrictSource::finish`] for the verdict once the stream is
+/// exhausted, because a stream that ended may have ended *rejected*.
+#[derive(Debug)]
+pub struct StrictSource<S> {
+    inner: S,
+    verifier: Verifier,
+    violation: Option<VerifyError>,
+}
+
+impl<S: TraceSource> StrictSource<S> {
+    /// Wraps `inner` with an explicit rule selection.
+    pub fn with_options(inner: S, options: VerifyOptions) -> Self {
+        let verifier = Verifier::with_options(&inner.meta(), options);
+        Self { inner, verifier, violation: None }
+    }
+
+    /// The verdict on the records pulled so far, as if the stream ended
+    /// here: the violation that stopped it, else the earliest dangling
+    /// `Open` (`V06`), else the clean-pass report.
+    pub fn finish(&self) -> Result<VerifyReport, VerifyError> {
+        if let Some(violation) = self.violation {
+            return Err(violation);
+        }
+        self.verifier.finish()?;
+        let records = self.verifier.records();
+        Ok(VerifyReport { records, admitted: records, ..VerifyReport::default() })
+    }
+}
+
+impl<S: TraceSource> TraceSource for StrictSource<S> {
+    fn meta(&self) -> SourceMeta {
+        self.inner.meta()
+    }
+
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        if self.violation.is_some() {
+            return None;
+        }
+        let r = self.inner.next_record()?;
+        match self.verifier.check(&r) {
+            Ok(()) => Some(r),
+            Err(violation) => {
+                self.violation = Some(violation);
+                None
             }
         }
     }
-    for e in verifier.dangling() {
-        report.violations.tally(&e);
-        report.first.get_or_insert(e);
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // A violation can only cut the stream short.
+        (0, self.inner.size_hint().1)
     }
-    report.records = verifier.records();
-    report
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        self.inner.take_failure()
+    }
 }
 
 /// A filtering [`TraceSource`]: streams `inner` through the verifier,
 /// skipping rejected records and passing accepted ones through
-/// bit-identically — the lenient replay path.
+/// bit-identically — the lenient replay path — while keeping the
+/// quarantine ledger of what it skipped ([`QuarantineSource::ledger`]).
 ///
 /// The decision procedure is [`Verifier::check`] with the same options,
 /// so the records this source yields are exactly the `admitted` count
@@ -525,6 +601,9 @@ pub fn verify_lenient<S: TraceSource + ?Sized>(
 pub struct QuarantineSource<S> {
     inner: S,
     verifier: Verifier,
+    /// Tallies of the records pulled so far (`records` and the
+    /// stream-level `V06` are filled in by [`QuarantineSource::ledger`]).
+    tallied: VerifyReport,
 }
 
 impl<S: TraceSource> QuarantineSource<S> {
@@ -536,7 +615,20 @@ impl<S: TraceSource> QuarantineSource<S> {
     /// Wraps `inner` with an explicit rule selection.
     pub fn with_options(inner: S, options: VerifyOptions) -> Self {
         let verifier = Verifier::with_options(&inner.meta(), options);
-        Self { inner, verifier }
+        Self { inner, verifier, tallied: VerifyReport::default() }
+    }
+
+    /// The quarantine ledger of the records pulled so far, as if the
+    /// stream ended here: every skipped record tallied under its rule,
+    /// plus one `V06` per `Open` still dangling.
+    pub fn ledger(&self) -> VerifyReport {
+        let mut report = self.tallied.clone();
+        for dangling in self.verifier.dangling() {
+            report.violations.tally(&dangling);
+            report.first.get_or_insert(dangling);
+        }
+        report.records = self.verifier.records();
+        report
     }
 }
 
@@ -548,8 +640,16 @@ impl<S: TraceSource> TraceSource for QuarantineSource<S> {
     fn next_record(&mut self) -> Option<TraceRecord> {
         loop {
             let r = self.inner.next_record()?;
-            if self.verifier.check(&r).is_ok() {
-                return Some(r);
+            match self.verifier.check(&r) {
+                Ok(()) => {
+                    self.tallied.admitted += 1;
+                    return Some(r);
+                }
+                Err(violation) => {
+                    self.tallied.quarantined += 1;
+                    self.tallied.violations.tally(&violation);
+                    self.tallied.first.get_or_insert(violation);
+                }
             }
         }
     }
@@ -558,6 +658,10 @@ impl<S: TraceSource> TraceSource for QuarantineSource<S> {
         // Quarantining can only shrink the stream: keep the upper
         // bound, drop the lower.
         (0, self.inner.size_hint().1)
+    }
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        self.inner.take_failure()
     }
 }
 
@@ -757,8 +861,55 @@ mod tests {
         for i in 0..10_000u64 {
             v.check(&rec(IoOp::Read, 0, 0, i)).unwrap();
         }
-        assert_eq!(v.last_clock.len(), 1);
+        assert_eq!(v.held_clock, Some((0, 9_999)));
+        assert!(v.last_clock.is_empty(), "the one pid never leaves the cache slot");
         assert!(v.open.is_empty());
+    }
+
+    #[test]
+    fn verifier_clock_table_is_bounded_by_the_pids_seen_not_the_declared_roster() {
+        // The header may declare four billion processes; only the three
+        // that appear cost memory, however they interleave.
+        let mut v = Verifier::new(&meta(u32::MAX, 1));
+        for i in 0..9_000u64 {
+            let pid = [7, 4_000_000_000, 7, 7, 19][(i % 5) as usize];
+            v.check(&rec(IoOp::Read, pid, 0, i)).unwrap();
+        }
+        assert!(v.last_clock.len() <= 3, "{} clock entries", v.last_clock.len());
+        // The cache slot is a cache, not a second opinion: a rewind is
+        // caught whether the pid's stamp sits in the slot or in the map.
+        let held = v.held_clock.expect("clocks are checked").0;
+        let parked = if held == 7 { 19 } else { 7 };
+        for pid in [held, parked] {
+            let err = v.check(&rec(IoOp::Read, pid, 0, 1)).unwrap_err();
+            assert_eq!(err.code(), "V03", "pid {pid}");
+        }
+    }
+
+    #[test]
+    fn strict_source_stops_at_the_first_violation_and_keeps_it() {
+        let mut records = vec![rec(IoOp::Open, 0, 0, 10)];
+        records.extend((0..6u64).map(|i| rec(IoOp::Read, 0, 0, 20 + i)));
+        records[4].num_records = 0; // V07 at index 4
+        records[5].file_id = 9; // a later V02 the strict pass never reaches
+        let mut strict = StrictSource::with_options(
+            SliceSource::from_parts(&records, meta(1, 1)),
+            VerifyOptions::default(),
+        );
+        let passed: Vec<TraceRecord> = std::iter::from_fn(|| strict.next_record()).collect();
+        assert_eq!(passed, records[..4], "only what was checked and accepted gets through");
+        assert!(strict.next_record().is_none(), "a rejected stream stays ended");
+        let err = strict.finish().unwrap_err();
+        assert_eq!((err.code(), err.index()), ("V07", 4));
+
+        // A stream that merely ends is judged by V06.
+        let dangling = [rec(IoOp::Open, 0, 0, 0), rec(IoOp::Read, 0, 0, 0)];
+        let mut strict = StrictSource::with_options(
+            SliceSource::from_parts(&dangling, meta(1, 1)),
+            VerifyOptions::default(),
+        );
+        assert_eq!(std::iter::from_fn(|| strict.next_record()).count(), 2);
+        assert_eq!(strict.finish().unwrap_err().code(), "V06");
     }
 
     fn arb_profile() -> impl Strategy<Value = TraceProfile> {

@@ -22,15 +22,28 @@
 //!    scheduled simulator through the experiment builder: slow windows
 //!    stretch the makespan, transient errors are retried and tallied,
 //!    no bytes are lost, and the whole run stays deterministic.
+//! 5. **All-or-nothing one-pass ingest.** Serial replay admits a v2
+//!    file block by block *while* it replays, so a fault can surface
+//!    after earlier blocks went through the cache. Whatever the fault
+//!    and wherever it sits — first block, last block, footer — `run()`
+//!    returns a coded error, never a report over a prefix; and a
+//!    failure parked in a source reaches the caller through every
+//!    wrapper and combinator.
 
 use std::sync::Arc;
 
 use clio_core::prelude::*;
+use clio_core::trace::compact::encode::encode_source_with_blocks;
+use clio_core::trace::compact::{load_auto, CompactSource};
 use clio_core::trace::fault::{FaultKind, FaultPlan, FaultSource};
 use clio_core::trace::record::TraceRecord;
 use clio_core::trace::replay::replay_cached;
-use clio_core::trace::source::{SharedSource, SliceSource, SourceMeta};
-use clio_core::trace::verify::{verify_lenient, verify_strict, QuarantineSource, VerifyOptions};
+use clio_core::trace::source::{
+    ChainSource, FileNamespace, SharedSource, SliceSource, SourceMeta, TraceSource, WeightedSource,
+};
+use clio_core::trace::verify::{
+    verify_lenient, verify_strict, QuarantineSource, StrictSource, VerifyOptions,
+};
 use clio_core::trace::{TraceError, TraceFile};
 
 /// A record on pid 0 / file 0 with an explicit capture clock.
@@ -330,4 +343,288 @@ fn degraded_disk_plan_flows_through_the_builder() {
     assert!(degraded.makespan > quiet.makespan);
     // And the whole degraded run is deterministic.
     assert_eq!(run(degraded_plan()).sim.expect("sim report"), degraded);
+}
+
+/// A scratch directory for the ingest corpora.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("clio-fault-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// `trace` as a v2 container of 16-record blocks: a few hundred bytes
+/// that still have a first, a middle and a last block.
+fn small_block_v2(trace: &TraceFile) -> Vec<u8> {
+    let bytes = encode_source_with_blocks(&mut SliceSource::new(trace), 16).expect("encodes");
+    let blocks = CompactSource::from_bytes(bytes.clone()).expect("clean").block_count();
+    assert!(blocks >= 3, "need first, middle and last blocks, got {blocks}");
+    bytes
+}
+
+/// One-pass serial replay of the v2 file at `path` (a small cache: the
+/// corpora run this thousands of times).
+fn ingest(path: &std::path::Path, verify: VerifyMode) -> Result<Report, ExpError> {
+    Experiment::builder()
+        .workload(Workload::File(path.to_path_buf()))
+        .engine(Engine::SerialReplay)
+        .verify(verify)
+        .cache(CacheConfig { capacity_pages: 64, ..Default::default() })
+        .build()
+        .expect("valid experiment")
+        .run()
+}
+
+/// The container corpora through the one-pass path: every single-bit
+/// flip (two bits per byte) at every position of a multi-block file,
+/// every truncation, and the file concatenated with itself. The oracle
+/// is whole-file admission of the same bytes: where it rejects, the
+/// one-pass run must return a coded trace error — although it replayed
+/// every block before the fault — and where a flip lands in an advisory
+/// field and the file is still admissible, the run must cover the
+/// *whole* stream and agree with a replay of the loaded trace.
+#[test]
+fn one_pass_ingest_never_reports_over_a_corrupt_or_cut_file() {
+    let trace =
+        clio_core::trace::synth::synthesize(&TraceProfile { data_ops: 40, ..Default::default() });
+    let clean = small_block_v2(&trace);
+    let dir = temp_dir("corpus");
+    let path = dir.join("corpus.clc2");
+
+    let mut variants: Vec<(String, Vec<u8>)> = Vec::new();
+    for at in 0..clean.len() {
+        for bit in [0x01u8, 0x80] {
+            let mut flipped = clean.clone();
+            flipped[at] ^= bit;
+            variants.push((format!("flip {bit:#04x} at byte {at}"), flipped));
+        }
+    }
+    variants.extend((0..clean.len()).map(|cut| (format!("cut at {cut}"), clean[..cut].to_vec())));
+    variants.push(("doubled".into(), [clean.clone(), clean.clone()].concat()));
+
+    let (mut rejected, mut admitted) = (0usize, 0usize);
+    for (what, bytes) in &variants {
+        std::fs::write(&path, bytes).expect("writes");
+        let oracle = load_auto(&path);
+        // The header's file count is checked against nothing, and the
+        // replay drivers size their file table by it: a flip that
+        // declares two billion files is a legal (if absurd) roster
+        // this test cannot afford to replay.
+        if oracle.as_ref().is_ok_and(|t| t.header.num_files > 1 << 16) {
+            continue;
+        }
+        for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+            match (&oracle, ingest(&path, verify)) {
+                (Err(_), Err(ExpError::Trace(_))) => rejected += 1,
+                (Ok(loaded), Ok(report)) => {
+                    admitted += 1;
+                    assert_eq!(report.records, loaded.len() as u64, "{what}: a prefix got through");
+                }
+                (oracle, outcome) => panic!(
+                    "{what} under {verify:?}: whole-file admission says {:?}, one-pass run says {:?}",
+                    oracle.as_ref().map(|t| t.len()),
+                    outcome.map(|r| r.records),
+                ),
+            }
+        }
+    }
+    assert!(rejected > admitted, "the corpus is mostly rejections: {rejected} vs {admitted}");
+    assert!(admitted > 0, "some flips land in advisory fields and must replay whole");
+    // The named shapes keep their codes.
+    std::fs::write(&path, [clean.clone(), clean.clone()].concat()).expect("writes");
+    assert!(matches!(
+        ingest(&path, VerifyMode::Strict),
+        Err(ExpError::Trace(TraceError::TrailingBytes { extra })) if extra == clean.len()
+    ));
+    std::fs::write(&path, &clean[..clean.len() - 5]).expect("writes");
+    assert!(matches!(
+        ingest(&path, VerifyMode::Off),
+        Err(ExpError::Trace(TraceError::Truncated { .. }))
+    ));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A `V`-violation planted past the first block — and one in the very
+/// last block — fails a strict one-pass run with its rule code and
+/// *global* record index, although every earlier block was replayed by
+/// then; lenient quarantines exactly that record; and with two faults
+/// in one file the error is the one the stream meets first, whichever
+/// kind it is.
+#[test]
+fn one_pass_ingest_reports_the_first_fault_in_stream_order() {
+    let base =
+        clio_core::trace::synth::synthesize(&TraceProfile { data_ops: 60, ..Default::default() });
+    let dir = temp_dir("order");
+    let path = dir.join("order.clc2");
+    let last = base.len() - 2; // the record before the final close
+    for at in [20usize, last] {
+        let mut trace = base.clone();
+        trace.records[at].num_records = 0; // V07, invisible to the container checks
+        std::fs::write(&path, small_block_v2(&trace)).expect("writes");
+        assert!(at >= 16, "the fault sits past the first block");
+        match ingest(&path, VerifyMode::Strict) {
+            Err(ExpError::Verify(v)) => assert_eq!((v.code(), v.index()), ("V07", at as u64)),
+            other => panic!("record {at}: expected V07, got {other:?}"),
+        }
+        let lenient = ingest(&path, VerifyMode::Lenient).expect("lenient quarantines");
+        assert_eq!(lenient.records, trace.len() as u64 - 1);
+        let ledger = lenient.quarantine.expect("ledger");
+        assert_eq!((ledger.examined, ledger.quarantined), (trace.len() as u64, 1));
+        assert_eq!(ledger.violations.zero_repeat, 1);
+    }
+
+    // Two faults: V07 in block 1, a flipped payload byte in the last
+    // block. The stream meets the V07 first.
+    let mut trace = base.clone();
+    trace.records[20].num_records = 0;
+    let mut bytes = small_block_v2(&trace);
+    let source = CompactSource::from_bytes(bytes.clone()).expect("clean container");
+    let last_block = source.block_count() - 1;
+    let in_last_payload = source.block_index()[last_block].offset as usize + 1 + 40 + 2;
+    bytes[in_last_payload] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("writes");
+    assert!(
+        matches!(ingest(&path, VerifyMode::Strict), Err(ExpError::Verify(v)) if v.index() == 20)
+    );
+    // Without the verifier in the way the container fault is the first
+    // (and only) one met, and it names the last block...
+    match ingest(&path, VerifyMode::Off) {
+        Err(ExpError::Trace(TraceError::ChecksumMismatch { block, .. })) => {
+            assert_eq!(block, last_block as u64)
+        }
+        other => panic!("expected the last block's checksum mismatch, got {other:?}"),
+    }
+    // ...as it does for an engine that admits the whole file before its
+    // first record, verifier or not: there the container comes first.
+    let admitted_first = Experiment::builder()
+        .workload(Workload::File(path.clone()))
+        .engine(Engine::TraceSim)
+        .verify(VerifyMode::Strict)
+        .build()
+        .expect("valid experiment")
+        .run();
+    assert!(matches!(admitted_first, Err(ExpError::Trace(TraceError::ChecksumMismatch { .. }))));
+
+    // The other order: the payload flip in block 0, the V07 after it.
+    let mut bytes = small_block_v2(&trace);
+    let in_first_payload = source.block_index()[0].offset as usize + 1 + 40 + 2;
+    bytes[in_first_payload] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("writes");
+    for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+        assert!(
+            matches!(
+                ingest(&path, verify),
+                Err(ExpError::Trace(TraceError::ChecksumMismatch { block: 0, .. }))
+            ),
+            "{verify:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A source that yields `left` clean records and then ends *because it
+/// failed* — the shape of a lazily admitted file with a bad block.
+struct FailingSource {
+    left: u64,
+    next_offset: u64,
+    failure: Option<TraceError>,
+}
+
+impl FailingSource {
+    const BLOCK: u64 = 77;
+
+    fn after(records: u64) -> Self {
+        let failure = TraceError::CorruptBlock { block: Self::BLOCK, context: "planted" };
+        Self { left: records, next_offset: 0, failure: Some(failure) }
+    }
+}
+
+impl TraceSource for FailingSource {
+    fn meta(&self) -> SourceMeta {
+        meta()
+    }
+
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        self.left = self.left.checked_sub(1)?;
+        self.next_offset += 4096;
+        Some(rec(IoOp::Read, 1_000_000, self.next_offset, 4096))
+    }
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        if self.left == 0 {
+            self.failure.take()
+        } else {
+            None
+        }
+    }
+}
+
+/// One failure channel: whatever a failing source is wrapped in, the
+/// failure it parked comes out of the outermost `take_failure` once the
+/// stream is drained — exactly once, with its code intact.
+#[test]
+fn a_parked_failure_surfaces_through_every_wrapper_and_combinator() {
+    let records = clean_records();
+    let clean = || SliceSource::from_parts(&records, meta());
+    let failing = || FailingSource::after(5);
+    let options = VerifyOptions { check_clocks: false, ..Default::default() };
+    fn weighted<A: TraceSource, B: TraceSource>(a: A, b: B) -> WeightedSource<A, B> {
+        WeightedSource::new(a, b, 2, 1, FileNamespace::Disjoint)
+    }
+    let mut by_ref = failing();
+    let wrapped: Vec<(&str, Box<dyn TraceSource + '_>, usize)> = vec![
+        ("bare", Box::new(failing()), 5),
+        ("Box<dyn>", Box::new(Box::new(failing()) as Box<dyn TraceSource>), 5),
+        ("&mut", Box::new(&mut by_ref), 5),
+        ("chain, first", Box::new(ChainSource::new(failing(), clean())), 15),
+        ("chain, second", Box::new(ChainSource::new(clean(), failing())), 15),
+        ("weighted, first", Box::new(weighted(failing(), clean())), 15),
+        ("weighted, second", Box::new(weighted(clean(), failing())), 15),
+        ("quarantine", Box::new(QuarantineSource::with_options(failing(), options)), 5),
+        ("strict", Box::new(StrictSource::with_options(failing(), options)), 5),
+        ("fault", Box::new(FaultSource::new(failing(), &FaultPlan { seed: 1, faults: vec![] })), 5),
+        (
+            "strict over a boxed chain",
+            Box::new(StrictSource::with_options(
+                Box::new(ChainSource::new(Box::new(failing()) as Box<dyn TraceSource>, clean())),
+                options,
+            )),
+            15,
+        ),
+    ];
+    for (what, mut source, yields) in wrapped {
+        assert!(source.take_failure().is_none(), "{what}: no failure before the stream ends");
+        assert_eq!(std::iter::from_fn(|| source.next_record()).count(), yields, "{what}");
+        match source.take_failure() {
+            Some(TraceError::CorruptBlock { block: FailingSource::BLOCK, context: "planted" }) => {}
+            other => panic!("{what}: the planted failure did not surface, got {other:?}"),
+        }
+        assert!(source.take_failure().is_none(), "{what}: a failure is taken once");
+    }
+
+    // Collecting a stream that failed is an error, not a short trace.
+    assert!(matches!(
+        clio_core::trace::source::materialize(&mut FailingSource::after(5)),
+        Err(TraceError::CorruptBlock { block: FailingSource::BLOCK, .. })
+    ));
+
+    // And at the run() boundary: the replay of the five records that
+    // did arrive is dropped, in every admission mode.
+    let workload = Workload::custom("failing", || Box::new(FailingSource::after(5)));
+    for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+        let outcome = Experiment::builder()
+            .workload(workload.clone())
+            .engine(Engine::SerialReplay)
+            .verify(verify)
+            .build()
+            .expect("valid experiment")
+            .run();
+        assert!(
+            matches!(
+                outcome,
+                Err(ExpError::Trace(TraceError::CorruptBlock { block: FailingSource::BLOCK, .. }))
+            ),
+            "{verify:?}: {:?}",
+            outcome.map(|r| r.records)
+        );
+    }
 }

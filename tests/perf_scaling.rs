@@ -29,11 +29,12 @@ use clio_core::cache::policy::ReplacementPolicy;
 use clio_core::prelude::*;
 use clio_core::sim::sched_replay::{scheduled_trace_sim, SchedReplayOptions};
 use clio_core::sim::trace_driven::{trace_sim, ThinkTime, TraceSimOptions, TraceSimReport};
+use clio_core::trace::compact::{self, CompactSource, CompactStream};
 use clio_core::trace::replay::{replay_parallel, ParallelReplayOptions};
 use clio_core::trace::source::{SliceSource, TraceSource};
 use clio_core::trace::synth::{synthesize, TraceProfile};
 use clio_core::trace::writer::TraceWriter;
-use clio_core::trace::TraceFile;
+use clio_core::trace::{TraceError, TraceFile};
 
 /// A pass-through allocator that tracks live bytes and their
 /// high-water mark, so a test can measure the peak working memory of a
@@ -421,4 +422,137 @@ fn scheduled_sim_memory_is_flat_in_trace_length() {
         "scheduled sim peak heap grew with trace length: \
          {small} B at 10k ops -> {large} B at 80k ops"
     );
+}
+
+/// A fresh directory for this binary's trace files.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("clio-scaling-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// A v2 file of a `data_ops`-operation synthetic trace, and its record
+/// count.
+fn v2_file(dir: &std::path::Path, data_ops: usize) -> (std::path::PathBuf, u64) {
+    let trace = synthesize(&TraceProfile {
+        data_ops,
+        sequentiality: 0.7,
+        write_fraction: 0.2,
+        seed: 0x1265,
+        ..Default::default()
+    });
+    let path = dir.join(format!("ingest-{data_ops}.clc2"));
+    std::fs::write(&path, compact::encode_trace(&trace).expect("encodes")).expect("writes");
+    (path, trace.len() as u64)
+}
+
+/// The one-pass ingest gate: a v2 file read, CRC-checked, decoded,
+/// strictly verified and replayed in summary mode holds one block, not
+/// the trace. Peak heap is flat while the file grows 8x (a
+/// materialized `Vec<TraceRecord>` alone grows by megabytes and trips
+/// the bound), and so is the allocation *count*: payload, record and
+/// column buffers are reused from block to block, so the extra blocks
+/// cost a few buffer doublings (the block index, a larger payload), not
+/// a set of allocations each.
+#[test]
+fn one_pass_v2_ingest_memory_and_allocations_are_flat_in_file_length() {
+    let _guard = exclusive();
+    let dir = temp_dir("ingest");
+    let ingest = |data_ops: usize| {
+        let (path, records) = v2_file(&dir, data_ops);
+        let exp = Experiment::builder()
+            .workload(Workload::File(path))
+            .engine(Engine::SerialReplay)
+            .verify(VerifyMode::Strict)
+            .report_mode(ReportMode::Summary)
+            .build()
+            .expect("valid experiment");
+        let run = move || {
+            let report = exp.run().expect("a clean file ingests");
+            assert_eq!(report.records, records, "the whole file was replayed");
+        };
+        (peak_heap_growth(&run), alloc_calls(&run))
+    };
+    ingest(1_000); // warm-up, as in the gates above
+    let (small_peak, small_calls) = ingest(10_000);
+    let (large_peak, large_calls) = ingest(80_000);
+    assert!(
+        large_peak < 2 * small_peak + 512 * 1024,
+        "peak heap grew with file length: {small_peak} B at 10k ops -> {large_peak} B at 80k ops"
+    );
+    assert!(
+        large_calls <= small_calls + 64,
+        "allocations grew with file length: {small_calls} calls at 10k ops -> \
+         {large_calls} at 80k ops"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Admission must never size an allocation by a count the file merely
+/// *declares*. None of the three places a v2 file states a block's
+/// record count is under the CRC — the prelude's `num_records`, the
+/// block header's `record_count`/`raw_len`, the footer's index entry —
+/// so a few hundred bytes can agree with themselves on 95 443 717
+/// records (the largest count whose `raw_len` still fits a `u32`),
+/// pass framing and checksum, and ask the decoder for 4.5 GB. Every
+/// way into the decoder has to answer with a coded `CorruptBlock`
+/// instead, having allocated next to nothing.
+#[test]
+fn inflated_record_count_is_a_coded_error_not_an_allocation() {
+    const CLAIMED: u32 = 95_443_717;
+    let _guard = exclusive();
+    let honest = synthesize(&TraceProfile { data_ops: 60, ..Default::default() });
+    let mut bytes = compact::encode_trace(&honest).expect("encodes");
+    assert!(bytes.len() < 4096, "a small, single-block file");
+    let u64_at = |b: &[u8], i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+    let block_header = 32 + honest.header.sample_file.len() + 1;
+    let index_entry = u64_at(&bytes, bytes.len() - 12) as usize + 1 + 4;
+    bytes[14..22].copy_from_slice(&u64::from(CLAIMED).to_le_bytes());
+    bytes[block_header..block_header + 4].copy_from_slice(&CLAIMED.to_le_bytes());
+    bytes[block_header + 4..block_header + 8].copy_from_slice(&(CLAIMED * 45).to_le_bytes());
+    bytes[index_entry + 8..index_entry + 12].copy_from_slice(&CLAIMED.to_le_bytes());
+
+    let dir = temp_dir("inflated");
+    let path = dir.join("inflated.clc2");
+    std::fs::write(&path, &bytes).expect("writes");
+    let run = |engine: Engine, verify: VerifyMode| {
+        let exp = Experiment::builder()
+            .workload(Workload::File(path.clone()))
+            .engine(engine)
+            .verify(verify)
+            // The default cache's own tables are over 1 MiB.
+            .cache(CacheConfig { capacity_pages: 64, ..Default::default() })
+            .build()
+            .expect("valid experiment");
+        match exp.run() {
+            Err(ExpError::Trace(e)) => Err(e),
+            other => panic!("expected a trace error, got {other:?}"),
+        }
+    };
+    type Attempt<'a> = (&'a str, Box<dyn Fn() -> Result<(), TraceError> + 'a>);
+    let attempts: [Attempt; 6] = [
+        ("from_bytes", Box::new(|| CompactSource::from_bytes(bytes.clone()).map(drop))),
+        ("decode_trace", Box::new(|| compact::decode_trace(bytes.clone()).map(drop))),
+        (
+            "CompactStream",
+            Box::new(|| {
+                let mut stream = CompactStream::open(std::io::Cursor::new(&bytes))?;
+                assert!(stream.next_record().is_none(), "nothing of a rejected block gets out");
+                stream.take_failure().map_or(Ok(()), Err)
+            }),
+        ),
+        ("run/one-pass", Box::new(|| run(Engine::SerialReplay, VerifyMode::Off))),
+        ("run/one-pass strict", Box::new(|| run(Engine::SerialReplay, VerifyMode::Strict))),
+        ("run/admitted", Box::new(|| run(Engine::TraceSim, VerifyMode::Off))),
+    ];
+    for (name, attempt) in &attempts {
+        let mut outcome = Ok(());
+        let peak = peak_heap_growth(|| outcome = attempt());
+        assert!(
+            matches!(outcome, Err(TraceError::CorruptBlock { block: 0, .. })),
+            "{name}: expected a coded CorruptBlock, got {outcome:?}"
+        );
+        assert!(peak < 1 << 20, "{name}: rejecting a {}-byte file took {peak} B", bytes.len());
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,13 +13,23 @@
 //! 3. **Stack integration** — a v2 file on disk drives the experiment
 //!    pipeline (auto-detected `Workload::File`, strict admission,
 //!    serial replay) to the same result as the same trace in v1.
+//! 4. **The bytes on disk are pinned** — literal `(len, crc32)` of the
+//!    encoder's output, recorded before the CRC and varint routines
+//!    were rewritten.
+//! 5. **One pass == four passes** — serial replay straight off a v2
+//!    file (each block admitted as the replay reaches it) reports
+//!    bit-identically to loading, admitting, verifying and then
+//!    replaying the same trace from memory.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use clio_core::prelude::*;
-use clio_core::trace::compact::{decode_trace, encode_trace, CompactSource, DEFAULT_BLOCK_RECORDS};
+use clio_core::trace::compact::block::crc32;
+use clio_core::trace::compact::{
+    decode_trace, encode_trace, load_auto, CompactSource, DEFAULT_BLOCK_RECORDS,
+};
 use clio_core::trace::source::{SharedSource, TraceSource};
 use clio_core::trace::synth::{synthesize, TraceProfile};
 use clio_core::trace::verify::{verify_strict, VerifyOptions};
@@ -213,4 +223,110 @@ fn truncated_and_oversized_v2_files_are_coded_errors() {
         CompactSource::from_bytes(doubled),
         Err(clio_core::trace::TraceError::TrailingBytes { .. })
     ));
+}
+
+/// "Same bytes on disk": the encoder's output for two built-in
+/// workloads and one multi-block synthetic trace, as `(records, len,
+/// crc32)` literals recorded at the commit before slicing-by-8 CRC and
+/// the varint fast path went in. The CRC of the whole file covers every
+/// block's stored CRC, so a checksum routine that drifted by a bit
+/// shows here as well as in the known-answer tests.
+#[test]
+fn encoder_output_matches_the_recorded_golden_bytes() {
+    let multi_block = Workload::Synthetic(TraceProfile { data_ops: 10_000, ..Default::default() });
+    let golden = [
+        (Workload::parse("synth").unwrap(), 303, 2_842, 0x6773_9DBFu32),
+        (Workload::parse("mix:dmine,lu").unwrap(), 82, 843, 0x5C2E_BDE5),
+        (multi_block, 11_979, 107_599, 0x2667_F2DE),
+    ];
+    for (workload, records, len, crc) in golden {
+        let trace = workload.materialize().unwrap();
+        let bytes = encode_trace(&trace).unwrap();
+        assert_eq!(
+            (trace.len(), bytes.len(), crc32(&bytes)),
+            (records, len, crc),
+            "{}: (records, len, crc32) moved — got crc {:#010x}",
+            workload.label(),
+            crc32(&bytes),
+        );
+    }
+}
+
+/// Everything deterministic a replay run reports, with the one field
+/// that names the input's *form* (`file(..)` vs `trace(..)`) left out.
+fn replay_fingerprint(
+    report: &Report,
+) -> (String, Vec<(clio_core::trace::record::TraceRecord, u64)>) {
+    let mut summary = report.summary();
+    summary.workload = String::new();
+    let timings = report
+        .replay
+        .as_ref()
+        .expect("replay section")
+        .timings
+        .iter()
+        .map(|t| (t.record, t.elapsed_ms.to_bits()))
+        .collect();
+    (summary.to_json(), timings)
+}
+
+/// One pass == four passes, on clean input: for a single-pid file, a
+/// two-pid mix file and a file chained after a synthetic phase, under
+/// every admission mode and both report modes, `Experiment::run` on the
+/// `Workload::File` (opened once, admitted block by block as the replay
+/// reaches each block) equals the same run on the trace loaded whole
+/// first — summary JSON, cache metrics, quarantine ledger and every
+/// per-record timing bit.
+#[test]
+fn one_pass_file_replay_equals_load_then_replay() {
+    let dir = temp_dir("fused");
+    // Small blocks, so even these short traces span several.
+    let write = |name: &str, workload: Workload| {
+        let trace = workload.materialize().unwrap();
+        let mut src = clio_core::trace::source::SliceSource::new(&trace);
+        let bytes =
+            clio_core::trace::compact::encode::encode_source_with_blocks(&mut src, 64).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        assert!(
+            CompactSource::from_bytes(std::fs::read(&path).unwrap()).unwrap().block_count() > 2
+        );
+        path
+    };
+    let single = write("single.clc2", Workload::parse("synth").unwrap());
+    let mixed = write("mixed.clc2", Workload::parse("mix:seq,rand").unwrap());
+    let synth = || Workload::Synthetic(TraceProfile { data_ops: 50, ..Default::default() });
+    type Wrap = fn(Workload, Workload) -> Workload;
+    let cases: [(&std::path::Path, Wrap); 3] = [
+        (&single, |file, _| file),
+        (&mixed, |file, _| file),
+        (&single, |file, synth| Workload::chain(synth, file)),
+    ];
+    for (path, wrap) in cases {
+        let one_pass = wrap(Workload::File(path.to_path_buf()), synth());
+        let loaded = wrap(Workload::trace(load_auto(path).unwrap()), synth());
+        for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+            for mode in [ReportMode::Summary, ReportMode::Full] {
+                let run = |workload: &Workload| {
+                    Experiment::builder()
+                        .workload(workload.clone())
+                        .engine(Engine::SerialReplay)
+                        .verify(verify)
+                        .report_mode(mode)
+                        .build()
+                        .unwrap()
+                        .run()
+                        .unwrap_or_else(|e| panic!("{}: {verify:?}/{mode:?}: {e}", path.display()))
+                };
+                let (fused, reference) = (run(&one_pass), run(&loaded));
+                let what = format!("{} {verify:?}/{mode:?}", one_pass.label());
+                assert!(fused.records > 150, "{what}: a multi-block stream");
+                assert_eq!(replay_fingerprint(&fused), replay_fingerprint(&reference), "{what}");
+                assert_eq!(fused.cache_metrics, reference.cache_metrics, "{what}");
+                assert_eq!(fused.quarantine, reference.quarantine, "{what}");
+                assert_eq!(fused.quarantine.is_some(), verify == VerifyMode::Lenient, "{what}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
