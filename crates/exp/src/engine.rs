@@ -20,9 +20,10 @@ pub enum Engine {
     /// re-opens it once more — no materialized trace anywhere.
     ParallelReplay,
     /// Trace-driven machine simulation: processes contend for a
-    /// striped disk array. Streaming: a discovery pass finds the
-    /// process roster, then a bounded per-pid splitter feeds each
-    /// simulated process — no up-front pid grouping.
+    /// striped disk array. Streaming, one pass: a per-pid splitter
+    /// reads the stream's first records to learn the process roster,
+    /// then feeds each simulated process — no up-front pid grouping,
+    /// no second read.
     TraceSim,
     /// Seek-aware scheduled simulation: per-disk request queues
     /// reordered by the configured policy. Streaming, like

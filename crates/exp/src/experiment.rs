@@ -66,20 +66,21 @@ impl Experiment {
     /// Runs the experiment.
     ///
     /// Every engine consumes the workload as a stream: the serial
-    /// engines open it once, the parallel engine opens one stream per
-    /// worker plus one for its merge walk, and the simulators run a
-    /// discovery pass plus a replay pass — no engine materializes a
-    /// [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`] the replay engines
+    /// engines and the simulators open it once, and the parallel engine
+    /// opens one stream per worker plus one for its merge walk — no
+    /// engine materializes a [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`] the replay engines
     /// additionally keep only O(1) running aggregates instead of
     /// per-record timings.
     ///
     /// **Admission is all-or-nothing at this boundary.** Whatever the
     /// engine, a `Report` comes back only if the whole input passed:
     /// every container check of every file atom, and under
-    /// [`VerifyMode::Strict`] every `V`-rule. The engines that re-open
-    /// their input or act outside the report (parallel replay, both
-    /// simulators, serve, real replay) get that by admitting everything
-    /// before their first record. [`Engine::SerialReplay`] reads its
+    /// [`VerifyMode::Strict`] every `V`-rule. Every engine but one
+    /// gets that by admitting everything before its first record:
+    /// parallel replay and serve re-open their input, real replay acts
+    /// outside the report, and the simulators — which read their input
+    /// once — have no admit-while-running path yet.
+    /// [`Engine::SerialReplay`] reads its
     /// input once and touches nothing but the report it returns, so it
     /// admits *while* it replays — one pass, one block of a v2 file in
     /// memory — and drops the partial replay if the stream turns out to
@@ -157,9 +158,11 @@ impl Experiment {
 
     /// Every engine but serial replay: the load-once atoms are resolved
     /// and the whole workload admitted *before* the engine's first
-    /// record, because these engines re-open their input (one stream
-    /// per parallel worker, two passes per simulator) or act outside
-    /// the report. Returns when the engine started.
+    /// record. Parallel replay and serve need that because they
+    /// re-open their input (one stream per worker or client), real
+    /// replay because it acts outside the report; the simulators open
+    /// theirs once and are here only for want of a wrapper that admits
+    /// while they run. Returns when the engine started.
     fn run_admitted(&self, engine: &Engine, report: &mut Report) -> Result<Instant, ExpError> {
         // The load-once atoms (file, app) become one shared in-memory
         // trace here, so the re-opens below clone an `Arc` rather than
@@ -741,7 +744,7 @@ mod tests {
             .unwrap();
         assert!(report.makespan_s().unwrap() > 0.0);
         assert!(report.replay.is_none());
-        assert!(report.records >= 18, "records counted by the streaming discovery pass");
+        assert!(report.records >= 18, "records counted as the splitter reads them");
     }
 
     #[test]

@@ -31,6 +31,7 @@ use clio_stats::sink::PercentileSink;
 use clio_trace::record::{IoOp, TraceRecord};
 use clio_trace::replay::ReportMode;
 use clio_trace::source::TraceSource;
+use clio_trace::TraceError;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ExpError;
@@ -174,6 +175,8 @@ struct Client {
     stream: Box<dyn TraceSource>,
     /// Virtual time at which this client issues its next request.
     ready: f64,
+    /// Records pulled from `stream` so far.
+    pulled: u64,
     issued: usize,
     done: bool,
 }
@@ -185,20 +188,29 @@ struct Client {
 /// explicit per-request offsets; there is no client-visible seek
 /// request), so streams with and without explicit seeks serve the same
 /// request sequence.
+///
+/// # Errors
+/// [`TraceError::FileIdOutOfRange`] for a record naming a file outside
+/// the registered roster; `index` is its position in the client's
+/// stream.
 fn dispatch(
     managed: &SharedManagedIo,
     files: &[FileId],
+    index: u64,
     r: &TraceRecord,
-) -> Option<(clio_runtime::StreamOp, usize)> {
-    let fid = files[r.file_id as usize];
+) -> Result<Option<(clio_runtime::StreamOp, usize)>, TraceError> {
+    let Some(&fid) = files.get(r.file_id as usize) else {
+        let num_files = files.len() as u32;
+        return Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files });
+    };
     let (op, offset) = match r.op {
         IoOp::Open => (managed.open("open", SERVE_FILE_OPS, fid), 0),
         IoOp::Close => (managed.close("close", SERVE_FILE_OPS, fid), 0),
         IoOp::Read => (managed.read("doGet", SERVE_GET_OPS, fid, r.offset, r.length), r.offset),
         IoOp::Write => (managed.write("doPost", SERVE_POST_OPS, fid, r.offset, r.length), r.offset),
-        IoOp::Seek => return None,
+        IoOp::Seek => return Ok(None),
     };
-    Some((op, managed.cache().home_shard(fid, offset)))
+    Ok(Some((op, managed.cache().home_shard(fid, offset))))
 }
 
 /// Runs the closed-loop model: a serial virtual-clock event loop, so
@@ -218,6 +230,7 @@ pub(crate) fn run_serve(
             client_workload(workload, c).open().map(|stream| Client {
                 stream,
                 ready: 0.0,
+                pulled: 0,
                 issued: 0,
                 done: false,
             })
@@ -236,7 +249,6 @@ pub(crate) fn run_serve(
     let mut latencies = matches!(mode, ReportMode::Full).then(Vec::new);
     let mut makespan: f64 = 0.0;
     let mut jit_total: f64 = 0.0;
-    let mut records: u64 = 0;
 
     // Next request: the earliest-ready live client, ties broken by
     // client id — a deterministic discrete-event order.
@@ -257,9 +269,10 @@ pub(crate) fn run_serve(
         // Pull the next request-record; seeks are dropped in flight.
         let op_shard = loop {
             let Some(r) = client.stream.next_record() else { break None };
-            records += 1;
-            if let Some(hit) = dispatch(&managed, &files, &r) {
-                break Some(hit);
+            let hit = dispatch(&managed, &files, client.pulled, &r)?;
+            client.pulled += 1;
+            if hit.is_some() {
+                break hit;
             }
         };
         let Some((op, shard)) = op_shard else {
@@ -291,7 +304,7 @@ pub(crate) fn run_serve(
         summary: ServeSummary::from_sink(&sink, opts.clients.max(1), 0, makespan, jit_total),
         latencies,
         cache_metrics: managed.cache_metrics(),
-        records,
+        records: clients.iter().map(|c| c.pulled).sum(),
     })
 }
 

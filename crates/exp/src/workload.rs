@@ -167,7 +167,9 @@ impl Workload {
 
     /// A custom iterator-backed workload: `factory` is called once per
     /// [`Workload::open`] and must return an equivalent stream each
-    /// time for the workload to be re-runnable.
+    /// time — an experiment may be run many times, and parallel replay
+    /// and serve open several streams within one run (the simulators
+    /// and serial replay open exactly one).
     pub fn custom(
         label: impl Into<String>,
         factory: impl Fn() -> Box<dyn TraceSource> + Send + Sync + 'static,
@@ -313,9 +315,8 @@ impl Workload {
     /// and [`Workload::App`] (application run) — into shared
     /// [`Workload::Trace`]s, recursively through chains and mixes, so
     /// that engines which re-open the workload many times (one stream
-    /// per parallel worker, discovery + replay passes in the
-    /// simulators) clone an `Arc` instead of re-loading or re-running
-    /// the application per stream. Streaming atoms (synthetic, custom,
+    /// per parallel worker or serve client) clone an `Arc` instead of
+    /// re-loading or re-running the application per stream. Streaming atoms (synthetic, custom,
     /// trace) pass through untouched; the label is unchanged by
     /// resolution, so resolve *after* taking the label.
     pub fn resolve(&self) -> Result<Workload, ExpError> {

@@ -1,11 +1,26 @@
 //! The streaming process driver both trace simulators run on.
 //!
-//! One cheap discovery pass over a re-openable record stream finds the
-//! process roster (so every process starts at time zero in
-//! first-appearance order), then the replay pass feeds each simulated
-//! process from a [`PidSplitter`] — no `TraceFile` and no per-pid index
-//! are ever built. The splitter parks what it reads past on behalf of
-//! other processes, so its buffer is bounded by how far apart the
+//! The record stream is opened once and read once, through a
+//! [`PidSplitter`] that feeds each simulated process its own records —
+//! no `TraceFile` and no per-pid index are ever built.
+//!
+//! **The roster comes from the stream's prefix.** Before time zero the
+//! splitter reads ahead — parking what it reads — until it has seen as
+//! many distinct pids as the stream declares
+//! ([`SourceMeta::num_processes`](clio_trace::source::SourceMeta), at
+//! least one; the whole stream if it carries fewer). Those pids, in
+//! first-appearance order, are the processes that take their first
+//! step at time zero, in that order. On a stream that keeps its
+//! declaration (verifier rule `V01`: every pid is below
+//! `num_processes`, so there are at most that many) this is every
+//! process of the trace. A pid that first shows up *later* can only
+//! come from a stream that breaks the declaration — unverified or
+//! hand-built input. It is not dropped and nothing panics: it joins
+//! the roster when its first record is read and takes its first step
+//! at that instant of simulated time.
+//!
+//! The splitter parks what it reads past on behalf of other processes,
+//! so its buffer is bounded by the roster prefix plus how far apart the
 //! processes' cursors drift *as the replay consumes them*: O(#pids)
 //! when they advance in step, but a closed-loop replay of processes
 //! with unequal service times lets the fast one run ahead, and the
@@ -31,7 +46,7 @@
 //! process holds no disk.
 
 use clio_trace::record::{IoOp, TraceRecord};
-use clio_trace::source::{scan_pids, PidSplitter, TraceSource};
+use clio_trace::source::{PidSplitter, TraceSource};
 
 use crate::engine::EventQueue;
 use crate::time::SimTime;
@@ -65,7 +80,9 @@ pub(crate) trait DiskArray: Sized {
 
     /// Submits `bytes` at logical `offset` for process `proc_idx` at
     /// `queue.now()`. The array calls [`resume_at`] for that process
-    /// exactly once, at the instant the transfer completes.
+    /// exactly once, at the instant the transfer completes. Process
+    /// indices are dense but not announced: one above every index seen
+    /// so far is a process that has just joined.
     fn submit(&mut self, queue: &mut Queue<Self>, proc_idx: u32, offset: u64, bytes: u64);
 
     /// `event`, scheduled earlier by this array, is due now.
@@ -95,36 +112,27 @@ struct World<'s, A> {
     splitter: PidSplitter<Box<dyn TraceSource + 's>>,
 }
 
-/// Replays the stream `open` yields onto the array `build` makes for
-/// the discovered number of processes; returns the report (fault
-/// tallies zero) and the array as the run left it.
-///
-/// `open` is called twice and must yield the same stream both times
-/// (the contract `clio_exp::Workload::open` documents).
+/// Replays the stream `open` yields onto `array`; returns the report
+/// (fault tallies zero) and the array as the run left it. `open` is
+/// called exactly once.
 pub(crate) fn run<'s, A: DiskArray>(
-    open: impl Fn() -> Box<dyn TraceSource + 's>,
+    open: impl FnOnce() -> Box<dyn TraceSource + 's>,
     think: ThinkTime,
-    build: impl FnOnce(usize) -> A,
+    array: A,
 ) -> (TraceSimReport, A) {
-    // Discovery pass: pids in first-appearance order, plus the record
-    // count for the report. O(#pids) memory.
-    let (pids, records) = scan_pids(&mut *open());
-
+    let source = open();
+    let declared = source.meta().num_processes.max(1) as usize;
     let mut world = World {
-        array: build(pids.len()),
-        procs: pids
-            .iter()
-            .map(|&pid| ProcState { pid, finish: SimTime::ZERO, prev_wall_us: None, parked: None })
-            .collect(),
+        array,
+        procs: Vec::new(),
         think,
         bytes_moved: 0,
-        splitter: PidSplitter::new(open()),
+        splitter: PidSplitter::new(source),
     };
+    world.splitter.read_roster(declared);
 
     let mut queue: Queue<A> = EventQueue::new();
-    for p in 0..world.procs.len() {
-        resume_at(&mut queue, SimTime::ZERO, p as u32);
-    }
+    admit_new_pids(&mut queue, &mut world);
     while let Some(event) = queue.pop() {
         match event {
             Event::Step(p) => step(&mut queue, &mut world, p),
@@ -141,16 +149,34 @@ pub(crate) fn run<'s, A: DiskArray>(
     let report = TraceSimReport {
         makespan: world.procs.iter().map(|p| p.finish.seconds()).fold(0.0, f64::max),
         process_finish: world.procs.iter().map(|p| p.finish.seconds()).collect(),
-        pids,
+        pids: world.procs.iter().map(|p| p.pid).collect(),
         bytes_moved: world.bytes_moved,
         disk_utilization: world.array.utilization(end),
         events: queue.processed(),
-        records,
+        // Every process ran until the splitter had nothing left for
+        // it, so the stream was read to its end.
+        records: world.splitter.records_read(),
         retries: 0,
         dropped_requests: 0,
         splitter_peak_buffered: world.splitter.peak_buffered() as u64,
     };
     (report, world.array)
+}
+
+/// Gives every pid the splitter has seen and the process table has not
+/// a process, in first-appearance order, taking its first step now:
+/// the whole roster before time zero, a late pid when it is first read.
+fn admit_new_pids<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<'_, A>) {
+    for &pid in &world.splitter.pids_seen()[world.procs.len()..] {
+        let proc_idx = world.procs.len() as u32;
+        world.procs.push(ProcState {
+            pid,
+            finish: SimTime::ZERO,
+            prev_wall_us: None,
+            parked: None,
+        });
+        resume_at(queue, queue.now(), proc_idx);
+    }
 }
 
 /// Schedules process `proc_idx` to take its next record at `at`.
@@ -159,8 +185,10 @@ pub(crate) fn resume_at<X>(queue: &mut EventQueue<Event<X>>, at: SimTime, proc_i
 }
 
 fn step<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<'_, A>, proc_idx: u32) {
+    let next = world.splitter.next_for(world.procs[proc_idx as usize].pid);
+    admit_new_pids(queue, world);
     let proc = &mut world.procs[proc_idx as usize];
-    let Some(r) = world.splitter.next_for(proc.pid) else {
+    let Some(r) = next else {
         proc.finish = queue.now();
         return;
     };
@@ -199,6 +227,238 @@ fn issue<A: DiskArray>(
             } else {
                 world.array.submit(queue, proc_idx, r.offset, bytes);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use clio_trace::fault::{FaultKind, FaultPlan, FaultSource};
+    use clio_trace::source::{SliceSource, SourceMeta};
+    use clio_trace::TraceFile;
+
+    use super::*;
+    use crate::machine::MachineConfig;
+    use crate::sched_replay::{scheduled_trace_sim, DiskFaultPlan, SchedReplayOptions};
+    use crate::trace_driven::{trace_sim, TraceSimOptions};
+
+    /// A read of `length` bytes by `pid`, stamped `index` ms.
+    fn read(pid: u32, index: u64, length: u64) -> TraceRecord {
+        let mut r = TraceRecord::simple(IoOp::Read, 0, index * 8192, length);
+        r.pid = pid;
+        r.wall_clock_us = index * 1000;
+        r.proc_clock_us = index * 1000;
+        r
+    }
+
+    fn meta(num_processes: u32) -> SourceMeta {
+        SourceMeta { sample_file: "driver.dat".into(), num_processes, num_files: 1 }
+    }
+
+    /// A scheduled replay whose every third request fails once and is
+    /// retried.
+    fn retrying() -> SchedReplayOptions {
+        SchedReplayOptions {
+            faults: DiskFaultPlan { error_every: 3, ..Default::default() },
+            ..Default::default()
+        }
+    }
+
+    /// The three runs every input below goes through: `trace_sim`
+    /// closed loop and open loop, `scheduled_trace_sim` under retries.
+    fn all_three<'s>(
+        open: impl Fn() -> Box<dyn TraceSource + 's>,
+        machine: &MachineConfig,
+    ) -> [TraceSimReport; 3] {
+        let from_trace = TraceSimOptions { think_time: ThinkTime::FromTrace };
+        [
+            trace_sim(&open, machine, &TraceSimOptions::default()).unwrap(),
+            trace_sim(&open, machine, &from_trace).unwrap(),
+            scheduled_trace_sim(&open, machine, &retrying()).unwrap(),
+        ]
+    }
+
+    /// Counts every `next_record` call, the terminating `None`
+    /// included, in its own slot of a per-open tally.
+    struct CountedPulls<'c, S> {
+        inner: S,
+        pulls: &'c RefCell<Vec<u64>>,
+        slot: usize,
+    }
+
+    impl<S: TraceSource> TraceSource for CountedPulls<'_, S> {
+        fn meta(&self) -> SourceMeta {
+            self.inner.meta()
+        }
+
+        fn next_record(&mut self) -> Option<TraceRecord> {
+            self.pulls.borrow_mut()[self.slot] += 1;
+            self.inner.next_record()
+        }
+    }
+
+    #[test]
+    fn the_input_is_opened_once_and_every_record_pulled_once() {
+        let one_pid: Vec<TraceRecord> = (0..40).map(|i| read(0, i, 4096)).collect();
+        let round_robin: Vec<TraceRecord> =
+            (0..60).map(|i| read(i as u32 % 2, i, 4096 << (i % 2))).collect();
+        // Chain-shaped: the second pid appears only after the first ends.
+        let chained: Vec<TraceRecord> = (0..50).map(|i| read((i >= 30) as u32, i, 8192)).collect();
+
+        for (name, records, processes) in
+            [("one pid", &one_pid, 1), ("round robin", &round_robin, 2), ("chain", &chained, 2)]
+        {
+            // One entry per open: the pulls made on that stream.
+            let pulls = RefCell::new(Vec::new());
+            let open = || -> Box<dyn TraceSource + '_> {
+                let slot = pulls.borrow().len();
+                pulls.borrow_mut().push(0);
+                let inner = SliceSource::from_parts(records, meta(processes));
+                Box::new(CountedPulls { inner, pulls: &pulls, slot })
+            };
+            let reports = all_three(open, &MachineConfig::with_disks(2));
+            assert_eq!(pulls.borrow().len(), reports.len(), "{name}: one open per run");
+            assert!(reports[2].retries > 0, "{name}: the scheduled run retried");
+            for (run, report) in reports.iter().enumerate() {
+                assert_eq!(report.records, records.len() as u64, "{name}, run {run}: records");
+                // Every record once, then the one `None` that ends the
+                // stream; a finished source is not asked again.
+                assert_eq!(pulls.borrow()[run], report.records + 1, "{name}, run {run}: pulls");
+                assert_eq!(report.pids.len(), processes as usize, "{name}, run {run}: roster");
+            }
+        }
+    }
+
+    /// The instant a late pid joins is the instant the process that
+    /// reads past its first record takes that step; with one process on
+    /// the roster that is when it has finished everything before it —
+    /// the makespan of replaying just that prefix.
+    fn join_instants(prefix: &[TraceRecord], machine: &MachineConfig) -> [f64; 3] {
+        all_three(|| Box::new(SliceSource::from_parts(prefix, meta(1))), machine)
+            .map(|r| r.makespan)
+    }
+
+    #[test]
+    fn a_pid_outside_the_declared_roster_joins_when_it_is_first_read() {
+        let machine = MachineConfig::with_disks(2);
+        // Declares one process, carries two: pid 1 first shows at
+        // record 3, after pid 0's first three.
+        let pids = [0u32, 0, 0, 1, 0, 1, 1, 0, 1];
+        let under_declared: Vec<TraceRecord> =
+            pids.iter().enumerate().map(|(i, &pid)| read(pid, i as u64, 16384)).collect();
+        // One flipped pid bit in a one-process stream.
+        let mut flipped: Vec<TraceRecord> = (0..10).map(|i| read(0, i, 4096)).collect();
+        flipped[4].pid ^= 1 << 24;
+
+        for (name, records, late_at) in [("two pids", &under_declared, 3), ("flip", &flipped, 4)] {
+            let late_pid = records[late_at].pid;
+            let bytes: u64 = records.iter().map(TraceRecord::bytes_moved).sum();
+            let joined = join_instants(&records[..late_at], &machine);
+            let reports =
+                all_three(|| Box::new(SliceSource::from_parts(records, meta(1))), &machine);
+            for (run, (report, joined)) in reports.iter().zip(joined).enumerate() {
+                let what = format!("{name}, run {run}");
+                assert_eq!(report.records, records.len() as u64, "{what}: a record was dropped");
+                assert_eq!(report.bytes_moved, bytes, "{what}: bytes");
+                assert_eq!(report.pids, vec![0, late_pid], "{what}: roster");
+                assert!(joined > 0.0, "{what}: the late pid does not start at time zero");
+                assert!(
+                    report.process_finish[1] > joined,
+                    "{what}: late pid finished at {} but joined at {joined}",
+                    report.process_finish[1]
+                );
+                assert!(report.makespan >= report.process_finish[1], "{what}: makespan");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_file_id_is_not_the_simulators_business() {
+        // `FaultKind::BitFlip` corrupts the file id, which no simulator
+        // reads: the run equals the clean one.
+        let records: Vec<TraceRecord> = (0..10).map(|i| read(0, i, 4096)).collect();
+        let plan = FaultPlan::single(3, 4, FaultKind::BitFlip);
+        let machine = MachineConfig::uniprocessor();
+        let clean = all_three(|| Box::new(SliceSource::from_parts(&records, meta(1))), &machine);
+        let faulted = all_three(
+            || Box::new(FaultSource::new(SliceSource::from_parts(&records, meta(1)), &plan)),
+            &machine,
+        );
+        assert_eq!(clean, faulted);
+        assert_eq!(clean[0].records, 10);
+    }
+
+    /// `[makespan bits, utilisation bits, events, records, bytes,
+    /// retries, drops, finish bits…]`, the row shape of
+    /// `tests/sim_golden.rs`.
+    fn row(report: &TraceSimReport) -> Vec<u64> {
+        let mut row = vec![
+            report.makespan.to_bits(),
+            report.disk_utilization.to_bits(),
+            report.events,
+            report.records,
+            report.bytes_moved,
+            report.retries,
+            report.dropped_requests,
+        ];
+        row.extend(report.process_finish.iter().map(|f| f.to_bits()));
+        row
+    }
+
+    #[test]
+    fn an_over_declared_roster_changes_nothing_but_the_parked_prefix() {
+        // Four processes declared, two active, unequal request sizes.
+        let records: Vec<TraceRecord> =
+            (0..80).map(|i| read(i as u32 % 2, i, 4096 + 20480 * (i % 2))).collect();
+        let trace = TraceFile::build("over.dat", 4, records).expect("valid trace");
+        let reports =
+            all_three(|| Box::new(SliceSource::new(&trace)), &MachineConfig::with_disks(2));
+        let got: Vec<Vec<u64>> = reports.iter().map(row).collect();
+        // Recorded at the parent commit (9ea70a3), where a discovery
+        // pass found the roster.
+        let recorded: [[u64; 9]; 3] = [
+            [
+                4603066175183971929,
+                4606808643796694188,
+                82,
+                80,
+                1146880,
+                0,
+                0,
+                4602942378267089932,
+                4603066175183971929,
+            ],
+            [
+                4603768736725841726,
+                4605724261348604674,
+                160,
+                80,
+                1146880,
+                0,
+                0,
+                4603608911011940765,
+                4603768736725841726,
+            ],
+            [
+                4603225961600340117,
+                4602261183392442098,
+                188,
+                80,
+                1146880,
+                26,
+                0,
+                4603159776606960417,
+                4603225961600340117,
+            ],
+        ];
+        assert_eq!(got, recorded, "measured rows:\n{got:#?}");
+        for report in &reports {
+            assert_eq!(report.pids, vec![0, 1]);
+            // Fewer pids than declared: the roster read-ahead runs to
+            // the end of the stream and parks all of it.
+            assert_eq!(report.splitter_peak_buffered, 80);
         }
     }
 }

@@ -4,9 +4,10 @@
 //! the disk model's flat positioning cost and serves arrivals FCFS —
 //! sufficient for the paper's bandwidth questions, blind to request
 //! *ordering*. [`scheduled_trace_sim`] runs the same streaming process
-//! loop (discovery pass, then a
-//! [`PidSplitter`](clio_trace::source::PidSplitter)-fed replay; fixed
-//! host cost for opens, closes and seeks) over this module's disk
+//! loop (one pass through a
+//! [`PidSplitter`](clio_trace::source::PidSplitter), the roster taken
+//! from the stream's prefix; fixed host cost for opens, closes and
+//! seeks) over this module's disk
 //! array instead: disks with an explicit head position, a
 //! distance-dependent seek curve ([`SeekCurve`]) and a pluggable
 //! request scheduler ([`Policy`]). Requests that find the disk busy
@@ -171,8 +172,8 @@ type Queue = proc_driver::Queue<SchedArray>;
 /// Replays the record stream `open` yields on `machine` with per-disk
 /// request scheduling — the same streaming process loop as
 /// [`trace_sim`](crate::trace_driven::trace_sim), closed-loop, over
-/// seek-aware queued disks. `open` is called twice and must yield the
-/// same stream both times.
+/// seek-aware queued disks. `open` is called exactly once and the
+/// stream read exactly once.
 ///
 /// # Errors
 /// [`SimError::InvalidMachine`] if `machine` fails
@@ -181,7 +182,7 @@ type Queue = proc_driver::Queue<SchedArray>;
 /// [`SimError::InvalidFaultPlan`] if `options.faults` fails
 /// [`DiskFaultPlan::validate`]; the stream is not opened.
 pub fn scheduled_trace_sim<'s>(
-    open: impl Fn() -> Box<dyn TraceSource + 's>,
+    open: impl FnOnce() -> Box<dyn TraceSource + 's>,
     machine: &MachineConfig,
     options: &SchedReplayOptions,
 ) -> Result<TraceSimReport, SimError> {
@@ -194,7 +195,7 @@ pub fn scheduled_trace_sim<'s>(
     }
     options.faults.validate().map_err(SimError::InvalidFaultPlan)?;
 
-    let (mut report, array) = proc_driver::run(open, ThinkTime::ClosedLoop, |_procs| SchedArray {
+    let array = SchedArray {
         curve: SeekCurve::from_model(&machine.disk_model, options.cylinders),
         bytes_per_cylinder: ((1u64 << 30) / options.cylinders).max(1),
         disks: (0..machine.disks)
@@ -212,7 +213,8 @@ pub fn scheduled_trace_sim<'s>(
         retries: 0,
         dropped: 0,
         cfg: machine.clone(),
-    });
+    };
+    let (mut report, array) = proc_driver::run(open, ThinkTime::ClosedLoop, array);
     report.retries = array.retries;
     report.dropped_requests = array.dropped;
     Ok(report)

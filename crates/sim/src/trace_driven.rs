@@ -15,12 +15,18 @@
 //! [`trace_sim`] is one of two drivers over the same streaming process
 //! loop (the other is
 //! [`scheduled_trace_sim`](crate::sched_replay::scheduled_trace_sim)):
-//! a discovery pass for the process roster, then a replay pass through
-//! a [`PidSplitter`](clio_trace::source::PidSplitter), from any
-//! re-openable source — no materialized trace is ever built, and what
-//! the splitter had to park for lagging processes is reported as
-//! [`TraceSimReport::splitter_peak_buffered`]. The loop is a typed
-//! event queue drained by `match`; it allocates nothing per event.
+//! the stream is opened once and read once through a
+//! [`PidSplitter`](clio_trace::source::PidSplitter), which first reads
+//! ahead just far enough to see the processes the stream declares —
+//! they all start at time zero, in first-appearance order — and then
+//! feeds each process its own records. No materialized trace is ever
+//! built, and what the splitter had to park (that prefix, and records
+//! of lagging processes) is reported as
+//! [`TraceSimReport::splitter_peak_buffered`]. A pid beyond the
+//! declared count — only unverified or hand-built input carries one —
+//! joins at the simulated instant its first record is read. The loop
+//! is a typed event queue drained by `match`; it allocates nothing per
+//! event.
 //! Each process issues its records in order;
 //! opens, closes and seeks cost a fixed host overhead, and reads and
 //! writes occupy this module's disk array: striped, first come first
@@ -90,8 +96,11 @@ pub struct TraceSimReport {
     pub dropped_requests: u64,
     /// High-water mark of records the per-pid demultiplexer
     /// ([`PidSplitter`](clio_trace::source::PidSplitter)) had parked at
-    /// once: how far the processes' cursors drifted apart as this
-    /// replay consumed them — the run's O(trace) memory term, if any.
+    /// once: the prefix read before time zero to learn the process
+    /// roster (the whole stream when it declares more processes than
+    /// it carries), then how far the processes' cursors drifted apart
+    /// as this replay consumed them — the run's O(trace) memory term,
+    /// if any.
     pub splitter_peak_buffered: u64,
 }
 
@@ -125,6 +134,7 @@ struct FcfsArray {
     cfg: MachineConfig,
     disks: Vec<FcfsServer>,
     /// Per process: the disk its next transfer's first chunk lands on.
+    /// Grows when a process submits for the first time.
     stripe_rotation: Vec<usize>,
 }
 
@@ -136,7 +146,11 @@ impl DiskArray for FcfsArray {
     fn submit(&mut self, queue: &mut Queue<Self>, proc_idx: u32, _offset: u64, bytes: u64) {
         let now = queue.now();
         let cfg = &self.cfg;
-        let rotation = self.stripe_rotation[proc_idx as usize];
+        let p = proc_idx as usize;
+        if p >= self.stripe_rotation.len() {
+            self.stripe_rotation.resize(p + 1, 0);
+        }
+        let rotation = self.stripe_rotation[p];
         let mut completion = now;
         let shares = stripe_shares(bytes, self.disks.len(), cfg.stripe_unit);
         for (i, (chunks, tail)) in shares.enumerate() {
@@ -148,7 +162,7 @@ impl DiskArray for FcfsArray {
             let (_, end) = self.disks[disk].acquire(now, service);
             completion = completion.max(end);
         }
-        self.stripe_rotation[proc_idx as usize] = (rotation + 1) % self.disks.len();
+        self.stripe_rotation[p] = (rotation + 1) % self.disks.len();
         resume_at(queue, completion, proc_idx);
     }
 
@@ -165,24 +179,26 @@ impl DiskArray for FcfsArray {
 /// traced process replays its own records, all of them contending for
 /// one striped first-come-first-served disk array.
 ///
-/// `open` is called twice — a discovery pass, then the replay — and
-/// must yield the same stream both times (the contract
-/// `clio_exp::Workload::open` documents).
+/// `open` is called exactly once and the stream is read exactly once.
+/// The processes are the distinct pids of the shortest prefix showing
+/// `meta().num_processes` of them; a pid that first appears after it
+/// joins when its first record is read (see the module docs).
 ///
 /// # Errors
 /// [`SimError::InvalidMachine`] if `machine` fails
 /// [`MachineConfig::validate`]; the stream is not opened.
 pub fn trace_sim<'s>(
-    open: impl Fn() -> Box<dyn TraceSource + 's>,
+    open: impl FnOnce() -> Box<dyn TraceSource + 's>,
     machine: &MachineConfig,
     options: &TraceSimOptions,
 ) -> Result<TraceSimReport, SimError> {
     machine.validate().map_err(SimError::InvalidMachine)?;
-    let (report, _) = proc_driver::run(open, options.think_time, |procs| FcfsArray {
+    let array = FcfsArray {
         disks: (0..machine.disks).map(|_| FcfsServer::new(1)).collect(),
         cfg: machine.clone(),
-        stripe_rotation: vec![0; procs],
-    });
+        stripe_rotation: Vec::new(),
+    };
+    let (report, _) = proc_driver::run(open, options.think_time, array);
     Ok(report)
 }
 

@@ -26,7 +26,8 @@
 //!   shared file namespaces ([`FileNamespace`]).
 //!
 //! [`PidSplitter`] demultiplexes any source into per-process streams
-//! in one pass, buffering only what its consumers' cursors are apart —
+//! in one pass, buffering only what its consumers' cursors are apart
+//! (plus the short prefix it reads ahead to learn the process roster) —
 //! the adapter the pid-grouping simulators consume streaming workloads
 //! through.
 //!
@@ -465,6 +466,11 @@ impl<A: TraceSource, B: TraceSource> TraceSource for WeightedSource<A, B> {
 /// third of a 180 000-record two-process mix, measured).
 /// [`PidSplitter::peak_buffered`] reports the high-water mark, and the
 /// simulators pass it on in their report.
+///
+/// [`PidSplitter::read_roster`] reads ahead — parking everything — just
+/// far enough to learn which pids the stream carries, so a consumer
+/// can start every process together without a pass of its own over
+/// the stream.
 #[derive(Debug)]
 pub struct PidSplitter<S> {
     source: S,
@@ -473,6 +479,8 @@ pub struct PidSplitter<S> {
     /// Slot -> pid, in first-appearance order.
     pids: Vec<u32>,
     source_done: bool,
+    /// Records pulled from the source so far.
+    read: u64,
     buffered: usize,
     peak_buffered: usize,
 }
@@ -485,6 +493,7 @@ impl<S: TraceSource> PidSplitter<S> {
             buffers: Vec::new(),
             pids: Vec::new(),
             source_done: false,
+            read: 0,
             buffered: 0,
             peak_buffered: 0,
         }
@@ -502,6 +511,27 @@ impl<S: TraceSource> PidSplitter<S> {
         }
     }
 
+    /// The source's next record, counted.
+    fn pull(&mut self) -> Option<TraceRecord> {
+        if self.source_done {
+            return None;
+        }
+        let r = self.source.next_record();
+        match r {
+            Some(_) => self.read += 1,
+            None => self.source_done = true,
+        }
+        r
+    }
+
+    /// Parks `r` for its own pid's stream.
+    fn park(&mut self, r: TraceRecord) {
+        let slot = self.slot_of(r.pid);
+        self.buffers[slot].push_back(r);
+        self.buffered += 1;
+        self.peak_buffered = self.peak_buffered.max(self.buffered);
+    }
+
     /// The next record of `pid` in capture order, or `None` once that
     /// process's stream is exhausted. Records of other pids read on the
     /// way are parked for their own streams.
@@ -511,24 +541,40 @@ impl<S: TraceSource> PidSplitter<S> {
             self.buffered -= 1;
             return Some(r);
         }
-        while !self.source_done {
-            match self.source.next_record() {
-                None => self.source_done = true,
-                Some(r) if r.pid == pid => return Some(r),
-                Some(r) => {
-                    let other = self.slot_of(r.pid);
-                    self.buffers[other].push_back(r);
-                    self.buffered += 1;
-                    self.peak_buffered = self.peak_buffered.max(self.buffered);
-                }
+        while let Some(r) = self.pull() {
+            if r.pid == pid {
+                return Some(r);
             }
+            self.park(r);
         }
         None
+    }
+
+    /// Reads ahead, parking every record, until `processes` distinct
+    /// pids have been seen or the stream ends, and returns the pids
+    /// seen so far in first-appearance order: the roster of the
+    /// shortest prefix that shows `processes` of them (of the whole
+    /// stream if it carries fewer). What was read is handed out by
+    /// [`PidSplitter::next_for`] as usual, so nothing is read twice;
+    /// the parked prefix counts towards
+    /// [`PidSplitter::peak_buffered`].
+    pub fn read_roster(&mut self, processes: usize) -> &[u32] {
+        while self.pids.len() < processes {
+            let Some(r) = self.pull() else { break };
+            self.park(r);
+        }
+        &self.pids
     }
 
     /// The pids seen so far, in first-appearance order.
     pub fn pids_seen(&self) -> &[u32] {
         &self.pids
+    }
+
+    /// Records pulled from the source so far; the stream's length once
+    /// any [`PidSplitter::next_for`] has returned `None`.
+    pub fn records_read(&self) -> u64 {
+        self.read
     }
 
     /// High-water mark of parked records — the observable side of the
@@ -544,10 +590,10 @@ impl<S: TraceSource> PidSplitter<S> {
 }
 
 /// Streams `source` to exhaustion, returning `(pids, record_count)`
-/// with the pids in first-appearance order — the cheap O(#pids)-memory
-/// discovery pass the pid-grouping simulators run before replaying a
-/// re-openable workload (process order, and therefore event tie-break
-/// order, must match the materialized path exactly).
+/// with the pids in first-appearance order: the whole-stream roster, in
+/// O(#pids) memory. The simulators do not run this pass — they take
+/// their roster from [`PidSplitter::read_roster`] on the one stream
+/// they replay; the `clio_e2e` benchmark times it as a layer row.
 pub fn scan_pids<S: TraceSource + ?Sized>(source: &mut S) -> (Vec<u32>, u64) {
     let mut pids: Vec<u32> = Vec::new();
     let mut count = 0u64;
@@ -836,6 +882,36 @@ mod tests {
         assert!(split.next_for(99).is_none());
         assert_eq!(split.buffered(), t.len());
         assert!(split.next_for(0).is_some());
+    }
+
+    #[test]
+    fn read_roster_stops_at_the_shortest_prefix_and_loses_nothing() {
+        // pids 2, 0, 2, 1, 0, 2: two of them show after two records,
+        // all three after four.
+        let mut records = Vec::new();
+        for (i, &pid) in [2u32, 0, 2, 1, 0, 2].iter().enumerate() {
+            let mut r = TraceRecord::simple(IoOp::Read, 0, i as u64 * 4096, 4096);
+            r.pid = pid;
+            records.push(r);
+        }
+        let t = TraceFile::build("order.dat", 3, records).unwrap();
+        let mut split = PidSplitter::new(SliceSource::new(&t));
+        assert_eq!(split.records_read(), 0, "nothing is read before the first demand");
+        assert_eq!(split.read_roster(2), &[2, 0]);
+        assert_eq!((split.records_read(), split.buffered()), (2, 2));
+        assert_eq!(split.read_roster(3), &[2, 0, 1]);
+        assert_eq!((split.records_read(), split.peak_buffered()), (4, 4));
+        // More than the stream carries: the whole stream, same roster.
+        assert_eq!(split.read_roster(9), &[2, 0, 1]);
+        assert_eq!(split.records_read(), 6);
+        // The parked prefix is handed out per pid, in capture order.
+        for pid in [2u32, 0, 1] {
+            let expected: Vec<TraceRecord> =
+                t.records.iter().filter(|r| r.pid == pid).copied().collect();
+            let got: Vec<TraceRecord> = std::iter::from_fn(|| split.next_for(pid)).collect();
+            assert_eq!(got, expected, "pid {pid}");
+        }
+        assert_eq!(split.buffered(), 0);
     }
 
     #[test]

@@ -367,10 +367,14 @@ enum SynthState {
 /// them. [`synthesize`] itself is this source collected into a
 /// [`TraceFile`], which is what makes the two bit-identical.
 ///
-/// The source's [`TraceSource::size_hint`] is **exact**: construction
-/// runs one counting replay of the profile's deterministic RNG stream
-/// (O(`data_ops`) time, O(1) memory, no records retained), so progress
-/// reporting and pre-sizing never need to materialize the workload.
+/// Construction is O(1): no record is generated before the first
+/// [`TraceSource::next_record`]. The source's
+/// [`TraceSource::size_hint`] is therefore a pair of **bounds**, not a
+/// count — how many seek records lie ahead is decided by RNG draws not
+/// yet made. The lower bound is what is certainly left (the open/close
+/// framing, the data ops still to emit, a data op staged behind its
+/// seek); the upper bound adds one possible seek per data op still to
+/// come. With [`TraceProfile::explicit_seeks`] off the two coincide.
 #[derive(Debug, Clone)]
 pub struct SynthSource {
     profile: TraceProfile,
@@ -384,8 +388,6 @@ pub struct SynthSource {
     /// Records stamped so far — drives the arrival process's gap
     /// schedule.
     stamped: u64,
-    /// Records left to emit — exact, counted at construction.
-    remaining: usize,
     /// `(ln(lo), ln(hi))` of the request-size range, hoisted out of
     /// the per-record draw.
     ln_size_bounds: (f64, f64),
@@ -396,7 +398,7 @@ impl SynthSource {
     pub fn new(profile: TraceProfile) -> Result<Self, ProfileError> {
         profile.validate()?;
         let (lo, hi) = profile.request_size;
-        let mut source = Self {
+        Ok(Self {
             rng: StdRng::seed_from_u64(profile.seed),
             state: SynthState::Open,
             pending: None,
@@ -404,20 +406,9 @@ impl SynthSource {
             position: 0,
             clock_us: 0,
             stamped: 0,
-            remaining: 0,
             ln_size_bounds: ((lo as f64).ln(), (hi as f64).ln()),
             profile,
-        };
-        // The record count depends on the RNG's seek decisions, so the
-        // only honest exact count is a dry run: replay a clone of the
-        // generator state, counting records and keeping none.
-        let mut probe = source.clone();
-        let mut total = 0usize;
-        while probe.advance().is_some() {
-            total += 1;
-        }
-        source.remaining = total;
-        Ok(source)
+        })
     }
 
     /// Stamps a record the way [`crate::writer::TraceWriter`] does:
@@ -552,11 +543,12 @@ impl SynthSource {
     }
 }
 
-impl SynthSource {
-    /// Steps the generator state machine one record, without touching
-    /// the exact-count bookkeeping (shared by the counting dry run and
-    /// the real stream).
-    fn advance(&mut self) -> Option<TraceRecord> {
+impl TraceSource for SynthSource {
+    fn meta(&self) -> SourceMeta {
+        SourceMeta { sample_file: SYNTH_SAMPLE.into(), num_processes: 1, num_files: 1 }
+    }
+
+    fn next_record(&mut self) -> Option<TraceRecord> {
         if let Some(data) = self.pending.take() {
             return Some(data);
         }
@@ -575,25 +567,19 @@ impl SynthSource {
             SynthState::Done => None,
         }
     }
-}
-
-impl TraceSource for SynthSource {
-    fn meta(&self) -> SourceMeta {
-        SourceMeta { sample_file: SYNTH_SAMPLE.into(), num_processes: 1, num_files: 1 }
-    }
-
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let r = self.advance();
-        if r.is_some() {
-            self.remaining = self.remaining.saturating_sub(1);
-        }
-        r
-    }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        // Exact: counted by the construction-time dry run, decremented
-        // per emitted record.
-        (self.remaining, Some(self.remaining))
+        // `Done` is entered only once every data op is out, so the
+        // difference is zero there.
+        let data_ops = self.profile.data_ops - self.emitted_data_ops;
+        let framing = match self.state {
+            SynthState::Open => 2,
+            SynthState::Data => 1,
+            SynthState::Done => 0,
+        };
+        let lower = framing + data_ops + self.pending.is_some() as usize;
+        let seeks = if self.profile.explicit_seeks { data_ops } else { 0 };
+        (lower, Some(lower + seeks))
     }
 }
 
@@ -886,8 +872,6 @@ mod tests {
         ] {
             let t = synthesize(&p);
             let mut src = SynthSource::new(p.clone()).unwrap();
-            let (lo, hi) = src.size_hint();
-            assert_eq!((lo, hi), (t.len(), Some(t.len())), "size hint stays exact: {p:?}");
             let mut streamed = Vec::new();
             while let Some(r) = src.next_record() {
                 streamed.push(r);
@@ -927,32 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_source_size_hint_is_exact() {
-        // The satellite pin: hint == actual record count, at
-        // construction and at every point mid-stream, for profiles
-        // with and without explicit seeks.
-        for p in [
-            TraceProfile { data_ops: 40, sequentiality: 0.5, ..Default::default() },
-            TraceProfile { data_ops: 33, explicit_seeks: false, ..Default::default() },
-            TraceProfile { data_ops: 57, ..TraceProfile::cholesky_like() },
-        ] {
-            let actual = synthesize(&p).len();
-            let mut src = SynthSource::new(p).unwrap();
-            let (lo, hi) = src.size_hint();
-            assert_eq!(lo, actual, "lower hint must be exact");
-            assert_eq!(hi, Some(actual), "upper hint must be exact");
-            let mut n = 0usize;
-            while src.next_record().is_some() {
-                n += 1;
-                let (lo, hi) = src.size_hint();
-                assert_eq!(lo, actual - n, "hint exact mid-stream");
-                assert_eq!(hi, Some(actual - n));
-            }
-            assert_eq!(n, actual);
-        }
-    }
-
-    #[test]
     fn streaming_source_meta_is_exact() {
         let p = TraceProfile { data_ops: 25, ..Default::default() };
         let meta = SynthSource::new(p.clone()).unwrap().meta();
@@ -960,6 +918,69 @@ mod tests {
         assert_eq!(meta.sample_file, t.header.sample_file);
         assert_eq!(meta.num_processes, t.header.num_processes);
         assert_eq!(meta.num_files, t.header.num_files);
+    }
+
+    #[test]
+    fn materialize_of_a_seek_heavy_profile_equals_the_stream() {
+        // Every data op is preceded by a seek, so the lower size hint
+        // `materialize` pre-sizes by is half the record count.
+        let p = TraceProfile { sequentiality: 0.0, data_ops: 500, ..Default::default() };
+        let mut src = SynthSource::new(p.clone()).unwrap();
+        assert_eq!(src.size_hint(), (502, Some(1002)));
+        let streamed: Vec<_> = std::iter::from_fn(|| src.next_record()).collect();
+        assert_eq!(streamed.len(), 1002);
+        let t = materialize(&mut SynthSource::new(p).unwrap()).unwrap();
+        assert_eq!(t.records, streamed);
+    }
+
+    fn arb_popularity() -> impl Strategy<Value = Popularity> {
+        prop_oneof![
+            Just(Popularity::Uniform),
+            (0.2f64..2.0).prop_map(|theta| Popularity::Zipfian { theta }),
+            (0.05f64..=1.0, 0.0f64..=1.0).prop_map(|(hot_fraction, hot_rate)| {
+                Popularity::Hotspot { hot_fraction, hot_rate }
+            }),
+        ]
+    }
+
+    fn arb_arrival() -> impl Strategy<Value = Arrival> {
+        prop_oneof![
+            Just(Arrival::Steady),
+            (1u32..20, 1u32..100)
+                .prop_map(|(burst, idle_ticks)| Arrival::Bursty { burst, idle_ticks }),
+            (2u32..60, 1u32..12).prop_map(|(period, peak)| Arrival::Diurnal { period, peak }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The size-hint contract: the bounds bracket what is really
+        /// left at construction and after every record, coincide when
+        /// no seek record can be emitted, and close at exhaustion.
+        #[test]
+        fn size_hint_brackets_what_is_left(
+            seed in any::<u64>(), data_ops in 1usize..120, seq in 0.0f64..=1.0,
+            explicit_seeks in any::<bool>(), phases in 1u32..=4,
+            popularity in arb_popularity(), arrival in arb_arrival(),
+        ) {
+            let p = TraceProfile {
+                seed, data_ops, sequentiality: seq, explicit_seeks, phases, popularity,
+                arrival, ..Default::default()
+            };
+            let total = synthesize(&p).len();
+            let mut src = SynthSource::new(p).unwrap();
+            for left in (0..=total).rev() {
+                let (lower, upper) = src.size_hint();
+                let upper = upper.expect("a synthesizer always knows an upper bound");
+                prop_assert!(lower <= left && left <= upper, "{lower} <= {left} <= {upper}");
+                if !explicit_seeks {
+                    prop_assert_eq!(lower, upper);
+                }
+                prop_assert_eq!(src.next_record().is_some(), left > 0);
+            }
+            prop_assert_eq!(src.size_hint(), (0, Some(0)));
+        }
     }
 
     proptest! {

@@ -234,7 +234,13 @@ fn unverified_out_of_roster_record_fails_every_replay_engine_with_an_error() {
     let sample = dir.join("sample.dat");
     std::fs::write(&sample, vec![7u8; 64 * 1024]).expect("sample file");
 
-    for engine in [Engine::SerialReplay, Engine::ParallelReplay, Engine::RealReplay { sample }] {
+    let engines = [
+        Engine::SerialReplay,
+        Engine::ParallelReplay,
+        Engine::RealReplay { sample },
+        Engine::Serve,
+    ];
+    for engine in engines {
         for mode in [ReportMode::Full, ReportMode::Summary] {
             let err = Experiment::builder()
                 .workload(workload.clone())
