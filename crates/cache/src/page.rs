@@ -35,14 +35,15 @@ impl PageId {
 /// The inclusive page-index range `[first, last]` touched by the byte
 /// range `[offset, offset + len)`. A zero-length range touches the
 /// single page containing `offset` (matching how a read of zero bytes
-/// still faults the header page on the paper's platform).
+/// still faults the header page on the paper's platform). A range that
+/// would run past `u64::MAX` ends at the last addressable page.
 pub fn page_span(offset: u64, len: u64, page_size: u64) -> (u64, u64) {
     assert!(page_size > 0, "page size must be positive");
     let first = offset / page_size;
     if len == 0 {
         return (first, first);
     }
-    let last = (offset + len - 1) / page_size;
+    let last = offset.saturating_add(len - 1) / page_size;
     (first, last)
 }
 
@@ -93,6 +94,12 @@ mod tests {
     fn zero_length_touches_one_page() {
         assert_eq!(page_span(5000, 0, 4096), (1, 1));
         assert_eq!(pages_touched(5000, 0, 4096), 1);
+    }
+
+    #[test]
+    fn span_past_the_end_of_the_offset_space_saturates() {
+        let top = u64::MAX / 4096;
+        assert_eq!(page_span(u64::MAX - 100, 4096, 4096), (top, top));
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! other engine.
 //!
 //! At one client no request ever queues, so per-request latency reduces
-//! to the managed cost of its operations — exactly the serial
-//! [`ManagedIo`](clio_runtime::ManagedIo) accounting (pinned by the
-//! load-harness test layer).
+//! to the managed cost of its operations: the load-harness test layer
+//! composes that bill by hand over a solo buffer cache (JIT, GC,
+//! dispatch, cache, added in that order) and compares bit for bit.
 
 use clio_cache::cache::CacheConfig;
 use clio_cache::page::FileId;
-use clio_runtime::concurrent::SharedManagedIo;
-use clio_runtime::jit::JitModel;
+use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};
 use clio_stats::sink::PercentileSink;
 use clio_trace::record::{IoOp, TraceRecord};
 use clio_trace::replay::ReportMode;
@@ -36,14 +35,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ExpError;
 use crate::workload::Workload;
-
-/// doGet handler body size in bytecode instructions (mirrors the web
-/// server's JIT charge for GET requests).
-pub const SERVE_GET_OPS: usize = 320;
-/// doPost handler body size (POST requests).
-pub const SERVE_POST_OPS: usize = 280;
-/// Open/close helper body size (stream setup and teardown calls).
-pub const SERVE_FILE_OPS: usize = 60;
 
 /// Closed-loop serving knobs (set through the
 /// [`ExperimentBuilder`](crate::ExperimentBuilder)).
@@ -204,10 +195,10 @@ fn dispatch(
         return Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files });
     };
     let (op, offset) = match r.op {
-        IoOp::Open => (managed.open("open", SERVE_FILE_OPS, fid), 0),
-        IoOp::Close => (managed.close("close", SERVE_FILE_OPS, fid), 0),
-        IoOp::Read => (managed.read("doGet", SERVE_GET_OPS, fid, r.offset, r.length), r.offset),
-        IoOp::Write => (managed.write("doPost", SERVE_POST_OPS, fid, r.offset, r.length), r.offset),
+        IoOp::Open => (managed.open("open", FILE_HELPER_OPS, fid), 0),
+        IoOp::Close => (managed.close("close", FILE_HELPER_OPS, fid), 0),
+        IoOp::Read => (managed.read("doGet", DO_GET_OPS, fid, r.offset, r.length), r.offset),
+        IoOp::Write => (managed.write("doPost", DO_POST_OPS, fid, r.offset, r.length), r.offset),
         IoOp::Seek => return Ok(None),
     };
     Ok(Some((op, managed.cache().home_shard(fid, offset))))

@@ -11,8 +11,9 @@
 //! Each file operation is timed twice: real wall time around
 //! (1) opening the file, (2) transferring the data, (3) closing it —
 //! the exact bracket the paper defines — and the simulated SSCLI cost
-//! from [`clio_runtime::ManagedIo`] (JIT warmup + managed dispatch +
-//! buffer cache), which is what the regenerated Tables 5–6 print.
+//! from [`clio_runtime::SharedManagedIo`] (JIT warmup, managed
+//! dispatch, buffer cache), which is what the regenerated Tables 5–6
+//! print.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -26,8 +27,7 @@ use std::time::Duration;
 
 use clio_cache::cache::CacheConfig;
 use clio_cache::page::FileId;
-use clio_runtime::concurrent::SharedManagedIo;
-use clio_runtime::jit::JitModel;
+use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS, DO_POST_OPS};
 use clio_stats::Stopwatch;
 use parking_lot::Mutex;
 
@@ -36,11 +36,6 @@ use crate::timing::{OpKind, RequestTiming, TimingLog};
 
 /// The TCP port the paper's server listens on.
 pub const PAPER_PORT: u16 = 5050;
-
-/// Sizes of the doGet/doPost handler bodies in bytecode instructions,
-/// used by the JIT charge (rough SSCLI handler sizes).
-const DO_GET_OPS: usize = 320;
-const DO_POST_OPS: usize = 280;
 
 /// How connections map to threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,10 +272,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     }
 }
 
-/// GET: "the requested file is read and sent to the client". The timed
-/// region is stream creation + full read + close. HEAD follows the same
-/// path but sends headers only (and is not logged — the paper's tables
-/// time data transfers).
+/// GET: "the requested file is read and sent to the client". The real
+/// timed region is stream creation + full read + close; the modelled
+/// SSCLI cost is open + read and deliberately never closes — a close
+/// evicts the file's pages, and Table 6's warm GETs depend on them
+/// staying cached. HEAD follows the same path but sends headers only
+/// (and is not logged — the paper's tables time data transfers).
 fn do_get(path: &str, shared: &Shared, head_only: bool, keep_alive: bool) -> Vec<u8> {
     let full = shared.doc_root.join(path);
     let sw = Stopwatch::started();

@@ -1,4 +1,4 @@
-//! # clio-runtime — a CLI/SSCLI emulation layer
+//! # clio-runtime — the managed-runtime cost model of the paper's §4
 //!
 //! The paper benchmarks I/O *through* the Common Language
 //! Infrastructure: managed code, JIT-compiled on first call, performing
@@ -12,46 +12,40 @@
 //!    dispatch boundary before reaching the OS buffers.
 //!
 //! The SSCLI itself is not portable (or available), so this crate
-//! rebuilds the relevant mechanisms:
+//! models the mechanisms as costs and nothing else — it executes no
+//! managed code; a method is a name and an instruction count:
 //!
-//! - [`vm`] — a small stack-machine bytecode interpreter with a static
-//!   verifier (the "virtual execution system" of the CLI spec: verified
-//!   managed code, explicit operand stack, method table),
 //! - [`jit`] — a first-call compilation cost model with per-method
 //!   caching (warm methods never pay again),
 //! - [`gc`] — a generational stop-the-world collector pause model
 //!   (allocation-driven minors and majors),
-//! - [`stream`] — a managed-FileStream analog whose operation costs
-//!   combine JIT charges, managed dispatch overhead and the buffer
-//!   cache from [`clio_cache`].
+//! - [`stream`] — the managed-FileStream facade whose operation costs
+//!   combine JIT charges, GC pauses, managed dispatch overhead and the
+//!   buffer cache from [`clio_cache`].
 //!
 //! ```
-//! use clio_runtime::vm::{Assembly, Method, Op, Vm};
+//! use clio_cache::cache::CacheConfig;
+//! use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS};
 //!
-//! let asm = Assembly::new(vec![Method {
-//!     name: "add".into(),
-//!     n_locals: 0,
-//!     code: vec![Op::PushI(2), Op::PushI(40), Op::Add, Op::Ret],
-//! }]);
-//! let mut vm = Vm::new();
-//! assert_eq!(vm.execute(&asm, 0, &[]).unwrap(), 42);
+//! let io = SharedManagedIo::new(CacheConfig::default(), 1, JitModel::sscli_like());
+//! let img = io.register_file("img.jpg");
+//! let first = io.read("doGet", DO_GET_OPS, img, 0, 14_063);
+//! let warm = io.read("doGet", DO_GET_OPS, img, 0, 14_063);
+//! assert!(first.jit_ms > 0.0 && first.pages_missed > 0);
+//! assert_eq!((warm.jit_ms, warm.pages_missed), (0.0, 0));
 //! ```
 
 #![warn(missing_docs)]
-// Library code reports failures; tests may assert with unwrap. (CI
-// runs clippy with -D warnings, so this warn is a hard gate there.)
+// Library code reports failures; tests may assert with unwrap or
+// expect. (CI runs clippy with -D warnings, so these warns are a hard
+// gate there.)
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
-pub mod concurrent;
 pub mod gc;
 pub mod jit;
-pub mod loader;
 pub mod stream;
-pub mod vm;
 
-pub use concurrent::SharedManagedIo;
 pub use gc::{GcModel, GcState, GcStats};
-pub use jit::{JitModel, JitState, SharedJit};
-pub use loader::assemble;
-pub use stream::{ManagedIo, StreamOp};
-pub use vm::{Assembly, IoCtx, Method, Op, Vm, VmError};
+pub use jit::{JitModel, SharedJit};
+pub use stream::{SharedManagedIo, StreamOp, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};

@@ -11,8 +11,7 @@
 //! - [`sink`] — streaming percentile sink (O(1) memory, bounded error),
 //! - [`speedup`] — speedup-versus-resources series (Figures 4 and 5),
 //! - [`series`] — (trial, value) series (Figure 6),
-//! - [`table`] — paper-style ASCII tables (Tables 1–6),
-//! - [`units`] — byte and duration formatting helpers.
+//! - [`table`] — paper-style ASCII tables (Tables 1–6).
 //!
 //! Everything here is deliberately dependency-light so that the
 //! simulation substrates can embed it without pulling in I/O machinery.
@@ -20,7 +19,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod confidence;
 pub mod percentile;
 pub mod series;
 pub mod sink;
@@ -28,9 +26,7 @@ pub mod speedup;
 pub mod summary;
 pub mod table;
 pub mod timer;
-pub mod units;
 
-pub use confidence::{confidence_interval, ConfidenceInterval, Level};
 pub use percentile::{quantile, quantiles};
 pub use series::Series;
 pub use sink::PercentileSink;

@@ -11,13 +11,11 @@
 //! ```
 
 use clio_core::cache::cache::CacheConfig;
-use clio_core::runtime::gc::GcModel;
-use clio_core::runtime::jit::JitModel;
-use clio_core::runtime::stream::ManagedIo;
+use clio_core::runtime::{GcModel, JitModel, SharedManagedIo};
 use clio_core::stats::percentile::quantile;
 
 fn drive(label: &str, gc: Option<GcModel>) {
-    let mut io = ManagedIo::new(CacheConfig::default(), JitModel::sscli_like());
+    let mut io = SharedManagedIo::new(CacheConfig::default(), 1, JitModel::sscli_like());
     if let Some(model) = gc {
         io = io.with_gc(model);
     }

@@ -1,7 +1,7 @@
 //! Integration across the extension features: the new applications'
-//! traces flowing through transforms, replacement policies, the
-//! scheduler ablation, and the VM's managed I/O path — each exercising
-//! at least two crates through the public API.
+//! traces flowing through transforms, replacement policies and the
+//! scheduler ablation — each exercising at least two crates through
+//! the public API.
 
 use clio_core::ablations::{random_device_batch, scheduler_ablation};
 use clio_core::apps::{radar, render};
@@ -10,11 +10,6 @@ use clio_core::cache::policy::ReplacementPolicy;
 use std::sync::Arc;
 
 use clio_core::prelude::{Experiment, Workload};
-use clio_core::runtime::gc::GcModel;
-use clio_core::runtime::jit::JitModel;
-use clio_core::runtime::loader::assemble;
-use clio_core::runtime::stream::ManagedIo;
-use clio_core::runtime::vm::Vm;
 use clio_core::trace::record::IoOp;
 use clio_core::trace::replay::ReplayReport;
 use clio_core::trace::transform;
@@ -90,34 +85,6 @@ fn cache_capacity_dominates_policy_choice_on_render_rereads() {
         .total_ms();
         assert!(roomy <= tiny + 1e-9, "{policy:?}: roomy cache {roomy} slower than tiny {tiny}");
     }
-}
-
-#[test]
-fn assembled_program_drives_managed_io_with_gc() {
-    // A managed program that reads 8 KiB twice and returns the cost
-    // difference (first minus second, in ns) — positive because the
-    // first read pays JIT and cold cache.
-    let src = r"
-.method handler 0
-    push 0
-    push 8192
-    io.read
-    push 0
-    push 8192
-    io.read
-    sub
-    ret
-.end
-";
-    let asm = assemble(src).unwrap();
-    asm.verify().unwrap();
-    let mut io = ManagedIo::new(CacheConfig::default(), JitModel::sscli_like())
-        .with_gc(GcModel::sscli_like());
-    let file = io.register_file("payload.bin");
-    let delta_ns = Vm::new().execute_with_io(&asm, 0, &[], &mut io, file).unwrap();
-    assert!(delta_ns > 0, "first read must be slower by {delta_ns} ns");
-    let stats = io.gc_stats().expect("gc enabled");
-    assert!(stats.allocated_bytes >= 2 * 8192, "both reads allocated buffers");
 }
 
 #[test]

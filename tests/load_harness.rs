@@ -7,8 +7,9 @@
 //!    across host thread counts (the engine is a serial virtual-clock
 //!    loop; host parallelism must be unobservable).
 //! 2. **Cost-model equivalence** — at one client the harness is the
-//!    serial managed runtime: per-request latencies equal the costs
-//!    `ManagedIo` charges for the same stream, bit for bit.
+//!    serial managed runtime: per-request latencies equal the bill
+//!    composed by hand (`jit + gc + dispatch + cache` over a solo
+//!    `BufferCache`) for the same stream, bit for bit.
 //! 3. **Honest percentiles** — the streaming sink the harness reports
 //!    through tracks the exact order statistics within its advertised
 //!    relative error, and empty sample sets surface as `None`/`-`,
@@ -17,9 +18,11 @@
 //! A gated socket test drives the real-server backend through the same
 //! [`LoadPoint`] reduction when `CLIO_SOCKET_TESTS=1`.
 
+use clio_core::cache::cache::{AccessKind, BufferCache};
 use clio_core::exp::{Engine, Experiment, ReportMode, Workload};
 use clio_core::load::{fmt_ms, LoadCurve, LoadHarness, DEFAULT_CLIENT_LEVELS};
-use clio_core::runtime::{JitModel, ManagedIo};
+use clio_core::runtime::stream::DEFAULT_DISPATCH_MS;
+use clio_core::runtime::{JitModel, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};
 use clio_core::stats::{quantile, PercentileSink};
 use clio_core::trace::record::IoOp;
 use clio_core::trace::synth::{synthesize, TraceProfile};
@@ -76,12 +79,18 @@ fn curve_json_round_trips() {
 
 // --- 2. One client == the serial managed runtime --------------------
 
-/// Replays `trace` through the serial [`ManagedIo`] with the serving
-/// path's method table, returning each request's cost in issue order.
+/// The straight-line managed cost of each request in `trace`, in issue
+/// order, composed by hand with the serving path's method table: a solo
+/// [`BufferCache`] for the cache term, [`JitModel::compile_cost`] on a
+/// method name's first call, no GC (the serving engine never enables
+/// it) and the default dispatch — summed in the facade's pinned order
+/// `jit + gc + dispatch + cache`. Shares no code with `SharedManagedIo`.
 fn serial_serve_costs(trace: &clio_core::trace::TraceFile, requests: usize) -> Vec<f64> {
-    let mut managed = ManagedIo::new(Default::default(), JitModel::sscli_like());
+    let mut cache = BufferCache::new(Default::default());
+    let jit = JitModel::sscli_like();
+    let mut compiled = std::collections::HashSet::new();
     let files: Vec<_> =
-        (0..trace.header.num_files).map(|i| managed.register_file(format!("serve-{i}"))).collect();
+        (0..trace.header.num_files).map(|i| cache.register_file(format!("serve-{i}"))).collect();
     let mut costs = Vec::new();
     for r in &trace.records {
         if costs.len() >= requests {
@@ -90,14 +99,20 @@ fn serial_serve_costs(trace: &clio_core::trace::TraceFile, requests: usize) -> V
         let fid = files[r.file_id as usize];
         // The serving path's dispatch table: doGet/doPost page costs
         // plus open/close bookkeeping; seeks are not client-visible.
-        let op = match r.op {
-            IoOp::Open => managed.open("open", 60, fid),
-            IoOp::Close => managed.close("close", 60, fid),
-            IoOp::Read => managed.read("doGet", 320, fid, r.offset, r.length),
-            IoOp::Write => managed.write("doPost", 280, fid, r.offset, r.length),
+        let (method, ops, out) = match r.op {
+            IoOp::Open => ("open", FILE_HELPER_OPS, cache.open(fid)),
+            IoOp::Close => ("close", FILE_HELPER_OPS, cache.close(fid)),
+            IoOp::Read => {
+                ("doGet", DO_GET_OPS, cache.access(fid, r.offset, r.length, AccessKind::Read))
+            }
+            IoOp::Write => {
+                ("doPost", DO_POST_OPS, cache.access(fid, r.offset, r.length, AccessKind::Write))
+            }
             IoOp::Seek => continue,
         };
-        costs.push(op.cost_ms);
+        let jit_ms = if compiled.insert(method) { jit.compile_cost(ops) } else { 0.0 };
+        let gc_ms = 0.0;
+        costs.push(jit_ms + gc_ms + DEFAULT_DISPATCH_MS + out.cost_ms);
     }
     costs
 }
@@ -122,7 +137,10 @@ fn one_client_harness_matches_serial_managed_io_costs() {
     let costs = serial_serve_costs(&trace, requests);
     assert_eq!(latencies.len(), costs.len(), "same request count");
     for (i, (lat, cost)) in latencies.iter().zip(&costs).enumerate() {
-        assert_eq!(lat, cost, "request {i}: harness latency diverged from serial ManagedIo cost");
+        assert_eq!(
+            lat, cost,
+            "request {i}: harness latency diverged from the hand-composed managed cost"
+        );
     }
 
     // With one client nothing ever queues: the makespan is exactly the
