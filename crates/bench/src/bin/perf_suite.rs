@@ -50,7 +50,9 @@
 //! client count, recording wall-clock engine throughput plus the
 //! deterministic virtual-clock rps and p99 latency. The
 //! `scenario/{zipf,burst,phase,share}` rows measure each scenario
-//! family as a fully streaming serial replay, and `scenario/fault`
+//! family as a fully streaming serial replay, `scenario/rand_1page`
+//! does the same for the page table's worst shape (single-page
+//! uniformly random misses), and `scenario/fault`
 //! drives the scheduled simulator through a degraded-disk fault plan.
 
 use std::path::PathBuf;
@@ -255,6 +257,15 @@ const SCENARIO_SPECS: [(&str, &str); 4] = [
     ("share", "share:seq,rand"),
 ];
 
+/// The group index's worst shape, kept in the baseline so it has a
+/// number: `rand` with every request one byte at a uniformly random
+/// offset of a 1 GiB file — exactly one page — into the default
+/// 16 384-page cache. Nearly every page misses alone, so every page
+/// opens an index group and closes one. (A 4 KiB request at a random
+/// byte offset would not do: it spans two neighbouring pages, which
+/// share a group seven times in eight.)
+const SINGLE_PAGE_KEY: &str = "rand_1page";
+
 /// The fault scenario row: Zipf-skewed synthesis through the scheduled
 /// simulator on a degraded disk (slow window + transient errors).
 const SCENARIO_FAULT_ROW: &str = "scenario/fault";
@@ -294,6 +305,7 @@ fn row_names(args: &Args) -> Vec<String> {
     for (key, _) in SCENARIO_SPECS {
         rows.push(scenario_row(key));
     }
+    rows.push(scenario_row(SINGLE_PAGE_KEY));
     rows.push(SCENARIO_FAULT_ROW.to_string());
     rows.push(SIM_ROW.to_string());
     if args.threads > 0 {
@@ -693,12 +705,17 @@ fn main() {
     // skewed popularity, burst arrivals, phased working sets, and the
     // shared-file mix all cost differently per record, so each family
     // gets its own throughput row. ---
-    for (key, spec) in SCENARIO_SPECS {
-        let mut sc = Scenario::parse(spec).expect("scenario spec parses");
-        sc.workload.scale_data_ops(args.replay_ops);
-        let (s_records, s_pages, s_bytes) = replay_work_source(&sc.workload, page_size);
+    let single_page =
+        Workload::Synthetic(TraceProfile { request_size: (1, 1), ..TraceProfile::cholesky_like() });
+    let scenarios = SCENARIO_SPECS
+        .iter()
+        .map(|&(key, spec)| (key, Scenario::parse(spec).expect("scenario spec parses").workload))
+        .chain([(SINGLE_PAGE_KEY, single_page)]);
+    for (key, mut workload) in scenarios {
+        workload.scale_data_ops(args.replay_ops);
+        let (s_records, s_pages, s_bytes) = replay_work_source(&workload, page_size);
         let exp = Experiment::builder()
-            .workload(sc.workload)
+            .workload(workload)
             .engine(Engine::SerialReplay)
             .report_mode(ReportMode::Summary)
             .build()

@@ -22,9 +22,8 @@
 //! relinks one node without allocating.
 
 use std::fmt;
-use std::hash::Hash;
 
-use crate::intrusive::{forward_to_slab, MultiList};
+use crate::intrusive::{forward_to_slab, GroupKey, MultiList};
 use crate::policy::PolicySet;
 
 const T1: usize = 0;
@@ -34,7 +33,7 @@ const B2: usize = 3;
 
 /// An ARC residency set over keys of type `K`.
 #[derive(Debug, Clone)]
-pub struct ArcSet<K: Eq + Hash + Clone> {
+pub struct ArcSet<K: GroupKey> {
     /// `T1`/`T2` resident, `B1`/`B2` ghosts.
     lists: MultiList<K, 4, 2>,
     /// Adaptive target size of `T1`, in `0..=capacity`.
@@ -43,7 +42,7 @@ pub struct ArcSet<K: Eq + Hash + Clone> {
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone> ArcSet<K> {
+impl<K: GroupKey> ArcSet<K> {
     /// Creates an ARC set for a cache of `capacity` pages, pre-sized so
     /// resident plus ghost keys (≤ 2 × capacity, bounded by
     /// [`crate::PREALLOC_PAGES_MAX`]) never reallocate.
@@ -89,7 +88,7 @@ impl<K: Eq + Hash + Clone> ArcSet<K> {
 
 impl<K> PolicySet<K> for ArcSet<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         ArcSet::with_capacity(capacity)

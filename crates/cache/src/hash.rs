@@ -1,11 +1,15 @@
 //! The one hasher every table in this crate is keyed with.
 //!
-//! The page table ([`crate::intrusive::MultiList`]'s and
-//! [`crate::policy::ClockSet`]'s key index) is probed once per page of
-//! every replayed operation, so the hash function is on the hottest
-//! path the crate has. std's default SipHash-1-3 spends most of a warm
-//! page access hashing sixteen bytes; [`MixHasher`] replaces it with
-//! one multiply per written word and a two-step avalanche.
+//! The page table (the group index under [`crate::intrusive::MultiList`]
+//! and [`crate::policy::ClockSet`]) is keyed by *group*: a page id's
+//! [`GroupKey::group`](crate::intrusive::GroupKey::group), the aligned
+//! run of [`crate::intrusive::GROUP_LANES`] pages it sits in. It is
+//! probed whenever a replayed operation moves to another group — once
+//! or twice per request, not once per page — which still makes the hash
+//! function the hottest arithmetic the crate has. std's default
+//! SipHash-1-3 spends most of such a probe hashing sixteen bytes;
+//! [`MixHasher`] replaces it with one multiply per written word and a
+//! two-step avalanche.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -32,22 +36,29 @@ const FINISH_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
 /// **Why the finish.** std's `HashMap` picks a bucket from the *low*
 /// bits of the hash and tags the entry with its *top seven*. A bare
 /// multiply leaves the low bits a function of the key's low bits only,
-/// so page indexes strided by [`crate::shard::SHARD_BLOCK_PAGES`] — or
-/// the keys that land in one shard, which share a block selector —
-/// would pile into a few buckets. After the finish both bit ranges are
-/// spread like a random function's for sequential, strided, multi-file
-/// and single-shard page ids (chi-square pinned in this module's
-/// tests), and the constants differ from `shard_of`'s so a shard's key
-/// subset is not a biased sample of this hash.
+/// so group indexes strided by a shard block
+/// ([`crate::shard::SHARD_BLOCK_PAGES`] pages, eight groups) — or the
+/// groups that land in one shard, which come eight to a block and share
+/// a block selector — would pile into a few buckets. After the finish
+/// both bit ranges are spread like a random function's for sequential,
+/// block-strided, multi-file and single-shard keys, as page ids and as
+/// the group keys the table actually holds (chi-square pinned in this
+/// module's tests), and the constants differ from `shard_of`'s so a
+/// shard's key subset is not a biased sample of this hash.
 ///
 /// **What is given up.** There is no per-instance random state, so two
 /// tables built anywhere hash alike — iteration order, probe sequences
 /// and therefore every measured cost repeat exactly — and a trace
-/// author who knows the constants can craft page ids that collide. The
-/// damage is bounded by what the tables can hold: a policy tracks at
-/// most resident + ghost <= 2 x capacity keys, so a probe chain can
-/// grow to the table size but never with trace length, and eviction
-/// keeps retiring the colliding keys. Nothing about trace admission
+/// author who knows the constants can craft page ids whose groups
+/// collide. The damage is bounded by what the tables can hold: a policy
+/// tracks at most resident + ghost <= 2 x capacity pages, and a group
+/// is in the table only while one of its pages is tracked, so at most
+/// that many groups (an eighth of it when residency is dense): a probe
+/// chain can grow to the table size but never with trace length, and
+/// eviction keeps retiring the colliding groups. What grouping itself
+/// gives up — single-page random misses open and close a group per
+/// page — is measured in [`crate::intrusive`]'s module docs, not here.
+/// Nothing about trace admission
 /// (`V01`-`V09`) depends on the hasher. Keys from outside the program
 /// that are *not* capacity-bounded should keep std's default hasher.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,6 +121,7 @@ impl Hasher for MixHasher {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use crate::intrusive::{GroupKey, GROUP_LANES};
     use crate::page::{FileId, PageId};
     use crate::shard::{ShardedBufferCache, SHARD_BLOCK_PAGES};
     use std::hash::{BuildHasher, Hash};
@@ -173,6 +185,53 @@ mod tests {
                 .collect();
             assert_eq!(keys.len(), 1 << 15);
             assert_well_spread(&format!("shard {shard} of 16"), &keys);
+        }
+    }
+
+    /// The distinct groups of `pages`, in first-seen order — the keys
+    /// the table holds while those pages are tracked.
+    fn groups_of(pages: impl IntoIterator<Item = PageId>) -> Vec<PageId> {
+        let mut groups: Vec<PageId> = pages.into_iter().map(|id| id.group()).collect();
+        groups.dedup();
+        groups
+    }
+
+    #[test]
+    fn group_keys_spread_over_both_bit_ranges() {
+        let lanes = GROUP_LANES as u64;
+        let n = 1u64 << 16;
+        let sequential = groups_of((0..n * lanes).map(|i| page(0, i)));
+        let offset = groups_of((0..n * lanes).map(|i| page(3, (1 << 23) + i)));
+        // One group per shard block: group indexes strided by the
+        // groups of a block.
+        let strided = groups_of((0..n).map(|j| page(0, j * SHARD_BLOCK_PAGES)));
+        let multi_file =
+            groups_of((0..64).flat_map(|f| (0..1024 * lanes).map(move |i| page(f, i))));
+        for keys in [&sequential, &offset, &strided, &multi_file] {
+            assert_eq!(keys.len(), 1 << 16);
+        }
+        assert_eq!(strided[1].index, SHARD_BLOCK_PAGES / lanes);
+        assert_well_spread("sequential groups", &sequential);
+        assert_well_spread("sequential groups, high offset", &offset);
+        assert_well_spread("block-strided groups", &strided);
+        assert_well_spread("multi-file groups", &multi_file);
+    }
+
+    #[test]
+    fn the_groups_of_one_shard_are_not_a_biased_sample() {
+        // A shard's table holds the groups of the blocks `shard_of`
+        // routes to it: runs of eight consecutive group indexes with
+        // hash-selected gaps between the runs.
+        let cache = ShardedBufferCache::new(CacheConfig::default(), 16);
+        for shard in [0usize, 5, 15] {
+            let mut keys = groups_of(
+                (0..4)
+                    .flat_map(|f| (0..1_400_000).map(move |i| page(f, i)))
+                    .filter(|id| cache.shard_of(*id) == shard),
+            );
+            keys.truncate(1 << 15);
+            assert_eq!(keys.len(), 1 << 15);
+            assert_well_spread(&format!("groups of shard {shard} of 16"), &keys);
         }
     }
 

@@ -14,16 +14,52 @@
 //! The slab is also the cache's **page table**: each node carries a
 //! caller-owned payload byte (the buffer cache keeps its dirty and
 //! prefetched bits there), so the owning cache needs no map of its
-//! own. A key is hashed once per operation — by [`MultiList::slot_of`],
-//! [`MultiList::insert_front`] or [`MultiList::remove`] — and every
-//! follow-up (payload access, promotion, relinking between segments)
-//! goes through the returned slot: three index writes instead of
-//! removing from one hash-backed list and inserting into another.
-//! Freed slots go on an internal free list and are reused, so a cache
-//! that has warmed up to its capacity never allocates again — the
-//! property pinned by the counting-allocator gate in
-//! `tests/perf_scaling.rs`.
+//! own. Every follow-up to a lookup (payload access, promotion,
+//! relinking between segments) goes through the returned slot: three
+//! index writes instead of removing from one hash-backed list and
+//! inserting into another. Freed slots go on an internal free list and
+//! are reused, so a cache that has warmed up to its capacity never
+//! allocates again — the property pinned by the counting-allocator gate
+//! in `tests/perf_scaling.rs`.
+//!
+//! # One key index, hashed per group
+//!
+//! The key index (`GroupIndex`, shared with
+//! [`ClockSet`](crate::policy::ClockSet)) does not hash keys, it hashes
+//! *groups* of them ([`GroupKey`]): for a page id, the aligned run of
+//! [`GROUP_LANES`] pages it sits in. The pages of one request differ
+//! only in their low index bits, so a request walks along a group's
+//! lane array and the table is consulted when the group changes:
+//!
+//! - [`MultiList::slot_of`] and [`MultiList::insert_front`] hash only
+//!   if the key's group is not the one used last (one probe, then);
+//! - [`MultiList::remove_slot`], [`MultiList::pop_back`] and
+//!   [`MultiList::remove`] find the group through the slot the node
+//!   remembers and touch the table only when the group's last key
+//!   leaves.
+//!
+//! A sequential eight-page miss run at capacity costs about three hash
+//! operations (the failed lookup of its first page, its group entering
+//! the table, one old group leaving it) where a per-page table cost
+//! twenty-four; `policy::tests::probe_budget_holds_for_every_policy`
+//! pins that for all seven policies.
+//!
+//! **The shape this is worse for**: single-page, uniformly random
+//! misses. Every page opens a group and closes one, so the table does
+//! the same three operations per page as before and the lane slab is
+//! an extra indirection on top. Measured when this index landed, bare
+//! policy set, capacity 16 384, one random page per touch: LRU 37 ->
+//! 59 ns per touch (all seven policies 1.3-1.6x); end to end
+//! (`perf_suite`'s `scenario/rand_1page` row keeps it in the baseline)
+//! 12.2 -> 13.3-15.4 ms per 190 k records. The same indirection, plus
+//! the unpredictable "same group as last time?" branch, costs short
+//! random *hit* runs a few ns per page (1-9 page runs at 99 % hits:
+//! LRU 11.7 -> 14.9 ns per touch, `clio_e2e` `replay_hot` +4 %); runs
+//! of sixteen pages and more are where the table's absence shows
+//! (`serve_closed` -23 %, `replay_par` -20 %). No workload of the
+//! repository's benchmark has the single-page shape.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
@@ -65,6 +101,219 @@ pub(crate) use forward_to_slab;
 /// Sentinel slot index meaning "no node".
 pub const NIL: usize = usize::MAX;
 
+/// Lanes per index group: how many neighbouring keys share one
+/// hash-table entry. It divides [`crate::shard::SHARD_BLOCK_PAGES`]
+/// (asserted beside `PageId`'s impl), so a page group never straddles
+/// two shards.
+pub const GROUP_LANES: usize = 8;
+
+/// How a key splits into the group the index hashes and the lane inside
+/// it. Keys that are neighbours in the access stream should share a
+/// group: [`crate::page::PageId`] groups [`GROUP_LANES`] consecutive
+/// pages of one file. The default is one key per group, lane 0 — right
+/// for any key type without such neighbours.
+///
+/// Contract: `a == b` iff `a.group() == b.group() && a.lane() ==
+/// b.lane()`, and `lane() < GROUP_LANES`.
+pub trait GroupKey: Eq + Hash + Clone {
+    /// The group this key belongs to (equal for all keys of the group;
+    /// only ever hashed and compared, so it need not be a key itself).
+    fn group(&self) -> Self {
+        self.clone()
+    }
+
+    /// This key's position inside its group.
+    fn lane(&self) -> usize {
+        0
+    }
+}
+
+macro_rules! one_lane_keys {
+    ($($key:ty),*) => { $(impl GroupKey for $key {})* };
+}
+one_lane_keys!(u8, u16, u32, u64, usize, i32, i64, &str, String);
+
+/// Lane value of a key that is not tracked.
+const VACANT: u32 = u32::MAX;
+
+#[derive(Debug, Clone)]
+struct Group<K> {
+    /// The group key the table maps to this slot (stale once freed).
+    key: K,
+    /// Owner slot of each lane's key, or [`VACANT`].
+    lanes: [u32; GROUP_LANES],
+    /// Lanes in use; the group leaves the table when it reaches zero.
+    live: u32,
+}
+
+/// The one key index of the crate: key → owner slot (a [`MultiList`]
+/// node, a [`crate::policy::ClockSet`] position), hashed per *group*.
+///
+/// The hash table maps a key's [`GroupKey::group`] to a slot in a slab
+/// of lane arrays; the key's own entry is `lanes[key.lane()]`. A
+/// one-entry memo names the group used last, so every further key of
+/// the same group — looked up, inserted or removed — is an array access
+/// with no hash at all; and an owner that remembers the group slot
+/// [`GroupIndex::get_or_insert_with`] handed it removes its key without
+/// a lookup ([`GroupIndex::remove_at`]). A run of `GROUP_LANES`
+/// neighbouring misses at capacity therefore hashes about three times
+/// (the failed lookup, the new group entering the table, one old group
+/// leaving it) where a per-key table hashes twenty-four.
+///
+/// The memo is a `Cell` because lookups are `&self`; it makes the index
+/// `!Sync`, which its owners already are not asked to be.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupIndex<K: GroupKey> {
+    table: MixMap<K, u32>,
+    groups: Vec<Group<K>>,
+    /// Head of the list of closed slab slots, each naming the next in
+    /// its `lanes[0]`; [`VACANT`] ends it.
+    free: u32,
+    /// Slot of the group used last, or [`VACANT`]. Never names a closed
+    /// group: its slot keeps the old key until it is recycled, so a
+    /// memo left there would let a neighbour of the departed keys settle
+    /// in a group the table no longer holds. [`GroupIndex::remove_at`]
+    /// drops the memo with the group.
+    memo: Cell<u32>,
+    /// Keys tracked, over all groups.
+    len: usize,
+}
+
+impl<K: GroupKey> GroupIndex<K> {
+    /// An empty index for about `keys` keys. The slab is sized for
+    /// groups that are half full — what requests of a handful of pages
+    /// at arbitrary alignment leave behind — and the table for twice as
+    /// many, so that steady open/close churn rehashes it in place
+    /// instead of reallocating. Sparser keys (down to one per group)
+    /// grow both by doubling while the owner warms up.
+    pub(crate) fn with_capacity(keys: usize) -> Self {
+        let groups = keys.div_ceil(GROUP_LANES / 2);
+        Self {
+            table: mix_map_with_capacity(2 * groups),
+            groups: Vec::with_capacity(groups),
+            free: VACANT,
+            memo: Cell::new(VACANT),
+            len: 0,
+        }
+    }
+
+    /// Keys tracked.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no key is tracked.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The memo, if it names `group`.
+    #[inline]
+    fn memo_for(&self, group: &K) -> Option<u32> {
+        let memo = self.memo.get();
+        self.groups.get(memo as usize).is_some_and(|g| g.key == *group).then_some(memo)
+    }
+
+    /// One table probe for `group`, re-pointing the memo at it if it is
+    /// there.
+    fn probe(&self, group: &K) -> Option<u32> {
+        let slot = *self.table.get(group)?;
+        self.memo.set(slot);
+        Some(slot)
+    }
+
+    /// One table probe that finds `group` or enters it, empty, under a
+    /// recycled or fresh slab slot; the memo then names it.
+    fn probe_or_open(&mut self, group: K) -> u32 {
+        let slot = match self.table.entry(group) {
+            Entry::Occupied(tracked) => *tracked.get(),
+            Entry::Vacant(vacant) => {
+                let group =
+                    Group { key: vacant.key().clone(), lanes: [VACANT; GROUP_LANES], live: 0 };
+                let slot = self.free;
+                if slot == VACANT {
+                    // Fits: an open group has a key, and key owners are
+                    // asserted below `VACANT`.
+                    self.groups.push(group);
+                    *vacant.insert((self.groups.len() - 1) as u32)
+                } else {
+                    self.free = std::mem::replace(&mut self.groups[slot as usize], group).lanes[0];
+                    *vacant.insert(slot)
+                }
+            }
+        };
+        self.memo.set(slot);
+        slot
+    }
+
+    /// Takes the emptied group in slab slot `group` out of the table
+    /// and recycles the slot, dropping the memo if it named it.
+    fn close_group(&mut self, group: u32) {
+        let closed = &mut self.groups[group as usize];
+        self.table.remove(&closed.key);
+        closed.lanes[0] = std::mem::replace(&mut self.free, group);
+        if self.memo.get() == group {
+            self.memo.set(VACANT);
+        }
+    }
+
+    /// The owner slot of `key`, if tracked.
+    #[inline]
+    pub(crate) fn get(&self, key: &K) -> Option<usize> {
+        let group_key = key.group();
+        let group = match self.memo_for(&group_key) {
+            Some(group) => group,
+            None => self.probe(&group_key)?,
+        };
+        let owner = self.groups[group as usize].lanes[key.lane()];
+        (owner != VACANT).then_some(owner as usize)
+    }
+
+    /// The owner slot of `key` and `false` if it is tracked; otherwise
+    /// tracks it under the slot `make` returns — `make` is given the
+    /// key's group slot, which [`GroupIndex::remove_at`] wants back —
+    /// and returns that slot and `true`.
+    #[inline]
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        key: &K,
+        make: impl FnOnce(u32) -> usize,
+    ) -> (usize, bool) {
+        let group_key = key.group();
+        let group = match self.memo_for(&group_key) {
+            Some(group) => group,
+            None => self.probe_or_open(group_key),
+        };
+        let lane = key.lane();
+        let owner = self.groups[group as usize].lanes[lane];
+        if owner != VACANT {
+            return (owner as usize, false);
+        }
+        let owner = make(group);
+        assert!(owner < VACANT as usize, "owner slots fit a lane");
+        let entry = &mut self.groups[group as usize];
+        entry.lanes[lane] = owner as u32;
+        entry.live += 1;
+        self.len += 1;
+        (owner, true)
+    }
+
+    /// Stops tracking `key`, which is tracked in group slot `group`.
+    /// No lookup; one table removal if the group empties.
+    #[inline]
+    pub(crate) fn remove_at(&mut self, group: u32, key: &K) {
+        let entry = &mut self.groups[group as usize];
+        let lane = &mut entry.lanes[key.lane()];
+        debug_assert!(*lane != VACANT && entry.key == key.group(), "key tracked in this group");
+        *lane = VACANT;
+        entry.live -= 1;
+        self.len -= 1;
+        if entry.live == 0 {
+            self.close_group(group);
+        }
+    }
+}
+
 /// `Node::list` tag of a slot that sits on the free list (never a valid
 /// list index: `N` is at most a handful).
 const FREE: u8 = u8::MAX;
@@ -74,6 +323,9 @@ struct Node<K> {
     key: K,
     prev: usize,
     next: usize,
+    /// The [`GroupIndex`] slot of the key's group, so the node leaves
+    /// the index without a lookup.
+    group: u32,
     /// Which of the `N` lists this node is linked into, or [`FREE`].
     list: u8,
     /// Policy-defined mark (SIEVE's visited bit; unused elsewhere).
@@ -95,16 +347,16 @@ struct Node<K> {
 /// Each list orders nodes front (most recently pushed) to back; which
 /// end means "hot" is the policy's business.
 #[derive(Debug, Clone)]
-pub struct MultiList<K: Eq + Hash + Clone, const N: usize, const R: usize = N> {
+pub struct MultiList<K: GroupKey, const N: usize, const R: usize = N> {
     nodes: Vec<Node<K>>,
     free: Vec<usize>,
-    index: MixMap<K, usize>,
+    index: GroupIndex<K>,
     head: [usize; N],
     tail: [usize; N],
     len: [usize; N],
 }
 
-impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
+impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
     /// Creates an empty structure.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -116,7 +368,7 @@ impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
         Self {
             nodes: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity.min(16)),
-            index: mix_map_with_capacity(capacity),
+            index: GroupIndex::with_capacity(capacity),
             head: [NIL; N],
             tail: [NIL; N],
             len: [0; N],
@@ -145,7 +397,7 @@ impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
 
     /// The slab slot of `key`, if tracked (in any list).
     pub fn slot_of(&self, key: &K) -> Option<usize> {
-        self.index.get(key).copied()
+        self.index.get(key)
     }
 
     /// The slab slot of `key`, if it is in a resident list.
@@ -252,45 +504,49 @@ impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
         self.len[list] += 1;
     }
 
-    /// Unlinks `slot`, puts it on the free list and returns its payload.
-    /// The index entry is the caller's to drop.
+    /// Unlinks `slot`, drops its index entry, puts it on the free list
+    /// and returns its payload.
     fn release(&mut self, slot: usize) -> u8 {
         self.unlink(slot);
-        self.nodes[slot].list = FREE;
+        let node = &mut self.nodes[slot];
+        node.list = FREE;
+        self.index.remove_at(node.group, &node.key);
         self.free.push(slot);
-        self.nodes[slot].payload
+        node.payload
     }
 
     /// Inserts `key` at the front of `list` with a clear flag and a
     /// zero payload, returning `(slot, true)` — or, if the key is
     /// already tracked (in any list), changes nothing and returns
-    /// `(its slot, false)`. One hash probe either way.
+    /// `(its slot, false)`. At most one hash probe either way, none
+    /// inside the current group.
     pub fn insert_front(&mut self, list: usize, key: K) -> (usize, bool) {
-        let vacant = match self.index.entry(key) {
-            Entry::Occupied(tracked) => return (*tracked.get(), false),
-            Entry::Vacant(vacant) => vacant,
-        };
-        let node = Node {
-            key: vacant.key().clone(),
-            prev: NIL,
-            next: NIL,
-            list: 0,
-            flag: false,
-            payload: 0,
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s] = node;
-                s
+        let (nodes, free) = (&mut self.nodes, &mut self.free);
+        let (slot, inserted) = self.index.get_or_insert_with(&key, |group| {
+            let node = Node {
+                key: key.clone(),
+                prev: NIL,
+                next: NIL,
+                group,
+                list: 0,
+                flag: false,
+                payload: 0,
+            };
+            match free.pop() {
+                Some(s) => {
+                    nodes[s] = node;
+                    s
+                }
+                None => {
+                    nodes.push(node);
+                    nodes.len() - 1
+                }
             }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        };
-        vacant.insert(slot);
-        self.link_front(slot, list);
-        (slot, true)
+        });
+        if inserted {
+            self.link_front(slot, list);
+        }
+        (slot, inserted)
     }
 
     /// Relinks the node in `slot` to the front of `list` (possibly a
@@ -328,7 +584,7 @@ impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
     /// Removes `key` entirely, returning which list it was in and its
     /// payload.
     pub fn remove(&mut self, key: &K) -> Option<(usize, u8)> {
-        let slot = self.index.remove(key)?;
+        let slot = self.index.get(key)?;
         let list = self.nodes[slot].list as usize;
         Some((list, self.release(slot)))
     }
@@ -337,9 +593,7 @@ impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
     /// payload.
     pub fn remove_slot(&mut self, slot: usize) -> (K, u8) {
         let payload = self.release(slot);
-        let key = self.nodes[slot].key.clone();
-        self.index.remove(&key);
-        (key, payload)
+        (self.nodes[slot].key.clone(), payload)
     }
 
     /// Calls `visit` with the key and payload of every resident node,
@@ -357,18 +611,18 @@ impl<K: Eq + Hash + Clone, const N: usize, const R: usize> MultiList<K, N, R> {
     }
 }
 
-impl<K: Eq + Hash + Clone, const N: usize, const R: usize> Default for MultiList<K, N, R> {
+impl<K: GroupKey, const N: usize, const R: usize> Default for MultiList<K, N, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-struct ListIter<'a, K: Eq + Hash + Clone, const N: usize, const R: usize> {
+struct ListIter<'a, K: GroupKey, const N: usize, const R: usize> {
     multi: &'a MultiList<K, N, R>,
     cur: usize,
 }
 
-impl<'a, K: Eq + Hash + Clone, const N: usize, const R: usize> Iterator for ListIter<'a, K, N, R> {
+impl<'a, K: GroupKey, const N: usize, const R: usize> Iterator for ListIter<'a, K, N, R> {
     type Item = &'a K;
     fn next(&mut self) -> Option<&'a K> {
         if self.cur == NIL {
@@ -383,6 +637,89 @@ impl<'a, K: Eq + Hash + Clone, const N: usize, const R: usize> Iterator for List
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::{FileId, PageId};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    fn page(file: u32, index: u64) -> PageId {
+        PageId { file: FileId(file), index }
+    }
+
+    #[test]
+    fn a_recycled_group_slot_does_not_answer_for_the_group_it_used_to_hold() {
+        let mut m: MultiList<PageId, 1> = MultiList::new();
+        // Group (0, 0) takes slab slot 0 and the memo.
+        let (a, _) = m.insert_front(0, page(0, 3));
+        assert_eq!(m.slot_of(&page(0, 3)), Some(a));
+        // Its only key leaves through the node's remembered group slot:
+        // the group closes while the memo names it.
+        assert_eq!(m.remove_slot(a), (page(0, 3), 0));
+        assert_eq!(m.slot_of(&page(0, 3)), None);
+        // A neighbour of the departed key must open the group again,
+        // not settle in the closed one the memo last named: it is
+        // still found once another group has taken the memo.
+        let (n, _) = m.insert_front(0, page(0, 4));
+        m.insert_front(0, page(5, 0));
+        assert_eq!(m.slot_of(&page(0, 4)), Some(n));
+        assert_eq!(m.remove(&page(0, 4)), Some((0, 0)));
+        assert_eq!(m.remove(&page(5, 0)), Some((0, 0)));
+        // Another group — same lane — recycles slab slot 0.
+        let (b, _) = m.insert_front(0, page(7, 8 + 3));
+        assert_eq!(m.slot_of(&page(7, 8 + 3)), Some(b));
+        assert_eq!(m.slot_of(&page(0, 3)), None, "the old key is gone, whatever the memo says");
+        assert_eq!(m.slot_of(&page(7, 3)), None, "same file, lane 3 of another group");
+        // And the old group can come back beside it.
+        let (c, inserted) = m.insert_front(0, page(0, 3));
+        assert!(inserted);
+        assert_ne!(c, b);
+        assert_eq!(m.slot_of(&page(7, 8 + 3)), Some(b));
+        assert_eq!(m.total_len(), 2);
+    }
+
+    proptest! {
+        /// The group index against a per-key `HashMap`: same answers
+        /// after every step, over keys that crowd a few groups so that
+        /// groups empty, their slab slots are recycled by other groups
+        /// and the memo keeps pointing at whichever was used last.
+        #[test]
+        fn index_matches_a_per_key_map(
+            ops in prop::collection::vec((0u8..4, 0u32..2, 0u64..20), 0..300)
+        ) {
+            let universe: Vec<PageId> =
+                (0..2).flat_map(|f| (0..20).map(move |i| page(f, i))).collect();
+            let mut m: MultiList<PageId, 2> = MultiList::new();
+            let mut model: HashMap<PageId, usize> = HashMap::new();
+            for (op, file, index) in ops {
+                let key = page(file, index);
+                match op {
+                    0 => {
+                        let (slot, inserted) = m.insert_front(index as usize % 2, key);
+                        prop_assert_eq!(inserted, !model.contains_key(&key));
+                        prop_assert_eq!(*model.entry(key).or_insert(slot), slot);
+                    }
+                    1 => prop_assert_eq!(m.remove(&key).is_some(), model.remove(&key).is_some()),
+                    2 => prop_assert_eq!(m.slot_of(&key), model.get(&key).copied()),
+                    _ => {
+                        // By slot: no lookup, the node names its group.
+                        if let Some(slot) = model.remove(&key) {
+                            prop_assert_eq!(m.remove_slot(slot).0, key);
+                        }
+                    }
+                }
+                prop_assert_eq!(m.total_len(), model.len());
+                // Swept on a copy: lookups move the memo, and the next
+                // step must meet it where this one left it.
+                let copy = m.clone();
+                for k in &universe {
+                    prop_assert_eq!(copy.slot_of(k), model.get(k).copied(), "{:?}", k);
+                }
+                let mut slots: Vec<usize> = model.values().copied().collect();
+                slots.sort_unstable();
+                slots.dedup();
+                prop_assert_eq!(slots.len(), model.len(), "two keys share a slot");
+            }
+        }
+    }
 
     #[test]
     fn push_and_pop_one_list() {

@@ -67,6 +67,7 @@ pub mod sieve;
 
 pub use backend::{FileBackend, RealFsBackend};
 pub use cache::{AccessKind, BufferCache, CacheConfig, CacheCostModel};
+pub use intrusive::GroupKey;
 pub use metrics::CacheMetrics;
 pub use page::{PageId, PAGE_SIZE_DEFAULT};
 pub use policy::PolicySet;

@@ -8,9 +8,8 @@
 //! place and evictions recycle slots through the slab's free list.
 
 use std::fmt;
-use std::hash::Hash;
 
-use crate::intrusive::{forward_to_slab, MultiList};
+use crate::intrusive::{forward_to_slab, GroupKey, MultiList};
 use crate::policy::PolicySet;
 
 /// An LRU ordering over keys of type `K`.
@@ -18,11 +17,11 @@ use crate::policy::PolicySet;
 /// The list orders keys from most- to least-recently used; each key's
 /// payload byte lives in its node (the cache keeps page state there).
 #[derive(Debug, Clone, Default)]
-pub struct LruList<K: Eq + Hash + Clone> {
+pub struct LruList<K: GroupKey> {
     inner: MultiList<K, 1>,
 }
 
-impl<K: Eq + Hash + Clone> LruList<K> {
+impl<K: GroupKey> LruList<K> {
     /// Creates an empty list.
     pub fn new() -> Self {
         Self { inner: MultiList::new() }
@@ -50,7 +49,7 @@ impl<K: Eq + Hash + Clone> LruList<K> {
 
 impl<K> PolicySet<K> for LruList<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         LruList::with_capacity(capacity)

@@ -2,6 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::intrusive::{GroupKey, GROUP_LANES};
+use crate::shard::SHARD_BLOCK_PAGES;
+
 /// Default page size: 4 KiB, matching the x86 page and the NT cache
 /// manager granularity of the paper's testbed.
 pub const PAGE_SIZE_DEFAULT: u64 = 4096;
@@ -29,6 +32,24 @@ impl PageId {
     /// The page immediately after this one in the same file.
     pub fn next(self) -> Self {
         PageId { file: self.file, index: self.index + 1 }
+    }
+}
+
+/// Pages per index group, as a page-index divisor.
+const GROUP_PAGES: u64 = GROUP_LANES as u64;
+
+// A shard owns whole blocks, so a group inside one block has one owner.
+const _: () = assert!(SHARD_BLOCK_PAGES % GROUP_PAGES == 0);
+
+/// [`GROUP_LANES`] consecutive pages of one file, aligned, share an
+/// index group: the pages of one request differ only in their lane.
+impl GroupKey for PageId {
+    fn group(&self) -> Self {
+        PageId { file: self.file, index: self.index / GROUP_PAGES }
+    }
+
+    fn lane(&self) -> usize {
+        (self.index % GROUP_PAGES) as usize
     }
 }
 

@@ -25,15 +25,12 @@
 //! [`crate::scanres::SlruSet`], [`crate::sieve::SieveSet`] and
 //! [`crate::arc::ArcSet`].
 
-use std::collections::hash_map::Entry;
 use std::fmt;
-use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
 use crate::arc::ArcSet;
-use crate::hash::{mix_map_with_capacity, MixMap};
-use crate::intrusive::{forward_to_slab, MultiList};
+use crate::intrusive::{forward_to_slab, GroupIndex, GroupKey, MultiList};
 use crate::lru::LruList;
 use crate::scanres::{SlruSet, TwoQSet};
 use crate::sieve::SieveSet;
@@ -216,7 +213,7 @@ impl ReplacementPolicy {
     /// one new match arm.
     pub fn build<K>(self, capacity: usize) -> Box<dyn PolicySet<K>>
     where
-        K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+        K: GroupKey + fmt::Debug + Send + 'static,
     {
         fn boxed<K, P: PolicySet<K> + 'static>(capacity: usize) -> Box<dyn PolicySet<K>> {
             Box::new(P::with_capacity(capacity))
@@ -248,6 +245,8 @@ pub enum WritePolicy {
 #[derive(Debug, Clone)]
 struct ClockEntry<K> {
     key: K,
+    /// The key's group slot in the index (see [`GroupIndex::remove_at`]).
+    group: u32,
     referenced: bool,
     payload: u8,
 }
@@ -261,14 +260,14 @@ struct ClockEntry<K> {
 /// position in that buffer; the payload byte sits beside the reference
 /// bit.
 #[derive(Debug, Clone)]
-pub struct ClockSet<K: Eq + Hash + Clone> {
+pub struct ClockSet<K: GroupKey> {
     entries: Vec<Option<ClockEntry<K>>>,
-    index: MixMap<K, usize>,
+    index: GroupIndex<K>,
     free: Vec<usize>,
     hand: usize,
 }
 
-impl<K: Eq + Hash + Clone> ClockSet<K> {
+impl<K: GroupKey> ClockSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -280,7 +279,7 @@ impl<K: Eq + Hash + Clone> ClockSet<K> {
         let capacity = capacity.min(crate::PREALLOC_PAGES_MAX);
         Self {
             entries: Vec::with_capacity(capacity),
-            index: mix_map_with_capacity(capacity),
+            index: GroupIndex::with_capacity(capacity),
             free: Vec::new(),
             hand: 0,
         }
@@ -291,7 +290,7 @@ impl<K: Eq + Hash + Clone> ClockSet<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> Default for ClockSet<K> {
+impl<K: GroupKey> Default for ClockSet<K> {
     fn default() -> Self {
         Self::new()
     }
@@ -299,7 +298,7 @@ impl<K: Eq + Hash + Clone> Default for ClockSet<K> {
 
 impl<K> PolicySet<K> for ClockSet<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         ClockSet::with_capacity(capacity)
@@ -310,7 +309,7 @@ where
     }
 
     fn lookup(&self, key: &K) -> Option<usize> {
-        self.index.get(key).copied()
+        self.index.get(key)
     }
 
     fn resident_key(&self, slot: usize) -> Option<&K> {
@@ -328,26 +327,23 @@ where
 
     /// Inserts referenced, reusing a freed position if there is one.
     fn admit(&mut self, key: K, payload: u8) {
-        let vacant = match self.index.entry(key) {
-            Entry::Occupied(resident) => {
-                let slot = *resident.get();
-                self.entry_mut(slot).payload = payload;
-                return;
+        let (entries, free) = (&mut self.entries, &mut self.free);
+        let (slot, inserted) = self.index.get_or_insert_with(&key, |group| {
+            let entry = Some(ClockEntry { key: key.clone(), group, referenced: true, payload });
+            match free.pop() {
+                Some(s) => {
+                    entries[s] = entry;
+                    s
+                }
+                None => {
+                    entries.push(entry);
+                    entries.len() - 1
+                }
             }
-            Entry::Vacant(vacant) => vacant,
-        };
-        let entry = Some(ClockEntry { key: vacant.key().clone(), referenced: true, payload });
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.entries[s] = entry;
-                s
-            }
-            None => {
-                self.entries.push(entry);
-                self.entries.len() - 1
-            }
-        };
-        vacant.insert(slot);
+        });
+        if !inserted {
+            self.entry_mut(slot).payload = payload;
+        }
     }
 
     /// Evicts the victim chosen by the clock sweep.
@@ -364,7 +360,7 @@ where
                 Some(e) if e.referenced => e.referenced = false,
                 Some(_) => {
                     let e = self.entries[slot].take().expect("checked Some");
-                    self.index.remove(&e.key);
+                    self.index.remove_at(e.group, &e.key);
                     self.free.push(slot);
                     return Some((e.key, e.payload));
                 }
@@ -373,9 +369,11 @@ where
     }
 
     fn remove_entry(&mut self, key: &K) -> Option<u8> {
-        let slot = self.index.remove(key)?;
+        let slot = self.index.get(key)?;
+        let e = self.entries[slot].take()?;
+        self.index.remove_at(e.group, key);
         self.free.push(slot);
-        self.entries[slot].take().map(|e| e.payload)
+        Some(e.payload)
     }
 
     fn visit_residents(&mut self, visit: &mut dyn FnMut(&K, &mut u8)) {
@@ -397,11 +395,11 @@ where
 /// ghost map) makes `remove` eager — no stale queue entries to skip —
 /// and the warm set allocation-free.
 #[derive(Debug, Clone, Default)]
-pub struct FifoSet<K: Eq + Hash + Clone> {
+pub struct FifoSet<K: GroupKey> {
     inner: MultiList<K, 1>,
 }
 
-impl<K: Eq + Hash + Clone> FifoSet<K> {
+impl<K: GroupKey> FifoSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self { inner: MultiList::new() }
@@ -416,7 +414,7 @@ impl<K: Eq + Hash + Clone> FifoSet<K> {
 
 impl<K> PolicySet<K> for FifoSet<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         FifoSet::with_capacity(capacity)
@@ -445,6 +443,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn clock_second_chance() {
@@ -563,13 +562,31 @@ mod tests {
         assert_eq!(copy.len(), 2);
     }
 
-    /// A key whose `Hash` impl counts its invocations: every index
-    /// probe, insert and removal hashes the key exactly once.
+    /// A key whose `Hash` impl counts its invocations: every table
+    /// probe, insert and removal of the index hashes one key exactly
+    /// once. One lane per group, like every key that is not a page id.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Counted(u64);
 
+    /// [`Counted`] under `PageId`'s split: eight consecutive values
+    /// share a group.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct CountedPage(Counted);
+
     thread_local! {
         static HASHES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    impl GroupKey for Counted {}
+
+    impl GroupKey for CountedPage {
+        fn group(&self) -> Self {
+            CountedPage(Counted(self.0 .0 / 8))
+        }
+
+        fn lane(&self) -> usize {
+            (self.0 .0 % 8) as usize
+        }
     }
 
     impl Hash for Counted {
@@ -585,63 +602,92 @@ mod tests {
         HASHES.with(|h| h.get()) - before
     }
 
-    #[test]
-    fn probe_budget_holds_for_every_policy() {
+    /// The hash-op budget of the group index under every policy, for
+    /// keys `key(0), key(1), ..` of which `lanes` consecutive ones
+    /// share a group.
+    fn probe_budget<K>(key: impl Fn(u64) -> K, lanes: u64)
+    where
+        K: GroupKey + fmt::Debug + Send + 'static,
+    {
         const CAPACITY: u64 = 64;
         for policy in ReplacementPolicy::ALL {
-            let name = policy.name();
-            let mut set: Box<dyn PolicySet<Counted>> = policy.build(CAPACITY as usize);
-            for k in 0..CAPACITY {
-                set.touch(Counted(k));
-            }
+            let name = format!("{} x {lanes} lanes", policy.name());
+            let full = || {
+                let mut set: Box<dyn PolicySet<K>> = policy.build(CAPACITY as usize);
+                for k in 0..CAPACITY {
+                    set.touch(key(k));
+                }
+                set
+            };
 
-            // A hit is one probe, by key or by slot.
-            assert_eq!(hashes_during(|| assert!(!set.touch(Counted(7)))), 1, "{name}: touch");
-            let mut slot = 0;
-            let probes = hashes_during(|| {
-                slot = set.lookup(&Counted(9)).expect("resident");
-                *set.payload_mut(slot) |= 1;
-                set.hit(slot);
-            });
-            assert_eq!(probes, 1, "{name}: lookup, payload, promote by slot");
-
-            // Run promotion: a remembered slot revalidates and promotes
-            // with no probe at all.
-            let probes = hashes_during(|| {
-                assert_eq!(set.resident_key(slot), Some(&Counted(9)));
-                set.hit(slot);
-            });
-            assert_eq!(probes, 0, "{name}: promote a remembered slot");
-
-            // A miss at capacity: the failed lookup, the victim leaving
-            // the index (ghost-keeping policies relink it instead and
-            // drop their oldest ghost), the newcomer entering it. Long
-            // enough for 2Q and ARC to fill and trim their ghost lists,
-            // and to re-admit keys they still hold ghosts of.
+            // A sequential miss run of one group's keys at capacity:
+            // the failed lookup of the first, its group entering the
+            // table, and one old group leaving it as its last key is
+            // evicted (ghost-keeping policies relink the victim and
+            // drop their oldest ghost instead) — three for the run, not
+            // three per key. Long enough for 2Q and ARC to fill and
+            // trim their ghost lists, and to re-admit keys they still
+            // hold ghosts of.
             //
             // Not ours to budget: once tombstones have used up its
-            // spare room, std's table rehashes every key in place on
-            // the next insert (the parent's two tables did the same).
-            // That is the only thing allowed over three, and it must
-            // stay rare.
-            let rounds = 8 * CAPACITY;
+            // spare room, std's table rehashes every group in place on
+            // the next insert. That is the only thing allowed over
+            // three, and it must stay rare.
+            let mut set = full();
+            let runs = 8 * CAPACITY;
             let mut table_rehashes = 0;
-            for round in 0..rounds {
-                let key = Counted(CAPACITY + round % (3 * CAPACITY));
+            for run in 0..runs {
+                let first = CAPACITY + (run * lanes) % (3 * CAPACITY);
                 let probes = hashes_during(|| {
-                    if set.lookup(&key).is_none() {
-                        set.pop_victim_entry().expect("a full set has a victim");
-                        set.admit(key.clone(), 0);
+                    for k in first..first + lanes {
+                        if set.lookup(&key(k)).is_none() {
+                            set.pop_victim_entry().expect("a full set has a victim");
+                            set.admit(key(k), 0);
+                        }
                     }
                 });
                 if probes > 3 {
-                    assert!(probes > CAPACITY as u32, "{name}: {probes} probes for one miss");
+                    assert!(
+                        probes as u64 > CAPACITY / lanes,
+                        "{name}: {probes} hashes for one run"
+                    );
                     table_rehashes += 1;
                 }
                 assert_eq!(set.len(), CAPACITY as usize);
             }
-            assert!(table_rehashes <= rounds / 100, "{name}: {table_rehashes} rehashes");
+            assert!(table_rehashes <= runs / 100, "{name}: {table_rehashes} rehashes");
+
+            // A hit costs one hash when it changes the group (the fill
+            // left the last one current) and none inside the current
+            // group, by key or by slot. (On a set of its own: hits
+            // promote, and a promoted key leaves its group's turn.)
+            let mut set = full();
+            let neighbour = u32::from(lanes == 1);
+            assert_eq!(hashes_during(|| assert!(!set.touch(key(8)))), 1, "{name}: new group");
+            assert_eq!(hashes_during(|| assert!(!set.touch(key(8)))), 0, "{name}: same key");
+            assert_eq!(hashes_during(|| assert!(!set.touch(key(9)))), neighbour, "{name}: touch");
+            let mut slot = 0;
+            let probes = hashes_during(|| {
+                slot = set.lookup(&key(10)).expect("resident");
+                *set.payload_mut(slot) |= 1;
+                set.hit(slot);
+            });
+            assert_eq!(probes, neighbour, "{name}: lookup, payload, promote by slot");
+
+            // Run promotion: a remembered slot revalidates and promotes
+            // with no hash at all.
+            let probes = hashes_during(|| {
+                assert_eq!(set.resident_key(slot), Some(&key(10)));
+                set.hit(slot);
+            });
+            assert_eq!(probes, 0, "{name}: promote a remembered slot");
         }
+    }
+
+    #[test]
+    fn probe_budget_holds_for_every_policy() {
+        probe_budget(Counted, 1);
+        probe_budget(|k| CountedPage(Counted(k)), 8);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //! construction.
 
 use std::fmt;
-use std::hash::Hash;
 
-use crate::intrusive::{forward_to_slab, MultiList};
+use crate::intrusive::{forward_to_slab, GroupKey, MultiList};
 use crate::policy::PolicySet;
 
 // TwoQSet's segment indices.
@@ -42,7 +41,7 @@ const A1OUT: usize = 2;
 
 /// Johnson & Shasha's 2Q, full version (A1in / A1out / Am).
 #[derive(Debug, Clone)]
-pub struct TwoQSet<K: Eq + Hash + Clone> {
+pub struct TwoQSet<K: GroupKey> {
     /// `A1in` (trial FIFO, resident), `Am` (protected LRU, resident)
     /// and `A1out` (ghost queue, keys only) over one slab.
     lists: MultiList<K, 3, 2>,
@@ -52,7 +51,7 @@ pub struct TwoQSet<K: Eq + Hash + Clone> {
     kout: usize,
 }
 
-impl<K: Eq + Hash + Clone> TwoQSet<K> {
+impl<K: GroupKey> TwoQSet<K> {
     /// Creates a 2Q set for a cache of `capacity` pages, using the
     /// paper's recommended splits `Kin = capacity/4`, `Kout =
     /// capacity/2` (each at least one page).
@@ -83,7 +82,7 @@ impl<K: Eq + Hash + Clone> TwoQSet<K> {
 
 impl<K> PolicySet<K> for TwoQSet<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         TwoQSet::new(capacity)
@@ -139,14 +138,14 @@ const PROTECTED: usize = 1;
 
 /// Segmented LRU: probationary + protected segments.
 #[derive(Debug, Clone)]
-pub struct SlruSet<K: Eq + Hash + Clone> {
+pub struct SlruSet<K: GroupKey> {
     /// Probationary and protected segments over one slab.
     lists: MultiList<K, 2>,
     /// Cap on the protected segment (classic: ½ of capacity).
     protected_cap: usize,
 }
 
-impl<K: Eq + Hash + Clone> SlruSet<K> {
+impl<K: GroupKey> SlruSet<K> {
     /// Creates an SLRU set for a cache of `capacity` pages; the
     /// protected segment holds at most half of it (at least one page).
     pub fn new(capacity: usize) -> Self {
@@ -168,7 +167,7 @@ impl<K: Eq + Hash + Clone> SlruSet<K> {
 
 impl<K> PolicySet<K> for SlruSet<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         SlruSet::new(capacity)

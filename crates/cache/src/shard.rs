@@ -58,7 +58,7 @@
 //! [`BufferCache::access_run`]: crate::cache::BufferCache::access_run
 
 use std::iter::StepBy;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -73,12 +73,30 @@ use crate::prefetch::Prefetcher;
 /// runs decompose into few per-shard groups.
 pub const SHARD_BLOCK_PAGES: u64 = 64;
 
+/// One shard behind its lock, on cache lines of its own. Workers own
+/// alternating shards, so in a plain `Vec<Mutex<ShardCore>>` shard
+/// `k`'s counters and shard `k + 1`'s lock word can share a line and
+/// every access of one worker invalidates it under the other; whether
+/// they do depended on where the allocator put the `Vec`. 128 bytes
+/// covers the adjacent-line prefetcher's pair of 64-byte lines.
+#[derive(Debug)]
+#[repr(align(128))]
+struct ShardCell(Mutex<ShardCore>);
+
+impl Deref for ShardCell {
+    type Target = Mutex<ShardCore>;
+
+    fn deref(&self) -> &Mutex<ShardCore> {
+        &self.0
+    }
+}
+
 /// A page-granular buffer cache striped across N independently locked
 /// shards. See the module docs for the invariants.
 #[derive(Debug)]
 pub struct ShardedBufferCache {
     cfg: CacheConfig,
-    shards: Vec<Mutex<ShardCore>>,
+    shards: Vec<ShardCell>,
     prefetcher: Mutex<Prefetcher>,
     files: Mutex<Vec<String>>,
 }
@@ -143,7 +161,8 @@ impl ShardedBufferCache {
         let shards = (0..n)
             .map(|i| {
                 let capacity_pages = shard_capacity(cfg.capacity_pages, n, i);
-                Mutex::new(ShardCore::new(CacheConfig { capacity_pages, ..cfg.clone() }))
+                let core = ShardCore::new(CacheConfig { capacity_pages, ..cfg.clone() });
+                ShardCell(Mutex::new(core))
             })
             .collect();
         Self { cfg, shards, prefetcher, files: Mutex::new(Vec::new()) }
@@ -440,6 +459,18 @@ mod tests {
 
     fn cfg(capacity: usize) -> CacheConfig {
         CacheConfig { capacity_pages: capacity, ..Default::default() }
+    }
+
+    #[test]
+    fn neighbouring_shards_never_share_a_cache_line() {
+        assert_eq!(std::mem::align_of::<ShardCell>(), 128);
+        assert_eq!(std::mem::size_of::<ShardCell>() % 128, 0);
+        let cache = ShardedBufferCache::new(cfg(64), 4);
+        let at = |s: usize| std::ptr::from_ref(&cache.shards[s]) as usize;
+        for s in 0..3 {
+            assert_eq!(at(s) % 128, 0, "shard {s} starts a line pair");
+            assert!(at(s + 1) - at(s) >= 128, "shards {s} and {} are a line pair apart", s + 1);
+        }
     }
 
     #[test]

@@ -16,21 +16,20 @@
 //! set performs zero allocation per access.
 
 use std::fmt;
-use std::hash::Hash;
 
-use crate::intrusive::{forward_to_slab, MultiList, NIL};
+use crate::intrusive::{forward_to_slab, GroupKey, MultiList, NIL};
 use crate::policy::PolicySet;
 
 /// A SIEVE residency set over keys of type `K`.
 #[derive(Debug, Clone, Default)]
-pub struct SieveSet<K: Eq + Hash + Clone> {
+pub struct SieveSet<K: GroupKey> {
     list: MultiList<K, 1>,
     /// Slab slot the next eviction sweep starts from; [`NIL`] restarts
     /// the sweep at the tail (the oldest key).
     hand: usize,
 }
 
-impl<K: Eq + Hash + Clone> SieveSet<K> {
+impl<K: GroupKey> SieveSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self { list: MultiList::new(), hand: NIL }
@@ -45,7 +44,7 @@ impl<K: Eq + Hash + Clone> SieveSet<K> {
 
 impl<K> PolicySet<K> for SieveSet<K>
 where
-    K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+    K: GroupKey + fmt::Debug + Send + 'static,
 {
     fn with_capacity(capacity: usize) -> Self {
         SieveSet::with_capacity(capacity)

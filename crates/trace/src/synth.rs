@@ -391,7 +391,17 @@ pub struct SynthSource {
     /// `(ln(lo), ln(hi))` of the request-size range, hoisted out of
     /// the per-record draw.
     ln_size_bounds: (f64, f64),
+    /// Direct-mapped memo of `blocks -> blocks.powf(1 - theta)` for the
+    /// Zipfian draw. `blocks` moves only with the request size in
+    /// 4 KiB steps, so a profile sees a few dozen distinct values; the
+    /// entry holds the same function of the same argument, so the
+    /// stream is bit-identical. `(0.0, _)` is an empty entry (`blocks`
+    /// is at least 1).
+    zipf_pow: [(f64, f64); ZIPF_POW_MEMO],
 }
+
+/// Entries of [`SynthSource::zipf_pow`].
+const ZIPF_POW_MEMO: usize = 64;
 
 impl SynthSource {
     /// Creates a streaming synthesizer for `profile`.
@@ -407,6 +417,7 @@ impl SynthSource {
             clock_us: 0,
             stamped: 0,
             ln_size_bounds: ((lo as f64).ln(), (hi as f64).ln()),
+            zipf_pow: [(0.0, 0.0); ZIPF_POW_MEMO],
             profile,
         })
     }
@@ -482,7 +493,11 @@ impl SynthSource {
                 let x = if (theta - 1.0).abs() < 1e-9 {
                     blocks.powf(u)
                 } else {
-                    (1.0 + u * (blocks.powf(1.0 - theta) - 1.0)).powf(1.0 / (1.0 - theta))
+                    let memo = &mut self.zipf_pow[blocks as usize % ZIPF_POW_MEMO];
+                    if memo.0 != blocks {
+                        *memo = (blocks, blocks.powf(1.0 - theta));
+                    }
+                    (1.0 + u * (memo.1 - 1.0)).powf(1.0 / (1.0 - theta))
                 };
                 let rank = (x.floor() as u64).clamp(1, blocks as u64) - 1;
                 (lo + rank * ZIPF_BLOCK).min(max_start)
