@@ -1,11 +1,11 @@
 //! Strict-admission smoke: every built-in workload atom, plus the
-//! mix/chain combinators over them, must pass the verifier's full
-//! `V01`–`V09` rule table. CI runs this after the unit layer; any
+//! mix/chain combinators and the scenario knobs over them, must pass
+//! the verifier's full `V01`–`V10` rule table. CI runs this after the unit layer; any
 //! rejected workload exits nonzero with the rule code and record index.
 
 use clio_core::prelude::*;
 
-const SPECS: [&str; 11] = [
+const SPECS: [&str; 17] = [
     "synth",
     "seq",
     "rand",
@@ -17,9 +17,15 @@ const SPECS: [&str; 11] = [
     "mix:dmine,lu",
     "mix:seq*3,rand*1",
     "chain:seq,rand",
+    "share:seq,rand",
+    "zipf:0.9",
+    "hot:0.2x0.8",
+    "burst:64x256",
+    "diurnal:64x4",
+    "phase:4",
 ];
 
-const RULES: [(&str, &str); 9] = [
+const RULES: [(&str, &str); 10] = [
     ("V01", "process id outside the header roster"),
     ("V02", "file id outside the header roster"),
     ("V03", "per-process wall clock rewound"),
@@ -29,6 +35,7 @@ const RULES: [(&str, &str); 9] = [
     ("V07", "zero repeat count"),
     ("V08", "offset + length x repeat overflows u64"),
     ("V09", "metadata operation carrying a length"),
+    ("V10", "length x repeat spans more than 4 GiB"),
 ];
 
 fn main() {

@@ -10,7 +10,14 @@
 //!   live in its node), the counters, and the per-page transitions
 //!   (`page_access`, `finish_run`, `stage_prefetch`, `stage_open_page`,
 //!   `evict_file_pages`, `flush_pages`). It knows nothing of files,
-//!   operations or readahead.
+//!   operations or readahead. The page level is **compiled once per
+//!   policy** behind one trait object: each transition is written once,
+//!   generic over the policy set, and the core holds its policy as a
+//!   crate-private `Box<dyn PageTable>` whose methods run a transition
+//!   over a whole block run with the policy's methods called statically
+//!   — one dynamic call per block run instead of two to five per page.
+//!   The per-page methods are the same transitions instantiated for the
+//!   trait object, for callers that walk pages themselves.
 //! - [`BufferCache`] is the single-owner front-end: one core, one
 //!   readahead detector, one file registry. Its operations (open /
 //!   close / seek / read-write) are not written here: they are the
@@ -44,7 +51,7 @@ use std::ops::{Deref, DerefMut, Range};
 use crate::driver::{self, ShardSet};
 use crate::metrics::CacheMetrics;
 use crate::page::{FileId, PageId};
-use crate::policy::{PolicySet, ReplacementPolicy, WritePolicy};
+use crate::policy::{PolicySet, ReplacementPolicy, SetBuilder, WritePolicy};
 use crate::prefetch::{PrefetchConfig, Prefetcher};
 
 /// Whether an access reads or writes the spanned pages.
@@ -218,54 +225,38 @@ impl AccessOutcome {
     }
 }
 
-/// The page level of the cache: one replacement-policy instance (whose
-/// slab doubles as the page table, see [`PolicySet`]), its counters,
-/// and the per-page transitions every operation decomposes into.
+/// Pages `first..=last` of `file`, inside one aligned shard block: what
+/// the operation driver hands a core in one call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageRun {
+    pub(crate) file: FileId,
+    pub(crate) first: u64,
+    pub(crate) last: u64,
+}
+
+impl PageRun {
+    /// The run's pages, ascending.
+    #[inline]
+    fn pages(self) -> impl Iterator<Item = PageId> {
+        (self.first..=self.last).map(move |index| PageId { file: self.file, index })
+    }
+}
+
+/// A core's books: its configuration and its counters — everything a
+/// page transition reads or writes besides the policy set.
 ///
-/// A core has no notion of files, operations or readahead — those live
-/// in the operation driver and its front-ends ([`BufferCache`],
-/// [`ShardedBufferCache`]). Of its [`CacheConfig`] it reads the
-/// capacity, the policies and the cost model; the readahead fields are
-/// the front-end's business.
-///
-/// [`ShardedBufferCache`]: crate::shard::ShardedBufferCache
+/// Every transition is written once, here, as a function generic over
+/// the set (`P: PolicySet<PageId> + ?Sized`). [`PageTable`] runs it
+/// over whole block runs with `P` the concrete policy; the per-page
+/// surface of [`ShardCore`] runs the same function with `P = dyn
+/// PageTable`.
 #[derive(Debug, Clone)]
-pub struct ShardCore {
+pub(crate) struct Books {
     cfg: CacheConfig,
-    resident: Box<dyn PolicySet<PageId>>,
     metrics: CacheMetrics,
 }
 
-impl ShardCore {
-    /// Creates an empty core holding up to `cfg.capacity_pages` pages.
-    pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.page_size > 0, "page size must be positive");
-        // The single registry point: the configured policy builds its
-        // own residency set, sized so the replay hot loop never regrows.
-        let resident = cfg.policy.build(cfg.capacity_pages);
-        Self { cfg, resident, metrics: CacheMetrics::default() }
-    }
-
-    /// Cumulative metrics.
-    pub fn metrics(&self) -> CacheMetrics {
-        self.metrics
-    }
-
-    /// Number of pages currently cached.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
-    /// Whether the page holding `offset` is resident.
-    pub fn is_resident(&self, file: FileId, offset: u64) -> bool {
-        self.resident.contains(&PageId::containing(file, offset, self.cfg.page_size))
-    }
-
+impl Books {
     /// Charges one page's write-back to `out` and the counters.
     fn write_back(&mut self, out: &mut AccessOutcome) {
         out.writebacks += 1;
@@ -282,28 +273,29 @@ impl ShardCore {
         }
     }
 
-    fn insert_page(&mut self, id: PageId, bits: u8, out: &mut AccessOutcome) {
+    #[inline]
+    fn insert_page<P: PolicySet<PageId> + ?Sized>(
+        &mut self,
+        set: &mut P,
+        id: PageId,
+        bits: u8,
+        out: &mut AccessOutcome,
+    ) {
         if self.cfg.capacity_pages == 0 {
             return; // caching disabled: nothing is retained
         }
-        while self.resident.len() >= self.cfg.capacity_pages {
-            let Some((_, victim_bits)) = self.resident.pop_victim_entry() else { break };
+        while set.len() >= self.cfg.capacity_pages {
+            let Some((_, victim_bits)) = set.pop_victim_entry() else { break };
             self.evicted(victim_bits, out);
         }
-        self.resident.admit(id, bits);
+        set.admit(id, bits);
     }
 
-    /// Performs the cache transition for one page of an operation,
-    /// threading miss-run and run-promotion state through `cursor` and
-    /// accumulating counters and cost into `out`.
-    ///
-    /// With `per_page_touch` the replacement policy is touched on every
-    /// hit (the [`BufferCache::access`] semantics); without it the
-    /// cursor remembers the page as the run's promotion candidate (the
-    /// [`BufferCache::access_run`] semantics) and the caller must invoke
-    /// [`ShardCore::finish_run`] after the last page.
-    pub fn page_access(
+    /// The page step: see [`ShardCore::page_access`].
+    #[inline]
+    fn page_access<P: PolicySet<PageId> + ?Sized>(
         &mut self,
+        set: &mut P,
         id: PageId,
         kind: AccessKind,
         per_page_touch: bool,
@@ -311,8 +303,8 @@ impl ShardCore {
         out: &mut AccessOutcome,
     ) {
         // The one hash probe of a hit; everything after goes by slot.
-        if let Some(slot) = self.resident.lookup(&id) {
-            let bits = self.resident.payload_mut(slot);
+        if let Some(slot) = set.lookup(&id) {
+            let bits = set.payload_mut(slot);
             if *bits & PREFETCHED != 0 {
                 *bits &= !PREFETCHED;
                 self.metrics.prefetch_hits += 1;
@@ -324,7 +316,7 @@ impl ShardCore {
                 }
             }
             if per_page_touch {
-                self.resident.hit(slot);
+                set.hit(slot);
             } else {
                 cursor.run_mru = Some((id, slot));
             }
@@ -347,56 +339,44 @@ impl ShardCore {
                     WritePolicy::WriteThrough => self.write_back(out),
                 }
             }
-            self.insert_page(id, bits, out);
+            self.insert_page(set, id, bits, out);
         }
     }
 
-    /// Completes a run-promotion (`per_page_touch = false`) sequence of
-    /// [`ShardCore::page_access`] calls: the run's final resident page
-    /// is promoted once, standing for the whole stretch.
-    pub fn finish_run(&mut self, cursor: RunCursor) {
-        if let Some((id, slot)) = cursor.run_mru {
-            // A later fault in the same span can have evicted the page
-            // (and handed its slot to another); the slot still holding
-            // the remembered key says it is resident, without hashing.
-            if self.resident.resident_key(slot) == Some(&id) {
-                self.resident.hit(slot);
-            }
-        }
-    }
-
-    /// Stages one readahead page on behalf of the current operation,
-    /// charging its transfer to `out`. No-op (returning `false`) when
-    /// the page is already resident or caching is disabled.
-    pub fn stage_prefetch(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
-        if self.cfg.capacity_pages == 0 || self.resident.contains(&id) {
+    /// Stages `id` without a demand: readahead (which charges its
+    /// transfer to `out`) or the header page at open (which does not:
+    /// the platform overlaps it). No-op (returning `false`) when the
+    /// page is already resident or caching is disabled.
+    #[inline]
+    fn stage<P: PolicySet<PageId> + ?Sized>(
+        &mut self,
+        set: &mut P,
+        id: PageId,
+        readahead: bool,
+        out: &mut AccessOutcome,
+    ) -> bool {
+        if self.cfg.capacity_pages == 0 || set.contains(&id) {
             return false;
         }
         out.pages_prefetched += 1;
         self.metrics.prefetched += 1;
-        out.cost_ms += self.cfg.costs.prefetch_per_page;
-        self.insert_page(id, PREFETCHED, out);
-        true
-    }
-
-    /// Stages a page at open time without charging fault or prefetch
-    /// cost (the platform overlaps the header read with the open).
-    pub fn stage_open_page(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
-        if self.cfg.capacity_pages == 0 || self.resident.contains(&id) {
-            return false;
+        if readahead {
+            out.cost_ms += self.cfg.costs.prefetch_per_page;
         }
-        out.pages_prefetched += 1;
-        self.metrics.prefetched += 1;
-        self.insert_page(id, PREFETCHED, out);
+        self.insert_page(set, id, PREFETCHED, out);
         true
     }
 
-    /// Evicts every resident page of `file`, writing dirty ones back
-    /// into `out` — the page-side effect of a close, without the fixed
-    /// close cost or the readahead-state reset.
-    pub fn evict_file_pages(&mut self, file: FileId, out: &mut AccessOutcome) {
+    /// Evicts every resident page of `file`: see
+    /// [`ShardCore::evict_file_pages`].
+    fn evict_file_pages<P: PolicySet<PageId> + ?Sized>(
+        &mut self,
+        set: &mut P,
+        file: FileId,
+        out: &mut AccessOutcome,
+    ) {
         let mut victims: Vec<PageId> = Vec::new();
-        self.resident.visit_residents(&mut |id, _| {
+        set.visit_residents(&mut |id, _| {
             if id.file == file {
                 victims.push(*id);
             }
@@ -406,17 +386,16 @@ impl ShardCore {
         // order the policy walks its residents in.
         victims.sort_unstable();
         for id in victims {
-            if let Some(bits) = self.resident.remove_entry(&id) {
+            if let Some(bits) = set.remove_entry(&id) {
                 self.evicted(bits, out);
             }
         }
     }
 
-    /// Writes every dirty page back without evicting, accumulating into
-    /// `out` — the page-side effect of a flush.
-    pub fn flush_pages(&mut self, out: &mut AccessOutcome) {
+    /// Writes every dirty page back: see [`ShardCore::flush_pages`].
+    fn flush_pages<P: PolicySet<PageId> + ?Sized>(&mut self, set: &mut P, out: &mut AccessOutcome) {
         let mut dirty = 0;
-        self.resident.visit_residents(&mut |_, bits| {
+        set.visit_residents(&mut |_, bits| {
             if *bits & DIRTY != 0 {
                 *bits &= !DIRTY;
                 dirty += 1;
@@ -425,6 +404,290 @@ impl ShardCore {
         for _ in 0..dirty {
             self.write_back(out);
         }
+    }
+}
+
+/// Promotes a run's remembered page: see [`ShardCore::finish_run`].
+#[inline]
+fn promote_run<P: PolicySet<PageId> + ?Sized>(set: &mut P, cursor: RunCursor) {
+    if let Some((id, slot)) = cursor.run_mru {
+        // A later fault in the same span can have evicted the page
+        // (and handed its slot to another); the slot still holding
+        // the remembered key says it is resident, without hashing.
+        if set.resident_key(slot) == Some(&id) {
+            set.hit(slot);
+        }
+    }
+}
+
+/// The cache's page level, compiled once per concrete policy set.
+///
+/// [`ShardCore`] holds its policy as a `Box<dyn PageTable>`, so the
+/// dynamic boundary sits at a *block run*, not at a set operation: each
+/// method is one virtual call that runs a [`Books`] transition over the
+/// whole run with the policy's own methods called statically (and
+/// inlined). The blanket impl is the only one: a policy gets its page
+/// table by implementing [`PolicySet`], and [`ReplacementPolicy`]'s one
+/// registry match builds it.
+pub(crate) trait PageTable: PolicySet<PageId> {
+    /// Demands every page of `run` for one operation, ascending.
+    fn demand_run(
+        &mut self,
+        books: &mut Books,
+        run: PageRun,
+        kind: AccessKind,
+        per_page_touch: bool,
+        cursor: &mut RunCursor,
+        out: &mut AccessOutcome,
+    );
+
+    /// [`PageTable::demand_run`] then [`PageTable::finish_run`] on a
+    /// fresh cursor: an operation whose whole span on this core is
+    /// `run` (the common case: a span inside one block).
+    fn demand_span(
+        &mut self,
+        books: &mut Books,
+        run: PageRun,
+        kind: AccessKind,
+        per_page_touch: bool,
+        out: &mut AccessOutcome,
+    );
+
+    /// Stages every page of `run` as readahead, ascending.
+    fn readahead_run(&mut self, books: &mut Books, run: PageRun, out: &mut AccessOutcome);
+
+    /// Stages the header page `id` at open.
+    fn open_page(&mut self, books: &mut Books, id: PageId, out: &mut AccessOutcome) -> bool;
+
+    /// Promotes a run's remembered page.
+    fn finish_run(&mut self, cursor: RunCursor);
+
+    /// Evicts every resident page of `file`.
+    fn evict_file(&mut self, books: &mut Books, file: FileId, out: &mut AccessOutcome);
+
+    /// Writes every dirty page back.
+    fn flush(&mut self, books: &mut Books, out: &mut AccessOutcome);
+
+    /// Clones the table behind the object.
+    fn clone_table(&self) -> Box<dyn PageTable>;
+}
+
+impl<P: PolicySet<PageId> + Clone + 'static> PageTable for P {
+    fn demand_run(
+        &mut self,
+        books: &mut Books,
+        run: PageRun,
+        kind: AccessKind,
+        per_page_touch: bool,
+        cursor: &mut RunCursor,
+        out: &mut AccessOutcome,
+    ) {
+        for id in run.pages() {
+            books.page_access(self, id, kind, per_page_touch, cursor, out);
+        }
+    }
+
+    fn demand_span(
+        &mut self,
+        books: &mut Books,
+        run: PageRun,
+        kind: AccessKind,
+        per_page_touch: bool,
+        out: &mut AccessOutcome,
+    ) {
+        let mut cursor = RunCursor::default();
+        self.demand_run(books, run, kind, per_page_touch, &mut cursor, out);
+        promote_run(self, cursor);
+    }
+
+    fn readahead_run(&mut self, books: &mut Books, run: PageRun, out: &mut AccessOutcome) {
+        for id in run.pages() {
+            books.stage(self, id, true, out);
+        }
+    }
+
+    fn open_page(&mut self, books: &mut Books, id: PageId, out: &mut AccessOutcome) -> bool {
+        books.stage(self, id, false, out)
+    }
+
+    fn finish_run(&mut self, cursor: RunCursor) {
+        promote_run(self, cursor);
+    }
+
+    fn evict_file(&mut self, books: &mut Books, file: FileId, out: &mut AccessOutcome) {
+        books.evict_file_pages(self, file, out);
+    }
+
+    fn flush(&mut self, books: &mut Books, out: &mut AccessOutcome) {
+        books.flush_pages(self, out);
+    }
+
+    fn clone_table(&self) -> Box<dyn PageTable> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn PageTable> {
+    fn clone(&self) -> Self {
+        (**self).clone_table()
+    }
+}
+
+/// The registry visitor that builds a policy's page table.
+struct AsPageTable;
+
+impl SetBuilder<PageId> for AsPageTable {
+    type Built = Box<dyn PageTable>;
+
+    fn build<P: PolicySet<PageId> + Clone + 'static>(capacity: usize) -> Box<dyn PageTable> {
+        Box::new(P::with_capacity(capacity))
+    }
+}
+
+/// The page level of the cache: one replacement-policy instance (whose
+/// slab doubles as the page table, see [`PolicySet`]), its counters,
+/// and the per-page transitions every operation decomposes into.
+///
+/// A core has no notion of files, operations or readahead — those live
+/// in the operation driver and its front-ends ([`BufferCache`],
+/// [`ShardedBufferCache`]). Of its [`CacheConfig`] it reads the
+/// capacity, the policies and the cost model; the readahead fields are
+/// the front-end's business.
+///
+/// The driver reaches the policy with one dynamic call per block run;
+/// the per-page methods below (`page_access`, `stage_prefetch`) are the
+/// same page step with one dynamic call per set operation, for callers
+/// that walk pages themselves (the sharding property tests' replicas).
+///
+/// [`ShardedBufferCache`]: crate::shard::ShardedBufferCache
+#[derive(Debug, Clone)]
+pub struct ShardCore {
+    books: Books,
+    resident: Box<dyn PageTable>,
+}
+
+impl ShardCore {
+    /// Creates an empty core holding up to `cfg.capacity_pages` pages.
+    pub fn new(cfg: CacheConfig) -> Self {
+        // A caller contract, not an input check: the constructor is
+        // infallible (`BufferCache::new` is on the frozen benchmark's
+        // call list) and every config in the repo carries a positive
+        // page size; a zero one would divide by zero later, so it stops
+        // here instead.
+        assert!(cfg.page_size > 0, "page size must be positive");
+        // The single registry point: the configured policy builds its
+        // own page table, sized so the replay hot loop never regrows.
+        let resident = cfg.policy.build_with::<PageId, AsPageTable>(cfg.capacity_pages);
+        Self { books: Books { cfg, metrics: CacheMetrics::default() }, resident }
+    }
+
+    /// Cumulative metrics.
+    pub fn metrics(&self) -> CacheMetrics {
+        self.books.metrics
+    }
+
+    /// Number of pages currently cached.
+    pub fn resident_pages(&self) -> usize {
+        self.resident.len()
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &CacheConfig {
+        &self.books.cfg
+    }
+
+    /// Whether the page holding `offset` is resident.
+    pub fn is_resident(&self, file: FileId, offset: u64) -> bool {
+        self.resident.contains(&PageId::containing(file, offset, self.books.cfg.page_size))
+    }
+
+    /// Performs the cache transition for one page of an operation,
+    /// threading miss-run and run-promotion state through `cursor` and
+    /// accumulating counters and cost into `out`.
+    ///
+    /// With `per_page_touch` the replacement policy is touched on every
+    /// hit (the [`BufferCache::access`] semantics); without it the
+    /// cursor remembers the page as the run's promotion candidate (the
+    /// [`BufferCache::access_run`] semantics) and the caller must invoke
+    /// [`ShardCore::finish_run`] after the last page.
+    pub fn page_access(
+        &mut self,
+        id: PageId,
+        kind: AccessKind,
+        per_page_touch: bool,
+        cursor: &mut RunCursor,
+        out: &mut AccessOutcome,
+    ) {
+        self.books.page_access(&mut *self.resident, id, kind, per_page_touch, cursor, out);
+    }
+
+    /// [`ShardCore::page_access`] for every page of `run`, in one call
+    /// into the policy.
+    #[inline]
+    pub(crate) fn demand_run(
+        &mut self,
+        run: PageRun,
+        kind: AccessKind,
+        per_page_touch: bool,
+        cursor: &mut RunCursor,
+        out: &mut AccessOutcome,
+    ) {
+        self.resident.demand_run(&mut self.books, run, kind, per_page_touch, cursor, out);
+    }
+
+    /// [`ShardCore::demand_run`] and [`ShardCore::finish_run`] for an
+    /// operation whose whole span on this core is `run`, in one call
+    /// into the policy.
+    #[inline]
+    pub(crate) fn demand_span(
+        &mut self,
+        run: PageRun,
+        kind: AccessKind,
+        per_page_touch: bool,
+        out: &mut AccessOutcome,
+    ) {
+        self.resident.demand_span(&mut self.books, run, kind, per_page_touch, out);
+    }
+
+    /// Completes a run-promotion (`per_page_touch = false`) sequence of
+    /// [`ShardCore::page_access`] calls: the run's final resident page
+    /// is promoted once, standing for the whole stretch.
+    #[inline]
+    pub fn finish_run(&mut self, cursor: RunCursor) {
+        self.resident.finish_run(cursor);
+    }
+
+    /// Stages one readahead page on behalf of the current operation,
+    /// charging its transfer to `out`. No-op (returning `false`) when
+    /// the page is already resident or caching is disabled.
+    pub fn stage_prefetch(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
+        self.books.stage(&mut *self.resident, id, true, out)
+    }
+
+    /// [`ShardCore::stage_prefetch`] for every page of `run`, in one
+    /// call into the policy.
+    #[inline]
+    pub(crate) fn readahead_run(&mut self, run: PageRun, out: &mut AccessOutcome) {
+        self.resident.readahead_run(&mut self.books, run, out);
+    }
+
+    /// Stages a page at open time without charging fault or prefetch
+    /// cost (the platform overlaps the header read with the open).
+    pub fn stage_open_page(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
+        self.resident.open_page(&mut self.books, id, out)
+    }
+
+    /// Evicts every resident page of `file`, writing dirty ones back
+    /// into `out` — the page-side effect of a close, without the fixed
+    /// close cost or the readahead-state reset.
+    pub fn evict_file_pages(&mut self, file: FileId, out: &mut AccessOutcome) {
+        self.resident.evict_file(&mut self.books, file, out);
+    }
+
+    /// Writes every dirty page back without evicting, accumulating into
+    /// `out` — the page-side effect of a flush.
+    pub fn flush_pages(&mut self, out: &mut AccessOutcome) {
+        self.resident.flush(&mut self.books, out);
     }
 }
 
@@ -859,6 +1122,125 @@ mod tests {
             };
             assert_eq!(walk(&mut a), walk(&mut b), "{}", policy.name());
             assert_eq!(a.flush(), b.flush());
+        }
+    }
+
+    #[test]
+    fn the_compiled_page_level_matches_the_per_page_spi() {
+        // The driver reaches the policy once per block run, through the
+        // page table compiled for it; a replica core driven page by
+        // page through the per-page surface (one dynamic call per set
+        // operation) must agree with it op for op, cost bits included —
+        // under every policy, and on the branches no golden reaches:
+        // capacity 0 and 1, write-through, readahead off.
+        for policy in ReplacementPolicy::ALL {
+            for write_policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+                for capacity_pages in [0, 1, 7, 64] {
+                    for prefetch_enabled in [true, false] {
+                        let cfg = CacheConfig {
+                            policy,
+                            write_policy,
+                            capacity_pages,
+                            prefetch_enabled,
+                            ..Default::default()
+                        };
+                        let case = format!(
+                            "{} {write_policy:?} capacity {capacity_pages} readahead \
+                             {prefetch_enabled}",
+                            policy.name()
+                        );
+                        compiled_matches_per_page(cfg, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One stream of opens, closes, seeks, `access` and `access_run`
+    /// through a [`BufferCache`] and, page by page, through a replica.
+    fn compiled_matches_per_page(cfg: CacheConfig, case: &str) {
+        let mut cache = BufferCache::new(cfg.clone());
+        let mut replica = ShardCore::new(cfg.clone());
+        let mut detector = Prefetcher::new(cfg.prefetch);
+        let (costs, page_size) = (cfg.costs, cfg.page_size);
+        let readahead = cfg.prefetch_enabled && cfg.capacity_pages > 0;
+        let files = [cache.register_file("a"), cache.register_file("b")];
+        let mut next = [0u64; 2];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..600 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let f = (x & 1) as usize;
+            let file = files[f];
+            // Up to 20 pages, half of them continuing the file's last
+            // access (so readahead fires), the rest anywhere in 160
+            // pages; some spans cross a shard block.
+            let offset = if x & 8 == 0 {
+                next[f]
+            } else {
+                (x >> 8) % 160 * page_size + (x >> 40) % 3 * 1000
+            };
+            let len = (x >> 20) % (20 * page_size);
+            next[f] = (offset + len) % (200 * page_size);
+            let kind = if x & 2 == 0 { AccessKind::Write } else { AccessKind::Read };
+            let per_page_touch = x & 4 == 0;
+
+            let mut want = AccessOutcome::default();
+            let got = match step % 23 {
+                21 => {
+                    want.cost_ms += costs.close_base;
+                    replica.evict_file_pages(file, &mut want);
+                    detector.forget(file);
+                    cache.close(file)
+                }
+                17 => {
+                    want.cost_ms += costs.open_base;
+                    replica.stage_open_page(PageId { file, index: 0 }, &mut want);
+                    cache.open(file)
+                }
+                13 => {
+                    want.cost_ms += costs.seek_base;
+                    let index = offset / page_size;
+                    if index > 0 {
+                        detector.on_access(file, index, index - 1);
+                    }
+                    cache.seek(file, offset)
+                }
+                _ => {
+                    want.cost_ms += costs.op_base;
+                    let (first, last) = crate::page::page_span(offset, len, page_size);
+                    let mut cursor = RunCursor::default();
+                    for index in first..=last {
+                        let id = PageId { file, index };
+                        replica.page_access(id, kind, per_page_touch, &mut cursor, &mut want);
+                    }
+                    replica.finish_run(cursor);
+                    if readahead {
+                        let window = detector.on_access(file, first, last);
+                        for index in last + 1..=last + window {
+                            replica.stage_prefetch(PageId { file, index }, &mut want);
+                        }
+                    }
+                    if per_page_touch {
+                        cache.access(file, offset, len, kind)
+                    } else {
+                        cache.access_run(file, offset, len, kind)
+                    }
+                }
+            };
+            assert_eq!(got, want, "{case}, step {step}");
+            assert_eq!(got.cost_ms.to_bits(), want.cost_ms.to_bits(), "{case}, step {step}");
+            assert_eq!(cache.metrics(), replica.metrics(), "{case}, step {step}");
+        }
+        assert_eq!(cache.resident_pages(), replica.resident_pages(), "{case}");
+        assert!(cache.metrics().accesses() > 0, "{case}");
+        let m = cache.metrics();
+        if cfg.capacity_pages > 1 {
+            assert!(m.hits > 0 && m.evictions > 0 && m.writebacks > 0, "{case}: {m:?}");
+        }
+        if readahead && cfg.capacity_pages > 1 {
+            assert!(m.prefetch_hits > 0, "{case}: {m:?}");
         }
     }
 

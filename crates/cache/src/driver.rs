@@ -28,7 +28,7 @@
 use std::iter::StepBy;
 use std::ops::Range;
 
-use crate::cache::{AccessKind, AccessOutcome, CacheConfig, RunCursor, ShardCore};
+use crate::cache::{AccessKind, AccessOutcome, CacheConfig, PageRun, RunCursor, ShardCore};
 use crate::page::{page_span, FileId, PageId};
 use crate::prefetch::Prefetcher;
 use crate::shard::SHARD_BLOCK_PAGES;
@@ -149,26 +149,16 @@ pub(crate) fn data_op<S: ShardSet>(
     let readahead = cfg.prefetch_enabled && cfg.capacity_pages > 0;
     set.charge_base(base);
     let (first, last) = page_span(offset, len, page_size);
-    let pages = |core: &mut ShardCore,
-                 out: &mut AccessOutcome,
-                 cursor: &mut RunCursor,
-                 (start, end): (u64, u64)| {
-        for index in start..=end {
-            core.page_access(PageId { file, index }, kind, per_page_touch, cursor, out);
-        }
-    };
 
     let blocks = last / SHARD_BLOCK_PAGES - first / SHARD_BLOCK_PAGES + 1;
     if blocks == 1 {
         // The common case (a span inside one aligned block, hence one
-        // shard): no cursor table, one `on_shard`, promotion inside it.
-        // This is the path nearly every web-server request takes.
+        // shard): no cursor table, one `on_shard` and one call into the
+        // policy, promotion inside it. This is the path nearly every
+        // web-server request takes.
         if let Some(s) = set.owner(PageId { file, index: first }) {
-            set.on_shard(s, |core, out| {
-                let mut cursor = RunCursor::default();
-                pages(core, out, &mut cursor, (first, last));
-                core.finish_run(cursor);
-            });
+            let run = PageRun { file, first, last };
+            set.on_shard(s, |core, out| core.demand_span(run, kind, per_page_touch, out));
         }
     } else {
         // Walk the span block by block, one `on_shard` each, then
@@ -188,17 +178,18 @@ pub(crate) fn data_op<S: ShardSet>(
             spill
         };
         let mut touched = 0;
-        for block in block_runs(first, last) {
-            let Some(s) = set.owner(PageId { file, index: block.0 }) else { continue };
-            let run = match runs[..touched].iter().position(|&(shard, _)| shard == s) {
-                Some(run) => run,
+        for (first, last) in block_runs(first, last) {
+            let Some(s) = set.owner(PageId { file, index: first }) else { continue };
+            let at = match runs[..touched].iter().position(|&(shard, _)| shard == s) {
+                Some(at) => at,
                 None => {
                     runs[touched] = (s, RunCursor::default());
                     touched += 1;
                     touched - 1
                 }
             };
-            set.on_shard(s, |core, out| pages(core, out, &mut runs[run].1, block));
+            let (run, cursor) = (PageRun { file, first, last }, &mut runs[at].1);
+            set.on_shard(s, |core, out| core.demand_run(run, kind, per_page_touch, cursor, out));
         }
         for &(s, cursor) in &runs[..touched] {
             if cursor.has_pending_promotion() {
@@ -209,15 +200,11 @@ pub(crate) fn data_op<S: ShardSet>(
 
     if readahead {
         let window = observe(set, file, first, last);
-        // The window sits in one or two blocks: one `on_shard` each,
-        // not one per staged page.
-        for (start, end) in block_runs(last + 1, last + window) {
-            if let Some(s) = set.owner(PageId { file, index: start }) {
-                set.on_shard(s, |core, out| {
-                    for index in start..=end {
-                        core.stage_prefetch(PageId { file, index }, out);
-                    }
-                });
+        // The window sits in one or two blocks: one `on_shard` (and one
+        // call into the policy) each, not one per staged page.
+        for (first, last) in block_runs(last + 1, last + window) {
+            if let Some(s) = set.owner(PageId { file, index: first }) {
+                set.on_shard(s, |core, out| core.readahead_run(PageRun { file, first, last }, out));
             }
         }
     }

@@ -59,7 +59,7 @@ const FINISH_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
 /// gives up — single-page random misses open and close a group per
 /// page — is measured in [`crate::intrusive`]'s module docs, not here.
 /// Nothing about trace admission
-/// (`V01`-`V09`) depends on the hasher. Keys from outside the program
+/// (`V01`-`V10`) depends on the hasher. Keys from outside the program
 /// that are *not* capacity-bounded should keep std's default hasher.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MixHasher {

@@ -290,6 +290,11 @@ impl<K: GroupKey> GroupIndex<K> {
             return (owner as usize, false);
         }
         let owner = make(group);
+        // Cannot fire short of 2^32 - 1 tracked keys: an owner slot
+        // indexes a slab holding one entry per tracked key, and a
+        // capacity that large is tens of GiB of slab before the first
+        // insert. Kept as an assert because a wrapped slot would
+        // silently alias another key.
         assert!(owner < VACANT as usize, "owner slots fit a lane");
         let entry = &mut self.groups[group as usize];
         entry.lanes[lane] = owner as u32;

@@ -14,16 +14,16 @@
 //!   so it is also the one page table,
 //! - [`lru`] — an O(1) LRU list,
 //! - [`policy`] — the [`PolicySet`] trait all seven replacement
-//!   policies implement, and the selector enum whose `build` method is
-//!   the single policy registry,
+//!   policies implement, and the selector enum whose one match is the
+//!   single policy registry,
 //! - [`prefetch`] — a sequential readahead detector,
 //! - [`scanres`] — scan-resistant replacement (2Q, segmented LRU),
 //! - [`sieve`] — SIEVE (visited-bit hand, lazy promotion),
 //! - [`arc`] — ARC (adaptive recency/frequency with ghost lists),
 //! - [`cache`] — the page-level core ([`cache::ShardCore`]: policy
-//!   slab, counters, per-page transitions, and a cost model that turns
-//!   hits/misses/prefetches into simulated latencies) and the
-//!   single-owner [`BufferCache`] over one core,
+//!   slab, counters, per-page transitions compiled once per policy, and
+//!   a cost model that turns hits/misses/prefetches into simulated
+//!   latencies) and the single-owner [`BufferCache`] over one core,
 //! - `driver` (crate-private) — the one operation-level state machine:
 //!   how open / close / seek / read-write decompose into page steps on
 //!   shards plus readahead, generic over a small shard-set seam that
@@ -49,6 +49,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod arc;
 pub mod backend;

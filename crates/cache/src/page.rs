@@ -59,6 +59,8 @@ impl GroupKey for PageId {
 /// still faults the header page on the paper's platform). A range that
 /// would run past `u64::MAX` ends at the last addressable page.
 pub fn page_span(offset: u64, len: u64, page_size: u64) -> (u64, u64) {
+    // A caller contract: every page size in the crate comes from a
+    // `CacheConfig`, and a core refuses a zero one at construction.
     assert!(page_size > 0, "page size must be positive");
     let first = offset / page_size;
     if len == 0 {

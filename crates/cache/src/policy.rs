@@ -12,10 +12,10 @@
 //!   `pop_victim_entry` / `remove_entry` / `visit_residents`) that
 //!   makes the policy's slab the owning cache's page table,
 //! - [`ReplacementPolicy`] — the serializable policy selector whose
-//!   [`ReplacementPolicy::build`] method is the **single registry
-//!   point** mapping a selector to a boxed policy instance; the cache,
-//!   the sharded cache, and the experiment layer all construct
-//!   policies through it,
+//!   one match is the **single registry point** mapping a selector to
+//!   a policy: [`ReplacementPolicy::build`] boxes it as a key-level
+//!   `dyn PolicySet`, and the cache builds its compiled page table from
+//!   the same arms,
 //! - [`ClockSet`] — the second-chance/CLOCK approximation of LRU
 //!   (reference bits swept by a hand),
 //! - [`FifoSet`] — pure insertion-order eviction (no recency at all).
@@ -54,8 +54,13 @@ use crate::sieve::SieveSet;
 /// with no probe at all. A slot stays valid until its key leaves the
 /// resident set. The key-level methods are provided on top.
 ///
-/// Implementations are selected at exactly one place,
-/// [`ReplacementPolicy::build`], and used as `Box<dyn PolicySet<K>>`.
+/// Implementations are selected at exactly one place, the match in
+/// [`ReplacementPolicy::build`]. Everyone outside the cache uses them as
+/// `Box<dyn PolicySet<K>>`, one dynamic call per set operation, and
+/// this key-level surface is unchanged for them. The cache does not:
+/// its page level is compiled against each concrete set (see
+/// [`crate::cache`]), so its dynamic boundary sits one level up, at a
+/// block run of pages, and the set's methods inline into the page step.
 pub trait PolicySet<K>: fmt::Debug + Send {
     /// Creates an empty set sized for a cache of `capacity` keys (the
     /// crate-wide constructor convention; implementations bound their
@@ -204,30 +209,56 @@ impl ReplacementPolicy {
     }
 
     /// Builds the residency set this selector names, sized for a cache
-    /// of `capacity` keys.
-    ///
-    /// This is the **single registry point** from selector to
-    /// implementation: [`crate::cache::BufferCache`] (and through it
-    /// the sharded cache and the experiment layer) constructs every
-    /// policy here, so adding a policy means one new enum variant and
-    /// one new match arm.
+    /// of `capacity` keys, as a key-level `dyn PolicySet` — how every
+    /// user outside the cache gets a policy. The cache builds its page
+    /// table from the same (crate-private) match this boxes through.
     pub fn build<K>(self, capacity: usize) -> Box<dyn PolicySet<K>>
     where
         K: GroupKey + fmt::Debug + Send + 'static,
     {
-        fn boxed<K, P: PolicySet<K> + 'static>(capacity: usize) -> Box<dyn PolicySet<K>> {
-            Box::new(P::with_capacity(capacity))
+        struct Boxed;
+        impl<K: 'static> SetBuilder<K> for Boxed {
+            type Built = Box<dyn PolicySet<K>>;
+            fn build<P: PolicySet<K> + Clone + 'static>(capacity: usize) -> Self::Built {
+                Box::new(P::with_capacity(capacity))
+            }
         }
+        self.build_with::<K, Boxed>(capacity)
+    }
+
+    /// Hands the concrete set type this selector names to `B`.
+    ///
+    /// This is the **single registry point** from selector to
+    /// implementation: [`ReplacementPolicy::build`] boxes the set as a
+    /// key-level `dyn PolicySet`, the cache's page level compiles its
+    /// transitions against it (see [`crate::cache`]), and adding a
+    /// policy means one new enum variant and one new arm here.
+    pub(crate) fn build_with<K, B>(self, capacity: usize) -> B::Built
+    where
+        K: GroupKey + fmt::Debug + Send + 'static,
+        B: SetBuilder<K>,
+    {
         match self {
-            ReplacementPolicy::Lru => boxed::<K, LruList<K>>(capacity),
-            ReplacementPolicy::Clock => boxed::<K, ClockSet<K>>(capacity),
-            ReplacementPolicy::Fifo => boxed::<K, FifoSet<K>>(capacity),
-            ReplacementPolicy::TwoQ => boxed::<K, TwoQSet<K>>(capacity),
-            ReplacementPolicy::Slru => boxed::<K, SlruSet<K>>(capacity),
-            ReplacementPolicy::Sieve => boxed::<K, SieveSet<K>>(capacity),
-            ReplacementPolicy::Arc => boxed::<K, ArcSet<K>>(capacity),
+            ReplacementPolicy::Lru => B::build::<LruList<K>>(capacity),
+            ReplacementPolicy::Clock => B::build::<ClockSet<K>>(capacity),
+            ReplacementPolicy::Fifo => B::build::<FifoSet<K>>(capacity),
+            ReplacementPolicy::TwoQ => B::build::<TwoQSet<K>>(capacity),
+            ReplacementPolicy::Slru => B::build::<SlruSet<K>>(capacity),
+            ReplacementPolicy::Sieve => B::build::<SieveSet<K>>(capacity),
+            ReplacementPolicy::Arc => B::build::<ArcSet<K>>(capacity),
         }
     }
+}
+
+/// What [`ReplacementPolicy::build_with`] does with the set type a
+/// selector names: a visitor over the seven concrete types, so code that
+/// needs the type itself (not a `dyn PolicySet`) shares the one match.
+pub(crate) trait SetBuilder<K> {
+    /// What building produces.
+    type Built;
+
+    /// Builds from set type `P`, sized for a cache of `capacity` keys.
+    fn build<P: PolicySet<K> + Clone + 'static>(capacity: usize) -> Self::Built;
 }
 
 /// How writes interact with the backing store.
@@ -265,6 +296,10 @@ pub struct ClockSet<K: GroupKey> {
     index: GroupIndex<K>,
     free: Vec<usize>,
     hand: usize,
+    /// What [`PolicySet::payload_mut`] hands out for a slot that holds
+    /// no key (a caller bug the trait has no error channel for): a byte
+    /// nobody reads, where a list-based set hands out the freed node's.
+    scratch: u8,
 }
 
 impl<K: GroupKey> ClockSet<K> {
@@ -282,11 +317,14 @@ impl<K: GroupKey> ClockSet<K> {
             index: GroupIndex::with_capacity(capacity),
             free: Vec::new(),
             hand: 0,
+            scratch: 0,
         }
     }
 
-    fn entry_mut(&mut self, slot: usize) -> &mut ClockEntry<K> {
-        self.entries[slot].as_mut().expect("slot of a resident key")
+    /// The entry in `slot`, if it holds a key.
+    #[inline]
+    fn entry_mut(&mut self, slot: usize) -> Option<&mut ClockEntry<K>> {
+        self.entries.get_mut(slot)?.as_mut()
     }
 }
 
@@ -317,12 +355,17 @@ where
     }
 
     fn payload_mut(&mut self, slot: usize) -> &mut u8 {
-        &mut self.entry_mut(slot).payload
+        match self.entries.get_mut(slot) {
+            Some(Some(e)) => &mut e.payload,
+            _ => &mut self.scratch,
+        }
     }
 
     /// Sets the reference bit.
     fn hit(&mut self, slot: usize) {
-        self.entry_mut(slot).referenced = true;
+        if let Some(e) = self.entry_mut(slot) {
+            e.referenced = true;
+        }
     }
 
     /// Inserts referenced, reusing a freed position if there is one.
@@ -342,7 +385,9 @@ where
             }
         });
         if !inserted {
-            self.entry_mut(slot).payload = payload;
+            if let Some(e) = self.entry_mut(slot) {
+                e.payload = payload;
+            }
         }
     }
 
@@ -355,15 +400,13 @@ where
             self.hand %= self.entries.len();
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.entries.len();
-            match self.entries[slot].as_mut() {
-                None => continue,
-                Some(e) if e.referenced => e.referenced = false,
-                Some(_) => {
-                    let e = self.entries[slot].take().expect("checked Some");
-                    self.index.remove_at(e.group, &e.key);
-                    self.free.push(slot);
-                    return Some((e.key, e.payload));
-                }
+            let entry = &mut self.entries[slot];
+            if let Some(e) = entry.as_mut().filter(|e| e.referenced) {
+                e.referenced = false;
+            } else if let Some(e) = entry.take() {
+                self.index.remove_at(e.group, &e.key);
+                self.free.push(slot);
+                return Some((e.key, e.payload));
             }
         }
     }

@@ -309,6 +309,9 @@ impl ShardedBufferCache {
     /// threads without contending; each must be fed the *whole*
     /// operation stream, in order.
     pub fn worker_view(&self, worker: usize, threads: usize) -> ShardView<'_> {
+        // A caller contract: the replay engines ask for workers
+        // `0..threads` only; a worker past them would own no shard and
+        // silently replay nothing.
         assert!(worker < threads, "worker {worker} of {threads}");
         let owned = (worker..self.shards.len()).step_by(threads).len();
         ShardView {

@@ -16,7 +16,7 @@ pub enum ExpError {
     InvalidWorkload(String),
     /// A synthetic [`TraceProfile`](clio_trace::synth::TraceProfile)
     /// is degenerate. The coded [`ProfileError`] rides along whole, so
-    /// callers can match on the rule (`err.code()`, `P01`–`P07`)
+    /// callers can match on the rule (`err.code()`, `P01`–`P08`)
     /// instead of parsing a message.
     Profile(ProfileError),
     /// The experiment configuration is invalid (missing workload, bad

@@ -28,7 +28,7 @@ use clio_cache::page::FileId;
 use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};
 use clio_stats::sink::PercentileSink;
 use clio_trace::record::{IoOp, TraceRecord};
-use clio_trace::replay::ReportMode;
+use clio_trace::replay::{check_record, ReportMode};
 use clio_trace::source::TraceSource;
 use clio_trace::TraceError;
 use serde::{Deserialize, Serialize};
@@ -181,19 +181,20 @@ struct Client {
 /// request sequence.
 ///
 /// # Errors
-/// [`TraceError::FileIdOutOfRange`] for a record naming a file outside
-/// the registered roster; `index` is its position in the client's
-/// stream.
+/// What [`check_record`] returns for the record, before anything is
+/// issued: [`TraceError::FileIdOutOfRange`] for a file outside the
+/// registered roster, [`TraceError::SpanTooLong`] for a span the cache
+/// would walk for ever; `index` is its position in the client's stream.
 fn dispatch(
     managed: &SharedManagedIo,
     files: &[FileId],
     index: u64,
     r: &TraceRecord,
 ) -> Result<Option<(clio_runtime::StreamOp, usize)>, TraceError> {
-    let Some(&fid) = files.get(r.file_id as usize) else {
-        let num_files = files.len() as u32;
-        return Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files });
-    };
+    // The roster is registered from a `u32` count, so its length fits,
+    // and a checked record's file id indexes it.
+    check_record(files.len() as u32, index, r)?;
+    let fid = files[r.file_id as usize];
     let (op, offset) = match r.op {
         IoOp::Open => (managed.open("open", FILE_HELPER_OPS, fid), 0),
         IoOp::Close => (managed.close("close", FILE_HELPER_OPS, fid), 0),

@@ -35,6 +35,18 @@ pub enum TraceError {
         /// Number of files the header declares.
         num_files: u32,
     },
+    /// A data record spanned more bytes over its repeats than
+    /// [`crate::verify::MAX_SPAN_BYTES`] — the verifier's `V10`,
+    /// reported by an unverified replay before the record reaches the
+    /// cache.
+    SpanTooLong {
+        /// 0-based index of the offending record.
+        index: u64,
+        /// The record's byte length.
+        length: u64,
+        /// The record's repeat count.
+        num_records: u32,
+    },
     /// A parallel replay re-opened its workload and the streams did not
     /// line up: one ended where another went on. Every open of a
     /// workload must yield the same records.
@@ -87,6 +99,14 @@ impl fmt::Display for TraceError {
                     f,
                     "record {index} references file {file_id} but header declares \
                      {num_files} files"
+                )
+            }
+            TraceError::SpanTooLong { index, length, num_records } => {
+                write!(
+                    f,
+                    "record {index} spans {length} bytes x {num_records} repeats, over the \
+                     {} byte bound (V10)",
+                    crate::verify::MAX_SPAN_BYTES
                 )
             }
             TraceError::StreamDiverged { index } => {
@@ -147,6 +167,9 @@ mod tests {
             .to_string()
             .contains("file 5"));
         assert!(TraceError::StreamDiverged { index: 41 }.to_string().contains("record 41"));
+        assert!(TraceError::SpanTooLong { index: 2, length: 1 << 62, num_records: 1 }
+            .to_string()
+            .contains("V10"));
         assert!(TraceError::TrailingBytes { extra: 9 }.to_string().contains("9 trailing"));
         assert!(TraceError::CorruptBlock { block: 3, context: "bad op nibble" }
             .to_string()

@@ -37,9 +37,12 @@
 //!
 //! A record naming a file at or past the source's declared
 //! `meta().num_files` ends the replay with
-//! [`TraceError::FileIdOutOfRange`] (loaded traces are validated and
-//! admission rule `V02` rejects such records up front; the drivers check
-//! again because hand-built sources can be replayed unverified).
+//! [`TraceError::FileIdOutOfRange`], and a data record spanning more
+//! than [`MAX_SPAN_BYTES`](crate::verify::MAX_SPAN_BYTES) with
+//! [`TraceError::SpanTooLong`], before the cache sees it (admission
+//! rules `V02` and `V10` reject such records up front; the drivers
+//! check again, in [`check_record`], because hand-built sources can be
+//! replayed unverified).
 //!
 //! The cached drivers speak to the cache in its four operation verbs
 //! (open, close, seek, read/write) and nothing finer: how an operation
@@ -67,6 +70,7 @@ use crate::error::TraceError;
 use crate::reader::TraceFile;
 use crate::record::{IoOp, TraceRecord};
 use crate::source::TraceSource;
+use crate::verify::span_too_long;
 
 /// How a replay engine reports its results.
 ///
@@ -241,14 +245,23 @@ impl ReplayReport {
     }
 }
 
-/// Rejects a record that names a file outside the source's declared
-/// roster. `index` is the record's 0-based position in the stream.
-fn check_roster(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), TraceError> {
-    if r.file_id < num_files {
-        Ok(())
-    } else {
-        Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files })
+/// The checks every replay engine makes on a record before acting on
+/// it, verified or not: it names a file inside the source's declared
+/// roster, and it spans no more than the verifier's `V10` bound (the
+/// cache walks a span page by page, so one giant record would hang the
+/// replay). `index` is the record's 0-based position in the stream.
+pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), TraceError> {
+    if r.file_id >= num_files {
+        return Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files });
     }
+    if span_too_long(r) {
+        return Err(TraceError::SpanTooLong {
+            index,
+            length: r.length,
+            num_records: r.num_records,
+        });
+    }
+    Ok(())
 }
 
 /// The conservation oracle of the cached drivers (debug builds only):
@@ -293,7 +306,7 @@ pub fn replay_cached<S: TraceSource + ?Sized>(
     let mut ledger = PageLedger::default();
 
     while let Some(r) = source.next_record() {
-        check_roster(meta.num_files, report.stats.records, &r)?;
+        check_record(meta.num_files, report.stats.records, &r)?;
         ledger.count(&r, cache.config().page_size);
         let fid = file_ids[r.file_id as usize];
         let repeats = r.num_records.max(1);
@@ -387,14 +400,18 @@ fn base_cost(config: &CacheConfig, op: IoOp) -> f64 {
 /// shard they match [`replay_cached`]'s hit/miss accounting
 /// access-for-access.
 ///
-/// `trace` must pass [`TraceFile::validate`] (a hand-assembled one may
-/// not); the violation is returned before any worker starts.
+/// `trace` must pass [`TraceFile::validate`] and every record
+/// [`check_record`] (a hand-assembled one may not); the violation is
+/// returned before any worker starts.
 pub fn replay_parallel(
     trace: &TraceFile,
     config: CacheConfig,
     options: &ParallelReplayOptions,
 ) -> Result<ReplayReport, TraceError> {
     trace.validate()?;
+    for (index, r) in trace.records.iter().enumerate() {
+        check_record(trace.header.num_files, index as u64, r)?;
+    }
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
     let file_ids: Vec<FileId> = (0..trace.header.num_files)
         .map(|i| cache.register_file(format!("{}#{}", trace.header.sample_file, i)))
@@ -469,9 +486,9 @@ const PAR_CHUNK: usize = 1024;
 /// is what keeps the two engines and every thread count
 /// bitwise-identical — and keeps each record in stream order.
 ///
-/// A record outside the declared file roster is reported from the lead
-/// stream; the workers, which meet the same record in their own
-/// streams, just stop. A worker whose stream turns out shorter or
+/// A record [`check_record`] rejects is reported from the lead stream;
+/// the workers, which meet the same record in their own streams, just
+/// stop. A worker whose stream turns out shorter or
 /// longer than the lead's — a file rewritten between opens, a factory
 /// over a one-shot iterator — ends the replay with
 /// [`TraceError::StreamDiverged`].
@@ -516,9 +533,12 @@ where
                 };
                 let mut chunk = fresh(n_owned);
                 while let Some(r) = source.next_record() {
-                    let Some(&fid) = file_ids.get(r.file_id as usize) else {
-                        return; // the lead stream reports it; stop quietly
-                    };
+                    // A record the lead rejects (`check_record`) is
+                    // reported from the lead stream; stop quietly.
+                    let Some(&fid) = file_ids.get(r.file_id as usize) else { return };
+                    if span_too_long(&r) {
+                        return;
+                    }
                     for col in chunk.iter_mut() {
                         col.push(0.0);
                     }
@@ -546,7 +566,7 @@ where
                 match lead.next_record() {
                     Some(r) => {
                         let index = report.stats.records + records_buf.len() as u64;
-                        check_roster(meta.num_files, index, &r)?;
+                        check_record(meta.num_files, index, &r)?;
                         ledger.count(&r, config.page_size);
                         records_buf.push(r);
                     }
@@ -677,7 +697,7 @@ pub fn replay_backend<S: TraceSource + ?Sized>(
     let mut report = ReplayReport::new(mode, source.size_hint().0);
 
     while let Some(r) = source.next_record() {
-        check_roster(num_files, report.stats.records, &r)?;
+        check_record(num_files, report.stats.records, &r)?;
         let repeats = r.num_records.max(1);
         let mut total_ms = 0.0;
         for _ in 0..repeats {

@@ -17,6 +17,7 @@ use crate::reader::TraceFile;
 use crate::record::{IoOp, TraceRecord};
 use crate::source::{materialize, SourceMeta, TraceSource};
 use crate::stats::TraceStats;
+use crate::verify::MAX_SPAN_BYTES;
 
 /// How non-sequential data-op offsets distribute over the file (or,
 /// with [`TraceProfile::phases`] > 1, over the current phase region).
@@ -176,10 +177,17 @@ pub enum ProfileError {
         /// What is wrong with it.
         reason: &'static str,
     },
+    /// `P08` — the largest request spans more than the verifier's
+    /// `V10` bound ([`MAX_SPAN_BYTES`]): the profile could synthesize a
+    /// record strict admission rejects.
+    RequestTooLong {
+        /// Largest request the profile can draw.
+        max_request: u64,
+    },
 }
 
 impl ProfileError {
-    /// The stable rule code (`P01`–`P07`).
+    /// The stable rule code (`P01`–`P08`).
     pub fn code(&self) -> &'static str {
         match self {
             ProfileError::FractionRange { .. } => "P01",
@@ -189,6 +197,7 @@ impl ProfileError {
             ProfileError::BadPopularity { .. } => "P05",
             ProfileError::BadArrival { .. } => "P06",
             ProfileError::BadPhases { .. } => "P07",
+            ProfileError::RequestTooLong { .. } => "P08",
         }
     }
 }
@@ -216,6 +225,9 @@ impl fmt::Display for ProfileError {
             ProfileError::BadArrival { reason } => write!(f, "bad arrival process: {reason}"),
             ProfileError::BadPhases { phases, reason } => {
                 write!(f, "bad phase count {phases}: {reason}")
+            }
+            ProfileError::RequestTooLong { max_request } => {
+                write!(f, "largest request of {max_request} B spans more than {MAX_SPAN_BYTES} B")
             }
         }
     }
@@ -335,6 +347,11 @@ impl TraceProfile {
                 phases: self.phases,
                 reason: "phase regions smaller than the largest request",
             });
+        }
+        // Synthesized records carry one repeat, so the request is the
+        // whole span.
+        if self.request_size.1 > MAX_SPAN_BYTES {
+            return Err(ProfileError::RequestTooLong { max_request: self.request_size.1 });
         }
         Ok(())
     }
@@ -752,6 +769,14 @@ mod tests {
         assert_eq!(code(TraceProfile { phases: 0, ..Default::default() }), "P07");
         // 1 GB / 8192 phases < the 256 KiB max request.
         assert_eq!(code(TraceProfile { phases: 8192, ..Default::default() }), "P07");
+        // The file holds the request; the verifier's V10 does not.
+        let giant = |hi| TraceProfile {
+            request_size: (4096, hi),
+            file_size: 1 << 40,
+            ..Default::default()
+        };
+        assert_eq!(code(giant(MAX_SPAN_BYTES + 1)), "P08");
+        assert!(giant(MAX_SPAN_BYTES).validate().is_ok(), "the bound itself is admitted");
         let msg = TraceProfile { data_ops: 0, ..Default::default() }.validate().unwrap_err();
         assert!(msg.to_string().contains("P04"), "Display carries the code: {msg}");
     }

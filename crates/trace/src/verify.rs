@@ -22,6 +22,7 @@
 //! | `V07` | [`VerifyError::ZeroRepeat`] | `num_records > 0` |
 //! | `V08` | [`VerifyError::OffsetOverflow`] | `offset + length·num_records` fits in `u64` |
 //! | `V09` | [`VerifyError::MetadataWithLength`] | open/close/seek records carry `length == 0` |
+//! | `V10` | [`VerifyError::SpanTooLong`] | `length·num_records` is at most [`MAX_SPAN_BYTES`] |
 //!
 //! Clock monotonicity is per pid (capture clocks are shared across the
 //! processes of one trace, but mixed workloads interleave independent
@@ -71,6 +72,24 @@ use serde::{Deserialize, Serialize};
 use crate::error::TraceError;
 use crate::record::{IoOp, TraceRecord};
 use crate::source::{SourceMeta, TraceSource};
+
+/// The most bytes one record may span over all its repeats (`V10`):
+/// 4 GiB, a million 4 KiB pages. The cache walks a data record page by
+/// page, so the span is the record's work: a replay of one record at
+/// this bound takes tens of milliseconds, where `V08` alone let one
+/// record ask for 2^52 pages. Every built-in workload stays three
+/// orders of magnitude below it (synthesis is held to it by `P08`).
+pub const MAX_SPAN_BYTES: u64 = 1 << 32;
+
+/// Whether `r` is a data record spanning more than [`MAX_SPAN_BYTES`]
+/// over its repeats — the `V10` predicate, shared with the unverified
+/// replay engines, which apply it before the cache sees the record. A
+/// zero repeat count replays once there, so it counts as one.
+#[inline]
+pub fn span_too_long(r: &TraceRecord) -> bool {
+    r.op.transfers_data()
+        && r.length.saturating_mul(u64::from(r.num_records.max(1))) > MAX_SPAN_BYTES
+}
 
 /// How an experiment treats trace admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -190,10 +209,20 @@ pub enum VerifyError {
         /// The (nonzero) length it carried.
         length: u64,
     },
+    /// `V10`: a data record spanning more than [`MAX_SPAN_BYTES`] over
+    /// its repeats.
+    SpanTooLong {
+        /// 0-based index of the offending record.
+        index: u64,
+        /// The record's byte length.
+        length: u64,
+        /// The record's repeat count.
+        num_records: u32,
+    },
 }
 
 impl VerifyError {
-    /// The stable rule code (`"V01"`–`"V09"`), as listed in the module
+    /// The stable rule code (`"V01"`–`"V10"`), as listed in the module
     /// docs' rule table.
     pub fn code(&self) -> &'static str {
         match self {
@@ -206,6 +235,7 @@ impl VerifyError {
             VerifyError::ZeroRepeat { .. } => "V07",
             VerifyError::OffsetOverflow { .. } => "V08",
             VerifyError::MetadataWithLength { .. } => "V09",
+            VerifyError::SpanTooLong { .. } => "V10",
         }
     }
 
@@ -221,7 +251,8 @@ impl VerifyError {
             | VerifyError::UnclosedAtEof { index, .. }
             | VerifyError::ZeroRepeat { index }
             | VerifyError::OffsetOverflow { index, .. }
-            | VerifyError::MetadataWithLength { index, .. } => index,
+            | VerifyError::MetadataWithLength { index, .. }
+            | VerifyError::SpanTooLong { index, .. } => index,
         }
     }
 }
@@ -255,6 +286,12 @@ impl fmt::Display for VerifyError {
             VerifyError::MetadataWithLength { op, length, .. } => {
                 write!(f, "{} record carries {length} bytes of payload", op.name())
             }
+            VerifyError::SpanTooLong { length, num_records, .. } => {
+                write!(
+                    f,
+                    "{length} bytes x {num_records} repeats spans more than {MAX_SPAN_BYTES} bytes"
+                )
+            }
         }
     }
 }
@@ -283,6 +320,8 @@ pub struct ViolationCounts {
     pub offset_overflow: u64,
     /// `V09` violations.
     pub metadata_with_length: u64,
+    /// `V10` violations.
+    pub span_too_long: u64,
 }
 
 impl ViolationCounts {
@@ -298,6 +337,7 @@ impl ViolationCounts {
             VerifyError::ZeroRepeat { .. } => &mut self.zero_repeat,
             VerifyError::OffsetOverflow { .. } => &mut self.offset_overflow,
             VerifyError::MetadataWithLength { .. } => &mut self.metadata_with_length,
+            VerifyError::SpanTooLong { .. } => &mut self.span_too_long,
         };
         *slot += 1;
     }
@@ -313,6 +353,7 @@ impl ViolationCounts {
             + self.zero_repeat
             + self.offset_overflow
             + self.metadata_with_length
+            + self.span_too_long
     }
 }
 
@@ -409,12 +450,21 @@ impl Verifier {
         if r.num_records == 0 {
             return Err(VerifyError::ZeroRepeat { index });
         }
-        let bytes = r.length.checked_mul(r.num_records as u64);
-        if bytes.and_then(|b| r.offset.checked_add(b)).is_none() {
+        let span = r.length.checked_mul(r.num_records as u64);
+        let Some(span) = span.filter(|&span| r.offset.checked_add(span).is_some()) else {
             return Err(VerifyError::OffsetOverflow { index, offset: r.offset, length: r.length });
-        }
+        };
         if !r.op.transfers_data() && r.length != 0 {
             return Err(VerifyError::MetadataWithLength { index, op: r.op, length: r.length });
+        }
+        // [`span_too_long`] on a record `V07`-`V09` passed: a metadata
+        // record's span is zero by now, a data record's is `span`.
+        if span > MAX_SPAN_BYTES {
+            return Err(VerifyError::SpanTooLong {
+                index,
+                length: r.length,
+                num_records: r.num_records,
+            });
         }
         if self.options.check_clocks {
             let prev = match self.held_clock {
@@ -750,6 +800,25 @@ mod tests {
                     r
                 }],
                 "V09",
+                0,
+            ),
+            (
+                vec![rec(IoOp::Open, 0, 0, 0), {
+                    let mut r = rec(IoOp::Read, 0, 0, 0);
+                    r.length = 1 << 62;
+                    r
+                }],
+                "V10",
+                1,
+            ),
+            (
+                vec![{
+                    let mut r = rec(IoOp::Write, 0, 0, 0);
+                    r.length = MAX_SPAN_BYTES / 2 + 1;
+                    r.num_records = 2;
+                    r
+                }],
+                "V10",
                 0,
             ),
         ];

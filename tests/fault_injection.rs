@@ -263,6 +263,69 @@ fn unverified_out_of_roster_record_fails_every_replay_engine_with_an_error() {
 }
 
 #[test]
+fn a_giant_span_is_a_coded_error_before_any_cache_walks_it() {
+    // open / read / close where the read spans 2^62 bytes, or 1 MiB
+    // repeated u32::MAX times: both fit `V08` (offset + length x
+    // repeats stays inside u64), and a cache walking either would visit
+    // ~2^50 pages. Strict admission rejects them as `V10`; unverified,
+    // every cache-driving engine refuses them with the coded
+    // `TraceError` before its cache sees the record.
+    let giants = [(1u64 << 62, 1u32), (1 << 20, u32::MAX)];
+    let dir = std::env::temp_dir().join(format!("clio-span-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sample = dir.join("sample.dat");
+    std::fs::write(&sample, vec![7u8; 64 * 1024]).expect("sample file");
+    let engines = [
+        Engine::SerialReplay,
+        Engine::ParallelReplay,
+        Engine::Serve,
+        Engine::RealReplay { sample },
+    ];
+
+    for (length, num_records) in giants {
+        let mut read = rec(IoOp::Read, 2, 0, length);
+        read.num_records = num_records;
+        let records = vec![rec(IoOp::Open, 1, 0, 0), read, rec(IoOp::Close, 3, 0, 0)];
+        let trace =
+            Arc::new(TraceFile::build("giant.dat", 1, records).expect("structurally valid"));
+        let workload =
+            Workload::custom("giant", move || Box::new(SharedSource::new(trace.clone())));
+        for engine in engines.clone() {
+            for verify in [VerifyMode::Strict, VerifyMode::Off] {
+                let experiment = Experiment::builder()
+                    .workload(workload.clone())
+                    .engine(engine.clone())
+                    .verify(verify)
+                    .build()
+                    .expect("valid experiment");
+                let started = std::time::Instant::now();
+                let err = experiment.run().expect_err("the giant span must fail the run");
+                let took = started.elapsed();
+                let case = format!("{engine:?}/{verify:?}, {length} B x {num_records}");
+                match (verify, err) {
+                    (VerifyMode::Strict, ExpError::Verify(v)) => {
+                        assert_eq!((v.code(), v.index()), ("V10", 1), "{case}");
+                    }
+                    (
+                        VerifyMode::Off,
+                        ExpError::Trace(TraceError::SpanTooLong {
+                            index: 1,
+                            length: l,
+                            num_records: n,
+                        }),
+                    ) => assert_eq!((l, n), (length, num_records), "{case}"),
+                    (_, other) => panic!("{case}: expected the coded span error, got {other:?}"),
+                }
+                // A walk would take hours; refusing takes microseconds
+                // (generous here, for a loaded CI host).
+                assert!(took.as_millis() < 1000, "{case}: {took:?}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn lenient_quarantine_ledger_survives_summary_serialization() {
     let trace = Arc::new(TraceFile::build("fault.dat", 1, clean_records()).expect("clean"));
     let plan = FaultPlan::single(3, 4, FaultKind::BitFlip);
