@@ -1,6 +1,6 @@
 //! Strict-admission smoke: every built-in workload atom, plus the
 //! mix/chain combinators and the scenario knobs over them, must pass
-//! the verifier's full `V01`–`V10` rule table. CI runs this after the unit layer; any
+//! the verifier's full `V01`–`V11` rule table. CI runs this after the unit layer; any
 //! rejected workload exits nonzero with the rule code and record index.
 
 use clio_core::prelude::*;
@@ -25,7 +25,7 @@ const SPECS: [&str; 17] = [
     "phase:4",
 ];
 
-const RULES: [(&str, &str); 10] = [
+const RULES: [(&str, &str); 11] = [
     ("V01", "process id outside the header roster"),
     ("V02", "file id outside the header roster"),
     ("V03", "per-process wall clock rewound"),
@@ -36,6 +36,7 @@ const RULES: [(&str, &str); 10] = [
     ("V08", "offset + length x repeat overflows u64"),
     ("V09", "metadata operation carrying a length"),
     ("V10", "length x repeat spans more than 4 GiB"),
+    ("V11", "repeat count above 2^15"),
 ];
 
 fn main() {

@@ -23,9 +23,9 @@
 //!   serial engines stream once, the parallel engine opens one stream
 //!   per worker (plus a merge walk), and the simulators demultiplex a
 //!   stream per process through a
-//!   [`PidSplitter`](clio_trace::source::PidSplitter) that buffers
-//!   only the distance between the processes' cursors. No engine
-//!   materializes the workload.
+//!   [`PidSplitter`](clio_trace::source::PidSplitter), which feeds a
+//!   mix of synthetic sides one part per process and parks nothing
+//!   past the roster prefix. No engine materializes the workload.
 //! - [`Engine`] selects the machinery: serial cached replay,
 //!   sharded-parallel replay, trace-driven machine simulation,
 //!   seek-aware scheduled simulation, or real-backend replay.

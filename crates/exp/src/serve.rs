@@ -184,7 +184,9 @@ struct Client {
 /// What [`check_record`] returns for the record, before anything is
 /// issued: [`TraceError::FileIdOutOfRange`] for a file outside the
 /// registered roster, [`TraceError::SpanTooLong`] for a span the cache
-/// would walk for ever; `index` is its position in the client's stream.
+/// would walk for ever, [`TraceError::TooManyRepeats`] for a repeat
+/// count past the `V11` bound; `index` is its position in the client's
+/// stream.
 fn dispatch(
     managed: &SharedManagedIo,
     files: &[FileId],

@@ -19,15 +19,25 @@
 //! the roster when its first record is read and takes its first step
 //! at that instant of simulated time.
 //!
-//! The splitter parks what it reads past on behalf of other processes,
-//! so its buffer is bounded by the roster prefix plus how far apart the
-//! processes' cursors drift *as the replay consumes them*: O(#pids)
-//! when they advance in step, but a closed-loop replay of processes
-//! with unequal service times lets the fast one run ahead, and the
-//! buffer then grows in proportion to the trace
-//! ([`TraceSimReport::splitter_peak_buffered`] reports it). Each
-//! process issues its records in order: opens, closes and seeks cost a
-//! fixed host overhead, reads and writes are handed to a [`DiskArray`].
+//! **After that each process pulls from its own part.** A stream whose
+//! parts vouch for their pids
+//! ([`TraceSource::pid_parts`]: a synthetic stream, any mix of them)
+//! feeds each process from its part alone, so the splitter parks
+//! nothing past the roster prefix — at most one record per part. Any
+//! other stream is one part, and the splitter parks what a process
+//! reads past on behalf of the others. The larger term is not a fast
+//! process running ahead but a process *finishing*: learning that its
+//! pid is done takes reading the stream to its end, which parks every
+//! record the other processes have left — the longer process's whole
+//! tail on a two-process stream of unequal length
+//! ([`TraceSimReport::splitter_peak_buffered`] reports it). What still
+//! parks: `chain:` phases (their pid space is shared), mixes with an
+//! in-memory, application, file or custom atom, anything behind a
+//! wrapper (fault injection, lenient admission), and a stream that
+//! declares more processes than it carries (the roster read parks all
+//! of it). Each process issues its records in order: opens, closes and
+//! seeks cost a fixed host overhead, reads and writes are handed to a
+//! [`DiskArray`].
 //!
 //! **The event loop.** The run is one typed [`EventQueue`] drained by
 //! `match` over the closed set [`Event`]: a process takes its next
@@ -154,7 +164,10 @@ pub(crate) fn run<'s, A: DiskArray>(
         disk_utilization: world.array.utilization(end),
         events: queue.processed(),
         // Every process ran until the splitter had nothing left for
-        // it, so the stream was read to its end.
+        // it, and every part that carries records carries a roster
+        // pid (parts lie below the declared count, so the roster read
+        // either saw every pid they can carry or ran to the end of the
+        // stream): the stream was read to its end.
         records: world.splitter.records_read(),
         retries: 0,
         dropped_requests: 0,
@@ -236,7 +249,8 @@ mod tests {
     use std::cell::RefCell;
 
     use clio_trace::fault::{FaultKind, FaultPlan, FaultSource};
-    use clio_trace::source::{SliceSource, SourceMeta};
+    use clio_trace::source::{materialize, FileNamespace, SliceSource, SourceMeta, WeightedSource};
+    use clio_trace::synth::{Popularity, SynthSource, TraceProfile};
     use clio_trace::TraceFile;
 
     use super::*;
@@ -459,6 +473,47 @@ mod tests {
             // Fewer pids than declared: the roster read-ahead runs to
             // the end of the stream and parks all of it.
             assert_eq!(report.splitter_peak_buffered, 80);
+        }
+    }
+
+    /// The mixes of `tests/sim_golden.rs`, 600 data ops a side:
+    /// `mix:zipf:0.9,rand` (2 atoms), and that mixed with
+    /// `mix:seq,hot:0.1x0.9` (4 atoms).
+    fn golden_mix(atoms: usize) -> Box<dyn TraceSource> {
+        let side = |profile: TraceProfile| {
+            SynthSource::new(TraceProfile { data_ops: 600, ..profile }).expect("valid profile")
+        };
+        let pair = |a, b| WeightedSource::new(side(a), side(b), 1, 1, FileNamespace::Disjoint);
+        let synth = TraceProfile { write_fraction: 0.2, sequentiality: 0.8, ..Default::default() };
+        let zipf = TraceProfile { popularity: Popularity::Zipfian { theta: 0.9 }, ..synth.clone() };
+        let zipf_rand = pair(zipf, TraceProfile::cholesky_like());
+        if atoms == 2 {
+            return Box::new(zipf_rand);
+        }
+        let hot = Popularity::Hotspot { hot_fraction: 0.1, hot_rate: 0.9 };
+        let seq_hot = pair(TraceProfile::dmine_like(), TraceProfile { popularity: hot, ..synth });
+        Box::new(WeightedSource::new(zipf_rand, seq_hot, 1, 1, FileNamespace::Disjoint))
+    }
+
+    #[test]
+    fn a_mix_of_synthetic_sides_parks_nothing_and_equals_its_materialized_trace() {
+        let machine = MachineConfig::with_disks(2);
+        for atoms in [2, 4] {
+            let parts = golden_mix(atoms).pid_parts().expect("synthetic sides vouch");
+            assert_eq!(parts.len(), atoms);
+            let trace = materialize(&mut golden_mix(atoms)).expect("materializes");
+            let streamed = all_three(|| golden_mix(atoms), &machine);
+            let reference = all_three(|| Box::new(SliceSource::new(&trace)), &machine);
+            for (run, (mut got, want)) in streamed.into_iter().zip(reference).enumerate() {
+                let what = format!("{atoms} atoms, run {run}");
+                assert_eq!(got.records, trace.len() as u64, "{what}: records");
+                // Each pid pulls from its own part: the roster prefix is
+                // all that is parked. The one-part copy parks a tail.
+                assert!(got.splitter_peak_buffered <= atoms as u64, "{what}: {got:?}");
+                assert!(want.splitter_peak_buffered > atoms as u64, "{what}: {want:?}");
+                got.splitter_peak_buffered = want.splitter_peak_buffered;
+                assert_eq!(got, want, "{what}");
+            }
         }
     }
 }

@@ -19,9 +19,11 @@
 //! [`PidSplitter`](clio_trace::source::PidSplitter), which first reads
 //! ahead just far enough to see the processes the stream declares —
 //! they all start at time zero, in first-appearance order — and then
-//! feeds each process its own records. No materialized trace is ever
-//! built, and what the splitter had to park (that prefix, and records
-//! of lagging processes) is reported as
+//! feeds each process its own records — from its own part of the
+//! stream when the source vouches for its parts (a mix of synthetic
+//! sides). No materialized trace is ever built, and what the splitter
+//! had to park (that prefix, and on a one-part stream what a process
+//! read past, the other processes' tails above all) is reported as
 //! [`TraceSimReport::splitter_peak_buffered`]. A pid beyond the
 //! declared count — only unverified or hand-built input carries one —
 //! joins at the simulated instant its first record is read. The loop
@@ -98,9 +100,11 @@ pub struct TraceSimReport {
     /// ([`PidSplitter`](clio_trace::source::PidSplitter)) had parked at
     /// once: the prefix read before time zero to learn the process
     /// roster (the whole stream when it declares more processes than
-    /// it carries), then how far the processes' cursors drifted apart
-    /// as this replay consumed them — the run's O(trace) memory term,
-    /// if any.
+    /// it carries), then, on a stream that is one part, what a process
+    /// read past for the others — above all, when a process finished,
+    /// the rest of the stream it read to learn that. The run's O(trace)
+    /// memory term, if any; a mix of synthetic sides, each pid pulled
+    /// from its own part, holds it at most at the number of parts.
     pub splitter_peak_buffered: u64,
 }
 

@@ -47,6 +47,15 @@ pub enum TraceError {
         /// The record's repeat count.
         num_records: u32,
     },
+    /// A record repeated more times than [`crate::verify::MAX_REPEATS`]
+    /// — the verifier's `V11`, reported by an unverified replay before
+    /// the record reaches the cache.
+    TooManyRepeats {
+        /// 0-based index of the offending record.
+        index: u64,
+        /// The record's repeat count.
+        num_records: u32,
+    },
     /// A parallel replay re-opened its workload and the streams did not
     /// line up: one ended where another went on. Every open of a
     /// workload must yield the same records.
@@ -107,6 +116,13 @@ impl fmt::Display for TraceError {
                     "record {index} spans {length} bytes x {num_records} repeats, over the \
                      {} byte bound (V10)",
                     crate::verify::MAX_SPAN_BYTES
+                )
+            }
+            TraceError::TooManyRepeats { index, num_records } => {
+                write!(
+                    f,
+                    "record {index} repeats {num_records} times, over the bound of {} (V11)",
+                    crate::verify::MAX_REPEATS
                 )
             }
             TraceError::StreamDiverged { index } => {
@@ -170,6 +186,9 @@ mod tests {
         assert!(TraceError::SpanTooLong { index: 2, length: 1 << 62, num_records: 1 }
             .to_string()
             .contains("V10"));
+        assert!(TraceError::TooManyRepeats { index: 2, num_records: u32::MAX }
+            .to_string()
+            .contains("V11"));
         assert!(TraceError::TrailingBytes { extra: 9 }.to_string().contains("9 trailing"));
         assert!(TraceError::CorruptBlock { block: 3, context: "bad op nibble" }
             .to_string()

@@ -37,12 +37,14 @@
 //!
 //! A record naming a file at or past the source's declared
 //! `meta().num_files` ends the replay with
-//! [`TraceError::FileIdOutOfRange`], and a data record spanning more
-//! than [`MAX_SPAN_BYTES`](crate::verify::MAX_SPAN_BYTES) with
-//! [`TraceError::SpanTooLong`], before the cache sees it (admission
-//! rules `V02` and `V10` reject such records up front; the drivers
-//! check again, in [`check_record`], because hand-built sources can be
-//! replayed unverified).
+//! [`TraceError::FileIdOutOfRange`], a data record spanning more than
+//! [`MAX_SPAN_BYTES`](crate::verify::MAX_SPAN_BYTES) with
+//! [`TraceError::SpanTooLong`], and a record repeating more than
+//! [`MAX_REPEATS`](crate::verify::MAX_REPEATS) times with
+//! [`TraceError::TooManyRepeats`], before the cache sees it (admission
+//! rules `V02`, `V10` and `V11` reject such records up front; the
+//! drivers check again, in [`check_record`], because hand-built sources
+//! can be replayed unverified).
 //!
 //! The cached drivers speak to the cache in its four operation verbs
 //! (open, close, seek, read/write) and nothing finer: how an operation
@@ -70,7 +72,7 @@ use crate::error::TraceError;
 use crate::reader::TraceFile;
 use crate::record::{IoOp, TraceRecord};
 use crate::source::TraceSource;
-use crate::verify::span_too_long;
+use crate::verify::{span_too_long, too_many_repeats};
 
 /// How a replay engine reports its results.
 ///
@@ -247,9 +249,11 @@ impl ReplayReport {
 
 /// The checks every replay engine makes on a record before acting on
 /// it, verified or not: it names a file inside the source's declared
-/// roster, and it spans no more than the verifier's `V10` bound (the
-/// cache walks a span page by page, so one giant record would hang the
-/// replay). `index` is the record's 0-based position in the stream.
+/// roster, it spans no more than the verifier's `V10` bound (the cache
+/// walks a span page by page, so one giant record would hang the
+/// replay), and it repeats no more than the `V11` bound (each repeat is
+/// replayed, so a huge count hangs it just the same, whatever the
+/// length). `index` is the record's 0-based position in the stream.
 pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), TraceError> {
     if r.file_id >= num_files {
         return Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files });
@@ -260,6 +264,9 @@ pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), T
             length: r.length,
             num_records: r.num_records,
         });
+    }
+    if too_many_repeats(r) {
+        return Err(TraceError::TooManyRepeats { index, num_records: r.num_records });
     }
     Ok(())
 }
@@ -536,7 +543,7 @@ where
                     // A record the lead rejects (`check_record`) is
                     // reported from the lead stream; stop quietly.
                     let Some(&fid) = file_ids.get(r.file_id as usize) else { return };
-                    if span_too_long(&r) {
+                    if span_too_long(&r) || too_many_repeats(&r) {
                         return;
                     }
                     for col in chunk.iter_mut() {

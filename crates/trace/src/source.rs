@@ -26,10 +26,12 @@
 //!   shared file namespaces ([`FileNamespace`]).
 //!
 //! [`PidSplitter`] demultiplexes any source into per-process streams
-//! in one pass, buffering only what its consumers' cursors are apart
-//! (plus the short prefix it reads ahead to learn the process roster) —
-//! the adapter the pid-grouping simulators consume streaming workloads
-//! through.
+//! in one pass — the adapter the pid-grouping simulators consume
+//! streaming workloads through. A source that is built of parts with
+//! disjoint pid ranges ([`TraceSource::pid_parts`]: a synthetic stream,
+//! a mix of such) lets it pull each pid from its own part, so it parks
+//! nothing but the short prefix it reads ahead to learn the process
+//! roster.
 //!
 //! The concurrent merge gives the two inputs **disjoint namespaces** by
 //! default: B's file ids are offset by A's file count and B's pids by
@@ -43,6 +45,8 @@
 //! for the *same pages* — the page-sharing scenario the disjoint merge
 //! cannot express. Captured clocks pass through untouched.
 
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::TraceError;
@@ -104,6 +108,34 @@ pub trait TraceSource {
     fn take_failure(&mut self) -> Option<TraceError> {
         None
     }
+
+    /// The pid range of each part of the stream, when the source can
+    /// **vouch** for them: every record it yields lies in exactly one
+    /// part, the part whose range holds its pid, *by construction* — no
+    /// input and no header can make a record leave it. The ranges are
+    /// disjoint and lie below `meta().num_processes`. The merged stream
+    /// ([`TraceSource::next_record`]) and the parts
+    /// ([`TraceSource::next_from`]) hand out the same records: each
+    /// once, and each part's in the order the merged stream has them,
+    /// however the two kinds of pull are mixed.
+    ///
+    /// The default, `None`, is one part: the stream itself. A source
+    /// that only *declares* its pids (a file header, a caller's
+    /// [`SourceMeta`]) keeps it.
+    fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+        None
+    }
+
+    /// The next record of part `part` alone (see
+    /// [`TraceSource::pid_parts`]), or `None` once that part is
+    /// exhausted. Part 0 of a one-part source is the stream.
+    fn next_from(&mut self, part: usize) -> Option<TraceRecord> {
+        if part == 0 {
+            self.next_record()
+        } else {
+            None
+        }
+    }
 }
 
 /// Forwards every method to the source behind a pointer.
@@ -123,6 +155,14 @@ macro_rules! forward_trace_source {
 
         fn take_failure(&mut self) -> Option<TraceError> {
             (**self).take_failure()
+        }
+
+        fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+            (**self).pid_parts()
+        }
+
+        fn next_from(&mut self, part: usize) -> Option<TraceRecord> {
+            (**self).next_from(part)
         }
     };
 }
@@ -353,6 +393,10 @@ pub enum FileNamespace {
 /// offset into a fresh process space; its file ids follow the
 /// [`FileNamespace`]. Deterministic — the schedule depends only on the
 /// inputs.
+///
+/// When both sides vouch for their pids ([`TraceSource::pid_parts`]),
+/// so does the merge: A's parts, then B's shifted by the pid offset,
+/// each pulled from its own side.
 #[derive(Debug)]
 pub struct WeightedSource<A, B> {
     a: A,
@@ -360,6 +404,9 @@ pub struct WeightedSource<A, B> {
     meta: SourceMeta,
     pid_offset: u32,
     file_offset: u32,
+    /// How many parts A has, when both sides vouch for their pids;
+    /// `None` makes the merge one part.
+    a_parts: Option<usize>,
     weight_a: u32,
     weight_b: u32,
     /// Records already taken in the current burst.
@@ -386,12 +433,14 @@ impl<A: TraceSource, B: TraceSource> WeightedSource<A, B> {
             num_processes: ma.num_processes + mb.num_processes,
             num_files,
         };
+        let a_parts = a.pid_parts().zip(b.pid_parts()).map(|(parts, _)| parts.len());
         Self {
             a,
             b,
             meta,
             pid_offset: ma.num_processes,
             file_offset,
+            a_parts,
             weight_a,
             weight_b,
             taken: 0,
@@ -442,43 +491,68 @@ impl<A: TraceSource, B: TraceSource> TraceSource for WeightedSource<A, B> {
     fn take_failure(&mut self) -> Option<TraceError> {
         take_either_failure(&mut self.a, &mut self.b)
     }
+
+    fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+        let (a, b) = (self.a.pid_parts()?, self.b.pid_parts()?);
+        let shift = |p: Range<u32>| p.start + self.pid_offset..p.end + self.pid_offset;
+        Some(a.into_iter().chain(b.into_iter().map(shift)).collect())
+    }
+
+    fn next_from(&mut self, part: usize) -> Option<TraceRecord> {
+        match self.a_parts {
+            Some(a_parts) if part < a_parts => self.a.next_from(part),
+            Some(a_parts) => self
+                .b
+                .next_from(part - a_parts)
+                .map(|r| remap(r, self.pid_offset, self.file_offset)),
+            None if part == 0 => self.next_record(),
+            None => None,
+        }
+    }
 }
 
 /// A streaming per-pid splitter: demultiplexes one [`TraceSource`]
-/// into per-process record streams in a **single pass**, buffering
-/// only what lies between its consumers' cursors — the adapter that
-/// lets the pid-grouping simulators consume a workload without
+/// into per-process record streams in a **single pass** — the adapter
+/// that lets the pid-grouping simulators consume a workload without
 /// materializing it.
 ///
-/// [`PidSplitter::next_for`] pulls the next record of one pid; records
-/// of *other* pids encountered on the way are parked in per-pid FIFO
-/// buffers and handed out when their pid is asked for. **Buffer
-/// invariant:** the records buffered at any moment are exactly those
-/// between each pid's consumption point and the global read cursor, so
-/// peak buffering is the maximum *pid-interleave distance as consumed*:
-/// how far the fastest consumer's cursor runs ahead of the slowest's.
-/// That is a property of the demand pattern, not of the trace alone.
-/// Consumers that advance in step over the round-robin interleavings
-/// the trace writer and the mix combinators emit hold it at O(#pids);
-/// a closed-loop simulation of processes with unequal service times
-/// does not — the fast process runs ahead for the whole run, and the
-/// slow one's records pile up in proportion to the trace length (a
-/// third of a 180 000-record two-process mix, measured).
+/// [`PidSplitter::next_for`] pulls the next record of one pid from the
+/// part of the source that carries it ([`TraceSource::pid_parts`]; a
+/// source that cannot vouch for its pids is one part, the whole
+/// stream). Records of *other* pids of that part met on the way are
+/// parked in per-pid FIFO buffers and handed out when their pid is
+/// asked for. **Buffer invariant:** the records buffered at any moment
+/// are exactly those of each part between its pids' consumption points
+/// and the part's read cursor. Two demands put them there: a consumer
+/// running ahead of another pid of its part, and — the larger term — a
+/// consumer learning that its pid is *done*, which takes reading its
+/// part to the end and parking every record of the part's other pids
+/// left in it. On a one-part stream of two processes of unequal length
+/// that is the longer one's whole tail, whatever the demand pattern
+/// (63 304 of 278 972 records of the benchmark's two-process mix,
+/// exactly the difference of its sides). A source whose parts carry
+/// one pid each — a synthetic stream, any mix of them — parks nothing
+/// past the roster prefix: the peak is at most the number of parts.
 /// [`PidSplitter::peak_buffered`] reports the high-water mark, and the
 /// simulators pass it on in their report.
 ///
-/// [`PidSplitter::read_roster`] reads ahead — parking everything — just
-/// far enough to learn which pids the stream carries, so a consumer
-/// can start every process together without a pass of its own over
-/// the stream.
+/// [`PidSplitter::read_roster`] reads ahead through the merged stream —
+/// parking everything — just far enough to learn which pids the stream
+/// carries, so a consumer can start every process together, in
+/// first-appearance order, without a pass of its own over the stream.
 #[derive(Debug)]
 pub struct PidSplitter<S> {
     source: S,
+    /// The pid range of each part the source vouches for; `None` when
+    /// it is one part, the stream.
+    parts: Option<Vec<Range<u32>>>,
+    /// Per part: whether it has ended (all of them once the merged
+    /// stream has).
+    done: Vec<bool>,
     /// Parked records, per pid slot (first-appearance order).
-    buffers: Vec<std::collections::VecDeque<TraceRecord>>,
+    buffers: Vec<VecDeque<TraceRecord>>,
     /// Slot -> pid, in first-appearance order.
     pids: Vec<u32>,
-    source_done: bool,
     /// Records pulled from the source so far.
     read: u64,
     buffered: usize,
@@ -486,13 +560,17 @@ pub struct PidSplitter<S> {
 }
 
 impl<S: TraceSource> PidSplitter<S> {
-    /// Wraps `source`; nothing is read until the first demand.
+    /// Wraps `source` and routes each pid to its part; nothing is read
+    /// until the first demand.
     pub fn new(source: S) -> Self {
+        let parts = source.pid_parts();
+        let done = vec![false; parts.as_ref().map_or(1, Vec::len)];
         Self {
             source,
+            parts,
+            done,
             buffers: Vec::new(),
             pids: Vec::new(),
-            source_done: false,
             read: 0,
             buffered: 0,
             peak_buffered: 0,
@@ -505,21 +583,33 @@ impl<S: TraceSource> PidSplitter<S> {
             Some(slot) => slot,
             None => {
                 self.pids.push(pid);
-                self.buffers.push(std::collections::VecDeque::new());
+                self.buffers.push(VecDeque::new());
                 self.pids.len() - 1
             }
         }
     }
 
-    /// The source's next record, counted.
-    fn pull(&mut self) -> Option<TraceRecord> {
-        if self.source_done {
-            return None;
+    /// The part that carries `pid`: part 0 of a one-part source, `None`
+    /// for a pid no vouched part can carry.
+    fn part_of(&self, pid: u32) -> Option<usize> {
+        match &self.parts {
+            None => Some(0),
+            Some(parts) => parts.iter().position(|range| range.contains(&pid)),
         }
-        let r = self.source.next_record();
-        match r {
-            Some(_) => self.read += 1,
-            None => self.source_done = true,
+    }
+
+    /// The next record of `part` — of the merged stream for `None` —
+    /// counted. What has ended is not asked again.
+    fn pull(&mut self, part: Option<usize>) -> Option<TraceRecord> {
+        let r = match part {
+            Some(p) if !self.done[p] => self.source.next_from(p),
+            None if self.done.contains(&false) => self.source.next_record(),
+            _ => return None,
+        };
+        match (r, part) {
+            (Some(_), _) => self.read += 1,
+            (None, Some(p)) => self.done[p] = true,
+            (None, None) => self.done.fill(true),
         }
         r
     }
@@ -533,15 +623,16 @@ impl<S: TraceSource> PidSplitter<S> {
     }
 
     /// The next record of `pid` in capture order, or `None` once that
-    /// process's stream is exhausted. Records of other pids read on the
-    /// way are parked for their own streams.
+    /// process's stream is exhausted. Records of other pids of its part
+    /// read on the way are parked for their own streams.
     pub fn next_for(&mut self, pid: u32) -> Option<TraceRecord> {
         let slot = self.slot_of(pid);
         if let Some(r) = self.buffers[slot].pop_front() {
             self.buffered -= 1;
             return Some(r);
         }
-        while let Some(r) = self.pull() {
+        let part = self.part_of(pid)?;
+        while let Some(r) = self.pull(Some(part)) {
             if r.pid == pid {
                 return Some(r);
             }
@@ -550,17 +641,17 @@ impl<S: TraceSource> PidSplitter<S> {
         None
     }
 
-    /// Reads ahead, parking every record, until `processes` distinct
-    /// pids have been seen or the stream ends, and returns the pids
-    /// seen so far in first-appearance order: the roster of the
-    /// shortest prefix that shows `processes` of them (of the whole
-    /// stream if it carries fewer). What was read is handed out by
-    /// [`PidSplitter::next_for`] as usual, so nothing is read twice;
-    /// the parked prefix counts towards
+    /// Reads ahead through the merged stream, parking every record,
+    /// until `processes` distinct pids have been seen or the stream
+    /// ends, and returns the pids seen so far in first-appearance
+    /// order: the roster of the shortest prefix that shows `processes`
+    /// of them (of the whole stream if it carries fewer). What was read
+    /// is handed out by [`PidSplitter::next_for`] as usual, so nothing
+    /// is read twice; the parked prefix counts towards
     /// [`PidSplitter::peak_buffered`].
     pub fn read_roster(&mut self, processes: usize) -> &[u32] {
         while self.pids.len() < processes {
-            let Some(r) = self.pull() else { break };
+            let Some(r) = self.pull(None) else { break };
             self.park(r);
         }
         &self.pids
@@ -572,7 +663,8 @@ impl<S: TraceSource> PidSplitter<S> {
     }
 
     /// Records pulled from the source so far; the stream's length once
-    /// any [`PidSplitter::next_for`] has returned `None`.
+    /// a [`PidSplitter::next_for`] has returned `None` for a pid of
+    /// every part (of a one-part source: once any has).
     pub fn records_read(&self) -> u64 {
         self.read
     }
@@ -609,7 +701,9 @@ pub fn scan_pids<S: TraceSource + ?Sized>(source: &mut S) -> (Vec<u32>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan, FaultSource};
     use crate::record::IoOp;
+    use crate::synth::{SynthSource, TraceProfile};
 
     fn reads(n: usize, file_id: u32) -> TraceFile {
         let records = (0..n)
@@ -912,6 +1006,133 @@ mod tests {
             assert_eq!(got, expected, "pid {pid}");
         }
         assert_eq!(split.buffered(), 0);
+    }
+
+    /// A synthetic side with no seeks: `data_ops + 2` records, all pid 0.
+    fn synth(data_ops: usize, seed: u64) -> SynthSource {
+        let profile = TraceProfile { data_ops, seed, explicit_seeks: false, ..Default::default() };
+        SynthSource::new(profile).unwrap()
+    }
+
+    fn mix<A: TraceSource, B: TraceSource>(a: A, b: B) -> WeightedSource<A, B> {
+        WeightedSource::new(a, b, 1, 1, FileNamespace::Disjoint)
+    }
+
+    /// A caller's own source: only the required methods.
+    struct Custom(std::vec::IntoIter<TraceRecord>);
+
+    impl TraceSource for Custom {
+        fn meta(&self) -> SourceMeta {
+            SourceMeta { sample_file: "custom.dat".into(), num_processes: 1, num_files: 1 }
+        }
+
+        fn next_record(&mut self) -> Option<TraceRecord> {
+            self.0.next()
+        }
+    }
+
+    #[test]
+    fn nested_mixes_vouch_for_one_part_per_synthetic_side() {
+        assert_eq!(synth(4, 1).pid_parts(), Some(vec![Range { start: 0, end: 1 }]));
+        let pair = || mix(synth(4, 1), synth(4, 2));
+        assert_eq!(pair().pid_parts(), Some(vec![0..1, 1..2]));
+        assert_eq!(mix(synth(4, 3), pair()).pid_parts(), Some(vec![0..1, 1..2, 2..3]));
+        let quad = WeightedSource::new(pair(), pair(), 3, 1, FileNamespace::Shared);
+        assert_eq!(quad.pid_parts(), Some(vec![0..1, 1..2, 2..3, 3..4]));
+        assert_eq!(quad.meta().num_processes, 4, "the parts lie below the declared count");
+        let boxed: Box<dyn TraceSource> = Box::new(quad);
+        assert_eq!(boxed.pid_parts(), Some(vec![0..1, 1..2, 2..3, 3..4]), "through a Box");
+    }
+
+    #[test]
+    fn a_mix_vouches_only_when_every_side_does() {
+        let t = Arc::new(round_robin(1, 3));
+        let open = |kind: &str| -> Box<dyn TraceSource> {
+            match kind {
+                "custom" => Box::new(Custom(t.records.clone().into_iter())),
+                "iterator" => {
+                    Box::new(IterSource::new(SourceMeta::of(&t), t.records.clone().into_iter()))
+                }
+                "shared" => Box::new(SharedSource::new(t.clone())),
+                "chain" => Box::new(ChainSource::new(synth(4, 1), synth(4, 2))),
+                _ => {
+                    let plan = FaultPlan::single(1, 2, FaultKind::Duplicate);
+                    Box::new(FaultSource::new(synth(4, 1), &plan))
+                }
+            }
+        };
+        for kind in ["custom", "iterator", "shared", "chain", "fault"] {
+            assert_eq!(open(kind).pid_parts(), None, "{kind}");
+            assert_eq!(mix(open(kind), synth(4, 1)).pid_parts(), None, "{kind} as A");
+            assert_eq!(mix(synth(4, 1), open(kind)).pid_parts(), None, "{kind} as B");
+            let nested = mix(mix(synth(4, 1), synth(4, 2)), mix(synth(4, 3), open(kind)));
+            assert_eq!(nested.pid_parts(), None, "{kind} two levels down");
+
+            // One part is the merged stream itself.
+            let merged = drain(mix(synth(4, 1), open(kind)));
+            let mut one_part = mix(synth(4, 1), open(kind));
+            assert_eq!(one_part.next_from(1), None, "{kind}: there is no part 1");
+            assert_eq!(std::iter::from_fn(|| one_part.next_from(0)).collect::<Vec<_>>(), merged);
+        }
+    }
+
+    #[test]
+    fn each_part_hands_out_its_records_in_merged_order_however_pulls_mix() {
+        let quad = || {
+            let (a, b) = (mix(synth(5, 1), synth(9, 2)), mix(synth(7, 3), synth(2, 4)));
+            WeightedSource::new(a, b, 2, 3, FileNamespace::Disjoint)
+        };
+        let merged = drain(quad());
+        let parts = quad().pid_parts().expect("synthetic sides vouch");
+        for prefix in [0, 3, 10] {
+            let mut src = quad();
+            let mut pulled: Vec<TraceRecord> =
+                (0..prefix).map_while(|_| src.next_record()).collect();
+            for part in 0..parts.len() {
+                pulled.extend(std::iter::from_fn(|| src.next_from(part)));
+            }
+            assert_eq!(src.next_record(), None, "prefix {prefix}: every record was handed out");
+            assert_eq!(pulled.len(), merged.len(), "prefix {prefix}");
+            for range in &parts {
+                let of = |records: &[TraceRecord]| -> Vec<TraceRecord> {
+                    records.iter().filter(|r| range.contains(&r.pid)).copied().collect()
+                };
+                assert_eq!(of(&pulled), of(&merged), "prefix {prefix}, part {range:?}");
+            }
+        }
+    }
+
+    /// Reads the two-pid roster, then asks each live pid for its next
+    /// record in turn until every pid is done; `(served, peak parked)`.
+    fn drain_round_robin(source: impl TraceSource) -> (u64, usize) {
+        let mut split = PidSplitter::new(source);
+        let mut live = split.read_roster(2).to_vec();
+        let mut served = 0;
+        while !live.is_empty() {
+            live.retain(|&pid| split.next_for(pid).inspect(|_| served += 1).is_some());
+        }
+        assert_eq!(split.records_read(), served, "every record was read once");
+        (served, split.peak_buffered())
+    }
+
+    #[test]
+    fn finishing_the_short_side_of_a_vouched_mix_parks_nothing() {
+        // Sides of 12 and 32 records.
+        let unequal = || mix(synth(10, 1), synth(30, 2));
+        // Two parts: the roster prefix is all that is ever parked.
+        assert_eq!(drain_round_robin(unequal()), (44, 2));
+        // The one-part copy: learning that pid 0 is done reads the rest
+        // of the stream and parks the long side's 20-record tail.
+        let materialized = Arc::new(materialize(&mut unequal()).unwrap());
+        assert_eq!(drain_round_robin(SharedSource::new(materialized)), (44, 20));
+
+        // Draining the short pid alone touches nothing of the other's.
+        let mut split = PidSplitter::new(unequal());
+        assert_eq!(std::iter::from_fn(|| split.next_for(0)).count(), 12);
+        assert_eq!((split.records_read(), split.peak_buffered()), (12, 0));
+        // A pid no part can carry has no records, and none are read for it.
+        assert_eq!(split.next_for(7), None);
+        assert_eq!(split.records_read(), 12);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! the applications.
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -578,6 +579,11 @@ impl SynthSource {
 impl TraceSource for SynthSource {
     fn meta(&self) -> SourceMeta {
         SourceMeta { sample_file: SYNTH_SAMPLE.into(), num_processes: 1, num_files: 1 }
+    }
+
+    fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+        // `stamp` writes pid 0 into every record.
+        Some(vec![Range { start: 0, end: 1 }])
     }
 
     fn next_record(&mut self) -> Option<TraceRecord> {

@@ -23,6 +23,7 @@
 //! | `V08` | [`VerifyError::OffsetOverflow`] | `offset + length·num_records` fits in `u64` |
 //! | `V09` | [`VerifyError::MetadataWithLength`] | open/close/seek records carry `length == 0` |
 //! | `V10` | [`VerifyError::SpanTooLong`] | `length·num_records` is at most [`MAX_SPAN_BYTES`] |
+//! | `V11` | [`VerifyError::TooManyRepeats`] | `num_records` is at most [`MAX_REPEATS`] |
 //!
 //! Clock monotonicity is per pid (capture clocks are shared across the
 //! processes of one trace, but mixed workloads interleave independent
@@ -89,6 +90,25 @@ pub const MAX_SPAN_BYTES: u64 = 1 << 32;
 pub fn span_too_long(r: &TraceRecord) -> bool {
     r.op.transfers_data()
         && r.length.saturating_mul(u64::from(r.num_records.max(1))) > MAX_SPAN_BYTES
+}
+
+/// The most times one record may repeat (`V11`), whatever its
+/// operation: 2^15. `V10` bounds a record's bytes, so a zero-length
+/// record — every open, close and seek — passed it with any repeat
+/// count, and a replay performs each repeat: a close walks every
+/// resident page of the cache each time. At this bound the costliest
+/// record, a close while another file fills the default 16 Ki-page
+/// cache, replays serially in 0.3-0.4 s under every policy on a 2-vCPU
+/// x86-64 container (2^16 took up to 1.4 s under LRU; `u32::MAX` takes
+/// over ten hours). No built-in workload repeats a record.
+pub const MAX_REPEATS: u32 = 1 << 15;
+
+/// Whether `r` repeats more than [`MAX_REPEATS`] times — the `V11`
+/// predicate, shared with the unverified replay engines like
+/// [`span_too_long`].
+#[inline]
+pub fn too_many_repeats(r: &TraceRecord) -> bool {
+    r.num_records > MAX_REPEATS
 }
 
 /// How an experiment treats trace admission.
@@ -219,10 +239,17 @@ pub enum VerifyError {
         /// The record's repeat count.
         num_records: u32,
     },
+    /// `V11`: a record repeated more than [`MAX_REPEATS`] times.
+    TooManyRepeats {
+        /// 0-based index of the offending record.
+        index: u64,
+        /// The record's repeat count.
+        num_records: u32,
+    },
 }
 
 impl VerifyError {
-    /// The stable rule code (`"V01"`–`"V10"`), as listed in the module
+    /// The stable rule code (`"V01"`–`"V11"`), as listed in the module
     /// docs' rule table.
     pub fn code(&self) -> &'static str {
         match self {
@@ -236,6 +263,7 @@ impl VerifyError {
             VerifyError::OffsetOverflow { .. } => "V08",
             VerifyError::MetadataWithLength { .. } => "V09",
             VerifyError::SpanTooLong { .. } => "V10",
+            VerifyError::TooManyRepeats { .. } => "V11",
         }
     }
 
@@ -252,7 +280,8 @@ impl VerifyError {
             | VerifyError::ZeroRepeat { index }
             | VerifyError::OffsetOverflow { index, .. }
             | VerifyError::MetadataWithLength { index, .. }
-            | VerifyError::SpanTooLong { index, .. } => index,
+            | VerifyError::SpanTooLong { index, .. }
+            | VerifyError::TooManyRepeats { index, .. } => index,
         }
     }
 }
@@ -292,6 +321,9 @@ impl fmt::Display for VerifyError {
                     "{length} bytes x {num_records} repeats spans more than {MAX_SPAN_BYTES} bytes"
                 )
             }
+            VerifyError::TooManyRepeats { num_records, .. } => {
+                write!(f, "{num_records} repeats, more than {MAX_REPEATS}")
+            }
         }
     }
 }
@@ -322,6 +354,8 @@ pub struct ViolationCounts {
     pub metadata_with_length: u64,
     /// `V10` violations.
     pub span_too_long: u64,
+    /// `V11` violations.
+    pub too_many_repeats: u64,
 }
 
 impl ViolationCounts {
@@ -338,6 +372,7 @@ impl ViolationCounts {
             VerifyError::OffsetOverflow { .. } => &mut self.offset_overflow,
             VerifyError::MetadataWithLength { .. } => &mut self.metadata_with_length,
             VerifyError::SpanTooLong { .. } => &mut self.span_too_long,
+            VerifyError::TooManyRepeats { .. } => &mut self.too_many_repeats,
         };
         *slot += 1;
     }
@@ -354,6 +389,7 @@ impl ViolationCounts {
             + self.offset_overflow
             + self.metadata_with_length
             + self.span_too_long
+            + self.too_many_repeats
     }
 }
 
@@ -465,6 +501,9 @@ impl Verifier {
                 length: r.length,
                 num_records: r.num_records,
             });
+        }
+        if too_many_repeats(r) {
+            return Err(VerifyError::TooManyRepeats { index, num_records: r.num_records });
         }
         if self.options.check_clocks {
             let prev = match self.held_clock {
@@ -821,6 +860,25 @@ mod tests {
                 "V10",
                 0,
             ),
+            (
+                vec![rec(IoOp::Open, 0, 0, 0), {
+                    let mut r = rec(IoOp::Close, 0, 0, 0);
+                    r.num_records = u32::MAX;
+                    r
+                }],
+                "V11",
+                1,
+            ),
+            (
+                vec![{
+                    let mut r = rec(IoOp::Read, 0, 0, 0);
+                    r.length = 0;
+                    r.num_records = MAX_REPEATS + 1;
+                    r
+                }],
+                "V11",
+                0,
+            ),
         ];
         for (records, code, index) in cases {
             let mut src = SliceSource::from_parts(&records, meta(2, 2));
@@ -830,6 +888,11 @@ mod tests {
             assert_eq!(err.index(), index, "{err}");
             assert!(err.to_string().contains(code), "{err}");
         }
+        // The repeat bound itself is admitted.
+        let mut seek = rec(IoOp::Seek, 0, 0, 0);
+        seek.num_records = MAX_REPEATS;
+        let mut src = SliceSource::from_parts(std::slice::from_ref(&seek), meta(1, 1));
+        assert!(verify_strict(&mut src, VerifyOptions::default()).is_ok());
     }
 
     #[test]

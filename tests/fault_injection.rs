@@ -326,6 +326,69 @@ fn a_giant_span_is_a_coded_error_before_any_cache_walks_it() {
 }
 
 #[test]
+fn a_huge_repeat_count_is_a_coded_error_before_any_replay_repeats_it() {
+    // A close, or a zero-length read, repeated u32::MAX times spans no
+    // bytes, so `V10` lets it through; a replay performing every repeat
+    // would take minutes (the read) or hours (the close walks every
+    // resident page each time). Strict admission rejects it as
+    // `V11`; unverified, every cache-driving engine refuses it with the
+    // coded `TraceError` before its cache sees the record.
+    let dir = std::env::temp_dir().join(format!("clio-repeats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sample = dir.join("sample.dat");
+    std::fs::write(&sample, vec![7u8; 64 * 1024]).expect("sample file");
+    let engines = [
+        Engine::SerialReplay,
+        Engine::ParallelReplay,
+        Engine::Serve,
+        Engine::RealReplay { sample },
+    ];
+
+    let mut close = rec(IoOp::Close, 2, 0, 0);
+    close.num_records = u32::MAX;
+    let mut empty_read = rec(IoOp::Read, 2, 0, 0);
+    empty_read.num_records = u32::MAX;
+    let inputs = [
+        ("close", vec![rec(IoOp::Open, 1, 0, 0), close]),
+        ("zero-length read", vec![rec(IoOp::Open, 1, 0, 0), empty_read, rec(IoOp::Close, 3, 0, 0)]),
+    ];
+    for (name, records) in inputs {
+        let trace =
+            Arc::new(TraceFile::build("repeats.dat", 1, records).expect("structurally valid"));
+        let workload =
+            Workload::custom("repeats", move || Box::new(SharedSource::new(trace.clone())));
+        for engine in engines.clone() {
+            for verify in [VerifyMode::Strict, VerifyMode::Off] {
+                let experiment = Experiment::builder()
+                    .workload(workload.clone())
+                    .engine(engine.clone())
+                    .verify(verify)
+                    .build()
+                    .expect("valid experiment");
+                let started = std::time::Instant::now();
+                let err = experiment.run().expect_err("the repeat count must fail the run");
+                let took = started.elapsed();
+                let case = format!("{engine:?}/{verify:?}, {name} x u32::MAX");
+                match (verify, err) {
+                    (VerifyMode::Strict, ExpError::Verify(v)) => {
+                        assert_eq!((v.code(), v.index()), ("V11", 1), "{case}");
+                    }
+                    (
+                        VerifyMode::Off,
+                        ExpError::Trace(TraceError::TooManyRepeats { index: 1, num_records }),
+                    ) => assert_eq!(num_records, u32::MAX, "{case}"),
+                    (_, other) => panic!("{case}: expected the coded repeat error, got {other:?}"),
+                }
+                // Refusing takes microseconds (generous here, for a
+                // loaded CI host).
+                assert!(took.as_millis() < 1000, "{case}: {took:?}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn lenient_quarantine_ledger_survives_summary_serialization() {
     let trace = Arc::new(TraceFile::build("fault.dat", 1, clean_records()).expect("clean"));
     let plan = FaultPlan::single(3, 4, FaultKind::BitFlip);

@@ -234,7 +234,16 @@ fn streamed_sim_of_a_mixed_workload_matches_its_materialized_trace() {
         };
         let streamed = run(&mix);
         let reference = run(&materialized);
-        assert_eq!(streamed.sim, reference.sim, "{engine:?}");
+        // The streamed mix pulls each pid from its own side and parks
+        // less; every other field is equal.
+        let mut streamed_sim = streamed.sim.clone().expect("sim section");
+        let reference_sim = reference.sim.clone().expect("sim section");
+        assert!(
+            streamed_sim.splitter_peak_buffered <= reference_sim.splitter_peak_buffered,
+            "{engine:?}"
+        );
+        streamed_sim.splitter_peak_buffered = reference_sim.splitter_peak_buffered;
+        assert_eq!(streamed_sim, reference_sim, "{engine:?}");
         assert_eq!(streamed.records, reference.records, "{engine:?}");
     }
 }
