@@ -16,8 +16,8 @@ pub enum Engine {
     SerialReplay,
     /// Sharded-parallel replay against the lock-striped cache
     /// (deterministic across runs and thread counts). Streaming: every
-    /// worker opens its own stream over the workload, and a merge walk
-    /// re-opens it once more — no materialized trace anywhere.
+    /// worker opens its own stream over the workload, beside the lead
+    /// stream the merge walks — no materialized trace anywhere.
     ParallelReplay,
     /// Trace-driven machine simulation: processes contend for a
     /// striped disk array. Streaming, one pass: a per-pid splitter

@@ -1,5 +1,6 @@
 //! The experiment builder and runner.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -11,7 +12,7 @@ use clio_sim::sched_replay::{scheduled_trace_sim, DiskFaultPlan, SchedReplayOpti
 use clio_sim::trace_driven::{trace_sim, SimError, ThinkTime, TraceSimOptions};
 use clio_trace::replay::{
     open_real_backend, replay_backend, replay_cached, replay_sharded, ParallelReplayOptions,
-    RealReplayOptions, ReplayReport, ReportMode,
+    RealReplayOptions, ReportMode,
 };
 use clio_trace::source::TraceSource;
 use clio_trace::verify::{QuarantineSource, StrictSource, VerifyError, VerifyMode};
@@ -66,26 +67,33 @@ impl Experiment {
     /// Runs the experiment.
     ///
     /// Every engine consumes the workload as a stream: the serial
-    /// engines and the simulators open it once, and the parallel engine
-    /// opens one stream per worker plus one for its merge walk — no
-    /// engine materializes a [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`] the replay engines
-    /// additionally keep only O(1) running aggregates instead of
-    /// per-record timings.
+    /// engines and the simulators open it once, the parallel engine
+    /// opens one stream per worker plus its lead, and serve one per
+    /// client — no engine materializes a
+    /// [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`]
+    /// the replay engines additionally keep only O(1) running
+    /// aggregates instead of per-record timings.
     ///
-    /// **Admission is all-or-nothing at this boundary.** Whatever the
-    /// engine, a `Report` comes back only if the whole input passed:
-    /// every container check of every file atom, and under
-    /// [`VerifyMode::Strict`] every `V`-rule. Every engine but one
-    /// gets that by admitting everything before its first record:
-    /// parallel replay and serve re-open their input, real replay acts
-    /// outside the report, and the simulators — which read their input
-    /// once — have no admit-while-running path yet.
-    /// [`Engine::SerialReplay`] reads its
-    /// input once and touches nothing but the report it returns, so it
-    /// admits *while* it replays — one pass, one block of a v2 file in
-    /// memory — and drops the partial replay if the stream turns out to
-    /// have failed. With two faults in one input, the error is the one
-    /// that comes first in stream order.
+    /// **Admission is all-or-nothing at this boundary, and there is one
+    /// path to it.** Every engine admits the streams it reads *while*
+    /// it runs: each stream goes behind the [`VerifyMode`]'s wrapper
+    /// (none, [`StrictSource`] or [`QuarantineSource`]; v2 file atoms
+    /// are admitted block by block as the engine reaches them), and a
+    /// `Report` comes back only once every stream the verdict comes
+    /// from has been judged: read to its end under `Strict` and
+    /// `Lenient` (a serve client cut off by its request budget drains
+    /// the rest), then asked why it ended
+    /// ([`TraceSource::take_failure`]), then the wrapper's verdict
+    /// ([`StrictSource::finish`], `V06` included, or the lenient
+    /// ledger). The streams judged are the one stream of serial replay,
+    /// real replay and the simulators, the lead of parallel replay (its
+    /// workers' streams, wrapped alike, must stop where the lead stops,
+    /// or the run fails with a stream divergence), and every serve
+    /// client's, whose lenient ledgers are summed. With two faults in
+    /// one stream, the error is the one that comes first in the order
+    /// the engine read it. Real replay, which acts outside the report,
+    /// also admits the whole input under `Strict` and `Lenient` before
+    /// it touches the sample file ([`Workload::verify`]).
     ///
     /// A stream replayed with [`VerifyMode::Off`] whose record names a
     /// file outside the declared roster fails with
@@ -93,126 +101,91 @@ impl Experiment {
     /// of being replayed.
     pub fn run(&self) -> Result<Report, ExpError> {
         let mut report = Report::new(self.engine.name(), self.workload.label());
-        // Parameter checks are structural: no record is generated and
-        // no file touched before they pass.
-        self.workload.validate()?;
-        let started = match &self.engine {
-            Engine::SerialReplay => self.replay_in_one_pass(&mut report)?,
-            reopening => self.run_admitted(reopening, &mut report)?,
-        };
-        report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+        let options = self.workload.verify_options();
+        match self.verify {
+            // The bare stream, exactly as an unverified run always read
+            // it: no wrapper and no per-record branch.
+            VerifyMode::Off => self.run_judged(&mut report, |source| source, |_| Ok(()))?,
+            VerifyMode::Strict => self.run_judged(
+                &mut report,
+                |source| StrictSource::with_options(source, options),
+                |strict| strict.finish().map(drop),
+            )?,
+            VerifyMode::Lenient => {
+                let mut ledger = QuarantineSummary::default();
+                self.run_judged(
+                    &mut report,
+                    |source| QuarantineSource::with_options(source, options),
+                    |quarantine| {
+                        ledger.add(&quarantine.ledger());
+                        Ok(())
+                    },
+                )?;
+                report.quarantine = Some(ledger);
+            }
+        }
         Ok(report)
     }
 
-    /// [`Engine::SerialReplay`]: opens the workload once (v2 file atoms
-    /// admitted block by block as the replay reaches them), checks each
-    /// record per [`VerifyMode`] on its way into the cache, and only
-    /// after the last record asks the stream for its verdict. Returns
-    /// when the replay started.
-    fn replay_in_one_pass(&self, report: &mut Report) -> Result<Instant, ExpError> {
-        let source = self.workload.open_lazy()?;
-        let options = self.workload.verify_options();
-        let started = Instant::now();
-        let replay = match self.verify {
-            // The bare stream, exactly as an unverified replay always
-            // ran: no wrapper and no per-record branch.
-            VerifyMode::Off => {
-                let mut source = source;
-                self.replay_then_judge(&mut *source, |_| Ok(()))?
-            }
-            VerifyMode::Strict => {
-                let mut strict = StrictSource::with_options(source, options);
-                self.replay_then_judge(&mut strict, |strict| strict.finish().map(drop))?
-            }
-            VerifyMode::Lenient => {
-                let mut quarantine = QuarantineSource::with_options(source, options);
-                self.replay_then_judge(&mut quarantine, |quarantine| {
-                    report.quarantine = Some(QuarantineSummary::from(&quarantine.ledger()));
-                    Ok(())
-                })?
-            }
-        };
-        report.cache_metrics = Some(replay.metrics);
-        report.set_replay(replay);
-        Ok(started)
-    }
-
-    /// Replays `source` to its end, then decides whether the replay
-    /// counts. A source that failed ended early, and it failed before
-    /// anything met after it: its failure is reported ahead of the
-    /// replay's own error and of `verdict` (the admission wrapper's
-    /// say on the records it saw).
-    fn replay_then_judge<S: TraceSource + ?Sized>(
+    /// The one admission path: runs the engine over streams wrapped by
+    /// `wrap`, and judges each stream the verdict comes from once the
+    /// engine is done with it (see [`Experiment::run`]): read to its end
+    /// when admission is on, then why it failed, if it did, then
+    /// `verdict`, the wrapper's say on the records it saw. Both come
+    /// ahead of the engine's own error.
+    fn run_judged<S: TraceSource>(
         &self,
-        source: &mut S,
-        verdict: impl FnOnce(&S) -> Result<(), VerifyError>,
-    ) -> Result<ReplayReport, ExpError> {
-        let replay = replay_cached(source, self.cache.clone(), self.mode);
-        if let Some(failure) = source.take_failure() {
-            return Err(failure.into());
-        }
-        let replay = replay?;
-        verdict(source)?;
-        Ok(replay)
-    }
-
-    /// Every engine but serial replay: the load-once atoms are resolved
-    /// and the whole workload admitted *before* the engine's first
-    /// record. Parallel replay and serve need that because they
-    /// re-open their input (one stream per worker or client), real
-    /// replay because it acts outside the report; the simulators open
-    /// theirs once and are here only for want of a wrapper that admits
-    /// while they run. Returns when the engine started.
-    fn run_admitted(&self, engine: &Engine, report: &mut Report) -> Result<Instant, ExpError> {
-        // The load-once atoms (file, app) become one shared in-memory
-        // trace here, so the re-opens below clone an `Arc` rather than
-        // re-loading from disk or re-running an application, and cannot
-        // fail for a validated workload.
-        let workload = self.workload.resolve()?;
-        // Trace admission (off by default). Strict vets the stream and
-        // replays it untouched — a verified clean run is bit-identical
-        // to an unverified one. Lenient records the quarantine ledger
-        // once, then rebinds the workload so that *every* stream the
-        // engine opens is filtered through the same decision procedure
-        // — without tallying twice.
-        let workload = match self.verify {
-            VerifyMode::Off => workload,
-            VerifyMode::Strict => {
-                workload.verify(VerifyMode::Strict)?;
-                workload
-            }
-            VerifyMode::Lenient => {
-                let ledger = workload
-                    .verify(VerifyMode::Lenient)?
-                    .expect("lenient admission always yields a ledger");
-                report.quarantine = Some(QuarantineSummary::from(&ledger));
-                let options = workload.verify_options();
-                let label = workload.label();
-                let inner = workload;
-                Workload::custom(label, move || {
-                    let source = inner.open().expect("a validated, resolved workload re-opens");
-                    Box::new(QuarantineSource::with_options(source, options))
-                })
+        report: &mut Report,
+        wrap: impl Fn(Box<dyn TraceSource>) -> S + Sync,
+        mut verdict: impl FnMut(&mut S) -> Result<(), VerifyError>,
+    ) -> Result<(), ExpError> {
+        let admitting = self.verify != VerifyMode::Off;
+        let mut judge = |stream: &mut S| {
+            while admitting && stream.next_record().is_some() {}
+            match stream.take_failure() {
+                Some(failure) => Err(ExpError::from(failure)),
+                None => Ok(verdict(stream)?),
             }
         };
-        let reopen = || workload.open().expect("a validated, resolved workload re-opens");
+        if let Engine::RealReplay { .. } = self.engine {
+            self.workload.verify(self.verify)?;
+        }
+        // Parallel replay and serve re-open their input, one stream per
+        // worker or client: the load-once atoms (file, app) become one
+        // shared in-memory trace first, so each re-open clones an `Arc`.
+        let workload = match self.engine {
+            Engine::ParallelReplay | Engine::Serve => Cow::Owned(self.workload.resolve()?),
+            _ => Cow::Borrowed(&self.workload),
+        };
         let started = Instant::now();
-        match engine {
-            Engine::SerialReplay => unreachable!("run() replays serially in one pass"),
+        match &self.engine {
+            Engine::SerialReplay => {
+                let mut source = wrap(workload.open_lazy()?);
+                let replay = replay_cached(&mut source, self.cache.clone(), self.mode);
+                judge(&mut source)?;
+                let replay = replay?;
+                report.cache_metrics = Some(replay.metrics);
+                report.set_replay(replay);
+            }
             Engine::ParallelReplay => {
-                let replay = replay_sharded(reopen, self.cache.clone(), &self.parallel, self.mode)?;
+                let mut lead = wrap(workload.open()?);
+                let open = || workload.open().ok().map(&wrap);
+                let replay =
+                    replay_sharded(&mut lead, open, self.cache.clone(), &self.parallel, self.mode);
+                judge(&mut lead)?;
+                let replay = replay?;
                 report.cache_metrics = Some(replay.metrics);
                 report.shard_metrics = Some(replay.shard_metrics.clone());
                 report.threads_used = Some(replay.threads);
                 report.set_replay(replay);
             }
-            Engine::TraceSim => {
-                let sim = trace_sim(reopen, &self.machine, &self.sim_options)?;
-                report.records = sim.records;
-                report.sim = Some(sim);
-            }
-            Engine::ScheduledSim => {
-                let sim = scheduled_trace_sim(reopen, &self.machine, &self.sched)?;
+            Engine::TraceSim | Engine::ScheduledSim => {
+                let mut source = wrap(workload.open_lazy()?);
+                let sim = match self.engine {
+                    Engine::TraceSim => trace_sim(|| &mut source, &self.machine, &self.sim_options),
+                    _ => scheduled_trace_sim(|| &mut source, &self.machine, &self.sched),
+                }?;
+                judge(&mut source)?;
                 report.records = sim.records;
                 report.sim = Some(sim);
             }
@@ -223,6 +196,8 @@ impl Experiment {
                     self.parallel.shards,
                     &self.serve,
                     self.mode,
+                    wrap,
+                    judge,
                 )?;
                 report.records = outcome.records;
                 report.cache_metrics = Some(outcome.cache_metrics);
@@ -230,12 +205,15 @@ impl Experiment {
                 report.serve = Some(outcome.summary);
             }
             Engine::RealReplay { sample } => {
+                let mut source = wrap(workload.open_lazy()?);
                 let mut backend = open_real_backend(sample, self.real)?;
-                let replay = replay_backend(&mut *reopen(), &mut backend, self.real, self.mode)?;
-                report.set_replay(replay);
+                let replay = replay_backend(&mut source, &mut backend, self.real, self.mode);
+                judge(&mut source)?;
+                report.set_replay(replay?);
             }
         }
-        Ok(started)
+        report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+        Ok(())
     }
 }
 

@@ -185,8 +185,9 @@ pub struct ReportSummary {
 }
 
 /// The admission verifier's ledger from a lenient run, flattened for
-/// serialization: stream totals plus the per-rule violation tallies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// serialization: stream totals plus the per-rule violation tallies,
+/// summed over every stream judged (one per serve client).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct QuarantineSummary {
     /// Records the admission pass examined.
     pub examined: u64,
@@ -198,14 +199,13 @@ pub struct QuarantineSummary {
     pub violations: ViolationCounts,
 }
 
-impl From<&VerifyReport> for QuarantineSummary {
-    fn from(r: &VerifyReport) -> Self {
-        Self {
-            examined: r.records,
-            admitted: r.admitted,
-            quarantined: r.quarantined,
-            violations: r.violations,
-        }
+impl QuarantineSummary {
+    /// Adds the ledger of one stream.
+    pub(crate) fn add(&mut self, r: &VerifyReport) {
+        self.examined += r.records;
+        self.admitted += r.admitted;
+        self.quarantined += r.quarantined;
+        self.violations.add(&r.violations);
     }
 }
 

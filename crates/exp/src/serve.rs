@@ -162,8 +162,8 @@ fn client_workload(workload: &Workload, client: u64) -> Workload {
 }
 
 /// One client's closed-loop state.
-struct Client {
-    stream: Box<dyn TraceSource>,
+struct Client<S> {
+    stream: S,
     /// Virtual time at which this client issues its next request.
     ready: f64,
     /// Records pulled from `stream` so far.
@@ -211,18 +211,24 @@ fn dispatch(
 /// the outcome is a pure function of (workload, cache config, shard
 /// count, serve options) — bit-identical across runs and host thread
 /// counts.
-pub(crate) fn run_serve(
+///
+/// Each client reads its stream through `wrap`, and `judge` rules on
+/// that stream when the client stops: its stream ran out, or it issued
+/// its `requests_per_client`.
+pub(crate) fn run_serve<S: TraceSource>(
     workload: &Workload,
     cache: CacheConfig,
     shards: usize,
     opts: &ServeOptions,
     mode: ReportMode,
+    wrap: impl Fn(Box<dyn TraceSource>) -> S,
+    mut judge: impl FnMut(&mut S) -> Result<(), ExpError>,
 ) -> Result<ServeOutcome, ExpError> {
     let managed = SharedManagedIo::new(cache, shards, opts.jit);
-    let mut clients: Vec<Client> = (0..opts.clients.max(1) as u64)
+    let mut clients: Vec<Client<S>> = (0..opts.clients.max(1) as u64)
         .map(|c| {
             client_workload(workload, c).open().map(|stream| Client {
-                stream,
+                stream: wrap(stream),
                 ready: 0.0,
                 pulled: 0,
                 issued: 0,
@@ -256,12 +262,12 @@ pub(crate) fn run_serve(
         .map(|(i, _)| i)
     {
         let client = &mut clients[c];
-        if opts.requests_per_client > 0 && client.issued >= opts.requests_per_client {
-            client.done = true;
-            continue;
-        }
+        let capped = opts.requests_per_client > 0 && client.issued >= opts.requests_per_client;
         // Pull the next request-record; seeks are dropped in flight.
         let op_shard = loop {
+            if capped {
+                break None;
+            }
             let Some(r) = client.stream.next_record() else { break None };
             let hit = dispatch(&managed, &files, client.pulled, &r)?;
             client.pulled += 1;
@@ -271,6 +277,7 @@ pub(crate) fn run_serve(
         };
         let Some((op, shard)) = op_shard else {
             client.done = true;
+            judge(&mut client.stream)?;
             continue;
         };
         client.issued += 1;
@@ -318,6 +325,8 @@ mod tests {
             16,
             &ServeOptions { clients, ..Default::default() },
             ReportMode::Full,
+            |s| s,
+            |_| Ok(()),
         )
         .unwrap()
     }
@@ -362,6 +371,8 @@ mod tests {
             16,
             &ServeOptions { clients: 4, ..Default::default() },
             ReportMode::Summary,
+            |s| s,
+            |_| Ok(()),
         )
         .unwrap();
         assert_eq!(full.summary, summary.summary);
@@ -384,6 +395,8 @@ mod tests {
             16,
             &ServeOptions { clients: 4, ..Default::default() },
             ReportMode::Full,
+            |s| s,
+            |_| Ok(()),
         )
         .unwrap();
         assert_eq!(out.summary.requests, 0);
@@ -399,6 +412,8 @@ mod tests {
             16,
             &ServeOptions { clients: 2, requests_per_client: 5, ..Default::default() },
             ReportMode::Full,
+            |s| s,
+            |_| Ok(()),
         )
         .unwrap();
         assert_eq!(capped.summary.requests, 10, "2 clients x 5 requests");
@@ -412,6 +427,8 @@ mod tests {
             16,
             &ServeOptions { clients: 1, ..Default::default() },
             ReportMode::Full,
+            |s| s,
+            |_| Ok(()),
         )
         .unwrap();
         let idle = run_serve(
@@ -420,6 +437,8 @@ mod tests {
             16,
             &ServeOptions { clients: 1, think_ms: 5.0, ..Default::default() },
             ReportMode::Full,
+            |s| s,
+            |_| Ok(()),
         )
         .unwrap();
         assert!(idle.summary.makespan_ms > busy.summary.makespan_ms);

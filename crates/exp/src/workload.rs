@@ -187,7 +187,7 @@ impl Workload {
     /// [`Workload::open`] with v2 file atoms admitted lazily, block by
     /// block as the stream reaches them
     /// ([`open_path_lazy`](clio_trace::compact::open_path_lazy)): for
-    /// the one-pass replay in [`Experiment::run`](crate::Experiment::run),
+    /// the engines of [`Experiment::run`](crate::Experiment::run),
     /// which reads the source's
     /// [`take_failure`](TraceSource::take_failure) before it returns a
     /// report.
@@ -296,19 +296,31 @@ impl Workload {
     /// behavior and returns `None` without generating a record.
     /// [`VerifyMode::Strict`] rejects the workload at the first
     /// violation ([`ExpError::Verify`], rule code and record index
-    /// intact). [`VerifyMode::Lenient`] always succeeds and returns the
-    /// full quarantine ledger.
+    /// intact). [`VerifyMode::Lenient`] returns the full quarantine
+    /// ledger. A stream that ends because it failed
+    /// ([`TraceSource::take_failure`]) fails either mode with that
+    /// error ([`ExpError::Trace`]): a verdict over its prefix is no
+    /// verdict on the workload.
     ///
     /// Note this *opens* the workload (apps run, files load); call it
     /// on a [resolved](Workload::resolve) workload to pay that once.
     pub fn verify(&self, mode: VerifyMode) -> Result<Option<VerifyReport>, ExpError> {
         self.validate()?;
         let options = self.verify_options();
-        Ok(match mode {
-            VerifyMode::Off => None,
-            VerifyMode::Strict => Some(verify_strict(&mut *self.open()?, options)?),
-            VerifyMode::Lenient => Some(verify_lenient(&mut *self.open()?, options)),
-        })
+        let mut source = match mode {
+            VerifyMode::Off => return Ok(None),
+            VerifyMode::Strict | VerifyMode::Lenient => self.open()?,
+        };
+        let verdict = match mode {
+            VerifyMode::Strict => verify_strict(&mut source, options),
+            _ => Ok(verify_lenient(&mut source, options)),
+        };
+        // A failure ends the stream, so it comes before anything the
+        // verifier could have met after it.
+        match source.take_failure() {
+            Some(failure) => Err(failure.into()),
+            None => Ok(Some(verdict?)),
+        }
     }
 
     /// Resolves the load-once atoms — [`Workload::File`] (disk load)

@@ -30,14 +30,14 @@
 //! pid is done takes reading the stream to its end, which parks every
 //! record the other processes have left — the longer process's whole
 //! tail on a two-process stream of unequal length
-//! ([`TraceSimReport::splitter_peak_buffered`] reports it). What still
-//! parks: `chain:` phases (their pid space is shared), mixes with an
-//! in-memory, application, file or custom atom, anything behind a
-//! wrapper (fault injection, lenient admission), and a stream that
-//! declares more processes than it carries (the roster read parks all
-//! of it). Each process issues its records in order: opens, closes and
-//! seeks cost a fixed host overhead, reads and writes are handed to a
-//! [`DiskArray`].
+//! ([`TraceSimReport::splitter_peak_buffered`] reports it). The
+//! admission wrappers (strict and lenient) pass a stream's parts
+//! through. What still parks: `chain:` phases (their pid space is
+//! shared), mixes with an in-memory, application, file or custom atom,
+//! a stream behind fault injection, and a stream that declares more
+//! processes than it carries (the roster read parks all of it). Each
+//! process issues its records in order: opens, closes and seeks cost a
+//! fixed host overhead, reads and writes are handed to a [`DiskArray`].
 //!
 //! **The event loop.** The run is one typed [`EventQueue`] drained by
 //! `match` over the closed set [`Event`]: a process takes its next
@@ -113,20 +113,20 @@ struct ProcState {
 }
 
 /// Simulation state: the process table over one disk array.
-struct World<'s, A> {
+struct World<A, S> {
     array: A,
     procs: Vec<ProcState>,
     think: ThinkTime,
     bytes_moved: u64,
     /// Per-pid demultiplexer over this run's own stream.
-    splitter: PidSplitter<Box<dyn TraceSource + 's>>,
+    splitter: PidSplitter<S>,
 }
 
 /// Replays the stream `open` yields onto `array`; returns the report
 /// (fault tallies zero) and the array as the run left it. `open` is
 /// called exactly once.
-pub(crate) fn run<'s, A: DiskArray>(
-    open: impl FnOnce() -> Box<dyn TraceSource + 's>,
+pub(crate) fn run<A: DiskArray, S: TraceSource>(
+    open: impl FnOnce() -> S,
     think: ThinkTime,
     array: A,
 ) -> (TraceSimReport, A) {
@@ -179,7 +179,7 @@ pub(crate) fn run<'s, A: DiskArray>(
 /// Gives every pid the splitter has seen and the process table has not
 /// a process, in first-appearance order, taking its first step now:
 /// the whole roster before time zero, a late pid when it is first read.
-fn admit_new_pids<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<'_, A>) {
+fn admit_new_pids<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<A, impl TraceSource>) {
     for &pid in &world.splitter.pids_seen()[world.procs.len()..] {
         let proc_idx = world.procs.len() as u32;
         world.procs.push(ProcState {
@@ -197,7 +197,7 @@ pub(crate) fn resume_at<X>(queue: &mut EventQueue<Event<X>>, at: SimTime, proc_i
     queue.schedule_at(at, Event::Step(proc_idx));
 }
 
-fn step<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<'_, A>, proc_idx: u32) {
+fn step<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<A, impl TraceSource>, proc_idx: u32) {
     let next = world.splitter.next_for(world.procs[proc_idx as usize].pid);
     admit_new_pids(queue, world);
     let proc = &mut world.procs[proc_idx as usize];
@@ -220,9 +220,9 @@ fn step<A: DiskArray>(queue: &mut Queue<A>, world: &mut World<'_, A>, proc_idx: 
     }
 }
 
-fn issue<A: DiskArray>(
+fn issue<A: DiskArray, S>(
     queue: &mut Queue<A>,
-    world: &mut World<'_, A>,
+    world: &mut World<A, S>,
     proc_idx: u32,
     r: TraceRecord,
 ) {

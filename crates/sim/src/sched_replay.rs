@@ -181,8 +181,8 @@ type Queue = proc_driver::Queue<SchedArray>;
 /// [`SimError::ZeroCylinders`] if `options.cylinders` is 0,
 /// [`SimError::InvalidFaultPlan`] if `options.faults` fails
 /// [`DiskFaultPlan::validate`]; the stream is not opened.
-pub fn scheduled_trace_sim<'s>(
-    open: impl FnOnce() -> Box<dyn TraceSource + 's>,
+pub fn scheduled_trace_sim<S: TraceSource>(
+    open: impl FnOnce() -> S,
     machine: &MachineConfig,
     options: &SchedReplayOptions,
 ) -> Result<TraceSimReport, SimError> {

@@ -183,7 +183,9 @@ impl DiskArray for FcfsArray {
 /// traced process replays its own records, all of them contending for
 /// one striped first-come-first-served disk array.
 ///
-/// `open` is called exactly once and the stream is read exactly once.
+/// `open` is called exactly once and the stream is read exactly once;
+/// `|| &mut stream` keeps the stream the caller's, to ask afterwards
+/// why it ended ([`TraceSource::take_failure`]).
 /// The processes are the distinct pids of the shortest prefix showing
 /// `meta().num_processes` of them; a pid that first appears after it
 /// joins when its first record is read (see the module docs).
@@ -191,8 +193,8 @@ impl DiskArray for FcfsArray {
 /// # Errors
 /// [`SimError::InvalidMachine`] if `machine` fails
 /// [`MachineConfig::validate`]; the stream is not opened.
-pub fn trace_sim<'s>(
-    open: impl FnOnce() -> Box<dyn TraceSource + 's>,
+pub fn trace_sim<S: TraceSource>(
+    open: impl FnOnce() -> S,
     machine: &MachineConfig,
     options: &TraceSimOptions,
 ) -> Result<TraceSimReport, SimError> {

@@ -189,6 +189,10 @@ impl<S: TraceSource> TraceSource for FaultSource<S> {
     fn take_failure(&mut self) -> Option<TraceError> {
         self.inner.take_failure()
     }
+
+    // `pid_parts` stays the default, one part: the schedule indexes the
+    // merged stream, which a pull from one part would skip past, and a
+    // fault plan does not promise a corrupted record keeps its pid.
 }
 
 #[cfg(test)]

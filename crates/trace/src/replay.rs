@@ -483,35 +483,39 @@ const PAR_CHUNK: usize = 1024;
 /// of worker threads, each streaming its **own** source — no
 /// materialized [`TraceFile`] exists anywhere in the engine.
 ///
-/// `open` is called once per worker plus once for the calling thread;
-/// every call must yield the same record stream (the same contract
-/// `clio_exp::Workload::open` documents). Each worker replays its
-/// stream against the shards it owns and ships per-record shard costs
-/// to the calling thread in bounded chunks. The calling thread walks
-/// the lead stream, merges the chunk costs per record in ascending
-/// shard order — the same order as [`replay_parallel`]'s merge, which
-/// is what keeps the two engines and every thread count
-/// bitwise-identical — and keeps each record in stream order.
+/// The calling thread reads `lead`; `open` is called once per worker
+/// and must yield the same record stream (the same contract
+/// `clio_exp::Workload::open` documents), or `None` if it cannot be
+/// opened. Each worker replays its stream against the shards it owns
+/// and ships per-record shard costs to the calling thread in bounded
+/// chunks. The calling thread walks the lead stream, merges the chunk
+/// costs per record in ascending shard order — the same order as
+/// [`replay_parallel`]'s merge, which is what keeps the two engines and
+/// every thread count bitwise-identical — and keeps each record in
+/// stream order. The lead is the caller's to ask, afterwards, why it
+/// ended ([`TraceSource::take_failure`]).
 ///
 /// A record [`check_record`] rejects is reported from the lead stream;
 /// the workers, which meet the same record in their own streams, just
-/// stop. A worker whose stream turns out shorter or
-/// longer than the lead's — a file rewritten between opens, a factory
-/// over a one-shot iterator — ends the replay with
+/// stop. A worker whose stream turns out shorter or longer than the
+/// lead's — a file rewritten between opens, a factory over a one-shot
+/// iterator, a stream that failed to open — ends the replay with
 /// [`TraceError::StreamDiverged`].
 ///
 /// # Panics
 /// Panics if a worker panicked.
-pub fn replay_sharded<'s, F>(
+pub fn replay_sharded<L, W, F>(
+    lead: &mut L,
     open: F,
     config: CacheConfig,
     options: &ParallelReplayOptions,
     mode: ReportMode,
 ) -> Result<ReplayReport, TraceError>
 where
-    F: Fn() -> Box<dyn TraceSource + 's> + Sync,
+    L: TraceSource + ?Sized,
+    W: TraceSource,
+    F: Fn() -> Option<W> + Sync,
 {
-    let mut lead = open();
     let meta = lead.meta();
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
     let file_ids: Vec<FileId> = (0..meta.num_files)
@@ -532,7 +536,7 @@ where
             rxs.push(rx);
             let (open, cache, file_ids) = (&open, &cache, &file_ids);
             scope.spawn(move |_| {
-                let mut source = open();
+                let Some(mut source) = open() else { return };
                 let mut view = cache.worker_view(w, threads);
                 let n_owned = view.owned_shards().len();
                 let fresh = |n: usize| -> Vec<Vec<f64>> {
@@ -781,6 +785,17 @@ mod tests {
         move || Box::new(SliceSource::new(trace))
     }
 
+    /// [`replay_sharded`] with every stream from `open`: the lead first,
+    /// then one per worker.
+    fn sharded<S: TraceSource>(
+        open: impl Fn() -> S + Sync,
+        config: CacheConfig,
+        options: &ParallelReplayOptions,
+        mode: ReportMode,
+    ) -> Result<ReplayReport, TraceError> {
+        replay_sharded(&mut open(), || Some(open()), config, options, mode)
+    }
+
     fn simple_trace() -> TraceFile {
         TraceFile::build(
             "s.dat",
@@ -1003,7 +1018,7 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             let opts = ParallelReplayOptions { threads, shards: 8 };
             let streamed =
-                replay_sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
+                sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
             assert_eq!(streamed.timings, reference.timings, "{threads} threads");
             assert_eq!(streamed.metrics, reference.metrics, "{threads} threads");
             assert_eq!(streamed.shard_metrics, reference.shard_metrics, "{threads} threads");
@@ -1015,8 +1030,8 @@ mod tests {
         let trace = mixed_trace(600);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
         let opts = ParallelReplayOptions { threads: 3, shards: 8 };
-        let full = replay_sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
-        let summary = replay_sharded(reopen(&trace), config, &opts, ReportMode::Summary).unwrap();
+        let full = sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
+        let summary = sharded(reopen(&trace), config, &opts, ReportMode::Summary).unwrap();
         assert!(summary.timings.is_empty(), "summary mode keeps no timings");
         assert_eq!(summary.stats(), full.stats());
         assert_eq!(summary.metrics, full.metrics);
@@ -1116,7 +1131,7 @@ mod tests {
         // the error comes from the lead stream, and the scope still joins.
         for threads in [1usize, 3] {
             let opts = ParallelReplayOptions { threads, shards: 4 };
-            assert_roster_error(replay_sharded(
+            assert_roster_error(sharded(
                 out_of_roster,
                 CacheConfig::default(),
                 &opts,
@@ -1152,7 +1167,7 @@ mod tests {
                     Box::new(IterSource::new(meta, records))
                 };
                 let opts = ParallelReplayOptions { threads, shards: 4 };
-                match replay_sharded(open, CacheConfig::default(), &opts, ReportMode::Summary) {
+                match sharded(open, CacheConfig::default(), &opts, ReportMode::Summary) {
                     Err(TraceError::StreamDiverged { index: at }) => {
                         assert_eq!(at, index, "{lead_len} vs {worker_len}, {threads} threads")
                     }

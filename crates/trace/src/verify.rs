@@ -53,8 +53,17 @@
 //! on the stream and the options, so a lenient replay is exactly the
 //! replay of the clean records that survive. [`verify_strict`] and
 //! [`verify_lenient`] are the two wrappers drained with nobody
-//! consuming: the stand-alone admission pass for engines that must
-//! know the verdict before their first record.
+//! consuming: the stand-alone admission pass for a caller that must
+//! know the verdict before it acts on any record.
+//!
+//! Both wrappers forward the parts of a source that vouches for its
+//! pids ([`TraceSource::pid_parts`], [`TraceSource::next_from`]):
+//! checking only drops records, so each part still vouches, and every
+//! rule's state is per pid or per `(pid, file)`, so no verdict depends
+//! on how pulls from different parts interleave. The **record index** a
+//! violation carries counts records in the order the consumer pulled
+//! them, across all parts: stream order on a one-part stream, the
+//! consumer's own interleaving of its part pulls otherwise.
 //!
 //! ```
 //! use clio_trace::synth::{SynthSource, TraceProfile};
@@ -67,6 +76,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -377,6 +387,21 @@ impl ViolationCounts {
         *slot += 1;
     }
 
+    /// Adds `other`'s tallies, rule by rule.
+    pub fn add(&mut self, other: &ViolationCounts) {
+        self.pid_out_of_range += other.pid_out_of_range;
+        self.file_out_of_range += other.file_out_of_range;
+        self.clock_rewind += other.clock_rewind;
+        self.reopened_file += other.reopened_file;
+        self.unbalanced_close += other.unbalanced_close;
+        self.unclosed_at_eof += other.unclosed_at_eof;
+        self.zero_repeat += other.zero_repeat;
+        self.offset_overflow += other.offset_overflow;
+        self.metadata_with_length += other.metadata_with_length;
+        self.span_too_long += other.span_too_long;
+        self.too_many_repeats += other.too_many_repeats;
+    }
+
     /// Total violations across every rule.
     pub fn total(&self) -> u64 {
         self.pid_out_of_range
@@ -560,16 +585,10 @@ impl Verifier {
     /// End-of-stream check (`V06`): reports the earliest dangling
     /// `Open`, if any.
     pub fn finish(&self) -> Result<(), VerifyError> {
-        self.open
-            .iter()
-            .min_by_key(|(_, &opened_at)| opened_at)
-            .map(|(&(pid, file_id), &opened_at)| {
-                Err(VerifyError::UnclosedAtEof { index: opened_at, pid, file_id })
-            })
-            .unwrap_or(Ok(()))
+        self.dangling().first().map_or(Ok(()), |&earliest| Err(earliest))
     }
 
-    /// Every dangling `Open` at end of stream, for lenient tallying.
+    /// Every dangling `Open` at end of stream, earliest first.
     fn dangling(&self) -> Vec<VerifyError> {
         let mut all: Vec<VerifyError> = self
             .open
@@ -647,6 +666,22 @@ impl<S: TraceSource> StrictSource<S> {
         let records = self.verifier.records();
         Ok(VerifyReport { records, admitted: records, ..VerifyReport::default() })
     }
+
+    /// The record `pull` takes from the inner stream, if it passes; else
+    /// the violation is kept and the stream ends.
+    fn checked(&mut self, pull: impl FnOnce(&mut S) -> Option<TraceRecord>) -> Option<TraceRecord> {
+        if self.violation.is_some() {
+            return None;
+        }
+        let r = pull(&mut self.inner)?;
+        match self.verifier.check(&r) {
+            Ok(()) => Some(r),
+            Err(violation) => {
+                self.violation = Some(violation);
+                None
+            }
+        }
+    }
 }
 
 impl<S: TraceSource> TraceSource for StrictSource<S> {
@@ -655,17 +690,7 @@ impl<S: TraceSource> TraceSource for StrictSource<S> {
     }
 
     fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.violation.is_some() {
-            return None;
-        }
-        let r = self.inner.next_record()?;
-        match self.verifier.check(&r) {
-            Ok(()) => Some(r),
-            Err(violation) => {
-                self.violation = Some(violation);
-                None
-            }
-        }
+        self.checked(S::next_record)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -675,6 +700,15 @@ impl<S: TraceSource> TraceSource for StrictSource<S> {
 
     fn take_failure(&mut self) -> Option<TraceError> {
         self.inner.take_failure()
+    }
+
+    // Checking only drops records, so a part still vouches for its pids.
+    fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+        self.inner.pid_parts()
+    }
+
+    fn next_from(&mut self, part: usize) -> Option<TraceRecord> {
+        self.checked(|inner| inner.next_from(part))
     }
 }
 
@@ -719,16 +753,15 @@ impl<S: TraceSource> QuarantineSource<S> {
         report.records = self.verifier.records();
         report
     }
-}
 
-impl<S: TraceSource> TraceSource for QuarantineSource<S> {
-    fn meta(&self) -> SourceMeta {
-        self.inner.meta()
-    }
-
-    fn next_record(&mut self) -> Option<TraceRecord> {
+    /// The next record `pull` takes from the inner stream that passes;
+    /// the ones that do not are tallied and skipped.
+    fn admitted(
+        &mut self,
+        mut pull: impl FnMut(&mut S) -> Option<TraceRecord>,
+    ) -> Option<TraceRecord> {
         loop {
-            let r = self.inner.next_record()?;
+            let r = pull(&mut self.inner)?;
             match self.verifier.check(&r) {
                 Ok(()) => {
                     self.tallied.admitted += 1;
@@ -742,6 +775,16 @@ impl<S: TraceSource> TraceSource for QuarantineSource<S> {
             }
         }
     }
+}
+
+impl<S: TraceSource> TraceSource for QuarantineSource<S> {
+    fn meta(&self) -> SourceMeta {
+        self.inner.meta()
+    }
+
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        self.admitted(S::next_record)
+    }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         // Quarantining can only shrink the stream: keep the upper
@@ -751,6 +794,16 @@ impl<S: TraceSource> TraceSource for QuarantineSource<S> {
 
     fn take_failure(&mut self) -> Option<TraceError> {
         self.inner.take_failure()
+    }
+
+    // Quarantine only drops records, so a part still vouches for its
+    // pids.
+    fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+        self.inner.pid_parts()
+    }
+
+    fn next_from(&mut self, part: usize) -> Option<TraceRecord> {
+        self.admitted(|inner| inner.next_from(part))
     }
 }
 
@@ -1042,6 +1095,73 @@ mod tests {
         );
         assert_eq!(std::iter::from_fn(|| strict.next_record()).count(), 2);
         assert_eq!(strict.finish().unwrap_err().code(), "V06");
+    }
+
+    /// A source of two parts, pid 0 and pid 1, that vouches for them;
+    /// the merged stream alternates between the parts.
+    struct TwoParts {
+        parts: [std::collections::VecDeque<TraceRecord>; 2],
+        turn: usize,
+    }
+
+    impl TraceSource for TwoParts {
+        fn meta(&self) -> SourceMeta {
+            meta(2, 1)
+        }
+
+        fn next_record(&mut self) -> Option<TraceRecord> {
+            self.turn ^= 1;
+            self.next_from(self.turn ^ 1).or_else(|| self.next_from(self.turn))
+        }
+
+        fn pid_parts(&self) -> Option<Vec<Range<u32>>> {
+            Some(vec![0..1, 1..2])
+        }
+
+        fn next_from(&mut self, part: usize) -> Option<TraceRecord> {
+            self.parts.get_mut(part)?.pop_front()
+        }
+    }
+
+    #[test]
+    fn the_wrappers_pass_parts_through_and_index_in_pull_order() {
+        let part = |pid: u32| {
+            let mut records = vec![rec(IoOp::Open, pid, 0, 1), rec(IoOp::Read, pid, 0, 2)];
+            records.extend([rec(IoOp::Read, pid, 0, 3), rec(IoOp::Close, pid, 0, 4)]);
+            records
+        };
+        let mut bad = part(0);
+        bad[2].num_records = 0; // V07, the third record of part 0
+        let source = || TwoParts { parts: [bad.clone().into(), part(1).into()], turn: 0 };
+        let options = VerifyOptions::default();
+        // Merged, the V07 is record 4; pulled part 1 first, it is record 6.
+        let mut strict = StrictSource::with_options(source(), options);
+        assert_eq!(strict.pid_parts(), Some(vec![0..1, 1..2]));
+        while strict.next_record().is_some() {}
+        assert_eq!(strict.finish().unwrap_err().index(), 4);
+        let mut strict = StrictSource::with_options(source(), options);
+        assert_eq!(std::iter::from_fn(|| strict.next_from(1)).count(), 4);
+        assert_eq!(std::iter::from_fn(|| strict.next_from(0)).count(), 2);
+        assert_eq!(strict.next_from(1), None, "a rejected stream ends in every part");
+        assert_eq!(strict.finish().unwrap_err().index(), 6);
+
+        // Lenient: the same record quarantined either way, the same
+        // survivors part by part; only the index moves.
+        let mut merged = QuarantineSource::with_options(source(), options);
+        let survivors: Vec<TraceRecord> = std::iter::from_fn(|| merged.next_record()).collect();
+        let mut parted = QuarantineSource::with_options(source(), options);
+        // Part 1 drained first, then part 0.
+        let mut pulled: Vec<TraceRecord> = std::iter::from_fn(|| parted.next_from(1)).collect();
+        pulled.extend(std::iter::from_fn(|| parted.next_from(0)));
+        let pid = |records: &[TraceRecord], pid: u32| -> Vec<TraceRecord> {
+            records.iter().filter(|r| r.pid == pid).copied().collect()
+        };
+        for p in 0..2 {
+            assert_eq!(pid(&pulled, p), pid(&survivors, p), "part {p}");
+        }
+        let (merged, parted) = (merged.ledger(), parted.ledger());
+        assert_eq!((merged.violations, merged.quarantined), (parted.violations, 1));
+        assert_eq!((merged.first.unwrap().index(), parted.first.unwrap().index()), (4, 6));
     }
 
     fn arb_profile() -> impl Strategy<Value = TraceProfile> {

@@ -34,7 +34,7 @@ use clio_core::cache::shard::ShardedBufferCache;
 use clio_core::trace::reader::TraceFile;
 use clio_core::trace::record::{IoOp, TraceRecord};
 use clio_core::trace::replay::{replay_cached, replay_sharded, ParallelReplayOptions, ReportMode};
-use clio_core::trace::source::{SliceSource, TraceSource};
+use clio_core::trace::source::SliceSource;
 
 const PAGE: u64 = 4096;
 const FILE_PAGES: u64 = 2048;
@@ -141,9 +141,15 @@ fn sharded(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
 
 fn parallel(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
     let options = ParallelReplayOptions { threads: 2, shards: SHARDS };
-    let open = || Box::new(SliceSource::new(trace)) as Box<dyn TraceSource + '_>;
-    let out = replay_sharded(open, config(policy), &options, ReportMode::Summary)
-        .expect("golden trace is well-formed");
+    let open = || Some(SliceSource::new(trace));
+    let out = replay_sharded(
+        &mut SliceSource::new(trace),
+        open,
+        config(policy),
+        &options,
+        ReportMode::Summary,
+    )
+    .expect("golden trace is well-formed");
     row(out.metrics, out.total_ms())
 }
 

@@ -22,13 +22,13 @@
 //!    scheduled simulator through the experiment builder: slow windows
 //!    stretch the makespan, transient errors are retried and tallied,
 //!    no bytes are lost, and the whole run stays deterministic.
-//! 5. **All-or-nothing one-pass ingest.** Serial replay admits a v2
-//!    file block by block *while* it replays, so a fault can surface
-//!    after earlier blocks went through the cache. Whatever the fault
-//!    and wherever it sits — first block, last block, footer — `run()`
-//!    returns a coded error, never a report over a prefix; and a
-//!    failure parked in a source reaches the caller through every
-//!    wrapper and combinator.
+//! 5. **All-or-nothing one-pass ingest.** Every engine admits its
+//!    input *while* it runs (a v2 file block by block), so a fault can
+//!    surface after earlier blocks went through the engine. Whatever
+//!    the fault and wherever it sits — first block, last block, last
+//!    record, footer — `run()` returns a coded error, never a report
+//!    over a prefix; and a failure parked in a source reaches the
+//!    caller through every wrapper, combinator and engine.
 
 use std::sync::Arc;
 
@@ -625,16 +625,16 @@ fn one_pass_ingest_reports_the_first_fault_in_stream_order() {
         }
         other => panic!("expected the last block's checksum mismatch, got {other:?}"),
     }
-    // ...as it does for an engine that admits the whole file before its
-    // first record, verifier or not: there the container comes first.
-    let admitted_first = Experiment::builder()
+    // ...and a simulator, which admits its one stream while it runs just
+    // as serial replay does, meets the V07 first too.
+    let simulated = Experiment::builder()
         .workload(Workload::File(path.clone()))
         .engine(Engine::TraceSim)
         .verify(VerifyMode::Strict)
         .build()
         .expect("valid experiment")
         .run();
-    assert!(matches!(admitted_first, Err(ExpError::Trace(TraceError::ChecksumMismatch { .. }))));
+    assert!(matches!(simulated, Err(ExpError::Verify(v)) if (v.code(), v.index()) == ("V07", 20)));
 
     // The other order: the payload flip in block 0, the V07 after it.
     let mut bytes = small_block_v2(&trace);
@@ -739,24 +739,208 @@ fn a_parked_failure_surfaces_through_every_wrapper_and_combinator() {
         Err(TraceError::CorruptBlock { block: FailingSource::BLOCK, .. })
     ));
 
-    // And at the run() boundary: the replay of the five records that
-    // did arrive is dropped, in every admission mode.
+    // A stand-alone admission pass over it is no verdict either.
     let workload = Workload::custom("failing", || Box::new(FailingSource::after(5)));
-    for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+    for verify in [VerifyMode::Strict, VerifyMode::Lenient] {
+        let verdict = workload.verify(verify);
+        assert!(
+            matches!(verdict, Err(ExpError::Trace(TraceError::CorruptBlock { .. }))),
+            "{verify:?}: {verdict:?}"
+        );
+    }
+
+    // And at the run() boundary: the run over the five records that did
+    // arrive is dropped, whatever the engine, in every admission mode.
+    let dir = temp_dir("failing");
+    for engine in every_engine(&dir) {
+        for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+            let outcome = Experiment::builder()
+                .workload(workload.clone())
+                .engine(engine.clone())
+                .verify(verify)
+                .build()
+                .expect("valid experiment")
+                .run();
+            assert!(
+                matches!(
+                    outcome,
+                    Err(ExpError::Trace(TraceError::CorruptBlock {
+                        block: FailingSource::BLOCK,
+                        ..
+                    }))
+                ),
+                "{engine:?}/{verify:?}: {:?}",
+                outcome.map(|r| r.records)
+            );
+        }
+    }
+    // Serve clients cut off by their request budget read on to the end
+    // of their streams when admission is on, so the failure past the
+    // cut is still met.
+    for verify in [VerifyMode::Strict, VerifyMode::Lenient] {
         let outcome = Experiment::builder()
             .workload(workload.clone())
-            .engine(Engine::SerialReplay)
+            .engine(Engine::Serve)
+            .clients(2)
+            .requests_per_client(2)
             .verify(verify)
             .build()
             .expect("valid experiment")
             .run();
         assert!(
-            matches!(
-                outcome,
-                Err(ExpError::Trace(TraceError::CorruptBlock { block: FailingSource::BLOCK, .. }))
-            ),
+            matches!(outcome, Err(ExpError::Trace(TraceError::CorruptBlock { .. }))),
             "{verify:?}: {:?}",
             outcome.map(|r| r.records)
         );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// All six engines; real replay reads a small sample file in `dir`.
+fn every_engine(dir: &std::path::Path) -> [Engine; 6] {
+    let sample = dir.join("sample.dat");
+    std::fs::write(&sample, vec![7u8; 64 * 1024]).expect("sample file");
+    [
+        Engine::SerialReplay,
+        Engine::ParallelReplay,
+        Engine::TraceSim,
+        Engine::ScheduledSim,
+        Engine::Serve,
+        Engine::RealReplay { sample },
+    ]
+}
+
+/// A fault in the last record or the last block of a v2 file is met
+/// after every earlier block went through the engine: no engine may
+/// return a `Report` over the prefix. A `V07` in the last record fails
+/// every strict run with its code and index; a flipped payload byte in
+/// the last block fails every run, in every mode, with that block's
+/// checksum mismatch.
+#[test]
+fn a_late_fault_in_a_v2_file_fails_every_engine() {
+    let base =
+        clio_core::trace::synth::synthesize(&TraceProfile { data_ops: 60, ..Default::default() });
+    let dir = temp_dir("late");
+    let path = dir.join("late.clc2");
+    let run = |engine: &Engine, verify: VerifyMode| {
+        Experiment::builder()
+            .workload(Workload::File(path.clone()))
+            .engine(engine.clone())
+            .verify(verify)
+            .cache(CacheConfig { capacity_pages: 64, ..Default::default() })
+            .build()
+            .expect("valid experiment")
+            .run()
+    };
+
+    let mut trace = base.clone();
+    let last = trace.len() - 1;
+    trace.records[last].num_records = 0;
+    std::fs::write(&path, small_block_v2(&trace)).expect("writes");
+    for engine in every_engine(&dir) {
+        match run(&engine, VerifyMode::Strict) {
+            Err(ExpError::Verify(v)) => {
+                assert_eq!((v.code(), v.index()), ("V07", last as u64), "{engine:?}")
+            }
+            other => {
+                panic!("{engine:?}: expected V07 at {last}, got {:?}", other.map(|r| r.records))
+            }
+        }
+    }
+
+    let mut bytes = small_block_v2(&base);
+    let source = CompactSource::from_bytes(bytes.clone()).expect("clean container");
+    let last_block = source.block_count() - 1;
+    bytes[source.block_index()[last_block].offset as usize + 1 + 40 + 2] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("writes");
+    for engine in every_engine(&dir) {
+        for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+            match run(&engine, verify) {
+                Err(ExpError::Trace(TraceError::ChecksumMismatch { block, .. })) => {
+                    assert_eq!(block, last_block as u64, "{engine:?}/{verify:?}")
+                }
+                other => panic!(
+                    "{engine:?}/{verify:?}: expected the last block's checksum mismatch, got {:?}",
+                    other.map(|r| r.records)
+                ),
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Lenient serve gives each client its own stream, as `Off` and
+/// `Strict` do: on a clean input all three modes report the same run,
+/// and the ledger counts every client's stream.
+#[test]
+fn lenient_serve_on_a_clean_input_equals_the_unverified_run() {
+    let profile = TraceProfile { data_ops: 300, ..Default::default() };
+    let run = |verify: VerifyMode| {
+        Experiment::builder()
+            .workload(Workload::Synthetic(profile.clone()))
+            .engine(Engine::Serve)
+            .clients(4)
+            .verify(verify)
+            .build()
+            .expect("valid experiment")
+            .run()
+            .expect("a clean input passes admission")
+    };
+    let off = run(VerifyMode::Off);
+    for verify in [VerifyMode::Strict, VerifyMode::Lenient] {
+        let admitted = run(verify);
+        assert_eq!(admitted.serve, off.serve, "{verify:?}");
+        assert_eq!(admitted.serve_latencies, off.serve_latencies, "{verify:?}");
+        assert_eq!(admitted.cache_metrics, off.cache_metrics, "{verify:?}");
+        assert_eq!(admitted.records, off.records, "{verify:?}");
+    }
+    let ledger = run(VerifyMode::Lenient).quarantine.expect("lenient runs carry the ledger");
+    assert_eq!(
+        (ledger.examined, ledger.admitted, ledger.quarantined),
+        (off.records, off.records, 0)
+    );
+}
+
+/// The engines that read one stream open the workload once and pull
+/// each record once, whatever the admission mode: no pre-pass
+/// generates the input a second time.
+#[test]
+fn single_stream_engines_open_and_generate_their_input_once() {
+    use clio_core::trace::source::IterSource;
+    use clio_core::trace::synth::SynthSource;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    let opens = Arc::new(AtomicU64::new(0));
+    let pulls = Arc::new(AtomicU64::new(0));
+    let (o, p) = (opens.clone(), pulls.clone());
+    let workload = Workload::custom("counted", move || {
+        o.fetch_add(1, Ordering::SeqCst);
+        let profile = TraceProfile { data_ops: 200, ..Default::default() };
+        let mut synth = SynthSource::new(profile).expect("valid profile");
+        let (meta, p) = (synth.meta(), p.clone());
+        Box::new(IterSource::new(
+            meta,
+            std::iter::from_fn(move || {
+                let r = synth.next_record()?;
+                p.fetch_add(1, Ordering::SeqCst);
+                Some(r)
+            }),
+        ))
+    });
+    for engine in [Engine::TraceSim, Engine::ScheduledSim, Engine::SerialReplay] {
+        for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+            opens.store(0, Ordering::SeqCst);
+            pulls.store(0, Ordering::SeqCst);
+            let report = Experiment::builder()
+                .workload(workload.clone())
+                .engine(engine.clone())
+                .verify(verify)
+                .build()
+                .expect("valid experiment")
+                .run()
+                .expect("a clean input passes admission");
+            assert_eq!(opens.load(Ordering::SeqCst), 1, "{engine:?}/{verify:?}: opens");
+            assert_eq!(pulls.load(Ordering::SeqCst), report.records, "{engine:?}/{verify:?}");
+        }
     }
 }

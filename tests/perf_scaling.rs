@@ -427,42 +427,48 @@ fn scheduled_sim_memory_is_flat_in_trace_length() {
 /// The simulators over a mix of synthetic sides: each pid pulls from
 /// its own side, so the splitter parks nothing past the roster prefix
 /// (at most one record per part), and peak heap is flat while the
-/// workload grows 8x. Pulling both pids from one merged stream parks
-/// the longer side's tail once the shorter is done: 36 437 records and
-/// 3 MB of peak heap under `TraceSim` at the large size, against 4 KB.
+/// workload grows 8x — unverified, and behind either admission wrapper,
+/// which passes the parts through. Pulling both pids from one merged
+/// stream parks the longer side's tail once the shorter is done:
+/// 36 437 records and 3 MB of peak heap under `TraceSim` at the large
+/// size, against 4 KB.
 #[test]
 fn a_vouched_mix_parks_nothing_and_holds_sim_heap_flat() {
     let _guard = exclusive();
     let mut mix = Workload::parse("mix:zipf:0.9,rand").expect("parses");
     let parts = mix.open().expect("opens").pid_parts().expect("synthetic sides vouch").len();
     assert_eq!(parts, 2);
-    for engine in [Engine::TraceSim, Engine::ScheduledSim] {
-        let mut peak = |data_ops: usize| {
-            mix.scale_data_ops(data_ops);
-            let exp = Experiment::builder()
-                .workload(mix.clone())
-                .engine(engine.clone())
-                .machine(MachineConfig::with_disks(2))
-                .build()
-                .expect("valid experiment");
-            let mut sim = None;
-            let heap = peak_heap_growth(|| sim = exp.run().expect("sim runs").sim);
-            let sim = sim.expect("the simulators fill the sim section");
-            assert!(sim.records as usize > 2 * data_ops, "{engine:?}: the whole stream was read");
+    for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+        for engine in [Engine::TraceSim, Engine::ScheduledSim] {
+            let mut peak = |data_ops: usize| {
+                mix.scale_data_ops(data_ops);
+                let exp = Experiment::builder()
+                    .workload(mix.clone())
+                    .engine(engine.clone())
+                    .machine(MachineConfig::with_disks(2))
+                    .verify(verify)
+                    .build()
+                    .expect("valid experiment");
+                let mut sim = None;
+                let heap = peak_heap_growth(|| sim = exp.run().expect("sim runs").sim);
+                let sim = sim.expect("the simulators fill the sim section");
+                let case = format!("{engine:?}/{verify:?}");
+                assert!(sim.records as usize > 2 * data_ops, "{case}: the whole stream was read");
+                assert!(
+                    sim.splitter_peak_buffered <= parts as u64,
+                    "{case}: parked {} records at {data_ops} ops a side",
+                    sim.splitter_peak_buffered
+                );
+                heap
+            };
+            peak(1_000); // warm-up, as in the gates above
+            let (small, large) = (peak(10_000), peak(80_000));
             assert!(
-                sim.splitter_peak_buffered <= parts as u64,
-                "{engine:?}: parked {} records at {data_ops} ops a side",
-                sim.splitter_peak_buffered
+                large < small + 64 * 1024,
+                "{engine:?}/{verify:?}: peak heap grew with the mix: {small} B at 10k ops a \
+                 side -> {large} B at 80k"
             );
-            heap
-        };
-        peak(1_000); // warm-up, as in the gates above
-        let (small, large) = (peak(10_000), peak(80_000));
-        assert!(
-            large < small + 64 * 1024,
-            "{engine:?}: peak heap grew with the mix: {small} B at 10k ops a side -> \
-             {large} B at 80k"
-        );
+        }
     }
 }
 

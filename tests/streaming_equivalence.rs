@@ -111,7 +111,8 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
         for threads in [1usize, 2, 3, 8] {
             let opts = ParallelReplayOptions { threads, shards: 8 };
             let streamed = replay_sharded(
-                || Box::new(SliceSource::new(&trace)) as Box<dyn TraceSource + '_>,
+                &mut SliceSource::new(&trace),
+                || Some(SliceSource::new(&trace)),
                 config.clone(),
                 &opts,
                 ReportMode::Full,
@@ -127,7 +128,8 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
             // Summary mode over the same streams: aggregates must match
             // the full report's, and the counters must be unaffected.
             let stats = replay_sharded(
-                || Box::new(SliceSource::new(&trace)) as Box<dyn TraceSource + '_>,
+                &mut SliceSource::new(&trace),
+                || Some(SliceSource::new(&trace)),
                 config.clone(),
                 &opts,
                 ReportMode::Summary,
