@@ -77,12 +77,12 @@ impl Experiment {
     /// **Admission is all-or-nothing at this boundary, and there is one
     /// path to it.** Every engine admits the streams it reads *while*
     /// it runs: each stream goes behind the [`VerifyMode`]'s wrapper
-    /// (none, [`StrictSource`] or [`QuarantineSource`]; v2 file atoms
-    /// are admitted block by block as the engine reaches them), and a
-    /// `Report` comes back only once every stream the verdict comes
-    /// from has been judged: read to its end under `Strict` and
-    /// `Lenient` (a serve client cut off by its request budget drains
-    /// the rest), then asked why it ended
+    /// (none, [`StrictSource`] or [`QuarantineSource`]; serial replay
+    /// and the simulators admit v2 file atoms block by block as they
+    /// reach them), and a `Report` comes back only once every stream
+    /// the verdict comes from has been judged: read to its end under
+    /// `Strict` and `Lenient` (a serve client cut off by its request
+    /// budget drains the rest), then asked why it ended
     /// ([`TraceSource::take_failure`]), then the wrapper's verdict
     /// ([`StrictSource::finish`], `V06` included, or the lenient
     /// ledger). The streams judged are the one stream of serial replay,
@@ -92,8 +92,10 @@ impl Experiment {
     /// client's, whose lenient ledgers are summed. With two faults in
     /// one stream, the error is the one that comes first in the order
     /// the engine read it. Real replay, which acts outside the report,
-    /// also admits the whole input under `Strict` and `Lenient` before
-    /// it touches the sample file ([`Workload::verify`]).
+    /// loads the whole input first in every mode (every v2 block's
+    /// container checks included) and admits it under `Strict` and
+    /// `Lenient` ([`Workload::verify`]) before it touches the sample
+    /// file.
     ///
     /// A stream replayed with [`VerifyMode::Off`] whose record names a
     /// file outside the declared roster fails with
@@ -147,72 +149,82 @@ impl Experiment {
                 None => Ok(verdict(stream)?),
             }
         };
-        if let Engine::RealReplay { .. } = self.engine {
-            self.workload.verify(self.verify)?;
-        }
         // Parallel replay and serve re-open their input, one stream per
         // worker or client: the load-once atoms (file, app) become one
         // shared in-memory trace first, so each re-open clones an `Arc`.
+        // Real replay acts outside the report: it loads the whole input
+        // (every container check included) before it touches the file.
         let workload = match self.engine {
-            Engine::ParallelReplay | Engine::Serve => Cow::Owned(self.workload.resolve()?),
-            _ => Cow::Borrowed(&self.workload),
+            Engine::SerialReplay | Engine::TraceSim | Engine::ScheduledSim => {
+                Cow::Borrowed(&self.workload)
+            }
+            _ => Cow::Owned(self.workload.resolve()?),
         };
         let started = Instant::now();
+        if let Engine::Serve = self.engine {
+            let outcome = serve::run_serve(
+                &workload,
+                self.cache.clone(),
+                self.parallel.shards,
+                &self.serve,
+                self.mode,
+                wrap,
+                judge,
+            )?;
+            report.records = outcome.records;
+            report.cache_metrics = Some(outcome.cache_metrics);
+            report.serve_latencies = outcome.latencies;
+            report.serve = Some(outcome.summary);
+        } else {
+            let mut stream = wrap(workload.open_lazy()?);
+            let ran = self.run_engine(&workload, &mut stream, &wrap, report);
+            judge(&mut stream)?;
+            ran?;
+        }
+        report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+        Ok(())
+    }
+
+    /// Runs every engine but serve over `stream`, the one stream the
+    /// verdict comes from; parallel replay's workers open their own
+    /// through `wrap`.
+    fn run_engine<S: TraceSource>(
+        &self,
+        workload: &Workload,
+        stream: &mut S,
+        wrap: &(impl Fn(Box<dyn TraceSource>) -> S + Sync),
+        report: &mut Report,
+    ) -> Result<(), ExpError> {
         match &self.engine {
             Engine::SerialReplay => {
-                let mut source = wrap(workload.open_lazy()?);
-                let replay = replay_cached(&mut source, self.cache.clone(), self.mode);
-                judge(&mut source)?;
-                let replay = replay?;
+                let replay = replay_cached(stream, self.cache.clone(), self.mode)?;
                 report.cache_metrics = Some(replay.metrics);
                 report.set_replay(replay);
             }
             Engine::ParallelReplay => {
-                let mut lead = wrap(workload.open()?);
-                let open = || workload.open().ok().map(&wrap);
+                let open = || workload.open().map(wrap);
                 let replay =
-                    replay_sharded(&mut lead, open, self.cache.clone(), &self.parallel, self.mode);
-                judge(&mut lead)?;
-                let replay = replay?;
+                    replay_sharded(stream, open, self.cache.clone(), &self.parallel, self.mode)?;
                 report.cache_metrics = Some(replay.metrics);
                 report.shard_metrics = Some(replay.shard_metrics.clone());
                 report.threads_used = Some(replay.threads);
                 report.set_replay(replay);
             }
             Engine::TraceSim | Engine::ScheduledSim => {
-                let mut source = wrap(workload.open_lazy()?);
                 let sim = match self.engine {
-                    Engine::TraceSim => trace_sim(|| &mut source, &self.machine, &self.sim_options),
-                    _ => scheduled_trace_sim(|| &mut source, &self.machine, &self.sched),
+                    Engine::TraceSim => trace_sim(|| stream, &self.machine, &self.sim_options),
+                    _ => scheduled_trace_sim(|| stream, &self.machine, &self.sched),
                 }?;
-                judge(&mut source)?;
                 report.records = sim.records;
                 report.sim = Some(sim);
             }
-            Engine::Serve => {
-                let outcome = serve::run_serve(
-                    &workload,
-                    self.cache.clone(),
-                    self.parallel.shards,
-                    &self.serve,
-                    self.mode,
-                    wrap,
-                    judge,
-                )?;
-                report.records = outcome.records;
-                report.cache_metrics = Some(outcome.cache_metrics);
-                report.serve_latencies = outcome.latencies;
-                report.serve = Some(outcome.summary);
-            }
             Engine::RealReplay { sample } => {
-                let mut source = wrap(workload.open_lazy()?);
+                workload.verify(self.verify)?;
                 let mut backend = open_real_backend(sample, self.real)?;
-                let replay = replay_backend(&mut source, &mut backend, self.real, self.mode);
-                judge(&mut source)?;
-                report.set_replay(replay?);
+                report.set_replay(replay_backend(stream, &mut backend, self.real, self.mode)?);
             }
+            Engine::Serve => unreachable!("serve judges each client's stream itself"),
         }
-        report.wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
         Ok(())
     }
 }

@@ -306,11 +306,10 @@ impl Workload {
     /// on a [resolved](Workload::resolve) workload to pay that once.
     pub fn verify(&self, mode: VerifyMode) -> Result<Option<VerifyReport>, ExpError> {
         self.validate()?;
-        let options = self.verify_options();
-        let mut source = match mode {
-            VerifyMode::Off => return Ok(None),
-            VerifyMode::Strict | VerifyMode::Lenient => self.open()?,
-        };
+        if mode == VerifyMode::Off {
+            return Ok(None);
+        }
+        let (mut source, options) = (self.open()?, self.verify_options());
         let verdict = match mode {
             VerifyMode::Strict => verify_strict(&mut source, options),
             _ => Ok(verify_lenient(&mut source, options)),

@@ -485,8 +485,8 @@ const PAR_CHUNK: usize = 1024;
 ///
 /// The calling thread reads `lead`; `open` is called once per worker
 /// and must yield the same record stream (the same contract
-/// `clio_exp::Workload::open` documents), or `None` if it cannot be
-/// opened. Each worker replays its stream against the shards it owns
+/// `clio_exp::Workload::open` documents); a worker that cannot open
+/// its stream ends the replay with `open`'s error. Each worker replays its stream against the shards it owns
 /// and ships per-record shard costs to the calling thread in bounded
 /// chunks. The calling thread walks the lead stream, merges the chunk
 /// costs per record in ascending shard order — the same order as
@@ -499,22 +499,23 @@ const PAR_CHUNK: usize = 1024;
 /// the workers, which meet the same record in their own streams, just
 /// stop. A worker whose stream turns out shorter or longer than the
 /// lead's — a file rewritten between opens, a factory over a one-shot
-/// iterator, a stream that failed to open — ends the replay with
+/// iterator — ends the replay with
 /// [`TraceError::StreamDiverged`].
 ///
 /// # Panics
 /// Panics if a worker panicked.
-pub fn replay_sharded<L, W, F>(
+pub fn replay_sharded<L, W, E, F>(
     lead: &mut L,
     open: F,
     config: CacheConfig,
     options: &ParallelReplayOptions,
     mode: ReportMode,
-) -> Result<ReplayReport, TraceError>
+) -> Result<ReplayReport, E>
 where
     L: TraceSource + ?Sized,
     W: TraceSource,
-    F: Fn() -> Option<W> + Sync,
+    E: From<TraceError> + Send,
+    F: Fn() -> Result<W, E> + Sync,
 {
     let meta = lead.meta();
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
@@ -532,11 +533,14 @@ where
         // O(chunk) regardless of stream length.
         let mut rxs = Vec::with_capacity(threads);
         for w in 0..threads {
-            let (tx, rx) = crossbeam::channel::bounded::<Vec<Vec<f64>>>(2);
+            let (tx, rx) = crossbeam::channel::bounded::<Result<Vec<Vec<f64>>, E>>(2);
             rxs.push(rx);
             let (open, cache, file_ids) = (&open, &cache, &file_ids);
             scope.spawn(move |_| {
-                let Some(mut source) = open() else { return };
+                let mut source = match open() {
+                    Ok(source) => source,
+                    Err(failed) => return drop(tx.send(Err(failed))),
+                };
                 let mut view = cache.worker_view(w, threads);
                 let n_owned = view.owned_shards().len();
                 let fresh = |n: usize| -> Vec<Vec<f64>> {
@@ -556,13 +560,13 @@ where
                     let i = chunk[0].len() - 1;
                     replay_on_view(&mut view, fid, &r, |k, c| chunk[k][i] += c);
                     if i + 1 == PAR_CHUNK
-                        && tx.send(std::mem::replace(&mut chunk, fresh(n_owned))).is_err()
+                        && tx.send(Ok(std::mem::replace(&mut chunk, fresh(n_owned)))).is_err()
                     {
                         return; // merge side is gone; stop quietly
                     }
                 }
                 if !chunk[0].is_empty() {
-                    let _ = tx.send(chunk);
+                    let _ = tx.send(Ok(chunk));
                 }
             });
         }
@@ -596,10 +600,10 @@ where
                 |at: usize| TraceError::StreamDiverged { index: report.stats.records + at as u64 };
             let chunks: Vec<Vec<Vec<f64>>> = rxs
                 .iter()
-                .map(|rx| rx.recv().map_err(|_| diverged(0)))
+                .map(|rx| rx.recv().unwrap_or_else(|_| Err(diverged(0).into())))
                 .collect::<Result<_, _>>()?;
             if let Some(c) = chunks.iter().find(|c| c[0].len() != records_buf.len()) {
-                return Err(diverged(c[0].len().min(records_buf.len())));
+                return Err(diverged(c[0].len().min(records_buf.len())).into());
             }
             for (i, r) in records_buf.iter().enumerate() {
                 let repeats = r.num_records.max(1) as f64;
@@ -612,14 +616,15 @@ where
         }
         // The lead stream is spent; a worker with one more chunk has a
         // longer one.
-        if rxs.iter().any(|rx| rx.recv().is_ok()) {
-            return Err(TraceError::StreamDiverged { index: report.stats.records });
+        if let Some(more) = rxs.iter().find_map(|rx| rx.recv().ok()) {
+            more?;
+            return Err(TraceError::StreamDiverged { index: report.stats.records }.into());
         }
         // Returning — here or through any `?` above — drops `rxs` before
         // the scope joins: a worker still sending (its stream ran longer
         // than the lead's, or the lead hit a roster violation) fails its
         // send instead of blocking the scope forever.
-        Ok::<(), TraceError>(())
+        Ok::<(), E>(())
     })
     .expect("replay scope")?;
 
@@ -793,7 +798,7 @@ mod tests {
         options: &ParallelReplayOptions,
         mode: ReportMode,
     ) -> Result<ReplayReport, TraceError> {
-        replay_sharded(&mut open(), || Some(open()), config, options, mode)
+        replay_sharded(&mut open(), || Ok(open()), config, options, mode)
     }
 
     fn simple_trace() -> TraceFile {
@@ -1174,6 +1179,28 @@ mod tests {
                     other => {
                         panic!("{lead_len} vs {worker_len}: expected divergence, got {other:?}")
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_that_cannot_open_its_stream_ends_the_replay_with_its_error() {
+        // The last worker's open fails; its error comes back, not a
+        // divergence, whether the lead has records to merge or none.
+        for records in [0u64, 10, 3 * PAR_CHUNK as u64] {
+            for threads in [1usize, 3] {
+                let trace = mixed_trace(records);
+                let opens = std::sync::atomic::AtomicUsize::new(0);
+                let open = || match opens.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 {
+                    n if n == threads => Err(TraceError::BadHeader("gone".into())),
+                    _ => Ok(SliceSource::new(&trace)),
+                };
+                let opts = ParallelReplayOptions { threads, shards: 4 };
+                let lead = &mut SliceSource::new(&trace);
+                match replay_sharded(lead, open, CacheConfig::default(), &opts, ReportMode::Full) {
+                    Err(TraceError::BadHeader(why)) => assert_eq!(why, "gone"),
+                    other => panic!("{records} records, {threads} threads: got {other:?}"),
                 }
             }
         }

@@ -35,6 +35,7 @@ use clio_core::trace::reader::TraceFile;
 use clio_core::trace::record::{IoOp, TraceRecord};
 use clio_core::trace::replay::{replay_cached, replay_sharded, ParallelReplayOptions, ReportMode};
 use clio_core::trace::source::SliceSource;
+use clio_core::trace::TraceError;
 
 const PAGE: u64 = 4096;
 const FILE_PAGES: u64 = 2048;
@@ -141,7 +142,7 @@ fn sharded(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
 
 fn parallel(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
     let options = ParallelReplayOptions { threads: 2, shards: SHARDS };
-    let open = || Some(SliceSource::new(trace));
+    let open = || Ok::<_, TraceError>(SliceSource::new(trace));
     let out = replay_sharded(
         &mut SliceSource::new(trace),
         open,

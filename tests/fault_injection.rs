@@ -37,7 +37,7 @@ use clio_core::trace::compact::encode::encode_source_with_blocks;
 use clio_core::trace::compact::{load_auto, CompactSource};
 use clio_core::trace::fault::{FaultKind, FaultPlan, FaultSource};
 use clio_core::trace::record::TraceRecord;
-use clio_core::trace::replay::replay_cached;
+use clio_core::trace::replay::{replay_cached, RealReplayOptions};
 use clio_core::trace::source::{
     ChainSource, FileNamespace, SharedSource, SliceSource, SourceMeta, TraceSource, WeightedSource,
 };
@@ -848,11 +848,16 @@ fn a_late_fault_in_a_v2_file_fails_every_engine() {
         }
     }
 
-    let mut bytes = small_block_v2(&base);
-    let source = CompactSource::from_bytes(bytes.clone()).expect("clean container");
-    let last_block = source.block_count() - 1;
-    bytes[source.block_index()[last_block].offset as usize + 1 + 40 + 2] ^= 0x10;
-    std::fs::write(&path, &bytes).expect("writes");
+    // `trace` as a v2 file with a flipped payload byte in its last block.
+    let write_flipped = |trace: &TraceFile| {
+        let mut bytes = small_block_v2(trace);
+        let source = CompactSource::from_bytes(bytes.clone()).expect("clean container");
+        let last_block = source.block_count() - 1;
+        bytes[source.block_index()[last_block].offset as usize + 1 + 40 + 2] ^= 0x10;
+        std::fs::write(&path, &bytes).expect("writes");
+        last_block
+    };
+    let last_block = write_flipped(&base);
     for engine in every_engine(&dir) {
         for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
             match run(&engine, verify) {
@@ -865,6 +870,32 @@ fn a_late_fault_in_a_v2_file_fails_every_engine() {
                 ),
             }
         }
+    }
+
+    // Real replay acts outside the report: even with writes allowed and
+    // admission off, the bad block fails the run before any record
+    // reaches the sample file.
+    let writes = TraceProfile { data_ops: 60, write_fraction: 0.5, ..Default::default() };
+    let writes = clio_core::trace::synth::synthesize(&writes);
+    assert!(writes.records[..16].iter().any(|r| r.op == IoOp::Write), "the first block writes");
+    write_flipped(&writes);
+    let sample = dir.join("sample.dat");
+    let before = std::fs::read(&sample).expect("sample file");
+    for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
+        let written = Experiment::builder()
+            .workload(Workload::File(path.clone()))
+            .engine(Engine::RealReplay { sample: sample.clone() })
+            .real_options(RealReplayOptions { allow_writes: true, ..Default::default() })
+            .verify(verify)
+            .build()
+            .expect("valid experiment")
+            .run();
+        assert!(
+            matches!(written, Err(ExpError::Trace(TraceError::ChecksumMismatch { .. }))),
+            "{verify:?}: {:?}",
+            written.map(|r| r.records)
+        );
+        assert!(std::fs::read(&sample).expect("sample file") == before, "{verify:?} wrote");
     }
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -26,6 +26,7 @@ use clio_core::trace::record::TraceRecord;
 use clio_core::trace::replay::{replay_parallel, replay_sharded, ParallelReplayOptions};
 use clio_core::trace::source::{IterSource, SliceSource, SourceMeta, TraceSource};
 use clio_core::trace::synth::synthesize;
+use clio_core::trace::TraceError;
 
 /// Runs `workload` on `engine` in both report modes and pins the
 /// flattened summaries field-for-field identical; returns the pair for
@@ -112,7 +113,7 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
             let opts = ParallelReplayOptions { threads, shards: 8 };
             let streamed = replay_sharded(
                 &mut SliceSource::new(&trace),
-                || Some(SliceSource::new(&trace)),
+                || Ok::<_, TraceError>(SliceSource::new(&trace)),
                 config.clone(),
                 &opts,
                 ReportMode::Full,
@@ -129,7 +130,7 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
             // the full report's, and the counters must be unaffected.
             let stats = replay_sharded(
                 &mut SliceSource::new(&trace),
-                || Some(SliceSource::new(&trace)),
+                || Ok::<_, TraceError>(SliceSource::new(&trace)),
                 config.clone(),
                 &opts,
                 ReportMode::Summary,
