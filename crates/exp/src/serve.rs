@@ -24,7 +24,6 @@
 //! dispatch, cache, added in that order) and compares bit for bit.
 
 use clio_cache::cache::CacheConfig;
-use clio_cache::page::FileId;
 use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};
 use clio_stats::sink::PercentileSink;
 use clio_trace::record::{IoOp, TraceRecord};
@@ -183,20 +182,17 @@ struct Client<S> {
 /// # Errors
 /// What [`check_record`] returns for the record, before anything is
 /// issued: [`TraceError::FileIdOutOfRange`] for a file outside the
-/// registered roster, [`TraceError::SpanTooLong`] for a span the cache
+/// `num_files` roster, [`TraceError::SpanTooLong`] for a span the cache
 /// would walk for ever, [`TraceError::TooManyRepeats`] for a repeat
 /// count past the `V11` bound; `index` is its position in the client's
 /// stream.
 fn dispatch(
     managed: &SharedManagedIo,
-    files: &[FileId],
+    num_files: u32,
     index: u64,
     r: &TraceRecord,
 ) -> Result<Option<(clio_runtime::StreamOp, usize)>, TraceError> {
-    // The roster is registered from a `u32` count, so its length fits,
-    // and a checked record's file id indexes it.
-    check_record(files.len() as u32, index, r)?;
-    let fid = files[r.file_id as usize];
+    let fid = check_record(num_files, index, r)?;
     let (op, offset) = match r.op {
         IoOp::Open => (managed.open("open", FILE_HELPER_OPS, fid), 0),
         IoOp::Close => (managed.close("close", FILE_HELPER_OPS, fid), 0),
@@ -237,11 +233,9 @@ pub(crate) fn run_serve<S: TraceSource>(
         })
         .collect::<Result<_, _>>()?;
 
-    // Register the file namespace once, like the replay engines: every
-    // client stream shares the workload's file table.
+    // Every client stream shares the workload's file ids; the roster is
+    // the widest any client declares.
     let num_files = clients.iter().map(|c| c.stream.meta().num_files).max().unwrap_or(0);
-    let files: Vec<FileId> =
-        (0..num_files).map(|i| managed.register_file(format!("serve-{i}"))).collect();
 
     // The sharded cache clamps its shard count; mirror what it built.
     let mut shard_busy = vec![0.0f64; managed.cache().num_shards()];
@@ -251,14 +245,13 @@ pub(crate) fn run_serve<S: TraceSource>(
     let mut jit_total: f64 = 0.0;
 
     // Next request: the earliest-ready live client, ties broken by
-    // client id — a deterministic discrete-event order.
+    // client id (`min_by` keeps the first of equal minima) — a
+    // deterministic discrete-event order.
     while let Some(c) = clients
         .iter()
         .enumerate()
         .filter(|(_, c)| !c.done)
-        .min_by(|(ai, a), (bi, b)| {
-            a.ready.partial_cmp(&b.ready).expect("virtual clock is never NaN").then(ai.cmp(bi))
-        })
+        .min_by(|(_, a), (_, b)| a.ready.total_cmp(&b.ready))
         .map(|(i, _)| i)
     {
         let client = &mut clients[c];
@@ -269,7 +262,7 @@ pub(crate) fn run_serve<S: TraceSource>(
                 break None;
             }
             let Some(r) = client.stream.next_record() else { break None };
-            let hit = dispatch(&managed, &files, client.pulled, &r)?;
+            let hit = dispatch(&managed, num_files, client.pulled, &r)?;
             client.pulled += 1;
             if hit.is_some() {
                 break hit;

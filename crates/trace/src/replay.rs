@@ -248,13 +248,18 @@ impl ReplayReport {
 }
 
 /// The checks every replay engine makes on a record before acting on
-/// it, verified or not: it names a file inside the source's declared
-/// roster, it spans no more than the verifier's `V10` bound (the cache
-/// walks a span page by page, so one giant record would hang the
-/// replay), and it repeats no more than the `V11` bound (each repeat is
-/// replayed, so a huge count hangs it just the same, whatever the
-/// length). `index` is the record's 0-based position in the stream.
-pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), TraceError> {
+/// it, verified or not, and the one way an engine turns a record into
+/// a cache file: it names a file inside the source's declared roster,
+/// it spans no more than the verifier's `V10` bound (the cache walks a
+/// span page by page, so one giant record would hang the replay), and
+/// it repeats no more than the `V11` bound (each repeat is replayed, so
+/// a huge count hangs it just the same, whatever the length). `index`
+/// is the record's 0-based position in the stream.
+///
+/// A checked record's file is `FileId(r.file_id)`, the id a fresh
+/// cache would give it had the roster been registered in order. The
+/// roster bounds the ids and sizes nothing.
+pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<FileId, TraceError> {
     if r.file_id >= num_files {
         return Err(TraceError::FileIdOutOfRange { index, file_id: r.file_id, num_files });
     }
@@ -268,7 +273,7 @@ pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<(), T
     if too_many_repeats(r) {
         return Err(TraceError::TooManyRepeats { index, num_records: r.num_records });
     }
-    Ok(())
+    Ok(FileId(r.file_id))
 }
 
 /// The conservation oracle of the cached drivers (debug builds only):
@@ -304,18 +309,14 @@ pub fn replay_cached<S: TraceSource + ?Sized>(
     config: CacheConfig,
     mode: ReportMode,
 ) -> Result<ReplayReport, TraceError> {
-    let meta = source.meta();
+    let num_files = source.meta().num_files;
     let mut cache = BufferCache::new(config);
-    let file_ids: Vec<FileId> = (0..meta.num_files)
-        .map(|i| cache.register_file(format!("{}#{}", meta.sample_file, i)))
-        .collect();
     let mut report = ReplayReport::new(mode, source.size_hint().0);
     let mut ledger = PageLedger::default();
 
     while let Some(r) = source.next_record() {
-        check_record(meta.num_files, report.stats.records, &r)?;
+        let fid = check_record(num_files, report.stats.records, &r)?;
         ledger.count(&r, cache.config().page_size);
-        let fid = file_ids[r.file_id as usize];
         let repeats = r.num_records.max(1);
         let mut total = 0.0;
         for _ in 0..repeats {
@@ -407,23 +408,18 @@ fn base_cost(config: &CacheConfig, op: IoOp) -> f64 {
 /// shard they match [`replay_cached`]'s hit/miss accounting
 /// access-for-access.
 ///
-/// `trace` must pass [`TraceFile::validate`] and every record
-/// [`check_record`] (a hand-assembled one may not); the violation is
-/// returned before any worker starts.
+/// `trace` must pass [`TraceFile::validate`] (checked before any
+/// worker starts) and every record [`check_record`] (a hand-assembled
+/// one may not): every worker meets the first record it rejects and
+/// stops there, and that violation is returned.
 pub fn replay_parallel(
     trace: &TraceFile,
     config: CacheConfig,
     options: &ParallelReplayOptions,
 ) -> Result<ReplayReport, TraceError> {
     trace.validate()?;
-    for (index, r) in trace.records.iter().enumerate() {
-        check_record(trace.header.num_files, index as u64, r)?;
-    }
+    let num_files = trace.header.num_files;
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
-    let file_ids: Vec<FileId> = (0..trace.header.num_files)
-        .map(|i| cache.register_file(format!("{}#{}", trace.header.sample_file, i)))
-        .collect();
-
     let num_shards = cache.num_shards();
     let threads = options.threads.clamp(1, num_shards);
     let records = &trace.records;
@@ -435,22 +431,24 @@ pub fn replay_parallel(
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let cache = &cache;
-                let file_ids = &file_ids;
                 scope.spawn(move |_| {
                     let mut view = cache.worker_view(w, threads);
                     let mut costs: Vec<Vec<f64>> =
                         view.owned_shards().map(|_| vec![0.0; records.len()]).collect();
                     for (i, r) in records.iter().enumerate() {
-                        let fid = file_ids[r.file_id as usize];
+                        let fid = check_record(num_files, i as u64, r)?;
                         replay_on_view(&mut view, fid, r, |k, c| costs[k][i] += c);
                     }
-                    view.owned_shards().zip(costs).collect::<Vec<_>>()
+                    Ok(view.owned_shards().zip(costs).collect::<Vec<_>>())
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("replay worker panicked")).collect::<Vec<_>>()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replay worker panicked"))
+            .collect::<Result<Vec<_>, TraceError>>()
     })
-    .expect("replay scope");
+    .expect("replay scope")?;
     for per_worker in worker_results {
         for (shard, vec) in per_worker {
             costs[shard] = Some(vec);
@@ -486,21 +484,21 @@ const PAR_CHUNK: usize = 1024;
 /// The calling thread reads `lead`; `open` is called once per worker
 /// and must yield the same record stream (the same contract
 /// `clio_exp::Workload::open` documents); a worker that cannot open
-/// its stream ends the replay with `open`'s error. Each worker replays its stream against the shards it owns
-/// and ships per-record shard costs to the calling thread in bounded
-/// chunks. The calling thread walks the lead stream, merges the chunk
-/// costs per record in ascending shard order — the same order as
-/// [`replay_parallel`]'s merge, which is what keeps the two engines and
-/// every thread count bitwise-identical — and keeps each record in
-/// stream order. The lead is the caller's to ask, afterwards, why it
-/// ended ([`TraceSource::take_failure`]).
+/// its stream ends the replay with `open`'s error. Each worker replays
+/// its stream against the shards it owns and ships per-record shard
+/// costs to the calling thread in bounded chunks. The calling thread
+/// walks the lead stream, merges the chunk costs per record in
+/// ascending shard order — the same order as [`replay_parallel`]'s
+/// merge, which is what keeps the two engines and every thread count
+/// bitwise-identical — and keeps each record in stream order. The lead
+/// is the caller's to ask, afterwards, why it ended
+/// ([`TraceSource::take_failure`]).
 ///
 /// A record [`check_record`] rejects is reported from the lead stream;
 /// the workers, which meet the same record in their own streams, just
 /// stop. A worker whose stream turns out shorter or longer than the
 /// lead's — a file rewritten between opens, a factory over a one-shot
-/// iterator — ends the replay with
-/// [`TraceError::StreamDiverged`].
+/// iterator — ends the replay with [`TraceError::StreamDiverged`].
 ///
 /// # Panics
 /// Panics if a worker panicked.
@@ -517,11 +515,8 @@ where
     E: From<TraceError> + Send,
     F: Fn() -> Result<W, E> + Sync,
 {
-    let meta = lead.meta();
+    let num_files = lead.meta().num_files;
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
-    let file_ids: Vec<FileId> = (0..meta.num_files)
-        .map(|i| cache.register_file(format!("{}#{}", meta.sample_file, i)))
-        .collect();
     let num_shards = cache.num_shards();
     let threads = options.threads.clamp(1, num_shards);
     let mut report = ReplayReport::new(mode, lead.size_hint().0);
@@ -535,7 +530,7 @@ where
         for w in 0..threads {
             let (tx, rx) = crossbeam::channel::bounded::<Result<Vec<Vec<f64>>, E>>(2);
             rxs.push(rx);
-            let (open, cache, file_ids) = (&open, &cache, &file_ids);
+            let (open, cache) = (&open, &cache);
             scope.spawn(move |_| {
                 let mut source = match open() {
                     Ok(source) => source,
@@ -548,12 +543,10 @@ where
                 };
                 let mut chunk = fresh(n_owned);
                 while let Some(r) = source.next_record() {
-                    // A record the lead rejects (`check_record`) is
-                    // reported from the lead stream; stop quietly.
-                    let Some(&fid) = file_ids.get(r.file_id as usize) else { return };
-                    if span_too_long(&r) || too_many_repeats(&r) {
-                        return;
-                    }
+                    // The lead reports a record `check_record` rejects,
+                    // with its index (the 0 here is never read); this
+                    // worker just stops.
+                    let Ok(fid) = check_record(num_files, 0, &r) else { return };
                     for col in chunk.iter_mut() {
                         col.push(0.0);
                     }
@@ -581,7 +574,7 @@ where
                 match lead.next_record() {
                     Some(r) => {
                         let index = report.stats.records + records_buf.len() as u64;
-                        check_record(meta.num_files, index, &r)?;
+                        check_record(num_files, index, &r)?;
                         ledger.count(&r, config.page_size);
                         records_buf.push(r);
                     }

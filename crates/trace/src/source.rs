@@ -79,8 +79,8 @@ impl SourceMeta {
 /// A stream of trace records.
 ///
 /// Implementations must yield records in capture order and must keep
-/// every record's `file_id` below `meta().num_files` — replay engines
-/// size their file tables from the metadata.
+/// every record's `file_id` below `meta().num_files` — a replay engine
+/// ends with [`TraceError::FileIdOutOfRange`] at a record past it.
 pub trait TraceSource {
     /// The header-level metadata of the stream.
     fn meta(&self) -> SourceMeta;

@@ -604,3 +604,90 @@ fn inflated_record_count_is_a_coded_error_not_an_allocation() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Nothing an engine builds is sized by the file count a header merely
+/// *declares*. The prelude's `num_files` is under no CRC, so one
+/// flipped high bit passes admission and claims billions of files.
+/// Patched to `1 << 22` and to `u32::MAX`, a small v2 file must replay
+/// through every engine under every mode exactly as the honest file
+/// does: same summary (real replay's wall-clock means aside), and peak
+/// heap within 64 KiB. A file table of the declared size would take
+/// hundreds of megabytes at `1 << 22`.
+#[test]
+fn a_declared_file_count_sizes_no_engine_allocation() {
+    const SLACK: usize = 64 * 1024;
+    let _guard = exclusive();
+    let honest = synthesize(&TraceProfile { data_ops: 60, ..Default::default() });
+    let clean = compact::encode_trace(&honest).expect("encodes");
+    let dir = temp_dir("roster");
+    let path = dir.join("roster.clc2");
+    let sample = dir.join("sample.dat");
+    std::fs::write(&sample, vec![7u8; 64 * 1024]).expect("sample file");
+    let engines = [
+        Engine::SerialReplay,
+        Engine::ParallelReplay,
+        Engine::TraceSim,
+        Engine::ScheduledSim,
+        Engine::Serve,
+        Engine::RealReplay { sample },
+    ];
+    // One run of `engine` over the file now at `path`: its summary and
+    // the peak heap growth of `run()`.
+    let run = |engine: &Engine, verify: VerifyMode| {
+        let exp = Experiment::builder()
+            .workload(Workload::File(path.clone()))
+            .engine(engine.clone())
+            .verify(verify)
+            // The default cache's own tables are over 1 MiB.
+            .cache(CacheConfig { capacity_pages: 64, ..Default::default() })
+            .build()
+            .expect("valid experiment");
+        let mut report = None;
+        let peak = peak_heap_growth(|| report = Some(exp.run()));
+        let summary = match report.expect("ran") {
+            Ok(report) => report.summary(),
+            Err(e) => panic!("{engine:?} under {verify:?}: {e}"),
+        };
+        let summary = match engine {
+            Engine::RealReplay { .. } => ReportSummary {
+                total_ms: None,
+                open_ms: None,
+                close_ms: None,
+                read_ms: None,
+                write_ms: None,
+                seek_ms: None,
+                ..summary
+            },
+            _ => summary,
+        };
+        (summary, peak)
+    };
+    let modes = [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient];
+
+    std::fs::write(&path, &clean).expect("writes");
+    for engine in &engines {
+        run(engine, VerifyMode::Off); // warm-up: first-use allocations
+    }
+    let baseline: Vec<Vec<_>> =
+        engines.iter().map(|e| modes.iter().map(|&v| run(e, v)).collect()).collect();
+    for declared in [1u32 << 22, u32::MAX] {
+        let mut bytes = clean.clone();
+        bytes[10..14].copy_from_slice(&declared.to_le_bytes());
+        let admitted =
+            CompactSource::from_bytes(bytes.clone()).expect("the prelude is under no CRC");
+        assert_eq!(admitted.meta().num_files, declared);
+        std::fs::write(&path, &bytes).expect("writes");
+        for (engine, honest_runs) in engines.iter().zip(&baseline) {
+            for (&verify, (want, honest_peak)) in modes.iter().zip(honest_runs) {
+                let (got, peak) = run(engine, verify);
+                assert_eq!(&got, want, "{engine:?} under {verify:?}, {declared} files declared");
+                assert!(
+                    peak.abs_diff(*honest_peak) <= SLACK,
+                    "{engine:?} under {verify:?}: {declared} declared files took {peak} B of \
+                     heap, the honest roster {honest_peak} B"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
