@@ -190,55 +190,6 @@ pub fn raster_tiles(
     tiles
 }
 
-/// Generates a `tex_h`-row equirectangular surface texture of `tex_w`
-/// u16 texels per row, with banded structure along latitude (planetary
-/// cloud bands) plus seeded noise. Row-major, one vector per row.
-pub fn texture_rows(seed: u64, tex_w: usize, tex_h: usize) -> Vec<Vec<u16>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::with_capacity(tex_h);
-    for y in 0..tex_h {
-        // Latitude bands: a coarse square wave in y.
-        let band = if (y / 8) % 2 == 0 { 20_000u16 } else { 36_000u16 };
-        let mut row = Vec::with_capacity(tex_w);
-        for x in 0..tex_w {
-            let swirl = ((x * 7 + y * 13) % 61) as u16 * 150;
-            let noise = rng.gen_range(0..2048);
-            row.push(band.wrapping_add(swirl).wrapping_add(noise));
-        }
-        rows.push(row);
-    }
-    rows
-}
-
-/// Generates an `n_pulses × n_range` raw radar echo matrix of i16
-/// samples: a handful of seeded point scatterers spread over the scene
-/// plus noise, so matched filtering produces distinct peaks.
-pub fn radar_echoes(seed: u64, n_pulses: usize, n_range: usize) -> Vec<Vec<i16>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = vec![vec![0i16; n_range]; n_pulses];
-    // Background clutter.
-    for row in &mut m {
-        for v in row.iter_mut() {
-            *v = rng.gen_range(-64..=64);
-        }
-    }
-    // Point scatterers: strong returns smeared over a few cells.
-    let n_scatterers = 5.min(n_pulses.min(n_range));
-    for _ in 0..n_scatterers {
-        let p = rng.gen_range(0..n_pulses);
-        let r = rng.gen_range(0..n_range);
-        for dp in 0..3usize {
-            for dr in 0..3usize {
-                if p + dp < n_pulses && r + dr < n_range {
-                    let fade = (3 - dp.max(dr)) as i16;
-                    m[p + dp][r + dr] = m[p + dp][r + dr].saturating_add(fade * 2500);
-                }
-            }
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,38 +265,5 @@ mod tests {
         assert!(tiles.iter().all(|t| t.len() == 64));
         let again = raster_tiles(9, 3, 2, 8, 8);
         assert_eq!(tiles, again);
-    }
-}
-
-#[cfg(test)]
-mod texgen_tests {
-    use super::*;
-
-    #[test]
-    fn texture_rows_deterministic_and_banded() {
-        let a = texture_rows(29, 64, 32);
-        let b = texture_rows(29, 64, 32);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 32);
-        assert!(a.iter().all(|r| r.len() == 64));
-        // Adjacent latitude bands differ in mean level.
-        let mean = |row: &[u16]| row.iter().map(|&v| v as u64).sum::<u64>() / row.len() as u64;
-        assert!(mean(&a[0]).abs_diff(mean(&a[8])) > 4000, "bands must alternate");
-    }
-
-    #[test]
-    fn radar_echoes_have_scatterers_above_clutter() {
-        let m = radar_echoes(41, 64, 96);
-        assert_eq!(m.len(), 64);
-        let peak = m.iter().flatten().copied().max().unwrap();
-        assert!(peak > 1000, "scatterers must stand out: peak {peak}");
-        assert_eq!(m, radar_echoes(41, 64, 96), "deterministic");
-    }
-
-    #[test]
-    fn radar_echoes_tiny_scene() {
-        let m = radar_echoes(1, 2, 2);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[0].len(), 2);
     }
 }

@@ -21,18 +21,6 @@
 //! - [`cholesky`] — left-looking sparse Cholesky factorization with
 //!   out-of-core column storage (growing dependent-column read sets).
 //!
-//! Two more applications cover the remaining scientific domains the
-//! paper lists for the UMD suite (Section 3.1 names rendering planetary
-//! pictures and radar imaging among the traced domains):
-//!
-//! - [`render`] — out-of-core planetary rendering (scattered texture
-//!   strip reads + sequential image writes),
-//! - [`radar`] — SAR image formation (sequential range pass + strided
-//!   azimuth pass over a row-major matrix),
-//! - [`rdb`] — an ISAM-style relational store (index binary-search
-//!   probes, range scans, index-nested-loop joins) covering the
-//!   "relational database" of the non-scientific trace set.
-//!
 //! Each module also exposes a `paper_trace()` constructor that emits a
 //! trace with the exact request sizes the paper's Tables 1–4 print, so
 //! the table-regeneration benches replay the very byte counts the
@@ -46,9 +34,6 @@ pub mod dmine;
 pub mod instrument;
 pub mod lu;
 pub mod pgrep;
-pub mod radar;
-pub mod rdb;
-pub mod render;
 pub mod titan;
 
 pub use instrument::TracedStore;

@@ -7,7 +7,7 @@
 //! discrete-event loop over [`SharedManagedIo`], where each client
 //! replays a seeded request stream derived from the experiment's
 //! [`Workload`] and each request's service time is the
-//! real managed cost (JIT warmup + GC + dispatch + sharded-cache cost)
+//! real managed cost (JIT warmup + dispatch + sharded-cache cost)
 //! of its I/O.
 //!
 //! Contention is modeled where the real server contends: a request
@@ -20,8 +20,8 @@
 //!
 //! At one client no request ever queues, so per-request latency reduces
 //! to the managed cost of its operations: the load-harness test layer
-//! composes that bill by hand over a solo buffer cache (JIT, GC,
-//! dispatch, cache, added in that order) and compares bit for bit.
+//! composes that bill by hand over a solo buffer cache (JIT, dispatch,
+//! cache, added in that order) and compares bit for bit.
 
 use clio_cache::cache::CacheConfig;
 use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};

@@ -214,7 +214,7 @@ pub fn run_load(addr: SocketAddr, spec: &LoadSpec) -> LoadResult {
             })
             .collect();
         for h in handles {
-            let (lats, fails) = h.join().expect("client thread panicked");
+            let (lats, fails) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
             latencies.extend(lats);
             failures += fails;
         }

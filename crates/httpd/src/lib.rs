@@ -21,9 +21,11 @@
 //! - [`client`] — a load-generating client for the benches.
 
 #![warn(missing_docs)]
-// Library code reports failures; tests may assert with unwrap. (CI
-// runs clippy with -D warnings, so this warn is a hard gate there.)
+// Library code reports failures; tests may assert with unwrap or
+// expect. (CI runs clippy with -D warnings, so these warns are a hard
+// gate there.)
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod client;
 pub mod files;

@@ -42,7 +42,6 @@
 pub mod application;
 pub mod catalog;
 pub mod figure1;
-pub mod fit;
 pub mod phase;
 pub mod program;
 pub mod qcrd;

@@ -17,11 +17,9 @@
 //!
 //! - [`jit`] — a first-call compilation cost model with per-method
 //!   caching (warm methods never pay again),
-//! - [`gc`] — a generational stop-the-world collector pause model
-//!   (allocation-driven minors and majors),
 //! - [`stream`] — the managed-FileStream facade whose operation costs
-//!   combine JIT charges, GC pauses, managed dispatch overhead and the
-//!   buffer cache from [`clio_cache`].
+//!   combine JIT charges, managed dispatch overhead and the buffer
+//!   cache from [`clio_cache`].
 //!
 //! ```
 //! use clio_cache::cache::CacheConfig;
@@ -42,10 +40,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 #![cfg_attr(not(test), warn(clippy::expect_used))]
 
-pub mod gc;
 pub mod jit;
 pub mod stream;
 
-pub use gc::{GcModel, GcState, GcStats};
 pub use jit::{JitModel, SharedJit};
 pub use stream::{SharedManagedIo, StreamOp, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};

@@ -7,20 +7,16 @@
 //! is the one facade that bills a call for all of it:
 //!
 //! `op cost = JIT charge (first call of the method)
-//!            + GC pause (if this call's allocations trigger one)
 //!            + managed dispatch + buffer-cache cost`
 //!
 //! and reports each operation as a [`StreamOp`] with its simulated
-//! latency — the quantity the web-server tables are built from. The GC
-//! term is off by default and enabled with [`SharedManagedIo::with_gc`];
-//! see [`crate::gc`] for the collector model.
+//! latency — the quantity the web-server tables are built from.
 //!
 //! Every verb takes `&self`, so one facade serves every worker thread
 //! of a server: the page cache is a [`ShardedBufferCache`] (requests
 //! contend only when their pages share a shard) and the JIT table a
 //! [`SharedJit`] (a warm call takes a shared read lock and one atomic
-//! increment). Only the optional GC state sits behind a mutex — one
-//! collector is inherently serial. At one shard the cache is the solo
+//! increment). At one shard the cache is the solo
 //! [`BufferCache`](clio_cache::cache::BufferCache) bit for bit, which
 //! the tests below pin against a bill composed by hand.
 
@@ -28,14 +24,8 @@ use clio_cache::cache::{AccessKind, AccessOutcome, CacheConfig};
 use clio_cache::page::FileId;
 use clio_cache::shard::ShardedBufferCache;
 use clio_cache::CacheMetrics;
-use parking_lot::Mutex;
 
-use crate::gc::{GcModel, GcState, GcStats};
 use crate::jit::{JitModel, SharedJit};
-
-/// Fixed per-call allocation: the request buffer / stream object /
-/// string conversion garbage of one managed I/O call, bytes.
-pub const PER_CALL_ALLOC_BYTES: u64 = 512;
 
 /// Default managed dispatch overhead (ms): vtable + security stack walk
 /// on the SSCLI's interpreted-helper path.
@@ -57,9 +47,6 @@ pub struct StreamOp {
     pub cost_ms: f64,
     /// Portion charged by the JIT (non-zero only on a method's first call).
     pub jit_ms: f64,
-    /// Portion charged as a GC pause (zero unless this call's
-    /// allocations triggered a collection).
-    pub gc_ms: f64,
     /// Pages that missed the cache.
     pub pages_missed: u64,
     /// Pages served from the cache.
@@ -69,13 +56,12 @@ pub struct StreamOp {
 impl StreamOp {
     /// One managed call's bill: the runtime's charges plus what the
     /// cache charged for the access underneath. The addition order
-    /// (`jit + gc + dispatch + cache`) is pinned bit-for-bit by the
-    /// load harness.
-    fn charged(jit_ms: f64, gc_ms: f64, dispatch_ms: f64, out: &AccessOutcome) -> Self {
+    /// (`jit + dispatch + cache`) is pinned bit-for-bit by the load
+    /// harness.
+    fn charged(jit_ms: f64, dispatch_ms: f64, out: &AccessOutcome) -> Self {
         Self {
-            cost_ms: jit_ms + gc_ms + dispatch_ms + out.cost_ms,
+            cost_ms: jit_ms + dispatch_ms + out.cost_ms,
             jit_ms,
-            gc_ms,
             pages_missed: out.pages_missed,
             pages_hit: out.pages_hit,
         }
@@ -88,7 +74,6 @@ impl StreamOp {
 pub struct SharedManagedIo {
     cache: ShardedBufferCache,
     jit: SharedJit,
-    gc: Option<Mutex<GcState>>,
     /// Fixed managed-dispatch overhead per call, ms.
     dispatch_ms: f64,
 }
@@ -100,17 +85,8 @@ impl SharedManagedIo {
         Self {
             cache: ShardedBufferCache::new(cache_cfg, shards),
             jit: SharedJit::new(jit_model),
-            gc: None,
             dispatch_ms: DEFAULT_DISPATCH_MS,
         }
-    }
-
-    /// Enables the garbage-collector pause model: every managed call
-    /// allocates (its data buffer plus [`PER_CALL_ALLOC_BYTES`] of
-    /// per-call garbage) and absorbs any collection pause it triggers.
-    pub fn with_gc(mut self, model: GcModel) -> Self {
-        self.gc = Some(Mutex::new(GcState::new(model)));
-        self
     }
 
     /// Overrides the dispatch overhead.
@@ -133,9 +109,8 @@ impl SharedManagedIo {
     /// bytecode instructions, for the JIT charge).
     pub fn open(&self, method: &str, method_ops: usize, file: FileId) -> StreamOp {
         let jit_ms = self.jit.invoke(method, method_ops);
-        let gc_ms = self.charge_alloc(PER_CALL_ALLOC_BYTES);
         let out = self.cache.open(file);
-        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
+        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
     }
 
     /// Reads `len` bytes at `offset`.
@@ -172,29 +147,15 @@ impl SharedManagedIo {
         kind: AccessKind,
     ) -> StreamOp {
         let jit_ms = self.jit.invoke(method, method_ops);
-        let gc_ms = self.charge_alloc(len.saturating_add(PER_CALL_ALLOC_BYTES));
         let out = self.cache.access(file, offset, len, kind);
-        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
+        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
     }
 
     /// Closes a file (flushing its dirty pages).
     pub fn close(&self, method: &str, method_ops: usize, file: FileId) -> StreamOp {
         let jit_ms = self.jit.invoke(method, method_ops);
-        let gc_ms = self.charge_alloc(PER_CALL_ALLOC_BYTES);
         let out = self.cache.close(file);
-        StreamOp::charged(jit_ms, gc_ms, self.dispatch_ms, &out)
-    }
-
-    fn charge_alloc(&self, bytes: u64) -> f64 {
-        match &self.gc {
-            Some(gc) => gc.lock().alloc(bytes),
-            None => 0.0,
-        }
-    }
-
-    /// Collector statistics, if the GC model is enabled.
-    pub fn gc_stats(&self) -> Option<GcStats> {
-        self.gc.as_ref().map(|g| g.lock().stats())
+        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
     }
 
     /// Whether `method` has been JIT-compiled.
@@ -233,9 +194,8 @@ mod tests {
             let jit_ms =
                 if self.compiled.insert(method) { self.model.compile_cost(ops) } else { 0.0 };
             StreamOp {
-                cost_ms: jit_ms + 0.0 + DEFAULT_DISPATCH_MS + out.cost_ms,
+                cost_ms: jit_ms + DEFAULT_DISPATCH_MS + out.cost_ms,
                 jit_ms,
-                gc_ms: 0.0,
                 pages_missed: out.pages_missed,
                 pages_hit: out.pages_hit,
             }
@@ -325,69 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_disabled_by_default() {
-        let io = shared(1);
-        let f = io.register_file("a");
-        let op = io.read("m", 10, f, 0, 1 << 20);
-        assert_eq!(op.gc_ms, 0.0);
-        assert!(io.gc_stats().is_none());
-    }
-
-    #[test]
-    fn gc_pauses_show_up_under_allocation_pressure() {
-        let io = SharedManagedIo::new(CacheConfig::default(), 1, JitModel::precompiled())
-            .with_gc(GcModel::sscli_like());
-        let f = io.register_file("a");
-        let mut paused_ops = 0;
-        for i in 0..64u64 {
-            let op = io.read("m", 10, f, i * 65536, 65536);
-            if op.gc_ms > 0.0 {
-                paused_ops += 1;
-            }
-        }
-        let stats = io.gc_stats().expect("gc enabled");
-        assert!(stats.allocated_bytes >= 64 * 65536, "every read allocated its buffer");
-        assert!(stats.minor_collections > 0, "64 x 64 KiB reads must fill the nursery");
-        assert!(stats.minor_collections + stats.major_collections >= paused_ops as u64);
-        assert!(paused_ops > 0, "some ops must absorb a pause");
-        assert!(paused_ops < 64, "most ops must not pause");
-    }
-
-    #[test]
-    fn gc_cost_included_in_total() {
-        let io = SharedManagedIo::new(CacheConfig::default(), 1, JitModel::precompiled())
-            .with_gc(GcModel::sscli_like())
-            .with_dispatch_ms(0.0);
-        let f = io.register_file("a");
-        // Read the same cached page repeatedly so cache cost is stable;
-        // the op that pauses must be visibly slower.
-        io.read("m", 10, f, 0, 4096);
-        let mut max_gc = 0.0f64;
-        for _ in 0..600 {
-            let op = io.read("m", 10, f, 0, 4096);
-            if op.gc_ms > max_gc {
-                max_gc = op.gc_ms;
-                assert!(op.cost_ms >= op.gc_ms, "total includes the pause");
-            }
-        }
-        assert!(max_gc > 0.0, "a pause must have occurred");
-    }
-
-    #[test]
-    fn gc_model_still_charges() {
-        let io = shared(2).with_gc(GcModel::default());
-        let f = io.register_file("g");
-        for i in 0..200u64 {
-            io.write("doPost", 250, f, i * 65536, 65536);
-        }
-        let stats = io.gc_stats().expect("gc enabled");
-        assert!(
-            stats.minor_collections + stats.major_collections > 0,
-            "allocations trigger collections"
-        );
-    }
-
-    #[test]
     fn cache_metrics_visible() {
         let io = shared(1);
         let f = io.register_file("a");
@@ -421,16 +318,11 @@ mod tests {
 
     #[test]
     fn read_at_the_top_of_the_offset_space_saturates() {
-        // Unverified input can carry any offset/len; neither the GC
-        // charge nor the page span may overflow on it.
-        for gc in [false, true] {
-            let mut io = shared(1);
-            if gc {
-                io = io.with_gc(GcModel::sscli_like());
-            }
-            let f = io.register_file("a");
-            let op = io.read("m", 1, f, u64::MAX - 4096, u64::MAX);
-            assert_eq!((op.pages_missed, op.pages_hit), (2, 0), "gc {gc}");
-        }
+        // Unverified input can carry any offset/len; the page span may
+        // not overflow on it.
+        let io = shared(1);
+        let f = io.register_file("a");
+        let op = io.read("m", 1, f, u64::MAX - 4096, u64::MAX);
+        assert_eq!((op.pages_missed, op.pages_hit), (2, 0));
     }
 }

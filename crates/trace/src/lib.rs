@@ -73,7 +73,6 @@ pub mod replay;
 pub mod source;
 pub mod stats;
 pub mod synth;
-pub mod transform;
 pub mod verify;
 pub mod writer;
 

@@ -55,32 +55,7 @@ fn main() {
         report.makespan, report.events
     );
 
-    // 3. Model fitting — the inverse direction: recover the working-set
-    //    structure from observed per-phase bursts.
-    let p2 = clio_core::model::qcrd::qcrd_program2();
-    let fitted = clio_core::model::fit::fit_working_sets(
-        &p2.expand(),
-        p2.reference_time(),
-        &clio_core::model::fit::FitConfig::default(),
-    );
-    println!(
-        "  fit(program 2 bursts): {} working set(s), tau = {}, phi = {:.2}",
-        fitted.len(),
-        fitted[0].phases,
-        fitted[0].io_fraction
-    );
-    let p1 = clio_core::model::qcrd::qcrd_program1();
-    let fitted1 = clio_core::model::fit::fit_working_sets(
-        &p1.expand(),
-        p1.reference_time(),
-        &clio_core::model::fit::FitConfig::default(),
-    );
-    println!(
-        "  fit(program 1 bursts): {} working sets (alternation never merges)\n",
-        fitted1.len()
-    );
-
-    // 4. Speedup sweeps over a synthesized I/O-bound application.
+    // 3. Speedup sweeps over a synthesized I/O-bound application.
     let cfg = SynthConfig { class: WorkloadClass::IoBound, ..Default::default() };
     let synth = synth_application(&cfg, "synthetic-io", 2);
     print_sweeps("synthetic I/O-bound app", &synth);

@@ -1,13 +1,12 @@
-//! Trace pipeline walkthrough: run the traced I/O-intensive
-//! applications (the paper's five plus the relational-database
-//! extension), capture their traces, persist them in both formats, and
-//! replay them against the simulated page cache.
+//! Trace pipeline walkthrough: run the paper's five traced
+//! I/O-intensive applications, capture their traces, persist one in
+//! both formats, and replay them against the simulated page cache.
 //!
 //! ```sh
 //! cargo run --example trace_workloads
 //! ```
 
-use clio_core::apps::{cholesky, dmine, lu, pgrep, rdb, titan};
+use clio_core::apps::{cholesky, dmine, lu, pgrep, titan};
 use clio_core::prelude::{Experiment, Workload};
 use clio_core::trace::record::IoOp;
 use clio_core::trace::stats::TraceStats;
@@ -73,29 +72,6 @@ fn main() -> std::io::Result<()> {
     let (ch, ch_trace) = cholesky::run(&cholesky::CholeskyConfig::default())?;
     println!("\nCholesky factored a {0}x{0} SPD matrix ({1} nnz in L)", ch.n, ch.nnz);
     describe("cholesky", &ch_trace);
-
-    // The relational-database extension: point, range, scan and join.
-    let customers = rdb::generate_tuples(57, 400);
-    let orders = rdb::generate_tuples(58, 400);
-    let mut db = rdb::Rdb::new("rdb-sample.dat");
-    let t_customers = db.create_table("customers", &customers)?;
-    let t_orders = db.create_table("orders", &orders)?;
-    let (hit, _) = db.lookup(&t_customers, customers[0].key)?;
-    assert!(hit.is_some());
-    let max = customers.iter().map(|t| t.key).max().unwrap_or(0);
-    let (rows, _) = db.range(&t_customers, max / 4, max / 2)?;
-    let (pairs, join_stats) = db.join_range(&t_customers, &t_orders, 0, max)?;
-    db.close_table(&t_customers)?;
-    db.close_table(&t_orders)?;
-    let db_trace = db.into_trace();
-    println!(
-        "\nRdb: range hit {} rows, join matched {} pairs ({} index reads, {} page reads)",
-        rows.len(),
-        pairs.len(),
-        join_stats.index_reads,
-        join_stats.page_reads
-    );
-    describe("rdb", &db_trace);
 
     // Persist one trace in both formats and read it back.
     let bin_path = out_dir.join("cholesky.clio");
