@@ -12,7 +12,10 @@ use std::path::PathBuf;
 pub enum Engine {
     /// Serial replay against the simulated buffer cache — fully
     /// streaming: the workload is consumed record by record, never
-    /// materialized.
+    /// materialized. Under [`VerifyMode::Strict`](crate::VerifyMode)
+    /// and `Lenient` the stream is read, decoded and verified on a
+    /// reader thread beside the cache, at most 3 × 1024 records ahead
+    /// of it; [`VerifyMode::Off`](crate::VerifyMode) reads it inline.
     SerialReplay,
     /// Sharded-parallel replay against the lock-striped cache
     /// (deterministic across runs and thread counts). Streaming: every

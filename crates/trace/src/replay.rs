@@ -427,11 +427,14 @@ pub fn replay_parallel(
     // costs[s][i]: simulated per-page/per-run cost record i incurred on
     // shard s (summed over repeats); filled by the worker owning s.
     let mut costs: Vec<Option<Vec<f64>>> = (0..num_shards).map(|_| None).collect();
-    let worker_results = crossbeam::scope(|scope| {
+    // `std::thread::scope`: the vendored `crossbeam::scope` only wraps
+    // it in an `Ok` that cannot fail. A worker's panic is re-raised, with
+    // its own payload, at its join.
+    let worker_results = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let cache = &cache;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut view = cache.worker_view(w, threads);
                     let mut costs: Vec<Vec<f64>> =
                         view.owned_shards().map(|_| vec![0.0; records.len()]).collect();
@@ -445,10 +448,9 @@ pub fn replay_parallel(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("replay worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect::<Result<Vec<_>, TraceError>>()
-    })
-    .expect("replay scope")?;
+    })?;
     for per_worker in worker_results {
         for (shard, vec) in per_worker {
             costs[shard] = Some(vec);
@@ -522,7 +524,10 @@ where
     let mut report = ReplayReport::new(mode, lead.size_hint().0);
     let mut ledger = PageLedger::default();
 
-    crossbeam::scope(|scope| {
+    // `std::thread::scope`: the vendored `crossbeam::scope` only wraps
+    // it in an `Ok` that cannot fail. A worker's panic becomes the
+    // scope's.
+    std::thread::scope(|scope| {
         // One bounded channel per worker: a worker can run at most two
         // chunks ahead of the merge, so worker-side buffering stays
         // O(chunk) regardless of stream length.
@@ -531,7 +536,7 @@ where
             let (tx, rx) = crossbeam::channel::bounded::<Result<Vec<Vec<f64>>, E>>(2);
             rxs.push(rx);
             let (open, cache) = (&open, &cache);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut source = match open() {
                     Ok(source) => source,
                     Err(failed) => return drop(tx.send(Err(failed))),
@@ -618,8 +623,7 @@ where
         // than the lead's, or the lead hit a roster violation) fails its
         // send instead of blocking the scope forever.
         Ok::<(), E>(())
-    })
-    .expect("replay scope")?;
+    })?;
 
     Ok(report.finish_sharded(&cache, threads, &ledger))
 }

@@ -968,3 +968,105 @@ fn single_stream_engines_open_and_generate_their_input_once() {
         }
     }
 }
+
+/// A v2 file of `data_ops` synthetic operations, several reader chunks
+/// long, with `plan`'s faults encoded into it: 300-record blocks, so
+/// block and chunk boundaries fall at different records.
+fn faulted_v2(dir: &std::path::Path, data_ops: usize, plan: &FaultPlan) -> std::path::PathBuf {
+    let trace = clio_core::trace::synth::synthesize(&TraceProfile {
+        data_ops,
+        write_fraction: 0.25,
+        sequentiality: 0.6,
+        ..Default::default()
+    });
+    let mut faulted = FaultSource::new(SliceSource::new(&trace), plan);
+    let path = dir.join("input.clc2");
+    std::fs::write(&path, encode_source_with_blocks(&mut faulted, 300).expect("encodes"))
+        .expect("writes");
+    path
+}
+
+/// An admitting serial replay reads, decodes and verifies its input on
+/// a reader thread beside the cache. Over a clean v2 file of several
+/// chunks it reports what the unverified run does, to the byte of its
+/// summary and the bit of every per-record timing.
+#[test]
+fn a_serial_ingest_admitted_on_a_reader_thread_equals_the_unverified_run() {
+    let dir = temp_dir("read-ahead-clean");
+    let path = faulted_v2(&dir, 5_000, &FaultPlan::default());
+    let run = |verify: VerifyMode| {
+        Experiment::builder()
+            .workload(Workload::File(path.clone()))
+            .engine(Engine::SerialReplay)
+            .verify(verify)
+            .build()
+            .expect("valid experiment")
+            .run()
+            .expect("a clean file passes admission")
+    };
+    let off = run(VerifyMode::Off);
+    assert!(off.records > 3 * 1024, "more records than the reader holds at once");
+    let timings = |r: &Report| r.replay.as_ref().expect("full-mode replay").timings.clone();
+    for verify in [VerifyMode::Strict, VerifyMode::Lenient] {
+        let admitted = run(verify);
+        assert_eq!(timings(&admitted), timings(&off), "{verify:?}");
+        let mut summary = admitted.summary();
+        if let Some(ledger) = summary.quarantine.take() {
+            assert_eq!(
+                (ledger.examined, ledger.admitted, ledger.quarantined),
+                (off.records, off.records, 0)
+            );
+        }
+        assert_eq!(summary.to_json(), off.summary().to_json(), "{verify:?}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Over a faulted v2 file the reader thread's verdict is the
+/// stand-alone admission pass's: the lenient ledger equals
+/// `Workload::verify(Lenient)`'s, and a strict run fails with the
+/// error `Workload::verify(Strict)` names.
+#[test]
+fn a_serial_ingest_admitted_on_a_reader_thread_keeps_the_admission_verdict() {
+    use clio_core::trace::fault::FaultSpec;
+    let dir = temp_dir("read-ahead-faulted");
+    let faults = [
+        (0, FaultKind::Duplicate),
+        (1_500, FaultKind::Reorder),
+        (2_600, FaultKind::ClockRewind),
+        (4_000, FaultKind::Duplicate),
+        (5_000, FaultKind::Truncate),
+    ];
+    let plan = FaultPlan {
+        seed: 7,
+        faults: faults.iter().map(|&(at, kind)| FaultSpec { at, kind }).collect(),
+    };
+    let workload = Workload::File(faulted_v2(&dir, 5_000, &plan));
+    let run = |verify: VerifyMode| {
+        Experiment::builder()
+            .workload(workload.clone())
+            .engine(Engine::SerialReplay)
+            .verify(verify)
+            .build()
+            .expect("valid experiment")
+            .run()
+    };
+
+    let expected = workload
+        .verify(VerifyMode::Lenient)
+        .expect("lenient admission never fails a clean container")
+        .expect("lenient admission keeps a ledger");
+    assert!(expected.quarantined > 0 && expected.violations.total() > 1, "{expected:?}");
+    let report = run(VerifyMode::Lenient).expect("lenient admission never fails the run");
+    let ledger = report.quarantine.expect("lenient runs carry the ledger");
+    assert_eq!(
+        (ledger.examined, ledger.admitted, ledger.quarantined, ledger.violations),
+        (expected.records, expected.admitted, expected.quarantined, expected.violations)
+    );
+    assert_eq!(report.records, expected.admitted);
+
+    let strict = run(VerifyMode::Strict).map(|r| r.records).expect_err("the faults fail strict");
+    let alone = workload.verify(VerifyMode::Strict).expect_err("and the stand-alone pass");
+    assert_eq!(format!("{strict:?}"), format!("{alone:?}"));
+    let _ = std::fs::remove_dir_all(dir);
+}

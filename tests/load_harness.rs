@@ -8,7 +8,7 @@
 //!    loop; host parallelism must be unobservable).
 //! 2. **Cost-model equivalence** — at one client the harness is the
 //!    serial managed runtime: per-request latencies equal the bill
-//!    composed by hand (`jit + gc + dispatch + cache` over a solo
+//!    composed by hand (`jit + dispatch + cache` over a solo
 //!    `BufferCache`) for the same stream, bit for bit.
 //! 3. **Honest percentiles** — the streaming sink the harness reports
 //!    through tracks the exact order statistics within its advertised
@@ -82,9 +82,9 @@ fn curve_json_round_trips() {
 /// The straight-line managed cost of each request in `trace`, in issue
 /// order, composed by hand with the serving path's method table: a solo
 /// [`BufferCache`] for the cache term, [`JitModel::compile_cost`] on a
-/// method name's first call, no GC (the serving engine never enables
-/// it) and the default dispatch — summed in the facade's pinned order
-/// `jit + gc + dispatch + cache`. Shares no code with `SharedManagedIo`.
+/// method name's first call and the default dispatch — summed in the
+/// facade's pinned order `jit + dispatch + cache`. Shares no code with
+/// `SharedManagedIo`.
 fn serial_serve_costs(trace: &clio_core::trace::TraceFile, requests: usize) -> Vec<f64> {
     let mut cache = BufferCache::new(Default::default());
     let jit = JitModel::sscli_like();
@@ -111,8 +111,7 @@ fn serial_serve_costs(trace: &clio_core::trace::TraceFile, requests: usize) -> V
             IoOp::Seek => continue,
         };
         let jit_ms = if compiled.insert(method) { jit.compile_cost(ops) } else { 0.0 };
-        let gc_ms = 0.0;
-        costs.push(jit_ms + gc_ms + DEFAULT_DISPATCH_MS + out.cost_ms);
+        costs.push(jit_ms + DEFAULT_DISPATCH_MS + out.cost_ms);
     }
     costs
 }

@@ -536,6 +536,50 @@ fn one_pass_v2_ingest_memory_and_allocations_are_flat_in_file_length() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An admitting serial ingest reads, decodes and verifies on a reader
+/// thread that runs at most three 1024-record chunks ahead of the
+/// cache, in three buffers it recycles. So its peak heap is the
+/// unverified ingest's plus those buffers (and 64 KiB for the thread,
+/// its channels and the verifier's tables), and its allocation count
+/// does not grow with file length: a buffer per chunk would add about
+/// 70 calls between 10k and 80k ops, and a channel that allocates per
+/// message more.
+#[test]
+fn a_strict_ingest_on_a_reader_thread_holds_three_chunks_over_the_unverified_one() {
+    let _guard = exclusive();
+    let dir = temp_dir("read-ahead");
+    let ingest = |data_ops: usize, verify: VerifyMode| {
+        let (path, records) = v2_file(&dir, data_ops);
+        let exp = Experiment::builder()
+            .workload(Workload::File(path))
+            .engine(Engine::SerialReplay)
+            .verify(verify)
+            .report_mode(ReportMode::Summary)
+            .build()
+            .expect("valid experiment");
+        let run = move || {
+            let report = exp.run().expect("a clean file ingests");
+            assert_eq!(report.records, records, "the whole file was replayed");
+        };
+        (peak_heap_growth(&run), alloc_calls(&run))
+    };
+    ingest(1_000, VerifyMode::Strict); // warm-up, as in the gates above
+    let (off_peak, _) = ingest(80_000, VerifyMode::Off);
+    let (strict_peak, large_calls) = ingest(80_000, VerifyMode::Strict);
+    let (_, small_calls) = ingest(10_000, VerifyMode::Strict);
+    let chunks = 3 * 1024 * std::mem::size_of::<clio_core::trace::record::TraceRecord>();
+    assert!(
+        strict_peak <= off_peak + chunks + 64 * 1024,
+        "a strict ingest held {strict_peak} B against the unverified {off_peak} B"
+    );
+    assert!(
+        large_calls <= small_calls + 64,
+        "allocations grew with file length: {small_calls} calls at 10k ops -> \
+         {large_calls} at 80k ops"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Admission must never size an allocation by a count the file merely
 /// *declares*. None of the three places a v2 file states a block's
 /// record count is under the CRC — the prelude's `num_records`, the
