@@ -183,7 +183,10 @@ impl Experiment {
             report.serve = Some(outcome.summary);
         } else if admitting && self.engine == Engine::SerialReplay {
             // Admission is about half of an admitting serial replay: it
-            // runs on a reader thread, beside the cache.
+            // runs on a reader thread, beside the cache. Under `Off` the
+            // stream is read inline: a reader running ahead could reach
+            // a stream failure past the engine's own error, and which
+            // one the run returned would turn on timing.
             let open = || Ok(wrap(workload.open_lazy()?));
             read_ahead(open, judge, |stream| self.replay_serial(stream, report))?;
         } else {

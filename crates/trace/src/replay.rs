@@ -427,9 +427,7 @@ pub fn replay_parallel(
     // costs[s][i]: simulated per-page/per-run cost record i incurred on
     // shard s (summed over repeats); filled by the worker owning s.
     let mut costs: Vec<Option<Vec<f64>>> = (0..num_shards).map(|_| None).collect();
-    // `std::thread::scope`: the vendored `crossbeam::scope` only wraps
-    // it in an `Ok` that cannot fail. A worker's panic is re-raised, with
-    // its own payload, at its join.
+    // A worker's panic is re-raised, with its own payload, at its join.
     let worker_results = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
@@ -524,9 +522,7 @@ where
     let mut report = ReplayReport::new(mode, lead.size_hint().0);
     let mut ledger = PageLedger::default();
 
-    // `std::thread::scope`: the vendored `crossbeam::scope` only wraps
-    // it in an `Ok` that cannot fail. A worker's panic becomes the
-    // scope's.
+    // A worker's panic becomes the scope's.
     std::thread::scope(|scope| {
         // One bounded channel per worker: a worker can run at most two
         // chunks ahead of the merge, so worker-side buffering stays

@@ -989,26 +989,29 @@ fn faulted_v2(dir: &std::path::Path, data_ops: usize, plan: &FaultPlan) -> std::
 /// An admitting serial replay reads, decodes and verifies its input on
 /// a reader thread beside the cache. Over a clean v2 file of several
 /// chunks it reports what the unverified run does, to the byte of its
-/// summary and the bit of every per-record timing.
+/// summary and the bit of every per-record timing. Over a faulted one
+/// its verdict is the stand-alone admission pass's: the lenient ledger
+/// equals `Workload::verify(Lenient)`'s, and a strict run fails with
+/// the error `Workload::verify(Strict)` names.
 #[test]
-fn a_serial_ingest_admitted_on_a_reader_thread_equals_the_unverified_run() {
-    let dir = temp_dir("read-ahead-clean");
-    let path = faulted_v2(&dir, 5_000, &FaultPlan::default());
-    let run = |verify: VerifyMode| {
+fn a_serial_ingest_admitted_on_a_reader_thread_keeps_the_run_and_the_verdict() {
+    use clio_core::trace::fault::FaultSpec;
+    let dir = temp_dir("read-ahead");
+    let clean = Workload::File(faulted_v2(&dir, 5_000, &FaultPlan::default()));
+    let run = |workload: &Workload, verify: VerifyMode| {
         Experiment::builder()
-            .workload(Workload::File(path.clone()))
+            .workload(workload.clone())
             .engine(Engine::SerialReplay)
             .verify(verify)
             .build()
             .expect("valid experiment")
             .run()
-            .expect("a clean file passes admission")
     };
-    let off = run(VerifyMode::Off);
+    let off = run(&clean, VerifyMode::Off).expect("a clean file replays");
     assert!(off.records > 3 * 1024, "more records than the reader holds at once");
     let timings = |r: &Report| r.replay.as_ref().expect("full-mode replay").timings.clone();
     for verify in [VerifyMode::Strict, VerifyMode::Lenient] {
-        let admitted = run(verify);
+        let admitted = run(&clean, verify).expect("a clean file passes admission");
         assert_eq!(timings(&admitted), timings(&off), "{verify:?}");
         let mut summary = admitted.summary();
         if let Some(ledger) = summary.quarantine.take() {
@@ -1019,17 +1022,7 @@ fn a_serial_ingest_admitted_on_a_reader_thread_equals_the_unverified_run() {
         }
         assert_eq!(summary.to_json(), off.summary().to_json(), "{verify:?}");
     }
-    let _ = std::fs::remove_dir_all(dir);
-}
 
-/// Over a faulted v2 file the reader thread's verdict is the
-/// stand-alone admission pass's: the lenient ledger equals
-/// `Workload::verify(Lenient)`'s, and a strict run fails with the
-/// error `Workload::verify(Strict)` names.
-#[test]
-fn a_serial_ingest_admitted_on_a_reader_thread_keeps_the_admission_verdict() {
-    use clio_core::trace::fault::FaultSpec;
-    let dir = temp_dir("read-ahead-faulted");
     let faults = [
         (0, FaultKind::Duplicate),
         (1_500, FaultKind::Reorder),
@@ -1042,22 +1035,14 @@ fn a_serial_ingest_admitted_on_a_reader_thread_keeps_the_admission_verdict() {
         faults: faults.iter().map(|&(at, kind)| FaultSpec { at, kind }).collect(),
     };
     let workload = Workload::File(faulted_v2(&dir, 5_000, &plan));
-    let run = |verify: VerifyMode| {
-        Experiment::builder()
-            .workload(workload.clone())
-            .engine(Engine::SerialReplay)
-            .verify(verify)
-            .build()
-            .expect("valid experiment")
-            .run()
-    };
 
     let expected = workload
         .verify(VerifyMode::Lenient)
         .expect("lenient admission never fails a clean container")
         .expect("lenient admission keeps a ledger");
     assert!(expected.quarantined > 0 && expected.violations.total() > 1, "{expected:?}");
-    let report = run(VerifyMode::Lenient).expect("lenient admission never fails the run");
+    let report =
+        run(&workload, VerifyMode::Lenient).expect("lenient admission never fails the run");
     let ledger = report.quarantine.expect("lenient runs carry the ledger");
     assert_eq!(
         (ledger.examined, ledger.admitted, ledger.quarantined, ledger.violations),
@@ -1065,8 +1050,72 @@ fn a_serial_ingest_admitted_on_a_reader_thread_keeps_the_admission_verdict() {
     );
     assert_eq!(report.records, expected.admitted);
 
-    let strict = run(VerifyMode::Strict).map(|r| r.records).expect_err("the faults fail strict");
+    let strict =
+        run(&workload, VerifyMode::Strict).map(|r| r.records).expect_err("the faults fail strict");
     let alone = workload.verify(VerifyMode::Strict).expect_err("and the stand-alone pass");
     assert_eq!(format!("{strict:?}"), format!("{alone:?}"));
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Records of file 0, but file 9 at `stray`, that end in a parked
+/// failure after `fail` records.
+struct StrayThenFailing {
+    at: u64,
+    stray: u64,
+    fail: u64,
+    failure: Option<TraceError>,
+}
+
+impl TraceSource for StrayThenFailing {
+    fn meta(&self) -> SourceMeta {
+        meta()
+    }
+
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        (self.at < self.fail).then(|| {
+            let mut r = rec(IoOp::Read, 1_000_000, (self.at + 1) * 4096, 4096);
+            if self.at == self.stray {
+                r.file_id = 9;
+            }
+            self.at += 1;
+            r
+        })
+    }
+
+    fn take_failure(&mut self) -> Option<TraceError> {
+        if self.at == self.fail {
+            self.failure.take()
+        } else {
+            None
+        }
+    }
+}
+
+/// An unadmitted serial replay reads its stream on the engine's own
+/// thread, so its error is the first one in read order: the record
+/// outside the roster, not a stream failure up to three 1024-record
+/// chunks past it, which a reader thread running ahead would reach
+/// first.
+#[test]
+fn an_unadmitted_serial_replay_fails_with_the_first_error_it_read() {
+    for (stray, fail) in [(0, 5), (10, 500), (10, 1_500), (10, 2_500), (1_500, 2_000)] {
+        let workload = Workload::custom("stray", move || {
+            let failure = Some(TraceError::CorruptBlock { block: 77, context: "planted" });
+            Box::new(StrayThenFailing { at: 0, stray, fail, failure })
+        });
+        let outcome = Experiment::builder()
+            .workload(workload)
+            .engine(Engine::SerialReplay)
+            .verify(VerifyMode::Off)
+            .build()
+            .expect("valid experiment")
+            .run();
+        assert!(
+            matches!(
+                outcome,
+                Err(ExpError::Trace(TraceError::FileIdOutOfRange { index, .. })) if index == stray
+            ),
+            "stray at {stray}, failure at {fail}: {outcome:?}"
+        );
+    }
 }
