@@ -4,7 +4,7 @@
 //! model (`Engine::Serve`: virtual clock, no sockets, bit-identical
 //! across runs and machines) and writes the latency curve as a
 //! `clio-load-curve-v1` JSON artifact — CI uploads it per PR, so the
-//! serving trajectory is diffable like the perf baseline.
+//! serving trajectory is diffable from one change to the next.
 //!
 //! Flags: `--records N` (requests per client, default 256),
 //! `--think MS` (virtual think time), `--out PATH` (default

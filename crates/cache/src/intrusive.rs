@@ -49,8 +49,8 @@
 //! the same three operations per page as before and the lane slab is
 //! an extra indirection on top. Measured when this index landed, bare
 //! policy set, capacity 16 384, one random page per touch: LRU 37 ->
-//! 59 ns per touch (all seven policies 1.3-1.6x); end to end
-//! (`perf_suite`'s `scenario/rand_1page` row keeps it in the baseline)
+//! 59 ns per touch (all seven policies 1.3-1.6x); end to end, a serial
+//! replay of one-byte requests at random offsets of a 1 GiB file,
 //! 12.2 -> 13.3-15.4 ms per 190 k records. The same indirection, plus
 //! the unpredictable "same group as last time?" branch, costs short
 //! random *hit* runs a few ns per page (1-9 page runs at 99 % hits:

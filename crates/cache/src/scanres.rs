@@ -22,8 +22,8 @@
 //! Because the segments are lists threaded through one slab with one
 //! key index, a hit costs a single hash probe and a relink — the
 //! same as plain LRU — where the previous three-`LruList`-plus-
-//! `HashSet` layout paid up to five probes per touch (the 2Q
-//! throughput anomaly in early `BENCH_baseline.json` revisions).
+//! `HashSet` layout paid up to five probes per touch (2Q's throughput
+//! anomaly in the early measurements).
 //!
 //! Both policies are capacity-aware (unlike LRU/CLOCK/FIFO they must
 //! balance their internal segments), so they take the page budget at

@@ -120,6 +120,8 @@ impl Report {
             bytes_moved: self.sim.as_ref().map(|s| s.bytes_moved),
             disk_utilization: self.sim.as_ref().map(|s| s.disk_utilization),
             sim_events: self.sim.as_ref().map(|s| s.events),
+            retries: self.sim.as_ref().map(|s| s.retries),
+            dropped_requests: self.sim.as_ref().map(|s| s.dropped_requests),
             cache: self.cache_metrics,
             threads: self.threads_used.map(|t| t as u64),
             quarantine: self.quarantine,
@@ -164,6 +166,13 @@ pub struct ReportSummary {
     pub disk_utilization: Option<f64>,
     /// Simulation events processed.
     pub sim_events: Option<u64>,
+    /// Transient disk errors recovered by retry (sim engines; 0 unless
+    /// the scheduled simulator ran under a fault plan).
+    pub retries: Option<u64>,
+    /// Requests dropped after exhausting the retry budget (sim
+    /// engines; 0 unless the scheduled simulator ran under a fault
+    /// plan).
+    pub dropped_requests: Option<u64>,
     /// Aggregate cache counters (parallel replay).
     pub cache: Option<CacheMetrics>,
     /// Worker threads used (parallel replay).

@@ -466,9 +466,9 @@ impl Workload {
 
     fn parse_atom(name: &str) -> Result<Workload, String> {
         Ok(match name {
-            // The mixed profile perf_suite has always benchmarked —
-            // the same stream whether named at top level or inside a
-            // mix:/chain: spec.
+            // The mixed benchmark profile (80 % sequential, 20 %
+            // writes) — the same stream whether named at top level or
+            // inside a mix:/chain: spec.
             "synth" => Workload::Synthetic(TraceProfile {
                 write_fraction: 0.2,
                 sequentiality: 0.8,

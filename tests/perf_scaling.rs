@@ -17,11 +17,15 @@
 //! The allocator also counts *calls*, which gates the intrusive-list
 //! policy core's core promise: once a cache is warm, the per-access
 //! hot path (hash probe + node relink + slot recycle) performs **zero**
-//! heap allocations.
+//! heap allocations. The same count, with a per-record time ratio, is
+//! the Tier-1 gate over every engine
+//! ([`every_engine_is_flat_per_record_in_calls_and_time`]): both
+//! compare a run with a larger run of itself, so neither depends on the
+//! host's speed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use clio_core::cache::cache::{AccessKind, BufferCache, CacheConfig};
@@ -315,7 +319,7 @@ fn warm_cache_accesses_allocate_nothing() {
 
 /// Allocation calls of one `run`, best of three (the counter is
 /// process-global; see [`warm_cache_accesses_allocate_nothing`]).
-fn alloc_calls(run: impl Fn()) -> usize {
+fn alloc_calls(mut run: impl FnMut()) -> usize {
     (0..3)
         .map(|_| {
             let before = ALLOC_CALLS.load(Ordering::Relaxed);
@@ -386,6 +390,224 @@ fn simulator_event_loops_allocate_nothing_per_event() {
         scheduled_trace_sim(reopen(t), &machine, &faulted).unwrap()
     });
     assert!(report.retries > 0, "the retry path ran");
+}
+
+/// One row of [`every_engine_is_flat_per_record_in_calls_and_time`]:
+/// a run of an engine at a size, prepared outside the measurement.
+struct Row {
+    name: String,
+    /// Allocation calls the 8x run may add per 1024 extra records, on
+    /// top of the fixed 64 (0 for an engine that allocates nothing per
+    /// record).
+    calls_per_krecord: usize,
+    /// Whether the per-record time is checked too.
+    timed: bool,
+    /// The run at `data_ops` synthetic operations; each call of the
+    /// returned closure runs it once and returns the records it took.
+    at: Box<dyn Fn(usize) -> Box<dyn Fn() -> u64>>,
+}
+
+impl Row {
+    fn new(name: impl Into<String>, at: impl Fn(usize) -> Box<dyn Fn() -> u64> + 'static) -> Self {
+        Row { name: name.into(), calls_per_krecord: 0, timed: false, at: Box::new(at) }
+    }
+
+    /// An `Experiment::builder()` run of `engine` over `workload` scaled
+    /// to each size, in summary mode unless `configure` says otherwise.
+    fn experiment(
+        name: impl Into<String>,
+        workload: Workload,
+        engine: Engine,
+        configure: impl Fn(ExperimentBuilder, usize) -> ExperimentBuilder + 'static,
+    ) -> Self {
+        Row::new(name, move |data_ops| {
+            let mut workload = workload.clone();
+            workload.scale_data_ops(data_ops);
+            let builder = Experiment::builder()
+                .workload(workload)
+                .engine(engine.clone())
+                .report_mode(ReportMode::Summary);
+            let exp = configure(builder, data_ops).build().expect("valid experiment");
+            Box::new(move || exp.run().expect("the engine runs").records)
+        })
+    }
+
+    fn per_krecord(self, calls: usize) -> Self {
+        Row { calls_per_krecord: calls, ..self }
+    }
+
+    fn timed(self) -> Self {
+        Row { timed: true, ..self }
+    }
+}
+
+/// Best-of-5 per-record wall time (seconds) of `run`.
+fn per_record_seconds(run: &dyn Fn() -> u64) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let records = run();
+            start.elapsed().as_secs_f64() / records as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The Tier-1 regression gate over every engine the benchmark runs, in
+/// terms that do not depend on the host: what grows with the input.
+///
+/// - **Allocation calls.** At 8N each row makes at most its N-run's
+///   calls + 64: set-up and O(log N) buffer doublings. Parallel replay
+///   (fresh per-chunk column vectors, ~11 calls per 1024 records) and
+///   v2 encode (per-block buffers, ~1) get 16 per 1024 extra records
+///   on top. One allocation per record adds ~18 000 calls here and
+///   cannot pass either bound.
+/// - **Per-record time** of serial replay, serve at 32 clients, the
+///   faulted scheduled simulator and v2 decode: at 8N within 3x of N,
+///   best of 5, with three attempts, as in the timing tests above; the
+///   host's speed cancels out of the ratio. An O(N) step per record (a
+///   scan over a list that grows with the input) reads ~7x here; at 4N
+///   it would read 3.2-3.8x, too near the bound to fail every time.
+///
+/// A constant-factor slowdown is the benchmark's to catch: `clio_e2e`'s
+/// spin-normalised `norm_cost` runs every engine here.
+#[test]
+fn every_engine_is_flat_per_record_in_calls_and_time() {
+    const N: usize = 2_000;
+    fn profile(data_ops: usize) -> TraceProfile {
+        TraceProfile { data_ops, sequentiality: 0.7, write_fraction: 0.2, ..Default::default() }
+    }
+    let _guard = exclusive();
+    let synth = Workload::Synthetic(profile(N));
+    let mut rows: Vec<Row> = ReplacementPolicy::ALL
+        .iter()
+        .map(|&policy| {
+            let cache = CacheConfig { policy, ..Default::default() };
+            let row = Row::experiment(
+                format!("replay/{}", policy.name()),
+                synth.clone(),
+                Engine::SerialReplay,
+                move |b, _| b.cache(cache.clone()),
+            );
+            if policy == ReplacementPolicy::Lru {
+                row.timed()
+            } else {
+                row
+            }
+        })
+        .collect();
+    rows.push(Row::experiment(
+        "replay/LRU, full report",
+        synth.clone(),
+        Engine::SerialReplay,
+        |b, _| b.report_mode(ReportMode::Full),
+    ));
+    for clients in [1, 32] {
+        let serve = Row::experiment(
+            format!("serve/{clients}"),
+            synth.clone(),
+            Engine::Serve,
+            move |b, n| b.clients(clients).requests_per_client(n / clients),
+        );
+        rows.push(if clients == 32 { serve.timed() } else { serve });
+    }
+    rows.push(Row::experiment("trace_sim", synth.clone(), Engine::TraceSim, |b, _| {
+        b.machine(MachineConfig::with_disks(2))
+    }));
+    let fault = Scenario::parse("fault:slow@0-1x8+err@64:zipf:0.9").expect("parses");
+    rows.push(
+        Row::new("scheduled_sim, faulted", move |data_ops| {
+            let mut sc = fault.clone();
+            sc.workload.scale_data_ops(data_ops);
+            let exp = Experiment::builder()
+                .scenario(sc)
+                .engine(Engine::ScheduledSim)
+                .build()
+                .expect("valid experiment");
+            Box::new(move || {
+                let report = exp.run().expect("the simulator runs");
+                assert!(report.sim.as_ref().is_some_and(|s| s.retries > 0), "the retry path ran");
+                report.records
+            })
+        })
+        .timed(),
+    );
+    for spec in ["zipf:0.9", "burst:64x256", "phase:4", "share:seq,rand"] {
+        let workload = Workload::parse(spec).expect("parses");
+        rows.push(Row::experiment(
+            format!("replay/{spec}"),
+            workload,
+            Engine::SerialReplay,
+            |b, _| b,
+        ));
+    }
+    rows.push(
+        Row::new("v2 encode", |data_ops| {
+            let trace = synthesize(&profile(data_ops));
+            Box::new(move || {
+                compact::encode_trace(&trace).expect("encodes");
+                trace.len() as u64
+            })
+        })
+        .per_krecord(16),
+    );
+    rows.push(
+        Row::new("v2 decode", move |data_ops| {
+            let bytes = compact::encode_trace(&synthesize(&profile(data_ops))).expect("encodes");
+            let bytes = Arc::new(bytes);
+            Box::new(move || {
+                let mut source = CompactSource::from_bytes(bytes.clone()).expect("admits");
+                let mut records = 0;
+                while source.next_record().is_some() {
+                    records += 1;
+                }
+                records
+            })
+        })
+        .timed(),
+    );
+    rows.push(
+        Row::experiment("parallel replay", synth.clone(), Engine::ParallelReplay, |b, _| {
+            b.threads(2).shards(8)
+        })
+        .per_krecord(16),
+    );
+
+    for row in &rows {
+        let name = &row.name;
+        let (small, large) = ((row.at)(N), (row.at)(8 * N));
+        let records = small(); // warm-up: first-use allocations
+        let mut large_records = 0;
+        let at_n = alloc_calls(|| {
+            small();
+        });
+        let at_8n = alloc_calls(|| large_records = large());
+        assert!(large_records >= 7 * records, "{name}: {records} -> {large_records} records");
+        let allowed = 64 + row.calls_per_krecord * (large_records - records) as usize / 1024;
+        assert!(
+            at_8n <= at_n + allowed,
+            "{name}: allocations grew with the input: {at_n} calls over {records} records -> \
+             {at_8n} over {large_records} (at most {allowed} more allowed)"
+        );
+        if !row.timed {
+            continue;
+        }
+        let (mut small_s, mut large_s) = (0.0, 0.0);
+        for _attempt in 0..3 {
+            small_s = per_record_seconds(&*small);
+            large_s = per_record_seconds(&*large);
+            if large_s < 3.0 * small_s {
+                break;
+            }
+        }
+        assert!(
+            large_s < 3.0 * small_s,
+            "{name}: per-record cost grew with the input: {:.1} ns/record at {N} ops -> \
+             {:.1} at {}",
+            small_s * 1e9,
+            large_s * 1e9,
+            8 * N
+        );
+    }
 }
 
 #[test]
