@@ -69,15 +69,29 @@ mod tests {
         ReportSummary::from_json(&json).expect("the printed summary parses")
     }
 
+    fn assert_usage_exit(args: &[&str]) {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        match cli(&args) {
+            Err((2, message)) => assert!(message.ends_with(USAGE), "{args:?}: {message}"),
+            other => panic!("{args:?}: expected exit 2 with usage, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn a_missing_or_extra_argument_or_a_bad_spec_exits_2_with_usage() {
-        let cases: [&[&str]; 4] = [&[], &["synth", "synth"], &["nope"], &["fault:wat@1:synth"]];
-        for args in cases {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            match cli(&args) {
-                Err((2, message)) => assert!(message.ends_with(USAGE), "{args:?}: {message}"),
-                other => panic!("{args:?}: expected exit 2 with usage, got {other:?}"),
-            }
+    fn a_missing_or_extra_argument_exits_2_with_usage() {
+        assert_usage_exit(&[]);
+        assert_usage_exit(&["synth", "synth"]);
+        assert_usage_exit(&["--records", "synth"]);
+    }
+
+    #[test]
+    fn a_bad_spec_exits_2_with_usage_before_anything_runs() {
+        for spec in ["nope", "--nope", "mix:dmine*0,lu", "zipf:0", "fault:wat@1:synth"] {
+            assert_usage_exit(&[spec]);
+        }
+        // The whole scenario grammar is accepted.
+        for spec in ["mix:dmine,lu", "zipf:0.9", "burst:64x256", "phase:4", "share:seq,rand"] {
+            assert!(Scenario::parse(spec).is_ok(), "{spec}");
         }
     }
 
