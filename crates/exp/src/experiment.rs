@@ -68,10 +68,10 @@ impl Experiment {
 
     /// Runs the experiment.
     ///
-    /// Every engine consumes the workload as a stream: the serial
-    /// engines and the simulators open it once, the parallel engine
-    /// opens one stream per worker plus its lead, and serve one per
-    /// client — no engine materializes a
+    /// Every engine consumes the workload as a stream: serve reads one
+    /// per client, every other engine one (the parallel engine's
+    /// calling thread hands its workers chunks of it) — no engine
+    /// materializes a
     /// [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`]
     /// the replay engines additionally keep only O(1) running
     /// aggregates instead of per-record timings.
@@ -79,28 +79,25 @@ impl Experiment {
     /// **Admission is all-or-nothing at this boundary, and there is one
     /// path to it.** Every engine admits the streams it reads *while*
     /// it runs: each stream goes behind the [`VerifyMode`]'s wrapper
-    /// (none, [`StrictSource`] or [`QuarantineSource`]; serial replay
-    /// and the simulators admit v2 file atoms block by block as they
-    /// reach them), and a `Report` comes back only once every stream
-    /// the verdict comes from has been judged: read to its end under
-    /// `Strict` and `Lenient` (a serve client cut off by its request
-    /// budget drains the rest), then asked why it ended
+    /// (none, [`StrictSource`] or [`QuarantineSource`]; serial and
+    /// parallel replay and the simulators admit v2 file atoms block by
+    /// block as they reach them), and a `Report` comes back only once
+    /// every stream the verdict comes from has been judged: read to its
+    /// end under `Strict` and `Lenient` (a serve client cut off by its
+    /// request budget drains the rest), then asked why it ended
     /// ([`TraceSource::take_failure`]), then the wrapper's verdict
     /// ([`StrictSource::finish`], `V06` included, or the lenient
-    /// ledger). The streams judged are the one stream of serial replay,
-    /// real replay and the simulators, the lead of parallel replay (its
-    /// workers' streams, wrapped alike, must stop where the lead stops,
-    /// or the run fails with a stream divergence), and every serve
-    /// client's, whose lenient ledgers are summed. With two faults in
-    /// one stream, the error is the one that comes first in the order
-    /// the engine read it. An admitting serial replay reads, decodes,
-    /// verifies and judges its stream on a reader thread, at most
-    /// 3 × 1024 records ahead of the cache, which gets them in order;
-    /// the verdict and the errors are the inline run's. Real replay,
-    /// which acts outside the report, loads the whole input first in
-    /// every mode (every v2 block's container checks included) and
-    /// admits it under `Strict` and `Lenient` ([`Workload::verify`])
-    /// before it touches the sample file.
+    /// ledger). The streams judged are the one stream of every engine
+    /// but serve, and every serve client's, whose lenient ledgers are
+    /// summed. With two faults in one stream, the error is the one that
+    /// comes first in the order the engine read it. An admitting serial
+    /// replay reads, decodes, verifies and judges its stream on a
+    /// reader thread, at most 3 × 1024 records ahead of the cache,
+    /// which gets them in order; the verdict and the errors are the
+    /// inline run's. Real replay, which acts outside the report, loads
+    /// the whole input first in every mode (every v2 block's container
+    /// checks included) and admits it under `Strict` and `Lenient`
+    /// ([`Workload::verify`]) before it touches the sample file.
     ///
     /// A stream replayed with [`VerifyMode::Off`] whose record names a
     /// file outside the declared roster fails with
@@ -155,16 +152,14 @@ impl Experiment {
                 None => Ok(verdict(stream)?),
             }
         };
-        // Parallel replay and serve re-open their input, one stream per
-        // worker or client: the load-once atoms (file, app) become one
-        // shared in-memory trace first, so each re-open clones an `Arc`.
-        // Real replay acts outside the report: it loads the whole input
-        // (every container check included) before it touches the file.
+        // Serve opens its input once per client: the load-once atoms
+        // (file, app) become one shared in-memory trace first, so each
+        // open clones an `Arc`. Real replay acts outside the report: it
+        // loads the whole input (every container check included) before
+        // it touches the file. Every other engine reads one lazy stream.
         let workload = match self.engine {
-            Engine::SerialReplay | Engine::TraceSim | Engine::ScheduledSim => {
-                Cow::Borrowed(&self.workload)
-            }
-            _ => Cow::Owned(self.workload.resolve()?),
+            Engine::Serve | Engine::RealReplay { .. } => Cow::Owned(self.workload.resolve()?),
+            _ => Cow::Borrowed(&self.workload),
         };
         let started = Instant::now();
         if let Engine::Serve = self.engine {
@@ -191,7 +186,7 @@ impl Experiment {
             read_ahead(open, judge, |stream| self.replay_serial(stream, report))?;
         } else {
             let mut stream = wrap(workload.open_lazy()?);
-            let ran = self.run_engine(&workload, &mut stream, &wrap, report);
+            let ran = self.run_engine(&workload, &mut stream, report);
             judge(&mut stream)?;
             ran?;
         }
@@ -200,21 +195,17 @@ impl Experiment {
     }
 
     /// Runs every engine but serve over `stream`, the one stream the
-    /// verdict comes from; parallel replay's workers open their own
-    /// through `wrap`.
-    fn run_engine<S: TraceSource>(
+    /// verdict comes from.
+    fn run_engine(
         &self,
         workload: &Workload,
-        stream: &mut S,
-        wrap: &(impl Fn(Box<dyn TraceSource>) -> S + Sync),
+        stream: &mut impl TraceSource,
         report: &mut Report,
     ) -> Result<(), ExpError> {
         match &self.engine {
             Engine::SerialReplay => self.replay_serial(stream, report)?,
             Engine::ParallelReplay => {
-                let open = || workload.open().map(wrap);
-                let replay =
-                    replay_sharded(stream, open, self.cache.clone(), &self.parallel, self.mode)?;
+                let replay = replay_sharded(stream, self.cache.clone(), &self.parallel, self.mode)?;
                 report.cache_metrics = Some(replay.metrics);
                 report.shard_metrics = Some(replay.shard_metrics.clone());
                 report.threads_used = Some(replay.threads);

@@ -20,9 +20,9 @@
 //!   a workload yields a **streaming**
 //!   [`TraceSource`](clio_trace::source::TraceSource) — records come
 //!   one at a time, and every engine consumes them that way: the
-//!   serial engines stream once, the parallel engine opens one stream
-//!   per worker (plus a merge walk), and the simulators demultiplex a
-//!   stream per process through a
+//!   serial engines stream once, the parallel engine reads once and
+//!   hands its workers the records in shared chunks, and the
+//!   simulators demultiplex a stream per process through a
 //!   [`PidSplitter`](clio_trace::source::PidSplitter), which feeds a
 //!   mix of synthetic sides one part per process and parks nothing
 //!   past the roster prefix. No engine materializes the workload.

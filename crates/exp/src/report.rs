@@ -31,7 +31,7 @@ pub struct Report {
     /// per-record timings in
     /// [`ReportMode::Full`](clio_trace::replay::ReportMode::Full) only.
     pub replay: Option<ReplayReport>,
-    /// Aggregate cache counters (parallel replay).
+    /// Aggregate cache counters (serial and parallel replay, serve).
     pub cache_metrics: Option<CacheMetrics>,
     /// Per-shard cache counters (parallel replay).
     pub shard_metrics: Option<Vec<CacheMetrics>>,
@@ -173,7 +173,7 @@ pub struct ReportSummary {
     /// engines; 0 unless the scheduled simulator ran under a fault
     /// plan).
     pub dropped_requests: Option<u64>,
-    /// Aggregate cache counters (parallel replay).
+    /// Aggregate cache counters (serial and parallel replay, serve).
     pub cache: Option<CacheMetrics>,
     /// Worker threads used (parallel replay).
     pub threads: Option<u64>,

@@ -167,9 +167,10 @@ impl Workload {
 
     /// A custom iterator-backed workload: `factory` is called once per
     /// [`Workload::open`] and must return an equivalent stream each
-    /// time — an experiment may be run many times, and parallel replay
-    /// and serve open several streams within one run (the simulators
-    /// and serial replay open exactly one).
+    /// time — an experiment may be run many times, and within one run
+    /// serve opens one stream per client and an admitting real replay
+    /// one more for its verify pass (every other engine opens exactly
+    /// one).
     pub fn custom(
         label: impl Into<String>,
         factory: impl Fn() -> Box<dyn TraceSource> + Send + Sync + 'static,
@@ -325,11 +326,11 @@ impl Workload {
     /// Resolves the load-once atoms — [`Workload::File`] (disk load)
     /// and [`Workload::App`] (application run) — into shared
     /// [`Workload::Trace`]s, recursively through chains and mixes, so
-    /// that engines which re-open the workload many times (one stream
-    /// per parallel worker or serve client) clone an `Arc` instead of
-    /// re-loading or re-running the application per stream. Streaming atoms (synthetic, custom,
-    /// trace) pass through untouched; the label is unchanged by
-    /// resolution, so resolve *after* taking the label.
+    /// that serve, which opens the workload once per client, clones an
+    /// `Arc` instead of re-loading or re-running the application per
+    /// stream. Streaming atoms (synthetic, custom, trace) pass through
+    /// untouched; the label is unchanged by resolution, so resolve
+    /// *after* taking the label.
     pub fn resolve(&self) -> Result<Workload, ExpError> {
         Ok(match self {
             Workload::File(_) | Workload::App(_) => Workload::Trace(self.materialize()?),

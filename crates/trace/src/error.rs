@@ -56,14 +56,6 @@ pub enum TraceError {
         /// The record's repeat count.
         num_records: u32,
     },
-    /// A parallel replay re-opened its workload and the streams did not
-    /// line up: one ended where another went on. Every open of a
-    /// workload must yield the same records.
-    StreamDiverged {
-        /// 0-based index of the first record one stream had and
-        /// another lacked.
-        index: u64,
-    },
     /// Bytes remained after the last declared record (or after the v2
     /// end marker) — the signature of a concatenated or padded file.
     TrailingBytes {
@@ -125,13 +117,6 @@ impl fmt::Display for TraceError {
                     crate::verify::MAX_REPEATS
                 )
             }
-            TraceError::StreamDiverged { index } => {
-                write!(
-                    f,
-                    "a re-opened stream of the workload diverged from the lead stream at \
-                     record {index}"
-                )
-            }
             TraceError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the declared trace content")
             }
@@ -182,7 +167,6 @@ mod tests {
         assert!(TraceError::FileIdOutOfRange { index: 0, file_id: 5, num_files: 2 }
             .to_string()
             .contains("file 5"));
-        assert!(TraceError::StreamDiverged { index: 41 }.to_string().contains("record 41"));
         assert!(TraceError::SpanTooLong { index: 2, length: 1 << 62, num_records: 1 }
             .to_string()
             .contains("V10"));

@@ -15,7 +15,8 @@
 //!   anomalies exactly and repeatably.
 //! - [`replay_sharded`] drives a [`ShardedBufferCache`] with a pool of
 //!   workers, each holding the cache's [`ShardView`] of a disjoint set
-//!   of shards and its **own stream** over the workload — the
+//!   of shards; the calling thread reads the stream once and hands every
+//!   worker the same checked records, a chunk at a time — the
 //!   multi-core engine, deterministic across runs *and* thread counts.
 //! - [`replay_backend`] issues the records against an actual file
 //!   through a [`FileBackend`] ([`open_real_backend`] opens the sample
@@ -59,6 +60,8 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 use std::time::Duration;
 
 use clio_cache::backend::{FileBackend, RealFsBackend};
@@ -277,8 +280,8 @@ pub fn check_record(num_files: u32, index: u64, r: &TraceRecord) -> Result<FileI
 }
 
 /// The conservation oracle of the cached drivers (debug builds only):
-/// the page accesses the *records* imply, counted on the lead thread as
-/// they stream past and never read back from the cache.
+/// the page accesses the *records* imply, counted on the calling
+/// thread as they stream past and never read back from the cache.
 #[derive(Default)]
 struct PageLedger {
     pages: u64,
@@ -355,8 +358,8 @@ pub struct ParallelReplayOptions {
 /// [`replay_cached`] speaks — reporting each owned shard's partial cost
 /// of every repeat through `add(k, cost_ms)`, `k` counting the view's
 /// owned shards in ascending order. One function for the materialized
-/// ([`replay_parallel`]) and per-worker-stream ([`replay_sharded`])
-/// engines, so the two cannot drift.
+/// ([`replay_parallel`]) and streamed ([`replay_sharded`]) engines, so
+/// the two cannot drift.
 fn replay_on_view(
     view: &mut ShardView<'_>,
     fid: FileId,
@@ -390,8 +393,8 @@ fn base_cost(config: &CacheConfig, op: IoOp) -> f64 {
 
 /// Replays against a sharded cache with a pool of worker threads, from
 /// a borrowed, materialized trace — the reference implementation the
-/// per-worker-stream engine ([`replay_sharded`]) is pinned
-/// bitwise-identical against. Always [`ReportMode::Full`].
+/// streamed engine ([`replay_sharded`]) is pinned bitwise-identical
+/// against. Always [`ReportMode::Full`].
 ///
 /// Every worker scans the whole trace but performs cache work only for
 /// the shards it owns, through the cache's [`ShardView`] for that
@@ -471,154 +474,136 @@ pub fn replay_parallel(
     Ok(report.finish_sharded(&cache, threads, &ledger))
 }
 
-/// Records per pipelined merge chunk of [`replay_sharded`]: workers hand
-/// their shard partial costs to the merging thread in chunks of this
-/// many records, so in-flight memory is O(threads × chunk) however long
+/// Records per chunk of [`replay_sharded`]: the calling thread hands its
+/// workers the stream this many records at a time, and at most two
+/// chunks are in flight, so in-flight memory is O(chunk) however long
 /// the stream is.
 const PAR_CHUNK: usize = 1024;
 
-/// Replays a re-openable workload against a sharded cache with a pool
-/// of worker threads, each streaming its **own** source — no
-/// materialized [`TraceFile`] exists anywhere in the engine.
+/// Replays a streaming record source against a sharded cache with a
+/// pool of worker threads — no materialized [`TraceFile`] exists
+/// anywhere in the engine.
 ///
-/// The calling thread reads `lead`; `open` is called once per worker
-/// and must yield the same record stream (the same contract
-/// `clio_exp::Workload::open` documents); a worker that cannot open
-/// its stream ends the replay with `open`'s error. Each worker replays
-/// its stream against the shards it owns and ships per-record shard
-/// costs to the calling thread in bounded chunks. The calling thread
-/// walks the lead stream, merges the chunk costs per record in
+/// The calling thread reads `source` once, runs [`check_record`] on
+/// every record and hands the records to all workers 1024 at a time,
+/// as one shared, read-only chunk. Each worker replays a chunk on
+/// its [`ShardView`] and returns the chunk's per-record cost on each
+/// shard it owns. The calling thread reads the next chunk while the
+/// workers replay this one, then merges this one's costs per record in
 /// ascending shard order — the same order as [`replay_parallel`]'s
 /// merge, which is what keeps the two engines and every thread count
-/// bitwise-identical — and keeps each record in stream order. The lead
-/// is the caller's to ask, afterwards, why it ended
-/// ([`TraceSource::take_failure`]).
+/// bitwise-identical — and keeps each record in stream order. Chunks
+/// and cost columns are recycled, so a warm replay allocates nothing
+/// per chunk.
 ///
-/// A record [`check_record`] rejects is reported from the lead stream;
-/// the workers, which meet the same record in their own streams, just
-/// stop. A worker whose stream turns out shorter or longer than the
-/// lead's — a file rewritten between opens, a factory over a one-shot
-/// iterator — ends the replay with [`TraceError::StreamDiverged`].
+/// A record [`check_record`] rejects ends the replay with that error
+/// before any worker sees it. The source is the caller's to ask,
+/// afterwards, why it ended ([`TraceSource::take_failure`]).
 ///
 /// # Panics
 /// Panics if a worker panicked.
-pub fn replay_sharded<L, W, E, F>(
-    lead: &mut L,
-    open: F,
+pub fn replay_sharded<S: TraceSource + ?Sized>(
+    source: &mut S,
     config: CacheConfig,
     options: &ParallelReplayOptions,
     mode: ReportMode,
-) -> Result<ReplayReport, E>
-where
-    L: TraceSource + ?Sized,
-    W: TraceSource,
-    E: From<TraceError> + Send,
-    F: Fn() -> Result<W, E> + Sync,
-{
-    let num_files = lead.meta().num_files;
+) -> Result<ReplayReport, TraceError> {
+    let num_files = source.meta().num_files;
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
     let num_shards = cache.num_shards();
     let threads = options.threads.clamp(1, num_shards);
-    let mut report = ReplayReport::new(mode, lead.size_hint().0);
+    let mut report = ReplayReport::new(mode, source.size_hint().0);
     let mut ledger = PageLedger::default();
 
-    // A worker's panic becomes the scope's.
-    std::thread::scope(|scope| {
-        // One bounded channel per worker: a worker can run at most two
-        // chunks ahead of the merge, so worker-side buffering stays
-        // O(chunk) regardless of stream length.
-        let mut rxs = Vec::with_capacity(threads);
+    std::thread::scope(|scope| -> Result<(), TraceError> {
+        // Per worker, chunks go out with a spent column set to refill
+        // and cost columns come back. At most two chunks are in flight,
+        // so no send ever waits.
+        let (mut jobs, mut done) = (Vec::with_capacity(threads), Vec::with_capacity(threads));
         for w in 0..threads {
-            let (tx, rx) = crossbeam::channel::bounded::<Result<Vec<Vec<f64>>, E>>(2);
-            rxs.push(rx);
-            let (open, cache) = (&open, &cache);
+            let (job_tx, job_rx) = sync_channel::<(Arc<Vec<TraceRecord>>, Vec<Vec<f64>>)>(2);
+            let (done_tx, done_rx) = sync_channel(2);
+            jobs.push(job_tx);
+            done.push(done_rx);
+            let cache = &cache;
             scope.spawn(move || {
-                let mut source = match open() {
-                    Ok(source) => source,
-                    Err(failed) => return drop(tx.send(Err(failed))),
-                };
                 let mut view = cache.worker_view(w, threads);
-                let n_owned = view.owned_shards().len();
-                let fresh = |n: usize| -> Vec<Vec<f64>> {
-                    (0..n).map(|_| Vec::with_capacity(PAR_CHUNK)).collect()
-                };
-                let mut chunk = fresh(n_owned);
-                while let Some(r) = source.next_record() {
-                    // The lead reports a record `check_record` rejects,
-                    // with its index (the 0 here is never read); this
-                    // worker just stops.
-                    let Ok(fid) = check_record(num_files, 0, &r) else { return };
-                    for col in chunk.iter_mut() {
-                        col.push(0.0);
+                let owned = view.owned_shards().len();
+                for (chunk, mut columns) in job_rx {
+                    columns.resize_with(owned, || Vec::with_capacity(PAR_CHUNK));
+                    for column in &mut columns {
+                        column.clear();
+                        column.resize(chunk.len(), 0.0);
                     }
-                    let i = chunk[0].len() - 1;
-                    replay_on_view(&mut view, fid, &r, |k, c| chunk[k][i] += c);
-                    if i + 1 == PAR_CHUNK
-                        && tx.send(Ok(std::mem::replace(&mut chunk, fresh(n_owned)))).is_err()
-                    {
-                        return; // merge side is gone; stop quietly
+                    for (i, r) in chunk.iter().enumerate() {
+                        // The calling thread checked the record.
+                        let fid = FileId(r.file_id);
+                        replay_on_view(&mut view, fid, r, |k, c| columns[k][i] += c);
                     }
-                }
-                if !chunk[0].is_empty() {
-                    let _ = tx.send(Ok(chunk));
+                    // Let go of the chunk before its costs go back: the
+                    // calling thread refills it once every worker has.
+                    drop(chunk);
+                    if done_tx.send(columns).is_err() {
+                        return; // the calling thread stopped early
+                    }
                 }
             });
         }
 
-        // The merge walk: this thread's own stream supplies the record
-        // (op kind, repeat count) the chunk costs attach to.
-        let mut records_buf: Vec<TraceRecord> = Vec::with_capacity(PAR_CHUNK);
-        let mut done = false;
-        while !done {
-            records_buf.clear();
-            while records_buf.len() < PAR_CHUNK {
-                match lead.next_record() {
-                    Some(r) => {
-                        let index = report.stats.records + records_buf.len() as u64;
-                        check_record(num_files, index, &r)?;
-                        ledger.count(&r, config.page_size);
-                        records_buf.push(r);
-                    }
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
+        // Takes every worker's cost columns for `chunk` into `columns`
+        // (they go back out, to be refilled, with the chunk after next)
+        // and merges them: per record, the fixed per-op cost plus the
+        // shard partial costs in shard order.
+        let mut merge = |chunk: &[TraceRecord], columns: &mut [Vec<Vec<f64>>]| {
+            for (rx, set) in done.iter().zip(columns.iter_mut()) {
+                *set = rx.recv().expect("a replay worker panicked");
             }
-            if records_buf.is_empty() {
-                break;
-            }
-            // A worker with no chunk to give ended its stream at the
-            // last chunk boundary (or died: the scope re-raises that).
-            let diverged =
-                |at: usize| TraceError::StreamDiverged { index: report.stats.records + at as u64 };
-            let chunks: Vec<Vec<Vec<f64>>> = rxs
-                .iter()
-                .map(|rx| rx.recv().unwrap_or_else(|_| Err(diverged(0).into())))
-                .collect::<Result<_, _>>()?;
-            if let Some(c) = chunks.iter().find(|c| c[0].len() != records_buf.len()) {
-                return Err(diverged(c[0].len().min(records_buf.len())).into());
-            }
-            for (i, r) in records_buf.iter().enumerate() {
+            for (i, r) in chunk.iter().enumerate() {
                 let repeats = r.num_records.max(1) as f64;
                 let mut total = base_cost(&config, r.op) * repeats;
                 for s in 0..num_shards {
-                    total += chunks[s % threads][s / threads][i];
+                    total += columns[s % threads][s / threads][i];
                 }
                 report.keep(r, total / repeats);
             }
+        };
+        let mut columns: Vec<Vec<Vec<f64>>> = (0..threads).map(|_| Vec::new()).collect();
+        let (mut queued, mut spare) = (None, None);
+        let mut read = 0;
+        loop {
+            let mut chunk = spare.take().unwrap_or_else(|| Arc::new(Vec::with_capacity(PAR_CHUNK)));
+            let records = Arc::get_mut(&mut chunk).expect("no worker holds a merged chunk");
+            records.clear();
+            while records.len() < PAR_CHUNK {
+                let Some(r) = source.next_record() else { break };
+                check_record(num_files, read, &r)?;
+                ledger.count(&r, config.page_size);
+                records.push(r);
+                read += 1;
+            }
+            let ended = records.len() < PAR_CHUNK;
+            let next = (!records.is_empty()).then_some(chunk);
+            if let Some(chunk) = &next {
+                for (tx, spent) in jobs.iter().zip(&mut columns) {
+                    // A worker that hung up panicked: `merge` says so.
+                    let _ = tx.send((Arc::clone(chunk), std::mem::take(spent)));
+                }
+            }
+            // The workers replay `next` while this thread merges the
+            // chunk before it.
+            if let Some(prev) = std::mem::replace(&mut queued, next) {
+                merge(&prev, &mut columns);
+                spare = Some(prev);
+            }
+            if ended {
+                if let Some(last) = queued.take() {
+                    merge(&last, &mut columns);
+                }
+                // Returning drops the channels before the scope joins,
+                // here or through the `?` above, so every worker ends.
+                return Ok(());
+            }
         }
-        // The lead stream is spent; a worker with one more chunk has a
-        // longer one.
-        if let Some(more) = rxs.iter().find_map(|rx| rx.recv().ok()) {
-            more?;
-            return Err(TraceError::StreamDiverged { index: report.stats.records }.into());
-        }
-        // Returning — here or through any `?` above — drops `rxs` before
-        // the scope joins: a worker still sending (its stream ran longer
-        // than the lead's, or the lead hit a roster violation) fails its
-        // send instead of blocking the scope forever.
-        Ok::<(), E>(())
     })?;
 
     Ok(report.finish_sharded(&cache, threads, &ledger))
@@ -775,23 +760,6 @@ mod tests {
         options: RealReplayOptions,
     ) -> Result<ReplayReport, TraceError> {
         replay_backend(&mut SliceSource::new(trace), backend, options, ReportMode::Full)
-    }
-
-    /// A factory of fresh streams over `trace`, for the per-worker
-    /// stream engine.
-    fn reopen<'t>(trace: &'t TraceFile) -> impl Fn() -> Box<dyn TraceSource + 't> + Sync + 't {
-        move || Box::new(SliceSource::new(trace))
-    }
-
-    /// [`replay_sharded`] with every stream from `open`: the lead first,
-    /// then one per worker.
-    fn sharded<S: TraceSource>(
-        open: impl Fn() -> S + Sync,
-        config: CacheConfig,
-        options: &ParallelReplayOptions,
-        mode: ReportMode,
-    ) -> Result<ReplayReport, TraceError> {
-        replay_sharded(&mut open(), || Ok(open()), config, options, mode)
     }
 
     fn simple_trace() -> TraceFile {
@@ -1001,10 +969,11 @@ mod tests {
 
     #[test]
     fn per_worker_streams_match_materialized_parallel_replay() {
-        // The streamed engine re-opens the workload per worker; its
-        // merged timings and metrics must be bitwise-identical to the
-        // materialized engine's, at every thread count — including
-        // stream lengths that are not a multiple of the merge chunk.
+        // The streamed engine hands its one stream to the workers in
+        // chunks; its merged timings and metrics must be
+        // bitwise-identical to the materialized engine's, at every thread
+        // count — including stream lengths that are not a multiple of
+        // the chunk.
         let trace = mixed_trace(PAR_CHUNK as u64 + 137);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
         let reference = replay_parallel(
@@ -1015,8 +984,13 @@ mod tests {
         .unwrap();
         for threads in [1usize, 2, 3, 8] {
             let opts = ParallelReplayOptions { threads, shards: 8 };
-            let streamed =
-                sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
+            let streamed = replay_sharded(
+                &mut SliceSource::new(&trace),
+                config.clone(),
+                &opts,
+                ReportMode::Full,
+            )
+            .unwrap();
             assert_eq!(streamed.timings, reference.timings, "{threads} threads");
             assert_eq!(streamed.metrics, reference.metrics, "{threads} threads");
             assert_eq!(streamed.shard_metrics, reference.shard_metrics, "{threads} threads");
@@ -1028,8 +1002,12 @@ mod tests {
         let trace = mixed_trace(600);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
         let opts = ParallelReplayOptions { threads: 3, shards: 8 };
-        let full = sharded(reopen(&trace), config.clone(), &opts, ReportMode::Full).unwrap();
-        let summary = sharded(reopen(&trace), config, &opts, ReportMode::Summary).unwrap();
+        let full =
+            replay_sharded(&mut SliceSource::new(&trace), config.clone(), &opts, ReportMode::Full)
+                .unwrap();
+        let summary =
+            replay_sharded(&mut SliceSource::new(&trace), config, &opts, ReportMode::Summary)
+                .unwrap();
         assert!(summary.timings.is_empty(), "summary mode keeps no timings");
         assert_eq!(summary.stats(), full.stats());
         assert_eq!(summary.metrics, full.metrics);
@@ -1125,77 +1103,13 @@ mod tests {
 
     #[test]
     fn sharded_replay_rejects_an_out_of_roster_file_id() {
-        // Every worker meets the bad record in its own stream and stops;
-        // the error comes from the lead stream, and the scope still joins.
+        // The calling thread rejects the bad record before any worker
+        // sees it, and the scope still joins.
         for threads in [1usize, 3] {
             let opts = ParallelReplayOptions { threads, shards: 4 };
-            assert_roster_error(sharded(
-                out_of_roster,
-                CacheConfig::default(),
-                &opts,
-                ReportMode::Summary,
-            ));
-        }
-    }
-
-    #[test]
-    fn a_reopened_stream_of_another_length_is_an_error_not_a_panic() {
-        // The first open is the lead stream; every later one (the
-        // workers') comes `lead_len -> worker_len` records long. Each
-        // pair lands in a different detector: a short last chunk, no
-        // chunk at all, a long last chunk, one chunk too many.
-        let chunk = PAR_CHUNK as u64;
-        for (lead_len, worker_len, index) in [
-            (chunk + 200, chunk + 150, chunk + 150),
-            (2 * chunk + 10, chunk - 5, chunk - 5),
-            (chunk + 5, chunk, chunk),
-            (chunk + 150, chunk + 200, chunk + 150),
-            (chunk, chunk + 1, chunk),
-            (chunk, 3 * chunk, chunk),
-        ] {
-            for threads in [1usize, 2] {
-                let opens = std::sync::atomic::AtomicUsize::new(0);
-                let open = || -> Box<dyn TraceSource> {
-                    let first = opens.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0;
-                    let n = if first { lead_len } else { worker_len };
-                    let meta =
-                        SourceMeta { sample_file: "d.dat".into(), num_processes: 1, num_files: 1 };
-                    let records =
-                        (0..n).map(|i| TraceRecord::simple(IoOp::Read, 0, i % 64 * 4096, 4096));
-                    Box::new(IterSource::new(meta, records))
-                };
-                let opts = ParallelReplayOptions { threads, shards: 4 };
-                match sharded(open, CacheConfig::default(), &opts, ReportMode::Summary) {
-                    Err(TraceError::StreamDiverged { index: at }) => {
-                        assert_eq!(at, index, "{lead_len} vs {worker_len}, {threads} threads")
-                    }
-                    other => {
-                        panic!("{lead_len} vs {worker_len}: expected divergence, got {other:?}")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_worker_that_cannot_open_its_stream_ends_the_replay_with_its_error() {
-        // The last worker's open fails; its error comes back, not a
-        // divergence, whether the lead has records to merge or none.
-        for records in [0u64, 10, 3 * PAR_CHUNK as u64] {
-            for threads in [1usize, 3] {
-                let trace = mixed_trace(records);
-                let opens = std::sync::atomic::AtomicUsize::new(0);
-                let open = || match opens.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 {
-                    n if n == threads => Err(TraceError::BadHeader("gone".into())),
-                    _ => Ok(SliceSource::new(&trace)),
-                };
-                let opts = ParallelReplayOptions { threads, shards: 4 };
-                let lead = &mut SliceSource::new(&trace);
-                match replay_sharded(lead, open, CacheConfig::default(), &opts, ReportMode::Full) {
-                    Err(TraceError::BadHeader(why)) => assert_eq!(why, "gone"),
-                    other => panic!("{records} records, {threads} threads: got {other:?}"),
-                }
-            }
+            let source = &mut *out_of_roster();
+            let config = CacheConfig::default();
+            assert_roster_error(replay_sharded(source, config, &opts, ReportMode::Summary));
         }
     }
 

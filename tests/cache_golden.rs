@@ -35,7 +35,6 @@ use clio_core::trace::reader::TraceFile;
 use clio_core::trace::record::{IoOp, TraceRecord};
 use clio_core::trace::replay::{replay_cached, replay_sharded, ParallelReplayOptions, ReportMode};
 use clio_core::trace::source::SliceSource;
-use clio_core::trace::TraceError;
 
 const PAGE: u64 = 4096;
 const FILE_PAGES: u64 = 2048;
@@ -142,15 +141,9 @@ fn sharded(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
 
 fn parallel(trace: &TraceFile, policy: ReplacementPolicy) -> Row {
     let options = ParallelReplayOptions { threads: 2, shards: SHARDS };
-    let open = || Ok::<_, TraceError>(SliceSource::new(trace));
-    let out = replay_sharded(
-        &mut SliceSource::new(trace),
-        open,
-        config(policy),
-        &options,
-        ReportMode::Summary,
-    )
-    .expect("golden trace is well-formed");
+    let out =
+        replay_sharded(&mut SliceSource::new(trace), config(policy), &options, ReportMode::Summary)
+            .expect("golden trace is well-formed");
     row(out.metrics, out.total_ms())
 }
 

@@ -68,7 +68,7 @@ fn builder_serial_replay_is_bit_identical_to_canonical_per_policy() {
 
 #[test]
 fn builder_parallel_replay_is_bit_identical_to_canonical() {
-    // The builder streams one source per worker; `replay_parallel` is
+    // The builder streams the workload once; `replay_parallel` is
     // the materialized reference engine. Their reports must agree
     // bitwise — timings, aggregate and per-shard metrics alike.
     let trace = synthesize(&TraceProfile {
@@ -306,41 +306,6 @@ fn out_of_roster_workload() -> Workload {
         });
         Box::new(IterSource::new(meta, records))
     })
-}
-
-#[test]
-fn a_workload_whose_reopens_diverge_is_an_error_not_a_panic() {
-    // The parallel engine opens the workload once per worker plus once
-    // for the merge walk. A factory over something that does not replay
-    // the same (a one-shot iterator, a file rewritten between opens)
-    // must surface as an error from `run()`, at any thread count.
-    use clio_core::trace::TraceError;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    for later_opens in [1_400u64, 1_600] {
-        for threads in [1usize, 2] {
-            let opens = AtomicUsize::new(0);
-            let workload = Workload::custom("diverging", move || {
-                let n = if opens.fetch_add(1, Ordering::SeqCst) == 0 { 1_500 } else { later_opens };
-                let meta =
-                    SourceMeta { sample_file: "d.dat".into(), num_processes: 1, num_files: 1 };
-                let records =
-                    (0..n).map(|i| TraceRecord::simple(IoOp::Read, 0, i % 300 * 4096, 8192));
-                Box::new(IterSource::new(meta, records))
-            });
-            let result = Experiment::builder()
-                .workload(workload)
-                .engine(Engine::ParallelReplay)
-                .threads(threads)
-                .shards(4)
-                .build()
-                .expect("valid experiment")
-                .run();
-            assert!(
-                matches!(result, Err(ExpError::Trace(TraceError::StreamDiverged { .. }))),
-                "{later_opens} records on re-open, {threads} thread(s): {result:?}",
-            );
-        }
-    }
 }
 
 #[test]

@@ -927,7 +927,8 @@ fn lenient_serve_on_a_clean_input_equals_the_unverified_run() {
 
 /// The engines that read one stream open the workload once and pull
 /// each record once, whatever the admission mode: no pre-pass
-/// generates the input a second time.
+/// generates the input a second time, and parallel replay hands its
+/// workers the records its calling thread read.
 #[test]
 fn single_stream_engines_open_and_generate_their_input_once() {
     use clio_core::trace::source::IterSource;
@@ -951,20 +952,30 @@ fn single_stream_engines_open_and_generate_their_input_once() {
             }),
         ))
     });
-    for engine in [Engine::TraceSim, Engine::ScheduledSim, Engine::SerialReplay] {
+    let engines = [
+        (Engine::TraceSim, 1),
+        (Engine::ScheduledSim, 1),
+        (Engine::SerialReplay, 1),
+        (Engine::ParallelReplay, 1),
+        (Engine::ParallelReplay, 2),
+    ];
+    for (engine, threads) in engines {
         for verify in [VerifyMode::Off, VerifyMode::Strict, VerifyMode::Lenient] {
             opens.store(0, Ordering::SeqCst);
             pulls.store(0, Ordering::SeqCst);
             let report = Experiment::builder()
                 .workload(workload.clone())
                 .engine(engine.clone())
+                .threads(threads)
+                .shards(4)
                 .verify(verify)
                 .build()
                 .expect("valid experiment")
                 .run()
                 .expect("a clean input passes admission");
-            assert_eq!(opens.load(Ordering::SeqCst), 1, "{engine:?}/{verify:?}: opens");
-            assert_eq!(pulls.load(Ordering::SeqCst), report.records, "{engine:?}/{verify:?}");
+            let run = format!("{engine:?} x{threads}/{verify:?}");
+            assert_eq!(opens.load(Ordering::SeqCst), 1, "{run}: opens");
+            assert_eq!(pulls.load(Ordering::SeqCst), report.records, "{run}: pulls");
         }
     }
 }

@@ -140,18 +140,18 @@ fn trace_sim_per_event_cost_is_flat_in_trace_length() {
         seed: 0x5CA1E,
         ..Default::default()
     };
-    let small = synthesize(&profile(25_000));
+    let small = synthesize(&profile(12_500));
     let large = synthesize(&profile(100_000));
-    assert!(large.len() >= 4 * small.len() * 9 / 10, "large trace really is ~4×");
+    assert!(large.len() >= 8 * small.len() * 9 / 10, "large trace really is ~8×");
 
     let machine = MachineConfig::with_disks(2);
     // Warm up allocators and caches before timing anything.
     trace_sim(reopen(&small), &machine, &TraceSimOptions::default()).expect("valid machine");
 
-    // Generous bound, sized for noisy CI runners: O(N) predicts a
-    // per-event ratio of ≈ 1×; the old per-event clone copied the whole
-    // 160k-record vector on every event, a per-event ratio in the
-    // thousands. 3× leaves huge headroom for scheduler/thermal noise,
+    // Generous bound, sized for noisy CI runners: O(1) per event
+    // predicts a ratio of ≈ 1× at 8× the events, an O(N) step per event
+    // ≈ 8×; the old per-event clone copied the whole 160k-record vector
+    // on every event, a per-event ratio in the thousands. 3× leaves huge headroom for scheduler/thermal noise,
     // and a transient stall on a shared runner gets two full re-measure
     // attempts — only a *persistent* superlinear ratio (i.e. a real
     // complexity regression) can fail all three.
@@ -189,7 +189,7 @@ fn per_record_seconds_parallel(trace: &TraceFile, opts: &ParallelReplayOptions) 
 
 /// The parallel replay path must stay O(1) per event: worker-side
 /// filtering, per-shard cost vectors and the deterministic merge are
-/// all linear in the trace, so a 4× trace cannot cost more per record
+/// all linear in the trace, so an 8× trace cannot cost more per record
 /// than a generous constant factor over the 1× trace.
 #[test]
 fn parallel_replay_per_record_cost_is_flat_in_trace_length() {
@@ -201,9 +201,9 @@ fn parallel_replay_per_record_cost_is_flat_in_trace_length() {
         seed: 0x9A11E1,
         ..Default::default()
     };
-    let small = synthesize(&profile(10_000));
+    let small = synthesize(&profile(5_000));
     let large = synthesize(&profile(40_000));
-    assert!(large.len() >= 4 * small.len() * 9 / 10, "large trace really is ~4×");
+    assert!(large.len() >= 8 * small.len() * 9 / 10, "large trace really is ~8×");
 
     let opts = ParallelReplayOptions { threads: 2, shards: 8 };
     // Warm up allocators before timing anything.
@@ -457,10 +457,10 @@ fn per_record_seconds(run: &dyn Fn() -> u64) -> f64 {
 ///
 /// - **Allocation calls.** At 8N each row makes at most its N-run's
 ///   calls + 64: set-up and O(log N) buffer doublings. Parallel replay
-///   (fresh per-chunk column vectors, ~11 calls per 1024 records) and
-///   v2 encode (per-block buffers, ~1) get 16 per 1024 extra records
-///   on top. One allocation per record adds ~18 000 calls here and
-///   cannot pass either bound.
+///   recycles its record chunks and cost columns, so it is held to that
+///   too; v2 encode (per-block buffers, ~1 call per 1024 records) gets
+///   16 per 1024 extra records on top. One allocation per record adds
+///   ~18 000 calls here and cannot pass either bound.
 /// - **Per-record time** of serial replay, serve at 32 clients, the
 ///   faulted scheduled simulator and v2 decode: at 8N within 3x of N,
 ///   best of 5, with three attempts, as in the timing tests above; the
@@ -565,12 +565,9 @@ fn every_engine_is_flat_per_record_in_calls_and_time() {
         })
         .timed(),
     );
-    rows.push(
-        Row::experiment("parallel replay", synth.clone(), Engine::ParallelReplay, |b, _| {
-            b.threads(2).shards(8)
-        })
-        .per_krecord(16),
-    );
+    rows.push(Row::experiment("parallel replay", synth.clone(), Engine::ParallelReplay, |b, _| {
+        b.threads(2).shards(8)
+    }));
 
     for row in &rows {
         let name = &row.name;

@@ -8,10 +8,11 @@
 //!    `ReportSummary` must equal `ReportMode::Full`'s **field for
 //!    field** — per replacement policy, per engine, and for arbitrary
 //!    profiles (proptest).
-//! 2. **Per-worker-stream determinism.** The parallel engine gives
-//!    each worker its own stream over the workload; its report must be
-//!    **bitwise identical** to the materialized `replay_parallel`
-//!    reference path, across thread counts, per policy.
+//! 2. **Streamed parallel determinism.** The parallel engine reads
+//!    its one stream and hands each worker the records in shared
+//!    chunks; its report must be **bitwise identical** to the
+//!    materialized `replay_parallel` reference path, across thread
+//!    counts, per policy.
 //! 3. **The acceptance pin.** An iterator-backed workload larger than
 //!    the default perf-smoke size flows through `SerialReplay`,
 //!    `ParallelReplay` and `TraceSim` in summary mode — no `TraceFile`
@@ -26,7 +27,6 @@ use clio_core::trace::record::TraceRecord;
 use clio_core::trace::replay::{replay_parallel, replay_sharded, ParallelReplayOptions};
 use clio_core::trace::source::{IterSource, SliceSource, SourceMeta, TraceSource};
 use clio_core::trace::synth::synthesize;
-use clio_core::trace::TraceError;
 
 /// Runs `workload` on `engine` in both report modes and pins the
 /// flattened summaries field-for-field identical; returns the pair for
@@ -113,7 +113,6 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
             let opts = ParallelReplayOptions { threads, shards: 8 };
             let streamed = replay_sharded(
                 &mut SliceSource::new(&trace),
-                || Ok::<_, TraceError>(SliceSource::new(&trace)),
                 config.clone(),
                 &opts,
                 ReportMode::Full,
@@ -130,7 +129,6 @@ fn per_worker_streams_match_materialized_parallel_across_thread_counts() {
             // the full report's, and the counters must be unaffected.
             let stats = replay_sharded(
                 &mut SliceSource::new(&trace),
-                || Ok::<_, TraceError>(SliceSource::new(&trace)),
                 config.clone(),
                 &opts,
                 ReportMode::Summary,
