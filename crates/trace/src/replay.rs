@@ -1104,12 +1104,27 @@ mod tests {
     #[test]
     fn sharded_replay_rejects_an_out_of_roster_file_id() {
         // The calling thread rejects the bad record before any worker
-        // sees it, and the scope still joins.
+        // sees it, and the scope still joins — also when the record
+        // comes chunks in, with the workers replaying the chunks before.
         for threads in [1usize, 3] {
             let opts = ParallelReplayOptions { threads, shards: 4 };
             let source = &mut *out_of_roster();
             let config = CacheConfig::default();
             assert_roster_error(replay_sharded(source, config, &opts, ReportMode::Summary));
+
+            let index = 2 * PAR_CHUNK as u64 + 3;
+            let records = (0..3 * PAR_CHUNK as u64).map(|i| {
+                let file_id = if i == index { 7 } else { 0 };
+                TraceRecord::simple(IoOp::Read, file_id, i % 64 * 4096, 4096)
+            });
+            let meta = SourceMeta { sample_file: "s.dat".into(), num_processes: 1, num_files: 1 };
+            let source = &mut IterSource::new(meta, records);
+            match replay_sharded(source, CacheConfig::default(), &opts, ReportMode::Summary) {
+                Err(TraceError::FileIdOutOfRange { index: at, file_id: 7, .. }) => {
+                    assert_eq!(at, index)
+                }
+                other => panic!("{threads} threads: got {other:?}"),
+            }
         }
     }
 
