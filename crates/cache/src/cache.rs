@@ -159,6 +159,36 @@ impl Default for CacheConfig {
     }
 }
 
+impl CacheConfig {
+    /// Checks the fields a run would otherwise trip over: a page size
+    /// of zero (every page walk divides by it) and a cost that is not a
+    /// finite, non-negative number of milliseconds (a NaN would be
+    /// summed into every reported cost). The error names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.page_size == 0 {
+            return Err("cache page_size must be positive".into());
+        }
+        let c = &self.costs;
+        let costs = [
+            ("op_base", c.op_base),
+            ("hit_per_page", c.hit_per_page),
+            ("fault_positioning", c.fault_positioning),
+            ("fault_per_page", c.fault_per_page),
+            ("prefetch_per_page", c.prefetch_per_page),
+            ("writeback_per_page", c.writeback_per_page),
+            ("open_base", c.open_base),
+            ("close_base", c.close_base),
+            ("seek_base", c.seek_base),
+        ];
+        match costs.iter().find(|(_, ms)| !ms.is_finite() || *ms < 0.0) {
+            Some((field, ms)) => {
+                Err(format!("cache cost {field} must be finite and non-negative, not {ms}"))
+            }
+            None => Ok(()),
+        }
+    }
+}
+
 // Page state bits, kept in the policy node's payload byte.
 /// The page has been written since it was last written back.
 const DIRTY: u8 = 1;
@@ -375,21 +405,12 @@ impl Books {
         file: FileId,
         out: &mut AccessOutcome,
     ) {
-        let mut victims: Vec<PageId> = Vec::new();
-        set.visit_residents(&mut |id, _| {
-            if id.file == file {
-                victims.push(*id);
-            }
-        });
         // Some policies (CLOCK's slot reuse, 2Q's queue surgery) are
-        // sensitive to removal order — evict in page order, whatever
-        // order the policy walks its residents in.
-        victims.sort_unstable();
-        for id in victims {
-            if let Some(bits) = set.remove_entry(&id) {
-                self.evicted(bits, out);
-            }
-        }
+        // sensitive to removal order — evict in page order: a page
+        // id's groups rank like its pages, and lanes ascend inside one.
+        set.remove_groups_where(&|group| group.file == file, &PageId::cmp, &mut |bits| {
+            self.evicted(bits, out)
+        });
     }
 
     /// Writes every dirty page back: see [`ShardCore::flush_pages`].

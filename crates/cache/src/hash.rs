@@ -1,4 +1,5 @@
-//! The one hasher every table in this crate is keyed with.
+//! The one hasher every table in this crate is keyed with, and the
+//! page table's group table.
 //!
 //! The page table (the group index under [`crate::intrusive::MultiList`]
 //! and [`crate::policy::ClockSet`]) is keyed by *group*: a page id's
@@ -10,16 +11,30 @@
 //! SipHash-1-3 spends most of such a probe hashing sixteen bytes;
 //! [`MixHasher`] replaces it with one multiply per written word and a
 //! two-step avalanche.
+//!
+//! The group table itself is [`SlotTable`]: an array of 8-byte buckets
+//! (a `u32` group slot and the low 32 bits of its hash), three per
+//! group it is sized for, linearly probed in Robin Hood order, at most
+//! a third full, with backward-shift deletion. It replaced a std
+//! `HashMap<K, u32>` that cost 24 bytes a bucket plus a control byte
+//! for a page id, and was sized for twice the groups it expected so
+//! that tombstones left by open/close churn would be rehashed in place
+//! rather than grow it: 25 bytes of table a page of capacity, against
+//! 6 now (the layout, and the bytes of the rest of the page table, are
+//! in [`crate::intrusive`]'s module docs). What linear probing gives up
+//! under crafted group keys is in [`MixHasher`]'s docs, and what it
+//! costs on a miss-heavy stream in [`SlotTable`]'s.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// A `HashMap` keyed with [`MixHasher`].
 pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
-/// An empty [`MixMap`] with room for `capacity` entries.
-pub(crate) fn mix_map_with_capacity<K, V>(capacity: usize) -> MixMap<K, V> {
-    HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
+/// `value`'s [`MixHasher`] hash: one `Hash::hash` call.
+#[inline]
+pub(crate) fn mix_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    BuildHasherDefault::<MixHasher>::default().hash_one(value)
 }
 
 /// 2^64 / φ, odd: the per-word multiplier.
@@ -33,8 +48,11 @@ const FINISH_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
 /// folds the high half into the low half, multiplies again and folds
 /// once more.
 ///
-/// **Why the finish.** std's `HashMap` picks a bucket from the *low*
-/// bits of the hash and tags the entry with its *top seven*. A bare
+/// **Why the finish.** The group table ([`SlotTable`]) keeps the low
+/// 32 bits of the hash as a tag and scales them onto its bucket count
+/// for a home (the tag's high bits choose it); std's `HashMap` (the
+/// prefetcher's per-file map) picks a bucket from the *low* bits and
+/// tags the entry with its *top seven*. A bare
 /// multiply leaves the low bits a function of the key's low bits only,
 /// so group indexes strided by a shard block
 /// ([`crate::shard::SHARD_BLOCK_PAGES`] pages, eight groups) — or the
@@ -58,6 +76,22 @@ const FINISH_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
 /// eviction keeps retiring the colliding groups. What grouping itself
 /// gives up — single-page random misses open and close a group per
 /// page — is measured in [`crate::intrusive`]'s module docs, not here.
+///
+/// **What linear probing adds to that.** Every step of the hash is a
+/// bijection of the written words, so for one file a crafted trace can
+/// pick page indexes whose groups share the whole 64-bit hash: the same
+/// home bucket in [`SlotTable`] and the same tag. Those groups fill one
+/// run of buckets; a probe that lands in the run walks it, and each
+/// bucket whose tag matches costs a look at that group's key in the
+/// slab. The run also takes in groups whose homes fall inside it
+/// (primary clustering), so honest groups near the crafted home pay
+/// too, where std's table, probing sixteen buckets at a time along a
+/// spread sequence, mostly confined the cost to the colliding keys. The
+/// bound is the one above: a run holds at most the groups tracked, and
+/// a removal's backward shift walks at most to the run's end.
+/// `intrusive::tests::colliding_groups_match_a_per_key_map` files every
+/// group under the table's last bucket and checks every answer.
+///
 /// Nothing about trace admission
 /// (`V01`-`V10`) depends on the hasher. Keys from outside the program
 /// that are *not* capacity-bounded should keep std's default hasher.
@@ -114,6 +148,201 @@ impl Hasher for MixHasher {
         x ^= x >> 32;
         x = x.wrapping_mul(FINISH_MUL);
         x ^ (x >> 29)
+    }
+}
+
+/// A bucket of [`SlotTable`]: a slot and the low half of its hash.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// The low 32 bits of the slot's hash: its home bucket under any
+    /// table size, and a filter that spares most mismatches a look at
+    /// the slot's key.
+    tag: u32,
+    /// The filed slot, or [`EMPTY`].
+    slot: u32,
+}
+
+/// [`Bucket::slot`] of a bucket that holds nothing.
+const EMPTY: u32 = u32::MAX;
+
+const EMPTY_BUCKET: Bucket = Bucket { tag: 0, slot: EMPTY };
+
+/// An open-addressed, linearly probed set of `u32` slots filed by a
+/// 64-bit hash: the page table's group table.
+///
+/// The table stores no keys. A caller hashes its key once, hands the
+/// hash in, and judges a candidate slot by its own key (the group
+/// index compares the group slab's key), so every probe, insert and
+/// removal costs exactly one `Hash::hash` of a key — and growing the
+/// table none, since a bucket's tag keeps the hash bits its home needs.
+/// Runs are kept in Robin Hood order, so a search for an absent hash
+/// stops early, and a removal shifts the rest of its run back into the
+/// hole: churn leaves no tombstones and the table needs no headroom
+/// for them.
+///
+/// The table is at most a third full: [`SlotTable::with_capacity`]
+/// gives it three buckets for each slot it is sized for, and an insert
+/// past a third doubles it. The count need not be a power of two (a
+/// tag is scaled onto it), so the third costs no rounding.
+///
+/// **What it costs.** A search walks buckets one at a time, and how
+/// many depends on the load, where std's table tests sixteen control
+/// bytes at once. On a stream of misses into a cache far smaller than
+/// its file — every group is looked up in vain, opened, and closed
+/// again soon after — the walks show. Timed on a 2-vCPU x86-64
+/// container, `clio_e2e replay_thrash` `norm_cost` against std's table:
+/// +14 % at most a third full (this table; 10 pairs, none better), +20 %
+/// at most half full, about +30 % at most three quarters full. Emptier
+/// tables were faster still (a quarter full: within ~5 %), but a
+/// quarter costs 2 bytes a page more, which puts 2Q's 16 384-page cache
+/// over its 1.20 MiB reservation budget. Hits, and the dense groups of
+/// sequential runs, are as fast as before or faster.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotTable {
+    buckets: Vec<Bucket>,
+    len: usize,
+}
+
+impl SlotTable {
+    /// An empty table that files `slots` slots without growing.
+    pub(crate) fn with_capacity(slots: usize) -> Self {
+        Self { buckets: vec![EMPTY_BUCKET; 3 * slots], len: 0 }
+    }
+
+    /// The bucket a tag's run starts at: the tag scaled onto the bucket
+    /// count, so its high bits choose and the count need not be a power
+    /// of two.
+    #[inline]
+    fn home(&self, tag: u32) -> usize {
+        ((u64::from(tag) * self.buckets.len() as u64) >> 32) as usize
+    }
+
+    /// The bucket after `at`, wrapping at the end.
+    #[inline]
+    fn after(&self, at: usize) -> usize {
+        if at + 1 == self.buckets.len() {
+            0
+        } else {
+            at + 1
+        }
+    }
+
+    /// How far `bucket`, sitting at `at`, lies past its home.
+    #[inline]
+    fn distance(&self, bucket: Bucket, at: usize) -> usize {
+        let home = self.home(bucket.tag);
+        if at >= home {
+            at - home
+        } else {
+            at + self.buckets.len() - home
+        }
+    }
+
+    /// The bucket holding the filed slot `matches` accepts among those
+    /// filed under `hash`. Runs keep their entries in Robin Hood order
+    /// (no entry lies farther from its home than the one after it, bar
+    /// a fresh home), so a search gives up at the first bucket that is
+    /// empty or nearer its home than the searched hash's would be.
+    #[inline]
+    fn search(&self, hash: u64, mut matches: impl FnMut(u32) -> bool) -> Option<usize> {
+        let tag = hash as u32;
+        let mut at = self.home(tag);
+        let mut distance = 0;
+        loop {
+            let bucket = self.buckets[at];
+            if bucket.slot == EMPTY || self.distance(bucket, at) < distance {
+                return None;
+            }
+            if bucket.tag == tag && matches(bucket.slot) {
+                return Some(at);
+            }
+            at = self.after(at);
+            distance += 1;
+        }
+    }
+
+    /// The filed slot that `matches` accepts among those filed under
+    /// `hash`, if any.
+    #[inline]
+    pub(crate) fn find(&self, hash: u64, matches: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        self.search(hash, matches).map(|at| self.buckets[at].slot)
+    }
+
+    /// Files `slot` under `hash`. The caller knows it is not filed yet.
+    pub(crate) fn insert(&mut self, hash: u64, slot: u32) {
+        debug_assert!(slot != EMPTY, "slots fit below the empty marker");
+        if 3 * (self.len + 1) > self.buckets.len() {
+            self.grow();
+        }
+        self.place(Bucket { tag: hash as u32, slot });
+        self.len += 1;
+    }
+
+    /// Puts `carried` into its run at the first bucket that is empty or
+    /// holds an entry nearer its home, and moves that entry on the same
+    /// way (Robin Hood insertion).
+    fn place(&mut self, mut carried: Bucket) {
+        let mut at = self.home(carried.tag);
+        let mut distance = 0;
+        loop {
+            let bucket = self.buckets[at];
+            if bucket.slot == EMPTY {
+                self.buckets[at] = carried;
+                return;
+            }
+            let theirs = self.distance(bucket, at);
+            if theirs < distance {
+                self.buckets[at] = carried;
+                carried = bucket;
+                distance = theirs;
+            }
+            at = self.after(at);
+            distance += 1;
+        }
+    }
+
+    /// Unfiles `slot`, which is filed under `hash`, and shifts the rest
+    /// of its run back by one, up to an empty bucket or an entry at its
+    /// home, so that the run keeps its order and no tombstone is left.
+    pub(crate) fn remove(&mut self, hash: u64, slot: u32) {
+        // An open group is always filed, so this finds it; were it not
+        // filed, there would be nothing to unfile.
+        if self.len == 0 {
+            return;
+        }
+        let Some(mut hole) = self.search(hash, |filed| filed == slot) else {
+            return;
+        };
+        loop {
+            let next = self.after(hole);
+            let bucket = self.buckets[next];
+            if bucket.slot == EMPTY || self.distance(bucket, next) == 0 {
+                break;
+            }
+            self.buckets[hole] = bucket;
+            hole = next;
+        }
+        self.buckets[hole] = EMPTY_BUCKET;
+        self.len -= 1;
+    }
+
+    /// Every filed slot, in bucket order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.buckets.iter().map(|b| b.slot).filter(|&slot| slot != EMPTY)
+    }
+
+    /// Doubles the bucket count (eight buckets if there are none),
+    /// refiling every slot by its tag: no key is hashed again.
+    #[cold]
+    fn grow(&mut self) {
+        let size = (2 * self.buckets.len()).max(8);
+        let old = std::mem::replace(&mut self.buckets, vec![EMPTY_BUCKET; size]);
+        for bucket in old.into_iter().filter(|b| b.slot != EMPTY) {
+            self.place(bucket);
+        }
     }
 }
 
@@ -218,6 +447,25 @@ mod tests {
     }
 
     #[test]
+    fn group_keys_spread_over_the_tag_bits_that_choose_a_home() {
+        // The group table scales the low 32 bits onto its bucket count,
+        // so bits 20-31 choose among 4096 buckets.
+        let lanes = GROUP_LANES as u64;
+        let n = 1u64 << 16;
+        let sequential = groups_of((0..n * lanes).map(|i| page(0, i)));
+        let strided = groups_of((0..n).map(|j| page(0, j * SHARD_BLOCK_PAGES)));
+        let multi_file =
+            groups_of((0..64).flat_map(|f| (0..1024 * lanes).map(move |i| page(f, i))));
+        let bound = 4095.0 + 5.0 * (2.0 * 4095.0f64).sqrt();
+        for (name, keys) in
+            [("sequential", &sequential), ("strided", &strided), ("multi-file", &multi_file)]
+        {
+            let chi = chi_square(keys, 12, |h| (h >> 20) & 0xFFF);
+            assert!(chi < bound, "{name} groups: tag-home chi-square {chi:.0}");
+        }
+    }
+
+    #[test]
     fn the_groups_of_one_shard_are_not_a_biased_sample() {
         // A shard's table holds the groups of the blocks `shard_of`
         // routes to it: runs of eight consecutive group indexes with
@@ -232,6 +480,68 @@ mod tests {
             keys.truncate(1 << 15);
             assert_eq!(keys.len(), 1 << 15);
             assert_well_spread(&format!("groups of shard {shard} of 16"), &keys);
+        }
+    }
+
+    /// The hash [`SlotTable`] tests file slot `k` under: two homes, the
+    /// table's last bucket and its first, whatever its size (with two
+    /// tags each), so runs collide, wrap past the end and shift back
+    /// across it.
+    fn colliding_hash(k: u32) -> u64 {
+        [u64::MAX, u64::MAX - 1, 1 << 40, 3][k as usize % 4]
+    }
+
+    fn find(table: &SlotTable, k: u32) -> Option<u32> {
+        table.find(colliding_hash(k), |slot| slot == k)
+    }
+
+    #[test]
+    fn a_removal_shifts_a_run_back_across_the_tables_end() {
+        // Twelve buckets hold four slots: all homed at bucket 11, they
+        // fill 11, 0, 1, 2.
+        let mut table = SlotTable::with_capacity(4);
+        assert_eq!(table.buckets.len(), 12);
+        for k in [0, 4, 8, 12] {
+            table.insert(colliding_hash(k), k);
+        }
+        assert_eq!(table.buckets[11].slot, 0);
+        table.remove(colliding_hash(0), 0);
+        // The run moved back by one across the end; nothing was lost.
+        assert_eq!(table.buckets[11].slot, 4);
+        assert_eq!(table.buckets[2].slot, EMPTY);
+        for k in [4, 8, 12] {
+            assert_eq!(find(&table, k), Some(k));
+        }
+        assert_eq!(find(&table, 0), None);
+    }
+
+    proptest::proptest! {
+        /// The table against a set model, over two shared homes: the
+        /// same answer for every slot after every insert and removal,
+        /// the same count, and growth (from no buckets at all) keeps
+        /// every slot findable without hashing a key again.
+        #[test]
+        fn slot_table_matches_a_set_under_colliding_hashes(
+            reserve in 0usize..12,
+            ops in proptest::collection::vec((proptest::bool::ANY, 0u32..40), 0..400)
+        ) {
+            let mut table = SlotTable::with_capacity(reserve);
+            let mut model = std::collections::HashSet::new();
+            for (insert, k) in ops {
+                if insert {
+                    if model.insert(k) {
+                        table.insert(colliding_hash(k), k);
+                    }
+                } else if model.remove(&k) {
+                    table.remove(colliding_hash(k), k);
+                }
+                proptest::prop_assert_eq!(table.len, model.len());
+                proptest::prop_assert_eq!(table.slots().count(), model.len());
+                proptest::prop_assert!(3 * table.len <= table.buckets.len());
+                for k in 0..40 {
+                    proptest::prop_assert_eq!(find(&table, k), model.contains(&k).then_some(k));
+                }
+            }
         }
     }
 

@@ -17,8 +17,9 @@
 //! own. Every follow-up to a lookup (payload access, promotion,
 //! relinking between segments) goes through the returned slot: three
 //! index writes instead of removing from one hash-backed list and
-//! inserting into another. Freed slots go on an internal free list and
-//! are reused, so a cache that has warmed up to its capacity never
+//! inserting into another. Freed slots go on a free list threaded
+//! through the freed nodes themselves and are reused last freed, first
+//! reused, so a cache that has warmed up to its capacity never
 //! allocates again — the property pinned by the counting-allocator gate
 //! in `tests/perf_scaling.rs`.
 //!
@@ -58,17 +59,54 @@
 //! of sixteen pages and more are where the table's absence shows
 //! (`serve_closed` -23 %, `replay_par` -20 %). No workload of the
 //! repository's benchmark has the single-page shape.
+//!
+//! # Layout, and bytes per page
+//!
+//! For a [`crate::page::PageId`] key (16 bytes) the page table is four
+//! arrays, each reserved up front for the capacity it is built with:
+//!
+//! - **Nodes**, one per tracked key: the key, `u32` list links (the
+//!   end of a list, [`NIL`], is `u32::MAX`; a freed node's `next` links
+//!   the free list), its group slot, list tag, flag and payload byte —
+//!   32 bytes.
+//! - **Groups** (`GroupIndex`), reserved at one per four keys: the
+//!   group key and eight `u32` lane owners; a group is open while any
+//!   lane is, and a closed group's lane 0 links the group free list —
+//!   48 bytes.
+//! - **The group table** (`SlotTable`, in the crate-private `hash`
+//!   module): 8-byte buckets, a group slot and the low 32 bits of its
+//!   hash, three per reserved group, linearly probed in Robin Hood
+//!   order. It doubles once more than a third full (by the stored hash
+//!   bits: no key is hashed again), and a removal shifts the rest of
+//!   its run back, so open/close churn leaves no tombstones to make
+//!   room for.
+//! - **A gather buffer**, one `u32` per reserved group: a file's close
+//!   ([`crate::policy::PolicySet::remove_groups_where`]) collects the
+//!   slots of the file's groups there, sorts them by group key and
+//!   walks their lanes, so it removes pages in ascending order with no
+//!   list of victims.
+//!
+//! Per page of capacity that is 32 + 12 + 6 + 1 = 51 bytes (a table of
+//! 16 384 pages reserves 0.797 MiB). Before, it was 79: 40-byte nodes with `usize` links,
+//! 56-byte groups that counted their live lanes, and a std
+//! `HashMap<K, u32>` — 24-byte buckets plus a control byte — sized for
+//! twice the groups, 25 bytes a page. A close then also grew a
+//! 16-byte-a-page victim list and an 8-byte-a-slot free list. CLOCK's
+//! positions are 24 bytes (43 a page, from 63); 2Q reserves 1.5 keys
+//! and ARC two keys per page, for their ghosts.
 
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
+use std::cmp::Ordering;
 use std::hash::Hash;
 
-use crate::hash::{mix_map_with_capacity, MixMap};
+use crate::hash::{mix_hash, SlotTable};
+use crate::policy::PolicySet;
 
 /// The [`PolicySet`](crate::policy::PolicySet) methods every policy
 /// built on a [`MultiList`] forwards unchanged to the list in its
 /// `$field`: the resident count, the resident-only lookup, slot
-/// validation, payload access, the resident walk and the boxed clone.
+/// validation, payload access, the resident walk, the group-ordered
+/// removal and the boxed clone.
 macro_rules! forward_to_slab {
     ($field:ident) => {
         fn len(&self) -> usize {
@@ -91,6 +129,21 @@ macro_rules! forward_to_slab {
             self.$field.for_each_resident(visit);
         }
 
+        fn remove_groups_where(
+            &mut self,
+            select: &dyn Fn(&K) -> bool,
+            order: &dyn Fn(&K, &K) -> std::cmp::Ordering,
+            removed: &mut dyn FnMut(u8),
+        ) {
+            crate::intrusive::remove_groups_where(
+                self,
+                |set| set.$field.index_mut(),
+                select,
+                order,
+                removed,
+            );
+        }
+
         fn boxed_clone(&self) -> Box<dyn crate::policy::PolicySet<K>> {
             Box::new(self.clone())
         }
@@ -98,8 +151,13 @@ macro_rules! forward_to_slab {
 }
 pub(crate) use forward_to_slab;
 
-/// Sentinel slot index meaning "no node".
-pub const NIL: usize = usize::MAX;
+/// Sentinel slot index meaning "no node". A slot is stored as a `u32`
+/// below [`u32::MAX`], so this is that value widened: converting a
+/// stored link to `usize` needs no branch.
+pub const NIL: usize = END as usize;
+
+/// A stored link that names no node: [`NIL`] as the slab stores it.
+const END: u32 = u32::MAX;
 
 /// Lanes per index group: how many neighbouring keys share one
 /// hash-table entry. It divides [`crate::shard::SHARD_BLOCK_PAGES`]
@@ -138,22 +196,23 @@ const VACANT: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Group<K> {
-    /// The group key the table maps to this slot (stale once freed).
+    /// The group key the table files this slot under (stale once
+    /// freed).
     key: K,
-    /// Owner slot of each lane's key, or [`VACANT`].
+    /// Owner slot of each lane's key, or [`VACANT`]; the group leaves
+    /// the table when every lane is vacant. A closed group's `lanes[0]`
+    /// links the slab's free list instead.
     lanes: [u32; GROUP_LANES],
-    /// Lanes in use; the group leaves the table when it reaches zero.
-    live: u32,
 }
 
 /// The one key index of the crate: key → owner slot (a [`MultiList`]
 /// node, a [`crate::policy::ClockSet`] position), hashed per *group*.
 ///
-/// The hash table maps a key's [`GroupKey::group`] to a slot in a slab
-/// of lane arrays; the key's own entry is `lanes[key.lane()]`. A
-/// one-entry memo names the group used last, so every further key of
-/// the same group — looked up, inserted or removed — is an array access
-/// with no hash at all; and an owner that remembers the group slot
+/// The table ([`SlotTable`]) files each open group's slot in a slab of
+/// lane arrays; the key's own entry is `lanes[key.lane()]`. A one-entry
+/// memo names the group used last, so every further key of the same
+/// group — looked up, inserted or removed — is an array access with no
+/// hash at all; and an owner that remembers the group slot
 /// [`GroupIndex::get_or_insert_with`] handed it removes its key without
 /// a lookup ([`GroupIndex::remove_at`]). A run of `GROUP_LANES`
 /// neighbouring misses at capacity therefore hashes about three times
@@ -164,7 +223,7 @@ struct Group<K> {
 /// `!Sync`, which its owners already are not asked to be.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupIndex<K: GroupKey> {
-    table: MixMap<K, u32>,
+    table: SlotTable,
     groups: Vec<Group<K>>,
     /// Head of the list of closed slab slots, each naming the next in
     /// its `lanes[0]`; [`VACANT`] ends it.
@@ -177,23 +236,26 @@ pub(crate) struct GroupIndex<K: GroupKey> {
     memo: Cell<u32>,
     /// Keys tracked, over all groups.
     len: usize,
+    /// Where [`GroupIndex::take_groups`] gathers group slots; reserved
+    /// for as many groups as the slab, so gathering allocates nothing.
+    picked: Vec<u32>,
 }
 
 impl<K: GroupKey> GroupIndex<K> {
-    /// An empty index for about `keys` keys. The slab is sized for
-    /// groups that are half full — what requests of a handful of pages
-    /// at arbitrary alignment leave behind — and the table for twice as
-    /// many, so that steady open/close churn rehashes it in place
-    /// instead of reallocating. Sparser keys (down to one per group)
-    /// grow both by doubling while the owner warms up.
+    /// An empty index for about `keys` keys. The slab, the table and
+    /// the gather buffer are sized for groups that are half full — what
+    /// requests of a handful of pages at arbitrary alignment leave
+    /// behind. Sparser keys (down to one per group) grow them by
+    /// doubling while the owner warms up.
     pub(crate) fn with_capacity(keys: usize) -> Self {
         let groups = keys.div_ceil(GROUP_LANES / 2);
         Self {
-            table: mix_map_with_capacity(2 * groups),
+            table: SlotTable::with_capacity(groups),
             groups: Vec::with_capacity(groups),
             free: VACANT,
             memo: Cell::new(VACANT),
             len: 0,
+            picked: Vec::with_capacity(groups),
         }
     }
 
@@ -217,7 +279,8 @@ impl<K: GroupKey> GroupIndex<K> {
     /// One table probe for `group`, re-pointing the memo at it if it is
     /// there.
     fn probe(&self, group: &K) -> Option<u32> {
-        let slot = *self.table.get(group)?;
+        let groups = &self.groups;
+        let slot = self.table.find(mix_hash(group), |s| groups[s as usize].key == *group)?;
         self.memo.set(slot);
         Some(slot)
     }
@@ -225,21 +288,24 @@ impl<K: GroupKey> GroupIndex<K> {
     /// One table probe that finds `group` or enters it, empty, under a
     /// recycled or fresh slab slot; the memo then names it.
     fn probe_or_open(&mut self, group: K) -> u32 {
-        let slot = match self.table.entry(group) {
-            Entry::Occupied(tracked) => *tracked.get(),
-            Entry::Vacant(vacant) => {
-                let group =
-                    Group { key: vacant.key().clone(), lanes: [VACANT; GROUP_LANES], live: 0 };
+        let hash = mix_hash(&group);
+        let groups = &self.groups;
+        let slot = match self.table.find(hash, |s| groups[s as usize].key == group) {
+            Some(slot) => slot,
+            None => {
+                let opened = Group { key: group, lanes: [VACANT; GROUP_LANES] };
                 let slot = self.free;
-                if slot == VACANT {
+                let slot = if slot == VACANT {
                     // Fits: an open group has a key, and key owners are
                     // asserted below `VACANT`.
-                    self.groups.push(group);
-                    *vacant.insert((self.groups.len() - 1) as u32)
+                    self.groups.push(opened);
+                    (self.groups.len() - 1) as u32
                 } else {
-                    self.free = std::mem::replace(&mut self.groups[slot as usize], group).lanes[0];
-                    *vacant.insert(slot)
-                }
+                    self.free = std::mem::replace(&mut self.groups[slot as usize], opened).lanes[0];
+                    slot
+                };
+                self.table.insert(hash, slot);
+                slot
             }
         };
         self.memo.set(slot);
@@ -250,7 +316,7 @@ impl<K: GroupKey> GroupIndex<K> {
     /// and recycles the slot, dropping the memo if it named it.
     fn close_group(&mut self, group: u32) {
         let closed = &mut self.groups[group as usize];
-        self.table.remove(&closed.key);
+        self.table.remove(mix_hash(&closed.key), group);
         closed.lanes[0] = std::mem::replace(&mut self.free, group);
         if self.memo.get() == group {
             self.memo.set(VACANT);
@@ -296,9 +362,7 @@ impl<K: GroupKey> GroupIndex<K> {
         // insert. Kept as an assert because a wrapped slot would
         // silently alias another key.
         assert!(owner < VACANT as usize, "owner slots fit a lane");
-        let entry = &mut self.groups[group as usize];
-        entry.lanes[lane] = owner as u32;
-        entry.live += 1;
+        self.groups[group as usize].lanes[lane] = owner as u32;
         self.len += 1;
         (owner, true)
     }
@@ -311,12 +375,75 @@ impl<K: GroupKey> GroupIndex<K> {
         let lane = &mut entry.lanes[key.lane()];
         debug_assert!(*lane != VACANT && entry.key == key.group(), "key tracked in this group");
         *lane = VACANT;
-        entry.live -= 1;
         self.len -= 1;
-        if entry.live == 0 {
+        if entry.lanes.iter().all(|&owner| owner == VACANT) {
             self.close_group(group);
         }
     }
+
+    /// The slab slots of the open groups whose key `select` accepts,
+    /// sorted by group key under `order`, in the index's own gather
+    /// buffer: hand it back with [`GroupIndex::return_groups`].
+    fn take_groups(
+        &mut self,
+        select: &dyn Fn(&K) -> bool,
+        order: &dyn Fn(&K, &K) -> Ordering,
+    ) -> Vec<u32> {
+        let mut picked = std::mem::take(&mut self.picked);
+        picked.clear();
+        let groups = &self.groups;
+        picked.extend(self.table.slots().filter(|&slot| select(&groups[slot as usize].key)));
+        picked.sort_unstable_by(|&a, &b| order(&groups[a as usize].key, &groups[b as usize].key));
+        picked
+    }
+
+    /// Takes back the buffer [`GroupIndex::take_groups`] lent.
+    fn return_groups(&mut self, picked: Vec<u32>) {
+        self.picked = picked;
+    }
+
+    /// The owner slots of group slot `group`'s lanes, [`VACANT`] where
+    /// a lane is empty.
+    fn owners(&self, group: u32) -> [u32; GROUP_LANES] {
+        self.groups[group as usize].lanes
+    }
+}
+
+/// The body of every set's
+/// [`PolicySet::remove_groups_where`](crate::policy::PolicySet::remove_groups_where):
+/// gathers the slots of the groups `select` accepts from the index
+/// `index` reaches in `set` (four bytes a group, in a buffer the index
+/// keeps), sorts them by group key under `order`, and walks their lanes
+/// in order, removing each resident key through the set's own
+/// [`PolicySet::remove_entry`] and handing its payload to `removed`.
+///
+/// A group's owners are read before its first key leaves (the group
+/// may close under the walk, and its `lanes[0]` then links the free
+/// list). Removal opens no group, so the slots gathered stay valid.
+pub(crate) fn remove_groups_where<K, S>(
+    set: &mut S,
+    index: impl Fn(&mut S) -> &mut GroupIndex<K>,
+    select: &dyn Fn(&K) -> bool,
+    order: &dyn Fn(&K, &K) -> Ordering,
+    removed: &mut dyn FnMut(u8),
+) where
+    K: GroupKey,
+    S: PolicySet<K> + ?Sized,
+{
+    let picked = index(set).take_groups(select, order);
+    for &group in &picked {
+        for owner in index(set).owners(group) {
+            if owner == VACANT {
+                continue;
+            }
+            if let Some(key) = set.resident_key(owner as usize).cloned() {
+                if let Some(payload) = set.remove_entry(&key) {
+                    removed(payload);
+                }
+            }
+        }
+    }
+    index(set).return_groups(picked);
 }
 
 /// `Node::list` tag of a slot that sits on the free list (never a valid
@@ -326,8 +453,11 @@ const FREE: u8 = u8::MAX;
 #[derive(Debug, Clone)]
 struct Node<K> {
     key: K,
-    prev: usize,
-    next: usize,
+    /// The slot before this one in its list, or [`END`].
+    prev: u32,
+    /// The slot after this one in its list, or [`END`]; on the free
+    /// list, the next free slot.
+    next: u32,
     /// The [`GroupIndex`] slot of the key's group, so the node leaves
     /// the index without a lookup.
     group: u32,
@@ -354,10 +484,12 @@ struct Node<K> {
 #[derive(Debug, Clone)]
 pub struct MultiList<K: GroupKey, const N: usize, const R: usize = N> {
     nodes: Vec<Node<K>>,
-    free: Vec<usize>,
+    /// The most recently freed slot, or [`END`]; freed slots link on
+    /// through their `next`, so the list pops last-in, first-out.
+    free: u32,
     index: GroupIndex<K>,
-    head: [usize; N],
-    tail: [usize; N],
+    head: [u32; N],
+    tail: [u32; N],
     len: [usize; N],
 }
 
@@ -372,12 +504,17 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity.min(16)),
+            free: END,
             index: GroupIndex::with_capacity(capacity),
-            head: [NIL; N],
-            tail: [NIL; N],
+            head: [END; N],
+            tail: [END; N],
             len: [0; N],
         }
+    }
+
+    /// The key index, for [`remove_groups_where`].
+    pub(crate) fn index_mut(&mut self) -> &mut GroupIndex<K> {
+        &mut self.index
     }
 
     /// Total number of keys across all lists.
@@ -452,58 +589,62 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
     /// The slot before `slot` in its list (toward the front), or
     /// [`NIL`].
     pub fn prev_of(&self, slot: usize) -> usize {
-        self.nodes[slot].prev
+        self.nodes[slot].prev as usize
     }
 
     /// The slot after `slot` in its list (toward the back), or [`NIL`].
     pub fn next_of(&self, slot: usize) -> usize {
-        self.nodes[slot].next
+        self.nodes[slot].next as usize
     }
 
     /// The front slot of `list`, or [`NIL`] when empty.
     pub fn head_of(&self, list: usize) -> usize {
-        self.head[list]
+        self.head[list] as usize
     }
 
     /// The back slot of `list`, or [`NIL`] when empty.
     pub fn tail_of(&self, list: usize) -> usize {
-        self.tail[list]
+        self.tail[list] as usize
     }
 
     /// The key at the back of `list`, without removing it.
     pub fn peek_back(&self, list: usize) -> Option<&K> {
-        (self.tail[list] != NIL).then(|| &self.nodes[self.tail[list]].key)
+        let tail = self.tail[list];
+        (tail != END).then(|| &self.nodes[tail as usize].key)
     }
 
     fn unlink(&mut self, slot: usize) {
         let list = self.nodes[slot].list as usize;
         let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
-        if prev == NIL {
+        if prev == END {
             self.head[list] = next;
         } else {
-            self.nodes[prev].next = next;
+            self.nodes[prev as usize].next = next;
         }
-        if next == NIL {
+        if next == END {
             self.tail[list] = prev;
         } else {
-            self.nodes[next].prev = prev;
+            self.nodes[next as usize].prev = prev;
         }
         self.len[list] -= 1;
     }
 
+    /// Links `slot` (below [`END`]: the index asserted it) at the front
+    /// of `list`.
     fn link_front(&mut self, slot: usize, list: usize) {
         let old_head = self.head[list];
+        let slot = slot as u32;
         {
-            let node = &mut self.nodes[slot];
+            let node = &mut self.nodes[slot as usize];
             node.list = list as u8;
-            node.prev = NIL;
+            node.prev = END;
             node.next = old_head;
         }
-        if old_head != NIL {
-            self.nodes[old_head].prev = slot;
+        if old_head != END {
+            self.nodes[old_head as usize].prev = slot;
         }
         self.head[list] = slot;
-        if self.tail[list] == NIL {
+        if self.tail[list] == END {
             self.tail[list] = slot;
         }
         self.len[list] += 1;
@@ -516,7 +657,7 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
         let node = &mut self.nodes[slot];
         node.list = FREE;
         self.index.remove_at(node.group, &node.key);
-        self.free.push(slot);
+        node.next = std::mem::replace(&mut self.free, slot as u32);
         node.payload
     }
 
@@ -530,22 +671,21 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
         let (slot, inserted) = self.index.get_or_insert_with(&key, |group| {
             let node = Node {
                 key: key.clone(),
-                prev: NIL,
-                next: NIL,
+                prev: END,
+                next: END,
                 group,
                 list: 0,
                 flag: false,
                 payload: 0,
             };
-            match free.pop() {
-                Some(s) => {
-                    nodes[s] = node;
-                    s
-                }
-                None => {
-                    nodes.push(node);
-                    nodes.len() - 1
-                }
+            let slot = *free;
+            if slot == END {
+                nodes.push(node);
+                nodes.len() - 1
+            } else {
+                let slot = slot as usize;
+                *free = std::mem::replace(&mut nodes[slot], node).next;
+                slot
             }
         });
         if inserted {
@@ -558,7 +698,7 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
     /// different list from the one it is in). O(1), no allocation, flag
     /// and payload preserved.
     pub fn promote(&mut self, slot: usize, list: usize) {
-        if self.head[list] == slot {
+        if self.head[list] as usize == slot {
             return; // already the front of the target list
         }
         self.unlink(slot);
@@ -569,7 +709,7 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
     /// returns its key and payload.
     pub fn pop_back(&mut self, list: usize) -> Option<(K, u8)> {
         let slot = self.tail[list];
-        (slot != NIL).then(|| self.remove_slot(slot))
+        (slot != END).then(|| self.remove_slot(slot as usize))
     }
 
     /// Moves the back node of `from` to the front of `to`, returning
@@ -577,9 +717,10 @@ impl<K: GroupKey, const N: usize, const R: usize> MultiList<K, N, R> {
     /// preserved.
     pub fn transfer_back(&mut self, from: usize, to: usize) -> Option<usize> {
         let slot = self.tail[from];
-        if slot == NIL {
+        if slot == END {
             return None;
         }
+        let slot = slot as usize;
         self.unlink(slot);
         self.nodes[slot].flag = false;
         self.link_front(slot, to);
@@ -624,16 +765,16 @@ impl<K: GroupKey, const N: usize, const R: usize> Default for MultiList<K, N, R>
 
 struct ListIter<'a, K: GroupKey, const N: usize, const R: usize> {
     multi: &'a MultiList<K, N, R>,
-    cur: usize,
+    cur: u32,
 }
 
 impl<'a, K: GroupKey, const N: usize, const R: usize> Iterator for ListIter<'a, K, N, R> {
     type Item = &'a K;
     fn next(&mut self) -> Option<&'a K> {
-        if self.cur == NIL {
+        if self.cur == END {
             return None;
         }
-        let node = &self.multi.nodes[self.cur];
+        let node = &self.multi.nodes[self.cur as usize];
         self.cur = node.next;
         Some(&node.key)
     }
@@ -722,6 +863,53 @@ mod tests {
                 slots.sort_unstable();
                 slots.dedup();
                 prop_assert_eq!(slots.len(), model.len(), "two keys share a slot");
+            }
+        }
+    }
+
+    /// A key whose hash ignores it: every key is its own group, and
+    /// every group files under one home, the last bucket of the table
+    /// at any size up to 256 buckets.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            329u64.hash(state);
+        }
+    }
+
+    impl GroupKey for Colliding {}
+
+    proptest! {
+        /// The index against a per-key `HashMap` when every group
+        /// collides: one probe run that wraps the table's end, grows
+        /// with it, and shifts back across the end on every removal.
+        #[test]
+        fn colliding_groups_match_a_per_key_map(
+            ops in prop::collection::vec((0u8..3, 0u32..48), 0..300)
+        ) {
+            prop_assert_eq!(crate::hash::mix_hash(&Colliding(7)) as u32 >> 24, 0xFF);
+            let mut m: MultiList<Colliding, 1> = MultiList::with_capacity(16);
+            let mut model: HashMap<u32, usize> = HashMap::new();
+            for (op, k) in ops {
+                match op {
+                    0 => {
+                        let (slot, inserted) = m.insert_front(0, Colliding(k));
+                        prop_assert_eq!(inserted, !model.contains_key(&k));
+                        prop_assert_eq!(*model.entry(k).or_insert(slot), slot);
+                    }
+                    1 => prop_assert_eq!(m.remove(&Colliding(k)).is_some(), model.remove(&k).is_some()),
+                    _ => {
+                        if let Some(slot) = model.remove(&k) {
+                            prop_assert_eq!(m.remove_slot(slot).0, Colliding(k));
+                        }
+                    }
+                }
+                prop_assert_eq!(m.total_len(), model.len());
+                for k in 0..48 {
+                    prop_assert_eq!(m.slot_of(&Colliding(k)), model.get(&k).copied());
+                }
             }
         }
     }

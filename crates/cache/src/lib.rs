@@ -78,4 +78,12 @@ pub use shard::ShardedBufferCache;
 /// constructors reserve `min(capacity, PREALLOC_PAGES_MAX)` so the hot
 /// loop never regrows for realistic caches, while absurdly large
 /// configured capacities don't allocate gigabytes up front.
+///
+/// At the bound a page table reserves 51 bytes a key (a node, a
+/// quarter of a lane group, its group-table buckets and gather slot;
+/// see [`intrusive`]): 51 MiB for LRU, FIFO, SLRU, SIEVE and ARC (whose
+/// ghosts share the 2^20 keys), 43 MiB for CLOCK's 24-byte positions,
+/// and 2Q's 1.5 x 2^20 keys about 77 MiB. It was 79 bytes a key (79 MiB
+/// for LRU) before the links went to `u32` and the group table to
+/// open addressing.
 pub const PREALLOC_PAGES_MAX: usize = 1 << 20;

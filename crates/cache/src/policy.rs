@@ -9,7 +9,8 @@
 //!   `pop_victim` / `remove` / `contains` / `len`, plus the crate-wide
 //!   `with_capacity` constructor convention) provided on top of a
 //!   slot-level one (`lookup` / `payload_mut` / `hit` / `admit` /
-//!   `pop_victim_entry` / `remove_entry` / `visit_residents`) that
+//!   `pop_victim_entry` / `remove_entry` / `visit_residents` /
+//!   `remove_groups_where`) that
 //!   makes the policy's slab the owning cache's page table,
 //! - [`ReplacementPolicy`] — the serializable policy selector whose
 //!   one match is the **single registry point** mapping a selector to
@@ -30,7 +31,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::arc::ArcSet;
-use crate::intrusive::{forward_to_slab, GroupIndex, GroupKey, MultiList};
+use crate::intrusive::{self, forward_to_slab, GroupIndex, GroupKey, MultiList};
 use crate::lru::LruList;
 use crate::scanres::{SlruSet, TwoQSet};
 use crate::sieve::SieveSet;
@@ -108,6 +109,22 @@ pub trait PolicySet<K>: fmt::Debug + Send {
     /// Calls `visit` with every resident key and its payload, in an
     /// order that is a pure function of the operation history.
     fn visit_residents(&mut self, visit: &mut dyn FnMut(&K, &mut u8));
+
+    /// Removes every resident key whose [group](GroupKey::group)
+    /// `select` accepts, each through [`PolicySet::remove_entry`], and
+    /// hands each removed payload to `removed`. Keys go group by group,
+    /// in the order `order` ranks the groups, and lane by lane inside a
+    /// group — ascending key order for a key whose groups rank like its
+    /// keys, as a page id's do. A file's close is this call.
+    ///
+    /// Allocates nothing while the selected groups fit the set's
+    /// reservation (the slab's group count).
+    fn remove_groups_where(
+        &mut self,
+        select: &dyn Fn(&K) -> bool,
+        order: &dyn Fn(&K, &K) -> std::cmp::Ordering,
+        removed: &mut dyn FnMut(u8),
+    );
 
     /// Whether `key` is resident.
     fn contains(&self, key: &K) -> bool {
@@ -282,6 +299,19 @@ struct ClockEntry<K> {
     payload: u8,
 }
 
+/// A position of the CLOCK buffer.
+#[derive(Debug, Clone)]
+enum ClockSlot<K> {
+    /// A resident key.
+    Live(ClockEntry<K>),
+    /// A freed position, naming the position freed before it (or
+    /// [`NO_SLOT`]): the free list threads through the buffer.
+    Free(u32),
+}
+
+/// The end of [`ClockSet`]'s free list.
+const NO_SLOT: u32 = u32::MAX;
+
 /// CLOCK (second chance): a circular buffer of entries with reference
 /// bits; the hand sweeps, clearing bits, and evicts the first clear one.
 ///
@@ -292,9 +322,11 @@ struct ClockEntry<K> {
 /// bit.
 #[derive(Debug, Clone)]
 pub struct ClockSet<K: GroupKey> {
-    entries: Vec<Option<ClockEntry<K>>>,
+    entries: Vec<ClockSlot<K>>,
     index: GroupIndex<K>,
-    free: Vec<usize>,
+    /// The most recently freed position, or [`NO_SLOT`]: reuse is
+    /// last-in, first-out.
+    free: u32,
     hand: usize,
     /// What [`PolicySet::payload_mut`] hands out for a slot that holds
     /// no key (a caller bug the trait has no error channel for): a byte
@@ -315,7 +347,7 @@ impl<K: GroupKey> ClockSet<K> {
         Self {
             entries: Vec::with_capacity(capacity),
             index: GroupIndex::with_capacity(capacity),
-            free: Vec::new(),
+            free: NO_SLOT,
             hand: 0,
             scratch: 0,
         }
@@ -324,7 +356,25 @@ impl<K: GroupKey> ClockSet<K> {
     /// The entry in `slot`, if it holds a key.
     #[inline]
     fn entry_mut(&mut self, slot: usize) -> Option<&mut ClockEntry<K>> {
-        self.entries.get_mut(slot)?.as_mut()
+        match self.entries.get_mut(slot)? {
+            ClockSlot::Live(entry) => Some(entry),
+            ClockSlot::Free(_) => None,
+        }
+    }
+
+    /// Frees position `slot` and returns its entry, if it holds one.
+    fn release(&mut self, slot: usize) -> Option<ClockEntry<K>> {
+        match std::mem::replace(&mut self.entries[slot], ClockSlot::Free(self.free)) {
+            ClockSlot::Live(entry) => {
+                self.free = slot as u32;
+                self.index.remove_at(entry.group, &entry.key);
+                Some(entry)
+            }
+            free => {
+                self.entries[slot] = free;
+                None
+            }
+        }
     }
 }
 
@@ -351,12 +401,15 @@ where
     }
 
     fn resident_key(&self, slot: usize) -> Option<&K> {
-        self.entries.get(slot)?.as_ref().map(|e| &e.key)
+        match self.entries.get(slot)? {
+            ClockSlot::Live(entry) => Some(&entry.key),
+            ClockSlot::Free(_) => None,
+        }
     }
 
     fn payload_mut(&mut self, slot: usize) -> &mut u8 {
         match self.entries.get_mut(slot) {
-            Some(Some(e)) => &mut e.payload,
+            Some(ClockSlot::Live(e)) => &mut e.payload,
             _ => &mut self.scratch,
         }
     }
@@ -372,16 +425,19 @@ where
     fn admit(&mut self, key: K, payload: u8) {
         let (entries, free) = (&mut self.entries, &mut self.free);
         let (slot, inserted) = self.index.get_or_insert_with(&key, |group| {
-            let entry = Some(ClockEntry { key: key.clone(), group, referenced: true, payload });
-            match free.pop() {
-                Some(s) => {
-                    entries[s] = entry;
-                    s
+            let entry =
+                ClockSlot::Live(ClockEntry { key: key.clone(), group, referenced: true, payload });
+            let slot = *free;
+            if slot == NO_SLOT {
+                entries.push(entry);
+                entries.len() - 1
+            } else {
+                let slot = slot as usize;
+                if let ClockSlot::Free(next) = entries[slot] {
+                    *free = next;
                 }
-                None => {
-                    entries.push(entry);
-                    entries.len() - 1
-                }
+                entries[slot] = entry;
+                slot
             }
         });
         if !inserted {
@@ -400,29 +456,34 @@ where
             self.hand %= self.entries.len();
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.entries.len();
-            let entry = &mut self.entries[slot];
-            if let Some(e) = entry.as_mut().filter(|e| e.referenced) {
-                e.referenced = false;
-            } else if let Some(e) = entry.take() {
-                self.index.remove_at(e.group, &e.key);
-                self.free.push(slot);
-                return Some((e.key, e.payload));
+            match &mut self.entries[slot] {
+                ClockSlot::Live(e) if e.referenced => e.referenced = false,
+                ClockSlot::Live(_) => return self.release(slot).map(|e| (e.key, e.payload)),
+                ClockSlot::Free(_) => {}
             }
         }
     }
 
     fn remove_entry(&mut self, key: &K) -> Option<u8> {
         let slot = self.index.get(key)?;
-        let e = self.entries[slot].take()?;
-        self.index.remove_at(e.group, key);
-        self.free.push(slot);
-        Some(e.payload)
+        self.release(slot).map(|e| e.payload)
     }
 
     fn visit_residents(&mut self, visit: &mut dyn FnMut(&K, &mut u8)) {
-        for e in self.entries.iter_mut().flatten() {
-            visit(&e.key, &mut e.payload);
+        for slot in &mut self.entries {
+            if let ClockSlot::Live(e) = slot {
+                visit(&e.key, &mut e.payload);
+            }
         }
+    }
+
+    fn remove_groups_where(
+        &mut self,
+        select: &dyn Fn(&K) -> bool,
+        order: &dyn Fn(&K, &K) -> std::cmp::Ordering,
+        removed: &mut dyn FnMut(u8),
+    ) {
+        intrusive::remove_groups_where(self, |set| &mut set.index, select, order, removed);
     }
 
     fn boxed_clone(&self) -> Box<dyn PolicySet<K>> {
@@ -731,6 +792,47 @@ mod tests {
     fn probe_budget_holds_for_every_policy() {
         probe_budget(Counted, 1);
         probe_budget(|k| CountedPage(Counted(k)), 8);
+    }
+
+    proptest::proptest! {
+        /// CLOCK and SIEVE hand a new key the slot freed last, and a
+        /// fresh one only when none is free: the free list threaded
+        /// through the freed slots pops in the order a `Vec` of freed
+        /// slots did, which CLOCK's hand (it walks positions) and
+        /// SIEVE's hand (a remembered slot) both see.
+        #[test]
+        fn freed_slots_are_reused_last_in_first_out(
+            ops in proptest::collection::vec((0u8..3, 0u64..24), 0..200)
+        ) {
+            for policy in [ReplacementPolicy::Clock, ReplacementPolicy::Sieve] {
+                let mut set: Box<dyn PolicySet<u64>> = policy.build(16);
+                let mut slots = std::collections::HashMap::new();
+                let (mut freed, mut fresh) = (Vec::new(), 0);
+                for &(op, key) in &ops {
+                    match op {
+                        0 if !set.contains(&key) => {
+                            set.admit(key, 0);
+                            let want = freed.pop().unwrap_or_else(|| {
+                                fresh += 1;
+                                fresh - 1
+                            });
+                            let slot = set.lookup(&key).expect("admitted");
+                            proptest::prop_assert_eq!(slot, want, "{}", policy.name());
+                            slots.insert(key, slot);
+                        }
+                        1 if set.remove_entry(&key).is_some() => {
+                            freed.push(slots.remove(&key).expect("was resident"));
+                        }
+                        2 => {
+                            if let Some((victim, _)) = set.pop_victim_entry() {
+                                freed.push(slots.remove(&victim).expect("was resident"));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@ pub enum Engine {
     /// of it; [`VerifyMode::Off`](crate::VerifyMode) reads it inline.
     SerialReplay,
     /// Sharded-parallel replay against the lock-striped cache
-    /// (deterministic across runs and thread counts). Streaming: every
-    /// worker opens its own stream over the workload, beside the lead
-    /// stream the merge walks — no materialized trace anywhere.
+    /// (deterministic across runs and thread counts). Streaming: the
+    /// calling thread reads the workload once and hands every worker
+    /// the same checked 1024-record chunks, then merges their costs —
+    /// no materialized trace anywhere.
     ParallelReplay,
     /// Trace-driven machine simulation: processes contend for a
     /// striped disk array. Streaming, one pass: a per-pid splitter

@@ -659,12 +659,16 @@ impl ExperimentBuilder {
     /// Workload parameters are validated here too (structurally — no
     /// records generated), so a degenerate synthetic profile fails at
     /// build time with its coded [`ExpError::Profile`] instead of deep
-    /// inside a run.
+    /// inside a run. So is the cache configuration, for every engine: a
+    /// zero page size or a cost that is not finite and non-negative is
+    /// an [`ExpError::InvalidConfig`] naming the field
+    /// ([`CacheConfig::validate`]).
     pub fn build(self) -> Result<Experiment, ExpError> {
         let workload = self
             .workload
             .ok_or_else(|| ExpError::InvalidConfig("a workload is required".into()))?;
         workload.validate()?;
+        self.cache.validate().map_err(ExpError::InvalidConfig)?;
         if self.parallel.shards == 0 {
             return Err(ExpError::InvalidConfig("shard count must be at least 1".into()));
         }

@@ -30,11 +30,11 @@ use std::time::Instant;
 
 use clio_core::cache::cache::{AccessKind, BufferCache, CacheConfig};
 use clio_core::cache::policy::ReplacementPolicy;
+use clio_core::cache::ShardedBufferCache;
 use clio_core::prelude::*;
 use clio_core::sim::sched_replay::{scheduled_trace_sim, SchedReplayOptions};
 use clio_core::sim::trace_driven::{trace_sim, ThinkTime, TraceSimOptions, TraceSimReport};
 use clio_core::trace::compact::{self, CompactSource, CompactStream};
-use clio_core::trace::replay::{replay_parallel, ParallelReplayOptions};
 use clio_core::trace::source::{SliceSource, TraceSource};
 use clio_core::trace::synth::{synthesize, TraceProfile};
 use clio_core::trace::writer::TraceWriter;
@@ -116,18 +116,34 @@ fn reopen<'t>(trace: &'t TraceFile) -> impl Fn() -> Box<dyn TraceSource + 't> + 
     move || Box::new(SliceSource::new(trace))
 }
 
-/// Best-of-5 per-event wall time (seconds) of replaying `trace`.
+/// Per-event wall time (seconds) of one replay of `trace`.
 fn per_event_seconds(trace: &TraceFile, machine: &MachineConfig) -> f64 {
-    let options = TraceSimOptions::default();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        let report = trace_sim(reopen(trace), machine, &options).expect("valid machine");
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(report.events > 0);
-        best = best.min(elapsed / report.events as f64);
+    let start = Instant::now();
+    let report =
+        trace_sim(reopen(trace), machine, &TraceSimOptions::default()).expect("valid machine");
+    let elapsed = start.elapsed().as_secs_f64();
+    assert!(report.events > 0);
+    elapsed / report.events as f64
+}
+
+/// Best per-event wall times of `small` and `large`, a trace with 8x
+/// its events: three rounds, each replaying `small` eight times and
+/// then `large` once, so both sizes get the same wall time and a slow
+/// spell of the host falls on both, and the small size's minimum is
+/// taken over 24 runs of a few milliseconds each.
+fn per_event_seconds_small_and_large(
+    small: &TraceFile,
+    large: &TraceFile,
+    machine: &MachineConfig,
+) -> (f64, f64) {
+    let (mut small_best, mut large_best) = (f64::INFINITY, f64::INFINITY);
+    for _round in 0..3 {
+        for _ in 0..8 {
+            small_best = small_best.min(per_event_seconds(small, machine));
+        }
+        large_best = large_best.min(per_event_seconds(large, machine));
     }
-    best
+    (small_best, large_best)
 }
 
 #[test]
@@ -158,8 +174,8 @@ fn trace_sim_per_event_cost_is_flat_in_trace_length() {
     let mut small_per_event = 0.0;
     let mut large_per_event = 0.0;
     for _attempt in 0..3 {
-        small_per_event = per_event_seconds(&small, &machine);
-        large_per_event = per_event_seconds(&large, &machine);
+        (small_per_event, large_per_event) =
+            per_event_seconds_small_and_large(&small, &large, &machine);
         if large_per_event < 3.0 * small_per_event {
             return;
         }
@@ -173,61 +189,74 @@ fn trace_sim_per_event_cost_is_flat_in_trace_length() {
     );
 }
 
-/// Best-of-5 per-record wall time (seconds) of the parallel replay.
-fn per_record_seconds_parallel(trace: &TraceFile, opts: &ParallelReplayOptions) -> f64 {
-    let config = CacheConfig::default();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        let report = replay_parallel(trace, config.clone(), opts).expect("valid trace");
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(!report.timings.is_empty());
-        best = best.min(elapsed / report.timings.len() as f64);
-    }
-    best
+/// Per-record wall time (seconds) of one run of `exp`.
+fn per_record_seconds_of(exp: &Experiment) -> f64 {
+    let start = Instant::now();
+    let records = exp.run().expect("the engine runs").records;
+    start.elapsed().as_secs_f64() / records as f64
 }
 
-/// The parallel replay path must stay O(1) per event: worker-side
-/// filtering, per-shard cost vectors and the deterministic merge are
-/// all linear in the trace, so an 8× trace cannot cost more per record
-/// than a generous constant factor over the 1× trace.
+/// The parallel engine must stay O(1) per record: the calling thread's
+/// read and merge, the workers' shard views and the recycled chunks and
+/// cost columns are all linear in the input, so 16x the operations
+/// cannot cost more per record than a generous constant factor over 1x.
+///
+/// Timed through `Experiment::builder()` — `Engine::ParallelReplay`,
+/// `replay_sharded`, what the benchmark's `replay_par` runs — at 2
+/// threads x 8 shards. An O(N) step per record shows only once it is a
+/// fair share of the per-record cost at the small size, so the input
+/// keeps that cost low (one-page requests into a 4 MiB file, all hits
+/// once warm: ~200 ns a record) and the large size is 16x, not 8x: a
+/// worker that pushes every record and scans every 110th one it kept
+/// reads ~6x here. Measured like the `TraceSim` gate above: three
+/// rounds of sixteen small runs then one large, minima over each size,
+/// and three attempts at the 3x bound.
 #[test]
 fn parallel_replay_per_record_cost_is_flat_in_trace_length() {
     let _guard = exclusive();
-    let profile = |data_ops| TraceProfile {
-        data_ops,
-        sequentiality: 0.7,
-        write_fraction: 0.2,
-        seed: 0x9A11E1,
-        ..Default::default()
+    let experiment = |data_ops| {
+        Experiment::builder()
+            .workload(Workload::Synthetic(TraceProfile {
+                data_ops,
+                sequentiality: 0.7,
+                write_fraction: 0.2,
+                request_size: (64, 2048),
+                file_size: 4 << 20,
+                seed: 0x9A11E1,
+                ..Default::default()
+            }))
+            .engine(Engine::ParallelReplay)
+            .threads(2)
+            .shards(8)
+            .report_mode(ReportMode::Summary)
+            .build()
+            .expect("valid experiment")
     };
-    let small = synthesize(&profile(5_000));
-    let large = synthesize(&profile(40_000));
-    assert!(large.len() >= 8 * small.len() * 9 / 10, "large trace really is ~8×");
-
-    let opts = ParallelReplayOptions { threads: 2, shards: 8 };
+    let (small, large) = (experiment(10_000), experiment(160_000));
     // Warm up allocators before timing anything.
-    replay_parallel(&small, CacheConfig::default(), &opts).expect("valid trace");
+    let small_records = small.run().expect("the engine runs").records;
+    let large_records = large.run().expect("the engine runs").records;
+    assert!(large_records >= 16 * small_records * 9 / 10, "large input really is ~16×");
 
-    // Same bound discipline as the serial test above: 3× headroom and
-    // three full re-measure attempts — only a persistent superlinear
-    // ratio (a real complexity regression) can fail all three.
     let mut small_per_record = 0.0;
     let mut large_per_record = 0.0;
     for _attempt in 0..3 {
-        small_per_record = per_record_seconds_parallel(&small, &opts);
-        large_per_record = per_record_seconds_parallel(&large, &opts);
+        (small_per_record, large_per_record) = (f64::INFINITY, f64::INFINITY);
+        for _round in 0..3 {
+            for _ in 0..16 {
+                small_per_record = small_per_record.min(per_record_seconds_of(&small));
+            }
+            large_per_record = large_per_record.min(per_record_seconds_of(&large));
+        }
         if large_per_record < 3.0 * small_per_record {
             return;
         }
     }
     panic!(
-        "parallel replay per-record cost grew with trace length: \
-         {:.1} ns/record (N={}) -> {:.1} ns/record (N={})",
+        "parallel replay per-record cost grew with the input: \
+         {:.1} ns/record ({small_records} records) -> {:.1} ns/record ({large_records})",
         small_per_record * 1e9,
-        small.len(),
         large_per_record * 1e9,
-        large.len(),
     );
 }
 
@@ -314,6 +343,89 @@ fn warm_cache_accesses_allocate_nothing() {
             policy.name()
         );
         assert!(cache.metrics().evictions > 0, "the working set really overflows the budget");
+    }
+}
+
+/// Heap bytes `make` leaves live, in MiB: the least of three builds
+/// (the counter is process-global).
+fn reserved_mib<T>(make: impl Fn() -> T) -> f64 {
+    (0..3)
+        .map(|_| {
+            let before = LIVE.load(Ordering::Relaxed);
+            let made = make();
+            let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+            drop(made);
+            live as f64 / f64::from(1 << 20)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The page table's reservation: what a fresh cache of 16 384 pages
+/// holds before it caches anything, per policy, against the budget of
+/// its slab (32-byte nodes), group slab (48-byte groups, one per four
+/// pages of the reservation), open-addressed group table (three 8-byte
+/// buckets per group) and gather buffer. At the
+/// commit before the table was slimmed these read 1.235 MiB (LRU, FIFO,
+/// SLRU, SIEVE), 0.985 (CLOCK), 1.657 (2Q), 2.469 (ARC) and 1.243 for
+/// the 16-shard cache.
+#[test]
+fn a_fresh_cache_reserves_within_its_page_table_budget() {
+    let _guard = exclusive();
+    const PAGES: usize = 16_384;
+    for policy in ReplacementPolicy::ALL {
+        let budget = match policy {
+            ReplacementPolicy::Clock => 0.75,
+            ReplacementPolicy::TwoQ => 1.20,
+            ReplacementPolicy::Arc => 1.75,
+            _ => 0.90,
+        };
+        let config = CacheConfig { policy, capacity_pages: PAGES, ..Default::default() };
+        let mib = reserved_mib(|| BufferCache::new(config.clone()));
+        eprintln!("{}: {mib:.3} MiB reserved", policy.name());
+        assert!(mib <= budget, "{}: {mib:.3} MiB reserved, budget {budget}", policy.name());
+    }
+    let config = CacheConfig { capacity_pages: PAGES, ..Default::default() };
+    let mib = reserved_mib(|| ShardedBufferCache::new(config.clone(), 16));
+    eprintln!("16 x 1024-page shards: {mib:.3} MiB reserved");
+    assert!(mib <= 0.90, "16 x 1024-page shards: {mib:.3} MiB reserved, budget 0.90");
+}
+
+/// Closing a file walks its groups in page order out of a buffer the
+/// index keeps: under every policy, a close that drops 8 192 resident
+/// pages (every other one dirty) allocates nothing. A victim list or a
+/// growing free list would allocate on every close.
+#[test]
+fn closing_a_large_file_allocates_nothing_once_warm() {
+    let _guard = exclusive();
+    const FILE_PAGES: u64 = 8_192;
+    for policy in ReplacementPolicy::ALL {
+        let mut cache = BufferCache::new(CacheConfig {
+            policy,
+            capacity_pages: 16_384,
+            prefetch_enabled: false,
+            ..Default::default()
+        });
+        let f = cache.register_file("large");
+        let fill = |cache: &mut BufferCache| {
+            cache.open(f);
+            for i in 0..FILE_PAGES {
+                let kind = if i % 2 == 0 { AccessKind::Write } else { AccessKind::Read };
+                cache.access(f, i * 4096, 4096, kind);
+            }
+            assert_eq!(cache.resident_pages(), FILE_PAGES as usize, "{}", policy.name());
+        };
+        fill(&mut cache);
+        cache.close(f);
+        let mut best = usize::MAX;
+        for _attempt in 0..3 {
+            fill(&mut cache);
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            let closed = cache.close(f);
+            best = best.min(ALLOC_CALLS.load(Ordering::Relaxed) - before);
+            assert_eq!(cache.resident_pages(), 0, "{}", policy.name());
+            assert!(closed.cost_ms > 0.0);
+        }
+        assert_eq!(best, 0, "{}: closing {FILE_PAGES} pages allocated {best} times", policy.name());
     }
 }
 
