@@ -6,7 +6,7 @@
 //! state words, one per error budget. The driver streams the corpus
 //! from the instrumented store in fixed chunks (with `pattern-1` bytes
 //! of overlap so no match straddles a boundary undetected) and fans the
-//! chunks out to worker threads with `crossbeam::scope`.
+//! chunks out to worker threads with `std::thread::scope`.
 
 use std::io;
 
@@ -246,12 +246,12 @@ pub fn run(cfg: &PgrepConfig) -> io::Result<(PgrepResult, TraceFile)> {
     let k = cfg.max_errors;
     let mut matches: Vec<usize> = Vec::new();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = pieces
             .chunks(pieces.len().div_ceil(threads).max(1))
             .map(|batch| {
                 let pattern = &pattern;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut found = Vec::new();
                     for (base, data) in batch {
                         for end in bitap_search(data, pattern, k) {
@@ -265,8 +265,7 @@ pub fn run(cfg: &PgrepConfig) -> io::Result<(PgrepResult, TraceFile)> {
         for h in handles {
             matches.extend(h.join().expect("search worker panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     matches.sort_unstable();
     matches.dedup(); // overlap regions are searched twice

@@ -189,14 +189,20 @@ const EMPTY_BUCKET: Bucket = Bucket { tag: 0, slot: EMPTY };
 /// many depends on the load, where std's table tests sixteen control
 /// bytes at once. On a stream of misses into a cache far smaller than
 /// its file — every group is looked up in vain, opened, and closed
-/// again soon after — the walks show. Timed on a 2-vCPU x86-64
-/// container, `clio_e2e replay_thrash` `norm_cost` against std's table:
-/// +14 % at most a third full (this table; 10 pairs, none better), +20 %
-/// at most half full, about +30 % at most three quarters full. Emptier
-/// tables were faster still (a quarter full: within ~5 %), but a
-/// quarter costs 2 bytes a page more, which puts 2Q's 16 384-page cache
-/// over its 1.20 MiB reservation budget. Hits, and the dense groups of
-/// sequential runs, are as fast as before or faster.
+/// again soon after — the walks show, but they are the smaller part of
+/// that path. Timed on a 2-vCPU x86-64 container with `clio_e2e
+/// replay_thrash` `norm_cost`: the change that brought this table in
+/// place of std's also dropped the groups' live-lane count, +14 % in
+/// all; the count alone is worth about 8 % (without it every removal
+/// scans a group's eight lanes), so the walk costs about 4 %. With the
+/// count back, a table at most half full measured -6 % where this one
+/// measured -10 % in the same session, and one at most a quarter full
+/// about -12 % (std's speed), but its 2 bytes a page more put 2Q's
+/// 16 384-page cache over its 1.20 MiB reservation budget. A
+/// control-byte (SwissTable-style) table at most a third or a quarter
+/// full read 0-3 % better again on misses but 3-4 % worse on
+/// `replay_hot`'s hits. Hits, and the dense groups of sequential runs,
+/// are as fast as under std's table or faster.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SlotTable {
     buckets: Vec<Bucket>,
@@ -418,9 +424,19 @@ mod tests {
     }
 
     /// The distinct groups of `pages`, in first-seen order — the keys
-    /// the table holds while those pages are tracked.
+    /// the table holds while those pages are tracked — each as the page
+    /// id it stands for, after checking that the group hashes exactly
+    /// as that page id does (so the spread measured is the groups').
     fn groups_of(pages: impl IntoIterator<Item = PageId>) -> Vec<PageId> {
-        let mut groups: Vec<PageId> = pages.into_iter().map(|id| id.group()).collect();
+        let mut groups: Vec<PageId> = pages
+            .into_iter()
+            .map(|id| {
+                let group = id.group();
+                let key = PageId::from_group(&group);
+                assert_eq!(hash_of(&group), hash_of(&key), "{key:?}");
+                key
+            })
+            .collect();
         groups.dedup();
         groups
     }

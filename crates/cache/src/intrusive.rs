@@ -70,9 +70,11 @@
 //!   the free list), its group slot, list tag, flag and payload byte —
 //!   32 bytes.
 //! - **Groups** (`GroupIndex`), reserved at one per four keys: the
-//!   group key and eight `u32` lane owners; a group is open while any
-//!   lane is, and a closed group's lane 0 links the group free list —
-//!   48 bytes.
+//!   group key (a [`crate::page::PageGroup`]: the file and the group
+//!   index as two `u32` halves, 12 bytes), eight `u32` lane owners and
+//!   a `u32` count of the live lanes. A removal decrements the count
+//!   and closes the group at zero without reading another lane; a
+//!   closed group's lane 0 links the group free list — 48 bytes.
 //! - **The group table** (`SlotTable`, in the crate-private `hash`
 //!   module): 8-byte buckets, a group slot and the low 32 bits of its
 //!   hash, three per reserved group, linearly probed in Robin Hood
@@ -87,16 +89,25 @@
 //!   list of victims.
 //!
 //! Per page of capacity that is 32 + 12 + 6 + 1 = 51 bytes (a table of
-//! 16 384 pages reserves 0.797 MiB). Before, it was 79: 40-byte nodes with `usize` links,
-//! 56-byte groups that counted their live lanes, and a std
-//! `HashMap<K, u32>` — 24-byte buckets plus a control byte — sized for
-//! twice the groups, 25 bytes a page. A close then also grew a
-//! 16-byte-a-page victim list and an 8-byte-a-slot free list. CLOCK's
-//! positions are 24 bytes (43 a page, from 63); 2Q reserves 1.5 keys
-//! and ARC two keys per page, for their ghosts.
+//! 16 384 pages reserves 0.797 MiB). Before, it was 79: 40-byte nodes
+//! with `usize` links, 56-byte groups (a 16-byte page-id group key,
+//! the lanes and the count), and a std `HashMap<K, u32>` — 24-byte
+//! buckets plus a control byte — sized for twice the groups, 25 bytes
+//! a page. A close then also grew a 16-byte-a-page victim list and an
+//! 8-byte-a-slot free list. CLOCK's positions are 24 bytes (43 a page,
+//! from 63); 2Q reserves 1.5 keys and ARC two keys per page, for their
+//! ghosts.
+//!
+//! The count is what the 12-byte key pays for. A 48-byte group that
+//! kept the 16-byte key and dropped the count had to scan all eight
+//! lanes on every eviction and every close to learn whether the group
+//! had emptied: about 8 % of `clio_e2e replay_thrash`'s `norm_cost`
+//! on a 2-vCPU x86-64 container, where every random request opens a
+//! group and an eviction soon closes one.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::fmt;
 use std::hash::Hash;
 
 use crate::hash::{mix_hash, SlotTable};
@@ -168,41 +179,70 @@ pub const GROUP_LANES: usize = 8;
 /// How a key splits into the group the index hashes and the lane inside
 /// it. Keys that are neighbours in the access stream should share a
 /// group: [`crate::page::PageId`] groups [`GROUP_LANES`] consecutive
-/// pages of one file. The default is one key per group, lane 0 — right
-/// for any key type without such neighbours.
+/// pages of one file into a [`crate::page::PageGroup`]. A key type
+/// without such neighbours is one key per group, lane 0, and is its own
+/// group, as the integer and string keys implemented here are.
 ///
 /// Contract: `a == b` iff `a.group() == b.group() && a.lane() ==
-/// b.lane()`, and `lane() < GROUP_LANES`.
+/// b.lane()`; `lane() < GROUP_LANES`; and `from_group` is injective,
+/// so a group is known by the key it stands for.
 pub trait GroupKey: Eq + Hash + Clone {
-    /// The group this key belongs to (equal for all keys of the group;
-    /// only ever hashed and compared, so it need not be a key itself).
-    fn group(&self) -> Self {
-        self.clone()
-    }
+    /// What the index files a group under: only ever hashed and
+    /// compared, so it can be smaller than a key.
+    type Group: Eq + Hash + Clone + fmt::Debug + Send;
+
+    /// The group this key belongs to (equal for all keys of the group).
+    fn group(&self) -> Self::Group;
 
     /// This key's position inside its group.
-    fn lane(&self) -> usize {
-        0
-    }
+    fn lane(&self) -> usize;
+
+    /// A key standing for `group`, for callers that select and rank
+    /// groups by key ([`PolicySet::remove_groups_where`]).
+    fn from_group(group: &Self::Group) -> Self;
 }
 
+/// Implements [`GroupKey`] as one key per group, lane 0, the group
+/// being the key itself.
 macro_rules! one_lane_keys {
-    ($($key:ty),*) => { $(impl GroupKey for $key {})* };
+    ($($key:ty),*) => {$(
+        impl $crate::intrusive::GroupKey for $key {
+            type Group = Self;
+
+            #[inline]
+            fn group(&self) -> Self {
+                self.clone()
+            }
+
+            #[inline]
+            fn lane(&self) -> usize {
+                0
+            }
+
+            fn from_group(group: &Self) -> Self {
+                group.clone()
+            }
+        }
+    )*};
 }
+#[cfg(test)]
+pub(crate) use one_lane_keys;
 one_lane_keys!(u8, u16, u32, u64, usize, i32, i64, &str, String);
 
 /// Lane value of a key that is not tracked.
 const VACANT: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
-struct Group<K> {
+struct Group<G> {
     /// The group key the table files this slot under (stale once
     /// freed).
-    key: K,
-    /// Owner slot of each lane's key, or [`VACANT`]; the group leaves
-    /// the table when every lane is vacant. A closed group's `lanes[0]`
-    /// links the slab's free list instead.
+    key: G,
+    /// Owner slot of each lane's key, or [`VACANT`]. A closed group's
+    /// `lanes[0]` links the slab's free list instead.
     lanes: [u32; GROUP_LANES],
+    /// Lanes not [`VACANT`]; the group leaves the table when this
+    /// reaches zero, so a removal reads no other lane.
+    live: u32,
 }
 
 /// The one key index of the crate: key → owner slot (a [`MultiList`]
@@ -224,7 +264,7 @@ struct Group<K> {
 #[derive(Debug, Clone)]
 pub(crate) struct GroupIndex<K: GroupKey> {
     table: SlotTable,
-    groups: Vec<Group<K>>,
+    groups: Vec<Group<K::Group>>,
     /// Head of the list of closed slab slots, each naming the next in
     /// its `lanes[0]`; [`VACANT`] ends it.
     free: u32,
@@ -271,14 +311,14 @@ impl<K: GroupKey> GroupIndex<K> {
 
     /// The memo, if it names `group`.
     #[inline]
-    fn memo_for(&self, group: &K) -> Option<u32> {
+    fn memo_for(&self, group: &K::Group) -> Option<u32> {
         let memo = self.memo.get();
         self.groups.get(memo as usize).is_some_and(|g| g.key == *group).then_some(memo)
     }
 
     /// One table probe for `group`, re-pointing the memo at it if it is
     /// there.
-    fn probe(&self, group: &K) -> Option<u32> {
+    fn probe(&self, group: &K::Group) -> Option<u32> {
         let groups = &self.groups;
         let slot = self.table.find(mix_hash(group), |s| groups[s as usize].key == *group)?;
         self.memo.set(slot);
@@ -287,13 +327,13 @@ impl<K: GroupKey> GroupIndex<K> {
 
     /// One table probe that finds `group` or enters it, empty, under a
     /// recycled or fresh slab slot; the memo then names it.
-    fn probe_or_open(&mut self, group: K) -> u32 {
+    fn probe_or_open(&mut self, group: K::Group) -> u32 {
         let hash = mix_hash(&group);
         let groups = &self.groups;
         let slot = match self.table.find(hash, |s| groups[s as usize].key == group) {
             Some(slot) => slot,
             None => {
-                let opened = Group { key: group, lanes: [VACANT; GROUP_LANES] };
+                let opened = Group { key: group, lanes: [VACANT; GROUP_LANES], live: 0 };
                 let slot = self.free;
                 let slot = if slot == VACANT {
                     // Fits: an open group has a key, and key owners are
@@ -362,21 +402,27 @@ impl<K: GroupKey> GroupIndex<K> {
         // insert. Kept as an assert because a wrapped slot would
         // silently alias another key.
         assert!(owner < VACANT as usize, "owner slots fit a lane");
-        self.groups[group as usize].lanes[lane] = owner as u32;
+        let entry = &mut self.groups[group as usize];
+        entry.lanes[lane] = owner as u32;
+        entry.live += 1;
+        debug_assert_eq!(entry.live, occupied(&entry.lanes), "live counts the occupied lanes");
         self.len += 1;
         (owner, true)
     }
 
     /// Stops tracking `key`, which is tracked in group slot `group`.
-    /// No lookup; one table removal if the group empties.
+    /// No lookup, and no other lane read; one table removal if the
+    /// group empties.
     #[inline]
     pub(crate) fn remove_at(&mut self, group: u32, key: &K) {
         let entry = &mut self.groups[group as usize];
+        debug_assert_eq!(entry.live, occupied(&entry.lanes), "live counts the occupied lanes");
         let lane = &mut entry.lanes[key.lane()];
         debug_assert!(*lane != VACANT && entry.key == key.group(), "key tracked in this group");
         *lane = VACANT;
+        entry.live -= 1;
         self.len -= 1;
-        if entry.lanes.iter().all(|&owner| owner == VACANT) {
+        if entry.live == 0 {
             self.close_group(group);
         }
     }
@@ -391,9 +437,9 @@ impl<K: GroupKey> GroupIndex<K> {
     ) -> Vec<u32> {
         let mut picked = std::mem::take(&mut self.picked);
         picked.clear();
-        let groups = &self.groups;
-        picked.extend(self.table.slots().filter(|&slot| select(&groups[slot as usize].key)));
-        picked.sort_unstable_by(|&a, &b| order(&groups[a as usize].key, &groups[b as usize].key));
+        let key = |slot: u32| K::from_group(&self.groups[slot as usize].key);
+        picked.extend(self.table.slots().filter(|&slot| select(&key(slot))));
+        picked.sort_unstable_by(|&a, &b| order(&key(a), &key(b)));
         picked
     }
 
@@ -407,6 +453,11 @@ impl<K: GroupKey> GroupIndex<K> {
     fn owners(&self, group: u32) -> [u32; GROUP_LANES] {
         self.groups[group as usize].lanes
     }
+}
+
+/// How many of `lanes` name an owner: what a group's `live` must equal.
+fn occupied(lanes: &[u32; GROUP_LANES]) -> u32 {
+    lanes.iter().filter(|&&owner| owner != VACANT).count() as u32
 }
 
 /// The body of every set's
@@ -783,7 +834,7 @@ impl<'a, K: GroupKey, const N: usize, const R: usize> Iterator for ListIter<'a, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{FileId, PageId};
+    use crate::page::{FileId, PageGroup, PageId};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -867,6 +918,80 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_page_group_key_is_twelve_bytes_and_a_lane_group_forty_eight() {
+        // The group's live count is paid for by the key: 12 + 32 + 4.
+        assert_eq!(std::mem::size_of::<PageGroup>(), 12);
+        assert_eq!(std::mem::align_of::<PageGroup>(), 4);
+        assert_eq!(std::mem::size_of::<Group<PageGroup>>(), 48);
+    }
+
+    proptest! {
+        /// A page group hashes exactly as the group-valued page id the
+        /// index filed before it, so every table layout, probe sequence
+        /// and probe count repeats; and it stands for that page id.
+        #[test]
+        fn a_page_group_hashes_as_the_page_id_of_its_group_index(
+            file in any::<u32>(),
+            index in prop_oneof![any::<u64>(), 0u64..1 << 20],
+        ) {
+            let group = page(file, index).group();
+            let as_page = page(file, index / GROUP_LANES as u64);
+            prop_assert_eq!(mix_hash(&group), mix_hash(&as_page));
+            prop_assert_eq!(group.index(), as_page.index);
+            prop_assert_eq!(PageId::from_group(&group), as_page);
+        }
+
+        /// CLOCK's index under admit, evict, remove and close churn over
+        /// a few files: groups open and close all the time, and the
+        /// debug build checks each group's live count against its lanes
+        /// on every insert and removal. The set matches a resident-set
+        /// model after every step, and a close removes exactly the
+        /// file's resident pages.
+        #[test]
+        fn clock_churn_keeps_every_group_count_and_answer(
+            ops in prop::collection::vec((0u8..4, 0u32..3, 0u64..40), 0..300)
+        ) {
+            use crate::policy::{ClockSet, PolicySet};
+            const CAPACITY: usize = 16;
+            let mut set: ClockSet<PageId> = ClockSet::with_capacity(CAPACITY);
+            let mut model: std::collections::HashSet<PageId> = Default::default();
+            for (op, file, index) in ops {
+                let key = page(file, index);
+                match op {
+                    0 => {
+                        if !model.contains(&key) && model.len() == CAPACITY {
+                            let (victim, _) = set.pop_victim_entry().expect("a full set");
+                            prop_assert!(model.remove(&victim), "{:?}", victim);
+                        }
+                        set.admit(key, 0);
+                        model.insert(key);
+                    }
+                    1 => prop_assert_eq!(set.remove_entry(&key).is_some(), model.remove(&key)),
+                    2 => {
+                        let mut closed = 0;
+                        set.remove_groups_where(
+                            &|group| group.file == key.file,
+                            &PageId::cmp,
+                            &mut |_| closed += 1,
+                        );
+                        let before = model.len();
+                        model.retain(|k| k.file != key.file);
+                        prop_assert_eq!(closed, before - model.len());
+                    }
+                    _ => prop_assert_eq!(set.contains(&key), model.contains(&key)),
+                }
+                prop_assert_eq!(set.len(), model.len());
+                for f in 0..3 {
+                    for i in 0..40 {
+                        let k = page(f, i);
+                        prop_assert_eq!(set.contains(&k), model.contains(&k), "{:?}", k);
+                    }
+                }
+            }
+        }
+    }
+
     /// A key whose hash ignores it: every key is its own group, and
     /// every group files under one home, the last bucket of the table
     /// at any size up to 256 buckets.
@@ -879,7 +1004,7 @@ mod tests {
         }
     }
 
-    impl GroupKey for Colliding {}
+    one_lane_keys!(Colliding);
 
     proptest! {
         /// The index against a per-key `HashMap` when every group

@@ -1,5 +1,7 @@
 //! Page identity and offset arithmetic.
 
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 use crate::intrusive::{GroupKey, GROUP_LANES};
@@ -41,15 +43,57 @@ const GROUP_PAGES: u64 = GROUP_LANES as u64;
 // A shard owns whole blocks, so a group inside one block has one owner.
 const _: () = assert!(SHARD_BLOCK_PAGES % GROUP_PAGES == 0);
 
+/// The index group of a [`PageId`]: [`GROUP_LANES`] consecutive pages
+/// of one file, aligned. Twelve bytes, 4-aligned (the group index is
+/// stored as two `u32` halves), where a group-valued `PageId` took
+/// sixteen: the four bytes pay for the group's live-lane count.
+///
+/// It hashes exactly as `PageId { file, index: group }` does (`file`
+/// as a `u32`, then the group index as a `u64`), so every table layout
+/// and probe sequence is that of the page id it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageGroup {
+    /// Owning file.
+    pub file: FileId,
+    /// The group index (page index / [`GROUP_LANES`]), low half first.
+    halves: [u32; 2],
+}
+
+impl PageGroup {
+    /// The group's index: its first page's index / [`GROUP_LANES`].
+    pub fn index(&self) -> u64 {
+        u64::from(self.halves[0]) | u64::from(self.halves[1]) << 32
+    }
+}
+
+impl Hash for PageGroup {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.file.hash(state);
+        self.index().hash(state);
+    }
+}
+
 /// [`GROUP_LANES`] consecutive pages of one file, aligned, share an
 /// index group: the pages of one request differ only in their lane.
 impl GroupKey for PageId {
-    fn group(&self) -> Self {
-        PageId { file: self.file, index: self.index / GROUP_PAGES }
+    type Group = PageGroup;
+
+    #[inline]
+    fn group(&self) -> PageGroup {
+        let index = self.index / GROUP_PAGES;
+        PageGroup { file: self.file, halves: [index as u32, (index >> 32) as u32] }
     }
 
+    #[inline]
     fn lane(&self) -> usize {
         (self.index % GROUP_PAGES) as usize
+    }
+
+    /// The page whose index is the group's: a page id ranks and hashes
+    /// like the group it stands for.
+    fn from_group(group: &PageGroup) -> Self {
+        PageId { file: group.file, index: group.index() }
     }
 }
 

@@ -112,10 +112,12 @@ pub trait PolicySet<K>: fmt::Debug + Send {
 
     /// Removes every resident key whose [group](GroupKey::group)
     /// `select` accepts, each through [`PolicySet::remove_entry`], and
-    /// hands each removed payload to `removed`. Keys go group by group,
-    /// in the order `order` ranks the groups, and lane by lane inside a
-    /// group — ascending key order for a key whose groups rank like its
-    /// keys, as a page id's do. A file's close is this call.
+    /// hands each removed payload to `removed`. `select` and `order`
+    /// judge a group by the key that stands for it
+    /// ([`GroupKey::from_group`]). Keys go group by group, in the order
+    /// `order` ranks the groups, and lane by lane inside a group —
+    /// ascending key order for a key whose groups rank like its keys,
+    /// as a page id's do. A file's close is this call.
     ///
     /// Allocates nothing while the selected groups fit the set's
     /// reservation (the slab's group count).
@@ -681,15 +683,21 @@ mod tests {
         static HASHES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     }
 
-    impl GroupKey for Counted {}
+    crate::intrusive::one_lane_keys!(Counted);
 
     impl GroupKey for CountedPage {
+        type Group = Self;
+
         fn group(&self) -> Self {
             CountedPage(Counted(self.0 .0 / 8))
         }
 
         fn lane(&self) -> usize {
             (self.0 .0 % 8) as usize
+        }
+
+        fn from_group(group: &Self) -> Self {
+            group.clone()
         }
     }
 

@@ -537,16 +537,19 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Worker threads for the parallel replay engine (clamped to the
-    /// shard count at run time). [`run_many`]'s pool is sized by its
-    /// own `threads` argument, not by this knob; a parallel replay run
-    /// from that pool still starts this many threads of its own.
+    /// Worker threads for the parallel replay engine (clamped to
+    /// `1..=` the shard count at run time; [`build`](Self::build)
+    /// rejects more than [`MAX_THREADS`](clio_trace::replay::MAX_THREADS)).
+    /// [`run_many`]'s pool is sized by its own `threads` argument, not
+    /// by this knob; a parallel replay run from that pool still starts
+    /// this many threads of its own.
     pub fn threads(mut self, threads: usize) -> Self {
         self.parallel.threads = threads;
         self
     }
 
-    /// Shard count of the parallel replay engine's striped cache.
+    /// Shard count of the striped cache of the parallel replay and
+    /// serving engines (`1..=`[`MAX_SHARDS`](clio_trace::replay::MAX_SHARDS)).
     pub fn shards(mut self, shards: usize) -> Self {
         self.parallel.shards = shards;
         self
@@ -662,16 +665,15 @@ impl ExperimentBuilder {
     /// inside a run. So is the cache configuration, for every engine: a
     /// zero page size or a cost that is not finite and non-negative is
     /// an [`ExpError::InvalidConfig`] naming the field
-    /// ([`CacheConfig::validate`]).
+    /// ([`CacheConfig::validate`]); and so are a thread or shard count
+    /// over its cap ([`ParallelReplayOptions::validate`]).
     pub fn build(self) -> Result<Experiment, ExpError> {
         let workload = self
             .workload
             .ok_or_else(|| ExpError::InvalidConfig("a workload is required".into()))?;
         workload.validate()?;
         self.cache.validate().map_err(ExpError::InvalidConfig)?;
-        if self.parallel.shards == 0 {
-            return Err(ExpError::InvalidConfig("shard count must be at least 1".into()));
-        }
+        self.parallel.validate().map_err(ExpError::InvalidConfig)?;
         if matches!(self.engine, Engine::TraceSim | Engine::ScheduledSim) {
             self.machine.validate().map_err(ExpError::InvalidConfig)?;
         }

@@ -21,7 +21,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -161,15 +161,19 @@ impl Server {
                 }
             }
             ServerMode::Pool { workers } => {
-                let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
+                // One queue, many takers: a worker holds the lock only
+                // while it waits for the next connection, not while it
+                // serves one.
+                let (tx, rx) = mpsc::channel::<TcpStream>();
+                let rx = Arc::new(Mutex::new(rx));
                 let mut pool = Vec::with_capacity(workers.max(1));
                 for _ in 0..workers.max(1) {
                     let rx = rx.clone();
                     let shared = shared.clone();
-                    pool.push(std::thread::spawn(move || {
-                        while let Ok(stream) = rx.recv() {
-                            let _ = handle_connection(stream, &shared);
-                        }
+                    pool.push(std::thread::spawn(move || loop {
+                        // The guard drops at the end of this statement.
+                        let Ok(stream) = rx.lock().recv() else { break };
+                        let _ = handle_connection(stream, &shared);
                     }));
                 }
                 for conn in listener.incoming() {

@@ -25,7 +25,11 @@
 //!
 //! [`replay_parallel`] is not a fourth engine but the materialized
 //! reference for [`replay_sharded`], over a borrowed [`TraceFile`]; the
-//! equivalence layer pins the two bitwise-identical.
+//! equivalence layer pins the two bitwise-identical. No library code
+//! calls it. It stays public because that layer lives in the
+//! workspace's integration tests (`tests/experiment_api.rs`,
+//! `tests/streaming_equivalence.rs`, `tests/suite_determinism.rs`),
+//! which cannot see a `#[cfg(test)]` item.
 //!
 //! Every driver takes a [`ReportMode`] and returns one [`ReplayReport`].
 //! What a replay *keeps* is decided there and nowhere else: *Full* keeps
@@ -344,6 +348,16 @@ pub fn replay_cached<S: TraceSource + ?Sized>(
     Ok(report)
 }
 
+/// The most worker threads [`ParallelReplayOptions::validate`] accepts.
+/// Parallel replay starts `min(threads, shards)` OS threads, so the knob
+/// is bounded where it is set rather than by what the host will spawn.
+pub const MAX_THREADS: usize = 256;
+
+/// The most shards [`ParallelReplayOptions::validate`] accepts. Each
+/// shard is a cache core of its own, and parallel replay keeps a cost
+/// column per shard for every record in flight.
+pub const MAX_SHARDS: usize = 1024;
+
 /// Options for the parallel simulated replay engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelReplayOptions {
@@ -352,6 +366,24 @@ pub struct ParallelReplayOptions {
     pub threads: usize,
     /// Shard count of the [`ShardedBufferCache`] driven by the replay.
     pub shards: usize,
+}
+
+impl ParallelReplayOptions {
+    /// Checks the counts against their caps: `shards` in
+    /// `1..=`[`MAX_SHARDS`], `threads` at most [`MAX_THREADS`] (zero
+    /// is clamped to one). The error names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("shard count must be at least 1".into());
+        }
+        if self.shards > MAX_SHARDS {
+            return Err(format!("shards: {} is over the cap of {MAX_SHARDS}", self.shards));
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!("threads: {} is over the cap of {MAX_THREADS}", self.threads));
+        }
+        Ok(())
+    }
 }
 
 /// Replays one record through a worker's view — the same four verbs
