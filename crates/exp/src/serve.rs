@@ -24,7 +24,9 @@
 //! cache, added in that order) and compares bit for bit.
 
 use clio_cache::cache::CacheConfig;
-use clio_runtime::{JitModel, SharedManagedIo, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};
+use clio_runtime::{
+    JitMethod, JitModel, SharedManagedIo, StreamOp, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS,
+};
 use clio_stats::sink::PercentileSink;
 use clio_trace::record::{IoOp, TraceRecord};
 use clio_trace::replay::{check_record, ReportMode};
@@ -171,6 +173,26 @@ struct Client<S> {
     done: bool,
 }
 
+/// The four managed methods a served record bills to, resolved once
+/// per run: a warm call through them is one atomic increment.
+struct Methods {
+    open: JitMethod,
+    close: JitMethod,
+    get: JitMethod,
+    post: JitMethod,
+}
+
+impl Methods {
+    fn resolve(managed: &SharedManagedIo) -> Self {
+        Self {
+            open: managed.resolve("open", FILE_HELPER_OPS),
+            close: managed.resolve("close", FILE_HELPER_OPS),
+            get: managed.resolve("doGet", DO_GET_OPS),
+            post: managed.resolve("doPost", DO_POST_OPS),
+        }
+    }
+}
+
 /// Issues one record through the managed runtime, returning the
 /// service cost and the shard the request occupies.
 ///
@@ -188,19 +210,81 @@ struct Client<S> {
 /// stream.
 fn dispatch(
     managed: &SharedManagedIo,
+    methods: &Methods,
     num_files: u32,
     index: u64,
     r: &TraceRecord,
-) -> Result<Option<(clio_runtime::StreamOp, usize)>, TraceError> {
+) -> Result<Option<(StreamOp, usize)>, TraceError> {
     let fid = check_record(num_files, index, r)?;
     let (op, offset) = match r.op {
-        IoOp::Open => (managed.open("open", FILE_HELPER_OPS, fid), 0),
-        IoOp::Close => (managed.close("close", FILE_HELPER_OPS, fid), 0),
-        IoOp::Read => (managed.read("doGet", DO_GET_OPS, fid, r.offset, r.length), r.offset),
-        IoOp::Write => (managed.write("doPost", DO_POST_OPS, fid, r.offset, r.length), r.offset),
+        IoOp::Open => (managed.open_with(&methods.open, fid), 0),
+        IoOp::Close => (managed.close_with(&methods.close, fid), 0),
+        IoOp::Read => (managed.read_with(&methods.get, fid, r.offset, r.length), r.offset),
+        IoOp::Write => (managed.write_with(&methods.post, fid, r.offset, r.length), r.offset),
         IoOp::Seek => return Ok(None),
     };
     Ok(Some((op, managed.cache().home_shard(fid, offset))))
+}
+
+/// The event loop's conservation laws, checked at the end of a debug
+/// build's run. A release build keeps no state for them (every vector
+/// stays empty) and does no work per request.
+///
+/// - Every issued request completes: the model never fails one.
+/// - A shard serves its requests one at a time, so its busy time (the
+///   service times it held) is at most the makespan.
+/// - A client's clock is the sum of its latencies and the think gaps
+///   between them: that sum is its last completion, at most the
+///   makespan, and equal to it for the client that finishes last.
+struct Audit {
+    shard_busy_ms: Vec<f64>,
+    client_latency_ms: Vec<f64>,
+    client_last_end: Vec<f64>,
+}
+
+impl Audit {
+    const ON: bool = cfg!(debug_assertions);
+
+    fn new(shards: usize, clients: usize) -> Self {
+        let len = |n| if Self::ON { n } else { 0 };
+        Self {
+            shard_busy_ms: vec![0.0; len(shards)],
+            client_latency_ms: vec![0.0; len(clients)],
+            client_last_end: vec![0.0; len(clients)],
+        }
+    }
+
+    fn request(&mut self, client: usize, shard: usize, cost_ms: f64, latency: f64, end: f64) {
+        if Self::ON {
+            self.shard_busy_ms[shard] += cost_ms;
+            self.client_latency_ms[client] += latency;
+            self.client_last_end[client] = end;
+        }
+    }
+
+    fn check<S>(&self, clients: &[Client<S>], completed: u64, think_ms: f64, makespan: f64) {
+        if !Self::ON {
+            return;
+        }
+        // Rounding slack: each clock sums up to a few thousand terms.
+        let slack = |x: f64| 1e-9 * x.abs().max(1.0);
+        let issued: u64 = clients.iter().map(|c| c.issued as u64).sum();
+        assert_eq!(issued, completed, "every issued request completes");
+        for (shard, &busy) in self.shard_busy_ms.iter().enumerate() {
+            assert!(busy <= makespan + slack(makespan), "shard {shard} busy {busy} > {makespan}");
+        }
+        for (c, client) in clients.iter().enumerate() {
+            let gaps = client.issued.saturating_sub(1) as f64 * think_ms;
+            let clock = self.client_latency_ms[c] + gaps;
+            let end = self.client_last_end[c];
+            assert!((clock - end).abs() <= slack(end), "client {c}: clock {clock} != end {end}");
+            assert!(clock <= makespan + slack(makespan), "client {c}: {clock} > {makespan}");
+        }
+        // With each clock equal to its client's last completion, the
+        // last client's clock equals the makespan when some client's
+        // last completion is the makespan.
+        assert!(self.client_last_end.contains(&makespan), "makespan {makespan} is no client's end");
+    }
 }
 
 /// Runs the closed-loop model: a serial virtual-clock event loop, so
@@ -221,6 +305,7 @@ pub(crate) fn run_serve<S: TraceSource>(
     mut judge: impl FnMut(&mut S) -> Result<(), ExpError>,
 ) -> Result<ServeOutcome, ExpError> {
     let managed = SharedManagedIo::new(cache, shards, opts.jit);
+    let methods = Methods::resolve(&managed);
     let mut clients: Vec<Client<S>> = (0..opts.clients.max(1) as u64)
         .map(|c| {
             client_workload(workload, c).open().map(|stream| Client {
@@ -239,6 +324,7 @@ pub(crate) fn run_serve<S: TraceSource>(
 
     // The sharded cache clamps its shard count; mirror what it built.
     let mut shard_busy = vec![0.0f64; managed.cache().num_shards()];
+    let mut audit = Audit::new(shard_busy.len(), clients.len());
     let mut sink = PercentileSink::default();
     let mut latencies = matches!(mode, ReportMode::Full).then(Vec::new);
     let mut makespan: f64 = 0.0;
@@ -262,7 +348,7 @@ pub(crate) fn run_serve<S: TraceSource>(
                 break None;
             }
             let Some(r) = client.stream.next_record() else { break None };
-            let hit = dispatch(&managed, num_files, client.pulled, &r)?;
+            let hit = dispatch(&managed, &methods, num_files, client.pulled, &r)?;
             client.pulled += 1;
             if hit.is_some() {
                 break hit;
@@ -286,6 +372,7 @@ pub(crate) fn run_serve<S: TraceSource>(
         // clock has advanced.
         let latency = (start - client.ready) + op.cost_ms;
         sink.record(latency);
+        audit.request(c, shard, op.cost_ms, latency, end);
         if let Some(v) = latencies.as_mut() {
             v.push(latency);
         }
@@ -293,6 +380,7 @@ pub(crate) fn run_serve<S: TraceSource>(
         makespan = makespan.max(end);
         client.ready = end + opts.think_ms;
     }
+    audit.check(&clients, sink.count(), opts.think_ms, makespan);
 
     Ok(ServeOutcome {
         summary: ServeSummary::from_sink(&sink, opts.clients.max(1), 0, makespan, jit_total),

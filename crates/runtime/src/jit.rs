@@ -8,11 +8,15 @@
 //!
 //! The table is shared by every worker thread of a server: it is
 //! striped across several read-write locks and the per-method call
-//! counter is atomic, so warm invocations — the steady state of a
-//! loaded server — take a shared read lock plus one `fetch_add` instead
-//! of funnelling every request through a single mutex. Whichever
-//! thread's increment observes call number zero pays the compile cost,
-//! exactly once per method.
+//! counter is atomic. A caller that knows its methods up front
+//! [`resolve`](SharedJit::resolve)s each once into a [`JitMethod`]
+//! handle, and a warm call through the handle is one `fetch_add` on
+//! the method's own cache line: no lock, no hashing, no `Arc` traffic.
+//! A call by name ([`SharedJit::invoke`]) resolves and then calls
+//! through the handle, so there is one charging path. Whichever
+//! caller's increment observes call number zero pays the compile cost
+//! of *its* call, exactly once per method, whichever entry point it
+//! came through.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,17 +96,42 @@ fn stripe_of(method: &str) -> usize {
 #[repr(align(64))]
 struct MethodCounter(AtomicU64);
 
+/// A method resolved once against a [`SharedJit`]: its call counter and
+/// the compile cost its first call is billed.
+///
+/// A handle belongs to the table that resolved it; calls through it
+/// count towards that table's [`calls`](SharedJit::calls) for the name.
+#[derive(Debug)]
+pub struct JitMethod {
+    counter: Arc<MethodCounter>,
+    compile_ms: f64,
+}
+
+impl JitMethod {
+    /// Charges one invocation: the compile cost if this is the method's
+    /// first call through any handle or name (exactly one caller pays
+    /// it, even under contention), zero afterwards.
+    #[inline]
+    pub fn invoke(&self) -> f64 {
+        if self.counter.0.fetch_add(1, Ordering::AcqRel) == 0 {
+            self.compile_ms
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Per-runtime JIT cache: which methods have been compiled, and what
 /// each invocation costs. Shareable across threads without a global
 /// mutex.
 ///
 /// The method table is striped over 16 read-write locks; each method's
-/// call count is a cache-line-padded atomic behind an `Arc`, so the
-/// warm path (method already in the table) touches only a read lock and
-/// one atomic increment on a line no other method shares. The cold path
-/// takes the stripe's write lock just long enough to insert the
-/// counter; the compile cost itself is charged by whichever thread's
-/// `fetch_add` returns zero — exactly one per method.
+/// call count is a cache-line-padded atomic behind an `Arc`, which a
+/// [`JitMethod`] holds on to, so a warm call through a handle touches
+/// one atomic on a line no other method shares. Resolving takes the
+/// stripe's read lock, or its write lock just long enough to insert a
+/// cold counter; the compile cost itself is charged by whichever
+/// caller's `fetch_add` returns zero — exactly one per method.
 #[derive(Debug)]
 pub struct SharedJit {
     model: JitModel,
@@ -124,17 +153,20 @@ impl SharedJit {
         Arc::clone(stripe.write().entry(method.to_string()).or_default())
     }
 
+    /// Resolves `method` (a body of `ops` instructions) into a handle,
+    /// inserting a cold entry if the table has none. Charges nothing:
+    /// the method stays cold until its first invocation.
+    pub fn resolve(&self, method: &str, ops: usize) -> JitMethod {
+        JitMethod { counter: self.counter(method), compile_ms: self.model.compile_cost(ops) }
+    }
+
     /// Charges one invocation of `method` (a body of `ops`
-    /// instructions). Returns the JIT cost in ms: the compile cost on
-    /// the first call (exactly one caller pays it, even under
+    /// instructions): [`resolve`](Self::resolve), then
+    /// [`JitMethod::invoke`]. Returns the JIT cost in ms: the compile
+    /// cost on the first call (exactly one caller pays it, even under
     /// contention), zero afterwards.
     pub fn invoke(&self, method: &str, ops: usize) -> f64 {
-        let prior = self.counter(method).0.fetch_add(1, Ordering::AcqRel);
-        if prior == 0 {
-            self.model.compile_cost(ops)
-        } else {
-            0.0
-        }
+        self.resolve(method, ops).invoke()
     }
 
     /// Whether a method has been compiled already.
@@ -249,6 +281,63 @@ mod tests {
         let total_paid: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total_paid, 3, "each method compiled exactly once across all threads");
         assert_eq!(jit.calls("doGet") + jit.calls("doPost") + jit.calls("close"), 8000);
+    }
+
+    #[test]
+    fn a_handle_and_its_name_share_one_counter_whichever_comes_first() {
+        let model = JitModel::sscli_like();
+        // Handle first: it pays its own call's cost, the name never does.
+        let jit = SharedJit::new(model);
+        let get = jit.resolve("doGet", 320);
+        assert_eq!(jit.calls("doGet"), 0, "resolving charges nothing");
+        assert!(!jit.is_warm("doGet"));
+        assert_eq!(get.invoke(), model.compile_cost(320));
+        assert_eq!(jit.invoke("doGet", 320), 0.0);
+        assert_eq!(get.invoke(), 0.0);
+        assert_eq!(jit.calls("doGet"), 3);
+
+        // Name first: the handle resolved earlier (with another op
+        // count) finds the method warm; the name's call paid its cost.
+        let jit = SharedJit::new(model);
+        let post = jit.resolve("doPost", 999);
+        assert_eq!(jit.invoke("doPost", 280), model.compile_cost(280));
+        assert_eq!(post.invoke(), 0.0);
+        assert_eq!(jit.resolve("doPost", 280).invoke(), 0.0);
+        assert_eq!(jit.calls("doPost"), 3);
+        assert!(jit.is_warm("doPost"));
+    }
+
+    #[test]
+    fn handles_and_names_racing_on_a_cold_method_pay_exactly_once() {
+        for round in 0..16u32 {
+            let jit = SharedJit::new(JitModel::sscli_like());
+            let barrier = std::sync::Barrier::new(8);
+            let paid: u32 = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..8u32)
+                    .map(|t| {
+                        let (jit, barrier) = (&jit, &barrier);
+                        s.spawn(move || {
+                            // Half the threads resolve a handle, half
+                            // call by name; all start on a cold method.
+                            let handle = (t % 2 == 0).then(|| jit.resolve("doGet", 320));
+                            barrier.wait();
+                            let mut paid = 0;
+                            for _ in 0..100 {
+                                let ms = match &handle {
+                                    Some(m) => m.invoke(),
+                                    None => jit.invoke("doGet", 320),
+                                };
+                                paid += u32::from(ms > 0.0);
+                            }
+                            paid
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert_eq!(paid, 1, "round {round}: one compile charge");
+            assert_eq!(jit.calls("doGet"), 800, "round {round}: every call counted");
+        }
     }
 
     #[test]

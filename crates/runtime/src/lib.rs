@@ -43,5 +43,5 @@
 pub mod jit;
 pub mod stream;
 
-pub use jit::{JitModel, SharedJit};
+pub use jit::{JitMethod, JitModel, SharedJit};
 pub use stream::{SharedManagedIo, StreamOp, DO_GET_OPS, DO_POST_OPS, FILE_HELPER_OPS};

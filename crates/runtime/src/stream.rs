@@ -15,17 +15,20 @@
 //! Every verb takes `&self`, so one facade serves every worker thread
 //! of a server: the page cache is a [`ShardedBufferCache`] (requests
 //! contend only when their pages share a shard) and the JIT table a
-//! [`SharedJit`] (a warm call takes a shared read lock and one atomic
-//! increment). At one shard the cache is the solo
-//! [`BufferCache`](clio_cache::cache::BufferCache) bit for bit, which
-//! the tests below pin against a bill composed by hand.
+//! [`SharedJit`]. Each verb comes in two forms. The `*_with` verbs take
+//! a [`JitMethod`] the caller [`resolve`](SharedManagedIo::resolve)d
+//! once, and their JIT charge is one atomic increment. The verbs that
+//! take a method name and op count resolve it on every call and
+//! forward, so both forms bill through one path. At one shard the cache
+//! is the solo [`BufferCache`](clio_cache::cache::BufferCache) bit for
+//! bit, which the tests below pin against a bill composed by hand.
 
 use clio_cache::cache::{AccessKind, AccessOutcome, CacheConfig};
 use clio_cache::page::FileId;
 use clio_cache::shard::ShardedBufferCache;
 use clio_cache::CacheMetrics;
 
-use crate::jit::{JitModel, SharedJit};
+use crate::jit::{JitMethod, JitModel, SharedJit};
 
 /// Default managed dispatch overhead (ms): vtable + security stack walk
 /// on the SSCLI's interpreted-helper path.
@@ -105,12 +108,55 @@ impl SharedManagedIo {
         &self.cache
     }
 
+    /// Resolves managed method `method` (of `method_ops` bytecode
+    /// instructions, for the JIT charge) once, for the `*_with` verbs.
+    /// Charges nothing: the method compiles on its first call.
+    pub fn resolve(&self, method: &str, method_ops: usize) -> JitMethod {
+        self.jit.resolve(method, method_ops)
+    }
+
+    /// Opens a file from a resolved managed method.
+    pub fn open_with(&self, method: &JitMethod, file: FileId) -> StreamOp {
+        let jit_ms = method.invoke();
+        let out = self.cache.open(file);
+        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
+    }
+
+    /// Reads `len` bytes at `offset` from a resolved managed method.
+    pub fn read_with(&self, method: &JitMethod, file: FileId, offset: u64, len: u64) -> StreamOp {
+        self.data_op(method, file, offset, len, AccessKind::Read)
+    }
+
+    /// Writes `len` bytes at `offset` from a resolved managed method.
+    pub fn write_with(&self, method: &JitMethod, file: FileId, offset: u64, len: u64) -> StreamOp {
+        self.data_op(method, file, offset, len, AccessKind::Write)
+    }
+
+    fn data_op(
+        &self,
+        method: &JitMethod,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> StreamOp {
+        let jit_ms = method.invoke();
+        let out = self.cache.access(file, offset, len, kind);
+        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
+    }
+
+    /// Closes a file (flushing its dirty pages) from a resolved managed
+    /// method.
+    pub fn close_with(&self, method: &JitMethod, file: FileId) -> StreamOp {
+        let jit_ms = method.invoke();
+        let out = self.cache.close(file);
+        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
+    }
+
     /// Opens a file from managed method `method` (of `method_ops`
     /// bytecode instructions, for the JIT charge).
     pub fn open(&self, method: &str, method_ops: usize, file: FileId) -> StreamOp {
-        let jit_ms = self.jit.invoke(method, method_ops);
-        let out = self.cache.open(file);
-        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
+        self.open_with(&self.resolve(method, method_ops), file)
     }
 
     /// Reads `len` bytes at `offset`.
@@ -122,7 +168,7 @@ impl SharedManagedIo {
         offset: u64,
         len: u64,
     ) -> StreamOp {
-        self.data_op(method, method_ops, file, offset, len, AccessKind::Read)
+        self.read_with(&self.resolve(method, method_ops), file, offset, len)
     }
 
     /// Writes `len` bytes at `offset`.
@@ -134,28 +180,12 @@ impl SharedManagedIo {
         offset: u64,
         len: u64,
     ) -> StreamOp {
-        self.data_op(method, method_ops, file, offset, len, AccessKind::Write)
-    }
-
-    fn data_op(
-        &self,
-        method: &str,
-        method_ops: usize,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> StreamOp {
-        let jit_ms = self.jit.invoke(method, method_ops);
-        let out = self.cache.access(file, offset, len, kind);
-        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
+        self.write_with(&self.resolve(method, method_ops), file, offset, len)
     }
 
     /// Closes a file (flushing its dirty pages).
     pub fn close(&self, method: &str, method_ops: usize, file: FileId) -> StreamOp {
-        let jit_ms = self.jit.invoke(method, method_ops);
-        let out = self.cache.close(file);
-        StreamOp::charged(jit_ms, self.dispatch_ms, &out)
+        self.close_with(&self.resolve(method, method_ops), file)
     }
 
     /// Whether `method` has been JIT-compiled.
@@ -224,6 +254,29 @@ mod tests {
         let out = want.cache.close(fw);
         assert_eq!(want.bill("h", 100, out), io.close("h", 100, f));
         assert_eq!(want.cache.metrics(), io.cache_metrics());
+    }
+
+    #[test]
+    fn resolved_and_named_verbs_bill_identically_through_one_counter() {
+        // Two facades, one driven by name and one through handles
+        // resolved up front: the same bills bit for bit, and a name
+        // called after its handle finds the method already warm.
+        let (by_name, by_handle) = (shared(4), shared(4));
+        let (fa, fb) = (by_name.register_file("f"), by_handle.register_file("f"));
+        let get = by_handle.resolve("doGet", DO_GET_OPS);
+        let post = by_handle.resolve("doPost", DO_POST_OPS);
+        assert!(!by_handle.is_warm("doGet"), "resolving compiles nothing");
+        assert_eq!(by_name.open("doGet", DO_GET_OPS, fa), by_handle.open_with(&get, fb));
+        for i in 0..12u64 {
+            let (off, len) = (i * 5000, 9000);
+            let a = by_name.read("doGet", DO_GET_OPS, fa, off, len);
+            assert_eq!(a, by_handle.read_with(&get, fb, off, len), "read {i}");
+            let a = by_name.write("doPost", DO_POST_OPS, fa, off, len);
+            assert_eq!(a, by_handle.write_with(&post, fb, off, len), "write {i}");
+        }
+        assert_eq!(by_name.close("doPost", DO_POST_OPS, fa), by_handle.close_with(&post, fb));
+        assert_eq!(by_name.cache_metrics(), by_handle.cache_metrics());
+        assert_eq!(by_handle.read("doGet", DO_GET_OPS, fb, 0, 1).jit_ms, 0.0);
     }
 
     #[test]

@@ -10,15 +10,31 @@
 //! within that error — tight enough that p50/p95/p99/p999 rows from the
 //! streaming and exact paths are interchangeable.
 //!
-//! Memory is bounded by the value range, not the sample count: covering
-//! ten decades at 1 % error takes ~2300 buckets, and only non-empty
-//! buckets are stored. Sinks with the same accuracy merge losslessly,
-//! which is what lets per-client recorders combine into one report.
-
-use std::collections::BTreeMap;
+//! The counts live in one dense window of buckets, a `Vec<u64>` over a
+//! contiguous run of bucket indices that covers every bucket touched,
+//! so recording a sample is a logarithm and one indexed add. The window
+//! grows in place at either end when a sample lands outside it, by at
+//! least a quarter so growth is amortised, but never past the indices a
+//! positive finite `f64` can take. Memory is therefore bounded by the
+//! value range, not the sample count: ten decades at 1 % error span
+//! ~1150 buckets (9 KiB). The worst case, a sink fed both the smallest
+//! subnormal and `f64::MAX`, is every index in between: about
+//! `1454.3 / ln(gamma)` buckets. At the default 1 % error that is
+//! 72 709 buckets, 581 672 bytes (568 KiB); at the finest accuracy
+//! [`PercentileSink::new`] accepts, ten times that. Zeros, negatives
+//! and `+inf` are counted beside the window. Sinks with the same accuracy
+//! merge losslessly, which is what lets per-client recorders combine
+//! into one report.
 
 /// Default target relative error (1 %).
 pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
+
+/// Finest relative error a sink accepts (0.1 %): it bounds the dense
+/// window's worst case at ten times the default's.
+pub const MIN_RELATIVE_ERROR: f64 = 1e-3;
+
+/// Fewest buckets a widening adds on the side it grows.
+const MIN_GROWTH: i32 = 16;
 
 /// Streaming percentile estimator over non-negative samples.
 ///
@@ -27,16 +43,21 @@ pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
 /// a dedicated zero bucket and reported as exactly `0.0` — timers round
 /// to zero on very fast requests, and inventing a small positive
 /// latency for them would skew the low percentiles.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PercentileSink {
     /// Bucket boundary ratio: bucket `k` covers `(gamma^k, gamma^(k+1)]`.
     gamma: f64,
     /// Precomputed `1 / ln(gamma)` for the index map.
     inv_ln_gamma: f64,
-    /// Count per bucket index; only touched buckets are stored.
-    buckets: BTreeMap<i32, u64>,
+    /// Bucket index of `buckets[0]`.
+    lo: i32,
+    /// Count per bucket index `lo + i`, over a window that covers every
+    /// touched bucket (and may hold empty ones).
+    buckets: Vec<u64>,
     /// Samples ≤ 0 (reported as exactly zero).
     zeros: u64,
+    /// `+inf` samples: the bucket above every finite one.
+    infs: u64,
     count: u64,
     min: f64,
     max: f64,
@@ -48,15 +69,20 @@ impl PercentileSink {
     /// (e.g. `0.01` for 1 %).
     ///
     /// # Panics
-    /// Panics unless `0 < relative_error < 1`.
+    /// Panics unless `MIN_RELATIVE_ERROR <= relative_error < 1`.
     pub fn new(relative_error: f64) -> Self {
-        assert!(relative_error > 0.0 && relative_error < 1.0, "relative error must be in (0, 1)");
+        assert!(
+            (MIN_RELATIVE_ERROR..1.0).contains(&relative_error),
+            "relative error must be in [{MIN_RELATIVE_ERROR}, 1)"
+        );
         let gamma = (1.0 + relative_error) / (1.0 - relative_error);
         Self {
             gamma,
             inv_ln_gamma: 1.0 / gamma.ln(),
-            buckets: BTreeMap::new(),
+            lo: 0,
+            buckets: Vec::new(),
             zeros: 0,
+            infs: 0,
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
@@ -88,9 +114,58 @@ impl PercentileSink {
         self.max = self.max.max(value);
         if value <= 0.0 {
             self.zeros += 1;
+        } else if value == f64::INFINITY {
+            self.infs += 1;
         } else {
-            *self.buckets.entry(self.index_of(value)).or_insert(0) += 1;
+            let index = self.index_of(value);
+            // Below the window the offset wraps to a huge `usize`, so
+            // one bounds check covers both ends.
+            let slot = (i64::from(index) - i64::from(self.lo)) as usize;
+            match self.buckets.get_mut(slot) {
+                Some(c) => *c += 1,
+                None => self.add_outside(index),
+            }
         }
+    }
+
+    /// The cold half of [`record`](Self::record): widen, then count.
+    #[cold]
+    fn add_outside(&mut self, index: i32) {
+        self.cover(index, index);
+        self.buckets[(index - self.lo) as usize] += 1;
+    }
+
+    /// Widens the window to cover bucket indices `from..=to`, in place
+    /// (one `realloc`, so the old and new windows are never both
+    /// allocated). A side that grows takes at least a quarter of the
+    /// window more, and at least [`MIN_GROWTH`] buckets, so a run of
+    /// widenings copies each count O(1) times; neither side reaches past
+    /// the indices of the smallest subnormal and `f64::MAX`.
+    fn cover(&mut self, from: i32, to: i32) {
+        if self.buckets.is_empty() {
+            self.lo = from;
+        }
+        let len = self.buckets.len() as i32;
+        let (lo, hi) = (self.lo, self.lo + len - 1);
+        let step = (len / 4).max(MIN_GROWTH);
+        let floor = self.index_of(f64::from_bits(1)).min(from);
+        let ceil = self.index_of(f64::MAX).max(to);
+        let below = if from < lo { lo - from.min(lo - step).max(floor) } else { 0 };
+        let above = if to > hi { to.max(hi + step).min(ceil) - hi } else { 0 };
+        let grown = (len + below + above) as usize;
+        self.buckets.reserve_exact(grown - len as usize);
+        self.buckets.resize(grown, 0);
+        self.buckets[..(len + below) as usize].rotate_right(below as usize);
+        self.lo -= below;
+    }
+
+    /// The window trimmed to its first and last non-empty bucket: the
+    /// index of the first and the counts from it. `None` when every
+    /// bucket is empty.
+    fn occupied(&self) -> Option<(i32, &[u64])> {
+        let first = self.buckets.iter().position(|&c| c > 0)?;
+        let last = self.buckets.iter().rposition(|&c| c > 0)?;
+        Some((self.lo + first as i32, &self.buckets[first..=last]))
     }
 
     /// Number of recorded samples.
@@ -140,7 +215,7 @@ impl PercentileSink {
             return Some(0.0);
         }
         let mut seen = self.zeros;
-        for (&index, &c) in &self.buckets {
+        for (index, &c) in (self.lo..).zip(&self.buckets) {
             seen += c;
             if seen > rank {
                 // Clamp to the observed extremes so q=0 / q=1 return
@@ -148,6 +223,7 @@ impl PercentileSink {
                 return Some(self.value_of(index).clamp(self.min.max(0.0), self.max));
             }
         }
+        // The rank falls among the `+inf` samples (or past the count).
         Some(self.max)
     }
 
@@ -166,20 +242,41 @@ impl PercentileSink {
     /// errors (their buckets would not line up).
     pub fn merge(&mut self, other: &PercentileSink) {
         assert_eq!(self.gamma, other.gamma, "sink accuracies differ");
-        for (&index, &c) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += c;
+        if let Some((from, counts)) = other.occupied() {
+            self.cover(from, from + counts.len() as i32 - 1);
+            let at = (from - self.lo) as usize;
+            for (mine, &theirs) in self.buckets[at..].iter_mut().zip(counts) {
+                *mine += theirs;
+            }
         }
         self.zeros += other.zeros;
+        self.infs += other.infs;
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
-    /// Number of non-empty buckets currently stored — the memory
-    /// footprint, for the O(1)-memory pin.
+    /// Number of non-empty buckets currently stored, the zero bucket
+    /// aside: the distinct latency classes the sink has seen.
     pub fn stored_buckets(&self) -> usize {
-        self.buckets.len()
+        self.buckets.iter().filter(|&&c| c > 0).count() + usize::from(self.infs > 0)
+    }
+}
+
+/// Equal when the recorded contents are: two sinks that saw the same
+/// samples compare equal whatever extent their windows grew to.
+impl PartialEq for PercentileSink {
+    fn eq(&self, other: &Self) -> bool {
+        self.gamma == other.gamma
+            && self.inv_ln_gamma == other.inv_ln_gamma
+            && self.occupied() == other.occupied()
+            && self.zeros == other.zeros
+            && self.infs == other.infs
+            && self.count == other.count
+            && self.min == other.min
+            && self.max == other.max
+            && self.sum == other.sum
     }
 }
 
@@ -360,5 +457,167 @@ mod tests {
             let v = s.quantiles(&[0.25, 0.5, 0.75, 0.99]).unwrap();
             prop_assert!(v.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    /// The sink as it was stored before the dense window: a `BTreeMap`
+    /// of touched buckets, with the same index map and quantile walk.
+    struct MapSink {
+        gamma: f64,
+        buckets: std::collections::BTreeMap<i32, u64>,
+        zeros: u64,
+        count: u64,
+        min: f64,
+        max: f64,
+        sum: f64,
+    }
+
+    impl MapSink {
+        fn new() -> Self {
+            let gamma = 1.01 / 0.99;
+            let (min, max) = (f64::INFINITY, f64::NEG_INFINITY);
+            Self { gamma, buckets: Default::default(), zeros: 0, count: 0, min, max, sum: 0.0 }
+        }
+        fn record(&mut self, v: f64) {
+            if v.is_nan() {
+                return;
+            }
+            (self.count, self.sum) = (self.count + 1, self.sum + v);
+            (self.min, self.max) = (self.min.min(v), self.max.max(v));
+            if v <= 0.0 {
+                self.zeros += 1;
+            } else {
+                let k = (v.ln() * (1.0 / self.gamma.ln())).ceil() as i32;
+                *self.buckets.entry(k).or_insert(0) += 1;
+            }
+        }
+        fn merge(&mut self, o: &MapSink) {
+            for (&k, &c) in &o.buckets {
+                *self.buckets.entry(k).or_insert(0) += c;
+            }
+            (self.zeros, self.count, self.sum) =
+                (self.zeros + o.zeros, self.count + o.count, self.sum + o.sum);
+            (self.min, self.max) = (self.min.min(o.min), self.max.max(o.max));
+        }
+        fn quantile(&self, q: f64) -> Option<f64> {
+            let rank = (q.clamp(0.0, 1.0) * (self.count.checked_sub(1)? as f64)).round() as u64;
+            if rank < self.zeros {
+                return Some(0.0);
+            }
+            let mut seen = self.zeros;
+            for (&k, &c) in &self.buckets {
+                seen += c;
+                if seen > rank {
+                    let mid = 2.0 * self.gamma.powi(k) / (self.gamma + 1.0);
+                    return Some(mid.clamp(self.min.max(0.0), self.max));
+                }
+            }
+            Some(self.max)
+        }
+    }
+
+    /// Every observable of the dense sink equals the map's, bit for bit.
+    fn assert_same(dense: &PercentileSink, map: &MapSink) -> Result<(), TestCaseError> {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        let n = map.count;
+        prop_assert_eq!(dense.count(), n);
+        prop_assert_eq!(dense.sum().to_bits(), map.sum.to_bits());
+        prop_assert_eq!(bits(dense.min()), bits((n > 0).then_some(map.min)));
+        prop_assert_eq!(bits(dense.max()), bits((n > 0).then_some(map.max)));
+        prop_assert_eq!(bits(dense.mean()), bits((n > 0).then(|| map.sum / n as f64)));
+        prop_assert_eq!(dense.stored_buckets(), map.buckets.len());
+        for i in 0..=40 {
+            let q = f64::from(i) / 40.0;
+            prop_assert_eq!(bits(dense.quantile(q)), bits(map.quantile(q)), "q={}", q);
+        }
+        for q in [0.999, 0.9999, -1.0, 2.0] {
+            prop_assert_eq!(bits(dense.quantile(q)), bits(map.quantile(q)), "q={}", q);
+        }
+        Ok(())
+    }
+
+    /// Samples from every region the index map treats differently.
+    fn any_sample() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            -1e300f64..0.0,
+            Just(f64::NAN),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            Just(f64::MIN_POSITIVE),
+            (0.5f64..1.0).prop_map(|x| x * f64::MAX),
+            Just(f64::MAX),
+            Just(f64::INFINITY),
+            1e-6f64..1e6,
+            1e-3f64..1e2,
+        ]
+    }
+
+    use proptest::test_runner::TestCaseError;
+
+    proptest! {
+        #[test]
+        fn the_dense_window_equals_a_bucket_map_bit_for_bit(
+            xs in prop::collection::vec(any_sample(), 0..120),
+            ys in prop::collection::vec(any_sample(), 0..120),
+        ) {
+            let (mut a, mut b) = (PercentileSink::default(), PercentileSink::default());
+            let (mut ma, mut mb) = (MapSink::new(), MapSink::new());
+            for &x in &xs { a.record(x); ma.record(x); }
+            for &y in &ys { b.record(y); mb.record(y); }
+            assert_same(&a, &ma)?;
+            assert_same(&b, &mb)?;
+
+            // Merges in both orders, and into an empty sink.
+            let (mut ab, mut mab) = (a.clone(), MapSink::new());
+            ab.merge(&b);
+            mab.merge(&ma);
+            mab.merge(&mb);
+            assert_same(&ab, &mab)?;
+            let (mut ba, mut mba) = (b.clone(), MapSink::new());
+            ba.merge(&a);
+            mba.merge(&mb);
+            mba.merge(&ma);
+            assert_same(&ba, &mba)?;
+            let mut empty = PercentileSink::default();
+            empty.merge(&a);
+            assert_same(&empty, &ma)?;
+
+            // Equality is content, not extent: the sink that saw every
+            // sample one by one equals the merged one.
+            let mut whole = PercentileSink::default();
+            for &x in xs.iter().chain(&ys) { whole.record(x); }
+            let bits = |s: &PercentileSink| s.sum().to_bits();
+            if bits(&whole) == bits(&ab) && !whole.sum().is_nan() {
+                prop_assert_eq!(&whole, &ab);
+            }
+        }
+    }
+
+    #[test]
+    fn the_window_stays_under_the_stated_worst_case() {
+        // The module doc's bound at the default accuracy.
+        const WORST_CASE_BYTES: usize = 581_672;
+        let s = PercentileSink::default();
+        let span = s.index_of(f64::MAX) - s.index_of(f64::from_bits(1)) + 1;
+        assert_eq!(span as usize * 8, WORST_CASE_BYTES, "the doc's bound is the index span");
+
+        let mut s = PercentileSink::default();
+        s.record(f64::MIN_POSITIVE);
+        s.record(f64::MAX);
+        assert_eq!(s.stored_buckets(), 2);
+        assert!(s.buckets.capacity() * 8 <= WORST_CASE_BYTES);
+
+        // Widening one bucket at a time from the top down and the
+        // bottom up stays under it too, however far the doubling reaches.
+        let ladder: Vec<f64> = std::iter::successors(Some(f64::MAX), |&v| Some(v / 2.0))
+            .take_while(|&v| v > 0.0)
+            .collect();
+        let (mut down, mut up) = (PercentileSink::default(), PercentileSink::default());
+        ladder.iter().for_each(|&v| down.record(v));
+        ladder.iter().rev().for_each(|&v| up.record(v));
+        for s in [&down, &up] {
+            assert!(s.buckets.capacity() * 8 <= WORST_CASE_BYTES, "{}", s.buckets.capacity());
+        }
+        assert_eq!(down, up, "the same samples in opposite orders");
     }
 }
