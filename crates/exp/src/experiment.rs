@@ -2,7 +2,6 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 use clio_cache::cache::CacheConfig;
@@ -11,12 +10,11 @@ use clio_sim::machine::MachineConfig;
 use clio_sim::sched::Policy;
 use clio_sim::sched_replay::{scheduled_trace_sim, DiskFaultPlan, SchedReplayOptions};
 use clio_sim::trace_driven::{trace_sim, SimError, ThinkTime, TraceSimOptions};
-use clio_trace::record::TraceRecord;
 use clio_trace::replay::{
-    open_real_backend, replay_backend, replay_cached, replay_sharded, ParallelReplayOptions,
-    RealReplayOptions, ReportMode,
+    open_real_backend, replay_backend, replay_cached, replay_cached_pipelined, replay_sharded,
+    ParallelReplayOptions, RealReplayOptions, ReportMode,
 };
-use clio_trace::source::{SourceMeta, TraceSource};
+use clio_trace::source::TraceSource;
 use clio_trace::verify::{QuarantineSource, StrictSource, VerifyError, VerifyMode};
 
 use crate::engine::Engine;
@@ -69,9 +67,7 @@ impl Experiment {
     /// Runs the experiment.
     ///
     /// Every engine consumes the workload as a stream: serve reads one
-    /// per client, every other engine one (the parallel engine's
-    /// calling thread hands its workers chunks of it) — no engine
-    /// materializes a
+    /// per client, every other engine one — no engine materializes a
     /// [`TraceFile`](clio_trace::TraceFile). In [`ReportMode::Summary`]
     /// the replay engines additionally keep only O(1) running
     /// aggregates instead of per-record timings.
@@ -90,14 +86,16 @@ impl Experiment {
     /// ledger). The streams judged are the one stream of every engine
     /// but serve, and every serve client's, whose lenient ledgers are
     /// summed. With two faults in one stream, the error is the one that
-    /// comes first in the order the engine read it. An admitting serial
-    /// replay reads, decodes, verifies and judges its stream on a
-    /// reader thread, at most 3 × 1024 records ahead of the cache,
-    /// which gets them in order; the verdict and the errors are the
-    /// inline run's. Real replay, which acts outside the report, loads
-    /// the whole input first in every mode (every v2 block's container
-    /// checks included) and admits it under `Strict` and `Lenient`
-    /// ([`Workload::verify`]) before it touches the sample file.
+    /// comes first in the order the engine read it. Serial and parallel
+    /// replay read, decode and verify on the calling thread, at most
+    /// three 1024-record chunks ahead of the engine's threads, which it
+    /// feeds through one chunk pipeline ([`replay_cached_pipelined`],
+    /// [`replay_sharded`]); an unadmitted serial replay reads inline, as
+    /// a reader running ahead could reach a stream failure past the
+    /// engine's own error. Real replay, which acts outside the report,
+    /// loads the whole input first in every mode (every v2 block's
+    /// container checks included) and admits it under `Strict` and
+    /// `Lenient` ([`Workload::verify`]) before it touches the sample file.
     ///
     /// A stream replayed with [`VerifyMode::Off`] whose record names a
     /// file outside the declared roster fails with
@@ -133,16 +131,14 @@ impl Experiment {
 
     /// The one admission path: runs the engine over streams wrapped by
     /// `wrap`, and judges each stream the verdict comes from once the
-    /// engine is done with it, or, in an admitting serial replay, once
-    /// the reader thread has read it (see [`Experiment::run`]): read to
-    /// its end when admission is on, then why it failed, if it did,
-    /// then `verdict`, the wrapper's say on the records it saw. Both
-    /// come ahead of the engine's own error.
+    /// engine is done with it: read to its end when admission is on,
+    /// then why it failed, if it did, then `verdict`, the wrapper's say
+    /// on the records it saw. Both come ahead of the engine's own error.
     fn run_judged<S: TraceSource>(
         &self,
         report: &mut Report,
-        wrap: impl Fn(Box<dyn TraceSource>) -> S + Sync,
-        mut verdict: impl FnMut(&mut S) -> Result<(), VerifyError> + Send,
+        wrap: impl Fn(Box<dyn TraceSource>) -> S,
+        mut verdict: impl FnMut(&mut S) -> Result<(), VerifyError>,
     ) -> Result<(), ExpError> {
         let admitting = self.verify != VerifyMode::Off;
         let mut judge = |stream: &mut S| {
@@ -176,14 +172,6 @@ impl Experiment {
             report.cache_metrics = Some(outcome.cache_metrics);
             report.serve_latencies = outcome.latencies;
             report.serve = Some(outcome.summary);
-        } else if admitting && self.engine == Engine::SerialReplay {
-            // Admission is about half of an admitting serial replay: it
-            // runs on a reader thread, beside the cache. Under `Off` the
-            // stream is read inline: a reader running ahead could reach
-            // a stream failure past the engine's own error, and which
-            // one the run returned would turn on timing.
-            let open = || Ok(wrap(workload.open_lazy()?));
-            read_ahead(open, judge, |stream| self.replay_serial(stream, report))?;
         } else {
             let mut stream = wrap(workload.open_lazy()?);
             let ran = self.run_engine(&workload, &mut stream, report);
@@ -203,7 +191,15 @@ impl Experiment {
         report: &mut Report,
     ) -> Result<(), ExpError> {
         match &self.engine {
-            Engine::SerialReplay => self.replay_serial(stream, report)?,
+            Engine::SerialReplay => {
+                // Admission is about half the work: the cache gets a thread.
+                let replay = match self.verify {
+                    VerifyMode::Off => replay_cached(stream, self.cache.clone(), self.mode),
+                    _ => replay_cached_pipelined(stream, self.cache.clone(), self.mode),
+                }?;
+                report.cache_metrics = Some(replay.metrics);
+                report.set_replay(replay);
+            }
             Engine::ParallelReplay => {
                 let replay = replay_sharded(stream, self.cache.clone(), &self.parallel, self.mode)?;
                 report.cache_metrics = Some(replay.metrics);
@@ -227,126 +223,6 @@ impl Experiment {
             Engine::Serve => unreachable!("serve judges each client's stream itself"),
         }
         Ok(())
-    }
-
-    /// Serial replay of `stream` through one buffer cache.
-    fn replay_serial(
-        &self,
-        stream: &mut impl TraceSource,
-        report: &mut Report,
-    ) -> Result<(), ExpError> {
-        let replay = replay_cached(stream, self.cache.clone(), self.mode)?;
-        report.cache_metrics = Some(replay.metrics);
-        report.set_replay(replay);
-        Ok(())
-    }
-}
-
-/// Records per chunk that [`read_ahead`]'s reader hands to the engine.
-const CHUNK: usize = 1024;
-
-/// Chunk buffers in circulation: [`read_ahead`]'s reader runs at most
-/// this many chunks ahead of the engine and allocates no more.
-const CHUNKS: usize = 3;
-
-/// Runs `engine` over a stream that a scoped reader thread opens,
-/// reads and judges beside it.
-///
-/// The reader owns the stream end to end (a [`TraceSource`] need not be
-/// `Send`): it calls `open`, sends the stream's metadata, then its
-/// records in order, [`CHUNK`] at a time in [`CHUNKS`] recycled
-/// buffers, so it blocks on a free buffer instead of allocating. When
-/// the stream ends, or the engine stops early and drops its end, the
-/// reader runs `judge`, which reads whatever is left first. The
-/// verdict, or `open`'s error, comes ahead of the engine's own error;
-/// a panic on the reader is re-raised here.
-fn read_ahead<S: TraceSource>(
-    open: impl FnOnce() -> Result<S, ExpError> + Send,
-    judge: impl FnOnce(&mut S) -> Result<(), ExpError> + Send,
-    engine: impl FnOnce(&mut ReadAhead) -> Result<(), ExpError>,
-) -> Result<(), ExpError> {
-    let (meta_tx, meta_rx) = sync_channel(1);
-    let (full_tx, full_rx) = sync_channel(CHUNKS);
-    let (free_tx, free_rx) = sync_channel(CHUNKS);
-    std::thread::scope(|scope| {
-        // `Builder`, not `scope.spawn`: a thread the host cannot start
-        // is an error of the run, not a panic.
-        let reader = std::thread::Builder::new().spawn_scoped(scope, move || {
-            let mut stream = open()?;
-            if meta_tx.send((stream.meta(), stream.size_hint())).is_ok() {
-                let fresh = std::iter::repeat_with(|| Vec::with_capacity(CHUNK)).take(CHUNKS);
-                // Ends when the stream does, or when the engine has
-                // dropped its end (a failed send, or no buffer back).
-                for mut chunk in fresh.chain(free_rx.iter()) {
-                    chunk.extend(std::iter::from_fn(|| stream.next_record()).take(CHUNK));
-                    let last = chunk.len() < CHUNK;
-                    if chunk.is_empty() || full_tx.send(chunk).is_err() || last {
-                        break;
-                    }
-                }
-            }
-            drop(full_tx);
-            judge(&mut stream)
-        })?;
-        let ran = match meta_rx.recv() {
-            Ok((meta, hint)) => engine(&mut ReadAhead {
-                meta,
-                hint,
-                taken: 0,
-                full: full_rx,
-                free: free_tx,
-                chunk: Vec::new(),
-                at: 0,
-            }),
-            // `open` failed: the reader's join says how.
-            Err(_) => Ok(()),
-        };
-        let judged = reader.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        judged.and(ran)
-    })
-}
-
-/// The engine's end of [`read_ahead`]: the reader's records, in order.
-struct ReadAhead {
-    meta: SourceMeta,
-    /// The stream's size hint when it was opened.
-    hint: (usize, Option<usize>),
-    /// Records handed out so far.
-    taken: usize,
-    full: Receiver<Vec<TraceRecord>>,
-    free: SyncSender<Vec<TraceRecord>>,
-    /// The chunk being handed out; empty before the first and after
-    /// the last, since the reader sends no empty chunk.
-    chunk: Vec<TraceRecord>,
-    at: usize,
-}
-
-impl TraceSource for ReadAhead {
-    fn meta(&self) -> SourceMeta {
-        self.meta.clone()
-    }
-
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.at == self.chunk.len() {
-            let mut spent = std::mem::take(&mut self.chunk);
-            if !spent.is_empty() {
-                spent.clear();
-                // There is room for every buffer there is, so this fails
-                // only once the reader is done with them.
-                self.free.try_send(spent).ok();
-            }
-            self.chunk = self.full.recv().ok()?;
-            self.at = 0;
-        }
-        let record = self.chunk.get(self.at).copied();
-        self.at += 1;
-        self.taken += 1;
-        record
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let (lower, upper) = self.hint;
-        (lower.saturating_sub(self.taken), upper.map(|upper| upper.saturating_sub(self.taken)))
     }
 }
 
@@ -896,114 +772,6 @@ mod tests {
         let reports = run_many(&experiments, 1).unwrap();
         assert_eq!(reports[0].engine, "serial_replay");
         assert_eq!(reports[1].engine, "trace_sim");
-    }
-
-    type Strict = StrictSource<Box<dyn TraceSource>>;
-
-    /// A strict stream of `records` records for [`read_ahead`]: an open,
-    /// reads, and a close last if `closed`.
-    fn strict_stream(records: usize, closed: bool) -> Strict {
-        let meta = SourceMeta { sample_file: "ahead.dat".into(), num_processes: 1, num_files: 1 };
-        let record = move |i: usize| {
-            let op = match i {
-                0 => IoOp::Open,
-                _ if closed && i + 1 == records => IoOp::Close,
-                _ => IoOp::Read,
-            };
-            let length = if op == IoOp::Read { 4096 } else { 0 };
-            TraceRecord::simple(op, 0, i as u64 * 4096, length)
-        };
-        let source = clio_trace::source::IterSource::new(meta, (0..records).map(record));
-        StrictSource::with_options(Box::new(source), Default::default())
-    }
-
-    #[test]
-    fn read_ahead_hands_over_every_record_in_order_at_every_chunk_boundary() {
-        for records in [0, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNKS * CHUNK, 5 * CHUNK + 7] {
-            let mut judged = None;
-            let mut seen = Vec::new();
-            read_ahead(
-                || Ok(strict_stream(records, true)),
-                |stream| {
-                    judged = Some(stream.finish()?.records);
-                    Ok(())
-                },
-                |ahead| {
-                    assert_eq!(ahead.size_hint(), strict_stream(records, true).size_hint());
-                    seen.extend(std::iter::from_fn(|| ahead.next_record()));
-                    assert!(ahead.next_record().is_none(), "an ended stream stays ended");
-                    Ok(())
-                },
-            )
-            .unwrap();
-            let expected: Vec<_> = std::iter::from_fn({
-                let mut stream = strict_stream(records, true);
-                move || stream.next_record()
-            })
-            .collect();
-            assert_eq!(seen, expected, "{records} records");
-            assert_eq!(judged, Some(records as u64), "{records} records");
-        }
-    }
-
-    #[test]
-    fn read_ahead_drains_and_judges_after_an_engine_that_stops_early() {
-        const RECORDS: usize = 100_000;
-        let mut judged = None;
-        let mut taken = 0;
-        read_ahead(
-            || Ok(strict_stream(RECORDS, true)),
-            |stream| {
-                while stream.next_record().is_some() {}
-                judged = Some(stream.finish()?.records);
-                Ok(())
-            },
-            |ahead| {
-                taken = std::iter::from_fn(|| ahead.next_record()).take(10).count();
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(taken, 10);
-        assert_eq!(judged, Some(RECORDS as u64), "the reader read to the end and judged");
-    }
-
-    #[test]
-    fn read_ahead_puts_the_verdict_and_the_open_error_ahead_of_the_engine_error() {
-        let engine_error = || Err(ExpError::InvalidConfig("engine".into()));
-        // A stream with no close: V06 at its end, whatever the engine did.
-        let verdict = read_ahead(
-            || Ok(strict_stream(CHUNK + 1, false)),
-            |stream| Ok(stream.finish().map(drop)?),
-            |_| engine_error(),
-        );
-        assert!(matches!(verdict, Err(ExpError::Verify(_))), "{verdict:?}");
-        let clean = read_ahead(|| Ok(strict_stream(8, true)), |_| Ok(()), |_| engine_error());
-        assert!(matches!(clean, Err(ExpError::InvalidConfig(_))), "{clean:?}");
-        let mut ran = false;
-        let unopened = read_ahead(
-            || Err::<Strict, _>(ExpError::InvalidConfig("open".into())),
-            |_| Ok(()),
-            |_| {
-                ran = true;
-                Ok(())
-            },
-        );
-        assert!(matches!(unopened, Err(ExpError::InvalidConfig(m)) if m == "open"));
-        assert!(!ran, "no stream, no engine");
-    }
-
-    #[test]
-    fn read_ahead_re_raises_a_reader_panic_with_its_payload() {
-        let caught = std::panic::catch_unwind(|| {
-            read_ahead(
-                || -> Result<Strict, ExpError> { panic!("the reader broke") },
-                |_| Ok(()),
-                |_| Ok(()),
-            )
-        });
-        let payload = caught.expect_err("the panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"the reader broke"));
     }
 
     #[test]

@@ -55,7 +55,11 @@
 //! `clio_trace::replay::{replay_cached, replay_sharded, replay_backend}`
 //! — each takes the [`ReportMode`] and returns one `ReplayReport`, so
 //! "what a replay keeps" is decided there and [`Experiment::run`]
-//! never asks — and `clio_sim`'s two simulators,
+//! never asks; `replay_cached_pipelined`, which an admitting serial
+//! replay runs, is `replay_cached` with the cache on a thread of its
+//! own, fed through the same chunk pipeline as `replay_sharded`'s
+//! workers, the calling thread reading at most three 1024-record chunks
+//! ahead — and `clio_sim`'s two simulators,
 //! `trace_driven::trace_sim` and `sched_replay::scheduled_trace_sim`:
 //! one streaming process driver over a striped FCFS array or over
 //! seek-aware scheduled disks. Under open-loop think time a simulated

@@ -67,6 +67,7 @@ pub mod compact;
 pub mod error;
 pub mod fault;
 pub mod header;
+mod pipeline;
 pub mod reader;
 pub mod record;
 pub mod replay;

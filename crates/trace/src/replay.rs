@@ -15,13 +15,21 @@
 //!   anomalies exactly and repeatably.
 //! - [`replay_sharded`] drives a [`ShardedBufferCache`] with a pool of
 //!   workers, each holding the cache's [`ShardView`] of a disjoint set
-//!   of shards; the calling thread reads the stream once and hands every
-//!   worker the same checked records, a chunk at a time — the
-//!   multi-core engine, deterministic across runs *and* thread counts.
+//!   of shards — the multi-core engine, deterministic across runs *and*
+//!   thread counts.
 //! - [`replay_backend`] issues the records against an actual file
 //!   through a [`FileBackend`] ([`open_real_backend`] opens the sample
 //!   file), timing each operation with a monotonic clock — the
 //!   honest-hardware mode.
+//!
+//! [`replay_cached_pipelined`] is [`replay_cached`] with the cache on a
+//! thread of its own. It and [`replay_sharded`] share one chunk
+//! pipeline: the calling thread owns the stream (a [`TraceSource`] need
+//! not be `Send`), reads it, checks each record and hands the records
+//! to the scoped threads in shared, read-only chunks of 1024, at most
+//! three chunks ahead of the cache or two ahead of the workers (each
+//! chunk in flight holds a worker's cost columns). A thread the host
+//! cannot start is a [`TraceError::Io`]; a panic is re-raised.
 //!
 //! [`replay_parallel`] is not a fourth engine but the materialized
 //! reference for [`replay_sharded`], over a borrowed [`TraceFile`]; the
@@ -64,8 +72,6 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 use std::time::Duration;
 
 use clio_cache::backend::{FileBackend, RealFsBackend};
@@ -76,6 +82,7 @@ use clio_cache::shard::{ShardView, ShardedBufferCache};
 use clio_stats::{Stopwatch, Summary};
 
 use crate::error::TraceError;
+use crate::pipeline::{fan_out, Feed, CHUNK, SERIAL_DEPTH, SHARDED_DEPTH};
 use crate::reader::TraceFile;
 use crate::record::{IoOp, TraceRecord};
 use crate::source::TraceSource;
@@ -348,6 +355,23 @@ pub fn replay_cached<S: TraceSource + ?Sized>(
     Ok(report)
 }
 
+/// [`replay_cached`], bit for bit, with the cache on a thread of its own
+/// that the calling thread feeds (see the [module docs](self)). A replay
+/// that ends early, or on a record the checks reject, stops the reading
+/// there; the source is the caller's to ask, afterwards, why it ended
+/// ([`TraceSource::take_failure`]).
+pub fn replay_cached_pipelined<S: TraceSource + ?Sized>(
+    source: &mut S,
+    config: CacheConfig,
+    mode: ReportMode,
+) -> Result<ReplayReport, TraceError> {
+    let (meta, hint) = (source.meta(), source.size_hint());
+    let replay = |_, feed: Feed<()>| {
+        replay_cached(&mut feed.into_source(meta.clone(), hint), config.clone(), mode)
+    };
+    fan_out(source, (1, SERIAL_DEPTH), &replay, |_, _| {})?
+}
+
 /// The most worker threads [`ParallelReplayOptions::validate`] accepts.
 /// Parallel replay starts `min(threads, shards)` OS threads, so the knob
 /// is bounded where it is set rather than by what the host will spawn.
@@ -506,20 +530,13 @@ pub fn replay_parallel(
     Ok(report.finish_sharded(&cache, threads, &ledger))
 }
 
-/// Records per chunk of [`replay_sharded`]: the calling thread hands its
-/// workers the stream this many records at a time, and at most two
-/// chunks are in flight, so in-flight memory is O(chunk) however long
-/// the stream is.
-const PAR_CHUNK: usize = 1024;
-
 /// Replays a streaming record source against a sharded cache with a
 /// pool of worker threads — no materialized [`TraceFile`] exists
 /// anywhere in the engine.
 ///
-/// The calling thread reads `source` once, runs [`check_record`] on
-/// every record and hands the records to all workers 1024 at a time,
-/// as one shared, read-only chunk. Each worker replays a chunk on
-/// its [`ShardView`] and returns the chunk's per-record cost on each
+/// Through the chunk pipeline (see the [module docs](self)), every
+/// worker gets every chunk of checked records, replays it on its
+/// [`ShardView`] and returns the chunk's per-record cost on each
 /// shard it owns. The calling thread reads the next chunk while the
 /// workers replay this one, then merges this one's costs per record in
 /// ascending shard order — the same order as [`replay_parallel`]'s
@@ -531,113 +548,45 @@ const PAR_CHUNK: usize = 1024;
 /// A record [`check_record`] rejects ends the replay with that error
 /// before any worker sees it. The source is the caller's to ask,
 /// afterwards, why it ended ([`TraceSource::take_failure`]).
-///
-/// # Panics
-/// Panics if a worker panicked.
 pub fn replay_sharded<S: TraceSource + ?Sized>(
     source: &mut S,
     config: CacheConfig,
     options: &ParallelReplayOptions,
     mode: ReportMode,
 ) -> Result<ReplayReport, TraceError> {
-    let num_files = source.meta().num_files;
     let cache = ShardedBufferCache::new(config.clone(), options.shards);
     let num_shards = cache.num_shards();
     let threads = options.threads.clamp(1, num_shards);
     let mut report = ReplayReport::new(mode, source.size_hint().0);
     let mut ledger = PageLedger::default();
-
-    std::thread::scope(|scope| -> Result<(), TraceError> {
-        // Per worker, chunks go out with a spent column set to refill
-        // and cost columns come back. At most two chunks are in flight,
-        // so no send ever waits.
-        let (mut jobs, mut done) = (Vec::with_capacity(threads), Vec::with_capacity(threads));
-        for w in 0..threads {
-            let (job_tx, job_rx) = sync_channel::<(Arc<Vec<TraceRecord>>, Vec<Vec<f64>>)>(2);
-            let (done_tx, done_rx) = sync_channel(2);
-            jobs.push(job_tx);
-            done.push(done_rx);
-            let cache = &cache;
-            scope.spawn(move || {
-                let mut view = cache.worker_view(w, threads);
-                let owned = view.owned_shards().len();
-                for (chunk, mut columns) in job_rx {
-                    columns.resize_with(owned, || Vec::with_capacity(PAR_CHUNK));
-                    for column in &mut columns {
-                        column.clear();
-                        column.resize(chunk.len(), 0.0);
-                    }
-                    for (i, r) in chunk.iter().enumerate() {
-                        // The calling thread checked the record.
-                        let fid = FileId(r.file_id);
-                        replay_on_view(&mut view, fid, r, |k, c| columns[k][i] += c);
-                    }
-                    // Let go of the chunk before its costs go back: the
-                    // calling thread refills it once every worker has.
-                    drop(chunk);
-                    if done_tx.send(columns).is_err() {
-                        return; // the calling thread stopped early
-                    }
-                }
-            });
-        }
-
-        // Takes every worker's cost columns for `chunk` into `columns`
-        // (they go back out, to be refilled, with the chunk after next)
-        // and merges them: per record, the fixed per-op cost plus the
-        // shard partial costs in shard order.
-        let mut merge = |chunk: &[TraceRecord], columns: &mut [Vec<Vec<f64>>]| {
-            for (rx, set) in done.iter().zip(columns.iter_mut()) {
-                *set = rx.recv().expect("a replay worker panicked");
+    let worker = |w, mut feed: Feed<Vec<Vec<f64>>>| {
+        let mut view = cache.worker_view(w, threads);
+        let owned = view.owned_shards().len();
+        while let Some((chunk, columns)) = feed.next_chunk() {
+            columns.resize_with(owned, || Vec::with_capacity(CHUNK));
+            for column in columns.iter_mut() {
+                column.clear();
+                column.resize(chunk.len(), 0.0);
             }
             for (i, r) in chunk.iter().enumerate() {
-                let repeats = r.num_records.max(1) as f64;
-                let mut total = base_cost(&config, r.op) * repeats;
-                for s in 0..num_shards {
-                    total += columns[s % threads][s / threads][i];
-                }
-                report.keep(r, total / repeats);
-            }
-        };
-        let mut columns: Vec<Vec<Vec<f64>>> = (0..threads).map(|_| Vec::new()).collect();
-        let (mut queued, mut spare) = (None, None);
-        let mut read = 0;
-        loop {
-            let mut chunk = spare.take().unwrap_or_else(|| Arc::new(Vec::with_capacity(PAR_CHUNK)));
-            let records = Arc::get_mut(&mut chunk).expect("no worker holds a merged chunk");
-            records.clear();
-            while records.len() < PAR_CHUNK {
-                let Some(r) = source.next_record() else { break };
-                check_record(num_files, read, &r)?;
-                ledger.count(&r, config.page_size);
-                records.push(r);
-                read += 1;
-            }
-            let ended = records.len() < PAR_CHUNK;
-            let next = (!records.is_empty()).then_some(chunk);
-            if let Some(chunk) = &next {
-                for (tx, spent) in jobs.iter().zip(&mut columns) {
-                    // A worker that hung up panicked: `merge` says so.
-                    let _ = tx.send((Arc::clone(chunk), std::mem::take(spent)));
-                }
-            }
-            // The workers replay `next` while this thread merges the
-            // chunk before it.
-            if let Some(prev) = std::mem::replace(&mut queued, next) {
-                merge(&prev, &mut columns);
-                spare = Some(prev);
-            }
-            if ended {
-                if let Some(last) = queued.take() {
-                    merge(&last, &mut columns);
-                }
-                // Returning drops the channels before the scope joins,
-                // here or through the `?` above, so every worker ends.
-                return Ok(());
+                // The calling thread checked the record.
+                replay_on_view(&mut view, FileId(r.file_id), r, |k, c| columns[k][i] += c);
             }
         }
-    })?;
-
+    };
+    // Per record: the fixed per-op cost, then the shard partials in shard order.
+    let merge = |chunk: &[TraceRecord], columns: &[Vec<Vec<f64>>]| {
+        for (i, r) in chunk.iter().enumerate() {
+            ledger.count(r, config.page_size);
+            let repeats = r.num_records.max(1) as f64;
+            let mut total = base_cost(&config, r.op) * repeats;
+            for s in 0..num_shards {
+                total += columns[s % threads][s / threads][i];
+            }
+            report.keep(r, total / repeats);
+        }
+    };
+    fan_out(source, (threads, SHARDED_DEPTH), &worker, merge)?;
     Ok(report.finish_sharded(&cache, threads, &ledger))
 }
 
@@ -1006,7 +955,7 @@ mod tests {
         // bitwise-identical to the materialized engine's, at every thread
         // count — including stream lengths that are not a multiple of
         // the chunk.
-        let trace = mixed_trace(PAR_CHUNK as u64 + 137);
+        let trace = mixed_trace(CHUNK as u64 + 137);
         let config = CacheConfig { capacity_pages: 64, ..Default::default() };
         let reference = replay_parallel(
             &trace,
@@ -1144,8 +1093,8 @@ mod tests {
             let config = CacheConfig::default();
             assert_roster_error(replay_sharded(source, config, &opts, ReportMode::Summary));
 
-            let index = 2 * PAR_CHUNK as u64 + 3;
-            let records = (0..3 * PAR_CHUNK as u64).map(|i| {
+            let index = 2 * CHUNK as u64 + 3;
+            let records = (0..3 * CHUNK as u64).map(|i| {
                 let file_id = if i == index { 7 } else { 0 };
                 TraceRecord::simple(IoOp::Read, file_id, i % 64 * 4096, 4096)
             });

@@ -568,13 +568,15 @@ fn per_record_seconds(run: &dyn Fn() -> u64) -> f64 {
 /// terms that do not depend on the host: what grows with the input.
 ///
 /// - **Allocation calls.** At 8N each row makes at most its N-run's
-///   calls + 64: set-up and O(log N) buffer doublings. Parallel replay
-///   recycles its record chunks and cost columns, so it is held to that
+///   calls + 64: set-up and O(log N) buffer doublings. The chunk
+///   pipeline of strict serial replay and of parallel replay recycles
+///   its record chunks (and cost columns), so both are held to that
 ///   too; v2 encode (per-block buffers, ~1 call per 1024 records) gets
 ///   16 per 1024 extra records on top. One allocation per record adds
 ///   ~18 000 calls here and cannot pass either bound.
-/// - **Per-record time** of serial replay, serve at 32 clients, the
-///   faulted scheduled simulator and v2 decode: at 8N within 3x of N,
+/// - **Per-record time** of serial replay (unverified, and strict
+///   through the chunk pipeline), serve at 32 clients, the faulted
+///   scheduled simulator and v2 decode: at 8N within 3x of N,
 ///   best of 5, with three attempts, as in the timing tests above; the
 ///   host's speed cancels out of the ratio. An O(N) step per record (a
 ///   scan over a list that grows with the input) reads ~7x here; at 4N
@@ -613,6 +615,12 @@ fn every_engine_is_flat_per_record_in_calls_and_time() {
         Engine::SerialReplay,
         |b, _| b.report_mode(ReportMode::Full),
     ));
+    rows.push(
+        Row::experiment("replay/LRU, strict", synth.clone(), Engine::SerialReplay, |b, _| {
+            b.verify(VerifyMode::Strict)
+        })
+        .timed(),
+    );
     for clients in [1, 32] {
         let serve = Row::experiment(
             format!("serve/{clients}"),
@@ -680,6 +688,12 @@ fn every_engine_is_flat_per_record_in_calls_and_time() {
     rows.push(Row::experiment("parallel replay", synth.clone(), Engine::ParallelReplay, |b, _| {
         b.threads(2).shards(8)
     }));
+    rows.push(Row::experiment(
+        "parallel replay, strict",
+        synth.clone(),
+        Engine::ParallelReplay,
+        |b, _| b.threads(2).shards(8).verify(VerifyMode::Strict),
+    ));
 
     for row in &rows {
         let name = &row.name;
